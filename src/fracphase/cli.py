@@ -10,8 +10,8 @@ Subcommands map one-to-one onto the solver and analysis drivers:
   opcheck     fractional-operator consistency checks (sigma -> 0 identity)
   selftest    spectral + convex-analysis property suites
 
-Exit codes: 0 ok, 2 configuration error, 3 solver failure, 4 check failure,
-5 I/O failure.
+Exit codes: 0 ok, 1 internal error, 2 configuration error, 3 solver failure,
+4 check failure, 5 I/O failure.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,16 +33,19 @@ from .analysis import (ContdepReport, RelaxLimitSetup, contdep_check,
 from .config import (ConfigError, RunConfig, apply_overrides, build_bases,
                      build_potential, build_problem_data, build_system,
                      load_raw_config, validate_config)
+from .expressions import ExpressionError
 from .galerkin import OverflowGuardError, ProblemData, ValidationError, assemble
 from .potentials import (ResolventError, double_obstacle_potential,
                          logarithmic_potential, moreau, regular_potential,
                          resolvent, yosida)
-from .spectral import (build_interval_basis, gram_defect, kernel_projection,
-                       fractional_multipliers, synthesize)
+from .spectral import (BasisBuildError, build_basis, build_interval_basis,
+                       gram_defect, kernel_projection, fractional_multipliers,
+                       synthesize)
 from .timestepper import (BlowupError, ProxIterationError, RunOutput,
                           SchemeConfig, integrate)
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
@@ -177,9 +181,13 @@ class _ManifestWriter:
             entry["detail"] = detail
         self.payload["checks"][name] = entry
 
-    def fail(self, stage: str, message: str) -> None:
+    def fail(self, stage: str, message: str, exc: BaseException | None = None) -> None:
         self.payload["status"] = "failed"
-        self.payload["failure"] = {"stage": stage, "message": message}
+        failure = {"stage": stage, "message": message}
+        if exc is not None:
+            failure["exception"] = type(exc).__name__
+            failure["traceback"] = "".join(traceback.format_exception(exc))
+        self.payload["failure"] = failure
 
     def add_files(self, files) -> None:
         self.payload["files"].extend(os.path.basename(f) for f in files)
@@ -236,6 +244,9 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     values = study.get("values")
     if not values:
         raise ConfigError([("study.converge.values", "at least two values required")])
+    if axis == "n_modes" and not all(isinstance(v, int) and v >= 1 for v in values):
+        raise ConfigError([("study.converge.values",
+                            f"n_modes values must be positive integers, got {values!r}")])
 
     basis_a, basis_b = build_bases(cfg)
     potential = build_potential(cfg)
@@ -596,18 +607,26 @@ def main(argv=None) -> int:
     code = EXIT_OK
     try:
         code = COMMANDS[args.command](cfg, manifest, out_dir, args.quiet, args.jobs)
-    except (ConfigError, ValidationError) as exc:
-        manifest.fail("validation", str(exc))
+    except (ConfigError, ValidationError, ExpressionError, BasisBuildError) as exc:
+        manifest.fail("validation", str(exc), exc)
         print(f"configuration error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     except (BlowupError, ProxIterationError, OverflowGuardError, ResolventError) as exc:
-        manifest.fail("solver", str(exc))
+        manifest.fail("solver", str(exc), exc)
         print(f"solver failure: {exc}", file=sys.stderr)
         code = EXIT_SOLVER
     except OSError as exc:
-        manifest.fail("io", str(exc))
+        manifest.fail("io", str(exc), exc)
         print(f"I/O failure: {exc}", file=sys.stderr)
         code = EXIT_IO
+    except Exception as exc:
+        # a defect, not bad input: record it so no crash leaves an "ok" manifest
+        manifest.fail("internal", f"{type(exc).__name__}: {exc}", exc)
+        traceback.print_exc()
+        code = EXIT_INTERNAL
+    except BaseException as exc:
+        manifest.fail("interrupted", type(exc).__name__, exc)
+        raise
     finally:
         try:
             manifest.write()

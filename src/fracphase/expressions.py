@@ -100,8 +100,26 @@ def _time_factor(spec) -> callable:
     raise ExpressionError(f"unknown time expression kind {spec!r}")
 
 
+class SeparableSource:
+    """Sum of space(points) * time(t) products, callable as (points, t) -> values.
+
+    `products` lists the (space, time) factor pairs, so assembly can project
+    each space factor once instead of the whole source at every sample.
+    """
+
+    def __init__(self, products):
+        self.products = tuple(products)
+
+    def __call__(self, points: np.ndarray, t: float) -> np.ndarray:
+        total = None
+        for space, time in self.products:
+            vals = space(points) * time(t)
+            total = vals if total is None else total + vals
+        return total
+
+
 def build_source(spec, basis: SpectralBasis):
-    """Return a callable (points, t) -> values for a source spec, or None.
+    """Return a SeparableSource for a source spec, or None.
 
     A source spec is a {"space": ..., "time": ...} product or a list of such
     products, summed.
@@ -115,12 +133,4 @@ def build_source(spec, basis: SpectralBasis):
             raise ExpressionError("source term needs a 'space' entry")
         space = build_space_field(product["space"], basis)
         parts.append((space, _time_factor(product.get("time"))))
-
-    def source(points: np.ndarray, t: float) -> np.ndarray:
-        total = None
-        for space, time in parts:
-            vals = space(points) * time(t)
-            total = vals if total is None else total + vals
-        return total
-
-    return source
+    return SeparableSource(parts)

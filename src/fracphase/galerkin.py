@@ -22,6 +22,8 @@ import numpy as np
 from .potentials import Potential, yosida
 from .spectral import SpectralBasis, analyze, fractional_multipliers, synthesize
 
+# largest magnitude a coefficient or grid value may take before a run is
+# declared blown up
 OVERFLOW_LIMIT = 1e12
 
 # Sufficient embedding condition for the nonconstant-coupling analysis; an
@@ -68,7 +70,9 @@ class ProblemData:
 
     theta0/phi0 are callables over grid points or raw grid arrays; the source
     is None, a callable (points, t) -> values, or a (times, grids) table that
-    is linearly interpolated in time.
+    is linearly interpolated in time.  A callable source whose `products`
+    attribute lists (space, time) factor pairs is projected once per space
+    factor at assembly instead of once per sample.
     """
 
     theta0: object
@@ -140,11 +144,25 @@ class NonlinearTerms:
     theta_grid: np.ndarray
     coupling_grid: np.ndarray  # ell(phi) * theta on the grid
     beta_grid: np.ndarray      # beta_eps(phi) (or beta(phi) at eps = 0)
+    pi_grid: np.ndarray        # pi(phi) on the grid
 
 
 def _make_source_sampler(source, basis_a: SpectralBasis):
     if source is None:
         return None
+    products = getattr(source, "products", None)
+    if products is not None:
+        points = basis_a.grid_points
+        parts = [(time, analyze(basis_a, np.asarray(space(points), dtype=float)))
+                 for space, time in products]
+
+        def sampler(t: float) -> np.ndarray:
+            total = None
+            for time, coeffs in parts:
+                term = time(t) * coeffs
+                total = term if total is None else total + term
+            return total
+        return sampler
     if callable(source):
         def sampler(t: float) -> np.ndarray:
             vals = np.asarray(source(basis_a.grid_points, t), dtype=float)
@@ -279,24 +297,29 @@ def project_data(system: DiscreteSystem) -> tuple[np.ndarray, np.ndarray]:
             analyze(system.basis_b, system.phi0_grid))
 
 
-def _guard(grid: np.ndarray, label: str) -> np.ndarray:
-    if not np.all(np.isfinite(grid)) or np.max(np.abs(grid)) > OVERFLOW_LIMIT:
-        peak = np.max(np.abs(grid[np.isfinite(grid)])) if np.any(np.isfinite(grid)) else np.inf
-        raise OverflowGuardError(f"{label} exceeded the overflow guard (peak {peak:.3e})")
-    return grid
+def guard(values: np.ndarray, label: str, t: float | None = None) -> np.ndarray:
+    """Return `values`, or raise OverflowGuardError when any entry is
+    non-finite or exceeds OVERFLOW_LIMIT in magnitude."""
+    peak = np.abs(values).max(initial=0.0)
+    if not peak <= OVERFLOW_LIMIT:  # NaN fails the comparison too
+        at = "" if t is None else f" at t={t:.6g}"
+        raise OverflowGuardError(
+            f"{label} exceeded the overflow guard{at} (peak |value| {peak:.3e})")
+    return values
 
 
 def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray,
-                      *, include_beta: bool = True) -> NonlinearTerms:
+                      *, include_beta: bool = True,
+                      t: float | None = None) -> NonlinearTerms:
     """Collocation evaluation of the phase nonlinearity.
 
     Synthesize both fields, apply beta_eps + pi pointwise, form the coupling
     product ell(phi)*theta, and analyze back in the B basis.  include_beta =
     False is used by the proximal stepper, which treats the convex part
-    through its resolvent instead.
+    through its resolvent instead.  t only labels overflow-guard messages.
     """
-    phi_grid = _guard(synthesize(system.basis_b, phi), "phi")
-    theta_grid = _guard(synthesize(system.basis_a, theta), "theta")
+    phi_grid = guard(synthesize(system.basis_b, phi), "phi grid", t)
+    theta_grid = guard(synthesize(system.basis_a, theta), "theta grid", t)
 
     if include_beta:
         if system.eps > 0.0:
@@ -312,13 +335,13 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
     else:
         beta_grid = np.zeros_like(phi_grid)
 
-    ell = system.coupling.on_grid(phi_grid)
-    coupling_grid = ell * theta_grid
-    pointwise = beta_grid + np.asarray(system.potential.pi(phi_grid), dtype=float) - coupling_grid
-    fphi = analyze(system.basis_b, _guard(pointwise, "nonlinearity"))
+    pi_grid = np.asarray(system.potential.pi(phi_grid), dtype=float)
+    coupling_grid = system.coupling.on_grid(phi_grid) * theta_grid
+    pointwise = beta_grid + pi_grid - coupling_grid
+    fphi = analyze(system.basis_b, guard(pointwise, "nonlinearity", t))
     return NonlinearTerms(fphi=fphi, phi_grid=phi_grid, theta_grid=theta_grid,
-                          coupling_grid=np.broadcast_to(coupling_grid, phi_grid.shape).copy(),
-                          beta_grid=beta_grid)
+                          coupling_grid=coupling_grid, beta_grid=beta_grid,
+                          pi_grid=pi_grid)
 
 
 def apply_coupling(system: DiscreteSystem, phi_grid: np.ndarray,

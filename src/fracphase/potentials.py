@@ -8,9 +8,11 @@ perturbation pi_hat with Lipschitz derivative pi.  Three canonical splits ship:
   logarithmic     beta_hat = (1+s)ln(1+s)+(1-s)ln(1-s) on [-1,1], pi_hat = -c1 s^2
   double obstacle beta_hat = indicator of [-1,1],                 pi_hat = -c2 s^2
 
-plus a custom hook.  The resolvent J_eps = (I + eps*beta)^{-1} is computed by
-safeguarded Newton with a guaranteed bisection bracket; the Yosida map and the
-Moreau envelope derive from it.
+plus a custom hook.  The resolvent J_eps = (I + eps*beta)^{-1} has a closed
+form for the regular (a real cubic root) and obstacle (a projection) splits;
+the logarithmic and custom splits solve it by safeguarded Newton with a
+guaranteed bisection bracket.  The Yosida map and the Moreau envelope derive
+from it.
 """
 from __future__ import annotations
 
@@ -61,6 +63,17 @@ class Potential:
         return self.kind == "double_obstacle"
 
 
+def _cubic_resolvent(eps: float, s: np.ndarray) -> np.ndarray:
+    """Real root of x + eps*x^3 = s, then one Newton polish.
+
+    Hyperbolic Cardano form: x = a*sinh(asinh(3s/a)/3) with a = 2/sqrt(3 eps).
+    Unlike the radical Cardano formula it does not cancel near s = 0.
+    """
+    k = np.sqrt(3.0 * eps)
+    x = (2.0 / k) * np.sinh(np.arcsinh(1.5 * k * s) / 3.0)
+    return x - (x + eps * (x * x * x) - s) / (1.0 + 3.0 * eps * x * x)
+
+
 def regular_potential(gamma: float = 1.0) -> Potential:
     """Quartic split: beta(s) = s^3, pi(s) = -gamma*s.
 
@@ -79,6 +92,7 @@ def regular_potential(gamma: float = 1.0) -> Potential:
         gamma=gamma,
         domain=(-np.inf, np.inf),
         domain_open=(True, True),
+        resolvent_closed_form=_cubic_resolvent,
     )
 
 
@@ -172,7 +186,9 @@ def custom_potential(beta_hat, beta, *, beta_prime=None, pi_hat=None, pi=None,
     """User-supplied split; beta_hat/beta must be vectorized over arrays.
 
     Validation samples the interior of the domain: midpoint convexity of
-    beta_hat, beta_hat(0) = 0, and monotonicity of beta.
+    beta_hat, beta_hat(0) = 0, monotonicity of beta, and, when gamma is given,
+    the declared slope pi(s) = -gamma*s that the energy ledger and the
+    relaxation-limit solver rely on.
     """
     zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
     pot = Potential(
@@ -203,6 +219,11 @@ def custom_potential(beta_hat, beta, *, beta_prime=None, pi_hat=None, pi=None,
         b = np.asarray(beta(s), dtype=float)
         if np.any(np.diff(b) < -1e-9):
             raise ValueError("custom beta must be monotone nondecreasing")
+        if gamma is not None:
+            p = np.asarray(pot.pi(s), dtype=float)
+            if not np.all(np.abs(p + gamma * s) <= 1e-12 * (1.0 + np.abs(gamma * s))):
+                raise ValueError(f"custom pi does not match the declared slope "
+                                 f"pi(s) = -gamma*s with gamma={gamma}")
     return pot
 
 
@@ -244,19 +265,40 @@ def _newton_bracket(pot: Potential, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def resolvent(pot: Potential, eps: float, s) -> np.ndarray | float:
     """J_eps(s): the unique solution of x + eps*beta(x) = s.
 
-    For the obstacle the resolvent is the projection onto [-1, 1]; otherwise a
-    Newton iteration with bracketed bisection fallback drives the residual to
-    the representable floor.
+    A closed form is used when the potential declares one (the cubic root for
+    the regular split, the projection onto [-1, 1] for the obstacle);
+    otherwise a Newton iteration with bracketed bisection fallback drives the
+    residual to the representable floor.  Every single-valued solution passes
+    the same residual sanity check.
     """
     if eps <= 0.0:
         raise ValueError(f"resolvent level eps must be positive, got {eps}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.all(np.isfinite(s_arr)):
+    if not np.isfinite(s_arr).all():
         raise ValueError("resolvent input must be finite")
-    if pot.resolvent_closed_form is not None:
-        out = pot.resolvent_closed_form(eps, s_arr)
-        return out if np.ndim(s) else float(out[0])
+    if pot.resolvent_closed_form is None:
+        x, residual = _newton_resolvent(pot, eps, s_arr)
+    else:
+        x = pot.resolvent_closed_form(eps, s_arr)
+        # the obstacle projection is exact and its beta is multivalued
+        residual = None if pot.multivalued else \
+            np.abs(x + eps * np.asarray(pot.beta(x), dtype=float) - s_arr)
+    # the bound is at least 1e-6 everywhere, so most calls stop at the max
+    if residual is not None and not residual.max(initial=0.0) <= 1e-6:
+        sanity = 1e-6 * (1.0 + np.abs(s_arr))
+        if not (residual <= sanity).all():
+            excess = np.where(np.isfinite(residual), residual - sanity, np.inf)
+            worst = int(np.argmax(excess))
+            raise ResolventError(
+                f"resolvent failed for kind={pot.kind}, eps={eps}: residual "
+                f"{residual[worst]:.3e} at s={s_arr[worst]!r}"
+            )
+    return x if np.ndim(s) else float(x[0])
 
+
+def _newton_resolvent(pot: Potential, eps: float,
+                      s_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Safeguarded Newton with bisection fallback; returns (x, |residual|)."""
     lo, hi = _newton_bracket(pot, s_arr)
     x = np.clip(s_arr, lo, hi)
     best_x = x.copy()
@@ -300,15 +342,7 @@ def resolvent(pot: Potential, eps: float, s) -> np.ndarray | float:
         hi = np.where(active & (fm > 0.0), mid, hi)
         lo = np.where(active & (fm <= 0.0), mid, lo)
         active = active & ~collapsed & (best_f > NEWTON_TOL)
-
-    sanity = 1e-6 * (1.0 + np.abs(s_arr))
-    if np.any(best_f > sanity):
-        worst = int(np.argmax(best_f - sanity))
-        raise ResolventError(
-            f"resolvent failed for kind={pot.kind}, eps={eps}: residual "
-            f"{best_f[worst]:.3e} at s={s_arr[worst]!r}"
-        )
-    return best_x if np.ndim(s) else float(best_x[0])
+    return best_x, best_f
 
 
 def yosida(pot: Potential, eps: float, s) -> np.ndarray | float:

@@ -17,12 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .galerkin import DiscreteSystem, OverflowGuardError, apply_coupling, \
-    eval_nonlinearity, project_data
+from .galerkin import DiscreteSystem, NonlinearTerms, OverflowGuardError, \
+    apply_coupling, eval_nonlinearity, guard, project_data
 from .potentials import potential_energy_density, prox_step
 from .spectral import analyze, synthesize
-
-OVERFLOW_LIMIT = 1e12
 
 SCHEMES = ("imex_euler", "implicit_prox")
 
@@ -114,26 +112,42 @@ class RunOutput:
     failure: Optional[str] = None
 
 
-def step_imex(system: DiscreteSystem, state: State, dt: float) -> State:
+@dataclass
+class StepResult:
+    """One step: the new state plus what the step computed on the way.
+
+    terms are the explicit nonlinear terms at the start state and source is
+    the sample g(t+dt) the step applied; the energy ledger reuses both.  The
+    proximal step also reports its multiplier and grid state.
+    """
+
+    state: State
+    terms: NonlinearTerms
+    source: np.ndarray
+    xi_grid: Optional[np.ndarray] = None
+    phi_grid: Optional[np.ndarray] = None
+
+
+def step_imex(system: DiscreteSystem, state: State, dt: float) -> StepResult:
     """One semi-implicit Euler step.
 
     Phi+ = (I + dt M)^(-1) (Phi - dt F(Theta, Phi)), then
     Theta+ = (I + dt Lambda)^(-1) (Theta - E (Phi+ - Phi) + dt g(t+dt)).
     """
-    terms = eval_nonlinearity(system, state.theta, state.phi)
-    phi_new = (state.phi - dt * terms.fphi) / (1.0 + dt * system.phi_stiff)
+    t_new = state.t + dt
+    terms = eval_nonlinearity(system, state.theta, state.phi, t=state.t)
+    phi_new = guard((state.phi - dt * terms.fphi) / (1.0 + dt * system.phi_stiff),
+                    "phi coefficients", t_new)
     coupled = apply_coupling(system, terms.phi_grid, phi_new - state.phi)
-    theta_new = (state.theta - coupled + dt * system.source_at(state.t + dt)) / (
-        1.0 + dt * system.theta_stiff
-    )
-    _guard_state(theta_new, phi_new, state.t + dt)
-    return State(state.t + dt, theta_new, phi_new)
+    g = system.source_at(t_new)
+    theta_new = guard((state.theta - coupled + dt * g) / (1.0 + dt * system.theta_stiff),
+                      "theta coefficients", t_new)
+    return StepResult(State(t_new, theta_new, phi_new), terms, g)
 
 
 def step_implicit_prox(system: DiscreteSystem, state: State, dt: float,
-                       tol: float = 1e-10, max_iters: int = 50
-                       ) -> tuple[State, np.ndarray, np.ndarray]:
-    """One proximal step; returns (state, xi_grid, phi_grid).
+                       tol: float = 1e-10, max_iters: int = 50) -> StepResult:
+    """One proximal step; the result carries xi_grid and phi_grid.
 
     The smooth explicit terms are frozen at the current state exactly as in
     the semi-implicit step; the stiff diagonal is then solved implicitly and
@@ -149,12 +163,14 @@ def step_implicit_prox(system: DiscreteSystem, state: State, dt: float,
     reduces to the semi-implicit one identically.
     """
     pot, eps = system.potential, system.eps
-    terms = eval_nonlinearity(system, state.theta, state.phi, include_beta=False)
+    t_new = state.t + dt
+    terms = eval_nonlinearity(system, state.theta, state.phi, include_beta=False,
+                              t=state.t)
     phi_mid = (state.phi - dt * terms.fphi) / (1.0 + dt * system.phi_stiff)
-    intermediate = _guard_grid(system, phi_mid)
+    intermediate = guard(synthesize(system.basis_b, phi_mid), "phase grid", t_new)
     phi_grid = np.asarray(prox_step(pot, eps, dt, intermediate))
     xi_grid = (intermediate - phi_grid) / dt
-    phi_next = analyze(system.basis_b, phi_grid)
+    phi_next = guard(analyze(system.basis_b, phi_grid), "phi coefficients", t_new)
 
     # the grid resolvent solves its pointwise relation exactly, so the only
     # consistency check left is that the solved grid state stayed usable
@@ -166,26 +182,10 @@ def step_implicit_prox(system: DiscreteSystem, state: State, dt: float,
             residual=residual,
         )
     coupled = apply_coupling(system, terms.phi_grid, phi_next - state.phi)
-    theta_next = (state.theta - coupled + dt * system.source_at(state.t + dt)) / (
-        1.0 + dt * system.theta_stiff
-    )
-    _guard_state(theta_next, phi_next, state.t + dt)
-    return State(state.t + dt, theta_next, phi_next), xi_grid, phi_grid
-
-
-def _guard_state(theta: np.ndarray, phi: np.ndarray, t: float) -> None:
-    for label, vec in (("theta", theta), ("phi", phi)):
-        if not np.all(np.isfinite(vec)) or np.max(np.abs(vec), initial=0.0) > OVERFLOW_LIMIT:
-            raise OverflowGuardError(
-                f"{label} coefficients exceeded the overflow guard at t={t:.6g}"
-            )
-
-
-def _guard_grid(system: DiscreteSystem, coeffs: np.ndarray) -> np.ndarray:
-    grid = synthesize(system.basis_b, coeffs)
-    if not np.all(np.isfinite(grid)) or np.max(np.abs(grid)) > OVERFLOW_LIMIT:
-        raise OverflowGuardError("phase grid values exceeded the overflow guard")
-    return grid
+    g = system.source_at(t_new)
+    theta_next = guard((state.theta - coupled + dt * g) / (1.0 + dt * system.theta_stiff),
+                       "theta coefficients", t_new)
+    return StepResult(State(t_new, theta_next, phi_next), terms, g, xi_grid, phi_grid)
 
 
 class _LedgerAccumulator:
@@ -194,6 +194,8 @@ class _LedgerAccumulator:
     Dissipation and work integrals use the left-endpoint rule with forward
     difference quotients, which matches the Euler consistency order; the
     source work uses the implicit sample g(t+dt) that the scheme applies.
+    Every grid quantity comes from the step's own terms, so the ledger does
+    no transform of its own (one analysis when pi has no declared slope).
     """
 
     def __init__(self, system: DiscreteSystem):
@@ -203,14 +205,19 @@ class _LedgerAccumulator:
         self.work_source = 0.0
         self.work_phi = 0.0
 
-    def accumulate(self, state: State, new_state: State, dt: float) -> None:
+    def accumulate(self, state: State, step: StepResult, dt: float) -> None:
         sysm = self.system
+        new_state = step.state
         dphi = new_state.phi - state.phi
         self.diss_theta += dt * float(np.dot(sysm.theta_stiff * state.theta, state.theta))
         self.diss_phi += float(np.dot(dphi, dphi)) / dt
-        self.work_source += dt * float(np.dot(sysm.source_at(new_state.t), new_state.theta))
-        phi_grid = synthesize(sysm.basis_b, state.phi)
-        pi_proj = analyze(sysm.basis_b, np.asarray(sysm.potential.pi(phi_grid), dtype=float))
+        self.work_source += dt * float(np.dot(step.source, new_state.theta))
+        gamma = sysm.potential.gamma
+        if gamma is not None:
+            # pi(v) = -gamma*v, so its projection is -gamma*phi exactly
+            pi_proj = -gamma * state.phi
+        else:
+            pi_proj = analyze(sysm.basis_b, step.terms.pi_grid)
         self.work_phi += float(np.dot(state.phi - pi_proj, dphi))
 
 
@@ -219,6 +226,53 @@ def _potential_integral(system: DiscreteSystem, phi: np.ndarray,
     grid = phi_grid if phi_grid is not None else synthesize(system.basis_b, phi)
     density = potential_energy_density(system.potential, system.eps, grid)
     return float(np.dot(system.basis_b.quad_weights, density))
+
+
+_COLUMNS = ("t", "norm_theta", "graph_theta", "norm_phi", "graph_phi", "dtphi",
+            "half_theta_sq", "diss_theta", "diss_phi", "half_phi_graph_sq",
+            "potential_integral", "work_source", "work_phi")
+
+
+class _Snapshots:
+    """Per-snapshot columns preallocated for a whole run; `count` rows are filled."""
+
+    def __init__(self, system: DiscreteSystem, n_rows: int, prox: bool):
+        self.system = system
+        self.count = 0
+        self.cols = {name: np.empty(n_rows) for name in _COLUMNS}
+        self.theta = np.empty((n_rows, system.n_a))
+        self.phi = np.empty((n_rows, system.n_b))
+        ngrid = system.basis_b.n_grid
+        self.xi = np.empty((n_rows, ngrid)) if prox else None
+        self.phi_grid = np.empty((n_rows, ngrid)) if prox else None
+
+    def record(self, state: State, dtphi: float, ledger: _LedgerAccumulator,
+               xi: np.ndarray | None, phi_grid: np.ndarray | None) -> None:
+        system, k, c = self.system, self.count, self.cols
+        theta, phi = state.theta, state.phi
+        ar_theta_sq = float(np.dot(system.theta_stiff * theta, theta))  # |A^r theta|^2
+        bs_phi_sq = float(np.dot(system.phi_stiff * phi, phi))
+        half_graph_phi = 0.5 * (float(np.dot(phi, phi)) + bs_phi_sq)
+        c["t"][k] = state.t
+        c["norm_theta"][k] = float(np.linalg.norm(theta))
+        c["graph_theta"][k] = float(np.sqrt(np.dot(theta, theta) + ar_theta_sq))
+        c["norm_phi"][k] = float(np.linalg.norm(phi))
+        c["graph_phi"][k] = float(np.sqrt(2.0 * half_graph_phi))
+        c["dtphi"][k] = dtphi
+        c["half_theta_sq"][k] = 0.5 * float(np.dot(theta, theta))
+        c["diss_theta"][k] = ledger.diss_theta
+        c["diss_phi"][k] = ledger.diss_phi
+        c["half_phi_graph_sq"][k] = half_graph_phi
+        c["potential_integral"][k] = _potential_integral(system, phi, phi_grid)
+        c["work_source"][k] = ledger.work_source
+        c["work_phi"][k] = ledger.work_phi
+        self.theta[k] = theta
+        self.phi[k] = phi
+        if self.xi is not None:
+            self.xi[k] = 0.0 if xi is None else xi
+            self.phi_grid[k] = phi_grid if phi_grid is not None else \
+                guard(synthesize(system.basis_b, phi), "phase grid", state.t)
+        self.count += 1
 
 
 def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
@@ -252,82 +306,45 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
 
     prox = scheme.scheme == "implicit_prox"
     ledger = _LedgerAccumulator(system)
-    ngrid = system.basis_b.n_grid
-
-    rows: list[dict] = []
-    xi_rows: list[np.ndarray] = []
-    phi_grid_rows: list[np.ndarray] = []
-
-    def record(state: State, dtphi: float, xi: np.ndarray | None,
-               phi_grid: np.ndarray | None) -> None:
-        theta, phi = state.theta, state.phi
-        frac_t = system.theta_stiff * theta  # lambda^{2r} theta
-        ar_theta_sq = float(np.dot(frac_t, theta))         # |A^r theta|^2
-        bs_phi_sq = float(np.dot(system.phi_stiff * phi, phi))
-        half_theta = 0.5 * float(np.dot(theta, theta))
-        half_graph_phi = 0.5 * (float(np.dot(phi, phi)) + bs_phi_sq)
-        pot_int = _potential_integral(system, phi, phi_grid)
-        rows.append(dict(
-            t=state.t,
-            theta_snap=theta.copy(),
-            phi_snap=phi.copy(),
-            norm_theta=float(np.linalg.norm(theta)),
-            graph_theta=float(np.sqrt(np.dot(theta, theta) + ar_theta_sq)),
-            norm_phi=float(np.linalg.norm(phi)),
-            graph_phi=float(np.sqrt(2.0 * half_graph_phi)),
-            dtphi=dtphi,
-            half_theta_sq=half_theta,
-            diss_theta=ledger.diss_theta,
-            diss_phi=ledger.diss_phi,
-            half_phi_graph_sq=half_graph_phi,
-            potential_integral=pot_int,
-            work_source=ledger.work_source,
-            work_phi=ledger.work_phi,
-        ))
-        if prox:
-            xi_rows.append(np.zeros(ngrid) if xi is None else xi.copy())
-            phi_grid_rows.append(
-                phi_grid.copy() if phi_grid is not None
-                else np.asarray(_guard_grid(system, phi))
-            )
+    n_rows = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
+    snaps = _Snapshots(system, n_rows, prox)
 
     # prox runs ledger the datum grid at t = 0: the modal projection of a
     # clamped field can overshoot the obstacle and blow up the indicator
-    record(state, 0.0, None,
-           system.phi0_grid if (prox and initial_state is None) else None)
-    failure = None
+    snaps.record(state, 0.0, ledger, None,
+                 system.phi0_grid if (prox and initial_state is None) else None)
     try:
         t0 = state.t
         for k in range(1, n_steps + 1):
             if prox:
-                new_state, xi, phig = step_implicit_prox(
+                step = step_implicit_prox(
                     system, state, dt, scheme.fixed_point_tol, scheme.max_inner_iters
                 )
             else:
-                new_state = step_imex(system, state, dt)
-                xi, phig = None, None
+                step = step_imex(system, state, dt)
+            new_state = step.state
             new_state.t = t0 + k * dt  # avoid accumulated drift in snapshot times
-            ledger.accumulate(state, new_state, dt)
+            ledger.accumulate(state, step, dt)
             dtphi = float(np.linalg.norm(new_state.phi - state.phi)) / dt
             state = new_state
             if k % snapshot_stride == 0 or k == n_steps:
-                record(state, dtphi, xi, phig)
+                snaps.record(state, dtphi, ledger, step.xi_grid, step.phi_grid)
     except (OverflowGuardError, ProxIterationError) as exc:
         failure = str(exc)
-        partial = _finalize(system, rows, state, scheme, xi_rows, phi_grid_rows,
-                            failed=True, failure=failure)
+        partial = _finalize(snaps, state, scheme, failed=True, failure=failure)
         if isinstance(exc, ProxIterationError):
             raise ProxIterationError(failure, exc.residual, partial) from None
         raise BlowupError(failure, partial) from None
 
-    return _finalize(system, rows, state, scheme, xi_rows, phi_grid_rows)
+    return _finalize(snaps, state, scheme)
 
 
-def _finalize(system: DiscreteSystem, rows: list[dict], state: State,
-              scheme: SchemeConfig, xi_rows, phi_grid_rows,
+def _finalize(snaps: _Snapshots, state: State, scheme: SchemeConfig,
               failed: bool = False, failure: str | None = None) -> RunOutput:
+    n = snaps.count
+
     def col(name):
-        return np.array([row[name] for row in rows])
+        return snaps.cols[name][:n]
 
     lhs = (col("half_theta_sq") + col("diss_theta") + col("diss_phi")
            + col("half_phi_graph_sq") + col("potential_integral"))
@@ -347,8 +364,8 @@ def _finalize(system: DiscreteSystem, rows: list[dict], state: State,
     )
     return RunOutput(
         times=col("t"),
-        theta_series=np.array([row["theta_snap"] for row in rows]),
-        phi_series=np.array([row["phi_snap"] for row in rows]),
+        theta_series=snaps.theta[:n],
+        phi_series=snaps.phi[:n],
         norm_theta=col("norm_theta"),
         graph_theta=col("graph_theta"),
         norm_phi=col("norm_phi"),
@@ -358,9 +375,9 @@ def _finalize(system: DiscreteSystem, rows: list[dict], state: State,
         final_state=state.copy(),
         scheme=scheme.scheme,
         dt=scheme.dt,
-        eps=system.eps,
-        xi_series=np.array(xi_rows) if xi_rows else None,
-        phi_grid_series=np.array(phi_grid_rows) if phi_grid_rows else None,
+        eps=snaps.system.eps,
+        xi_series=None if snaps.xi is None else snaps.xi[:n],
+        phi_grid_series=None if snaps.phi_grid is None else snaps.phi_grid[:n],
         failed=failed,
         failure=failure,
     )

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
-                           OUTPUT_ROOT_ENV, TIMESERIES_HEADER, config_hash,
-                           main, read_timeseries)
+import fracphase.cli
+from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
+                           EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
+                           config_hash, main, read_timeseries)
 from fracphase.config import (ConfigError, apply_overrides, load_raw_config,
                               validate_config)
 
@@ -117,6 +118,54 @@ class TestExitCodes:
         cfg = write_config(tmp_path, strict)
         assert main(["contdep", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"]) == EXIT_CHECK
+
+
+class TestManifestStatus:
+    """The exit code and the manifest status always agree, also on a crash."""
+
+    def run(self, tmp_path, command, payload):
+        out = tmp_path / "o"
+        code = main([command, "--config", write_config(tmp_path, payload),
+                     "--out", str(out), "--quiet"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (code == EXIT_OK) == (manifest["status"] == "ok")
+        return code, manifest
+
+    def test_converge_n_modes_axis(self, tmp_path):
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["study"] = {"converge": {"axis": "n_modes", "values": [4, 6, 8]}}
+        code, manifest = self.run(tmp_path, "converge", cfgd)
+        assert code == EXIT_OK
+        assert manifest["checks"]["errors_decrease"]["passed"]
+        rows = (tmp_path / "o" / "study_converge.csv").read_text().splitlines()
+        assert rows[0].startswith("n_modes,") and len(rows) == 4
+
+    def test_n_modes_axis_rejects_non_integers(self, tmp_path):
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["study"] = {"converge": {"axis": "n_modes", "values": [0.004, 0.002]}}
+        code, manifest = self.run(tmp_path, "converge", cfgd)
+        assert code == EXIT_CONFIG
+        assert manifest["failure"]["stage"] == "validation"
+
+    def test_bad_expression_is_a_config_error(self, tmp_path):
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["data"]["theta0"][1]["k"] = [1, 1]  # two wavenumbers on an interval
+        code, manifest = self.run(tmp_path, "simulate", cfgd)
+        assert code == EXIT_CONFIG
+        assert manifest["failure"]["exception"] == "ExpressionError"
+
+    def test_internal_error_fails_manifest(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("defect under test")
+
+        monkeypatch.setattr(fracphase.cli, "integrate", broken)
+        code, manifest = self.run(tmp_path, "simulate", SMOKE)
+        assert code == EXIT_INTERNAL
+        failure = manifest["failure"]
+        assert failure["stage"] == "internal"
+        assert failure["exception"] == "RuntimeError"
+        assert "defect under test" in failure["traceback"]
+        assert "broken" in failure["traceback"]
 
 
 class TestOutputs:

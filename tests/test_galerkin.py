@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fracphase.expressions import build_source
 from fracphase.galerkin import (Coupling, ProblemData, ValidationError,
                                 apply_coupling, assemble, eval_nonlinearity,
                                 project_data)
@@ -174,6 +175,20 @@ class TestSourceSampling:
         g_half = system.source_at(0.5)
         assert g_half[1] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
         assert np.allclose(system.source_at(2.0), system.source_at(1.0))
+
+    def test_separable_source_projected_once_matches_grid_analysis(self, neumann8):
+        exp_cos = {"space": {"kind": "cos", "k": 1, "amplitude": 0.5},
+                   "time": {"kind": "exp", "rate": -1.0}}
+        gauss = {"space": {"kind": "gaussian", "center": 0.3, "width": 0.1},
+                 "time": {"kind": "cos", "omega": 3.0, "phase": 0.2}}
+        x = neumann8.grid_points
+        for spec in (exp_cos, [exp_cos, gauss]):
+            source = build_source(spec, neumann8)
+            system = make_system(neumann8, neumann8, Coupling.constant(0.0),
+                                 source=source)
+            for t in (0.0, 0.3, 1.7, 12.0):
+                per_step = analyze(neumann8, source(x, t))
+                assert np.max(np.abs(system.source_at(t) - per_step)) <= 1e-14
 
     def test_beta_term_uses_yosida(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(0.0), eps=0.1)

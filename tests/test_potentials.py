@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracphase.potentials import (CoercivityReport, coercivity_probe,
-                                  custom_potential, double_obstacle_potential,
+from fracphase.potentials import (CoercivityReport, ResolventError,
+                                  coercivity_probe, custom_potential,
+                                  double_obstacle_potential,
                                   logarithmic_potential, moreau, prox_step,
                                   regular_potential, resolvent, yosida,
                                   zero_potential)
@@ -61,6 +64,18 @@ class TestCanonicalSplits:
         with pytest.raises(ValueError):
             double_obstacle_potential(0.0)
 
+    def test_custom_gamma_must_match_pi(self):
+        quartic = (lambda s: np.asarray(s) ** 4 / 4.0, lambda s: np.asarray(s) ** 3)
+        pot = custom_potential(*quartic, pi=lambda s: -0.5 * np.asarray(s, dtype=float),
+                               gamma=0.5)
+        assert pot.gamma == 0.5
+        with pytest.raises(ValueError, match="gamma"):
+            custom_potential(*quartic, pi=lambda s: -0.5 * np.asarray(s, dtype=float),
+                             gamma=1.0)
+        with pytest.raises(ValueError, match="gamma"):
+            custom_potential(*quartic, pi=lambda s: -np.sin(np.asarray(s, dtype=float)),
+                             gamma=1.0)
+
     def test_custom_rejects_nonconvex(self):
         with pytest.raises(ValueError, match="convex"):
             custom_potential(lambda s: -np.asarray(s) ** 2 + 1e3 * np.abs(s),
@@ -95,6 +110,12 @@ class TestResolvent:
                 else:
                     res = np.abs(j + eps * pot.beta(j) - s)
                 assert np.max(res) <= 1e-10, name
+
+    def test_closed_form_is_residual_checked(self):
+        wrong = dataclasses.replace(regular_potential(),
+                                    resolvent_closed_form=lambda eps, s: s.copy())
+        with pytest.raises(ResolventError, match="residual"):
+            resolvent(wrong, 1.0, np.array([0.0, 2.0]))
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
@@ -166,6 +187,25 @@ def test_convex_analysis_properties(kind, seed):
     # consistency beta_eps(s) = beta(J_eps(s)) for single-valued kinds
     if kind != "double_obstacle":
         assert np.max(np.abs(by_s - np.asarray(pot.beta(js)))) <= 1e-6 / eps * 1e-3
+
+
+# the regular split with its closed form removed runs the Newton path
+NEWTON_REGULAR = dataclasses.replace(regular_potential(), resolvent_closed_form=None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_eps=st.floats(-6.0, 3.0),
+       s=st.lists(st.floats(-1e11, 1e11), min_size=1, max_size=16))
+def test_cubic_resolvent_matches_newton_oracle(log_eps, s):
+    eps = 10.0 ** log_eps
+    s = np.asarray(s)
+    x = np.asarray(resolvent(regular_potential(), eps, s))
+    oracle = np.asarray(resolvent(NEWTON_REGULAR, eps, s))
+    assert np.all(np.abs(x - oracle) <= 1e-11 * (1.0 + np.abs(oracle)))
+    assert np.all(np.abs(x + eps * x**3 - s) <= 2e-15 * (1.0 + np.abs(s)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            resolvent(regular_potential(), eps, np.append(s, bad))
 
 
 def test_yosida_bounded_by_minimal_section():

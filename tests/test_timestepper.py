@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import fracphase.galerkin
+import fracphase.timestepper
 from conftest import smoke_data, smoke_run
-from fracphase.galerkin import Coupling, ProblemData, assemble, project_data
-from fracphase.potentials import (double_obstacle_potential, regular_potential,
+from fracphase.expressions import build_source
+from fracphase.galerkin import (Coupling, DiscreteSystem, ProblemData, assemble,
+                                project_data)
+from fracphase.potentials import (double_obstacle_potential,
+                                  logarithmic_potential, regular_potential,
                                   zero_potential)
+from fracphase.spectral import build_interval_basis
 from fracphase.timestepper import (BlowupError, SchemeConfig, State,
                                    energy_ledger_audit, integrate, step_imex,
                                    step_implicit_prox)
@@ -32,7 +40,7 @@ class TestStepImex:
         system = linear_system(neumann8, r=0.5)
         theta = np.zeros(8)
         theta[1] = 1.0
-        out = step_imex(system, State(0.0, theta, np.zeros(8)), 0.1)
+        out = step_imex(system, State(0.0, theta, np.zeros(8)), 0.1).state
         a = system.theta_stiff[1]
         assert out.theta[1] == pytest.approx(1.0 / (1.0 + 0.1 * a), rel=1e-14)
 
@@ -40,7 +48,7 @@ class TestStepImex:
         system = linear_system(neumann8)
         theta = np.zeros(8)
         theta[0] = 2.5
-        out = step_imex(system, State(0.0, theta, np.zeros(8)), 1.0)
+        out = step_imex(system, State(0.0, theta, np.zeros(8)), 1.0).state
         assert out.theta[0] == pytest.approx(2.5, rel=1e-15)
 
     def test_double_well_drifts_toward_one(self, neumann8):
@@ -70,7 +78,8 @@ class TestStepImplicitProx:
         system = assemble(data, neumann8, neumann8, 0.5, 0.5, 0.0,
                           double_obstacle_potential(0.5))
         theta0, phi0 = project_data(system)
-        state, xi, phi_grid = step_implicit_prox(system, State(0.0, theta0, phi0), 0.05)
+        step = step_implicit_prox(system, State(0.0, theta0, phi0), 0.05)
+        xi, phi_grid = step.xi_grid, step.phi_grid
         assert np.max(np.abs(phi_grid)) <= 1.0
         touching = phi_grid >= 1.0 - 1e-12
         assert np.any(touching) and np.all(xi[touching] >= 0.0)
@@ -79,8 +88,8 @@ class TestStepImplicitProx:
         system = linear_system(neumann8, ell=0.5)
         rng = np.random.default_rng(2)
         state = State(0.0, rng.standard_normal(8), rng.standard_normal(8))
-        a = step_imex(system, state, 0.01)
-        b, _, _ = step_implicit_prox(system, state, 0.01, tol=1e-14, max_iters=200)
+        a = step_imex(system, state, 0.01).state
+        b = step_implicit_prox(system, state, 0.01, tol=1e-14, max_iters=200).state
         assert np.max(np.abs(a.theta - b.theta)) <= 1e-12
         assert np.max(np.abs(a.phi - b.phi)) <= 1e-12
 
@@ -92,7 +101,7 @@ class TestStepImplicitProx:
                           regular_potential(gamma=0.0))
         system.phi_stiff = np.zeros_like(system.phi_stiff)
         theta0, phi0 = project_data(system)
-        _, _, phi_grid = step_implicit_prox(system, State(0.0, theta0, phi0), 0.1)
+        phi_grid = step_implicit_prox(system, State(0.0, theta0, phi0), 0.1).phi_grid
         assert np.allclose(phi_grid, 0.9216989942046786, atol=1e-10)
 
 
@@ -159,7 +168,7 @@ class TestEnergyLedger:
         rng = np.random.default_rng(9)
         state = State(0.0, rng.standard_normal(8), rng.standard_normal(8))
         for dt in (1e-3, 1.0, 1e3):
-            out = step_imex(system, state, dt)
+            out = step_imex(system, state, dt).state
             assert np.linalg.norm(out.theta) <= np.linalg.norm(state.theta) + 1e-14
             assert np.linalg.norm(out.phi) <= np.linalg.norm(state.phi) + 1e-14
 
@@ -183,3 +192,94 @@ class TestEnergyLedger:
         sups = np.array(sups)
         spread = (sups.max(axis=0) - sups.min(axis=0)) / sups.mean(axis=0)
         assert np.all(spread < 0.10)
+
+
+SMOKE_SOURCE = {"space": {"kind": "cos", "k": 1, "amplitude": 0.5},
+                "time": {"kind": "exp", "rate": -1.0}}
+
+
+def fast_and_oracle(data, basis_a, basis_b, potential, eps, sigma=0.5):
+    """The shipped system and its slow twin: Newton resolvent (where the split
+    is smooth), no declared pi slope, and the source as an opaque callable."""
+    if potential.kind == "regular":
+        slow_pot = dataclasses.replace(potential, resolvent_closed_form=None, gamma=None)
+    else:
+        slow_pot = dataclasses.replace(potential, gamma=None)
+    source = build_source(SMOKE_SOURCE, basis_a)
+    fast = dataclasses.replace(data, source=source)
+    slow = dataclasses.replace(data, source=lambda x, t: source(x, t))
+    return (assemble(fast, basis_a, basis_b, 0.5, sigma, eps, potential),
+            assemble(slow, basis_a, basis_b, 0.5, sigma, eps, slow_pot))
+
+
+def obstacle_data():
+    """The obstacle data of the relaxation-limit acceptance test."""
+    return ProblemData(theta0=lambda x: 2.5 * np.cos(np.pi * x),
+                       phi0=lambda x: 0.8 * np.cos(np.pi * x),
+                       coupling=Coupling.constant(2.0))
+
+
+class TestFastPathsAgainstOracle:
+    @pytest.mark.parametrize("case", ["smoke", "obstacle", "logarithmic"])
+    def test_trajectory_matches_oracle_path(self, neumann8, case):
+        if case == "smoke":
+            args = (smoke_data(), regular_potential(1.0), 1e-2, "imex_euler")
+        elif case == "obstacle":
+            args = (obstacle_data(), double_obstacle_potential(0.5), 0.0, "implicit_prox")
+        else:
+            args = (smoke_data(), logarithmic_potential(2.0), 5e-2, "imex_euler")
+        data, pot, eps, scheme = args
+        fast, slow = fast_and_oracle(data, neumann8, neumann8, pot, eps)
+        runs = [integrate(system, SchemeConfig(scheme, dt=1e-3), 0.5, 25)
+                for system in (fast, slow)]
+        for name in ("theta_series", "phi_series"):
+            assert np.max(np.abs(getattr(runs[0], name) - getattr(runs[1], name))) <= 1e-10
+        for name in ("lhs", "rhs", "residual"):
+            assert np.max(np.abs(getattr(runs[0].ledger, name)
+                                 - getattr(runs[1].ledger, name))) <= 1e-10
+
+    @pytest.mark.parametrize("case,expected", [
+        ("imex_same_basis", (2, 1, 1)),
+        ("imex_mixed_basis", (2, 1, 1)),
+        ("prox", (3, 2, 1)),
+        ("imex_no_declared_slope", (2, 2, 1)),
+    ])
+    def test_transforms_per_step(self, neumann8, monkeypatch, case, expected):
+        dirichlet8 = build_interval_basis("dirichlet", 1.0, 8)
+        scheme = "implicit_prox" if case == "prox" else "imex_euler"
+        if case == "prox":
+            system, _ = fast_and_oracle(obstacle_data(), neumann8, neumann8,
+                                        double_obstacle_potential(0.5), 0.0)
+        elif case == "imex_no_declared_slope":
+            system, _ = fast_and_oracle(smoke_data(), neumann8, neumann8,
+                                        regular_potential(1.0), 1e-2)
+            system.potential = dataclasses.replace(system.potential, gamma=None)
+        else:
+            basis_a = dirichlet8 if case == "imex_mixed_basis" else neumann8
+            system, _ = fast_and_oracle(smoke_data(), basis_a, neumann8,
+                                        regular_potential(1.0), 1e-2)
+        assert (system.coupling_matrix is not None) == (case == "imex_mixed_basis")
+
+        counts = {"synthesize": 0, "analyze": 0, "source_at": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (fracphase.galerkin, fracphase.timestepper):
+            for name in ("synthesize", "analyze"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(DiscreteSystem, "source_at",
+                            counted("source_at", DiscreteSystem.source_at))
+
+        # two runs with the same two snapshots: their difference is pure step work
+        totals = []
+        for n_steps in (10, 30):
+            before = dict(counts)
+            integrate(system, SchemeConfig(scheme, dt=1e-3), n_steps * 1e-3, 10**6)
+            totals.append({k: counts[k] - before[k] for k in counts})
+        per_step = tuple((totals[1][k] - totals[0][k]) / 20
+                         for k in ("synthesize", "analyze", "source_at"))
+        assert per_step == expected
