@@ -16,7 +16,7 @@ import numpy as np
 from .galerkin import DiscreteSystem, ProblemData, assemble, \
     eval_nonlinearity, project_data
 from .potentials import Potential, yosida
-from .spectral import SpectralBasis, analyze, eigenfunctions_at, \
+from .spectral import SpectralBasis, analyze, cross_gram, \
     fractional_multipliers, kernel_projection, synthesize
 from .timestepper import RunOutput, SchemeConfig, integrate
 
@@ -135,14 +135,12 @@ def reexpress(coeff_series: np.ndarray, src: SpectralBasis,
               dst: SpectralBasis) -> np.ndarray:
     """Re-express a coefficient trajectory in another basis on the same domain.
 
-    Exact for nested trigonometric spaces: source modes are evaluated in
-    closed form on the destination grid and re-analyzed.
+    The transfer is the exact L2 projection onto the destination modes (the
+    closed-form inter-basis Gram matrix), so nested spaces map exactly.
     """
     if src is dst:
         return coeff_series
-    modes_on_dst = eigenfunctions_at(src, dst.grid_points)
-    transfer = dst.eigenfunction_values.T @ (dst.quad_weights[:, None] * modes_on_dst)
-    return coeff_series @ transfer.T
+    return coeff_series @ cross_gram(src, dst)
 
 
 def _align_indices(coarse_times: np.ndarray, fine_times: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, eigenfunctions_at
 
 
 class ExpressionError(ValueError):
@@ -60,8 +60,7 @@ def _eval_space_term(term: dict, points: np.ndarray, basis: SpectralBasis) -> np
         j = int(term["index"])
         if not 0 <= j < basis.n_modes:
             raise ExpressionError(f"mode index {j} outside 0..{basis.n_modes - 1}")
-        from .spectral import eigenfunctions_at
-        return amp * eigenfunctions_at(basis, points)[:, j]
+        return amp * eigenfunctions_at(basis, points, [j])[:, 0]
     raise ExpressionError(f"unknown space expression kind {term!r}")
 
 

@@ -20,7 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .potentials import Potential, yosida
-from .spectral import SpectralBasis, analyze, fractional_multipliers, synthesize
+from .spectral import (SpectralBasis, analyze, cross_gram, fractional_multipliers,
+                       synthesize)
 
 # largest magnitude a coefficient or grid value may take before a run is
 # declared blown up
@@ -214,9 +215,8 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
 
     same = basis_a is basis_b or (
         basis_a.kind == basis_b.kind
-        and basis_a.n_modes == basis_b.n_modes
-        and np.array_equal(basis_a.eigenvalues, basis_b.eigenvalues)
-        and np.array_equal(basis_a.eigenfunction_values, basis_b.eigenfunction_values)
+        and np.array_equal(basis_a.mode_indices, basis_b.mode_indices)
+        and all(map(np.array_equal, basis_a.axis_values, basis_b.axis_values))
     )
     if not same and not basis_a.same_grid_as(basis_b):
         raise ValidationError(
@@ -225,7 +225,7 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
 
     coupling_matrix = None
     if data.coupling.kind == "constant" and not same and data.coupling.value != 0.0:
-        coupling_matrix = data.coupling.value * _cross_mass_matrix(basis_a, basis_b)
+        coupling_matrix = data.coupling.value * cross_gram(basis_a, basis_b)
 
     advisories: list[str] = []
     if data.coupling.kind == "function" and r + 2.0 * sigma <= SOBOLEV_ADVISORY_THRESHOLD:
@@ -255,40 +255,6 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
         source_coeffs=_make_source_sampler(data.source, basis_a),
         advisories=tuple(advisories),
     )
-
-
-# cross-basis products mix sine and cosine families, for which the collocation
-# trapezoid rule is only second order; the one-time dense assembly therefore
-# runs on a refined grid sized to push the quadrature error below 1e-9
-CROSS_MASS_MIN_NODES = 20001
-
-
-def _cross_mass_matrix(basis_a: SpectralBasis, basis_b: SpectralBasis) -> np.ndarray:
-    from .spectral import eigenfunctions_at
-
-    if basis_a.ndim == 1:
-        m = max(CROSS_MASS_MIN_NODES, 8 * max(basis_a.n_modes, basis_b.n_modes) + 1)
-        x = np.linspace(0.0, basis_a.domain_extent[0], m)
-        w = np.full(m, basis_a.domain_extent[0] / (m - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    else:
-        per_axis = max(int(np.sqrt(CROSS_MASS_MIN_NODES)),
-                       8 * max(basis_a.n_modes, basis_b.n_modes) + 1)
-        lx, ly = basis_a.domain_extent
-        xg = np.linspace(0.0, lx, per_axis)
-        yg = np.linspace(0.0, ly, per_axis)
-        wx = np.full(per_axis, lx / (per_axis - 1))
-        wy = np.full(per_axis, ly / (per_axis - 1))
-        wx[0] *= 0.5
-        wx[-1] *= 0.5
-        wy[0] *= 0.5
-        wy[-1] *= 0.5
-        x = np.column_stack([np.repeat(xg, per_axis), np.tile(yg, per_axis)])
-        w = np.outer(wx, wy).ravel()
-    va = eigenfunctions_at(basis_a, x)
-    vb = eigenfunctions_at(basis_b, x)
-    return va.T @ (w[:, None] * vb)
 
 
 def project_data(system: DiscreteSystem) -> tuple[np.ndarray, np.ndarray]:

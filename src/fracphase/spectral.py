@@ -2,10 +2,13 @@
 
 The simulator works with two self-adjoint monotone operators realized through
 their eigenpairs: the Laplacian on an interval or a rectangle with Dirichlet or
-Neumann boundary conditions.  A basis stores the eigenvalues, the eigenfunction
-samples on a quadrature grid, and trapezoid weights, so every downstream
-operation (transforms, fractional powers, kernel projection, graph norms)
-reduces to dense linear algebra on small arrays.
+Neumann boundary conditions.  A basis stores the eigenvalues, trapezoid
+weights and one table of 1-D eigenfunction samples per axis, so every
+downstream operation (transforms, fractional powers, kernel projection, graph
+norms) reduces to small dense linear algebra; rectangle eigenfunctions are
+products e_jx(x) e_jy(y), so their transforms and Gram gate run one axis at a
+time (sum factorization).  Inner products between two bases on one domain
+(`cross_gram`) are exact closed-form integrals.
 """
 from __future__ import annotations
 
@@ -31,10 +34,15 @@ class BasisBuildError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Eigenpairs of a Laplacian sampled on a quadrature grid.
+    """Eigenpairs of a Laplacian sampled on a tensor-product quadrature grid.
 
-    eigenvalues are nondecreasing; eigenfunction_values has one column per
-    mode; quad_weights are trapezoid weights summing to the domain measure.
+    eigenvalues are nondecreasing; quad_weights are trapezoid weights summing
+    to the domain measure, listed like grid_points in row-major (x, y) order.
+    axis_values[d] samples the 1-D eigenfunctions of axis d on its nodes (one
+    column per 1-D label, counted from the first label of the boundary
+    condition), axis_weights[d] are that axis's trapezoid weights, and mode i
+    is the product over the axes of column axis_modes[d][i].  On an interval
+    the single table has one column per mode.
     """
 
     kind: str
@@ -43,7 +51,9 @@ class SpectralBasis:
     eigenvalues: np.ndarray
     grid_points: np.ndarray
     quad_weights: np.ndarray
-    eigenfunction_values: np.ndarray
+    axis_values: tuple[np.ndarray, ...]
+    axis_weights: tuple[np.ndarray, ...]
+    axis_modes: tuple[np.ndarray, ...]
     mode_indices: np.ndarray
 
     @property
@@ -98,10 +108,7 @@ def _interval_eigendata(bc: str, length: float, indices: np.ndarray,
 
 
 def _check_orthonormality(basis: SpectralBasis) -> None:
-    gram = basis.eigenfunction_values.T @ (
-        basis.quad_weights[:, None] * basis.eigenfunction_values
-    )
-    defect = np.max(np.abs(gram - np.eye(basis.n_modes)))
+    defect = gram_defect(basis)
     if defect > ORTHONORMALITY_TOL:
         raise BasisBuildError(
             f"orthonormality defect {defect:.3e} exceeds {ORTHONORMALITY_TOL:.0e} "
@@ -148,7 +155,9 @@ def build_interval_basis(kind: str, length: float, n_modes: int,
         eigenvalues=eigvals,
         grid_points=x,
         quad_weights=w,
-        eigenfunction_values=values,
+        axis_values=(values,),
+        axis_weights=(w,),
+        axis_modes=(np.arange(n_modes),),
         mode_indices=indices,
     )
     _check_orthonormality(basis)
@@ -166,46 +175,32 @@ def build_rect_basis(kind: str, lx: float, ly: float, n_modes: int,
     bc = kind if kind in ("dirichlet", "neumann") else _bc_of(kind)
     if lx <= 0.0 or ly <= 0.0:
         raise BasisBuildError(f"domain extents must be positive, got ({lx}, {ly})")
-    if n_modes < 1:
-        raise BasisBuildError(f"n_modes must be >= 1, got {n_modes}")
-    if m_grid is None:
-        m_grid = DEFAULT_GRID_FACTOR * n_modes
-    if m_grid < MIN_GRID_FACTOR * n_modes:
-        raise BasisBuildError(
-            f"m_grid={m_grid} too small: need at least {MIN_GRID_FACTOR}*n_modes={MIN_GRID_FACTOR * n_modes} per axis"
-        )
-
-    first = 1 if bc == "dirichlet" else 0
-    idx_1d = np.arange(first, first + n_modes)
-    xg, wx = _interval_grid(float(lx), m_grid)
-    yg, wy = _interval_grid(float(ly), m_grid)
-    ev_x, vals_x = _interval_eigendata(bc, float(lx), idx_1d, xg)
-    ev_y, vals_y = _interval_eigendata(bc, float(ly), idx_1d, yg)
+    ax = build_interval_basis(bc, float(lx), n_modes, m_grid)
+    ay = build_interval_basis(bc, float(ly), n_modes, m_grid)
 
     jx, jy = np.meshgrid(np.arange(n_modes), np.arange(n_modes), indexing="ij")
     jx, jy = jx.ravel(), jy.ravel()
-    sums = ev_x[jx] + ev_y[jy]
-    order = np.lexsort((idx_1d[jy], idx_1d[jx], sums))[:n_modes]
+    sums = ax.eigenvalues[jx] + ay.eigenvalues[jy]
+    order = np.lexsort((jy, jx, sums))[:n_modes]
     jx, jy, sums = jx[order], jy[order], sums[order]
 
     points = np.column_stack([
-        np.repeat(xg, yg.shape[0]),
-        np.tile(yg, xg.shape[0]),
+        np.repeat(ax.grid_points, ay.n_grid),
+        np.tile(ay.grid_points, ax.n_grid),
     ])
-    weights = np.outer(wx, wy).ravel()
-    values = np.empty((points.shape[0], n_modes))
-    for col in range(n_modes):
-        values[:, col] = np.outer(vals_x[:, jx[col]], vals_y[:, jy[col]]).ravel()
-
     basis = SpectralBasis(
         kind=f"rect_{bc}",
         domain_extent=(float(lx), float(ly)),
         n_modes=n_modes,
         eigenvalues=sums,
         grid_points=points,
-        quad_weights=weights,
-        eigenfunction_values=values,
-        mode_indices=np.column_stack([idx_1d[jx], idx_1d[jy]]),
+        quad_weights=np.outer(ax.quad_weights, ay.quad_weights).ravel(),
+        # keep only the 1-D labels some retained mode uses
+        axis_values=(np.ascontiguousarray(ax.axis_values[0][:, :jx.max() + 1]),
+                     np.ascontiguousarray(ay.axis_values[0][:, :jy.max() + 1])),
+        axis_weights=(ax.quad_weights, ay.quad_weights),
+        axis_modes=(jx, jy),
+        mode_indices=np.column_stack([ax.mode_indices[jx], ay.mode_indices[jy]]),
     )
     _check_orthonormality(basis)
     return basis
@@ -223,27 +218,57 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int | None = None) -> S
     raise BasisBuildError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
 
 
-def eigenfunctions_at(basis: SpectralBasis, points: np.ndarray) -> np.ndarray:
-    """Evaluate all retained eigenfunctions at arbitrary points (closed form).
+def eigenfunctions_at(basis: SpectralBasis, points: np.ndarray,
+                      modes=slice(None)) -> np.ndarray:
+    """Evaluate retained eigenfunctions at arbitrary points (closed form).
 
-    Used to re-express a solution in another (finer) basis when comparing
-    truncation levels.
+    Returns one column per mode selected by `modes` (an index or slice over
+    the retained modes, all by default).  On the basis's own grid this is the
+    dense sample matrix, the reference the per-axis transforms are tested
+    against.
     """
-    points = np.asarray(points, dtype=float)
     bc = _bc_of(basis.kind)
-    if basis.ndim == 1:
-        _, vals = _interval_eigendata(bc, basis.domain_extent[0], basis.mode_indices,
-                                      points.reshape(-1))
-        return vals
-    lx, ly = basis.domain_extent
-    pts = points.reshape(-1, 2)
-    out = np.empty((pts.shape[0], basis.n_modes))
-    for col in range(basis.n_modes):
-        jx, jy = basis.mode_indices[col]
-        _, vx = _interval_eigendata(bc, lx, np.array([jx]), pts[:, 0])
-        _, vy = _interval_eigendata(bc, ly, np.array([jy]), pts[:, 1])
-        out[:, col] = vx[:, 0] * vy[:, 0]
+    pts = np.asarray(points, dtype=float).reshape(-1, basis.ndim)
+    labels = basis.mode_indices.reshape(basis.n_modes, basis.ndim)[modes]
+    out = 1.0
+    for axis, length in enumerate(basis.domain_extent):
+        out = out * _interval_eigendata(bc, length, labels[:, axis], pts[:, axis])[1]
     return out
+
+
+def _axis_gram(bc_a: str, labels_a: np.ndarray, bc_b: str,
+               labels_b: np.ndarray) -> np.ndarray:
+    """Exact 1-D inner products (e_p, e_q) for labels p of a and q of b.
+
+    Same family: 1 where the labels match, else 0.  sin_s against cos_c:
+    (2/pi) s (1 - (-1)^(s+c)) / (s^2 - c^2), divided by sqrt(2) for the
+    Neumann constant mode c = 0.
+    """
+    p, q = labels_a[:, None], labels_b[None, :]
+    if bc_a == bc_b:
+        return (p == q).astype(float)
+    s, c = (p, q) if bc_a == "dirichlet" else (q, p)
+    odd = (s + c) % 2 == 1
+    gram = np.where(odd, (4.0 / np.pi) * s / np.where(odd, s * s - c * c, 1), 0.0)
+    return np.where(c == 0, gram / np.sqrt(2.0), gram)
+
+
+def cross_gram(basis_a: SpectralBasis, basis_b: SpectralBasis) -> np.ndarray:
+    """Exact L2 inner products (e^a_i, e^b_j) of two bases on one domain.
+
+    The (n_a, n_b) matrix is the product over the axes of the closed-form
+    1-D tables at the retained labels; no quadrature is involved.
+    """
+    if basis_a.domain_extent != basis_b.domain_extent:
+        raise ValueError(f"bases live on different domains: {basis_a.domain_extent} "
+                         f"vs {basis_b.domain_extent}")
+    bc_a, bc_b = _bc_of(basis_a.kind), _bc_of(basis_b.kind)
+    labels_a = basis_a.mode_indices.reshape(basis_a.n_modes, -1)
+    labels_b = basis_b.mode_indices.reshape(basis_b.n_modes, -1)
+    gram = 1.0
+    for p, q in zip(labels_a.T, labels_b.T):
+        gram = gram * _axis_gram(bc_a, p, bc_b, q)
+    return gram
 
 
 @dataclass(frozen=True)
@@ -297,21 +322,38 @@ def kernel_projection(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
 
 
 def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient vector -> grid samples."""
+    """Coefficient vector -> grid samples.
+
+    On a rectangle the coefficients are scattered into a (kx, ky) array C and
+    the grid is (Vx @ C) @ Vy.T on the (mx, my) nodes.
+    """
     coeffs = _check_coeffs(basis, coeffs)
-    return basis.eigenfunction_values @ coeffs
+    if len(basis.axis_values) == 1:
+        return basis.axis_values[0] @ coeffs
+    vx, vy = basis.axis_values
+    table = np.zeros((vx.shape[1], vy.shape[1]))
+    table[basis.axis_modes] = coeffs
+    return ((vx @ table) @ vy.T).ravel()
 
 
 def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
-    """Grid samples -> coefficients via weighted inner products."""
+    """Grid samples -> coefficients via weighted inner products.
+
+    On a rectangle the (mx, my) grid G gives (Vx.T @ (W*G) @ Vy)[jx, jy],
+    with the tensor-product weights W folded into the per-axis tables.
+    """
     grid_values = np.asarray(grid_values, dtype=float)
     if grid_values.shape != (basis.n_grid,):
         raise ValueError(
             f"grid vector has shape {grid_values.shape}, expected ({basis.n_grid},)"
         )
-    if not np.all(np.isfinite(grid_values)):
+    if not np.isfinite(grid_values).all():
         raise ValueError("grid values must be finite")
-    return basis.eigenfunction_values.T @ (basis.quad_weights * grid_values)
+    if len(basis.axis_values) == 1:
+        return basis.axis_values[0].T @ (basis.quad_weights * grid_values)
+    (vx, vy), (wx, wy) = basis.axis_values, basis.axis_weights
+    grid = grid_values.reshape(wx.shape[0], wy.shape[0])
+    return ((wx[:, None] * vx).T @ grid @ (wy[:, None] * vy))[basis.axis_modes]
 
 
 def graph_norm(basis: SpectralBasis, exponent: float, coeffs: np.ndarray) -> float:
@@ -322,8 +364,14 @@ def graph_norm(basis: SpectralBasis, exponent: float, coeffs: np.ndarray) -> flo
 
 
 def gram_defect(basis: SpectralBasis) -> float:
-    """Max-abs deviation of the weighted Gram matrix from the identity."""
-    gram = basis.eigenfunction_values.T @ (
-        basis.quad_weights[:, None] * basis.eigenfunction_values
-    )
-    return float(np.max(np.abs(gram - np.eye(basis.n_modes))))
+    """Max-abs deviation of the weighted Gram matrix from the identity.
+
+    The tensor-product weights make the Gram matrix the product of the
+    per-axis Gram tables at each mode pair's labels.
+    """
+    gram = 1.0
+    for values, weights, modes in zip(basis.axis_values, basis.axis_weights,
+                                      basis.axis_modes):
+        axis_gram = values.T @ (weights[:, None] * values)
+        gram = gram * axis_gram[np.ix_(modes, modes)]
+    return float(np.abs(gram - np.eye(basis.n_modes)).max())

@@ -3,7 +3,7 @@ import pytest
 
 from fracphase.galerkin import Coupling, ProblemData, assemble
 from fracphase.potentials import regular_potential
-from fracphase.spectral import build_interval_basis
+from fracphase.spectral import build_interval_basis, eigenfunctions_at
 from fracphase.timestepper import SchemeConfig, integrate
 
 
@@ -35,3 +35,22 @@ def smoke_run(basis, dt=1e-3, eps=1e-2, t_final=0.5, scheme="imex_euler",
         stride = max(1, int(round(t_final / dt)) // 50)
     run = integrate(system, SchemeConfig(scheme, dt=dt), t_final, stride)
     return system, run
+
+
+def gauss_legendre_gram(basis_a, basis_b, nodes=200):
+    """(e^a_i, e^b_j) by a `nodes`-point Gauss-Legendre rule per axis.
+
+    The integrands are smooth trigonometric products, so the rule converges
+    to rounding level: the reference for the closed-form inter-basis Gram.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    axes = [(0.5 * length * (x + 1.0), 0.5 * length * w)
+            for length in basis_a.domain_extent]
+    grids = np.meshgrid(*(xs for xs, _ in axes), indexing="ij")
+    points = np.column_stack([g.ravel() for g in grids])
+    weights = np.ones(1)
+    for _, ws in axes:
+        weights = np.outer(weights, ws).ravel()
+    va = eigenfunctions_at(basis_a, points)
+    vb = eigenfunctions_at(basis_b, points)
+    return va.T @ (weights[:, None] * vb)

@@ -13,7 +13,7 @@ from fracphase.analysis import (RelaxLimitSetup, contdep_check,
 from fracphase.galerkin import Coupling, ProblemData, assemble
 from fracphase.potentials import (custom_potential, double_obstacle_potential,
                                   regular_potential, zero_potential)
-from fracphase.spectral import build_interval_basis
+from fracphase.spectral import build_interval_basis, build_rect_basis
 from fracphase.timestepper import SchemeConfig, State, integrate
 
 
@@ -132,6 +132,16 @@ class TestConvergenceStudy:
         lifted = reexpress(coeffs, neumann8, fine)
         assert np.allclose(lifted[:, :8], coeffs, atol=1e-11)
         assert np.max(np.abs(lifted[:, 8:])) <= 1e-11
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+    def test_reexpress_is_exact_on_nested_rect_spaces(self, kind):
+        coarse = build_rect_basis(kind, 1.0, 2.0, 6)
+        fine = build_rect_basis(kind, 1.0, 2.0, 16)
+        assert np.array_equal(fine.mode_indices[:6], coarse.mode_indices)
+        coeffs = np.random.default_rng(1).standard_normal((3, 6))
+        lifted = reexpress(coeffs, coarse, fine)
+        assert np.array_equal(lifted[:, :6], coeffs)
+        assert np.all(lifted[:, 6:] == 0.0)
 
 
 class TestOmegaLimit:

@@ -34,6 +34,30 @@ SMOKE = {
 }
 
 
+# a tiny Dirichlet/Neumann rectangle: exercises the mixed-basis paths
+MIXED_RECT = {
+    "geometry": {
+        "a": {"kind": "rect_dirichlet", "extent": [1.0, 1.5], "n_modes": 6, "m_grid": 24},
+        "b": {"kind": "rect_neumann", "extent": [1.0, 1.5], "n_modes": 6, "m_grid": 24},
+    },
+    "exponents": {"r": 0.5, "sigma": 0.5},
+    "potential": {"kind": "regular", "gamma": 1.0, "eps": 0.01},
+    "coupling": {"kind": "constant", "value": 0.5},
+    "data": {
+        "theta0": [{"kind": "mode", "index": 1, "amplitude": 0.4}],
+        "phi0": [{"kind": "constant", "value": 0.1},
+                 {"kind": "cos", "k": [1, 1], "amplitude": 0.3}],
+        "source": {"space": {"kind": "sin", "k": [1, 1], "amplitude": 0.5},
+                   "time": {"kind": "exp", "rate": -1.0}},
+    },
+    "scheme": {"scheme": "imex_euler", "dt": 0.002, "t_final": 0.1,
+               "snapshot_stride": 10},
+    "study": {"contdep": {"deltas": [1e-1, 1e-2, 1e-3]},
+              "converge": {"axis": "n_modes", "values": [3, 6, 12]}},
+    "seed": 3,
+}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -139,6 +163,14 @@ class TestManifestStatus:
         assert manifest["checks"]["errors_decrease"]["passed"]
         rows = (tmp_path / "o" / "study_converge.csv").read_text().splitlines()
         assert rows[0].startswith("n_modes,") and len(rows) == 4
+
+    @pytest.mark.parametrize("command", ["simulate", "contdep", "converge"])
+    def test_mixed_rect_commands(self, tmp_path, command):
+        """Dirichlet temperature, Neumann phase on a rectangle: the exact cross
+        mass, the contdep mode perturbation and the n_modes re-expression."""
+        code, manifest = self.run(tmp_path, command, MIXED_RECT)
+        assert code == EXIT_OK
+        assert all(check["passed"] for check in manifest["checks"].values())
 
     def test_n_modes_axis_rejects_non_integers(self, tmp_path):
         cfgd = json.loads(json.dumps(SMOKE))

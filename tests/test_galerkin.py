@@ -3,13 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import gauss_legendre_gram
 from fracphase.expressions import build_source
 from fracphase.galerkin import (Coupling, ProblemData, ValidationError,
                                 apply_coupling, assemble, eval_nonlinearity,
                                 project_data)
 from fracphase.potentials import (double_obstacle_potential, regular_potential,
                                   yosida, zero_potential)
-from fracphase.spectral import analyze, build_interval_basis, synthesize
+from fracphase.spectral import (analyze, build_basis, build_interval_basis,
+                                synthesize)
 
 
 def make_system(basis_a, basis_b, coupling, potential=None, eps=1e-2,
@@ -34,6 +36,18 @@ class TestAssemble:
         assert system.coupling_matrix is not None
         assert system.coupling_matrix[0, 0] == pytest.approx(
             2.0 * np.sqrt(2.0) / np.pi, abs=1e-8)
+
+    @pytest.mark.parametrize("kind_a,kind_b,extent,n,m", [
+        ("interval_dirichlet", "interval_neumann", 1.7, 16, None),
+        ("interval_neumann", "interval_dirichlet", 1.7, 16, None),
+        ("rect_dirichlet", "rect_neumann", [1.0, 1.0], 64, 256),
+        ("rect_dirichlet", "rect_neumann", [1.0, 2.0], 12, None),
+    ])
+    def test_cross_mass_matches_gauss_legendre(self, kind_a, kind_b, extent, n, m):
+        basis_a, basis_b = build_basis(kind_a, extent, n, m), build_basis(kind_b, extent, n, m)
+        system = make_system(basis_a, basis_b, Coupling.constant(0.7))
+        exact = 0.7 * gauss_legendre_gram(basis_a, basis_b)
+        assert np.max(np.abs(system.coupling_matrix - exact)) <= 1e-13
 
     def test_half_exponents_reproduce_laplacian(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(0.0),
