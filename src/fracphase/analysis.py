@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .galerkin import DiscreteSystem, ProblemData, assemble, \
-    eval_nonlinearity, project_data
+    eval_nonlinearity, project_data, stack_systems
 from .potentials import Potential, yosida
 from .spectral import SpectralBasis, analyze, cross_gram, \
     fractional_multipliers, kernel_projection, synthesize
@@ -26,11 +26,8 @@ def running_time_integral(times: np.ndarray, series: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
     out = np.zeros_like(series)
-    dt = np.diff(times)
-    if series.ndim == 1:
-        out[1:] = np.cumsum(0.5 * dt * (series[1:] + series[:-1]))
-    else:
-        out[1:] = np.cumsum(0.5 * dt[:, None] * (series[1:] + series[:-1]), axis=0)
+    dt = np.diff(times).reshape((-1,) + (1,) * (series.ndim - 1))
+    out[1:] = np.cumsum(0.5 * dt * (series[1:] + series[:-1]), axis=0)
     return out
 
 
@@ -62,6 +59,12 @@ class ContdepReport:
 
 def contdep_check(make_run: Callable[[ProblemData], tuple[DiscreteSystem, RunOutput]],
                   data1: ProblemData, data2: ProblemData) -> ContdepReport:
+    """contdep_report of the runs `make_run` gives for the two data."""
+    return contdep_report(*make_run(data1), *make_run(data2))
+
+
+def contdep_report(sys1: DiscreteSystem, run1: RunOutput,
+                   sys2: DiscreteSystem, run2: RunOutput) -> ContdepReport:
     """Empirical stability quotient of the two-run difference.
 
     LHS collects |theta1-theta2| in L2(H), the running time integral of the
@@ -70,8 +73,6 @@ def contdep_check(make_run: Callable[[ProblemData], tuple[DiscreteSystem, RunOut
     source entering through its running time integral.  The ratio LHS/RHS is
     reported, never asserted against a theoretical constant.
     """
-    sys1, run1 = make_run(data1)
-    sys2, run2 = make_run(data2)
     if run1.times.shape != run2.times.shape or not np.allclose(run1.times, run2.times):
         raise ValueError("contdep runs must share snapshot times")
     times = run1.times
@@ -288,8 +289,7 @@ class RelaxLimitSetup:
     """Ladder of fractional exponents plus the shared problem data.
 
     The limit requires a constant coupling and a linear concave perturbation
-    pi(v) = -gamma*v; both are validated before any run starts.  Data may be
-    sigma-dependent through the optional family callables.
+    pi(v) = -gamma*v; both are validated before any run starts.
     """
 
     sigmas: Sequence[float]
@@ -299,12 +299,6 @@ class RelaxLimitSetup:
     basis_b: SpectralBasis
     r: float
     eps: float = 0.0
-    data_family: Optional[Callable[[float], ProblemData]] = None
-
-    def data_for(self, sigma: float) -> ProblemData:
-        if self.data_family is not None:
-            return self.data_family(sigma)
-        return self.data
 
     def validate(self) -> None:
         if self.data.coupling.kind != "constant":
@@ -317,6 +311,18 @@ class RelaxLimitSetup:
             raise ValueError("sigma ladder must be decreasing")
 
 
+def _limit_system(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
+                  r: float, potential: Potential) -> DiscreteSystem:
+    """The limit system: B^(2 sigma) replaced by the kernel-complement mask I - P."""
+    if data.coupling.kind != "constant":
+        raise ValueError("the relaxation limit requires a constant coupling")
+    if potential.gamma is None:
+        raise ValueError("the relaxation limit requires pi(v) = -gamma*v")
+    mask = (basis_b.eigenvalues > 0.0).astype(float)
+    return assemble(data, basis_a, basis_b, r, sigma=0.0, eps=0.0,
+                    potential=potential, phi_stiff_override=mask)
+
+
 def solve_relaxation_limit(data: ProblemData, basis_a: SpectralBasis,
                            basis_b: SpectralBasis, r: float, potential: Potential,
                            scheme: SchemeConfig, t_final: float,
@@ -327,19 +333,9 @@ def solve_relaxation_limit(data: ProblemData, basis_a: SpectralBasis,
     runs through the exact (eps = 0) resolvent inside the proximal scheme, so
     obstacle constraints hold without regularization.
     """
-    if data.coupling.kind != "constant":
-        raise ValueError("the relaxation limit requires a constant coupling")
-    if potential.gamma is None:
-        raise ValueError("the relaxation limit requires pi(v) = -gamma*v")
-    mask = (basis_b.eigenvalues > 0.0).astype(float)
-    system = assemble(data, basis_a, basis_b, r, sigma=0.0, eps=0.0,
-                      potential=potential, phi_stiff_override=mask)
-    if scheme.scheme != "implicit_prox":
-        scheme = SchemeConfig(scheme="implicit_prox", dt=scheme.dt,
-                              fixed_point_tol=scheme.fixed_point_tol,
-                              max_inner_iters=scheme.max_inner_iters)
-    run = integrate(system, scheme, t_final, snapshot_stride)
-    return system, run
+    system = _limit_system(data, basis_a, basis_b, r, potential)
+    return system, integrate(system, SchemeConfig("implicit_prox", dt=scheme.dt),
+                             t_final, snapshot_stride)
 
 
 @dataclass
@@ -356,19 +352,26 @@ def relaxation_limit_study(setup: RelaxLimitSetup, scheme: SchemeConfig,
                            ) -> RelaxStudyReport:
     """L2(Q) distances between fractional runs and the limit run, per sigma.
 
-    The theory gives weak convergence without a rate, so acceptance is a
-    strictly decreasing error column down the sigma ladder.
+    The ladder runs march as one stacked system; the limit run joins that
+    batch when it shares eps (0) and the scheme (implicit_prox) with the
+    ladder, and runs alone otherwise.  The theory gives weak convergence
+    without a rate, so acceptance is a strictly decreasing error column down
+    the sigma ladder.
     """
     setup.validate()
-    _, limit_run = solve_relaxation_limit(
-        setup.data_for(0.0), setup.basis_a, setup.basis_b, setup.r,
-        setup.potential, scheme, t_final, snapshot_stride,
-    )
+    limit = _limit_system(setup.data, setup.basis_a, setup.basis_b, setup.r,
+                          setup.potential)
+    ladder = [assemble(setup.data, setup.basis_a, setup.basis_b, setup.r, sigma,
+                       setup.eps, setup.potential) for sigma in setup.sigmas]
+    if setup.eps == 0.0 and scheme.scheme == "implicit_prox":
+        limit_run, *runs = integrate(stack_systems([limit] + ladder), scheme,
+                                     t_final, snapshot_stride).rows()
+    else:
+        limit_run = integrate(limit, SchemeConfig("implicit_prox", dt=scheme.dt),
+                              t_final, snapshot_stride)
+        runs = integrate(stack_systems(ladder), scheme, t_final, snapshot_stride).rows()
     phi_errs, theta_errs = [], []
-    for sigma in setup.sigmas:
-        system = assemble(setup.data_for(sigma), setup.basis_a, setup.basis_b,
-                          setup.r, sigma, setup.eps, setup.potential)
-        run = integrate(system, scheme, t_final, snapshot_stride)
+    for run in runs:
         idx = _align_indices(run.times, limit_run.times)
         dphi = run.phi_series - limit_run.phi_series[idx]
         dtheta = run.theta_series - limit_run.theta_series[idx]
@@ -419,12 +422,8 @@ def hpqo_probe(basis: SpectralBasis, sigma: float, potential: Potential,
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     mult = fractional_multipliers(basis, sigma)
-    out = np.empty(vectors.shape[0])
-    for k, v in enumerate(vectors):
-        grid = synthesize(basis, v)
-        bgrid = np.asarray(yosida(potential, eps, grid))
-        bcoef = analyze(basis, bgrid)
-        out[k] = float(np.dot(mult * bcoef, mult * v))
+    bcoef = analyze(basis, yosida(potential, eps, synthesize(basis, vectors)))
+    out = np.vecdot(mult * bcoef, mult * vectors)
     tol = -1e-12 * (1.0 + float(np.max(np.abs(out))))
     return HpqoReport(values=out, min_value=float(np.min(out)),
                       violations=int(np.sum(out < tol)))

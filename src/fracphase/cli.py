@@ -16,33 +16,33 @@ Exit codes: 0 ok, 1 internal error, 2 configuration error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .analysis import (ContdepReport, RelaxLimitSetup, contdep_check,
-                       convergence_study, hpqo_probe, omega_limit_probe,
-                       relaxation_limit_study, sigma_zero_operator_check)
+from .analysis import (RelaxLimitSetup, contdep_report, convergence_study,
+                       hpqo_probe, omega_limit_probe, relaxation_limit_study,
+                       sigma_zero_operator_check)
 from .config import (ConfigError, RunConfig, apply_overrides, build_bases,
                      build_potential, build_problem_data, build_system,
                      load_raw_config, validate_config)
 from .expressions import ExpressionError
-from .galerkin import OverflowGuardError, ProblemData, ValidationError, assemble
+from .galerkin import (OverflowGuardError, ProblemData, ValidationError, assemble,
+                       stack_systems)
 from .potentials import (ResolventError, double_obstacle_potential,
                          logarithmic_potential, moreau, regular_potential,
                          resolvent, yosida)
 from .spectral import (BasisBuildError, build_basis, build_interval_basis,
                        gram_defect, kernel_projection, fractional_multipliers,
                        synthesize)
-from .timestepper import (BlowupError, ProxIterationError, RunOutput,
-                          SchemeConfig, integrate)
+from .timestepper import BlowupError, RunOutput, SchemeConfig, integrate
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -75,12 +75,6 @@ def _write_atomic(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-def write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_columns(path: str, header: str, columns, sep: str = ",") -> None:
@@ -180,6 +174,13 @@ class _ManifestWriter:
     def add_files(self, files) -> None:
         self.payload["files"].extend(os.path.basename(f) for f in files)
 
+    def write_table(self, name: str, header: str, rows) -> None:
+        """Write a study table (rows of text cells) into the run directory."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        path = os.path.join(self.out_dir, name)
+        _write_atomic(path, "\n".join([header, *map(",".join, rows)]) + "\n")
+        self.add_files([path])
+
     def write(self) -> str:
         self.payload["wall_clock_s"] = time.perf_counter() - self.started
         os.makedirs(self.out_dir, exist_ok=True)
@@ -197,12 +198,12 @@ class _ManifestWriter:
 
 
 def _cmd_simulate(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                  quiet: bool, jobs: int) -> int:
+                  quiet: bool) -> int:
     system, *_ = build_system(cfg)
     manifest.payload["advisories"].extend(system.advisories)
     try:
         run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
-    except (BlowupError, ProxIterationError) as exc:
+    except BlowupError as exc:
         manifest.fail("solver", str(exc))
         if exc.partial is not None:
             manifest.add_files(emit_run_outputs(exc.partial, system, out_dir,
@@ -217,14 +218,8 @@ def _cmd_simulate(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     return EXIT_OK
 
 
-def _study_scheme(cfg: RunConfig, dt=None, scheme=None) -> SchemeConfig:
-    return SchemeConfig(scheme=scheme or cfg.scheme.scheme, dt=dt or cfg.scheme.dt,
-                        fixed_point_tol=cfg.scheme.fixed_point_tol,
-                        max_inner_iters=cfg.scheme.max_inner_iters)
-
-
 def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                  quiet: bool, jobs: int) -> int:
+                  quiet: bool) -> int:
     study = cfg.study.get("converge", {})
     axis = study.get("axis", "dt")
     if axis not in ("n_modes", "eps", "dt", "sigma"):
@@ -238,6 +233,7 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
 
     basis_a, basis_b = build_bases(cfg)
     potential = build_potential(cfg)
+    data = build_problem_data(cfg, basis_a, basis_b)
 
     # snapshots land on multiples of a shared interval so trajectories from
     # different dt levels can be compared pointwise in time
@@ -245,32 +241,38 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     coarsest = max(float(v) for v in values) if axis == "dt" else cfg.scheme.dt
     snap_interval = coarsest * max(1, int(round(cfg.t_final / coarsest / n_shared)))
 
-    def make_run(value):
-        ba, bb, eps, dt = basis_a, basis_b, cfg.eps, cfg.scheme.dt
+    def make_system(value):
+        ba, bb, level_data, eps = basis_a, basis_b, data, cfg.eps
         r, sigma = cfg.operator_a.exponent, cfg.operator_b.exponent
         if axis == "n_modes":
             ba = build_basis(cfg.operator_a.kind, cfg.operator_a.extent, int(value))
             bb = ba if cfg.operator_b.kind == cfg.operator_a.kind else \
                 build_basis(cfg.operator_b.kind, cfg.operator_b.extent, int(value))
+            level_data = build_problem_data(cfg, ba, bb)
         elif axis == "eps":
             eps = float(value)
         elif axis == "sigma":
             sigma = float(value)
-        else:
-            dt = float(value)
-        data = build_problem_data(cfg, ba, bb)
-        system = assemble(data, ba, bb, r, sigma, eps, potential)
+        return assemble(level_data, ba, bb, r, sigma, eps, potential)
+
+    def march(system, dt):
         stride = max(1, int(round(snap_interval / dt)))
         if abs(stride * dt - snap_interval) > 1e-9 * snap_interval:
             raise ConfigError([("study.converge.values",
                                 f"dt={dt} does not divide the snapshot interval "
                                 f"{snap_interval}; use nested dt values")])
-        run = integrate(system, _study_scheme(cfg, dt=dt), cfg.t_final, stride)
-        return system, run
+        scheme = SchemeConfig(cfg.scheme.scheme, dt=dt)
+        return integrate(system, scheme, cfg.t_final, stride).rows()
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        runs = list(pool.map(make_run, values))
-    report = convergence_study(axis, values, lambda v: runs[list(values).index(v)])
+    systems = [make_system(v) for v in values]
+    if axis == "sigma":
+        # the potentials branch on a scalar eps, so only sigma levels share a batch
+        runs = march(stack_systems(systems), cfg.scheme.dt)
+    else:
+        runs = [run for system, value in zip(systems, values)
+                for run in march(system, float(value) if axis == "dt" else cfg.scheme.dt)]
+    pairs = list(zip(systems, runs))
+    report = convergence_study(axis, values, lambda v: pairs[list(values).index(v)])
 
     rows = []
     names = sorted(report.errors)
@@ -280,10 +282,7 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
             col = report.errors[name]
             row.append(_fmt(col[k]) if k < len(col) else "")
         rows.append(row)
-    path = os.path.join(out_dir, "study_converge.csv")
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(path, ",".join([axis] + names), rows)
-    manifest.add_files([path])
+    manifest.write_table("study_converge.csv", ",".join([axis] + names), rows)
 
     monotone = bool(np.all(np.diff(report.errors["phi_l2_h"][:-1]) <= 0.0)) \
         if len(values) > 2 else True
@@ -294,42 +293,40 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
 
 
 def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                 quiet: bool, jobs: int) -> int:
+                 quiet: bool) -> int:
     study = cfg.study.get("contdep", {})
     deltas = study.get("deltas", [1e-1, 1e-2, 1e-3, 1e-4])
-    mode_index = int(study.get("mode_index", 1))
+    mode_index = study.get("mode_index", 1)
     spread_tol = float(study.get("max_ratio_spread", 0.2))
 
     basis_a, basis_b = build_bases(cfg)
+    if type(mode_index) is not int or not 0 <= mode_index < basis_a.n_modes:
+        raise ConfigError([("study.contdep.mode_index",
+                            f"must be an integer in [0, {basis_a.n_modes}), "
+                            f"got {mode_index!r}")])
     potential = build_potential(cfg)
     base = build_problem_data(cfg, basis_a, basis_b)
+    mode = synthesize(basis_a, np.eye(basis_a.n_modes)[mode_index])
 
-    def make_run(data: ProblemData):
-        system = assemble(data, basis_a, basis_b, cfg.operator_a.exponent,
-                          cfg.operator_b.exponent, cfg.eps, potential)
-        return system, integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
+    def system(data: ProblemData):
+        return assemble(data, basis_a, basis_b, cfg.operator_a.exponent,
+                        cfg.operator_b.exponent, cfg.eps, potential)
 
-    def perturbed(delta: float) -> ProblemData:
-        mode = synthesize(basis_a, np.eye(basis_a.n_modes)[mode_index])
-
-        def theta0(points):
-            return base.theta0(points) + delta * mode if base.theta0 is not None \
-                else delta * mode
-
-        return ProblemData(theta0=theta0, phi0=base.phi0, source=base.source,
-                           coupling=base.coupling)
-
-    reports: list[ContdepReport] = []
-    for delta in deltas:
-        reports.append(contdep_check(make_run, base, perturbed(float(delta))))
+    # the base run and one run per datum theta0 + delta*e_mode march as one
+    # stacked system
+    systems = [system(base)]
+    theta0 = systems[0].theta0_grid
+    systems += [system(dataclasses.replace(base, theta0=theta0 + float(d) * mode))
+                for d in deltas]
+    runs = integrate(stack_systems(systems), cfg.scheme, cfg.t_final,
+                     cfg.snapshot_stride).rows()
+    reports = [contdep_report(systems[0], runs[0], system, run)
+               for system, run in zip(systems[1:], runs[1:])]
     ratios = np.array([r.ratio for r in reports], dtype=float)
 
     rows = [[_fmt(d), _fmt(r.lhs), _fmt(r.rhs), _fmt(r.ratio)]
             for d, r in zip(deltas, reports)]
-    path = os.path.join(out_dir, "study_contdep.csv")
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(path, "delta,lhs,rhs,ratio", rows)
-    manifest.add_files([path])
+    manifest.write_table("study_contdep.csv", "delta,lhs,rhs,ratio", rows)
 
     finite = bool(np.all(np.isfinite(ratios)))
     spread = float(ratios.max() / ratios.min() - 1.0) if finite and ratios.min() > 0 else np.inf
@@ -342,7 +339,7 @@ def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
 
 
 def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                  quiet: bool, jobs: int) -> int:
+                  quiet: bool) -> int:
     study = cfg.study.get("longtime", {})
     tail_fraction = float(study.get("tail_fraction", 0.1))
     tail_threshold = float(study.get("tail_threshold", 1e-6))
@@ -351,7 +348,7 @@ def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     system, *_ = build_system(cfg)
     try:
         run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
-    except (BlowupError, ProxIterationError) as exc:
+    except BlowupError as exc:
         manifest.fail("solver", str(exc))
         return EXIT_SOLVER
     manifest.add_files(emit_run_outputs(run, system, out_dir, cfg.grid_times))
@@ -375,7 +372,7 @@ def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
 
 
 def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                    quiet: bool, jobs: int) -> int:
+                    quiet: bool) -> int:
     study = cfg.study.get("relaxlimit", {})
     sigmas = study.get("sigmas", [0.5, 0.25, 0.1, 0.05])
 
@@ -387,9 +384,9 @@ def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
                             r=cfg.operator_a.exponent, eps=cfg.eps)
     try:
         report = relaxation_limit_study(
-            setup, _study_scheme(cfg, scheme="implicit_prox"), cfg.t_final,
+            setup, SchemeConfig("implicit_prox", dt=cfg.scheme.dt), cfg.t_final,
             cfg.snapshot_stride)
-    except (BlowupError, ProxIterationError) as exc:
+    except BlowupError as exc:
         manifest.fail("solver", str(exc))
         return EXIT_SOLVER
     except ValueError as exc:
@@ -397,10 +394,7 @@ def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
 
     rows = [[_fmt(s), _fmt(pe), _fmt(te)]
             for s, pe, te in zip(report.sigmas, report.phi_errors, report.theta_errors)]
-    path = os.path.join(out_dir, "study_relaxlimit.csv")
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(path, "sigma,phi_l2q_error,theta_l2q_error", rows)
-    manifest.add_files([path])
+    manifest.write_table("study_relaxlimit.csv", "sigma,phi_l2q_error,theta_l2q_error", rows)
     manifest.check("errors_decreasing", report.monotone,
                    {"phi": report.phi_errors, "theta": report.theta_errors})
     if not quiet:
@@ -409,7 +403,7 @@ def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
 
 
 def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                 quiet: bool, jobs: int) -> int:
+                 quiet: bool) -> int:
     study = cfg.study.get("opcheck", {})
     sigmas = [float(s) for s in study.get("sigmas", [0.2, 0.1, 0.05, 0.01])]
     _, basis_b = build_bases(cfg)
@@ -425,10 +419,7 @@ def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     chk = sigma_zero_operator_check(basis_b, coeffs, sigmas)
     rows = [[_fmt(s), _fmt(d), _fmt(c)]
             for s, d, c in zip(chk["sigma"], chk["direct"], chk["closed_form"])]
-    path = os.path.join(out_dir, "study_opcheck.csv")
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(path, "sigma,error_direct,error_closed_form", rows)
-    manifest.add_files([path])
+    manifest.write_table("study_opcheck.csv", "sigma,error_direct,error_closed_form", rows)
 
     agree = float(np.max(np.abs(chk["direct"] - chk["closed_form"])))
     manifest.check("closed_form_agreement", agree <= 1e-12, {"max_diff": agree})
@@ -442,9 +433,8 @@ def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
         vectors /= (1.0 + basis_b.eigenvalues)
         eps = cfg.eps if cfg.eps > 0 else 1e-2
         rep = hpqo_probe(basis_b, cfg.operator_b.exponent, pot, eps, vectors)
-        hp_path = os.path.join(out_dir, "study_hpqo.csv")
-        write_csv(hp_path, "vector,value", [[str(k), _fmt(v)] for k, v in enumerate(rep.values)])
-        manifest.add_files([hp_path])
+        manifest.write_table("study_hpqo.csv", "vector,value",
+                             [[str(k), _fmt(v)] for k, v in enumerate(rep.values)])
         manifest.payload["checks"]["hpqo_sign"] = {
             "passed": True,  # diagnostic only, never a gate
             "detail": {"min_value": rep.min_value, "violations": rep.violations},
@@ -522,14 +512,12 @@ def _selftest_rows(seed: int) -> list[tuple[str, str, int, float, float, bool]]:
 
 
 def _cmd_selftest(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                  quiet: bool, jobs: int) -> int:
+                  quiet: bool) -> int:
     rows = _selftest_rows(cfg.seed)
     csv_rows = [[check, kind, str(ns), _fmt(worst), _fmt(tol), str(ok).lower()]
                 for check, kind, ns, worst, tol, ok in rows]
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "selftest.csv")
-    write_csv(path, "check,kind,samples,worst,tolerance,passed", csv_rows)
-    manifest.add_files([path])
+    manifest.write_table("selftest.csv", "check,kind,samples,worst,tolerance,passed",
+                         csv_rows)
     for check, kind, _, worst, tol, ok in rows:
         manifest.check(f"{check}.{kind}", ok, {"worst": worst, "tolerance": tol})
     if not quiet:
@@ -559,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"under ${OUTPUT_ROOT_ENV} if set)")
     parser.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry, e.g. scheme.dt=5e-4 (repeatable)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size for study fan-out")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="ignored: study ladders march as one batched state")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -592,14 +581,18 @@ def main(argv=None) -> int:
 
     out_dir = resolve_out_dir(args, cfg)
     manifest = _ManifestWriter(out_dir, args.command, cfg.raw)
+    manifest.payload["advisories"].extend(cfg.advisories)
+    if args.jobs is not None:
+        manifest.payload["advisories"].append(
+            "--jobs is ignored: study ladders march as one batched state")
     code = EXIT_OK
     try:
-        code = COMMANDS[args.command](cfg, manifest, out_dir, args.quiet, args.jobs)
+        code = COMMANDS[args.command](cfg, manifest, out_dir, args.quiet)
     except (ConfigError, ValidationError, ExpressionError, BasisBuildError) as exc:
         manifest.fail("validation", str(exc), exc)
         print(f"configuration error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
-    except (BlowupError, ProxIterationError, OverflowGuardError, ResolventError) as exc:
+    except (BlowupError, OverflowGuardError, ResolventError) as exc:
         manifest.fail("solver", str(exc), exc)
         print(f"solver failure: {exc}", file=sys.stderr)
         code = EXIT_SOLVER

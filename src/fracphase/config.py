@@ -57,6 +57,7 @@ class RunConfig:
     grid_times: tuple[float, ...]
     seed: int
     raw: dict
+    advisories: tuple[str, ...] = ()
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -173,14 +174,10 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(stride, int) or stride < 1:
         problems.append(("scheme.snapshot_stride", f"must be a positive integer, got {stride!r}"))
         stride = 1
-    tol = scheme_raw.get("fixed_point_tol", 1e-10)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        problems.append(("scheme.fixed_point_tol", f"must be positive, got {tol!r}"))
-        tol = 1e-10
-    inner = scheme_raw.get("max_inner_iters", 50)
-    if not isinstance(inner, int) or inner < 1:
-        problems.append(("scheme.max_inner_iters", f"must be a positive integer, got {inner!r}"))
-        inner = 50
+    # keys of the retired proximal fixed-point loop; old manifests still replay
+    advisories = tuple(f"scheme.{key} is ignored: the proximal step is closed form"
+                       for key in ("fixed_point_tol", "max_inner_iters")
+                       if key in scheme_raw)
 
     if pot_kind == "double_obstacle" and eps == 0 and scheme_name == "imex_euler":
         problems.append(("scheme.scheme",
@@ -207,8 +204,7 @@ def validate_config(raw: dict) -> RunConfig:
         gamma=None if gamma is None else float(gamma),
         coupling=coupling,
         data=data,
-        scheme=SchemeConfig(scheme=scheme_name, dt=float(dt),
-                            fixed_point_tol=float(tol), max_inner_iters=inner),
+        scheme=SchemeConfig(scheme=scheme_name, dt=float(dt)),
         t_final=float(t_final),
         snapshot_stride=stride,
         study=raw.get("study", {}),
@@ -216,6 +212,7 @@ def validate_config(raw: dict) -> RunConfig:
         grid_times=grid_times,
         seed=seed,
         raw=raw,
+        advisories=advisories,
     )
 
 

@@ -14,8 +14,8 @@ grid.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -103,7 +103,9 @@ class DiscreteSystem:
     """Everything needed to advance the Galerkin ODE system in time.
 
     phi_stiff defaults to mu^(2 sigma); the relaxation-limit solver overrides
-    it with the kernel-complement mask realizing I - P.
+    it with the kernel-complement mask realizing I - P.  A stacked system
+    (`stack_systems`) carries a leading row axis on sigma, phi_stiff and the
+    initial grids and marches one trajectory per row.
     """
 
     basis_a: SpectralBasis
@@ -120,6 +122,7 @@ class DiscreteSystem:
     coupling_matrix: Optional[np.ndarray] = None
     same_basis: bool = False
     source_coeffs: Optional[Callable[[float], np.ndarray]] = None
+    source: object = None  # the ProblemData source source_coeffs samples
     advisories: tuple[str, ...] = ()
 
     @property
@@ -253,7 +256,32 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
         coupling_matrix=coupling_matrix,
         same_basis=same,
         source_coeffs=_make_source_sampler(data.source, basis_a),
+        source=data.source,
         advisories=tuple(advisories),
+    )
+
+
+def stack_systems(systems: Sequence[DiscreteSystem]) -> DiscreteSystem:
+    """One system whose rows march the trajectories of `systems` at once.
+
+    The rows must share the bases, r, eps, potential, coupling and source;
+    sigma, phi_stiff and the initial grids gain a leading row axis.
+    """
+    first = systems[0]
+    for other in systems[1:]:
+        if not (other.basis_a is first.basis_a and other.basis_b is first.basis_b
+                and other.potential is first.potential and other.source is first.source
+                and other.coupling == first.coupling
+                and (other.r, other.eps) == (first.r, first.eps)):
+            raise ValidationError("stacked systems must share bases, r, eps, "
+                                  "potential, coupling and source")
+    return replace(
+        first,
+        sigma=np.array([row.sigma for row in systems]),
+        phi_stiff=np.stack([row.phi_stiff for row in systems]),
+        theta0_grid=np.stack([row.theta0_grid for row in systems]),
+        phi0_grid=np.stack([row.phi0_grid for row in systems]),
+        advisories=tuple(dict.fromkeys(a for row in systems for a in row.advisories)),
     )
 
 
@@ -265,10 +293,15 @@ def project_data(system: DiscreteSystem) -> tuple[np.ndarray, np.ndarray]:
 
 def guard(values: np.ndarray, label: str, t: float | None = None) -> np.ndarray:
     """Return `values`, or raise OverflowGuardError when any entry is
-    non-finite or exceeds OVERFLOW_LIMIT in magnitude."""
+    non-finite or exceeds OVERFLOW_LIMIT in magnitude; on a stacked (2-D)
+    array the message names the first offending row."""
     peak = np.abs(values).max(initial=0.0)
     if not peak <= OVERFLOW_LIMIT:  # NaN fails the comparison too
         at = "" if t is None else f" at t={t:.6g}"
+        if np.ndim(values) == 2:
+            peaks = np.abs(values).max(axis=1)
+            row = int(np.argmax(~(peaks <= OVERFLOW_LIMIT)))
+            at, peak = f"{at} in row {row}", peaks[row]
         raise OverflowGuardError(
             f"{label} exceeded the overflow guard{at} (peak |value| {peak:.3e})")
     return values
@@ -318,6 +351,6 @@ def apply_coupling(system: DiscreteSystem, phi_grid: np.ndarray,
             return system.coupling.value * w
         if system.coupling_matrix is None:
             return np.zeros(system.n_a)
-        return system.coupling_matrix @ w
+        return w @ system.coupling_matrix.T
     values = system.coupling.on_grid(phi_grid) * synthesize(system.basis_b, w)
     return analyze(system.basis_a, values)

@@ -84,7 +84,8 @@ def regular_potential(gamma: float = 1.0) -> Potential:
     return Potential(
         kind="regular",
         beta_hat=lambda s: np.asarray(s, dtype=float) ** 4 / 4.0,
-        beta=lambda s: np.asarray(s, dtype=float) ** 3,
+        # s*s*s: numpy's float power has no fast path for the exponent 3
+        beta=lambda s: (v := np.asarray(s, dtype=float)) * v * v,
         beta_prime=lambda s: 3.0 * np.asarray(s, dtype=float) ** 2,
         pi_hat=lambda s: (1.0 - 2.0 * gamma * np.asarray(s, dtype=float) ** 2) / 4.0,
         pi=lambda s: -gamma * np.asarray(s, dtype=float),
@@ -291,7 +292,7 @@ def resolvent(pot: Potential, eps: float, s) -> np.ndarray | float:
             worst = int(np.argmax(excess))
             raise ResolventError(
                 f"resolvent failed for kind={pot.kind}, eps={eps}: residual "
-                f"{residual[worst]:.3e} at s={s_arr[worst]!r}"
+                f"{residual.flat[worst]:.3e} at s={s_arr.flat[worst]!r}"
             )
     return x if np.ndim(s) else float(x[0])
 

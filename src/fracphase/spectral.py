@@ -271,41 +271,13 @@ def cross_gram(basis_a: SpectralBasis, basis_b: SpectralBasis) -> np.ndarray:
     return gram
 
 
-@dataclass(frozen=True)
-class FractionalPower:
-    """Spectral fractional power acting by lambda_j**exponent on coefficients.
-
-    Zero eigenvalues map to zero for any positive exponent, matching the
-    series definition of the power operator.
-    """
-
-    basis: SpectralBasis
-    exponent: float
-
-    def __post_init__(self):
-        if self.exponent <= 0.0:
-            raise ValueError(f"fractional exponent must be positive, got {self.exponent}")
-
-    @property
-    def multipliers(self) -> np.ndarray:
-        return self.basis.eigenvalues**self.exponent
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        coeffs = _check_coeffs(self.basis, coeffs)
-        return self.multipliers * coeffs
-
-
 def _check_coeffs(basis: SpectralBasis, coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (basis.n_modes,):
+    if coeffs.shape[-1:] != (basis.n_modes,):
         raise ValueError(
-            f"coefficient vector has shape {coeffs.shape}, expected ({basis.n_modes},)"
+            f"coefficient array has shape {coeffs.shape}, expected (..., {basis.n_modes})"
         )
     return coeffs
-
-
-def apply_fractional(power: FractionalPower, coeffs: np.ndarray) -> np.ndarray:
-    return power.apply(coeffs)
 
 
 def fractional_multipliers(basis: SpectralBasis, exponent: float) -> np.ndarray:
@@ -322,38 +294,38 @@ def kernel_projection(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
 
 
 def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient vector -> grid samples.
+    """Coefficients (..., n) -> grid samples (..., m).
 
-    On a rectangle the coefficients are scattered into a (kx, ky) array C and
-    the grid is (Vx @ C) @ Vy.T on the (mx, my) nodes.
+    On a rectangle the coefficients are scattered into a (..., kx, ky) table C
+    and the grid is Vx @ C @ Vy.T on the (mx, my) nodes.
     """
     coeffs = _check_coeffs(basis, coeffs)
     if len(basis.axis_values) == 1:
-        return basis.axis_values[0] @ coeffs
+        return coeffs @ basis.axis_values[0].T
     vx, vy = basis.axis_values
-    table = np.zeros((vx.shape[1], vy.shape[1]))
-    table[basis.axis_modes] = coeffs
-    return ((vx @ table) @ vy.T).ravel()
+    table = np.zeros(coeffs.shape[:-1] + (vx.shape[1], vy.shape[1]))
+    table[(..., *basis.axis_modes)] = coeffs
+    return (vx @ table @ vy.T).reshape(coeffs.shape[:-1] + (basis.n_grid,))
 
 
 def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
-    """Grid samples -> coefficients via weighted inner products.
+    """Grid samples (..., m) -> coefficients (..., n) via weighted inner products.
 
-    On a rectangle the (mx, my) grid G gives (Vx.T @ (W*G) @ Vy)[jx, jy],
+    On a rectangle the (..., mx, my) grid G gives (Vx.T @ (W*G) @ Vy)[..., jx, jy],
     with the tensor-product weights W folded into the per-axis tables.
     """
     grid_values = np.asarray(grid_values, dtype=float)
-    if grid_values.shape != (basis.n_grid,):
+    if grid_values.shape[-1:] != (basis.n_grid,):
         raise ValueError(
-            f"grid vector has shape {grid_values.shape}, expected ({basis.n_grid},)"
+            f"grid array has shape {grid_values.shape}, expected (..., {basis.n_grid})"
         )
     if not np.isfinite(grid_values).all():
         raise ValueError("grid values must be finite")
     if len(basis.axis_values) == 1:
-        return basis.axis_values[0].T @ (basis.quad_weights * grid_values)
+        return (basis.quad_weights * grid_values) @ basis.axis_values[0]
     (vx, vy), (wx, wy) = basis.axis_values, basis.axis_weights
-    grid = grid_values.reshape(wx.shape[0], wy.shape[0])
-    return ((wx[:, None] * vx).T @ grid @ (wy[:, None] * vy))[basis.axis_modes]
+    grid = grid_values.reshape(grid_values.shape[:-1] + (wx.shape[0], wy.shape[0]))
+    return ((wx[:, None] * vx).T @ grid @ (wy[:, None] * vy))[(..., *basis.axis_modes)]
 
 
 def graph_norm(basis: SpectralBasis, exponent: float, coeffs: np.ndarray) -> float:

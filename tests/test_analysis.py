@@ -234,6 +234,27 @@ class TestRelaxationLimit:
                                         0.5, 10)
         assert report.monotone
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    def test_batched_study_matches_runs_alone(self, neumann8, eps):
+        # eps = 0 marches the limit row inside the batch, eps > 0 alone
+        data = ProblemData(theta0=lambda x: 2.5 * np.cos(np.pi * x),
+                           phi0=lambda x: 0.8 * np.cos(np.pi * x),
+                           coupling=Coupling.constant(2.0))
+        pot = double_obstacle_potential(0.5)
+        setup = RelaxLimitSetup(sigmas=[0.5, 0.25, 0.1], data=data, potential=pot,
+                                basis_a=neumann8, basis_b=neumann8, r=0.5, eps=eps)
+        scheme = SchemeConfig("implicit_prox", dt=2e-3)
+        report = relaxation_limit_study(setup, scheme, 0.2, 10)
+        _, limit = solve_relaxation_limit(data, neumann8, neumann8, 0.5, pot, scheme,
+                                          0.2, 10)
+        assert np.max(np.abs(report.limit_run.phi_series - limit.phi_series)) <= 1e-12
+        for sigma, phi_err in zip(setup.sigmas, report.phi_errors):
+            system = assemble(data, neumann8, neumann8, 0.5, sigma, eps, pot)
+            run = integrate(system, scheme, 0.2, 10)
+            alone = np.sqrt(np.trapezoid(
+                np.sum((run.phi_series - limit.phi_series) ** 2, axis=1), run.times))
+            assert phi_err == pytest.approx(alone, rel=1e-12)
+
     def test_setup_validation(self, neumann8):
         data = ProblemData(theta0=None, phi0=None,
                            coupling=Coupling.function(np.tanh, 1.0, 1.0))

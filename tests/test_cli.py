@@ -58,6 +58,15 @@ MIXED_RECT = {
 }
 
 
+# the command x basis matrix: every command, every converge axis
+COMMAND_CASES = [("simulate", None), ("contdep", None), ("longtime", None),
+                 ("relaxlimit", None), ("opcheck", None), ("selftest", None),
+                 ("converge", "n_modes"), ("converge", "eps"), ("converge", "dt"),
+                 ("converge", "sigma")]
+CONVERGE_VALUES = {"n_modes": [3, 6, 12], "eps": [0.04, 0.02, 0.01],
+                   "dt": [0.004, 0.002, 0.001], "sigma": [0.5, 0.4, 0.3]}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -171,6 +180,42 @@ class TestManifestStatus:
         code, manifest = self.run(tmp_path, command, MIXED_RECT)
         assert code == EXIT_OK
         assert all(check["passed"] for check in manifest["checks"].values())
+
+    @pytest.mark.parametrize("command,axis", COMMAND_CASES)
+    @pytest.mark.parametrize("geometry", ["interval", "rect"])
+    def test_command_matrix(self, tmp_path, geometry, command, axis):
+        """Every command and converge axis on a tiny interval and a tiny
+        Dirichlet/Neumann rectangle; relaxlimit marches its limit row alone
+        on the interval (eps > 0) and inside the batch on the rectangle."""
+        cfgd = json.loads(json.dumps(SMOKE if geometry == "interval" else MIXED_RECT))
+        cfgd["study"] = {"contdep": {"deltas": [1e-1, 1e-2, 1e-3]},
+                         "relaxlimit": {"sigmas": [0.5, 0.25, 0.1]},
+                         "converge": {"axis": axis, "values": CONVERGE_VALUES.get(axis)}}
+        if command == "longtime":
+            cfgd["scheme"] = {"scheme": "imex_euler", "dt": 0.01, "t_final": 20.0,
+                              "snapshot_stride": 100}
+        if command == "relaxlimit" and geometry == "rect":
+            cfgd["potential"]["eps"] = 0.0
+        code, manifest = self.run(tmp_path, command, cfgd)
+        assert code == EXIT_OK
+        assert all(check["passed"] for check in manifest["checks"].values())
+
+    @pytest.mark.parametrize("mode_index", [99, 6, -1, 1.5, "1"])
+    def test_contdep_mode_index_out_of_range(self, tmp_path, mode_index):
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["study"] = {"contdep": {"deltas": [1e-1, 1e-2], "mode_index": mode_index}}
+        code, manifest = self.run(tmp_path, "contdep", cfgd)
+        assert code == EXIT_CONFIG
+        assert manifest["failure"]["stage"] == "validation"
+        assert "study.contdep.mode_index" in manifest["failure"]["message"]
+
+    def test_retired_scheme_keys_are_ignored_with_advisory(self, tmp_path):
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["scheme"].update(fixed_point_tol=1e-12, max_inner_iters=7)
+        code, manifest = self.run(tmp_path, "simulate", cfgd)
+        assert code == EXIT_OK
+        for key in ("fixed_point_tol", "max_inner_iters"):
+            assert any(f"scheme.{key} is ignored" in a for a in manifest["advisories"])
 
     def test_n_modes_axis_rejects_non_integers(self, tmp_path):
         cfgd = json.loads(json.dumps(SMOKE))
@@ -337,3 +382,5 @@ class TestStudyCommands:
                      "--out", str(out), "--jobs", "3", "--quiet"])
         assert code == EXIT_OK
         assert (out / "study_converge.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert any("--jobs is ignored" in a for a in manifest["advisories"])

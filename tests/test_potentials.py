@@ -116,6 +116,9 @@ class TestResolvent:
                                     resolvent_closed_form=lambda eps, s: s.copy())
         with pytest.raises(ResolventError, match="residual"):
             resolvent(wrong, 1.0, np.array([0.0, 2.0]))
+        # a stacked (2-D) input reports the failing point as well
+        with pytest.raises(ResolventError, match=r"residual 8\.000e\+00 at s=.*2\.0"):
+            resolvent(wrong, 1.0, np.array([[0.0, 0.0], [0.0, 2.0]]))
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
