@@ -57,12 +57,6 @@ class ContdepReport:
     components: dict
 
 
-def contdep_check(make_run: Callable[[ProblemData], tuple[DiscreteSystem, RunOutput]],
-                  data1: ProblemData, data2: ProblemData) -> ContdepReport:
-    """contdep_report of the runs `make_run` gives for the two data."""
-    return contdep_report(*make_run(data1), *make_run(data2))
-
-
 def contdep_report(sys1: DiscreteSystem, run1: RunOutput,
                    sys2: DiscreteSystem, run2: RunOutput) -> ContdepReport:
     """Empirical stability quotient of the two-run difference.
@@ -354,9 +348,10 @@ def relaxation_limit_study(setup: RelaxLimitSetup, scheme: SchemeConfig,
 
     The ladder runs march as one stacked system; the limit run joins that
     batch when it shares eps (0) and the scheme (implicit_prox) with the
-    ladder, and runs alone otherwise.  The theory gives weak convergence
-    without a rate, so acceptance is a strictly decreasing error column down
-    the sigma ladder.
+    ladder, and runs alone otherwise.  Only the limit run records its grid
+    series (`xi_series`, `phi_grid_series`).  The theory gives weak
+    convergence without a rate, so acceptance is a strictly decreasing error
+    column down the sigma ladder.
     """
     setup.validate()
     limit = _limit_system(setup.data, setup.basis_a, setup.basis_b, setup.r,
@@ -365,11 +360,12 @@ def relaxation_limit_study(setup: RelaxLimitSetup, scheme: SchemeConfig,
                        setup.eps, setup.potential) for sigma in setup.sigmas]
     if setup.eps == 0.0 and scheme.scheme == "implicit_prox":
         limit_run, *runs = integrate(stack_systems([limit] + ladder), scheme,
-                                     t_final, snapshot_stride).rows()
+                                     t_final, snapshot_stride, grid_rows=(0,)).rows()
     else:
         limit_run = integrate(limit, SchemeConfig("implicit_prox", dt=scheme.dt),
                               t_final, snapshot_stride)
-        runs = integrate(stack_systems(ladder), scheme, t_final, snapshot_stride).rows()
+        runs = integrate(stack_systems(ladder), scheme, t_final, snapshot_stride,
+                         grid_rows=()).rows()
     phi_errs, theta_errs = [], []
     for run in runs:
         idx = _align_indices(run.times, limit_run.times)

@@ -565,12 +565,18 @@ def resolve_out_dir(args, cfg: RunConfig) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    raw = None
     try:
-        raw = load_raw_config(args.config)
-        raw = apply_overrides(raw, args.override)
+        raw = apply_overrides(load_raw_config(args.config), args.override)
         cfg = validate_config(raw)
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        if raw is not None and args.out:
+            # the config was read and --out names the run directory: record
+            # the rejection there
+            manifest = _ManifestWriter(args.out, args.command, raw)
+            manifest.fail("validation", str(exc), exc)
+            return _write_manifest(manifest, EXIT_CONFIG)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
@@ -588,6 +594,8 @@ def main(argv=None) -> int:
     code = EXIT_OK
     try:
         code = COMMANDS[args.command](cfg, manifest, out_dir, args.quiet)
+        if code == EXIT_CHECK:
+            manifest.payload["status"] = "check_failed"
     except (ConfigError, ValidationError, ExpressionError, BasisBuildError) as exc:
         manifest.fail("validation", str(exc), exc)
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -609,11 +617,17 @@ def main(argv=None) -> int:
         manifest.fail("interrupted", type(exc).__name__, exc)
         raise
     finally:
-        try:
-            manifest.write()
-        except OSError as exc:
-            print(f"cannot write manifest: {exc}", file=sys.stderr)
-            code = EXIT_IO
+        code = _write_manifest(manifest, code)
+    return code
+
+
+def _write_manifest(manifest: _ManifestWriter, code: int) -> int:
+    """Write the manifest and return `code`, or EXIT_IO when it cannot be written."""
+    try:
+        manifest.write()
+    except OSError as exc:
+        print(f"cannot write manifest: {exc}", file=sys.stderr)
+        return EXIT_IO
     return code
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import expressions
 from .galerkin import Coupling, ProblemData, assemble
 from .potentials import Potential, by_name
-from .spectral import BASIS_KINDS, SpectralBasis, build_basis
+from .spectral import BASIS_KINDS, SpectralBasis, build_basis, min_grid_nodes
 from .timestepper import SCHEMES, SchemeConfig
 
 
@@ -102,7 +102,8 @@ def _operator_spec(section: dict, label: str, exponent_key: str,
     extent = section.get("extent")
     ext = tuple(np.atleast_1d(np.asarray(extent, dtype=float)).tolist()) if extent is not None else ()
     want = 2 if kind.startswith("rect") else 1
-    if len(ext) != want or any(e <= 0 for e in ext):
+    extent_ok = len(ext) == want and all(e > 0 for e in ext)
+    if not extent_ok:
         problems.append((f"geometry.{label}.extent",
                          f"needs {want} positive value(s), got {extent!r}"))
     n_modes = section.get("n_modes")
@@ -110,9 +111,11 @@ def _operator_spec(section: dict, label: str, exponent_key: str,
         problems.append((f"geometry.{label}.n_modes", f"must be a positive integer, got {n_modes!r}"))
         n_modes = 1
     m_grid = section.get("m_grid")
-    if m_grid is not None and (not isinstance(m_grid, int) or m_grid < 4 * n_modes):
+    need = min_grid_nodes(kind, ext, n_modes) if extent_ok else 0
+    if m_grid is not None and (not isinstance(m_grid, int) or m_grid < need):
         problems.append((f"geometry.{label}.m_grid",
-                         f"must be an integer >= 4*n_modes = {4 * n_modes}, got {m_grid!r}"))
+                         f"must be an integer >= {need}, four times the 1-D modes "
+                         f"per axis, got {m_grid!r}"))
     if not (isinstance(exponent, (int, float)) and exponent > 0):
         problems.append((f"exponents.{exponent_key}", f"must be positive, got {exponent!r}"))
         exponent = 0.5

@@ -8,8 +8,10 @@ eigenfunctions turns it into
 with Lambda = diag(lambda_j^(2r)), M = diag(mu_j^(2sigma)), the coupling
 matrix E = ell*[(eta_j, e_i)] (or its state-dependent, matrix-free variant for
 a nonconstant latent-heat coefficient), source samples g(t) = [(f(t), e_i)]
-and a pseudospectral nonlinearity evaluated by collocation on the quadrature
-grid.
+and F = P(beta_eps(phi)) + P(pi(phi)) - E^T Theta.  The terms of F that are
+linear in the state act in modal space (a declared slope gives
+P(pi(phi)) = -gamma*Phi, a constant coupling the same E in both equations);
+the rest is evaluated pseudospectrally, by collocation on the quadrature grid.
 """
 from __future__ import annotations
 
@@ -141,14 +143,11 @@ class DiscreteSystem:
 
 @dataclass
 class NonlinearTerms:
-    """Pointwise pieces of the phase nonlinearity at one state."""
+    """The phase nonlinearity at one state plus the grids a step reuses."""
 
-    fphi: np.ndarray          # B-coefficients of beta-part + pi(phi) - ell(phi) theta
-    phi_grid: np.ndarray
-    theta_grid: np.ndarray
-    coupling_grid: np.ndarray  # ell(phi) * theta on the grid
-    beta_grid: np.ndarray      # beta_eps(phi) (or beta(phi) at eps = 0)
-    pi_grid: np.ndarray        # pi(phi) on the grid
+    fphi: np.ndarray                # B-coefficients of beta-part + pi(phi) - ell(phi) theta
+    phi_grid: Optional[np.ndarray]  # phi on the grid; None when nothing was collocated
+    pi_grid: Optional[np.ndarray]   # pi(phi) on the grid when the split declares no gamma
 
 
 def _make_source_sampler(source, basis_a: SpectralBasis):
@@ -310,37 +309,54 @@ def guard(values: np.ndarray, label: str, t: float | None = None) -> np.ndarray:
 def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray,
                       *, include_beta: bool = True,
                       t: float | None = None) -> NonlinearTerms:
-    """Collocation evaluation of the phase nonlinearity.
+    """F(theta, phi) = P(beta_eps(phi)) + P(pi(phi)) - E^T theta in the B basis.
 
-    Synthesize both fields, apply beta_eps + pi pointwise, form the coupling
-    product ell(phi)*theta, and analyze back in the B basis.  include_beta =
-    False is used by the proximal stepper, which treats the convex part
-    through its resolvent instead.  t only labels overflow-guard messages.
+    The terms linear in the state stay in modal space: a split that declares
+    gamma gives P(pi(phi)) = -gamma*phi exactly, and a constant coupling gives
+    E^T theta = ell*theta on one basis or theta @ coupling_matrix on two, the
+    exact matrix `apply_coupling` applies in the temperature equation, so the
+    two coupling operators are transposes and the discrete energy identity
+    holds on mixed bases too.  Only what has no modal form is collocated and
+    analyzed, in one pass: beta_eps(phi) (beta(phi) at eps = 0), pi(phi) when
+    gamma is None, and ell(phi)*theta for a function coupling, whose weighted
+    quadrature is consistent in both equations.  include_beta = False is used
+    by the proximal stepper, which treats the convex part through its
+    resolvent; with a declared gamma and a constant coupling it synthesizes
+    nothing.  t only labels overflow-guard messages.
     """
-    phi_grid = guard(synthesize(system.basis_b, phi), "phi grid", t)
-    theta_grid = guard(synthesize(system.basis_a, theta), "theta grid", t)
+    pot, coupling = system.potential, system.coupling
+    fphi = 0.0 if pot.gamma is None else -pot.gamma * phi
+    if coupling.kind == "constant":
+        if system.same_basis:
+            fphi = fphi - coupling.value * theta
+        elif system.coupling_matrix is not None:
+            fphi = fphi - theta @ system.coupling_matrix
 
+    phi_grid = pi_grid = None
+    parts = []
+    if include_beta or pot.gamma is None or coupling.kind == "function":
+        phi_grid = synthesize(system.basis_b, phi)
     if include_beta:
         if system.eps > 0.0:
-            beta_grid = np.asarray(yosida(system.potential, system.eps, phi_grid))
+            parts.append(np.asarray(yosida(pot, system.eps, phi_grid)))
         else:
-            if system.potential.multivalued:
+            if pot.multivalued:
                 raise ValidationError(
                     "eps = 0 with a multivalued potential requires the proximal scheme"
                 )
-            beta_grid = np.asarray(system.potential.beta(phi_grid), dtype=float)
+            beta_grid = np.asarray(pot.beta(phi_grid), dtype=float)
             if not np.all(np.isfinite(beta_grid)):
                 raise OverflowGuardError("beta(phi) left its domain during evaluation")
-    else:
-        beta_grid = np.zeros_like(phi_grid)
-
-    pi_grid = np.asarray(system.potential.pi(phi_grid), dtype=float)
-    coupling_grid = system.coupling.on_grid(phi_grid) * theta_grid
-    pointwise = beta_grid + pi_grid - coupling_grid
-    fphi = analyze(system.basis_b, guard(pointwise, "nonlinearity", t))
-    return NonlinearTerms(fphi=fphi, phi_grid=phi_grid, theta_grid=theta_grid,
-                          coupling_grid=coupling_grid, beta_grid=beta_grid,
-                          pi_grid=pi_grid)
+            parts.append(beta_grid)
+    if pot.gamma is None:
+        pi_grid = np.asarray(pot.pi(phi_grid), dtype=float)
+        parts.append(pi_grid)
+    if coupling.kind == "function":
+        parts.append(-coupling.on_grid(phi_grid) * synthesize(system.basis_a, theta))
+    if parts:
+        pointwise = guard(sum(parts[1:], parts[0]), "nonlinearity", t)
+        fphi = fphi + analyze(system.basis_b, pointwise)
+    return NonlinearTerms(fphi=fphi, phi_grid=phi_grid, pi_grid=pi_grid)
 
 
 def apply_coupling(system: DiscreteSystem, phi_grid: np.ndarray,

@@ -86,7 +86,9 @@ class RunOutput:
     """Trajectory, norm time series, ledger and snapshots of one run.
 
     Of a stacked run every array but `times` carries a row axis after the
-    snapshot axis; `rows()` splits it into one output per trajectory.
+    snapshot axis; `rows()` splits it into one output per trajectory.  The
+    grid series of a stacked run hold only the rows listed in grid_rows
+    (None: every row).
     """
 
     times: np.ndarray
@@ -106,21 +108,32 @@ class RunOutput:
     phi_grid_series: Optional[np.ndarray] = None  # (K, m) prox grid iterates
     failed: bool = False
     failure: Optional[str] = None
+    grid_rows: Optional[tuple[int, ...]] = None
 
     def rows(self) -> list["RunOutput"]:
-        """One single-trajectory output per row ([self] for a single run)."""
+        """One single-trajectory output per row ([self] for a single run);
+        a row whose grid series were not recorded gets None for them."""
         if self.theta_series.ndim == 2:
             return [self]
+        n_rows = self.theta_series.shape[1]
+        held = list(range(n_rows) if self.grid_rows is None else self.grid_rows)
 
         def pick(obj, b):
             return {f.name: getattr(obj, f.name)[:, b] for f in fields(obj)
-                    if np.ndim(getattr(obj, f.name)) > 1}
+                    if f.name not in _GRID_SERIES and np.ndim(getattr(obj, f.name)) > 1}
+
+        def grids(b):
+            return {name: None if getattr(self, name) is None or b not in held
+                    else getattr(self, name)[:, held.index(b)] for name in _GRID_SERIES}
 
         state = self.final_state
-        return [replace(self, **pick(self, b),
+        return [replace(self, **pick(self, b), **grids(b), grid_rows=None,
                         ledger=replace(self.ledger, **pick(self.ledger, b)),
                         final_state=State(state.t, state.theta[b], state.phi[b]))
-                for b in range(self.theta_series.shape[1])]
+                for b in range(n_rows)]
+
+
+_GRID_SERIES = ("xi_series", "phi_grid_series")
 
 
 @dataclass
@@ -239,9 +252,11 @@ _COLUMNS = ("t", "norm_theta", "graph_theta", "norm_phi", "graph_phi", "dtphi",
 
 class _Snapshots:
     """Per-snapshot columns preallocated for a whole run; `count` rows are
-    filled, each with one entry per row of a stacked system."""
+    filled, each with one entry per row of a stacked system.  Prox grid
+    series hold the stacked rows listed in grid_rows (None: every row)."""
 
-    def __init__(self, system: DiscreteSystem, n_rows: int, prox: bool):
+    def __init__(self, system: DiscreteSystem, n_rows: int, prox: bool,
+                 grid_rows: tuple[int, ...] | None):
         self.system = system
         self.count = 0
         shape = (n_rows,) + system.phi_stiff.shape[:-1]
@@ -249,9 +264,12 @@ class _Snapshots:
         self.cols["t"] = np.empty(n_rows)
         self.theta = np.empty(shape + (system.n_a,))
         self.phi = np.empty(shape + (system.n_b,))
-        ngrid = system.basis_b.n_grid
-        self.xi = np.empty(shape + (ngrid,)) if prox else None
-        self.phi_grid = np.empty(shape + (ngrid,)) if prox else None
+        self.grid_rows = grid_rows
+        self.grid_select = slice(None) if grid_rows is None else list(grid_rows)
+        grid_shape = (shape if grid_rows is None else (n_rows, len(grid_rows))) \
+            + (system.basis_b.n_grid,)
+        self.xi = np.empty(grid_shape) if prox else None
+        self.phi_grid = np.empty(grid_shape) if prox else None
 
     def record(self, state: State, dtphi, ledger: _LedgerAccumulator,
                xi: np.ndarray | None, phi_grid: np.ndarray | None) -> None:
@@ -277,22 +295,26 @@ class _Snapshots:
         self.theta[k] = theta
         self.phi[k] = phi
         if self.xi is not None:
-            self.xi[k] = 0.0 if xi is None else xi
-            self.phi_grid[k] = phi_grid if phi_grid is not None else \
-                guard(synthesize(system.basis_b, phi), "phase grid", state.t)
+            rows = self.grid_select
+            self.xi[k] = 0.0 if xi is None else xi[rows]
+            self.phi_grid[k] = phi_grid[rows] if phi_grid is not None else \
+                guard(synthesize(system.basis_b, phi[rows]), "phase grid", state.t)
         self.count += 1
 
 
 def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
               snapshot_stride: int = 1,
-              initial_state: State | None = None) -> RunOutput:
+              initial_state: State | None = None,
+              grid_rows: tuple[int, ...] | None = None) -> RunOutput:
     """March the system to t_final, recording norms and the energy ledger.
 
     Snapshots land every `snapshot_stride` steps plus always at t = 0 and the
     final time.  A stacked system returns one output whose arrays carry its
-    row axis (`RunOutput.rows` splits it).  On an overflow guard trip the
-    partial output up to the last completed snapshot (per row, for a stacked
-    system) is attached to the raised BlowupError.
+    row axis (`RunOutput.rows` splits it); of a stacked proximal run only the
+    rows in grid_rows record their xi / phi_grid series (None: every row).
+    On an overflow guard trip the partial output up to the last completed
+    snapshot (per row, for a stacked system) is attached to the raised
+    BlowupError.
     """
     if t_final <= 0.0:
         raise ValueError(f"t_final must be positive, got {t_final}")
@@ -304,6 +326,8 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
         raise ValueError(
             f"t_final={t_final} is not an integer number of steps of dt={dt}"
         )
+    if grid_rows is not None and system.phi_stiff.ndim == 1:
+        raise ValueError("grid_rows selects rows of a stacked system")
     if scheme.scheme == "imex_euler" and system.eps == 0.0 and system.potential.multivalued:
         raise ValueError("imex_euler cannot treat a multivalued potential at eps = 0; "
                          "use implicit_prox")
@@ -318,7 +342,7 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
     step_fn = step_implicit_prox if prox else step_imex
     ledger = _LedgerAccumulator(system)
     n_rows = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
-    snaps = _Snapshots(system, n_rows, prox)
+    snaps = _Snapshots(system, n_rows, prox, grid_rows)
 
     # prox runs ledger the datum grid at t = 0: the modal projection of a
     # clamped field can overshoot the obstacle and blow up the indicator
@@ -384,6 +408,7 @@ def _finalize(snaps: _Snapshots, state: State, scheme: SchemeConfig,
         phi_grid_series=None if snaps.phi_grid is None else snaps.phi_grid[:n],
         failed=failed,
         failure=failure,
+        grid_rows=snaps.grid_rows,
     )
 
 

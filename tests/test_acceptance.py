@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fracphase.analysis import (RelaxLimitSetup, contdep_check,
+from fracphase.analysis import (RelaxLimitSetup, contdep_report,
                                 omega_limit_probe, relaxation_limit_study,
                                 sigma_zero_operator_check)
 from fracphase.cli import main as cli_main
@@ -197,7 +197,7 @@ def test_c06_continuous_dependence():
         pert = ProblemData(
             theta0=lambda x, d=delta: base.theta0(x) + d * mode1,
             phi0=base.phi0, source=base.source, coupling=base.coupling)
-        rep = contdep_check(make_run, base, pert)
+        rep = contdep_report(*make_run(base), *make_run(pert))
         assert not rep.degenerate
         ratios.append(rep.ratio)
     ratios = np.array(ratios)

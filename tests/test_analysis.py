@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import smoke_data, smoke_run
-from fracphase.analysis import (RelaxLimitSetup, contdep_check,
+from fracphase.analysis import (RelaxLimitSetup, contdep_report,
                                 convergence_study, hpqo_probe,
                                 omega_limit_probe, reexpress,
                                 relaxation_limit_study, running_time_integral,
@@ -48,7 +48,8 @@ class TestContdep:
         return run
 
     def test_identical_data_degenerate(self, neumann8):
-        report = contdep_check(self.make_run(neumann8), smoke_data(), smoke_data())
+        make_run = self.make_run(neumann8)
+        report = contdep_report(*make_run(smoke_data()), *make_run(smoke_data()))
         assert report.degenerate and report.ratio is None
         assert report.lhs <= 1e-12
 
@@ -60,7 +61,8 @@ class TestContdep:
         pert = ProblemData(theta0=base.theta0,
                            phi0=lambda x: 0.2 * np.cos(np.pi * x) + 0.05,
                            coupling=Coupling.constant(0.0))
-        report = contdep_check(self.make_run(neumann8), base, pert)
+        make_run = self.make_run(neumann8)
+        report = contdep_report(*make_run(base), *make_run(pert))
         assert report.components["theta_l2"] <= 1e-13
         assert report.components["int_theta_linf_graph"] <= 1e-13
         assert report.components["phi_linf"] > 0.0
@@ -73,7 +75,7 @@ class TestContdep:
             pert = ProblemData(
                 theta0=lambda x, d=delta: base.theta0(x) + d * np.cos(np.pi * x),
                 phi0=base.phi0, source=base.source, coupling=base.coupling)
-            ratios.append(contdep_check(run, base, pert).ratio)
+            ratios.append(contdep_report(*run(base), *run(pert)).ratio)
         assert abs(ratios[0] / ratios[1] - 1.0) < 0.2
 
 

@@ -164,6 +164,39 @@ class TestManifestStatus:
         assert (code == EXIT_OK) == (manifest["status"] == "ok")
         return code, manifest
 
+    @pytest.mark.parametrize("expected,status", [
+        (EXIT_OK, "ok"), (EXIT_INTERNAL, "failed"), (EXIT_CONFIG, "failed"),
+        (EXIT_CHECK, "check_failed")])
+    def test_status_agrees_with_exit_code(self, tmp_path, monkeypatch, expected, status):
+        cfgd, command = json.loads(json.dumps(SMOKE)), "simulate"
+        if expected == EXIT_INTERNAL:
+            monkeypatch.setattr(fracphase.cli, "integrate", None)  # a TypeError: a defect
+        elif expected == EXIT_CONFIG:
+            cfgd["geometry"]["a"]["m_grid"] = 8  # rejected before any command runs
+        elif expected == EXIT_CHECK:
+            # an impossible stability demand fails the contdep gate
+            cfgd["study"] = {"contdep": {"deltas": [1e-1, 1e-3],
+                                         "max_ratio_spread": 1e-12}}
+            command = "contdep"
+        code, manifest = self.run(tmp_path, command, cfgd)
+        assert code == expected and manifest["status"] == status
+
+    def test_rect_grid_rule_counts_retained_axis_modes(self, tmp_path):
+        # 64 modes on the unit square use 1-D modes 0..8 per axis: 36 nodes
+        # per axis suffice, far below 4*n_modes = 256
+        cfgd = json.loads(json.dumps(MIXED_RECT))
+        for side in ("a", "b"):
+            cfgd["geometry"][side].update(n_modes=64, m_grid=36)
+        cfgd["geometry"]["a"]["extent"] = cfgd["geometry"]["b"]["extent"] = [1.0, 1.0]
+        cfgd["scheme"].update(t_final=0.01, snapshot_stride=5)
+        code, manifest = self.run(tmp_path, "simulate", cfgd)
+        assert code == EXIT_OK and manifest["checks"]["energy_ledger_finite"]["passed"]
+        cfgd["geometry"]["b"]["m_grid"] = 35
+        code, manifest = self.run(tmp_path, "simulate", cfgd)
+        assert code == EXIT_CONFIG
+        assert manifest["failure"]["stage"] == "validation"
+        assert "geometry.b.m_grid" in manifest["failure"]["message"]
+
     def test_converge_n_modes_axis(self, tmp_path):
         cfgd = json.loads(json.dumps(SMOKE))
         cfgd["study"] = {"converge": {"axis": "n_modes", "values": [4, 6, 8]}}

@@ -116,12 +116,17 @@ class TestEvalNonlinearity:
         assert terms.fphi[0] == pytest.approx(0.0, abs=1e-5)
         assert np.max(np.abs(terms.fphi[1:])) <= 1e-12
 
-    def test_coupling_grid_product(self, neumann8):
-        system = make_system(neumann8, neumann8, Coupling.constant(3.0))
+    def test_coupling_grid_product(self, neumann8, dirichlet8):
+        # the coupling enters F as -E^T theta: ell*theta on one basis, the
+        # exact cross mass on two, never a grid product
         theta = np.zeros(8)
         theta[0] = 2.0
+        system = make_system(neumann8, neumann8, Coupling.constant(3.0))
         terms = eval_nonlinearity(system, theta, np.zeros(8))
-        assert np.allclose(terms.coupling_grid, 6.0)
+        assert np.array_equal(terms.fphi, -3.0 * theta)
+        mixed = make_system(dirichlet8, neumann8, Coupling.constant(3.0))
+        terms = eval_nonlinearity(mixed, theta, np.zeros(8))
+        assert np.max(np.abs(terms.fphi + theta @ mixed.coupling_matrix)) <= 1e-15
 
     def test_overflow_guard(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(0.0))
@@ -209,5 +214,6 @@ class TestSourceSampling:
         phi = np.zeros(8)
         phi[0] = 1.0
         terms = eval_nonlinearity(system, np.zeros(8), phi)
-        expected = yosida(system.potential, 0.1, 1.0)
-        assert np.allclose(terms.beta_grid, expected)
+        # phi = eta_0 = 1 on (0, 1): F = (beta_0.1(1) - gamma) eta_0
+        expected = (yosida(system.potential, 0.1, 1.0) - system.potential.gamma) * phi
+        assert np.max(np.abs(terms.fphi - expected)) <= 1e-14

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_legendre_gram
+from conftest import gauss_legendre_gram, smoke_run
 from fracphase.expressions import build_space_field
-from fracphase.spectral import (BasisBuildError, analyze, build_basis,
+import fracphase.spectral
+from fracphase.spectral import (FFT_MIN_TABLE_SIZE, ORTHONORMALITY_TOL,
+                                BasisBuildError, analyze, build_basis,
                                 build_interval_basis, build_rect_basis,
                                 cross_gram, eigenfunctions_at,
                                 fractional_multipliers, gram_defect, graph_norm,
-                                kernel_projection, synthesize)
+                                kernel_projection, min_grid_nodes, synthesize)
 
 PI2 = np.pi**2
 
@@ -72,6 +74,16 @@ class TestRectBuilder:
         b = build_rect_basis("dirichlet", 1.0, 1.5, 9)
         assert gram_defect(b) < 1e-10
 
+    @pytest.mark.parametrize("kind", ["rect_dirichlet", "rect_neumann"])
+    def test_grid_rule_counts_retained_axis_modes(self, kind):
+        # 64 modes on the unit square use 1-D modes 0..8 of each axis
+        assert min_grid_nodes(kind, [1.0, 1.0], 64) == 36
+        b = build_rect_basis(kind, 1.0, 1.0, 64, 36)
+        assert [v.shape for v in b.axis_values] == [(36, 9), (36, 9)]
+        assert gram_defect(b) <= ORTHONORMALITY_TOL
+        with pytest.raises(BasisBuildError, match="m_grid=35"):
+            build_rect_basis(kind, 1.0, 1.0, 64, 35)
+
 
 # rectangles for the tensor-product paths: both kinds, square and not
 RECT_CASES = [("rect_dirichlet", [1.0, 1.0], 64, 256),
@@ -122,6 +134,63 @@ class TestBatchedTransforms:
         for idx in np.ndindex(2, 3):
             assert np.max(np.abs(synth[idx] - synthesize(b, coeffs[idx]))) <= 1e-12
             assert np.max(np.abs(anal[idx] - analyze(b, grid[idx]))) <= 1e-12
+
+
+class TestFFTTransforms:
+    """FFT interval transforms against the dense table they replace."""
+
+    # below the FFT rule at the default m = 8n and at m = 4n, above it at m = 4n
+    @pytest.mark.parametrize("n,m", [(64, 512), (128, 512), (512, 2048)])
+    @pytest.mark.parametrize("kind", ["interval_neumann", "interval_dirichlet"])
+    def test_matches_dense_oracle(self, kind, n, m, monkeypatch):
+        b = build_interval_basis(kind, 1.7, n, m)
+        assert (b.fft is not None) == (n * m >= FFT_MIN_TABLE_SIZE)
+        monkeypatch.setattr(fracphase.spectral, "FFT_MIN_TABLE_SIZE", 0)
+        fft = build_interval_basis(kind, 1.7, n, m)
+        assert fft.fft is not None
+        dense = b.axis_values[0]
+        rng = np.random.default_rng(n)
+        for rows in ((), (3,)):
+            coeffs = rng.standard_normal(rows + (n,))
+            grid = rng.standard_normal(rows + (m,))
+            for got, want in ((synthesize(fft, coeffs), coeffs @ dense.T),
+                              (analyze(fft, grid), (b.quad_weights * grid) @ dense)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_run_matches_dense_path(self, monkeypatch):
+        _, dense = smoke_run(build_interval_basis("neumann", 1.0, 16))
+        monkeypatch.setattr(fracphase.spectral, "FFT_MIN_TABLE_SIZE", 0)
+        _, fft = smoke_run(build_interval_basis("neumann", 1.0, 16))
+        for a, b in ((fft.theta_series, dense.theta_series),
+                     (fft.phi_series, dense.phi_series),
+                     (fft.ledger.lhs, dense.ledger.lhs)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_fft_path_keeps_input_checks(self):
+        b = build_interval_basis("neumann", 1.0, 512, 2048)
+        assert b.fft is not None
+        with pytest.raises(ValueError, match="shape"):
+            synthesize(b, np.zeros(511))
+        grid = np.zeros(2048)
+        grid[7] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            analyze(b, grid)
+
+    def test_dispatch_rule(self):
+        """Intervals only: a dense table of at least FFT_MIN_TABLE_SIZE entries
+        and an FFT length 2(m-1) without a prime factor above 100."""
+        assert build_interval_basis("neumann", 1.0, 8).fft is None
+        assert build_interval_basis("neumann", 1.0, 128, 1024).fft is None
+        assert build_interval_basis("dirichlet", 1.0, 128, 2048).fft is not None
+        assert build_interval_basis("neumann", 1.0, 512, 2048).fft is not None
+        # 2*(1536 - 1) = 2*5*307: the FFT would be slower than the dense product
+        assert 192 * 1536 >= FFT_MIN_TABLE_SIZE
+        assert build_interval_basis("neumann", 1.0, 192).fft is None
+        # a rectangle's sample matrix (65 536 x 64 here) is never formed: it
+        # stays sum-factorized whatever its size
+        rect = build_rect_basis("rect_neumann", 1.0, 1.0, 64, 256)
+        assert rect.n_grid * rect.n_modes >= FFT_MIN_TABLE_SIZE and rect.fft is None
 
 
 class TestCrossGram:

@@ -12,7 +12,7 @@ from fracphase.galerkin import (Coupling, DiscreteSystem, ProblemData, assemble,
 from fracphase.potentials import (double_obstacle_potential,
                                   logarithmic_potential, regular_potential,
                                   zero_potential)
-from fracphase.spectral import build_interval_basis, build_rect_basis
+from fracphase.spectral import build_basis, build_interval_basis, build_rect_basis
 from fracphase.timestepper import (BlowupError, SchemeConfig, State,
                                    energy_ledger_audit, integrate, step_imex,
                                    step_implicit_prox)
@@ -156,6 +156,33 @@ class TestEnergyLedger:
         _, m2 = energy_ledger_audit(fine)
         assert m1 / m2 == pytest.approx(2.0, abs=0.3)
 
+    @pytest.mark.parametrize("kind_a,kind_b,extent,n,m", [
+        ("interval_dirichlet", "interval_neumann", 1.0, 8, 32),
+        ("interval_neumann", "interval_dirichlet", 1.0, 8, 32),
+        ("rect_dirichlet", "rect_neumann", [1.0, 1.0], 12, 48)])
+    def test_mixed_basis_residual_first_order(self, kind_a, kind_b, extent, n, m):
+        # both equations apply the same exact cross mass, so the residual
+        # quarters with dt down to the finest level
+        basis_a, basis_b = build_basis(kind_a, extent, n, m), build_basis(kind_b, extent, n, m)
+        k = 1 if basis_a.ndim == 1 else [1, 1]
+        source = build_source(dict(SMOKE_SOURCE, space={"kind": "cos", "k": k,
+                                                        "amplitude": 0.5}), basis_a)
+
+        def x(points):
+            return points.reshape(len(points), -1)[:, 0]
+
+        data = ProblemData(theta0=lambda p: 0.1 + 0.5 * np.cos(np.pi * x(p)),
+                           phi0=lambda p: 0.1 + 0.3 * np.cos(np.pi * x(p)),
+                           source=source, coupling=Coupling.constant(2.0))
+        system = assemble(data, basis_a, basis_b, 0.5, 0.5, 1e-2, regular_potential(1.0))
+        peaks = []
+        for dt in (1e-3, 2.5e-4, 6.25e-5, 1.5625e-5):
+            run = integrate(system, SchemeConfig("imex_euler", dt=dt), 0.25,
+                            int(round(0.25 / dt)) // 25)
+            peaks.append(energy_ledger_audit(run)[1])
+        ratios = [coarse / fine for coarse, fine in zip(peaks, peaks[1:])]
+        assert all(3.8 <= ratio <= 4.2 for ratio in ratios[1:]), ratios
+
     def test_lhs_terms_nonnegative(self, neumann8):
         _, run = smoke_run(neumann8)
         led = run.ledger
@@ -239,10 +266,10 @@ class TestFastPathsAgainstOracle:
                                  - getattr(runs[1].ledger, name))) <= 1e-10
 
     @pytest.mark.parametrize("case,expected", [
-        ("imex_same_basis", (2, 1, 1)),
-        ("imex_mixed_basis", (2, 1, 1)),
-        ("prox", (3, 2, 1)),
-        ("imex_no_declared_slope", (2, 2, 1)),
+        ("imex_same_basis", (1, 1, 1, 3)),
+        ("imex_mixed_basis", (1, 1, 1, 3)),
+        ("prox", (1, 1, 1, 3)),
+        ("imex_no_declared_slope", (1, 2, 1, 3)),
     ])
     def test_transforms_per_step(self, neumann8, monkeypatch, case, expected):
         dirichlet8 = build_interval_basis("dirichlet", 1.0, 8)
@@ -260,7 +287,7 @@ class TestFastPathsAgainstOracle:
                                         regular_potential(1.0), 1e-2)
         assert (system.coupling_matrix is not None) == (case == "imex_mixed_basis")
 
-        counts = {"synthesize": 0, "analyze": 0, "source_at": 0}
+        counts = {"synthesize": 0, "analyze": 0, "source_at": 0, "guard": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -269,7 +296,7 @@ class TestFastPathsAgainstOracle:
             return wrapper
 
         for module in (fracphase.galerkin, fracphase.timestepper):
-            for name in ("synthesize", "analyze"):
+            for name in ("synthesize", "analyze", "guard"):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         monkeypatch.setattr(DiscreteSystem, "source_at",
                             counted("source_at", DiscreteSystem.source_at))
@@ -281,7 +308,7 @@ class TestFastPathsAgainstOracle:
             integrate(system, SchemeConfig(scheme, dt=1e-3), n_steps * 1e-3, 10**6)
             totals.append({k: counts[k] - before[k] for k in counts})
         per_step = tuple((totals[1][k] - totals[0][k]) / 20
-                         for k in ("synthesize", "analyze", "source_at"))
+                         for k in ("synthesize", "analyze", "source_at", "guard"))
         assert per_step == expected
 
 
@@ -343,6 +370,22 @@ class TestStackedSystems:
                         a, b = config.dt * a, config.dt * b
                     assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
             assert np.max(np.abs(row.final_state.phi - alone.final_state.phi)) <= 1e-12
+
+    def test_grid_rows_record_only_the_selected_rows(self):
+        systems = stacked_rows("interval", "implicit_prox", False)
+        config = SchemeConfig("implicit_prox", dt=1e-3)
+        every = integrate(stack_systems(systems), config, 0.05, 10)
+        one = integrate(stack_systems(systems), config, 0.05, 10, grid_rows=(1,))
+        assert one.xi_series.shape == (every.times.size, 1, systems[0].basis_b.n_grid)
+        for b, (full, sel) in enumerate(zip(every.rows(), one.rows())):
+            assert np.array_equal(sel.phi_series, full.phi_series)
+            for name in ("xi_series", "phi_grid_series"):
+                if b == 1:
+                    assert np.array_equal(getattr(sel, name), getattr(full, name))
+                else:
+                    assert getattr(sel, name) is None
+        with pytest.raises(ValueError, match="stacked"):
+            integrate(systems[0], config, 0.05, 10, grid_rows=(0,))
 
     @pytest.mark.parametrize("field,value", [("eps", 0.1), ("source", None),
                                              ("potential", regular_potential(1.0))])
