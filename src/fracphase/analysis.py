@@ -2,19 +2,22 @@
 behavior, and the sigma -> 0 relaxation limit.
 
 These drivers turn the qualitative statements about the continuous system
-into runnable checks at desk scale.  Weak-convergence statements are probed
-through strong norms with monotone-decrease acceptance; no rates are asserted
-where the theory provides none.
+into measurements at desk scale.  Each takes assembled systems and, except
+the relaxation study, their finished runs, and returns numbers; the caller
+sets the thresholds and decides pass or fail.  Weak-convergence statements
+are probed through strong norms; no rates are computed where the theory
+provides none.  `limit_system` plus `timestepper.integrate` with the
+proximal scheme is the direct solver of the sigma -> 0 limit system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .galerkin import DiscreteSystem, ProblemData, assemble, \
-    eval_nonlinearity, project_data, stack_systems
+from .galerkin import DiscreteSystem, eval_nonlinearity, project_data, \
+    stack_systems
 from .potentials import Potential, yosida
 from .spectral import SpectralBasis, analyze, cross_gram, \
     fractional_multipliers, kernel_projection, synthesize
@@ -106,26 +109,6 @@ def contdep_report(sys1: DiscreteSystem, run1: RunOutput,
 # convergence studies
 
 
-@dataclass
-class StudyReport:
-    """Errors per parameter value plus empirical orders between levels."""
-
-    axis: str
-    values: list
-    errors: dict[str, list[float]] = field(default_factory=dict)
-    orders: dict[str, list[float]] = field(default_factory=dict)
-    passed: bool = True
-    notes: list[str] = field(default_factory=list)
-
-    def finish(self) -> "StudyReport":
-        for name, col in self.errors.items():
-            self.orders[name] = [
-                float(np.log2(col[i] / col[i + 1])) if col[i + 1] > 0 else float("inf")
-                for i in range(len(col) - 1)
-            ]
-        return self
-
-
 def reexpress(coeff_series: np.ndarray, src: SpectralBasis,
               dst: SpectralBasis) -> np.ndarray:
     """Re-express a coefficient trajectory in another basis on the same domain.
@@ -159,60 +142,34 @@ def difference_norms(times: np.ndarray, dtheta: np.ndarray, dphi: np.ndarray,
     }
 
 
-def convergence_study(axis: str, values: Sequence,
-                      make_run: Callable[[object], tuple[DiscreteSystem, RunOutput]],
-                      reference_policy: str = "self_finest",
-                      exact: Callable[[DiscreteSystem, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
-                      ) -> StudyReport:
-    """Run the problem along a refinement axis and report error columns.
+def convergence_study(pairs: Sequence[tuple[DiscreteSystem, RunOutput]]
+                      ) -> dict[str, list[float]]:
+    """Error columns of a refinement study over (system, run) pairs.
 
-    reference_policy "self_finest" compares every level against the last
-    (finest) one; "exact" uses the supplied closed-form trajectory.  Cauchy
-    differences between adjacent levels are reported either way, because the
-    underlying theory guarantees convergence without rates.
+    Every level is compared against the last (finest) pair, re-expressed in
+    its bases, so the last entry of each difference_norms column is zero;
+    "cauchy_phi_linf_h" holds the differences between adjacent levels (one
+    entry fewer), because the underlying theory guarantees convergence
+    without rates.
     """
-    if reference_policy not in ("self_finest", "exact"):
-        raise ValueError(f"unknown reference policy {reference_policy!r}")
-    if reference_policy == "exact" and exact is None:
-        raise ValueError("reference_policy='exact' needs an exact-trajectory callable")
+    ref_sys, ref_run = pairs[-1]
+    levels = []
+    for sysk, runk in pairs:
+        idx = _align_indices(runk.times, ref_run.times)
+        theta_k = reexpress(runk.theta_series, sysk.basis_a, ref_sys.basis_a)
+        phi_k = reexpress(runk.phi_series, sysk.basis_b, ref_sys.basis_b)
+        levels.append(difference_norms(
+            runk.times, theta_k - ref_run.theta_series[idx],
+            phi_k - ref_run.phi_series[idx], ref_sys.theta_stiff, ref_sys.phi_stiff))
+    errors = {name: [level[name] for level in levels] for name in levels[0]}
 
-    runs = [make_run(v) for v in values]
-    report = StudyReport(axis=axis, values=list(values))
-    names = ("theta_linf_h", "theta_l2_h", "theta_l2_v",
-             "phi_linf_h", "phi_l2_h", "phi_l2_v")
-    for name in names:
-        report.errors[name] = []
-    report.errors["cauchy_phi_linf_h"] = []
-
-    ref_sys, ref_run = runs[-1]
-    for k, (sysk, runk) in enumerate(runs):
-        if reference_policy == "exact":
-            theta_ref, phi_ref = exact(sysk, runk.times)
-            dtheta = runk.theta_series - theta_ref
-            dphi = runk.phi_series - phi_ref
-            times = runk.times
-            th_st, ph_st = sysk.theta_stiff, sysk.phi_stiff
-        else:
-            idx = _align_indices(runk.times, ref_run.times)
-            theta_k = reexpress(runk.theta_series, sysk.basis_a, ref_sys.basis_a)
-            phi_k = reexpress(runk.phi_series, sysk.basis_b, ref_sys.basis_b)
-            dtheta = theta_k - ref_run.theta_series[idx]
-            dphi = phi_k - ref_run.phi_series[idx]
-            times = runk.times
-            th_st, ph_st = ref_sys.theta_stiff, ref_sys.phi_stiff
-        norms = difference_norms(times, dtheta, dphi, th_st, ph_st)
-        for name in names:
-            report.errors[name].append(norms[name])
-
-    for k in range(len(runs) - 1):
-        sys_a, run_a = runs[k]
-        sys_b, run_b = runs[k + 1]
+    errors["cauchy_phi_linf_h"] = []
+    for (sys_a, run_a), (sys_b, run_b) in zip(pairs, pairs[1:]):
         idx = _align_indices(run_a.times, run_b.times)
         phi_a = reexpress(run_a.phi_series, sys_a.basis_b, sys_b.basis_b)
         diff = _coeff_norms(phi_a - run_b.phi_series[idx])
-        report.errors["cauchy_phi_linf_h"].append(float(np.max(diff)))
-
-    return report.finish()
+        errors["cauchy_phi_linf_h"].append(float(np.max(diff)))
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +184,16 @@ class OmegaReport:
     final_theta_norm: float
     final_nonkernel_theta: float
     tail_monotone: bool
-    passed: bool
-    thresholds: dict
 
 
 def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
-                      tail_fraction: float = 0.1,
-                      tail_threshold: float = 1e-6,
-                      stationary_threshold: float = 1e-5) -> OmegaReport:
+                      tail_fraction: float = 0.1) -> OmegaReport:
     """Probe the trajectory tail for convergence to a stationary state.
 
-    Checks that |A^r theta| and |d_t phi| vanish along the tail, that the
-    final state satisfies the discrete stationary phase equation, and that the
-    final temperature is supported on ker A (so it vanishes when the kernel is
-    trivial).
+    Measures the sup of |A^r theta| and |d_t phi| along the last
+    tail_fraction of the run, the residual of the discrete stationary phase
+    equation at the final state, and the part of the final temperature off
+    ker A (it vanishes when the kernel is trivial).
     """
     k0 = int(np.floor((1.0 - tail_fraction) * (run.times.size - 1)))
     ar_theta = np.sqrt(np.sum(system.theta_stiff * run.theta_series**2, axis=1))
@@ -257,10 +210,6 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
     slack = 1e-12 * (1.0 + float(tail_ar[0]) + float(tail_dtphi[0]))
     monotone = bool(np.all(np.diff(tail_ar) <= slack)
                     and np.all(np.diff(tail_dtphi) <= slack))
-
-    passed = (float(np.max(tail_ar)) <= tail_threshold
-              and float(np.max(tail_dtphi)) <= tail_threshold
-              and stationary <= stationary_threshold)
     return OmegaReport(
         tail_sup_ar_theta=float(np.max(tail_ar)),
         tail_sup_dtphi=float(np.max(tail_dtphi)),
@@ -268,9 +217,6 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
         final_theta_norm=float(np.linalg.norm(theta_f)),
         final_nonkernel_theta=nonkernel,
         tail_monotone=monotone,
-        passed=passed,
-        thresholds=dict(tail=tail_threshold, stationary=stationary_threshold,
-                        tail_fraction=tail_fraction),
     )
 
 
@@ -278,62 +224,26 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
 # sigma -> 0 relaxation limit
 
 
-@dataclass
-class RelaxLimitSetup:
-    """Ladder of fractional exponents plus the shared problem data.
+def limit_system(system: DiscreteSystem) -> DiscreteSystem:
+    """The sigma -> 0 limit of `system`: B^(2 sigma) replaced by the
+    kernel-complement mask I - P, at eps = 0.
 
     The limit requires a constant coupling and a linear concave perturbation
-    pi(v) = -gamma*v; both are validated before any run starts.
+    pi(v) = -gamma*v.  Marched by `integrate` with the implicit_prox scheme
+    it is the direct limit solver: the convex part runs through the exact
+    (eps = 0) resolvent, so obstacle constraints hold without regularization.
     """
-
-    sigmas: Sequence[float]
-    data: ProblemData
-    potential: Potential
-    basis_a: SpectralBasis
-    basis_b: SpectralBasis
-    r: float
-    eps: float = 0.0
-
-    def validate(self) -> None:
-        if self.data.coupling.kind != "constant":
-            raise ValueError("the relaxation limit requires a constant coupling")
-        if self.potential.gamma is None:
-            raise ValueError("the relaxation limit requires pi(v) = -gamma*v "
-                             "(potential.gamma must be set)")
-        sig = sorted(self.sigmas, reverse=True)
-        if list(self.sigmas) != sig:
-            raise ValueError("sigma ladder must be decreasing")
-
-
-def _limit_system(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
-                  r: float, potential: Potential) -> DiscreteSystem:
-    """The limit system: B^(2 sigma) replaced by the kernel-complement mask I - P."""
-    if data.coupling.kind != "constant":
+    if system.coupling.kind != "constant":
         raise ValueError("the relaxation limit requires a constant coupling")
-    if potential.gamma is None:
-        raise ValueError("the relaxation limit requires pi(v) = -gamma*v")
-    mask = (basis_b.eigenvalues > 0.0).astype(float)
-    return assemble(data, basis_a, basis_b, r, sigma=0.0, eps=0.0,
-                    potential=potential, phi_stiff_override=mask)
-
-
-def solve_relaxation_limit(data: ProblemData, basis_a: SpectralBasis,
-                           basis_b: SpectralBasis, r: float, potential: Potential,
-                           scheme: SchemeConfig, t_final: float,
-                           snapshot_stride: int = 1) -> tuple[DiscreteSystem, RunOutput]:
-    """Integrate the limit system where B^(2 sigma) is replaced by I - P.
-
-    The kernel-complement mask acts as the stiff diagonal and the convex part
-    runs through the exact (eps = 0) resolvent inside the proximal scheme, so
-    obstacle constraints hold without regularization.
-    """
-    system = _limit_system(data, basis_a, basis_b, r, potential)
-    return system, integrate(system, SchemeConfig("implicit_prox", dt=scheme.dt),
-                             t_final, snapshot_stride)
+    if system.potential.gamma is None:
+        raise ValueError("the relaxation limit requires pi(v) = -gamma*v "
+                         "(potential.gamma must be set)")
+    mask = (system.basis_b.eigenvalues > 0.0).astype(float)
+    return replace(system, sigma=0.0, eps=0.0, phi_stiff=mask)
 
 
 @dataclass
-class RelaxStudyReport:
+class RelaxReport:
     sigmas: list[float]
     phi_errors: list[float]
     theta_errors: list[float]
@@ -341,29 +251,30 @@ class RelaxStudyReport:
     limit_run: RunOutput
 
 
-def relaxation_limit_study(setup: RelaxLimitSetup, scheme: SchemeConfig,
+def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
                            t_final: float, snapshot_stride: int = 1
-                           ) -> RelaxStudyReport:
+                           ) -> RelaxReport:
     """L2(Q) distances between fractional runs and the limit run, per sigma.
 
-    The ladder runs march as one stacked system; the limit run joins that
-    batch when it shares eps (0) and the scheme (implicit_prox) with the
-    ladder, and runs alone otherwise.  Only the limit run records its grid
-    series (`xi_series`, `phi_grid_series`).  The theory gives weak
-    convergence without a rate, so acceptance is a strictly decreasing error
-    column down the sigma ladder.
+    `ladder` holds the assembled systems of a decreasing sigma ladder that
+    `stack_systems` accepts; the limit is `limit_system` of its first row.
+    Everything marches with the implicit_prox scheme at step dt: the ladder
+    as one stacked system, which the limit run joins when the ladder's eps
+    is 0 and which it runs beside otherwise.  Only the limit run records its
+    grid series (`xi_series`, `phi_grid_series`).  The theory gives weak
+    convergence without a rate; `monotone` reports whether both error
+    columns decrease strictly down the ladder.
     """
-    setup.validate()
-    limit = _limit_system(setup.data, setup.basis_a, setup.basis_b, setup.r,
-                          setup.potential)
-    ladder = [assemble(setup.data, setup.basis_a, setup.basis_b, setup.r, sigma,
-                       setup.eps, setup.potential) for sigma in setup.sigmas]
-    if setup.eps == 0.0 and scheme.scheme == "implicit_prox":
-        limit_run, *runs = integrate(stack_systems([limit] + ladder), scheme,
+    limit = limit_system(ladder[0])
+    sigmas = [float(row.sigma) for row in ladder]
+    if sigmas != sorted(sigmas, reverse=True):
+        raise ValueError("sigma ladder must be decreasing")
+    scheme = SchemeConfig("implicit_prox", dt=dt)
+    if ladder[0].eps == 0.0:
+        limit_run, *runs = integrate(stack_systems([limit, *ladder]), scheme,
                                      t_final, snapshot_stride, grid_rows=(0,)).rows()
     else:
-        limit_run = integrate(limit, SchemeConfig("implicit_prox", dt=scheme.dt),
-                              t_final, snapshot_stride)
+        limit_run = integrate(limit, scheme, t_final, snapshot_stride)
         runs = integrate(stack_systems(ladder), scheme, t_final, snapshot_stride,
                          grid_rows=()).rows()
     phi_errs, theta_errs = [], []
@@ -374,7 +285,7 @@ def relaxation_limit_study(setup: RelaxLimitSetup, scheme: SchemeConfig,
         phi_errs.append(_l2_time_norm(run.times, _coeff_norms(dphi)))
         theta_errs.append(_l2_time_norm(run.times, _coeff_norms(dtheta)))
     monotone = bool(np.all(np.diff(phi_errs) < 0.0) and np.all(np.diff(theta_errs) < 0.0))
-    return RelaxStudyReport(sigmas=list(setup.sigmas), phi_errors=phi_errs,
+    return RelaxReport(sigmas=sigmas, phi_errors=phi_errs,
                             theta_errors=theta_errs, monotone=monotone,
                             limit_run=limit_run)
 

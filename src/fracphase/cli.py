@@ -27,8 +27,8 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .analysis import (RelaxLimitSetup, contdep_report, convergence_study,
-                       hpqo_probe, omega_limit_probe, relaxation_limit_study,
+from .analysis import (contdep_report, convergence_study, hpqo_probe,
+                       omega_limit_probe, relaxation_limit_study,
                        sigma_zero_operator_check)
 from .config import (ConfigError, RunConfig, apply_overrides, build_bases,
                      build_potential, build_problem_data, build_system,
@@ -197,19 +197,29 @@ class _ManifestWriter:
 # subcommands
 
 
-def _cmd_simulate(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                  quiet: bool) -> int:
+def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter,
+                       out_dir: str) -> tuple:
+    """Assemble and march the config's system and write its run outputs.
+
+    On a BlowupError the partial outputs are written before the error
+    propagates; `main` records the solver failure.
+    """
     system, *_ = build_system(cfg)
     manifest.payload["advisories"].extend(system.advisories)
     try:
         run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
     except BlowupError as exc:
-        manifest.fail("solver", str(exc))
         if exc.partial is not None:
             manifest.add_files(emit_run_outputs(exc.partial, system, out_dir,
                                                 cfg.grid_times))
-        return EXIT_SOLVER
+        raise
     manifest.add_files(emit_run_outputs(run, system, out_dir, cfg.grid_times))
+    return system, run
+
+
+def _cmd_simulate(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
+                  quiet: bool) -> int:
+    _, run = _simulate_and_emit(cfg, manifest, out_dir)
     resid = float(np.max(run.ledger.residual))
     manifest.check("energy_ledger_finite", bool(np.all(np.isfinite(run.ledger.residual))),
                    {"max_residual": resid})
@@ -271,24 +281,23 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     else:
         runs = [run for system, value in zip(systems, values)
                 for run in march(system, float(value) if axis == "dt" else cfg.scheme.dt)]
-    pairs = list(zip(systems, runs))
-    report = convergence_study(axis, values, lambda v: pairs[list(values).index(v)])
+    errors = convergence_study(list(zip(systems, runs)))
 
     rows = []
-    names = sorted(report.errors)
+    names = sorted(errors)
     for k, value in enumerate(values):
         row = [_fmt(float(value))]
         for name in names:
-            col = report.errors[name]
+            col = errors[name]
             row.append(_fmt(col[k]) if k < len(col) else "")
         rows.append(row)
     manifest.write_table("study_converge.csv", ",".join([axis] + names), rows)
 
-    monotone = bool(np.all(np.diff(report.errors["phi_l2_h"][:-1]) <= 0.0)) \
+    monotone = bool(np.all(np.diff(errors["phi_l2_h"][:-1]) <= 0.0)) \
         if len(values) > 2 else True
-    manifest.check("errors_decrease", monotone, {"errors": report.errors["phi_l2_h"]})
+    manifest.check("errors_decrease", monotone, {"errors": errors["phi_l2_h"]})
     if not quiet:
-        print(f"converge[{axis}]: errors {report.errors['phi_l2_h']}")
+        print(f"converge[{axis}]: errors {errors['phi_l2_h']}")
     return EXIT_OK if manifest.all_passed else EXIT_CHECK
 
 
@@ -345,15 +354,8 @@ def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     tail_threshold = float(study.get("tail_threshold", 1e-6))
     stat_threshold = float(study.get("stationary_threshold", 1e-5))
 
-    system, *_ = build_system(cfg)
-    try:
-        run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
-    except BlowupError as exc:
-        manifest.fail("solver", str(exc))
-        return EXIT_SOLVER
-    manifest.add_files(emit_run_outputs(run, system, out_dir, cfg.grid_times))
-    report = omega_limit_probe(system, run, tail_fraction, tail_threshold,
-                               stat_threshold)
+    system, run = _simulate_and_emit(cfg, manifest, out_dir)
+    report = omega_limit_probe(system, run, tail_fraction)
     manifest.check("tail_ar_theta", report.tail_sup_ar_theta <= tail_threshold,
                    {"value": report.tail_sup_ar_theta})
     manifest.check("tail_dtphi", report.tail_sup_dtphi <= tail_threshold,
@@ -379,16 +381,11 @@ def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     basis_a, basis_b = build_bases(cfg)
     potential = build_potential(cfg)
     data = build_problem_data(cfg, basis_a, basis_b)
-    setup = RelaxLimitSetup(sigmas=[float(s) for s in sigmas], data=data,
-                            potential=potential, basis_a=basis_a, basis_b=basis_b,
-                            r=cfg.operator_a.exponent, eps=cfg.eps)
     try:
-        report = relaxation_limit_study(
-            setup, SchemeConfig("implicit_prox", dt=cfg.scheme.dt), cfg.t_final,
-            cfg.snapshot_stride)
-    except BlowupError as exc:
-        manifest.fail("solver", str(exc))
-        return EXIT_SOLVER
+        ladder = [assemble(data, basis_a, basis_b, cfg.operator_a.exponent,
+                           float(sigma), cfg.eps, potential) for sigma in sigmas]
+        report = relaxation_limit_study(ladder, cfg.scheme.dt, cfg.t_final,
+                                        cfg.snapshot_stride)
     except ValueError as exc:
         raise ConfigError([("study.relaxlimit", str(exc))]) from None
 

@@ -225,8 +225,7 @@ def build_coupling(cfg: RunConfig) -> Coupling:
         return Coupling.constant(section["value"])
     offset = float(section.get("offset", 0.0))
     scale = float(section.get("scale", 1.0))
-    return Coupling.function(lambda v: offset + scale * np.tanh(v),
-                             bound=abs(offset) + abs(scale), lipschitz=abs(scale))
+    return Coupling.function(lambda v: offset + scale * np.tanh(v))
 
 
 def build_bases(cfg: RunConfig) -> tuple[SpectralBasis, SpectralBasis]:

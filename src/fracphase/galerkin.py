@@ -49,21 +49,16 @@ class Coupling:
     kind: str  # "constant" | "function"
     value: float = 0.0
     func: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    bound: float = 0.0
-    lipschitz: float = 0.0
 
     @staticmethod
     def constant(value: float) -> "Coupling":
         return Coupling(kind="constant", value=float(value))
 
     @staticmethod
-    def function(func, bound: float, lipschitz: float) -> "Coupling":
-        return Coupling(kind="function", func=func, bound=float(bound),
-                        lipschitz=float(lipschitz))
+    def function(func) -> "Coupling":
+        return Coupling(kind="function", func=func)
 
-    def on_grid(self, phi_grid: np.ndarray) -> np.ndarray | float:
-        if self.kind == "constant":
-            return self.value
+    def on_grid(self, phi_grid: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(phi_grid), dtype=float)
 
 
@@ -72,10 +67,10 @@ class ProblemData:
     """Initial data, source and coupling before projection.
 
     theta0/phi0 are callables over grid points or raw grid arrays; the source
-    is None, a callable (points, t) -> values, or a (times, grids) table that
-    is linearly interpolated in time.  A callable source whose `products`
-    attribute lists (space, time) factor pairs is projected once per space
-    factor at assembly instead of once per sample.
+    is None or a callable (points, t) -> values.  A source whose `products`
+    attribute lists (space, time) factor pairs (`expressions.build_source`
+    builds one) is projected once per space factor at assembly; any other
+    callable is sampled on the grid and analyzed at every step.
     """
 
     theta0: object
@@ -104,10 +99,10 @@ def _resolve_field(spec, basis: SpectralBasis, name: str) -> np.ndarray:
 class DiscreteSystem:
     """Everything needed to advance the Galerkin ODE system in time.
 
-    phi_stiff defaults to mu^(2 sigma); the relaxation-limit solver overrides
-    it with the kernel-complement mask realizing I - P.  A stacked system
-    (`stack_systems`) carries a leading row axis on sigma, phi_stiff and the
-    initial grids and marches one trajectory per row.
+    phi_stiff is mu^(2 sigma); `analysis.limit_system` replaces it with the
+    kernel-complement mask realizing I - P (at sigma = eps = 0).  A stacked
+    system (`stack_systems`) carries a leading row axis on sigma, phi_stiff
+    and the initial grids and marches one trajectory per row.
     """
 
     basis_a: SpectralBasis
@@ -166,34 +161,19 @@ def _make_source_sampler(source, basis_a: SpectralBasis):
                 total = term if total is None else total + term
             return total
         return sampler
-    if callable(source):
-        def sampler(t: float) -> np.ndarray:
-            vals = np.asarray(source(basis_a.grid_points, t), dtype=float)
-            return analyze(basis_a, vals)
-        return sampler
-    times, grids = source
-    times = np.asarray(times, dtype=float)
-    coeff_table = np.stack([analyze(basis_a, np.asarray(g, dtype=float)) for g in grids])
 
     def sampler(t: float) -> np.ndarray:
-        if t <= times[0]:
-            return coeff_table[0]
-        if t >= times[-1]:
-            return coeff_table[-1]
-        k = int(np.searchsorted(times, t) - 1)
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - w) * coeff_table[k] + w * coeff_table[k + 1]
-
+        vals = np.asarray(source(basis_a.grid_points, t), dtype=float)
+        return analyze(basis_a, vals)
     return sampler
 
 
 def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
-             r: float, sigma: float, eps: float, potential: Potential,
-             *, phi_stiff_override: np.ndarray | None = None) -> DiscreteSystem:
+             r: float, sigma: float, eps: float, potential: Potential) -> DiscreteSystem:
     """Build the discrete system; validates data against the potential domain."""
     if r <= 0.0:
         raise ValidationError(f"exponent r must be positive, got {r}")
-    if sigma <= 0.0 and phi_stiff_override is None:
+    if sigma <= 0.0:
         raise ValidationError(f"exponent sigma must be positive, got {sigma}")
     if eps < 0.0:
         raise ValidationError(f"Yosida level eps must be nonnegative, got {eps}")
@@ -238,8 +218,6 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
         advisories.append(msg)
         warnings.warn(msg, stacklevel=2)
 
-    phi_stiff = (phi_stiff_override if phi_stiff_override is not None
-                 else fractional_multipliers(basis_b, 2.0 * sigma))
     return DiscreteSystem(
         basis_a=basis_a,
         basis_b=basis_b,
@@ -249,7 +227,7 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
         potential=potential,
         coupling=data.coupling,
         theta_stiff=fractional_multipliers(basis_a, 2.0 * r),
-        phi_stiff=np.asarray(phi_stiff, dtype=float),
+        phi_stiff=fractional_multipliers(basis_b, 2.0 * sigma),
         theta0_grid=theta0_grid,
         phi0_grid=phi0_grid,
         coupling_matrix=coupling_matrix,

@@ -54,7 +54,6 @@ class Potential:
     pi_lipschitz: float
     gamma: Optional[float]
     domain: tuple[float, float]
-    domain_open: tuple[bool, bool]
     resolvent_closed_form: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
     @property
@@ -92,7 +91,6 @@ def regular_potential(gamma: float = 1.0) -> Potential:
         pi_lipschitz=gamma,
         gamma=gamma,
         domain=(-np.inf, np.inf),
-        domain_open=(True, True),
         resolvent_closed_form=_cubic_resolvent,
     )
 
@@ -131,7 +129,6 @@ def logarithmic_potential(c1: float) -> Potential:
         pi_lipschitz=2.0 * c1,
         gamma=2.0 * c1,
         domain=(-1.0, 1.0),
-        domain_open=(True, True),
     )
 
 
@@ -158,7 +155,6 @@ def double_obstacle_potential(c2: float) -> Potential:
         pi_lipschitz=2.0 * c2,
         gamma=2.0 * c2,
         domain=(-1.0, 1.0),
-        domain_open=(False, False),
         resolvent_closed_form=lambda eps, s: np.clip(s, -1.0, 1.0),
     )
 
@@ -176,7 +172,6 @@ def zero_potential() -> Potential:
         pi_lipschitz=0.0,
         gamma=0.0,
         domain=(-np.inf, np.inf),
-        domain_open=(True, True),
         resolvent_closed_form=lambda eps, s: np.asarray(s, dtype=float).copy(),
     )
 
@@ -202,7 +197,6 @@ def custom_potential(beta_hat, beta, *, beta_prime=None, pi_hat=None, pi=None,
         pi_lipschitz=pi_lipschitz,
         gamma=gamma,
         domain=(float(domain[0]), float(domain[1])),
-        domain_open=(True, True),
     )
     if validate:
         lo = max(pot.domain[0], -10.0) + 1e-6

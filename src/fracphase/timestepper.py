@@ -410,9 +410,3 @@ def _finalize(snaps: _Snapshots, state: State, scheme: SchemeConfig,
         failure=failure,
         grid_rows=snaps.grid_rows,
     )
-
-
-def energy_ledger_audit(run: RunOutput) -> tuple[np.ndarray, float]:
-    """Balance residual series |LHS(t) - RHS(t)| and its maximum."""
-    res = run.ledger.residual
-    return res, float(np.max(res))

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from fracphase.analysis import (RelaxLimitSetup, contdep_report,
-                                omega_limit_probe, relaxation_limit_study,
+from fracphase.analysis import (contdep_report, omega_limit_probe,
+                                relaxation_limit_study,
                                 sigma_zero_operator_check)
 from fracphase.cli import main as cli_main
 from fracphase.cli import read_timeseries
@@ -22,8 +22,7 @@ from fracphase.potentials import (double_obstacle_potential,
                                   zero_potential)
 from fracphase.spectral import (build_interval_basis, fractional_multipliers,
                                 gram_defect)
-from fracphase.timestepper import (SchemeConfig, State, energy_ledger_audit,
-                                   integrate)
+from fracphase.timestepper import SchemeConfig, State, integrate
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -146,8 +145,8 @@ def test_c04_energy_ledger_richardson():
         system = smoke_system(basis)
         run = integrate(system, SchemeConfig("imex_euler", dt=dt), 0.5,
                         snapshot_stride=max(1, int(round(0.5 / dt)) // 50))
-        _, peak = energy_ledger_audit(run)
         led = run.ledger
+        peak = float(np.max(led.residual))
         for col in (led.half_theta_sq, led.diss_theta, led.diss_phi,
                     led.half_phi_graph_sq, led.potential_integral):
             assert np.all(col >= 0.0)
@@ -215,8 +214,7 @@ def test_c07_omega_limit():
                        coupling=Coupling.constant(0.5))
     system = assemble(data, neumann, neumann, 0.5, 0.5, 1e-2, regular_potential(1.0))
     run = integrate(system, SchemeConfig("imex_euler", dt=1e-2), 200.0, 100)
-    rep = omega_limit_probe(system, run, tail_fraction=0.1,
-                            tail_threshold=1e-6, stationary_threshold=1e-5)
+    rep = omega_limit_probe(system, run, tail_fraction=0.1)
 
     dirichlet = build_interval_basis("dirichlet", 1.0, 8)
     data_d = ProblemData(theta0=lambda x: 0.3 * np.sin(np.pi * x),
@@ -226,7 +224,9 @@ def test_c07_omega_limit():
     run_d = integrate(system_d, SchemeConfig("imex_euler", dt=1e-2), 200.0, 100)
     rep_d = omega_limit_probe(system_d, run_d)
 
-    ok = (rep.passed and rep_d.passed and rep_d.final_theta_norm <= 1e-6)
+    ok = (all(r.tail_sup_ar_theta <= 1e-6 and r.tail_sup_dtphi <= 1e-6
+              and r.stationary_residual <= 1e-5 for r in (rep, rep_d))
+          and rep_d.final_theta_norm <= 1e-6)
     report(7, "omega limit", ok,
            f"tails {rep.tail_sup_ar_theta:.1e}/{rep.tail_sup_dtphi:.1e}, "
            f"stationary {rep.stationary_residual:.1e}, "
@@ -256,23 +256,21 @@ def test_c08_sigma_zero_operator_identity():
 def test_c09_relaxation_limit():
     start = time.perf_counter()
     basis = build_interval_basis("neumann", 1.0, 8)
-    scheme = SchemeConfig("implicit_prox", dt=1e-3)
+
+    def ladder(data, potential):
+        return [assemble(data, basis, basis, 0.5, sigma, 0.0, potential)
+                for sigma in (0.5, 0.25, 0.1, 0.05)]
 
     data = ProblemData(theta0=lambda x: 0.1 + 0.4 * np.cos(np.pi * x),
                        phi0=lambda x: 0.1 + 0.3 * np.cos(np.pi * x),
                        coupling=Coupling.constant(0.5))
-    setup = RelaxLimitSetup(sigmas=[0.5, 0.25, 0.1, 0.05], data=data,
-                            potential=regular_potential(1.0),
-                            basis_a=basis, basis_b=basis, r=0.5)
-    rep = relaxation_limit_study(setup, scheme, 1.0, 10)
+    rep = relaxation_limit_study(ladder(data, regular_potential(1.0)), 1e-3, 1.0, 10)
 
     data_o = ProblemData(theta0=lambda x: 2.5 * np.cos(np.pi * x),
                          phi0=lambda x: 0.8 * np.cos(np.pi * x),
                          coupling=Coupling.constant(2.0))
-    setup_o = RelaxLimitSetup(sigmas=[0.5, 0.25, 0.1, 0.05], data=data_o,
-                              potential=double_obstacle_potential(0.5),
-                              basis_a=basis, basis_b=basis, r=0.5)
-    rep_o = relaxation_limit_study(setup_o, scheme, 1.0, 10)
+    rep_o = relaxation_limit_study(ladder(data_o, double_obstacle_potential(0.5)),
+                                   1e-3, 1.0, 10)
     limit = rep_o.limit_run
     bound_ok = float(np.max(np.abs(limit.phi_grid_series))) <= 1.0
     upper = limit.phi_grid_series >= 1.0 - 1e-9

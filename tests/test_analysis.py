@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import smoke_data, smoke_run
-from fracphase.analysis import (RelaxLimitSetup, contdep_report,
-                                convergence_study, hpqo_probe,
+from fracphase.analysis import (contdep_report, convergence_study,
+                                difference_norms, hpqo_probe, limit_system,
                                 omega_limit_probe, reexpress,
                                 relaxation_limit_study, running_time_integral,
-                                sigma_zero_operator_check,
-                                solve_relaxation_limit)
+                                sigma_zero_operator_check)
 from fracphase.galerkin import Coupling, ProblemData, assemble
 from fracphase.potentials import (custom_potential, double_obstacle_potential,
                                   regular_potential, zero_potential)
@@ -85,27 +84,21 @@ class TestConvergenceStudy:
         system = assemble(data, neumann8, neumann8, 0.25, 0.5, 1e-2,
                           zero_potential())
         theta0 = np.ones(8)
-
-        def make_run(dt):
-            run = integrate(system, SchemeConfig("imex_euler", dt=float(dt)), 0.1,
+        errors = []
+        for dt in (1e-4, 5e-5, 2.5e-5):
+            run = integrate(system, SchemeConfig("imex_euler", dt=dt), 0.1,
                             snapshot_stride=int(round(0.02 / dt)),
                             initial_state=State(0.0, theta0, np.zeros(8)))
-            return system, run
-
-        def exact(sysm, times):
-            decay = np.exp(-np.outer(times, sysm.theta_stiff))
-            return decay * theta0, np.zeros((times.size, 8))
-
-        report = convergence_study("dt", [1e-4, 5e-5, 2.5e-5], make_run,
-                                   reference_policy="exact", exact=exact)
-        orders = report.orders["theta_linf_h"]
+            exact = np.exp(-np.outer(run.times, system.theta_stiff)) * theta0
+            errors.append(difference_norms(
+                run.times, run.theta_series - exact, run.phi_series,
+                system.theta_stiff, system.phi_stiff)["theta_linf_h"])
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
         assert all(o >= 0.9 for o in orders)
 
     def test_n_axis_errors_decrease(self):
-        values = [4, 8, 16, 32]
-
         def make_run(n):
-            basis = build_interval_basis("neumann", 1.0, int(n))
+            basis = build_interval_basis("neumann", 1.0, n)
             data = ProblemData(
                 theta0=lambda x: np.exp(-5 * (x - 0.4) ** 2),
                 phi0=lambda x: 0.3 * np.exp(-4 * (x - 0.6) ** 2),
@@ -115,16 +108,14 @@ class TestConvergenceStudy:
             return system, integrate(system, SchemeConfig("imex_euler", dt=1e-3),
                                      0.1, 10)
 
-        report = convergence_study("n_modes", values, make_run)
-        errs = report.errors["phi_l2_h"][:-1]  # last entry is the reference itself
+        errors = convergence_study([make_run(n) for n in (4, 8, 16, 32)])
+        errs = errors["phi_l2_h"][:-1]  # last entry is the reference itself
         assert all(np.diff(errs) < 0)
 
     def test_eps_axis_cauchy_decrease(self, neumann8):
-        def make_run(eps):
-            return smoke_run(neumann8, eps=float(eps), stride=10)
-
-        report = convergence_study("eps", [1e-1, 1e-2, 1e-3, 1e-4], make_run)
-        cauchy = report.errors["cauchy_phi_linf_h"]
+        errors = convergence_study([smoke_run(neumann8, eps=eps, stride=10)
+                                    for eps in (1e-1, 1e-2, 1e-3, 1e-4)])
+        cauchy = errors["cauchy_phi_linf_h"]
         assert all(np.diff(cauchy) < 0)
 
     def test_reexpress_is_exact_on_nested_spaces(self, neumann8):
@@ -147,6 +138,13 @@ class TestConvergenceStudy:
 
 
 class TestOmegaLimit:
+    @staticmethod
+    def assert_stationary(report):
+        # the default thresholds of the longtime command
+        assert report.tail_sup_ar_theta <= 1e-6
+        assert report.tail_sup_dtphi <= 1e-6
+        assert report.stationary_residual <= 1e-5
+
     def long_run(self, basis_a, basis_b, theta0, t_final=120.0):
         data = ProblemData(theta0=theta0,
                            phi0=lambda x: 0.4 + 0.2 * np.cos(np.pi * x),
@@ -160,17 +158,14 @@ class TestOmegaLimit:
         system, run = self.long_run(neumann8, neumann8,
                                     lambda x: 0.2 + 0.3 * np.cos(np.pi * x))
         report = omega_limit_probe(system, run)
-        assert report.passed
-        assert report.tail_sup_ar_theta <= 1e-6
-        assert report.tail_sup_dtphi <= 1e-6
-        assert report.stationary_residual <= 1e-5
+        self.assert_stationary(report)
         assert report.tail_monotone
 
     def test_dirichlet_kernel_forces_zero_temperature(self, dirichlet8, neumann8):
         system, run = self.long_run(dirichlet8, neumann8,
                                     lambda x: 0.3 * np.sin(np.pi * x))
         report = omega_limit_probe(system, run)
-        assert report.passed
+        self.assert_stationary(report)
         assert report.final_theta_norm <= 1e-6
 
     def test_integrable_source_still_converges(self, neumann8):
@@ -181,20 +176,28 @@ class TestOmegaLimit:
         system = assemble(data, neumann8, neumann8, 0.5, 0.5, 1e-2,
                           regular_potential(1.0))
         run = integrate(system, SchemeConfig("imex_euler", dt=1e-2), 120.0, 100)
-        report = omega_limit_probe(system, run)
-        assert report.passed
+        self.assert_stationary(omega_limit_probe(system, run))
 
 
 class TestRelaxationLimit:
+    @staticmethod
+    def solve_limit(data, basis, potential, dt, t_final, stride):
+        """The direct limit solver: limit_system marched by implicit_prox."""
+        system = limit_system(assemble(data, basis, basis, 0.5, 0.5, 0.0, potential))
+        return system, integrate(system, SchemeConfig("implicit_prox", dt=dt),
+                                 t_final, stride)
+
+    @staticmethod
+    def ladder(data, basis, potential, sigmas, eps=0.0):
+        return [assemble(data, basis, basis, 0.5, sigma, eps, potential)
+                for sigma in sigmas]
+
     def test_linear_limit_closed_form(self, neumann8):
         # gamma = 0, ell = 0, beta = 0: nonkernel modes decay like e^{-t}
         data = ProblemData(theta0=None,
                            phi0=lambda x: 0.3 + 0.5 * np.cos(np.pi * x),
                            coupling=Coupling.constant(0.0))
-        _, run = solve_relaxation_limit(data, neumann8, neumann8, 0.5,
-                                        zero_potential(),
-                                        SchemeConfig("implicit_prox", dt=1e-4),
-                                        0.5, 100)
+        _, run = self.solve_limit(data, neumann8, zero_potential(), 1e-4, 0.5, 100)
         final = run.phi_series[-1]
         assert final[0] == pytest.approx(0.3, abs=1e-10)
         assert final[1] == pytest.approx(0.5 / np.sqrt(2.0) * np.exp(-0.5), abs=1e-4)
@@ -203,10 +206,8 @@ class TestRelaxationLimit:
         data = ProblemData(theta0=lambda x: np.full_like(x, 3.0),
                            phi0=lambda x: np.full_like(x, 0.9),
                            coupling=Coupling.constant(2.0))
-        _, run = solve_relaxation_limit(data, neumann8, neumann8, 0.5,
-                                        double_obstacle_potential(0.5),
-                                        SchemeConfig("implicit_prox", dt=1e-2),
-                                        1.0, 10)
+        _, run = self.solve_limit(data, neumann8, double_obstacle_potential(0.5),
+                                  1e-2, 1.0, 10)
         assert np.max(np.abs(run.phi_grid_series)) <= 1.0
         contact = run.phi_grid_series >= 1.0 - 1e-9
         assert np.any(contact) and np.min(run.xi_series[contact]) >= 0.0
@@ -216,10 +217,7 @@ class TestRelaxationLimit:
         data = ProblemData(theta0=None,
                            phi0=lambda x: 0.5 * np.sin(np.pi * x),
                            coupling=Coupling.constant(0.0))
-        system, run = solve_relaxation_limit(data, dirichlet8, dirichlet8, 0.5,
-                                             zero_potential(),
-                                             SchemeConfig("implicit_prox", dt=1e-4),
-                                             0.5, 100)
+        system, run = self.solve_limit(data, dirichlet8, zero_potential(), 1e-4, 0.5, 100)
         assert np.all(system.phi_stiff == 1.0)
         # e_1 = sqrt(2) sin(pi x), so the datum has coefficient 0.5/sqrt(2)
         assert run.phi_series[-1, 0] == pytest.approx(
@@ -229,11 +227,8 @@ class TestRelaxationLimit:
         data = ProblemData(theta0=lambda x: 0.1 + 0.4 * np.cos(np.pi * x),
                            phi0=lambda x: 0.1 + 0.3 * np.cos(np.pi * x),
                            coupling=Coupling.constant(0.5))
-        setup = RelaxLimitSetup(sigmas=[0.5, 0.25, 0.1], data=data,
-                                potential=regular_potential(1.0),
-                                basis_a=neumann8, basis_b=neumann8, r=0.5)
-        report = relaxation_limit_study(setup, SchemeConfig("implicit_prox", dt=2e-3),
-                                        0.5, 10)
+        ladder = self.ladder(data, neumann8, regular_potential(1.0), [0.5, 0.25, 0.1])
+        report = relaxation_limit_study(ladder, 2e-3, 0.5, 10)
         assert report.monotone
 
     @pytest.mark.parametrize("eps", [0.0, 1e-2])
@@ -243,14 +238,13 @@ class TestRelaxationLimit:
                            phi0=lambda x: 0.8 * np.cos(np.pi * x),
                            coupling=Coupling.constant(2.0))
         pot = double_obstacle_potential(0.5)
-        setup = RelaxLimitSetup(sigmas=[0.5, 0.25, 0.1], data=data, potential=pot,
-                                basis_a=neumann8, basis_b=neumann8, r=0.5, eps=eps)
-        scheme = SchemeConfig("implicit_prox", dt=2e-3)
-        report = relaxation_limit_study(setup, scheme, 0.2, 10)
-        _, limit = solve_relaxation_limit(data, neumann8, neumann8, 0.5, pot, scheme,
-                                          0.2, 10)
+        sigmas = [0.5, 0.25, 0.1]
+        report = relaxation_limit_study(self.ladder(data, neumann8, pot, sigmas, eps),
+                                        2e-3, 0.2, 10)
+        _, limit = self.solve_limit(data, neumann8, pot, 2e-3, 0.2, 10)
         assert np.max(np.abs(report.limit_run.phi_series - limit.phi_series)) <= 1e-12
-        for sigma, phi_err in zip(setup.sigmas, report.phi_errors):
+        scheme = SchemeConfig("implicit_prox", dt=2e-3)
+        for sigma, phi_err in zip(sigmas, report.phi_errors):
             system = assemble(data, neumann8, neumann8, 0.5, sigma, eps, pot)
             run = integrate(system, scheme, 0.2, 10)
             alone = np.sqrt(np.trapezoid(
@@ -259,12 +253,14 @@ class TestRelaxationLimit:
 
     def test_setup_validation(self, neumann8):
         data = ProblemData(theta0=None, phi0=None,
-                           coupling=Coupling.function(np.tanh, 1.0, 1.0))
-        setup = RelaxLimitSetup(sigmas=[0.5, 0.25], data=data,
-                                potential=regular_potential(1.0),
-                                basis_a=neumann8, basis_b=neumann8, r=0.5)
+                           coupling=Coupling.function(np.tanh))
+        pot = regular_potential(1.0)
         with pytest.raises(ValueError, match="constant"):
-            setup.validate()
+            limit_system(assemble(data, neumann8, neumann8, 0.5, 0.5, 0.0, pot))
+        data = ProblemData(theta0=None, phi0=None, coupling=Coupling.constant(0.5))
+        with pytest.raises(ValueError, match="decreasing"):
+            relaxation_limit_study(self.ladder(data, neumann8, pot, [0.25, 0.5]),
+                                   1e-2, 0.1)
 
 
 class TestSigmaZeroOperator:

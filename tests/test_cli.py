@@ -4,12 +4,14 @@ import os
 import numpy as np
 import pytest
 
+import fracphase.analysis
 import fracphase.cli
 from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                            EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
                            config_hash, main, read_timeseries)
 from fracphase.config import (ConfigError, apply_overrides, load_raw_config,
                               validate_config)
+from fracphase.timestepper import BlowupError
 
 SMOKE = {
     "geometry": {
@@ -65,6 +67,16 @@ COMMAND_CASES = [("simulate", None), ("contdep", None), ("longtime", None),
                  ("converge", "sigma")]
 CONVERGE_VALUES = {"n_modes": [3, 6, 12], "eps": [0.04, 0.02, 0.01],
                    "dt": [0.004, 0.002, 0.001], "sigma": [0.5, 0.4, 0.3]}
+
+# config sections the shipped configs never use: a function coupling, the
+# logarithmic and zero potentials, and IMEX on the regular potential at eps = 0
+VARIANTS = {
+    "tanh_coupling": ("coupling", {"kind": "function", "name": "tanh",
+                                   "offset": 0.5, "scale": 0.2}),
+    "logarithmic": ("potential", {"kind": "logarithmic", "c1": 1.5}),
+    "no_potential": ("potential", {"kind": "none"}),
+    "regular_eps0": ("potential", {"kind": "regular", "gamma": 1.0, "eps": 0.0}),
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -136,12 +148,28 @@ class TestExitCodes:
         blow["potential"]["eps"] = 1e-6
         blow["scheme"] = {"scheme": "imex_euler", "dt": 10.0, "t_final": 100.0}
         cfg = write_config(tmp_path, blow)
+        for command in ("simulate", "longtime"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out),
+                         "--quiet"]) == EXIT_SOLVER
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == "failed"
+            assert manifest["failure"]["stage"] == "solver"
+            assert manifest["failure"]["exception"] == "BlowupError"
+            assert (out / "timeseries.csv").exists()
+
+    def test_relaxlimit_solver_failure(self, tmp_path, monkeypatch):
+        # the proximal scheme does not blow up on the data above
+        def blowup(*args, **kwargs):
+            raise BlowupError("overflow under test")
+
+        monkeypatch.setattr(fracphase.analysis, "integrate", blowup)
         out = tmp_path / "o"
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--quiet"]) == EXIT_SOLVER
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "failed"
-        assert (out / "timeseries.csv").exists()
+        assert main(["relaxlimit", "--config", write_config(tmp_path, SMOKE),
+                     "--out", str(out), "--quiet"]) == EXIT_SOLVER
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert failure["stage"] == "solver"
+        assert failure["exception"] == "BlowupError"
 
     def test_check_failure(self, tmp_path):
         # an impossible stability demand forces the contdep gate to fail
@@ -214,12 +242,8 @@ class TestManifestStatus:
         assert code == EXIT_OK
         assert all(check["passed"] for check in manifest["checks"].values())
 
-    @pytest.mark.parametrize("command,axis", COMMAND_CASES)
-    @pytest.mark.parametrize("geometry", ["interval", "rect"])
-    def test_command_matrix(self, tmp_path, geometry, command, axis):
-        """Every command and converge axis on a tiny interval and a tiny
-        Dirichlet/Neumann rectangle; relaxlimit marches its limit row alone
-        on the interval (eps > 0) and inside the batch on the rectangle."""
+    @staticmethod
+    def matrix_config(geometry, command, axis):
         cfgd = json.loads(json.dumps(SMOKE if geometry == "interval" else MIXED_RECT))
         cfgd["study"] = {"contdep": {"deltas": [1e-1, 1e-2, 1e-3]},
                          "relaxlimit": {"sigmas": [0.5, 0.25, 0.1]},
@@ -229,9 +253,39 @@ class TestManifestStatus:
                               "snapshot_stride": 100}
         if command == "relaxlimit" and geometry == "rect":
             cfgd["potential"]["eps"] = 0.0
-        code, manifest = self.run(tmp_path, command, cfgd)
+        return cfgd
+
+    @pytest.mark.parametrize("command,axis", COMMAND_CASES)
+    @pytest.mark.parametrize("geometry", ["interval", "rect"])
+    def test_command_matrix(self, tmp_path, geometry, command, axis):
+        """Every command and converge axis on a tiny interval and a tiny
+        Dirichlet/Neumann rectangle; relaxlimit marches its limit row alone
+        on the interval (eps > 0) and inside the batch on the rectangle."""
+        code, manifest = self.run(tmp_path, command,
+                                  self.matrix_config(geometry, command, axis))
         assert code == EXIT_OK
         assert all(check["passed"] for check in manifest["checks"].values())
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("command,axis", [("simulate", None), ("contdep", None),
+                                              ("converge", "sigma"), ("relaxlimit", None)])
+    @pytest.mark.parametrize("geometry", ["interval", "rect"])
+    def test_variant_matrix(self, tmp_path, geometry, command, axis, variant):
+        """The command matrix on the config sections no shipped config uses;
+        the relaxation limit rejects a function coupling as a study error."""
+        cfgd = self.matrix_config(geometry, command, axis)
+        section, entries = VARIANTS[variant]
+        if section == "potential":
+            entries = {"eps": cfgd["potential"]["eps"], **entries}
+        cfgd[section] = entries
+        code, manifest = self.run(tmp_path, command, cfgd)
+        if command == "relaxlimit" and variant == "tanh_coupling":
+            assert code == EXIT_CONFIG
+            assert manifest["failure"]["stage"] == "validation"
+            assert "study.relaxlimit" in manifest["failure"]["message"]
+        else:
+            assert code == EXIT_OK
+            assert all(check["passed"] for check in manifest["checks"].values())
 
     @pytest.mark.parametrize("mode_index", [99, 6, -1, 1.5, "1"])
     def test_contdep_mode_index_out_of_range(self, tmp_path, mode_index):

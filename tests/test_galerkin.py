@@ -67,7 +67,7 @@ class TestAssemble:
             make_system(neumann8, other, Coupling.constant(0.0))
 
     def test_sobolev_advisory_warns_but_assembles(self, neumann8):
-        coupling = Coupling.function(np.tanh, bound=1.0, lipschitz=1.0)
+        coupling = Coupling.function(np.tanh)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             system = make_system(neumann8, neumann8, coupling, r=0.25, sigma=0.2)
@@ -158,8 +158,7 @@ class TestQuadratureConsistency:
 
     def test_fast_path_matches_quadrature(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(1.3))
-        grid_coupling = Coupling.function(
-            lambda v: np.full_like(v, 1.3), bound=1.3, lipschitz=0.0)
+        grid_coupling = Coupling.function(lambda v: np.full_like(v, 1.3))
         generic = make_system(neumann8, neumann8, grid_coupling)
         rng = np.random.default_rng(0)
         w = rng.standard_normal(8)
@@ -186,14 +185,6 @@ class TestSourceSampling:
                              source=lambda x, t: np.cos(np.pi * x) * np.exp(-t))
         g = system.source_at(0.3)
         assert g[1] == pytest.approx(np.exp(-0.3) / np.sqrt(2.0), rel=1e-12)
-
-    def test_tabulated_source_interpolates(self, neumann8):
-        x = neumann8.grid_points
-        table = ([0.0, 1.0], [np.cos(np.pi * x) * 0.0, np.cos(np.pi * x) * 2.0])
-        system = make_system(neumann8, neumann8, Coupling.constant(0.0), source=table)
-        g_half = system.source_at(0.5)
-        assert g_half[1] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
-        assert np.allclose(system.source_at(2.0), system.source_at(1.0))
 
     def test_separable_source_projected_once_matches_grid_analysis(self, neumann8):
         exp_cos = {"space": {"kind": "cos", "k": 1, "amplitude": 0.5},
