@@ -200,8 +200,8 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
     tail_ar = ar_theta[k0:]
     tail_dtphi = run.dtphi_norm[k0:]
 
-    theta_f = run.final_state.theta
-    phi_f = run.final_state.phi
+    theta_f = run.theta_series[-1]
+    phi_f = run.phi_series[-1]
     terms = eval_nonlinearity(system, theta_f, phi_f)
     stationary = float(np.linalg.norm(system.phi_stiff * phi_f + terms.fphi))
     nonkernel = float(np.linalg.norm(theta_f - kernel_projection(system.basis_a, theta_f)))
@@ -248,7 +248,6 @@ class RelaxReport:
     phi_errors: list[float]
     theta_errors: list[float]
     monotone: bool
-    limit_run: RunOutput
 
 
 def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
@@ -260,10 +259,10 @@ def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
     `stack_systems` accepts; the limit is `limit_system` of its first row.
     Everything marches with the implicit_prox scheme at step dt: the ladder
     as one stacked system, which the limit run joins when the ladder's eps
-    is 0 and which it runs beside otherwise.  Only the limit run records its
-    grid series (`xi_series`, `phi_grid_series`).  The theory gives weak
-    convergence without a rate; `monotone` reports whether both error
-    columns decrease strictly down the ladder.
+    is 0 and which it runs beside otherwise.  The report holds distances
+    only; the limit multiplier comes from `integrate(limit_system(system),
+    ...)`.  The theory gives weak convergence without a rate; `monotone`
+    reports whether both error columns decrease strictly down the ladder.
     """
     limit = limit_system(ladder[0])
     sigmas = [float(row.sigma) for row in ladder]
@@ -271,23 +270,21 @@ def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
         raise ValueError("sigma ladder must be decreasing")
     scheme = SchemeConfig("implicit_prox", dt=dt)
     if ladder[0].eps == 0.0:
-        limit_run, *runs = integrate(stack_systems([limit, *ladder]), scheme,
-                                     t_final, snapshot_stride, grid_rows=(0,)).rows()
+        limit_traj, *runs = integrate(stack_systems([limit, *ladder]), scheme,
+                                      t_final, snapshot_stride).rows()
     else:
-        limit_run = integrate(limit, scheme, t_final, snapshot_stride)
-        runs = integrate(stack_systems(ladder), scheme, t_final, snapshot_stride,
-                         grid_rows=()).rows()
+        limit_traj = integrate(limit, scheme, t_final, snapshot_stride)
+        runs = integrate(stack_systems(ladder), scheme, t_final, snapshot_stride).rows()
     phi_errs, theta_errs = [], []
     for run in runs:
-        idx = _align_indices(run.times, limit_run.times)
-        dphi = run.phi_series - limit_run.phi_series[idx]
-        dtheta = run.theta_series - limit_run.theta_series[idx]
+        idx = _align_indices(run.times, limit_traj.times)
+        dphi = run.phi_series - limit_traj.phi_series[idx]
+        dtheta = run.theta_series - limit_traj.theta_series[idx]
         phi_errs.append(_l2_time_norm(run.times, _coeff_norms(dphi)))
         theta_errs.append(_l2_time_norm(run.times, _coeff_norms(dtheta)))
     monotone = bool(np.all(np.diff(phi_errs) < 0.0) and np.all(np.diff(theta_errs) < 0.0))
     return RelaxReport(sigmas=sigmas, phi_errors=phi_errs,
-                            theta_errors=theta_errs, monotone=monotone,
-                            limit_run=limit_run)
+                       theta_errors=theta_errs, monotone=monotone)
 
 
 def sigma_zero_operator_check(basis: SpectralBasis, coeffs: np.ndarray,

@@ -42,7 +42,7 @@ from .potentials import (ResolventError, double_obstacle_potential,
 from .spectral import (BasisBuildError, build_basis, build_interval_basis,
                        gram_defect, kernel_projection, fractional_multipliers,
                        synthesize)
-from .timestepper import BlowupError, RunOutput, SchemeConfig, integrate
+from .timestepper import BlowupError, RunOutput, SchemeConfig, integrate, step_count
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -209,27 +209,21 @@ def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter,
     try:
         run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
     except BlowupError as exc:
-        if exc.partial is not None:
-            manifest.add_files(emit_run_outputs(exc.partial, system, out_dir,
-                                                cfg.grid_times))
+        manifest.add_files(emit_run_outputs(exc.partial, system, out_dir, cfg.grid_times))
         raise
     manifest.add_files(emit_run_outputs(run, system, out_dir, cfg.grid_times))
     return system, run
 
 
-def _cmd_simulate(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                  quiet: bool) -> int:
+def _cmd_simulate(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     _, run = _simulate_and_emit(cfg, manifest, out_dir)
     resid = float(np.max(run.ledger.residual))
     manifest.check("energy_ledger_finite", bool(np.all(np.isfinite(run.ledger.residual))),
                    {"max_residual": resid})
-    if not quiet:
-        print(f"simulate: {run.times.size} snapshots, max energy residual {resid:.3e}")
-    return EXIT_OK
+    return f"simulate: {run.times.size} snapshots, max energy residual {resid:.3e}"
 
 
-def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                  quiet: bool) -> int:
+def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = cfg.study.get("converge", {})
     axis = study.get("axis", "dt")
     if axis not in ("n_modes", "eps", "dt", "sigma"):
@@ -271,6 +265,10 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
             raise ConfigError([("study.converge.values",
                                 f"dt={dt} does not divide the snapshot interval "
                                 f"{snap_interval}; use nested dt values")])
+        try:
+            step_count(cfg.t_final, dt)
+        except ValueError as exc:
+            raise ConfigError([("study.converge.values", str(exc))]) from None
         scheme = SchemeConfig(cfg.scheme.scheme, dt=dt)
         return integrate(system, scheme, cfg.t_final, stride).rows()
 
@@ -296,13 +294,10 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     monotone = bool(np.all(np.diff(errors["phi_l2_h"][:-1]) <= 0.0)) \
         if len(values) > 2 else True
     manifest.check("errors_decrease", monotone, {"errors": errors["phi_l2_h"]})
-    if not quiet:
-        print(f"converge[{axis}]: errors {errors['phi_l2_h']}")
-    return EXIT_OK if manifest.all_passed else EXIT_CHECK
+    return f"converge[{axis}]: errors {errors['phi_l2_h']}"
 
 
-def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                 quiet: bool) -> int:
+def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = cfg.study.get("contdep", {})
     deltas = study.get("deltas", [1e-1, 1e-2, 1e-3, 1e-4])
     mode_index = study.get("mode_index", 1)
@@ -342,13 +337,10 @@ def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     manifest.check("ratio_finite", finite)
     manifest.check("ratio_stable", spread < spread_tol,
                    {"spread": spread, "ratios": ratios.tolist()})
-    if not quiet:
-        print(f"contdep: ratios {ratios}, spread {spread:.3%}")
-    return EXIT_OK if manifest.all_passed else EXIT_CHECK
+    return f"contdep: ratios {ratios}, spread {spread:.3%}"
 
 
-def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                  quiet: bool) -> int:
+def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = cfg.study.get("longtime", {})
     tail_fraction = float(study.get("tail_fraction", 0.1))
     tail_threshold = float(study.get("tail_threshold", 1e-6))
@@ -366,15 +358,12 @@ def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
                    report.final_nonkernel_theta <= tail_threshold,
                    {"value": report.final_nonkernel_theta,
                     "final_theta_norm": report.final_theta_norm})
-    if not quiet:
-        print(f"longtime: tail |A^r theta| {report.tail_sup_ar_theta:.3e}, "
-              f"tail |dtphi| {report.tail_sup_dtphi:.3e}, "
-              f"stationary residual {report.stationary_residual:.3e}")
-    return EXIT_OK if manifest.all_passed else EXIT_CHECK
+    return (f"longtime: tail |A^r theta| {report.tail_sup_ar_theta:.3e}, "
+            f"tail |dtphi| {report.tail_sup_dtphi:.3e}, "
+            f"stationary residual {report.stationary_residual:.3e}")
 
 
-def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                    quiet: bool) -> int:
+def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = cfg.study.get("relaxlimit", {})
     sigmas = study.get("sigmas", [0.5, 0.25, 0.1, 0.05])
 
@@ -394,13 +383,10 @@ def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
     manifest.write_table("study_relaxlimit.csv", "sigma,phi_l2q_error,theta_l2q_error", rows)
     manifest.check("errors_decreasing", report.monotone,
                    {"phi": report.phi_errors, "theta": report.theta_errors})
-    if not quiet:
-        print(f"relaxlimit: phi errors {report.phi_errors} (monotone={report.monotone})")
-    return EXIT_OK if manifest.all_passed else EXIT_CHECK
+    return f"relaxlimit: phi errors {report.phi_errors} (monotone={report.monotone})"
 
 
-def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                 quiet: bool) -> int:
+def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = cfg.study.get("opcheck", {})
     sigmas = [float(s) for s in study.get("sigmas", [0.2, 0.1, 0.05, 0.01])]
     _, basis_b = build_bases(cfg)
@@ -436,9 +422,7 @@ def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
             "passed": True,  # diagnostic only, never a gate
             "detail": {"min_value": rep.min_value, "violations": rep.violations},
         }
-    if not quiet:
-        print(f"opcheck: direct vs closed-form agree to {agree:.2e}")
-    return EXIT_OK if manifest.all_passed else EXIT_CHECK
+    return f"opcheck: direct vs closed-form agree to {agree:.2e}"
 
 
 def _selftest_rows(seed: int) -> list[tuple[str, str, int, float, float, bool]]:
@@ -508,8 +492,7 @@ def _selftest_rows(seed: int) -> list[tuple[str, str, int, float, float, bool]]:
     return rows
 
 
-def _cmd_selftest(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
-                  quiet: bool) -> int:
+def _cmd_selftest(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     rows = _selftest_rows(cfg.seed)
     csv_rows = [[check, kind, str(ns), _fmt(worst), _fmt(tol), str(ok).lower()]
                 for check, kind, ns, worst, tol, ok in rows]
@@ -517,10 +500,8 @@ def _cmd_selftest(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str,
                          csv_rows)
     for check, kind, _, worst, tol, ok in rows:
         manifest.check(f"{check}.{kind}", ok, {"worst": worst, "tolerance": tol})
-    if not quiet:
-        failed = [r for r in rows if not r[5]]
-        print(f"selftest: {len(rows) - len(failed)}/{len(rows)} checks passed")
-    return EXIT_OK if manifest.all_passed else EXIT_CHECK
+    n_passed = sum(ok for *_, ok in rows)
+    return f"selftest: {n_passed}/{len(rows)} checks passed"
 
 
 COMMANDS = {
@@ -590,9 +571,12 @@ def main(argv=None) -> int:
             "--jobs is ignored: study ladders march as one batched state")
     code = EXIT_OK
     try:
-        code = COMMANDS[args.command](cfg, manifest, out_dir, args.quiet)
-        if code == EXIT_CHECK:
+        summary = COMMANDS[args.command](cfg, manifest, out_dir)
+        if not args.quiet:
+            print(summary)
+        if not manifest.all_passed:
             manifest.payload["status"] = "check_failed"
+            code = EXIT_CHECK
     except (ConfigError, ValidationError, ExpressionError, BasisBuildError) as exc:
         manifest.fail("validation", str(exc), exc)
         print(f"configuration error: {exc}", file=sys.stderr)

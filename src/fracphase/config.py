@@ -17,7 +17,7 @@ from . import expressions
 from .galerkin import Coupling, ProblemData, assemble
 from .potentials import Potential, by_name
 from .spectral import BASIS_KINDS, SpectralBasis, build_basis, min_grid_nodes
-from .timestepper import SCHEMES, SchemeConfig
+from .timestepper import SCHEMES, SchemeConfig, step_count
 
 
 class ConfigError(Exception):
@@ -166,13 +166,19 @@ def validate_config(raw: dict) -> RunConfig:
         problems.append(("scheme.scheme", f"must be one of {SCHEMES}, got {scheme_name!r}"))
         scheme_name = "imex_euler"
     dt = scheme_raw.get("dt", 1e-3)
-    if not isinstance(dt, (int, float)) or dt <= 0:
+    dt_ok = isinstance(dt, (int, float)) and dt > 0
+    if not dt_ok:
         problems.append(("scheme.dt", f"must be positive, got {dt!r}"))
         dt = 1e-3
     t_final = scheme_raw.get("t_final", 1.0)
     if not isinstance(t_final, (int, float)) or t_final <= 0:
         problems.append(("scheme.t_final", f"must be positive, got {t_final!r}"))
         t_final = 1.0
+    elif dt_ok:
+        try:
+            step_count(float(t_final), float(dt))
+        except ValueError as exc:
+            problems.append(("scheme.t_final", str(exc)))
     stride = scheme_raw.get("snapshot_stride", 1)
     if not isinstance(stride, int) or stride < 1:
         problems.append(("scheme.snapshot_stride", f"must be a positive integer, got {stride!r}"))

@@ -51,7 +51,6 @@ class Potential:
     beta_prime: Optional[Callable[[np.ndarray], np.ndarray]]
     pi_hat: Callable[[np.ndarray], np.ndarray]
     pi: Callable[[np.ndarray], np.ndarray]
-    pi_lipschitz: float
     gamma: Optional[float]
     domain: tuple[float, float]
     resolvent_closed_form: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
@@ -88,7 +87,6 @@ def regular_potential(gamma: float = 1.0) -> Potential:
         beta_prime=lambda s: 3.0 * np.asarray(s, dtype=float) ** 2,
         pi_hat=lambda s: (1.0 - 2.0 * gamma * np.asarray(s, dtype=float) ** 2) / 4.0,
         pi=lambda s: -gamma * np.asarray(s, dtype=float),
-        pi_lipschitz=gamma,
         gamma=gamma,
         domain=(-np.inf, np.inf),
         resolvent_closed_form=_cubic_resolvent,
@@ -126,7 +124,6 @@ def logarithmic_potential(c1: float) -> Potential:
         beta_prime=lambda s: 2.0 / (1.0 - np.asarray(s, dtype=float) ** 2),
         pi_hat=lambda s: -c1 * np.asarray(s, dtype=float) ** 2,
         pi=lambda s: -2.0 * c1 * np.asarray(s, dtype=float),
-        pi_lipschitz=2.0 * c1,
         gamma=2.0 * c1,
         domain=(-1.0, 1.0),
     )
@@ -152,7 +149,6 @@ def double_obstacle_potential(c2: float) -> Potential:
         beta_prime=None,
         pi_hat=lambda s: -c2 * np.asarray(s, dtype=float) ** 2,
         pi=lambda s: -2.0 * c2 * np.asarray(s, dtype=float),
-        pi_lipschitz=2.0 * c2,
         gamma=2.0 * c2,
         domain=(-1.0, 1.0),
         resolvent_closed_form=lambda eps, s: np.clip(s, -1.0, 1.0),
@@ -169,7 +165,6 @@ def zero_potential() -> Potential:
         beta_prime=zero,
         pi_hat=zero,
         pi=zero,
-        pi_lipschitz=0.0,
         gamma=0.0,
         domain=(-np.inf, np.inf),
         resolvent_closed_form=lambda eps, s: np.asarray(s, dtype=float).copy(),
@@ -177,7 +172,7 @@ def zero_potential() -> Potential:
 
 
 def custom_potential(beta_hat, beta, *, beta_prime=None, pi_hat=None, pi=None,
-                     pi_lipschitz: float = 0.0, gamma: Optional[float] = None,
+                     gamma: Optional[float] = None,
                      domain=(-np.inf, np.inf), validate: bool = True) -> Potential:
     """User-supplied split; beta_hat/beta must be vectorized over arrays.
 
@@ -194,7 +189,6 @@ def custom_potential(beta_hat, beta, *, beta_prime=None, pi_hat=None, pi=None,
         beta_prime=beta_prime,
         pi_hat=pi_hat if pi_hat is not None else zero,
         pi=pi if pi is not None else zero,
-        pi_lipschitz=pi_lipschitz,
         gamma=gamma,
         domain=(float(domain[0]), float(domain[1])),
     )

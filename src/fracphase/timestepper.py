@@ -12,7 +12,8 @@ first order in dt.
 
 A stacked system (`galerkin.stack_systems`) marches B trajectories as one
 (B, n) state; steps, ledger and snapshots work over the trailing axis, so a
-single run keeps its 1-D arrays and arithmetic.
+single run keeps its 1-D arrays and arithmetic.  `integrate` always starts
+from the system's projected data and returns only what it recorded.
 """
 from __future__ import annotations
 
@@ -30,10 +31,11 @@ SCHEMES = ("imex_euler", "implicit_prox")
 
 
 class BlowupError(RuntimeError):
-    """State exceeded the overflow guard; carries the partial run output
-    (for a stacked run, the list of per-row partial outputs)."""
+    """State exceeded the overflow guard; `integrate` attaches as `partial`
+    the output it would have returned, up to the last completed snapshot
+    (for a stacked run the batched output, which `partial.rows()` splits)."""
 
-    def __init__(self, message: str, partial: "RunOutput | list[RunOutput] | None" = None):
+    def __init__(self, message: str, partial: "RunOutput | None" = None):
         super().__init__(message)
         self.partial = partial
 
@@ -43,9 +45,6 @@ class State:
     t: float
     theta: np.ndarray
     phi: np.ndarray
-
-    def copy(self) -> "State":
-        return State(self.t, self.theta.copy(), self.phi.copy())
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,6 @@ class LedgerSeries:
     convex-potential integral; rhs = lhs(0) + the two work integrals.
     """
 
-    times: np.ndarray
     half_theta_sq: np.ndarray
     diss_theta: np.ndarray
     diss_phi: np.ndarray
@@ -83,12 +81,11 @@ class LedgerSeries:
 
 @dataclass
 class RunOutput:
-    """Trajectory, norm time series, ledger and snapshots of one run.
+    """Snapshot times, trajectory, norm series and energy ledger of one run.
 
     Of a stacked run every array but `times` carries a row axis after the
-    snapshot axis; `rows()` splits it into one output per trajectory.  The
-    grid series of a stacked run hold only the rows listed in grid_rows
-    (None: every row).
+    snapshot axis; `rows()` splits it into one output per trajectory.  Only
+    an unstacked proximal run records the grid series (None otherwise).
     """
 
     times: np.ndarray
@@ -100,40 +97,21 @@ class RunOutput:
     graph_phi: np.ndarray
     dtphi_norm: np.ndarray
     ledger: LedgerSeries
-    final_state: State
-    scheme: str
-    dt: float
-    eps: float
     xi_series: Optional[np.ndarray] = None        # (K, m) prox multiplier samples
     phi_grid_series: Optional[np.ndarray] = None  # (K, m) prox grid iterates
-    failed: bool = False
-    failure: Optional[str] = None
-    grid_rows: Optional[tuple[int, ...]] = None
 
     def rows(self) -> list["RunOutput"]:
-        """One single-trajectory output per row ([self] for a single run);
-        a row whose grid series were not recorded gets None for them."""
+        """One single-trajectory output per row ([self] for a single run)."""
         if self.theta_series.ndim == 2:
             return [self]
-        n_rows = self.theta_series.shape[1]
-        held = list(range(n_rows) if self.grid_rows is None else self.grid_rows)
 
         def pick(obj, b):
             return {f.name: getattr(obj, f.name)[:, b] for f in fields(obj)
-                    if f.name not in _GRID_SERIES and np.ndim(getattr(obj, f.name)) > 1}
+                    if np.ndim(getattr(obj, f.name)) > 1}
 
-        def grids(b):
-            return {name: None if getattr(self, name) is None or b not in held
-                    else getattr(self, name)[:, held.index(b)] for name in _GRID_SERIES}
-
-        state = self.final_state
-        return [replace(self, **pick(self, b), **grids(b), grid_rows=None,
-                        ledger=replace(self.ledger, **pick(self.ledger, b)),
-                        final_state=State(state.t, state.theta[b], state.phi[b]))
-                for b in range(n_rows)]
-
-
-_GRID_SERIES = ("xi_series", "phi_grid_series")
+        return [replace(self, **pick(self, b),
+                        ledger=replace(self.ledger, **pick(self.ledger, b)))
+                for b in range(self.theta_series.shape[1])]
 
 
 @dataclass
@@ -252,11 +230,10 @@ _COLUMNS = ("t", "norm_theta", "graph_theta", "norm_phi", "graph_phi", "dtphi",
 
 class _Snapshots:
     """Per-snapshot columns preallocated for a whole run; `count` rows are
-    filled, each with one entry per row of a stacked system.  Prox grid
-    series hold the stacked rows listed in grid_rows (None: every row)."""
+    filled, each with one entry per row of a stacked system.  An unstacked
+    proximal run also records its multiplier and grid iterates."""
 
-    def __init__(self, system: DiscreteSystem, n_rows: int, prox: bool,
-                 grid_rows: tuple[int, ...] | None):
+    def __init__(self, system: DiscreteSystem, n_rows: int, prox: bool):
         self.system = system
         self.count = 0
         shape = (n_rows,) + system.phi_stiff.shape[:-1]
@@ -264,12 +241,9 @@ class _Snapshots:
         self.cols["t"] = np.empty(n_rows)
         self.theta = np.empty(shape + (system.n_a,))
         self.phi = np.empty(shape + (system.n_b,))
-        self.grid_rows = grid_rows
-        self.grid_select = slice(None) if grid_rows is None else list(grid_rows)
-        grid_shape = (shape if grid_rows is None else (n_rows, len(grid_rows))) \
-            + (system.basis_b.n_grid,)
-        self.xi = np.empty(grid_shape) if prox else None
-        self.phi_grid = np.empty(grid_shape) if prox else None
+        grids = prox and system.phi_stiff.ndim == 1
+        self.xi = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
+        self.phi_grid = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
 
     def record(self, state: State, dtphi, ledger: _LedgerAccumulator,
                xi: np.ndarray | None, phi_grid: np.ndarray | None) -> None:
@@ -295,80 +269,70 @@ class _Snapshots:
         self.theta[k] = theta
         self.phi[k] = phi
         if self.xi is not None:
-            rows = self.grid_select
-            self.xi[k] = 0.0 if xi is None else xi[rows]
-            self.phi_grid[k] = phi_grid[rows] if phi_grid is not None else \
-                guard(synthesize(system.basis_b, phi[rows]), "phase grid", state.t)
+            # a proximal run hands every record its grid iterate
+            self.xi[k] = 0.0 if xi is None else xi
+            self.phi_grid[k] = phi_grid
         self.count += 1
 
 
-def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
-              snapshot_stride: int = 1,
-              initial_state: State | None = None,
-              grid_rows: tuple[int, ...] | None = None) -> RunOutput:
-    """March the system to t_final, recording norms and the energy ledger.
-
-    Snapshots land every `snapshot_stride` steps plus always at t = 0 and the
-    final time.  A stacked system returns one output whose arrays carry its
-    row axis (`RunOutput.rows` splits it); of a stacked proximal run only the
-    rows in grid_rows record their xi / phi_grid series (None: every row).
-    On an overflow guard trip the partial output up to the last completed
-    snapshot (per row, for a stacked system) is attached to the raised
-    BlowupError.
-    """
+def step_count(t_final: float, dt: float) -> int:
+    """The number of dt steps that reach t_final; ValueError unless t_final
+    is positive and a whole number of steps."""
     if t_final <= 0.0:
         raise ValueError(f"t_final must be positive, got {t_final}")
-    if snapshot_stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
-    dt = scheme.dt
     n_steps = max(1, int(round(t_final / dt)))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(
             f"t_final={t_final} is not an integer number of steps of dt={dt}"
         )
-    if grid_rows is not None and system.phi_stiff.ndim == 1:
-        raise ValueError("grid_rows selects rows of a stacked system")
+    return n_steps
+
+
+def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
+              snapshot_stride: int = 1) -> RunOutput:
+    """March the system from its projected data to t_final, recording norms
+    and the energy ledger.
+
+    Snapshots land every `snapshot_stride` steps plus always at t = 0 and the
+    final time.  A stacked system returns one output whose arrays carry its
+    row axis (`RunOutput.rows` splits it).  On an overflow guard trip the
+    output up to the last completed snapshot is attached to the raised
+    BlowupError.
+    """
+    if snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    dt = scheme.dt
+    n_steps = step_count(t_final, dt)
     if scheme.scheme == "imex_euler" and system.eps == 0.0 and system.potential.multivalued:
         raise ValueError("imex_euler cannot treat a multivalued potential at eps = 0; "
                          "use implicit_prox")
 
-    if initial_state is None:
-        theta0, phi0 = project_data(system)
-        state = State(0.0, theta0, phi0)
-    else:
-        state = initial_state.copy()
-
+    theta0, phi0 = project_data(system)
+    state = State(0.0, theta0, phi0)
     prox = scheme.scheme == "implicit_prox"
     step_fn = step_implicit_prox if prox else step_imex
     ledger = _LedgerAccumulator(system)
     n_rows = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
-    snaps = _Snapshots(system, n_rows, prox, grid_rows)
+    snaps = _Snapshots(system, n_rows, prox)
 
     # prox runs ledger the datum grid at t = 0: the modal projection of a
     # clamped field can overshoot the obstacle and blow up the indicator
-    snaps.record(state, 0.0, ledger, None,
-                 system.phi0_grid if (prox and initial_state is None) else None)
+    snaps.record(state, 0.0, ledger, None, system.phi0_grid if prox else None)
     try:
-        t0 = state.t
         for k in range(1, n_steps + 1):
             step = step_fn(system, state, dt)
             new_state = step.state
-            new_state.t = t0 + k * dt  # avoid accumulated drift in snapshot times
+            new_state.t = k * dt  # avoid accumulated drift in snapshot times
             dtphi = np.sqrt(ledger.accumulate(state, step, dt)) / dt
             state = new_state
             if k % snapshot_stride == 0 or k == n_steps:
                 snaps.record(state, dtphi, ledger, step.xi_grid, step.phi_grid)
     except OverflowGuardError as exc:
-        failure = str(exc)
-        partial = _finalize(snaps, state, scheme, failed=True, failure=failure)
-        raise BlowupError(failure, partial if partial.theta_series.ndim == 2
-                          else partial.rows()) from None
-
-    return _finalize(snaps, state, scheme)
+        raise BlowupError(str(exc), _finalize(snaps)) from None
+    return _finalize(snaps)
 
 
-def _finalize(snaps: _Snapshots, state: State, scheme: SchemeConfig,
-              failed: bool = False, failure: str | None = None) -> RunOutput:
+def _finalize(snaps: _Snapshots) -> RunOutput:
     n = snaps.count
 
     def col(name):
@@ -378,7 +342,6 @@ def _finalize(snaps: _Snapshots, state: State, scheme: SchemeConfig,
            + col("half_phi_graph_sq") + col("potential_integral"))
     rhs = lhs[0] + col("work_source") + col("work_phi")
     ledger = LedgerSeries(
-        times=col("t"),
         half_theta_sq=col("half_theta_sq"),
         diss_theta=col("diss_theta"),
         diss_phi=col("diss_phi"),
@@ -400,13 +363,6 @@ def _finalize(snaps: _Snapshots, state: State, scheme: SchemeConfig,
         graph_phi=col("graph_phi"),
         dtphi_norm=col("dtphi"),
         ledger=ledger,
-        final_state=state.copy(),
-        scheme=scheme.scheme,
-        dt=scheme.dt,
-        eps=snaps.system.eps,
         xi_series=None if snaps.xi is None else snaps.xi[:n],
         phi_grid_series=None if snaps.phi_grid is None else snaps.phi_grid[:n],
-        failed=failed,
-        failure=failure,
-        grid_rows=snaps.grid_rows,
     )

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fracphase.analysis import (contdep_report, omega_limit_probe,
+from fracphase.analysis import (contdep_report, limit_system, omega_limit_probe,
                                 relaxation_limit_study,
                                 sigma_zero_operator_check)
 from fracphase.cli import main as cli_main
@@ -21,8 +21,8 @@ from fracphase.potentials import (double_obstacle_potential,
                                   regular_potential, resolvent, yosida,
                                   zero_potential)
 from fracphase.spectral import (build_interval_basis, fractional_multipliers,
-                                gram_defect)
-from fracphase.timestepper import SchemeConfig, State, integrate
+                                gram_defect, synthesize)
+from fracphase.timestepper import SchemeConfig, integrate
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -117,16 +117,16 @@ def test_c02_convex_analysis_suite():
 
 def test_c03_exact_linear_oracle():
     basis = build_interval_basis("neumann", 1.0, 6)
-    data = ProblemData(theta0=None, phi0=None, coupling=Coupling.constant(0.0))
-    system = assemble(data, basis, basis, 0.25, 0.5, 1e-2, zero_potential())
     theta0 = np.ones(6)
+    data = ProblemData(theta0=synthesize(basis, theta0), phi0=None,
+                       coupling=Coupling.constant(0.0))
+    system = assemble(data, basis, basis, 0.25, 0.5, 1e-2, zero_potential())
     t_final = 0.1
     exact = theta0 * np.exp(-system.theta_stiff * t_final)
 
     def final_error(dt):
         run = integrate(system, SchemeConfig("imex_euler", dt=dt), t_final,
-                        snapshot_stride=10**9,
-                        initial_state=State(0.0, theta0, np.zeros(6)))
+                        snapshot_stride=10**9)
         return np.abs(run.theta_series[-1] - exact)
 
     err = final_error(1e-4)
@@ -269,9 +269,10 @@ def test_c09_relaxation_limit():
     data_o = ProblemData(theta0=lambda x: 2.5 * np.cos(np.pi * x),
                          phi0=lambda x: 0.8 * np.cos(np.pi * x),
                          coupling=Coupling.constant(2.0))
-    rep_o = relaxation_limit_study(ladder(data_o, double_obstacle_potential(0.5)),
-                                   1e-3, 1.0, 10)
-    limit = rep_o.limit_run
+    ladder_o = ladder(data_o, double_obstacle_potential(0.5))
+    rep_o = relaxation_limit_study(ladder_o, 1e-3, 1.0, 10)
+    limit = integrate(limit_system(ladder_o[0]), SchemeConfig("implicit_prox", dt=1e-3),
+                      1.0, 10)
     bound_ok = float(np.max(np.abs(limit.phi_grid_series))) <= 1.0
     upper = limit.phi_grid_series >= 1.0 - 1e-9
     lower = limit.phi_grid_series <= -1.0 + 1e-9

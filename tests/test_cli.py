@@ -192,20 +192,31 @@ class TestManifestStatus:
         assert (code == EXIT_OK) == (manifest["status"] == "ok")
         return code, manifest
 
-    @pytest.mark.parametrize("expected,status", [
-        (EXIT_OK, "ok"), (EXIT_INTERNAL, "failed"), (EXIT_CONFIG, "failed"),
-        (EXIT_CHECK, "check_failed")])
-    def test_status_agrees_with_exit_code(self, tmp_path, monkeypatch, expected, status):
+    @pytest.mark.parametrize("expected,status,case", [
+        (EXIT_OK, "ok", "ok"), (EXIT_INTERNAL, "failed", "defect"),
+        (EXIT_CONFIG, "failed", "config"), (EXIT_CHECK, "check_failed", "contdep"),
+        (EXIT_CHECK, "check_failed", "ledger")],
+        ids=["0-ok", "1-failed", "2-failed", "4-check_failed", "4-check_failed-ledger"])
+    def test_status_agrees_with_exit_code(self, tmp_path, monkeypatch, expected, status,
+                                          case):
         cfgd, command = json.loads(json.dumps(SMOKE)), "simulate"
-        if expected == EXIT_INTERNAL:
+        if case == "defect":
             monkeypatch.setattr(fracphase.cli, "integrate", None)  # a TypeError: a defect
-        elif expected == EXIT_CONFIG:
+        elif case == "config":
             cfgd["geometry"]["a"]["m_grid"] = 8  # rejected before any command runs
-        elif expected == EXIT_CHECK:
+        elif case == "contdep":
             # an impossible stability demand fails the contdep gate
             cfgd["study"] = {"contdep": {"deltas": [1e-1, 1e-3],
                                          "max_ratio_spread": 1e-12}}
             command = "contdep"
+        elif case == "ledger":
+            # one IMEX step from phi0 = 0.99 leaves the logarithmic domain, so
+            # the ledger records a non-finite potential integral
+            cfgd["potential"] = {"kind": "logarithmic", "c1": 2.0, "eps": 0.0}
+            cfgd["coupling"]["value"] = 10.0
+            cfgd["data"] = {"theta0": [{"kind": "constant", "value": 1.0}],
+                            "phi0": [{"kind": "constant", "value": 0.99}]}
+            cfgd["scheme"] = {"scheme": "imex_euler", "dt": 0.01, "t_final": 0.01}
         code, manifest = self.run(tmp_path, command, cfgd)
         assert code == expected and manifest["status"] == status
 
@@ -278,12 +289,15 @@ class TestManifestStatus:
         if section == "potential":
             entries = {"eps": cfgd["potential"]["eps"], **entries}
         cfgd[section] = entries
-        code, manifest = self.run(tmp_path, command, cfgd)
         if command == "relaxlimit" and variant == "tanh_coupling":
+            # assembling the small-sigma ladder warns before the limit rejects it
+            with pytest.warns(UserWarning, match="embedding condition"):
+                code, manifest = self.run(tmp_path, command, cfgd)
             assert code == EXIT_CONFIG
             assert manifest["failure"]["stage"] == "validation"
             assert "study.relaxlimit" in manifest["failure"]["message"]
         else:
+            code, manifest = self.run(tmp_path, command, cfgd)
             assert code == EXIT_OK
             assert all(check["passed"] for check in manifest["checks"].values())
 
@@ -295,6 +309,17 @@ class TestManifestStatus:
         assert code == EXIT_CONFIG
         assert manifest["failure"]["stage"] == "validation"
         assert "study.contdep.mode_index" in manifest["failure"]["message"]
+
+    @pytest.mark.parametrize("command,override,key", [
+        ("simulate", "scheme.t_final=0.1005", "scheme.t_final"),
+        ("converge", "study.converge.values=[0.003,0.0015]", "study.converge.values")])
+    def test_partial_last_step_is_a_config_error(self, tmp_path, command, override, key):
+        # 0.1005 is no whole number of dt = 0.002 steps, nor 0.1 of dt = 0.003
+        code, manifest = self.run(tmp_path, command, apply_overrides(SMOKE, [override]))
+        assert code == EXIT_CONFIG
+        assert manifest["failure"]["stage"] == "validation"
+        assert key in manifest["failure"]["message"]
+        assert "integer number of steps" in manifest["failure"]["message"]
 
     def test_retired_scheme_keys_are_ignored_with_advisory(self, tmp_path):
         cfgd = json.loads(json.dumps(SMOKE))

@@ -170,7 +170,7 @@ class TestQuadratureConsistency:
     def test_lipschitz_in_phi(self, neumann8):
         eps = 0.05
         system = make_system(neumann8, neumann8, Coupling.constant(0.0), eps=eps)
-        lip = 1.0 / eps + system.potential.pi_lipschitz
+        lip = 1.0 / eps + system.potential.gamma
         rng = np.random.default_rng(1)
         for _ in range(20):
             p1, p2 = rng.standard_normal(8), rng.standard_normal(8)

@@ -263,7 +263,7 @@ class TestCoercivityProbe:
                                beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
                                pi_hat=lambda s: -10.0 * np.asarray(s) ** 2,
                                pi=lambda s: -20.0 * np.asarray(s, dtype=float),
-                               pi_lipschitz=20.0, validate=False)
+                               validate=False)
         rep = coercivity_probe(pot, [1e-1], (-3, 3))
         assert not rep.ok and rep.alpha == 0.0
 
