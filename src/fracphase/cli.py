@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -197,6 +198,32 @@ class _ManifestWriter:
 # subcommands
 
 
+def _real(value) -> bool:
+    """A finite JSON number (bools and numeric strings are not)."""
+    return type(value) in (int, float) and abs(value) < math.inf
+
+
+_POSITIVE = ("a positive number", lambda v: _real(v) and v > 0.0)
+_COUNT = ("a positive integer", lambda v: type(v) is int and v >= 1)
+_POSITIVE_LIST = ("a nonempty list of positive numbers",
+                  lambda v: type(v) is list and len(v) > 0 and all(map(_POSITIVE[1], v)))
+
+
+def _index_below(n: int) -> tuple:
+    return f"an integer in [0, {n})", lambda v: type(v) is int and 0 <= v < n
+
+
+def _study_key(section: dict, key: str, default, rule: tuple):
+    """The entry of `section` named by the last part of the dotted `key`
+    (default when absent); a ConfigError naming `key` unless it obeys `rule`,
+    a (description, predicate) pair."""
+    value = section.get(key.rpartition(".")[2], default)
+    expected, valid = rule
+    if not valid(value):
+        raise ConfigError([(key, f"must be {expected}, got {value!r}")])
+    return value
+
+
 def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter,
                        out_dir: str) -> tuple:
     """Assemble and march the config's system and write its run outputs.
@@ -241,7 +268,7 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
 
     # snapshots land on multiples of a shared interval so trajectories from
     # different dt levels can be compared pointwise in time
-    n_shared = study.get("n_shared_snapshots", 50)
+    n_shared = _study_key(study, "study.converge.n_shared_snapshots", 50, _COUNT)
     coarsest = max(float(v) for v in values) if axis == "dt" else cfg.scheme.dt
     snap_interval = coarsest * max(1, int(round(cfg.t_final / coarsest / n_shared)))
 
@@ -299,15 +326,14 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
 
 def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = cfg.study.get("contdep", {})
-    deltas = study.get("deltas", [1e-1, 1e-2, 1e-3, 1e-4])
-    mode_index = study.get("mode_index", 1)
-    spread_tol = float(study.get("max_ratio_spread", 0.2))
+    deltas = _study_key(study, "study.contdep.deltas", [1e-1, 1e-2, 1e-3, 1e-4],
+                        ("a nonempty list of numbers",
+                         lambda v: type(v) is list and len(v) > 0 and all(map(_real, v))))
+    spread_tol = _study_key(study, "study.contdep.max_ratio_spread", 0.2, _POSITIVE)
 
     basis_a, basis_b = build_bases(cfg)
-    if type(mode_index) is not int or not 0 <= mode_index < basis_a.n_modes:
-        raise ConfigError([("study.contdep.mode_index",
-                            f"must be an integer in [0, {basis_a.n_modes}), "
-                            f"got {mode_index!r}")])
+    mode_index = _study_key(study, "study.contdep.mode_index", 1,
+                            _index_below(basis_a.n_modes))
     potential = build_potential(cfg)
     base = build_problem_data(cfg, basis_a, basis_b)
     mode = synthesize(basis_a, np.eye(basis_a.n_modes)[mode_index])
@@ -342,9 +368,11 @@ def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str
 
 def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = cfg.study.get("longtime", {})
-    tail_fraction = float(study.get("tail_fraction", 0.1))
-    tail_threshold = float(study.get("tail_threshold", 1e-6))
-    stat_threshold = float(study.get("stationary_threshold", 1e-5))
+    tail_fraction = _study_key(study, "study.longtime.tail_fraction", 0.1,
+                               ("a number in (0, 1]", lambda v: _real(v) and 0.0 < v <= 1.0))
+    tail_threshold = _study_key(study, "study.longtime.tail_threshold", 1e-6, _POSITIVE)
+    stat_threshold = _study_key(study, "study.longtime.stationary_threshold", 1e-5,
+                                _POSITIVE)
 
     system, run = _simulate_and_emit(cfg, manifest, out_dir)
     report = omega_limit_probe(system, run, tail_fraction)
@@ -365,7 +393,8 @@ def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
 
 def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = cfg.study.get("relaxlimit", {})
-    sigmas = study.get("sigmas", [0.5, 0.25, 0.1, 0.05])
+    sigmas = _study_key(study, "study.relaxlimit.sigmas", [0.5, 0.25, 0.1, 0.05],
+                        _POSITIVE_LIST)
 
     basis_a, basis_b = build_bases(cfg)
     potential = build_potential(cfg)
@@ -388,7 +417,8 @@ def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> 
 
 def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = cfg.study.get("opcheck", {})
-    sigmas = [float(s) for s in study.get("sigmas", [0.2, 0.1, 0.05, 0.01])]
+    sigmas = [float(s) for s in _study_key(study, "study.opcheck.sigmas",
+                                           [0.2, 0.1, 0.05, 0.01], _POSITIVE_LIST)]
     _, basis_b = build_bases(cfg)
     rng = np.random.default_rng(cfg.seed)
     vec_spec = study.get("vector")
@@ -397,7 +427,10 @@ def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str
         coeffs /= 1.0 + basis_b.eigenvalues  # smooth test vector
     else:
         coeffs = np.zeros(basis_b.n_modes)
-        coeffs[int(vec_spec.get("index", 1))] = float(vec_spec.get("amplitude", 1.0))
+        index = _study_key(vec_spec, "study.opcheck.vector.index", 1,
+                           _index_below(basis_b.n_modes))
+        coeffs[index] = _study_key(vec_spec, "study.opcheck.vector.amplitude", 1.0,
+                                   ("a number", _real))
 
     chk = sigma_zero_operator_check(basis_b, coeffs, sigmas)
     rows = [[_fmt(s), _fmt(d), _fmt(c)]
@@ -412,7 +445,8 @@ def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str
     if study.get("hpqo", {}).get("enable", False):
         hp = study["hpqo"]
         pot = build_potential(cfg)
-        vectors = rng.standard_normal((int(hp.get("n_vectors", 5)), basis_b.n_modes))
+        n_vectors = _study_key(hp, "study.opcheck.hpqo.n_vectors", 5, _COUNT)
+        vectors = rng.standard_normal((n_vectors, basis_b.n_modes))
         vectors /= (1.0 + basis_b.eigenvalues)
         eps = cfg.eps if cfg.eps > 0 else 1e-2
         rep = hpqo_probe(basis_b, cfg.operator_b.exponent, pot, eps, vectors)
@@ -583,6 +617,8 @@ def main(argv=None) -> int:
         code = EXIT_CONFIG
     except (BlowupError, OverflowGuardError, ResolventError) as exc:
         manifest.fail("solver", str(exc), exc)
+        if isinstance(exc, BlowupError):
+            manifest.payload["failure"].update(step=exc.step, t=exc.t, row=exc.row)
         print(f"solver failure: {exc}", file=sys.stderr)
         code = EXIT_SOLVER
     except OSError as exc:

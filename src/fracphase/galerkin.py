@@ -29,6 +29,11 @@ from .spectral import (SpectralBasis, analyze, cross_gram, fractional_multiplier
 # declared blown up
 OVERFLOW_LIMIT = 1e12
 
+# `guard` accepts outright when the sum of squares is at most this: the sum
+# bounds the squared peak, and the halved limit leaves room for the rounding
+# of the dot product
+_GUARD_SUM_SQ = (OVERFLOW_LIMIT / 2.0) ** 2
+
 # Sufficient embedding condition for the nonconstant-coupling analysis; an
 # unmet threshold is advisory only, never a hard error.
 SOBOLEV_ADVISORY_THRESHOLD = 0.75
@@ -39,7 +44,12 @@ class ValidationError(ValueError):
 
 
 class OverflowGuardError(RuntimeError):
-    """Grid values exceeded the overflow guard during evaluation."""
+    """Values exceeded the overflow guard; `row` is the first offending row
+    of a stacked (2-D) array, None otherwise."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -121,6 +131,10 @@ class DiscreteSystem:
     source_coeffs: Optional[Callable[[float], np.ndarray]] = None
     source: object = None  # the ProblemData source source_coeffs samples
     advisories: tuple[str, ...] = ()
+    # (dt, 1 + dt*theta_stiff, 1 + dt*phi_stiff) of the last step_denominators
+    # call; not an init field, so every `replace` starts without it
+    _denominators: Optional[tuple] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     @property
     def n_a(self) -> int:
@@ -135,6 +149,15 @@ class DiscreteSystem:
             return np.zeros(self.n_a)
         return self.source_coeffs(t)
 
+    def step_denominators(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """(1 + dt*theta_stiff, 1 + dt*phi_stiff), built once per dt; the
+        stiffness arrays are fixed once the system is assembled."""
+        cached = self._denominators
+        if cached is None or cached[0] != dt:
+            cached = self._denominators = (dt, 1.0 + dt * self.theta_stiff,
+                                           1.0 + dt * self.phi_stiff)
+        return cached[1], cached[2]
+
 
 @dataclass
 class NonlinearTerms:
@@ -143,6 +166,7 @@ class NonlinearTerms:
     fphi: np.ndarray                # B-coefficients of beta-part + pi(phi) - ell(phi) theta
     phi_grid: Optional[np.ndarray]  # phi on the grid; None when nothing was collocated
     pi_grid: Optional[np.ndarray]   # pi(phi) on the grid when the split declares no gamma
+    pi_proj: Optional[np.ndarray] = None  # P(pi(phi)) = -gamma*phi when gamma is declared
 
 
 def _make_source_sampler(source, basis_a: SpectralBasis):
@@ -271,16 +295,24 @@ def project_data(system: DiscreteSystem) -> tuple[np.ndarray, np.ndarray]:
 def guard(values: np.ndarray, label: str, t: float | None = None) -> np.ndarray:
     """Return `values`, or raise OverflowGuardError when any entry is
     non-finite or exceeds OVERFLOW_LIMIT in magnitude; on a stacked (2-D)
-    array the message names the first offending row."""
+    array the message and the error's `row` name the first offending row.
+
+    One dot product accepts the common case (NaN and inf fail the
+    comparison); the exact peak decides and describes everything else.
+    np.vdot flattens its arguments, and an overflow of the sum gives inf
+    without a RuntimeWarning.
+    """
+    if np.vdot(values, values) <= _GUARD_SUM_SQ:
+        return values
     peak = np.abs(values).max(initial=0.0)
     if not peak <= OVERFLOW_LIMIT:  # NaN fails the comparison too
-        at = "" if t is None else f" at t={t:.6g}"
+        at, row = "" if t is None else f" at t={t:.6g}", None
         if np.ndim(values) == 2:
             peaks = np.abs(values).max(axis=1)
             row = int(np.argmax(~(peaks <= OVERFLOW_LIMIT)))
             at, peak = f"{at} in row {row}", peaks[row]
         raise OverflowGuardError(
-            f"{label} exceeded the overflow guard{at} (peak |value| {peak:.3e})")
+            f"{label} exceeded the overflow guard{at} (peak |value| {peak:.3e})", row)
     return values
 
 
@@ -303,7 +335,8 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
     nothing.  t only labels overflow-guard messages.
     """
     pot, coupling = system.potential, system.coupling
-    fphi = 0.0 if pot.gamma is None else -pot.gamma * phi
+    pi_proj = None if pot.gamma is None else -pot.gamma * phi
+    fphi = 0.0 if pi_proj is None else pi_proj
     if coupling.kind == "constant":
         if system.same_basis:
             fphi = fphi - coupling.value * theta
@@ -334,7 +367,7 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
     if parts:
         pointwise = guard(sum(parts[1:], parts[0]), "nonlinearity", t)
         fphi = fphi + analyze(system.basis_b, pointwise)
-    return NonlinearTerms(fphi=fphi, phi_grid=phi_grid, pi_grid=pi_grid)
+    return NonlinearTerms(fphi=fphi, phi_grid=phi_grid, pi_grid=pi_grid, pi_proj=pi_proj)
 
 
 def apply_coupling(system: DiscreteSystem, phi_grid: np.ndarray,

@@ -16,6 +16,7 @@ from it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,6 +26,12 @@ NEWTON_TOL = 1e-12          # acceptance threshold for the residual
 NEWTON_TARGET = 1e-15       # polish target; iteration stops on stagnation
 NEWTON_MAX_ITERS = 100
 BISECTION_MAX_ITERS = 200
+
+# `resolvent` accepts a solution outright when the sum of its squared
+# residuals is at most this.  The sum bounds every squared residual, and half
+# the smallest per-point bound (1e-6), squared, leaves room for the rounding
+# of the dot product
+_RESIDUAL_SUM_SQ = 0.5e-6 ** 2
 
 # Slack for "inside the obstacle" so that grid values clamped to +-1 do not
 # evaluate the indicator at +inf through rounding.
@@ -67,7 +74,7 @@ def _cubic_resolvent(eps: float, s: np.ndarray) -> np.ndarray:
     Hyperbolic Cardano form: x = a*sinh(asinh(3s/a)/3) with a = 2/sqrt(3 eps).
     Unlike the radical Cardano formula it does not cancel near s = 0.
     """
-    k = np.sqrt(3.0 * eps)
+    k = math.sqrt(3.0 * eps)
     x = (2.0 / k) * np.sinh(np.arcsinh(1.5 * k * s) / 3.0)
     return x - (x + eps * (x * x * x) - s) / (1.0 + 3.0 * eps * x * x)
 
@@ -263,7 +270,10 @@ def resolvent(pot: Potential, eps: float, s) -> np.ndarray | float:
     if eps <= 0.0:
         raise ValueError(f"resolvent level eps must be positive, got {eps}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.isfinite(s_arr).all():
+    # a finite sum of squares means finite entries; the exact test decides
+    # the rest (finite entries above ~1e154 overflow the sum, which np.vdot
+    # returns as inf without a warning)
+    if not math.isfinite(np.vdot(s_arr, s_arr)) and not np.isfinite(s_arr).all():
         raise ValueError("resolvent input must be finite")
     if pot.resolvent_closed_form is None:
         x, residual = _newton_resolvent(pot, eps, s_arr)
@@ -271,9 +281,10 @@ def resolvent(pot: Potential, eps: float, s) -> np.ndarray | float:
         x = pot.resolvent_closed_form(eps, s_arr)
         # the obstacle projection is exact and its beta is multivalued
         residual = None if pot.multivalued else \
-            np.abs(x + eps * np.asarray(pot.beta(x), dtype=float) - s_arr)
-    # the bound is at least 1e-6 everywhere, so most calls stop at the max
-    if residual is not None and not residual.max(initial=0.0) <= 1e-6:
+            x + eps * np.asarray(pot.beta(x), dtype=float) - s_arr
+    # one dot accepts most calls (NaN fails it); the per-point bound decides
+    if residual is not None and not np.vdot(residual, residual) <= _RESIDUAL_SUM_SQ:
+        residual = np.abs(residual)
         sanity = 1e-6 * (1.0 + np.abs(s_arr))
         if not (residual <= sanity).all():
             excess = np.where(np.isfinite(residual), residual - sanity, np.inf)

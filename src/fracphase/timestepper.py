@@ -31,13 +31,18 @@ SCHEMES = ("imex_euler", "implicit_prox")
 
 
 class BlowupError(RuntimeError):
-    """State exceeded the overflow guard; `integrate` attaches as `partial`
-    the output it would have returned, up to the last completed snapshot
-    (for a stacked run the batched output, which `partial.rows()` splits)."""
+    """State exceeded the overflow guard in step `step`, the one that ends at
+    simulated time `t`; `row` is the offending row of a stacked system (None
+    otherwise).  `integrate` attaches as `partial` the output it would have
+    returned, up to the last completed snapshot (for a stacked run the batched
+    output, which `partial.rows()` splits)."""
 
-    def __init__(self, message: str, partial: "RunOutput | None" = None):
+    def __init__(self, message: str, partial: "RunOutput | None" = None, *,
+                 step: int | None = None, t: float | None = None,
+                 row: int | None = None):
         super().__init__(message)
         self.partial = partial
+        self.step, self.t, self.row = step, t, row
 
 
 @dataclass
@@ -118,14 +123,16 @@ class RunOutput:
 class StepResult:
     """One step: the new state plus what the step computed on the way.
 
-    terms are the explicit nonlinear terms at the start state and source is
-    the sample g(t+dt) the step applied; the energy ledger reuses both.  The
-    proximal step also reports its multiplier and grid state.
+    terms are the explicit nonlinear terms at the start state, source is
+    the sample g(t+dt) the step applied and dphi the phase increment the
+    coupling received; the energy ledger reuses all three.  The proximal step
+    also reports its multiplier and grid state.
     """
 
     state: State
     terms: NonlinearTerms
     source: np.ndarray
+    dphi: np.ndarray
     xi_grid: Optional[np.ndarray] = None
     phi_grid: Optional[np.ndarray] = None
 
@@ -137,14 +144,17 @@ def step_imex(system: DiscreteSystem, state: State, dt: float) -> StepResult:
     Theta+ = (I + dt Lambda)^(-1) (Theta - E (Phi+ - Phi) + dt g(t+dt)).
     """
     t_new = state.t + dt
+    theta_denom, phi_denom = system.step_denominators(dt)
     terms = eval_nonlinearity(system, state.theta, state.phi, t=state.t)
-    phi_new = guard((state.phi - dt * terms.fphi) / (1.0 + dt * system.phi_stiff),
-                    "phi coefficients", t_new)
-    coupled = apply_coupling(system, terms.phi_grid, phi_new - state.phi)
+    phi_new = guard((state.phi - dt * terms.fphi) / phi_denom, "phi coefficients", t_new)
+    dphi = phi_new - state.phi
+    coupled = apply_coupling(system, terms.phi_grid, dphi)
     g = system.source_at(t_new)
-    theta_new = guard((state.theta - coupled + dt * g) / (1.0 + dt * system.theta_stiff),
+    # + dt*g stays for a zero source too: it turns a -0.0 of theta - coupled
+    # into the +0.0 the recorded series hold
+    theta_new = guard((state.theta - coupled + dt * g) / theta_denom,
                       "theta coefficients", t_new)
-    return StepResult(State(t_new, theta_new, phi_new), terms, g)
+    return StepResult(State(t_new, theta_new, phi_new), terms, g, dphi)
 
 
 def step_implicit_prox(system: DiscreteSystem, state: State, dt: float) -> StepResult:
@@ -165,18 +175,21 @@ def step_implicit_prox(system: DiscreteSystem, state: State, dt: float) -> StepR
     """
     pot, eps = system.potential, system.eps
     t_new = state.t + dt
+    theta_denom, phi_denom = system.step_denominators(dt)
     terms = eval_nonlinearity(system, state.theta, state.phi, include_beta=False,
                               t=state.t)
-    phi_mid = (state.phi - dt * terms.fphi) / (1.0 + dt * system.phi_stiff)
+    phi_mid = (state.phi - dt * terms.fphi) / phi_denom
     intermediate = guard(synthesize(system.basis_b, phi_mid), "phase grid", t_new)
     phi_grid = np.asarray(prox_step(pot, eps, dt, intermediate))
     xi_grid = (intermediate - phi_grid) / dt
     phi_next = guard(analyze(system.basis_b, phi_grid), "phi coefficients", t_new)
-    coupled = apply_coupling(system, terms.phi_grid, phi_next - state.phi)
+    dphi = phi_next - state.phi
+    coupled = apply_coupling(system, terms.phi_grid, dphi)
     g = system.source_at(t_new)
-    theta_next = guard((state.theta - coupled + dt * g) / (1.0 + dt * system.theta_stiff),
+    theta_next = guard((state.theta - coupled + dt * g) / theta_denom,
                        "theta coefficients", t_new)
-    return StepResult(State(t_new, theta_next, phi_next), terms, g, xi_grid, phi_grid)
+    return StepResult(State(t_new, theta_next, phi_next), terms, g, dphi, xi_grid,
+                      phi_grid)
 
 
 class _LedgerAccumulator:
@@ -184,9 +197,10 @@ class _LedgerAccumulator:
 
     Dissipation and work integrals use the left-endpoint rule with forward
     difference quotients, which matches the Euler consistency order; the
-    source work uses the implicit sample g(t+dt) that the scheme applies.
-    Every grid quantity comes from the step's own terms, so the ledger does
-    no transform of its own (one analysis when pi has no declared slope).
+    source work uses the implicit sample g(t+dt) that the scheme applies
+    and stays exactly 0.0 without a source.  The increment and every modal or
+    grid quantity come from the step's own terms, so the ledger does no
+    transform of its own (one analysis when pi has no declared slope).
     The accumulators are scalars, or one entry per row of a stacked system.
     """
 
@@ -199,18 +213,14 @@ class _LedgerAccumulator:
 
     def accumulate(self, state: State, step: StepResult, dt: float) -> np.ndarray:
         """Add one step's terms; returns |dphi|^2, which the caller reuses."""
-        sysm = self.system
-        new_state = step.state
-        dphi = new_state.phi - state.phi
+        sysm, dphi = self.system, step.dphi
         dphi_sq = np.vecdot(dphi, dphi)
         self.diss_theta += dt * np.vecdot(sysm.theta_stiff * state.theta, state.theta)
         self.diss_phi += dphi_sq / dt
-        self.work_source += dt * np.vecdot(step.source, new_state.theta)
-        gamma = sysm.potential.gamma
-        if gamma is not None:
-            # pi(v) = -gamma*v, so its projection is -gamma*phi exactly
-            pi_proj = -gamma * state.phi
-        else:
+        if sysm.source_coeffs is not None:
+            self.work_source += dt * np.vecdot(step.source, step.state.theta)
+        pi_proj = step.terms.pi_proj
+        if pi_proj is None:
             pi_proj = analyze(sysm.basis_b, step.terms.pi_grid)
         self.work_phi += np.vecdot(state.phi - pi_proj, dphi)
         return dphi_sq
@@ -295,9 +305,9 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
 
     Snapshots land every `snapshot_stride` steps plus always at t = 0 and the
     final time.  A stacked system returns one output whose arrays carry its
-    row axis (`RunOutput.rows` splits it).  On an overflow guard trip the
-    output up to the last completed snapshot is attached to the raised
-    BlowupError.
+    row axis (`RunOutput.rows` splits it).  An overflow guard trip raises
+    BlowupError with the step, its end time, the offending row and the
+    output up to the last completed snapshot.
     """
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
@@ -323,12 +333,14 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
             step = step_fn(system, state, dt)
             new_state = step.state
             new_state.t = k * dt  # avoid accumulated drift in snapshot times
-            dtphi = np.sqrt(ledger.accumulate(state, step, dt)) / dt
+            dphi_sq = ledger.accumulate(state, step, dt)
             state = new_state
             if k % snapshot_stride == 0 or k == n_steps:
-                snaps.record(state, dtphi, ledger, step.xi_grid, step.phi_grid)
+                snaps.record(state, np.sqrt(dphi_sq) / dt, ledger, step.xi_grid,
+                             step.phi_grid)
     except OverflowGuardError as exc:
-        raise BlowupError(str(exc), _finalize(snaps)) from None
+        raise BlowupError(str(exc), _finalize(snaps), step=k, t=k * dt,
+                          row=exc.row) from None
     return _finalize(snaps)
 
 

@@ -13,6 +13,7 @@ from fracphase.config import (ConfigError, apply_overrides, load_raw_config,
                               validate_config)
 from fracphase.timestepper import BlowupError
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SMOKE = {
     "geometry": {
         "a": {"kind": "interval_neumann", "extent": 1.0, "n_modes": 6, "m_grid": 48},
@@ -156,6 +157,9 @@ class TestExitCodes:
             assert manifest["status"] == "failed"
             assert manifest["failure"]["stage"] == "solver"
             assert manifest["failure"]["exception"] == "BlowupError"
+            # the third step, the one from t = 20 to 30, trips the guard
+            assert (manifest["failure"]["step"], manifest["failure"]["t"],
+                    manifest["failure"]["row"]) == (3, 30.0, None)
             assert (out / "timeseries.csv").exists()
 
     def test_relaxlimit_solver_failure(self, tmp_path, monkeypatch):
@@ -309,6 +313,24 @@ class TestManifestStatus:
         assert code == EXIT_CONFIG
         assert manifest["failure"]["stage"] == "validation"
         assert "study.contdep.mode_index" in manifest["failure"]["message"]
+
+    @pytest.mark.parametrize("command,config,override", [
+        ("longtime", "longtime.json", "study.longtime.tail_fraction=abc"),
+        ("longtime", "longtime.json", "study.longtime.tail_fraction=-1"),
+        ("contdep", "smoke.json", "study.contdep.max_ratio_spread=abc"),
+        ("converge", "smoke.json", "study.converge.n_shared_snapshots=0"),
+        ("opcheck", "relaxlimit.json", "study.opcheck.vector.index=999"),
+        ("opcheck", "relaxlimit.json", "study.opcheck.vector.amplitude=abc"),
+        ("contdep", "smoke.json", "study.contdep.deltas=abc"),
+        ("relaxlimit", "relaxlimit.json", 'study.relaxlimit.sigmas="51"')])
+    def test_bad_study_key_is_a_config_error(self, tmp_path, command, config, override):
+        out = tmp_path / "o"
+        code = main([command, "--config", os.path.join(CONFIGS, config),
+                     "--override", override, "--out", str(out), "--quiet"])
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert code == EXIT_CONFIG
+        assert failure["stage"] == "validation"
+        assert override.partition("=")[0] in failure["message"]
 
     @pytest.mark.parametrize("command,override,key", [
         ("simulate", "scheme.t_final=0.1005", "scheme.t_final"),

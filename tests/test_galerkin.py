@@ -2,12 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import gauss_legendre_gram
 from fracphase.expressions import build_source
-from fracphase.galerkin import (Coupling, ProblemData, ValidationError,
-                                apply_coupling, assemble, eval_nonlinearity,
-                                project_data)
+from fracphase.galerkin import (OVERFLOW_LIMIT, Coupling, OverflowGuardError,
+                                ProblemData, ValidationError, apply_coupling,
+                                assemble, eval_nonlinearity, guard, project_data)
 from fracphase.potentials import (double_obstacle_potential, regular_potential,
                                   yosida, zero_potential)
 from fracphase.spectral import (analyze, build_basis, build_interval_basis,
@@ -131,7 +134,6 @@ class TestEvalNonlinearity:
     def test_overflow_guard(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(0.0))
         huge = np.full(8, 1e13)
-        from fracphase.galerkin import OverflowGuardError
         with pytest.raises(OverflowGuardError):
             eval_nonlinearity(system, np.zeros(8), huge)
 
@@ -208,3 +210,40 @@ class TestSourceSampling:
         # phi = eta_0 = 1 on (0, 1): F = (beta_0.1(1) - gamma) eta_0
         expected = (yosida(system.potential, 0.1, 1.0) - system.potential.gamma) * phi
         assert np.max(np.abs(terms.fphi - expected)) <= 1e-14
+
+
+def exact_guard(values, label, t):
+    """The exact peak reduction `guard` accepts on one dot product in front of:
+    (message, row) of the error it raises, None when it accepts."""
+    peak = np.abs(values).max(initial=0.0)
+    if peak <= OVERFLOW_LIMIT:
+        return None
+    at, row = "" if t is None else f" at t={t:.6g}", None
+    if values.ndim == 2:
+        peaks = np.abs(values).max(axis=1)
+        row = int(np.argmax(~(peaks <= OVERFLOW_LIMIT)))
+        at, peak = f"{at} in row {row}", peaks[row]
+    return f"{label} exceeded the overflow guard{at} (peak |value| {peak:.3e})", row
+
+
+# values just either side of the limit, non-finite values, and 0.6e12, which
+# lies between OVERFLOW_LIMIT/2 and the limit: the dot test hands it to the
+# exact peak, which accepts it
+GUARD_EDGES = [0.0, np.inf, -np.inf, np.nan, 0.6e12,
+               1e12 * (1 + 2**-52), -1e12 * (1 + 2**-52),
+               1e12 * (1 - 2**-52), -1e12 * (1 - 2**-52)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=8),
+                     elements=st.one_of(st.sampled_from(GUARD_EDGES),
+                                        st.floats(-2e12, 2e12), st.floats())),
+       t=st.one_of(st.none(), st.floats(0.0, 1e3)))
+def test_guard_fast_path_matches_exact_peak(values, t):
+    expected = exact_guard(values, "field", t)
+    if expected is None:
+        assert guard(values, "field", t) is values
+    else:
+        with pytest.raises(OverflowGuardError) as info:
+            guard(values, "field", t)
+        assert (str(info.value), info.value.row) == expected

@@ -273,3 +273,60 @@ def test_zero_potential_is_inert():
     assert resolvent(pot, 0.5, 1.23) == 1.23
     assert yosida(pot, 0.5, -4.0) == 0.0
     assert moreau(pot, 0.5, 2.0) == 0.0
+
+
+# finite entries of 1e200 overflow the dot product of the fast finiteness test
+FINITENESS_EDGES = [0.0, 1.0, 1e200, -1e200, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.lists(st.sampled_from(FINITENESS_EDGES), min_size=1, max_size=8),
+       stacked=st.booleans())
+def test_resolvent_finiteness_fast_path_matches_exact(s, stacked):
+    s = np.asarray(s * 2).reshape(2, -1) if stacked else np.asarray(s)
+    if np.isfinite(s).all():
+        assert np.isfinite(resolvent(regular_potential(), 0.01, s)).all()
+    else:
+        with pytest.raises(ValueError, match="resolvent input must be finite"):
+            resolvent(regular_potential(), 0.01, s)
+
+
+# beta(s) = s, whose resolvent s/(1+eps) the closed forms below perturb
+LINEAR = custom_potential(lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
+                          lambda s: np.asarray(s, dtype=float))
+
+
+def exact_residual_message(pot, eps, s):
+    """The per-point residual check `resolvent` accepts on one dot product in
+    front of: the message of the error it raises, None when it accepts."""
+    x = pot.resolvent_closed_form(eps, s)
+    residual = np.abs(x + eps * np.asarray(pot.beta(x), dtype=float) - s)
+    sanity = 1e-6 * (1.0 + np.abs(s))
+    if (residual <= sanity).all():
+        return None
+    excess = np.where(np.isfinite(residual), residual - sanity, np.inf)
+    worst = int(np.argmax(excess))
+    return (f"resolvent failed for kind={pot.kind}, eps={eps}: residual "
+            f"{residual.flat[worst]:.3e} at s={s.flat[worst]!r}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12),
+       eps=st.floats(1e-3, 1.0), data=st.data())
+def test_residual_check_fast_path_matches_exact(s, eps, data):
+    s = np.asarray(s)
+    # off by 1e-5 at one point, plus small errors that pass one at a time but
+    # may push the sum of squares past the fast test
+    where = data.draw(st.integers(0, s.size - 1))
+    offsets = np.asarray(data.draw(st.lists(st.sampled_from([0.0, 4e-7, 6e-7, -6e-7]),
+                                            min_size=s.size, max_size=s.size)))
+    offsets[where] = data.draw(st.sampled_from([1e-5, -1e-5, 0.0]))
+    wrong = dataclasses.replace(
+        LINEAR, resolvent_closed_form=lambda eps, s: s / (1.0 + eps) + offsets)
+    expected = exact_residual_message(wrong, eps, s)
+    if expected is None:
+        assert np.array_equal(resolvent(wrong, eps, s), s / (1.0 + eps) + offsets)
+    else:
+        with pytest.raises(ResolventError) as info:
+            resolvent(wrong, eps, s)
+        assert str(info.value) == expected

@@ -321,3 +321,23 @@ def test_acceptance_scale_gram():
     for kind in ("neumann", "dirichlet"):
         b = build_interval_basis(kind, 1.0, 64, 512)
         assert gram_defect(b) <= 1e-10
+
+
+# finite entries of 1e200 overflow the dot product of the fast finiteness test
+FINITENESS_EDGES = [1.0, 1e200, -1e200, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(FINITENESS_EDGES)),
+                        max_size=6),
+       rows=st.sampled_from([None, 2]))
+def test_analyze_finiteness_fast_path_matches_exact(entries, rows):
+    basis = build_interval_basis("neumann", 1.0, 8, 64)
+    grid = np.zeros(64 if rows is None else (rows, 64))
+    for k, value in entries:
+        grid.flat[k] = value
+    if np.isfinite(grid).all():
+        assert analyze(basis, grid).shape == grid.shape[:-1] + (8,)
+    else:
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            analyze(basis, grid)

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import fracphase.galerkin
 import fracphase.timestepper
 from conftest import smoke_data, smoke_run
+from fracphase.config import build_system, load_raw_config, validate_config
 from fracphase.expressions import build_source
 from fracphase.galerkin import (Coupling, DiscreteSystem, ProblemData, assemble,
                                 project_data, stack_systems)
@@ -133,6 +135,21 @@ class TestIntegrate:
         system = linear_system(neumann8)
         with pytest.raises(ValueError, match="integer number of steps"):
             integrate(system, SchemeConfig("imex_euler", dt=3e-3), 0.01)
+
+    def test_zero_source_records_positive_zeros(self):
+        # theta - coupled can round to -0.0; adding dt*g of a zero source
+        # turns it into +0.0, which is what the snapshots must hold.  The
+        # shipped long-time system reaches exact zeros only from t = 21 on.
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "longtime.json")
+        cfg = validate_config(load_raw_config(path))
+        system, *_ = build_system(cfg)
+        assert system.source_coeffs is None
+        run = integrate(system, cfg.scheme, 22.0, cfg.snapshot_stride)
+        zeros = run.theta_series == 0.0
+        assert zeros.sum() == 5
+        assert run.times[np.nonzero(zeros)[0][0]] == 21.0
+        assert not np.signbit(run.theta_series[zeros]).any()
 
     def test_blowup_keeps_partial_output(self, neumann8):
         data = ProblemData(theta0=None, phi0=lambda x: np.full_like(x, 3.0),
@@ -387,6 +404,7 @@ class TestStackedSystems:
         system = stack_systems([row(0.0), row(3.0), row(0.0)])
         with pytest.raises(BlowupError, match="in row 1") as info:
             integrate(system, SchemeConfig("imex_euler", dt=10.0), 100.0)
+        assert (info.value.step, info.value.t, info.value.row) == (3, 30.0, 1)
         partial = info.value.partial.rows()
         assert len(partial) == 3
         for out in partial:
