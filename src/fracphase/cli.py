@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -33,7 +32,7 @@ from .analysis import (contdep_report, convergence_study, hpqo_probe,
                        sigma_zero_operator_check)
 from .config import (ConfigError, RunConfig, apply_overrides, build_bases,
                      build_potential, build_problem_data, build_system,
-                     load_raw_config, validate_config)
+                     load_raw_config, read_study, validate_config)
 from .expressions import ExpressionError
 from .galerkin import (OverflowGuardError, ProblemData, ValidationError, assemble,
                        stack_systems)
@@ -43,7 +42,7 @@ from .potentials import (ResolventError, double_obstacle_potential,
 from .spectral import (BasisBuildError, build_basis, build_interval_basis,
                        gram_defect, kernel_projection, fractional_multipliers,
                        synthesize)
-from .timestepper import BlowupError, RunOutput, SchemeConfig, integrate, step_count
+from .timestepper import BlowupError, RunOutput, SchemeConfig, integrate
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -151,7 +150,7 @@ class _ManifestWriter:
             "version": __version__,
             "command": command,
             "config": raw_config,
-            "config_hash": config_hash(raw_config),
+            "config_hash": None if raw_config is None else config_hash(raw_config),
             "status": "ok",
             "checks": {},
             "advisories": [],
@@ -198,32 +197,6 @@ class _ManifestWriter:
 # subcommands
 
 
-def _real(value) -> bool:
-    """A finite JSON number (bools and numeric strings are not)."""
-    return type(value) in (int, float) and abs(value) < math.inf
-
-
-_POSITIVE = ("a positive number", lambda v: _real(v) and v > 0.0)
-_COUNT = ("a positive integer", lambda v: type(v) is int and v >= 1)
-_POSITIVE_LIST = ("a nonempty list of positive numbers",
-                  lambda v: type(v) is list and len(v) > 0 and all(map(_POSITIVE[1], v)))
-
-
-def _index_below(n: int) -> tuple:
-    return f"an integer in [0, {n})", lambda v: type(v) is int and 0 <= v < n
-
-
-def _study_key(section: dict, key: str, default, rule: tuple):
-    """The entry of `section` named by the last part of the dotted `key`
-    (default when absent); a ConfigError naming `key` unless it obeys `rule`,
-    a (description, predicate) pair."""
-    value = section.get(key.rpartition(".")[2], default)
-    expected, valid = rule
-    if not valid(value):
-        raise ConfigError([(key, f"must be {expected}, got {value!r}")])
-    return value
-
-
 def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter,
                        out_dir: str) -> tuple:
     """Assemble and march the config's system and write its run outputs.
@@ -231,7 +204,7 @@ def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter,
     On a BlowupError the partial outputs are written before the error
     propagates; `main` records the solver failure.
     """
-    system, *_ = build_system(cfg)
+    system = build_system(cfg)
     manifest.payload["advisories"].extend(system.advisories)
     try:
         run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
@@ -251,26 +224,11 @@ def _cmd_simulate(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
 
 
 def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    study = cfg.study.get("converge", {})
-    axis = study.get("axis", "dt")
-    if axis not in ("n_modes", "eps", "dt", "sigma"):
-        raise ConfigError([("study.converge.axis", f"unknown axis {axis!r}")])
-    values = study.get("values")
-    if not values:
-        raise ConfigError([("study.converge.values", "at least two values required")])
-    if axis == "n_modes" and not all(isinstance(v, int) and v >= 1 for v in values):
-        raise ConfigError([("study.converge.values",
-                            f"n_modes values must be positive integers, got {values!r}")])
-
+    study = read_study(cfg, "converge")
+    axis, values = study["axis"], study["values"]
     basis_a, basis_b = build_bases(cfg)
     potential = build_potential(cfg)
     data = build_problem_data(cfg, basis_a, basis_b)
-
-    # snapshots land on multiples of a shared interval so trajectories from
-    # different dt levels can be compared pointwise in time
-    n_shared = _study_key(study, "study.converge.n_shared_snapshots", 50, _COUNT)
-    coarsest = max(float(v) for v in values) if axis == "dt" else cfg.scheme.dt
-    snap_interval = coarsest * max(1, int(round(cfg.t_final / coarsest / n_shared)))
 
     def make_system(value):
         ba, bb, level_data, eps = basis_a, basis_b, data, cfg.eps
@@ -286,26 +244,17 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
             sigma = float(value)
         return assemble(level_data, ba, bb, r, sigma, eps, potential)
 
-    def march(system, dt):
-        stride = max(1, int(round(snap_interval / dt)))
-        if abs(stride * dt - snap_interval) > 1e-9 * snap_interval:
-            raise ConfigError([("study.converge.values",
-                                f"dt={dt} does not divide the snapshot interval "
-                                f"{snap_interval}; use nested dt values")])
-        try:
-            step_count(cfg.t_final, dt)
-        except ValueError as exc:
-            raise ConfigError([("study.converge.values", str(exc))]) from None
+    def march(system, dt, stride):
         scheme = SchemeConfig(cfg.scheme.scheme, dt=dt)
         return integrate(system, scheme, cfg.t_final, stride).rows()
 
     systems = [make_system(v) for v in values]
     if axis == "sigma":
         # the potentials branch on a scalar eps, so only sigma levels share a batch
-        runs = march(stack_systems(systems), cfg.scheme.dt)
+        runs = march(stack_systems(systems), *study["levels"][0])
     else:
-        runs = [run for system, value in zip(systems, values)
-                for run in march(system, float(value) if axis == "dt" else cfg.scheme.dt)]
+        runs = [run for system, level in zip(systems, study["levels"])
+                for run in march(system, *level)]
     errors = convergence_study(list(zip(systems, runs)))
 
     rows = []
@@ -325,18 +274,12 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
 
 
 def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    study = cfg.study.get("contdep", {})
-    deltas = _study_key(study, "study.contdep.deltas", [1e-1, 1e-2, 1e-3, 1e-4],
-                        ("a nonempty list of numbers",
-                         lambda v: type(v) is list and len(v) > 0 and all(map(_real, v))))
-    spread_tol = _study_key(study, "study.contdep.max_ratio_spread", 0.2, _POSITIVE)
-
+    study = read_study(cfg, "contdep")
+    deltas = study["deltas"]
     basis_a, basis_b = build_bases(cfg)
-    mode_index = _study_key(study, "study.contdep.mode_index", 1,
-                            _index_below(basis_a.n_modes))
     potential = build_potential(cfg)
     base = build_problem_data(cfg, basis_a, basis_b)
-    mode = synthesize(basis_a, np.eye(basis_a.n_modes)[mode_index])
+    mode = synthesize(basis_a, np.eye(basis_a.n_modes)[study["mode_index"]])
 
     def system(data: ProblemData):
         return assemble(data, basis_a, basis_b, cfg.operator_a.exponent,
@@ -361,26 +304,22 @@ def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str
     finite = bool(np.all(np.isfinite(ratios)))
     spread = float(ratios.max() / ratios.min() - 1.0) if finite and ratios.min() > 0 else np.inf
     manifest.check("ratio_finite", finite)
-    manifest.check("ratio_stable", spread < spread_tol,
+    manifest.check("ratio_stable", spread < study["max_ratio_spread"],
                    {"spread": spread, "ratios": ratios.tolist()})
     return f"contdep: ratios {ratios}, spread {spread:.3%}"
 
 
 def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    study = cfg.study.get("longtime", {})
-    tail_fraction = _study_key(study, "study.longtime.tail_fraction", 0.1,
-                               ("a number in (0, 1]", lambda v: _real(v) and 0.0 < v <= 1.0))
-    tail_threshold = _study_key(study, "study.longtime.tail_threshold", 1e-6, _POSITIVE)
-    stat_threshold = _study_key(study, "study.longtime.stationary_threshold", 1e-5,
-                                _POSITIVE)
-
+    study = read_study(cfg, "longtime")
+    tail_threshold = study["tail_threshold"]
     system, run = _simulate_and_emit(cfg, manifest, out_dir)
-    report = omega_limit_probe(system, run, tail_fraction)
+    report = omega_limit_probe(system, run, study["tail_fraction"])
     manifest.check("tail_ar_theta", report.tail_sup_ar_theta <= tail_threshold,
                    {"value": report.tail_sup_ar_theta})
     manifest.check("tail_dtphi", report.tail_sup_dtphi <= tail_threshold,
                    {"value": report.tail_sup_dtphi})
-    manifest.check("stationary_residual", report.stationary_residual <= stat_threshold,
+    manifest.check("stationary_residual",
+                   report.stationary_residual <= study["stationary_threshold"],
                    {"value": report.stationary_residual})
     manifest.check("theta_on_kernel",
                    report.final_nonkernel_theta <= tail_threshold,
@@ -392,10 +331,7 @@ def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
 
 
 def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    study = cfg.study.get("relaxlimit", {})
-    sigmas = _study_key(study, "study.relaxlimit.sigmas", [0.5, 0.25, 0.1, 0.05],
-                        _POSITIVE_LIST)
-
+    sigmas = read_study(cfg, "relaxlimit")["sigmas"]
     basis_a, basis_b = build_bases(cfg)
     potential = build_potential(cfg)
     data = build_problem_data(cfg, basis_a, basis_b)
@@ -416,21 +352,17 @@ def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> 
 
 
 def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    study = cfg.study.get("opcheck", {})
-    sigmas = [float(s) for s in _study_key(study, "study.opcheck.sigmas",
-                                           [0.2, 0.1, 0.05, 0.01], _POSITIVE_LIST)]
+    study = read_study(cfg, "opcheck")
+    sigmas = [float(s) for s in study["sigmas"]]
     _, basis_b = build_bases(cfg)
     rng = np.random.default_rng(cfg.seed)
-    vec_spec = study.get("vector")
-    if vec_spec is None:
+    if study["vector"] is None:
         coeffs = rng.standard_normal(basis_b.n_modes)
         coeffs /= 1.0 + basis_b.eigenvalues  # smooth test vector
     else:
         coeffs = np.zeros(basis_b.n_modes)
-        index = _study_key(vec_spec, "study.opcheck.vector.index", 1,
-                           _index_below(basis_b.n_modes))
-        coeffs[index] = _study_key(vec_spec, "study.opcheck.vector.amplitude", 1.0,
-                                   ("a number", _real))
+        index, amplitude = study["vector"]
+        coeffs[index] = amplitude
 
     chk = sigma_zero_operator_check(basis_b, coeffs, sigmas)
     rows = [[_fmt(s), _fmt(d), _fmt(c)]
@@ -442,11 +374,9 @@ def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str
     decreasing = bool(np.all(np.diff(chk["direct"]) < 0.0)) if len(sigmas) > 1 else True
     manifest.check("errors_decreasing", decreasing, {"errors": chk["direct"].tolist()})
 
-    if study.get("hpqo", {}).get("enable", False):
-        hp = study["hpqo"]
+    if study["hpqo_vectors"] is not None:
         pot = build_potential(cfg)
-        n_vectors = _study_key(hp, "study.opcheck.hpqo.n_vectors", 5, _COUNT)
-        vectors = rng.standard_normal((n_vectors, basis_b.n_modes))
+        vectors = rng.standard_normal((study["hpqo_vectors"], basis_b.n_modes))
         vectors /= (1.0 + basis_b.eigenvalues)
         eps = cfg.eps if cfg.eps > 0 else 1e-2
         rep = hpqo_probe(basis_b, cfg.operator_b.exponent, pot, eps, vectors)
@@ -583,9 +513,9 @@ def main(argv=None) -> int:
         cfg = validate_config(raw)
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        if raw is not None and args.out:
-            # the config was read and --out names the run directory: record
-            # the rejection there
+        if args.out:
+            # --out names the run directory: record the rejection there, with
+            # the config when it was read
             manifest = _ManifestWriter(args.out, args.command, raw)
             manifest.fail("validation", str(exc), exc)
             return _write_manifest(manifest, EXIT_CONFIG)

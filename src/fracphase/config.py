@@ -1,22 +1,28 @@
 """Run configuration: parsing, validation, and problem construction.
 
 Configs are JSON files with nested sections (geometry, exponents, potential,
-coupling, data, scheme, study, output).  Validation is collected per key so a
-broken config reports every offending field with the violated constraint.
+coupling, data, scheme, study, output).  One reader checks every key against
+one rule vocabulary and collects the problems, so a broken config reports
+every offending key with the violated rule at once: `validate_config` reads
+the shared keys, and `read_study` the `study.<command>` section of the
+command that runs.
 """
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import expressions
+from .expressions import is_number
 from .galerkin import Coupling, ProblemData, assemble
-from .potentials import Potential, by_name
-from .spectral import BASIS_KINDS, SpectralBasis, build_basis, min_grid_nodes
+from .potentials import (Potential, double_obstacle_potential, logarithmic_potential,
+                         regular_potential, zero_potential)
+from .spectral import BASIS_KINDS, RECT_KINDS, SpectralBasis, build_basis, min_grid_nodes
 from .timestepper import SCHEMES, SchemeConfig, step_count
 
 
@@ -27,6 +33,83 @@ class ConfigError(Exception):
         self.problems = list(problems)
         lines = "; ".join(f"{key}: {msg}" for key, msg in self.problems)
         super().__init__(f"invalid configuration: {lines}")
+
+
+# rules are (description, predicate) pairs; a number is `is_number`
+NUMBER = ("a finite number", is_number)
+POSITIVE = ("a positive number", lambda v: is_number(v) and v > 0)
+NONNEGATIVE = ("a number >= 0", lambda v: is_number(v) and v >= 0)
+COUNT = ("a positive integer", lambda v: type(v) is int and is_number(v) and v >= 1)
+BOOLEAN = ("true or false", lambda v: type(v) is bool)
+STRING = ("a string", lambda v: type(v) is str)
+OBJECT = ("an object", lambda v: type(v) is dict)
+
+
+def index_below(n: int) -> tuple:
+    return f"an integer in [0, {n})", lambda v: type(v) is int and 0 <= v < n
+
+
+def one_of(*choices: str) -> tuple:
+    return f"one of {choices}", lambda v: type(v) is str and v in choices
+
+
+def list_of(rule: tuple, at_least: int = 0) -> tuple:
+    description, valid = rule
+    count = f" of at least {at_least} entries" if at_least else ""
+    return (f"a list{count}, each entry {description}",
+            lambda v: type(v) is list and len(v) >= at_least and all(map(valid, v)))
+
+
+_REQUIRED = object()
+
+
+class _Reader:
+    """Reads dotted keys of a raw config, collecting every broken rule."""
+
+    def __init__(self, raw: dict):
+        self.problems: list[tuple[str, str]] = []
+        self._sections = {"": raw}
+
+    def _section(self, path: str) -> dict | None:
+        """The object at dotted `path` ({} when absent), or None once a
+        section on the path is not an object; each path is walked once."""
+        node = self._sections.get(path, False)
+        if node is False:
+            parent, _, name = path.rpartition(".")
+            node = self._section(parent)
+            if node is not None:
+                node = node.get(name, {})
+                if type(node) is not dict:
+                    node = self.problem(path, OBJECT, node)
+            self._sections[path] = node
+        return node
+
+    def get(self, key: str, rule: tuple, default=_REQUIRED):
+        """The value at dotted `key` (`default` when absent), or None after
+        recording a problem when it breaks `rule` or a section on its path is
+        not an object.  A key whose default is None may also be null."""
+        path, _, name = key.rpartition(".")
+        node = self._sections.get(path, False)
+        if node is False:
+            node = self._section(path)
+        if node is None:
+            return None
+        value = node.get(name, default)
+        if value is None and default is None:
+            return None
+        if value is _REQUIRED:
+            return self.problem(key, rule, None)
+        return value if rule[1](value) else self.problem(key, rule, value)
+
+    def problem(self, key: str, rule: tuple, value) -> None:
+        """Record, once, that `value` at `key` breaks `rule`."""
+        problem = (key, f"must be {rule[0]}, got {value!r}")
+        if problem not in self.problems:
+            self.problems.append(problem)
+
+    def done(self) -> None:
+        if self.problems:
+            raise ConfigError(self.problems)
 
 
 @dataclass
@@ -52,7 +135,6 @@ class RunConfig:
     scheme: SchemeConfig
     t_final: float
     snapshot_stride: int
-    study: dict
     out_dir: Optional[str]
     grid_times: tuple[float, ...]
     seed: int
@@ -85,123 +167,101 @@ def load_raw_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
-        raise ConfigError([("<root>", "config must be a JSON object")])
+        raise ConfigError([("<root>", f"config must be a JSON object, got {raw!r}")])
     # manifests embed the config they ran with; accept them directly
     if "config" in raw and "geometry" not in raw:
         raw = raw["config"]
+        if not isinstance(raw, dict):
+            raise ConfigError([("config", f"must be an object, got {raw!r}")])
     return raw
 
 
-def _operator_spec(section: dict, label: str, exponent_key: str,
-                   exponent: float, problems: list) -> OperatorSpec | None:
-    kind = section.get("kind")
-    if kind not in BASIS_KINDS:
-        problems.append((f"geometry.{label}.kind",
-                         f"must be one of {BASIS_KINDS}, got {kind!r}"))
+def _axes(extent) -> list:
+    return extent if type(extent) is list else [extent]
+
+
+# an interval takes L or [L], a rectangle [Lx, Ly]
+_EXTENT = {1: ("a positive number or a list of one",
+               lambda v: POSITIVE[1](v[0] if type(v) is list and len(v) == 1 else v)),
+           2: ("a list of two positive numbers",
+               lambda v: type(v) is list and len(v) == 2 and all(map(POSITIVE[1], v)))}
+_BASIS_KIND = one_of(*BASIS_KINDS)
+_POTENTIAL_KIND = one_of("regular", "logarithmic", "double_obstacle", "none")
+_COUPLING_KIND = one_of("constant", "function")
+_SCHEME = one_of(*SCHEMES)
+
+
+def _operator_spec(r: _Reader, label: str, exponent_key: str) -> OperatorSpec | None:
+    key = f"geometry.{label}"
+    kind = r.get(f"{key}.kind", _BASIS_KIND)
+    ext = None
+    if kind is not None:
+        extent = r.get(f"{key}.extent", _EXTENT[2 if kind in RECT_KINDS else 1])
+        ext = None if extent is None else tuple(map(float, _axes(extent)))
+    n_modes = r.get(f"{key}.n_modes", COUNT)
+    m_grid = r.get(f"{key}.m_grid", COUNT, None)
+    if None not in (ext, n_modes, m_grid):
+        need = min_grid_nodes(kind, ext, n_modes)
+        if m_grid < need:
+            r.problems.append((f"{key}.m_grid",
+                               f"must be an integer >= {need}, four times the 1-D modes "
+                               f"per axis, got {m_grid!r}"))
+    exponent = r.get(exponent_key, POSITIVE, 0.5)
+    if None in (ext, n_modes, exponent):
         return None
-    extent = section.get("extent")
-    ext = tuple(np.atleast_1d(np.asarray(extent, dtype=float)).tolist()) if extent is not None else ()
-    want = 2 if kind.startswith("rect") else 1
-    extent_ok = len(ext) == want and all(e > 0 for e in ext)
-    if not extent_ok:
-        problems.append((f"geometry.{label}.extent",
-                         f"needs {want} positive value(s), got {extent!r}"))
-    n_modes = section.get("n_modes")
-    if not isinstance(n_modes, int) or n_modes < 1:
-        problems.append((f"geometry.{label}.n_modes", f"must be a positive integer, got {n_modes!r}"))
-        n_modes = 1
-    m_grid = section.get("m_grid")
-    need = min_grid_nodes(kind, ext, n_modes) if extent_ok else 0
-    if m_grid is not None and (not isinstance(m_grid, int) or m_grid < need):
-        problems.append((f"geometry.{label}.m_grid",
-                         f"must be an integer >= {need}, four times the 1-D modes "
-                         f"per axis, got {m_grid!r}"))
-    if not (isinstance(exponent, (int, float)) and exponent > 0):
-        problems.append((f"exponents.{exponent_key}", f"must be positive, got {exponent!r}"))
-        exponent = 0.5
     return OperatorSpec(kind=kind, extent=ext, n_modes=n_modes, m_grid=m_grid,
                         exponent=float(exponent))
 
 
 def validate_config(raw: dict) -> RunConfig:
-    problems: list[tuple[str, str]] = []
+    """Read every shared key of the JSON object `raw` into a RunConfig; a
+    ConfigError lists every key that breaks its rule."""
+    r = _Reader(raw)
+    op_a = _operator_spec(r, "a", "exponents.r")
+    op_b = _operator_spec(r, "b", "exponents.sigma")
 
-    geometry = raw.get("geometry", {})
-    exponents = raw.get("exponents", {})
-    op_a = _operator_spec(geometry.get("a", {}), "a", "r",
-                          exponents.get("r", 0.5), problems)
-    op_b = _operator_spec(geometry.get("b", {}), "b", "sigma",
-                          exponents.get("sigma", 0.5), problems)
+    pot_kind = r.get("potential.kind", _POTENTIAL_KIND)
+    eps = r.get("potential.eps", NONNEGATIVE, 0.0)
+    c1 = c2 = None
+    if pot_kind == "logarithmic":
+        c1 = r.get("potential.c1", ("a number > 1", lambda v: is_number(v) and v > 1))
+    if pot_kind == "double_obstacle":
+        c2 = r.get("potential.c2", POSITIVE)
+    gamma = r.get("potential.gamma", NONNEGATIVE, None)
 
-    pot = raw.get("potential", {})
-    pot_kind = pot.get("kind")
-    if pot_kind not in ("regular", "logarithmic", "double_obstacle", "none"):
-        problems.append(("potential.kind",
-                         f"must be regular|logarithmic|double_obstacle|none, got {pot_kind!r}"))
-    eps = pot.get("eps", 0.0)
-    if not isinstance(eps, (int, float)) or eps < 0:
-        problems.append(("potential.eps", f"must be >= 0, got {eps!r}"))
-    c1, c2, gamma = pot.get("c1"), pot.get("c2"), pot.get("gamma")
-    if pot_kind == "logarithmic" and (not isinstance(c1, (int, float)) or c1 <= 1):
-        problems.append(("potential.c1", f"logarithmic potential needs c1 > 1, got {c1!r}"))
-    if pot_kind == "double_obstacle" and (not isinstance(c2, (int, float)) or c2 <= 0):
-        problems.append(("potential.c2", f"double obstacle needs c2 > 0, got {c2!r}"))
-    if gamma is not None and (not isinstance(gamma, (int, float)) or gamma < 0):
-        problems.append(("potential.gamma", f"must be >= 0, got {gamma!r}"))
+    # an absent coupling section is the zero constant coupling
+    coupling = {"kind": r.get("coupling.kind", _COUPLING_KIND, "constant")}
+    if coupling["kind"] == "constant":
+        coupling["value"] = r.get("coupling.value", NUMBER, 0.0)
+    elif coupling["kind"] == "function":
+        coupling.update(name=r.get("coupling.name", one_of("tanh")),
+                        offset=r.get("coupling.offset", NUMBER, 0.0),
+                        scale=r.get("coupling.scale", NUMBER, 1.0))
 
-    coupling = raw.get("coupling", {"kind": "constant", "value": 0.0})
-    ckind = coupling.get("kind")
-    if ckind == "constant":
-        if not isinstance(coupling.get("value"), (int, float)):
-            problems.append(("coupling.value", "constant coupling needs a numeric value"))
-    elif ckind == "function":
-        if coupling.get("name") != "tanh":
-            problems.append(("coupling.name", f"only the 'tanh' builtin ships, got {coupling.get('name')!r}"))
-    else:
-        problems.append(("coupling.kind", f"must be constant|function, got {ckind!r}"))
-
-    scheme_raw = raw.get("scheme", {})
-    scheme_name = scheme_raw.get("scheme", "imex_euler")
-    if scheme_name not in SCHEMES:
-        problems.append(("scheme.scheme", f"must be one of {SCHEMES}, got {scheme_name!r}"))
-        scheme_name = "imex_euler"
-    dt = scheme_raw.get("dt", 1e-3)
-    dt_ok = isinstance(dt, (int, float)) and dt > 0
-    if not dt_ok:
-        problems.append(("scheme.dt", f"must be positive, got {dt!r}"))
-        dt = 1e-3
-    t_final = scheme_raw.get("t_final", 1.0)
-    if not isinstance(t_final, (int, float)) or t_final <= 0:
-        problems.append(("scheme.t_final", f"must be positive, got {t_final!r}"))
-        t_final = 1.0
-    elif dt_ok:
+    scheme_name = r.get("scheme.scheme", _SCHEME, "imex_euler")
+    dt = r.get("scheme.dt", POSITIVE, 1e-3)
+    t_final = r.get("scheme.t_final", POSITIVE, 1.0)
+    if None not in (dt, t_final):
         try:
             step_count(float(t_final), float(dt))
         except ValueError as exc:
-            problems.append(("scheme.t_final", str(exc)))
-    stride = scheme_raw.get("snapshot_stride", 1)
-    if not isinstance(stride, int) or stride < 1:
-        problems.append(("scheme.snapshot_stride", f"must be a positive integer, got {stride!r}"))
-        stride = 1
+            r.problems.append(("scheme.t_final", str(exc)))
+    stride = r.get("scheme.snapshot_stride", COUNT, 1)
     # keys of the retired proximal fixed-point loop; old manifests still replay
+    scheme_raw = r.get("scheme", OBJECT, {}) or {}
     advisories = tuple(f"scheme.{key} is ignored: the proximal step is closed form"
                        for key in ("fixed_point_tol", "max_inner_iters")
                        if key in scheme_raw)
 
     if pot_kind == "double_obstacle" and eps == 0 and scheme_name == "imex_euler":
-        problems.append(("scheme.scheme",
-                         "double_obstacle at eps = 0 requires implicit_prox"))
+        r.problems.append(("scheme.scheme",
+                           "double_obstacle at eps = 0 requires implicit_prox"))
 
-    data = raw.get("data", {})
-    output = raw.get("output", {})
-    grid_times = tuple(float(t) for t in output.get("grid_times", ()))
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        problems.append(("seed", f"must be an integer, got {seed!r}"))
-        seed = 0
-
-    if problems:
-        raise ConfigError(problems)
+    data = r.get("data", OBJECT, {})
+    out_dir = r.get("output.directory", STRING, None)
+    grid_times = r.get("output.grid_times", list_of(NUMBER), [])
+    seed = r.get("seed", ("an integer >= 0", lambda v: type(v) is int and v >= 0), 0)
+    r.done()
 
     return RunConfig(
         operator_a=op_a,
@@ -216,21 +276,96 @@ def validate_config(raw: dict) -> RunConfig:
         scheme=SchemeConfig(scheme=scheme_name, dt=float(dt)),
         t_final=float(t_final),
         snapshot_stride=stride,
-        study=raw.get("study", {}),
-        out_dir=output.get("directory"),
-        grid_times=grid_times,
+        out_dir=out_dir,
+        grid_times=tuple(float(t) for t in grid_times),
         seed=seed,
         raw=raw,
         advisories=advisories,
     )
 
 
+# the values each converge axis takes
+CONVERGE_AXES = {"n_modes": COUNT, "eps": NONNEGATIVE, "dt": POSITIVE, "sigma": POSITIVE}
+
+
+def _converge_levels(r: _Reader, cfg: RunConfig, values: list, axis: str,
+                     n_shared: int) -> list[tuple[float, int]] | None:
+    """(dt, snapshot stride) per converge value; None after recording the
+    values whose dt is no whole number of steps or does not nest."""
+    dts = [float(v) for v in values] if axis == "dt" else [cfg.scheme.dt] * len(values)
+    for dt in dts:
+        try:
+            step_count(cfg.t_final, dt)
+        except ValueError as exc:
+            r.problems.append(("study.converge.values", str(exc)))
+    if r.problems:  # the reader has no other problem when this runs
+        return None
+    # snapshots land on multiples of a shared interval so trajectories from
+    # different dt levels can be compared pointwise in time
+    coarsest = max(dts)
+    interval = coarsest * max(1, int(round(cfg.t_final / coarsest / n_shared)))
+    strides = [max(1, int(round(interval / dt))) if math.isfinite(interval / dt) else 0
+               for dt in dts]
+    for dt, stride in zip(dts, strides):
+        if abs(stride * dt - interval) > 1e-9 * interval:
+            r.problems.append(("study.converge.values",
+                               f"dt={dt} does not divide the snapshot interval "
+                               f"{interval}; use nested dt values"))
+    return list(zip(dts, strides))
+
+
+def read_study(cfg: RunConfig, command: str) -> dict:
+    """The `study.<command>` section of a validated config, every key checked
+    and defaults filled in ({} for a command without one); a ConfigError lists
+    every key that breaks its rule.  Only the running command's section is
+    read, so the others may hold anything."""
+    r, key = _Reader(cfg.raw), f"study.{command}"
+    if command == "converge":
+        axis = r.get(f"{key}.axis", one_of(*CONVERGE_AXES), "dt")
+        values = None if axis is None else \
+            r.get(f"{key}.values", list_of(CONVERGE_AXES[axis], at_least=2))
+        n_shared = r.get(f"{key}.n_shared_snapshots", COUNT, 50)
+        study = {"axis": axis, "values": values, "levels": None}
+        if None not in (values, n_shared):
+            study["levels"] = _converge_levels(r, cfg, values, axis, n_shared)
+    elif command == "contdep":
+        study = {"deltas": r.get(f"{key}.deltas", list_of(NUMBER, at_least=1),
+                                 [1e-1, 1e-2, 1e-3, 1e-4]),
+                 "max_ratio_spread": r.get(f"{key}.max_ratio_spread", POSITIVE, 0.2),
+                 "mode_index": r.get(f"{key}.mode_index",
+                                     index_below(cfg.operator_a.n_modes), 1)}
+    elif command == "longtime":
+        fraction = ("a number in (0, 1]", lambda v: is_number(v) and 0 < v <= 1)
+        study = {"tail_fraction": r.get(f"{key}.tail_fraction", fraction, 0.1),
+                 "tail_threshold": r.get(f"{key}.tail_threshold", POSITIVE, 1e-6),
+                 "stationary_threshold": r.get(f"{key}.stationary_threshold",
+                                               POSITIVE, 1e-5)}
+    elif command == "relaxlimit":
+        study = {"sigmas": r.get(f"{key}.sigmas", list_of(POSITIVE, at_least=1),
+                                 [0.5, 0.25, 0.1, 0.05])}
+    elif command == "opcheck":
+        study = {"sigmas": r.get(f"{key}.sigmas", list_of(POSITIVE, at_least=1),
+                                 [0.2, 0.1, 0.05, 0.01]),
+                 "vector": None, "hpqo_vectors": None}
+        # without a vector section the check draws a smooth random vector
+        if r.get(f"{key}.vector", OBJECT, None) is not None:
+            study["vector"] = (
+                r.get(f"{key}.vector.index", index_below(cfg.operator_b.n_modes), 1),
+                r.get(f"{key}.vector.amplitude", NUMBER, 1.0))
+        if r.get(f"{key}.hpqo.enable", BOOLEAN, False):
+            study["hpqo_vectors"] = r.get(f"{key}.hpqo.n_vectors", COUNT, 5)
+    else:
+        return {}
+    r.done()
+    return study
+
+
 def build_coupling(cfg: RunConfig) -> Coupling:
     section = cfg.coupling
-    if section.get("kind") == "constant":
+    if section["kind"] == "constant":
         return Coupling.constant(section["value"])
-    offset = float(section.get("offset", 0.0))
-    scale = float(section.get("scale", 1.0))
+    offset = float(section["offset"])
+    scale = float(section["scale"])
     return Coupling.function(lambda v: offset + scale * np.tanh(v))
 
 
@@ -243,23 +378,27 @@ def build_bases(cfg: RunConfig) -> tuple[SpectralBasis, SpectralBasis]:
 
 
 def build_potential(cfg: RunConfig) -> Potential:
-    return by_name(cfg.potential_kind, c1=cfg.c1, c2=cfg.c2, gamma=cfg.gamma)
+    if cfg.potential_kind == "regular":
+        return regular_potential(1.0 if cfg.gamma is None else cfg.gamma)
+    if cfg.potential_kind == "logarithmic":
+        return logarithmic_potential(cfg.c1)
+    if cfg.potential_kind == "double_obstacle":
+        return double_obstacle_potential(cfg.c2)
+    return zero_potential()
 
 
 def build_problem_data(cfg: RunConfig, basis_a: SpectralBasis,
                        basis_b: SpectralBasis) -> ProblemData:
-    theta0 = expressions.build_space_field(cfg.data.get("theta0"), basis_a)
-    phi0 = expressions.build_space_field(cfg.data.get("phi0"), basis_b)
-    source = expressions.build_source(cfg.data.get("source"), basis_a)
+    theta0 = expressions.build_space_field(cfg.data.get("theta0"), basis_a, "data.theta0")
+    phi0 = expressions.build_space_field(cfg.data.get("phi0"), basis_b, "data.phi0")
+    source = expressions.build_source(cfg.data.get("source"), basis_a, "data.source")
     return ProblemData(theta0=theta0, phi0=phi0, source=source,
                        coupling=build_coupling(cfg))
 
 
 def build_system(cfg: RunConfig):
-    """Construct (system, basis_a, basis_b, potential, data) from a config."""
+    """Assemble the discrete system a config describes."""
     basis_a, basis_b = build_bases(cfg)
-    potential = build_potential(cfg)
     data = build_problem_data(cfg, basis_a, basis_b)
-    system = assemble(data, basis_a, basis_b, cfg.operator_a.exponent,
-                      cfg.operator_b.exponent, cfg.eps, potential)
-    return system, basis_a, basis_b, potential, data
+    return assemble(data, basis_a, basis_b, cfg.operator_a.exponent,
+                    cfg.operator_b.exponent, cfg.eps, build_potential(cfg))

@@ -4,9 +4,13 @@ Configs describe initial fields and sources with small JSON fragments:
 constants, sin/cos monomials tied to the domain extents, Gaussians,
 eigenfunction modes, and separable space*time products with exponential or
 cosine time factors.  This covers every shipped scenario without pulling in
-an expression-language dependency.
+an expression-language dependency.  Each term is parsed when its field or
+source is built, so a malformed term fails there, as an ExpressionError
+naming the term, before anything is evaluated.
 """
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -17,86 +21,131 @@ class ExpressionError(ValueError):
     pass
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_number(value) -> bool:
+    """A finite JSON number.  Booleans, strings, NaN, +-Infinity and integers
+    beyond the float range are not; every numeric config entry obeys this."""
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _number(term: dict, name: str, where: str, default=None) -> float:
+    value = term.get(name, default)
+    if not is_number(value):
+        raise ExpressionError(f"{where}.{name}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _object(term, where: str) -> dict:
+    if type(term) is not dict:
+        raise ExpressionError(f"{where}: must be an object, got {term!r}")
+    return term
+
+
+def _terms(spec, where: str) -> list[tuple[object, str]]:
+    """(term, name) pairs of a single term or a nonempty list of terms."""
+    if type(spec) is not list:
+        return [(spec, where)]
+    if not spec:
+        raise ExpressionError(f"{where}: must hold at least one term")
+    return [(term, f"{where}[{i}]") for i, term in enumerate(spec)]
+
+
+def _size(points: np.ndarray) -> int:
+    return points.shape[0] if points.ndim > 1 else points.size
+
+
 def _axis_values(points: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    if ndim == 1:
-        if axis != 0:
-            raise ExpressionError(f"axis {axis} out of range for a 1-D domain")
-        return points.reshape(-1)
-    return points[:, axis]
+    return points.reshape(-1) if ndim == 1 else points[:, axis]
 
 
-def _eval_space_term(term: dict, points: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+def _space_term(term, basis: SpectralBasis, where: str):
+    """Parse one space term into a callable points -> values."""
+    term = _object(term, where)
     kind = term.get("kind")
     ndim = basis.ndim
-    amp = float(term.get("amplitude", 1.0))
+    amp = _number(term, "amplitude", where, 1.0)
     if kind == "constant":
-        return np.full(points.shape[0] if points.ndim > 1 else points.size,
-                       float(term["value"]))
+        value = _number(term, "value", where)
+        return lambda points: np.full(_size(points), value)
     if kind in ("cos", "sin"):
-        k = term["k"]
-        ks = [int(k)] if np.isscalar(k) else [int(v) for v in k]
-        if len(ks) != ndim:
+        k = term.get("k")
+        ks = k if type(k) is list else [k]
+        if len(ks) != ndim or not all(type(v) is int and is_number(v) for v in ks):
             raise ExpressionError(
-                f"{kind} term needs {ndim} wavenumber(s), got {term['k']!r}"
-            )
+                f"{where}.k: must be {ndim} integer wavenumber(s), got {k!r}")
         fn = np.cos if kind == "cos" else np.sin
-        out = np.full(points.shape[0] if points.ndim > 1 else points.size, amp)
-        for axis, kj in enumerate(ks):
-            x = _axis_values(points, axis, ndim)
-            out = out * fn(kj * np.pi * x / basis.domain_extent[axis])
-        return out
+
+        def monomial(points):
+            out = np.full(_size(points), amp)
+            for axis, kj in enumerate(ks):
+                x = _axis_values(points, axis, ndim)
+                out = out * fn(kj * np.pi * x / basis.domain_extent[axis])
+            return out
+        return monomial
     if kind == "gaussian":
-        center = np.atleast_1d(np.asarray(term["center"], dtype=float))
-        width = float(term["width"])
+        center = term.get("center")
+        centers = center if type(center) is list else [center]
+        if len(centers) != ndim or not all(map(is_number, centers)):
+            raise ExpressionError(f"{where}.center: must be {ndim} number(s), got {center!r}")
+        center = np.asarray(centers, dtype=float)
+        width = _number(term, "width", where)
         if width <= 0:
-            raise ExpressionError("gaussian width must be positive")
-        if center.size != ndim:
-            raise ExpressionError(f"gaussian center needs {ndim} component(s)")
-        d2 = np.zeros(points.shape[0] if points.ndim > 1 else points.size)
-        for axis in range(ndim):
-            d2 = d2 + (_axis_values(points, axis, ndim) - center[axis]) ** 2
-        return amp * np.exp(-d2 / (2.0 * width**2))
+            raise ExpressionError(f"{where}.width: must be positive, got {width!r}")
+
+        def gaussian(points):
+            d2 = np.zeros(_size(points))
+            for axis in range(ndim):
+                d2 = d2 + (_axis_values(points, axis, ndim) - center[axis]) ** 2
+            return amp * np.exp(-d2 / (2.0 * width**2))
+        return gaussian
     if kind == "mode":
-        j = int(term["index"])
-        if not 0 <= j < basis.n_modes:
-            raise ExpressionError(f"mode index {j} outside 0..{basis.n_modes - 1}")
-        return amp * eigenfunctions_at(basis, points, [j])[:, 0]
-    raise ExpressionError(f"unknown space expression kind {term!r}")
+        j = term.get("index")
+        if not (type(j) is int and 0 <= j < basis.n_modes):
+            raise ExpressionError(
+                f"{where}.index: must be an integer in [0, {basis.n_modes}), got {j!r}")
+        return lambda points: amp * eigenfunctions_at(basis, points, [j])[:, 0]
+    raise ExpressionError(f"{where}.kind: unknown space expression kind {kind!r}")
 
 
-def build_space_field(spec, basis: SpectralBasis):
-    """Return a callable points -> values for a space expression, or None."""
+def build_space_field(spec, basis: SpectralBasis, where: str = "field"):
+    """Return a callable points -> values for a space expression, or None.
+
+    `where` names the expression in error messages, e.g. "data.theta0".
+    """
     if spec is None:
         return None
-    terms = spec if isinstance(spec, list) else [spec]
+    terms = [_space_term(term, basis, name) for term, name in _terms(spec, where)]
 
     def field(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         total = None
         for term in terms:
-            vals = _eval_space_term(term, points, basis)
+            vals = term(points)
             total = vals if total is None else total + vals
         return total
 
     return field
 
 
-def _time_factor(spec) -> callable:
+def _time_factor(spec, where: str) -> callable:
     if spec is None:
         return lambda t: 1.0
+    spec = _object(spec, where)
     kind = spec.get("kind")
-    amp = float(spec.get("amplitude", 1.0))
+    amp = _number(spec, "amplitude", where, 1.0)
     if kind == "constant":
-        value = float(spec.get("value", amp))
+        value = _number(spec, "value", where, amp)
         return lambda t: value
     if kind == "exp":
-        rate = float(spec["rate"])
+        rate = _number(spec, "rate", where)
         return lambda t: amp * np.exp(rate * t)
     if kind == "cos":
-        omega = float(spec["omega"])
-        phase = float(spec.get("phase", 0.0))
+        omega = _number(spec, "omega", where)
+        phase = _number(spec, "phase", where, 0.0)
         return lambda t: amp * np.cos(omega * t + phase)
-    raise ExpressionError(f"unknown time expression kind {spec!r}")
+    raise ExpressionError(f"{where}.kind: unknown time expression kind {kind!r}")
 
 
 class SeparableSource:
@@ -117,7 +166,7 @@ class SeparableSource:
         return total
 
 
-def build_source(spec, basis: SpectralBasis):
+def build_source(spec, basis: SpectralBasis, where: str = "source"):
     """Return a SeparableSource for a source spec, or None.
 
     A source spec is a {"space": ..., "time": ...} product or a list of such
@@ -125,11 +174,11 @@ def build_source(spec, basis: SpectralBasis):
     """
     if spec is None:
         return None
-    products = spec if isinstance(spec, list) else [spec]
     parts = []
-    for product in products:
-        if "space" not in product:
-            raise ExpressionError("source term needs a 'space' entry")
-        space = build_space_field(product["space"], basis)
-        parts.append((space, _time_factor(product.get("time"))))
+    for product, name in _terms(spec, where):
+        product = _object(product, name)
+        if product.get("space") is None:
+            raise ExpressionError(f"{name}.space: a source product needs a space factor")
+        parts.append((build_space_field(product["space"], basis, f"{name}.space"),
+                      _time_factor(product.get("time"), f"{name}.time")))
     return SeparableSource(parts)

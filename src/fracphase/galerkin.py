@@ -292,7 +292,7 @@ def project_data(system: DiscreteSystem) -> tuple[np.ndarray, np.ndarray]:
             analyze(system.basis_b, system.phi0_grid))
 
 
-def guard(values: np.ndarray, label: str, t: float | None = None) -> np.ndarray:
+def guard(values: np.ndarray, label: str) -> np.ndarray:
     """Return `values`, or raise OverflowGuardError when any entry is
     non-finite or exceeds OVERFLOW_LIMIT in magnitude; on a stacked (2-D)
     array the message and the error's `row` name the first offending row.
@@ -306,19 +306,18 @@ def guard(values: np.ndarray, label: str, t: float | None = None) -> np.ndarray:
         return values
     peak = np.abs(values).max(initial=0.0)
     if not peak <= OVERFLOW_LIMIT:  # NaN fails the comparison too
-        at, row = "" if t is None else f" at t={t:.6g}", None
+        at, row = "", None
         if np.ndim(values) == 2:
             peaks = np.abs(values).max(axis=1)
             row = int(np.argmax(~(peaks <= OVERFLOW_LIMIT)))
-            at, peak = f"{at} in row {row}", peaks[row]
+            at, peak = f" in row {row}", peaks[row]
         raise OverflowGuardError(
             f"{label} exceeded the overflow guard{at} (peak |value| {peak:.3e})", row)
     return values
 
 
 def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray,
-                      *, include_beta: bool = True,
-                      t: float | None = None) -> NonlinearTerms:
+                      *, include_beta: bool = True) -> NonlinearTerms:
     """F(theta, phi) = P(beta_eps(phi)) + P(pi(phi)) - E^T theta in the B basis.
 
     The terms linear in the state stay in modal space: a split that declares
@@ -332,7 +331,7 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
     quadrature is consistent in both equations.  include_beta = False is used
     by the proximal stepper, which treats the convex part through its
     resolvent; with a declared gamma and a constant coupling it synthesizes
-    nothing.  t only labels overflow-guard messages.
+    nothing.
     """
     pot, coupling = system.potential, system.coupling
     pi_proj = None if pot.gamma is None else -pot.gamma * phi
@@ -365,7 +364,7 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
     if coupling.kind == "function":
         parts.append(-coupling.on_grid(phi_grid) * synthesize(system.basis_a, theta))
     if parts:
-        pointwise = guard(sum(parts[1:], parts[0]), "nonlinearity", t)
+        pointwise = guard(sum(parts[1:], parts[0]), "nonlinearity")
         fphi = fphi + analyze(system.basis_b, pointwise)
     return NonlinearTerms(fphi=fphi, phi_grid=phi_grid, pi_grid=pi_grid, pi_proj=pi_proj)
 

@@ -223,24 +223,6 @@ def custom_potential(beta_hat, beta, *, beta_prime=None, pi_hat=None, pi=None,
     return pot
 
 
-def by_name(kind: str, *, c1: float | None = None, c2: float | None = None,
-            gamma: float | None = None) -> Potential:
-    """Construct one of the shipped potentials from configuration fields."""
-    if kind == "regular":
-        return regular_potential(1.0 if gamma is None else gamma)
-    if kind == "logarithmic":
-        if c1 is None:
-            raise ValueError("logarithmic potential needs c1")
-        return logarithmic_potential(c1)
-    if kind == "double_obstacle":
-        if c2 is None:
-            raise ValueError("double_obstacle potential needs c2")
-        return double_obstacle_potential(c2)
-    if kind == "none":
-        return zero_potential()
-    raise ValueError(f"unknown potential kind {kind!r}")
-
-
 def _newton_bracket(pot: Potential, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Guaranteed bracket for x + eps*beta(x) = s.
 

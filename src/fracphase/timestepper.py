@@ -17,6 +17,7 @@ from the system's projected data and returns only what it recorded.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -145,15 +146,14 @@ def step_imex(system: DiscreteSystem, state: State, dt: float) -> StepResult:
     """
     t_new = state.t + dt
     theta_denom, phi_denom = system.step_denominators(dt)
-    terms = eval_nonlinearity(system, state.theta, state.phi, t=state.t)
-    phi_new = guard((state.phi - dt * terms.fphi) / phi_denom, "phi coefficients", t_new)
+    terms = eval_nonlinearity(system, state.theta, state.phi)
+    phi_new = guard((state.phi - dt * terms.fphi) / phi_denom, "phi coefficients")
     dphi = phi_new - state.phi
     coupled = apply_coupling(system, terms.phi_grid, dphi)
     g = system.source_at(t_new)
     # + dt*g stays for a zero source too: it turns a -0.0 of theta - coupled
     # into the +0.0 the recorded series hold
-    theta_new = guard((state.theta - coupled + dt * g) / theta_denom,
-                      "theta coefficients", t_new)
+    theta_new = guard((state.theta - coupled + dt * g) / theta_denom, "theta coefficients")
     return StepResult(State(t_new, theta_new, phi_new), terms, g, dphi)
 
 
@@ -176,18 +176,16 @@ def step_implicit_prox(system: DiscreteSystem, state: State, dt: float) -> StepR
     pot, eps = system.potential, system.eps
     t_new = state.t + dt
     theta_denom, phi_denom = system.step_denominators(dt)
-    terms = eval_nonlinearity(system, state.theta, state.phi, include_beta=False,
-                              t=state.t)
+    terms = eval_nonlinearity(system, state.theta, state.phi, include_beta=False)
     phi_mid = (state.phi - dt * terms.fphi) / phi_denom
-    intermediate = guard(synthesize(system.basis_b, phi_mid), "phase grid", t_new)
+    intermediate = guard(synthesize(system.basis_b, phi_mid), "phase grid")
     phi_grid = np.asarray(prox_step(pot, eps, dt, intermediate))
     xi_grid = (intermediate - phi_grid) / dt
-    phi_next = guard(analyze(system.basis_b, phi_grid), "phi coefficients", t_new)
+    phi_next = guard(analyze(system.basis_b, phi_grid), "phi coefficients")
     dphi = phi_next - state.phi
     coupled = apply_coupling(system, terms.phi_grid, dphi)
     g = system.source_at(t_new)
-    theta_next = guard((state.theta - coupled + dt * g) / theta_denom,
-                       "theta coefficients", t_new)
+    theta_next = guard((state.theta - coupled + dt * g) / theta_denom, "theta coefficients")
     return StepResult(State(t_new, theta_next, phi_next), terms, g, dphi, xi_grid,
                       phi_grid)
 
@@ -287,10 +285,12 @@ class _Snapshots:
 
 def step_count(t_final: float, dt: float) -> int:
     """The number of dt steps that reach t_final; ValueError unless t_final
-    is positive and a whole number of steps."""
+    is positive and a whole, finite number of steps."""
     if t_final <= 0.0:
         raise ValueError(f"t_final must be positive, got {t_final}")
-    n_steps = max(1, int(round(t_final / dt)))
+    steps = t_final / dt
+    # an overflowing quotient counts as 0 steps, which the test below rejects
+    n_steps = max(1, int(round(steps))) if math.isfinite(steps) else 0
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(
             f"t_final={t_final} is not an integer number of steps of dt={dt}"
@@ -339,8 +339,8 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
                 snaps.record(state, np.sqrt(dphi_sq) / dt, ledger, step.xi_grid,
                              step.phi_grid)
     except OverflowGuardError as exc:
-        raise BlowupError(str(exc), _finalize(snaps), step=k, t=k * dt,
-                          row=exc.row) from None
+        raise BlowupError(f"{exc} in step {k}, t={k * dt!r}", _finalize(snaps), step=k,
+                          t=k * dt, row=exc.row) from None
     return _finalize(snaps)
 
 

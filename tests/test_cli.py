@@ -1,8 +1,12 @@
+import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracphase.analysis
 import fracphase.cli
@@ -10,7 +14,7 @@ from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                            EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
                            config_hash, main, read_timeseries)
 from fracphase.config import (ConfigError, apply_overrides, load_raw_config,
-                              validate_config)
+                              read_study, validate_config)
 from fracphase.timestepper import BlowupError
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -131,6 +135,70 @@ class TestConfigValidation:
         assert config_hash(changed) != base
 
 
+# valid configs that set every study key and the keys of the less common
+# potential, coupling and scheme kinds
+STUDIES = {
+    "converge": {"axis": "dt", "values": [0.004, 0.002], "n_shared_snapshots": 10},
+    "contdep": {"deltas": [1e-1, 1e-2], "max_ratio_spread": 0.2, "mode_index": 1},
+    "longtime": {"tail_fraction": 0.1, "tail_threshold": 1e-6,
+                 "stationary_threshold": 1e-5},
+    "relaxlimit": {"sigmas": [0.5, 0.25]},
+    "opcheck": {"sigmas": [0.2, 0.1], "vector": {"index": 1, "amplitude": 1.0},
+                "hpqo": {"enable": True, "n_vectors": 3}},
+}
+PROPERTY_BASES = [
+    dict(SMOKE, study=STUDIES),
+    dict(SMOKE, study=STUDIES,
+         potential={"kind": "logarithmic", "c1": 1.5, "gamma": 1.0, "eps": 0.01},
+         coupling={"kind": "function", "name": "tanh", "offset": 0.5, "scale": 0.2}),
+    dict(SMOKE, study=STUDIES, potential={"kind": "double_obstacle", "c2": 0.5, "eps": 0.0},
+         scheme={"scheme": "implicit_prox", "dt": 0.002, "t_final": 0.1,
+                 "snapshot_stride": 5, "fixed_point_tol": 1e-12}),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("base", range(len(PROPERTY_BASES)))
+def test_property_bases_are_valid(base):
+    cfg = validate_config(PROPERTY_BASES[base])
+    for command in STUDIES:
+        read_study(cfg, command)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(base=st.sampled_from(PROPERTY_BASES), data=st.data(), value=JSON_VALUES)
+def test_any_json_value_is_read_or_a_config_error(base, data, value):
+    """Any one key or section of a valid config set to any JSON value: the
+    config reader and every study reader return or raise ConfigError."""
+    raw = copy.deepcopy(base)
+    *sections, name = data.draw(st.sampled_from(sorted(key_paths(raw))))
+    node = raw
+    for section in sections:
+        node = node[section]
+    node[name] = value
+    try:
+        cfg = validate_config(raw)
+    except ConfigError as exc:
+        assert exc.problems
+        return
+    for command in STUDIES:
+        try:
+            read_study(cfg, command)
+        except ConfigError as exc:
+            assert exc.problems
+
+
 class TestExitCodes:
     def test_ok(self, tmp_path):
         cfg = write_config(tmp_path, SMOKE)
@@ -160,6 +228,10 @@ class TestExitCodes:
             # the third step, the one from t = 20 to 30, trips the guard
             assert (manifest["failure"]["step"], manifest["failure"]["t"],
                     manifest["failure"]["row"]) == (3, 30.0, None)
+            # the message names the same step and end time
+            step, t = re.search(r"in step (\d+), t=(\S+)$",
+                                manifest["failure"]["message"]).groups()
+            assert (int(step), float(t)) == (3, manifest["failure"]["t"])
             assert (out / "timeseries.csv").exists()
 
     def test_relaxlimit_solver_failure(self, tmp_path, monkeypatch):
@@ -322,7 +394,13 @@ class TestManifestStatus:
         ("opcheck", "relaxlimit.json", "study.opcheck.vector.index=999"),
         ("opcheck", "relaxlimit.json", "study.opcheck.vector.amplitude=abc"),
         ("contdep", "smoke.json", "study.contdep.deltas=abc"),
-        ("relaxlimit", "relaxlimit.json", 'study.relaxlimit.sigmas="51"')])
+        ("relaxlimit", "relaxlimit.json", 'study.relaxlimit.sigmas="51"'),
+        ("longtime", "longtime.json", "study=[]"),
+        ("converge", "smoke.json", 'study.converge={"axis":"sigma","values":[0.5,"x"]}'),
+        ("converge", "smoke.json", 'study.converge={"axis":"dt","values":[0.002]}'),
+        ("converge", "smoke.json", 'study.converge={"axis":"eps","values":[0.01,-0.01]}'),
+        ("converge", "smoke.json", 'study.converge={"axis":"n_modes","values":[4,true]}'),
+        ("opcheck", "relaxlimit.json", "study.opcheck.hpqo.enable=1")])
     def test_bad_study_key_is_a_config_error(self, tmp_path, command, config, override):
         out = tmp_path / "o"
         code = main([command, "--config", os.path.join(CONFIGS, config),
@@ -331,6 +409,47 @@ class TestManifestStatus:
         assert code == EXIT_CONFIG
         assert failure["stage"] == "validation"
         assert override.partition("=")[0] in failure["message"]
+
+    @pytest.mark.parametrize("override,key", [
+        ("geometry.a.n_modes=true", "geometry.a.n_modes"),
+        ('geometry.a.extent="abc"', "geometry.a.extent"),
+        ('output.grid_times=["x"]', "output.grid_times"),
+        ("geometry=[]", "geometry"),
+        ("potential=null", "potential"),
+        ("scheme.t_final=Infinity", "scheme.t_final"),
+        ("scheme.t_final=1e308", "scheme.t_final"),
+        ('coupling={"kind":"function","name":"tanh","offset":"x"}', "coupling.offset"),
+        ("potential.eps=Infinity", "potential.eps"),
+        ("coupling.value=NaN", "coupling.value"),
+        ("potential.gamma=Infinity", "potential.gamma"),
+        ("exponents.sigma=Infinity", "exponents.sigma"),
+        ("potential.eps=true", "potential.eps"),
+        ("seed=true", "seed"),
+        ("scheme.snapshot_stride=true", "scheme.snapshot_stride"),
+        ('data.theta0=[{"kind":"cos"}]', "data.theta0[0].k"),
+        ('data.theta0=[{"kind":"cos","k":1,"amplitude":"x"}]', "data.theta0[0].amplitude"),
+        ('data.source={"space":{"kind":"constant","value":1},"time":{"kind":"exp"}}',
+         "data.source.time.rate"),
+        ("data.theta0=5", "data.theta0")])
+    def test_bad_shared_key_is_a_config_error(self, tmp_path, override, key):
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", os.path.join(CONFIGS, "smoke.json"),
+                     "--override", "scheme.t_final=0.01", "--override", override,
+                     "--out", str(out), "--quiet"])
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert code == EXIT_CONFIG
+        assert failure["stage"] == "validation"
+        assert key in failure["message"]
+
+    def test_manifest_without_config_object_is_a_config_error(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", write_config(tmp_path, {"config": 5}),
+                     "--out", str(out), "--quiet"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert code == EXIT_CONFIG
+        assert manifest["failure"]["stage"] == "validation"
+        assert "config: must be an object" in manifest["failure"]["message"]
+        assert manifest["config"] is None
 
     @pytest.mark.parametrize("command,override,key", [
         ("simulate", "scheme.t_final=0.1005", "scheme.t_final"),

@@ -212,17 +212,17 @@ class TestSourceSampling:
         assert np.max(np.abs(terms.fphi - expected)) <= 1e-14
 
 
-def exact_guard(values, label, t):
+def exact_guard(values, label):
     """The exact peak reduction `guard` accepts on one dot product in front of:
     (message, row) of the error it raises, None when it accepts."""
     peak = np.abs(values).max(initial=0.0)
     if peak <= OVERFLOW_LIMIT:
         return None
-    at, row = "" if t is None else f" at t={t:.6g}", None
+    at, row = "", None
     if values.ndim == 2:
         peaks = np.abs(values).max(axis=1)
         row = int(np.argmax(~(peaks <= OVERFLOW_LIMIT)))
-        at, peak = f"{at} in row {row}", peaks[row]
+        at, peak = f" in row {row}", peaks[row]
     return f"{label} exceeded the overflow guard{at} (peak |value| {peak:.3e})", row
 
 
@@ -237,13 +237,12 @@ GUARD_EDGES = [0.0, np.inf, -np.inf, np.nan, 0.6e12,
 @settings(max_examples=300, deadline=None)
 @given(values=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=8),
                      elements=st.one_of(st.sampled_from(GUARD_EDGES),
-                                        st.floats(-2e12, 2e12), st.floats())),
-       t=st.one_of(st.none(), st.floats(0.0, 1e3)))
-def test_guard_fast_path_matches_exact_peak(values, t):
-    expected = exact_guard(values, "field", t)
+                                        st.floats(-2e12, 2e12), st.floats())))
+def test_guard_fast_path_matches_exact_peak(values):
+    expected = exact_guard(values, "field")
     if expected is None:
-        assert guard(values, "field", t) is values
+        assert guard(values, "field") is values
     else:
         with pytest.raises(OverflowGuardError) as info:
-            guard(values, "field", t)
+            guard(values, "field")
         assert (str(info.value), info.value.row) == expected

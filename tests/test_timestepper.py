@@ -143,7 +143,7 @@ class TestIntegrate:
         path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                             "longtime.json")
         cfg = validate_config(load_raw_config(path))
-        system, *_ = build_system(cfg)
+        system = build_system(cfg)
         assert system.source_coeffs is None
         run = integrate(system, cfg.scheme, 22.0, cfg.snapshot_stride)
         zeros = run.theta_series == 0.0
