@@ -193,7 +193,9 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
     Measures the sup of |A^r theta| and |d_t phi| along the last
     tail_fraction of the run, the residual of the discrete stationary phase
     equation at the final state, and the part of the final temperature off
-    ker A (it vanishes when the kernel is trivial).
+    ker A (it vanishes when the kernel is trivial).  A run that recorded the
+    proximal multiplier supplies the convex part of that equation with it,
+    so a multivalued potential at eps = 0 needs no explicit beta.
     """
     k0 = int(np.floor((1.0 - tail_fraction) * (run.times.size - 1)))
     ar_theta = np.sqrt(np.sum(system.theta_stiff * run.theta_series**2, axis=1))
@@ -202,8 +204,11 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
 
     theta_f = run.theta_series[-1]
     phi_f = run.phi_series[-1]
-    terms = eval_nonlinearity(system, theta_f, phi_f)
-    stationary = float(np.linalg.norm(system.phi_stiff * phi_f + terms.fphi))
+    prox = run.xi_series is not None
+    fphi = eval_nonlinearity(system, theta_f, phi_f, include_beta=not prox).fphi
+    if prox:
+        fphi = fphi + analyze(system.basis_b, run.xi_series[-1])
+    stationary = float(np.linalg.norm(system.phi_stiff * phi_f + fphi))
     nonkernel = float(np.linalg.norm(theta_f - kernel_projection(system.basis_a, theta_f)))
 
     # allow roundoff jitter once the series sits at machine zero

@@ -77,15 +77,18 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_columns(path: str, header: str, columns, sep: str = ",") -> None:
-    """Float columns as text, one row per line, each value as _fmt writes it.
+def write_columns(path: str, header: str, columns) -> str:
+    """Write float columns as CSV text, one row per line, each value as _fmt
+    writes it; returns the text.
 
     "%.17g" % x is the same text as _fmt(x); one format per row instead of a
     call per value halves the cost of large grid files.
     """
-    fmt = sep.join(["%.17g"] * len(columns))
+    fmt = ",".join(["%.17g"] * len(columns))
     rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    _write_atomic(path, "\n".join([header, *(fmt % row for row in rows)]) + "\n")
+    text = "\n".join([header, *(fmt % row for row in rows)]) + "\n"
+    _write_atomic(path, text)
+    return text
 
 
 def emit_run_outputs(run: RunOutput, system, out_dir: str,
@@ -98,7 +101,7 @@ def emit_run_outputs(run: RunOutput, system, out_dir: str,
     columns = [run.times, run.norm_theta, run.graph_theta, run.norm_phi, run.graph_phi,
                run.dtphi_norm, led.lhs, led.rhs, led.residual]
     path = os.path.join(out_dir, "timeseries.csv")
-    write_columns(path, TIMESERIES_HEADER, columns)
+    timeseries = write_columns(path, TIMESERIES_HEADER, columns)
     files.append(path)
 
     snap_rows = []
@@ -124,8 +127,9 @@ def emit_run_outputs(run: RunOutput, system, out_dir: str,
         write_columns(path, header, coords + [theta_grid, phi_grid])
         files.append(path)
 
+    # the plot data is the CSV text space-separated: %.17g text holds no comma
     path = os.path.join(out_dir, "timeseries.dat")
-    write_columns(path, "# " + TIMESERIES_HEADER.replace(",", " "), columns, sep=" ")
+    _write_atomic(path, "# " + timeseries.replace(",", " "))
     files.append(path)
     return files
 

@@ -328,8 +328,8 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
     holds on mixed bases too.  Only what has no modal form is collocated and
     analyzed, in one pass: beta_eps(phi) (beta(phi) at eps = 0), pi(phi) when
     gamma is None, and ell(phi)*theta for a function coupling, whose weighted
-    quadrature is consistent in both equations.  include_beta = False is used
-    by the proximal stepper, which treats the convex part through its
+    quadrature is consistent in both equations.  include_beta = False leaves
+    out the convex part, which the proximal scheme applies through its
     resolvent; with a declared gamma and a constant coupling it synthesizes
     nothing.
     """

@@ -1,8 +1,9 @@
 """Time integration of the Galerkin system with an energy ledger.
 
-Two schemes ship: a semi-implicit Euler step (linear stiff parts implicit,
-nonlinearity explicit) and a proximal variant that treats the convex part of
-the potential through its resolvent on the grid, which is what the obstacle
+Both schemes are one implicit-explicit Euler step, `step_imex`, with the
+linear stiff parts implicit: semi-implicit Euler (imex_euler) takes the
+convex part of the potential explicitly, the proximal scheme (implicit_prox)
+backward through its resolvent on the grid, which is what the obstacle
 potential and the sigma -> 0 limit system need.
 
 The ledger mirrors the first a-priori energy identity of the continuous
@@ -25,18 +26,19 @@ import numpy as np
 
 from .galerkin import DiscreteSystem, NonlinearTerms, OverflowGuardError, \
     apply_coupling, eval_nonlinearity, guard, project_data
-from .potentials import potential_energy_density, prox_step
+from .potentials import ResolventError, potential_energy_density, prox_step
 from .spectral import analyze, synthesize
 
 SCHEMES = ("imex_euler", "implicit_prox")
 
 
 class BlowupError(RuntimeError):
-    """State exceeded the overflow guard in step `step`, the one that ends at
-    simulated time `t`; `row` is the offending row of a stacked system (None
-    otherwise).  `integrate` attaches as `partial` the output it would have
-    returned, up to the last completed snapshot (for a stacked run the batched
-    output, which `partial.rows()` splits)."""
+    """A step failed (an overflow guard trip or a resolvent failure) in step
+    `step`, the one that ends at simulated time `t`; `row` is the offending
+    row of a stacked system (None otherwise).  `integrate` attaches as
+    `partial` the output it would have returned, up to the last completed
+    snapshot (for a stacked run the batched output, which `partial.rows()`
+    splits)."""
 
     def __init__(self, message: str, partial: "RunOutput | None" = None, *,
                  step: int | None = None, t: float | None = None,
@@ -126,7 +128,7 @@ class StepResult:
 
     terms are the explicit nonlinear terms at the start state, source is
     the sample g(t+dt) the step applied and dphi the phase increment the
-    coupling received; the energy ledger reuses all three.  The proximal step
+    coupling received; the energy ledger reuses all three.  A proximal step
     also reports its multiplier and grid state.
     """
 
@@ -138,56 +140,40 @@ class StepResult:
     phi_grid: Optional[np.ndarray] = None
 
 
-def step_imex(system: DiscreteSystem, state: State, dt: float) -> StepResult:
-    """One semi-implicit Euler step.
+def step_imex(system: DiscreteSystem, state: State, scheme: SchemeConfig) -> StepResult:
+    """One implicit-explicit Euler step of either scheme.
 
-    Phi+ = (I + dt M)^(-1) (Phi - dt F(Theta, Phi)), then
+    Phi* = (Phi - dt F(Theta, Phi)) / (1 + dt M) with F frozen at the start
+    state.  Under imex_euler F holds beta_eps and Phi+ = Phi*.  Under
+    implicit_prox F leaves the convex part out, and the resolvent J_dt of
+    beta_eps (beta itself at eps = 0) applies it backward on the grid:
+
+        phi_grid+ = J_dt(synth(Phi*)),   Phi+ = P(phi_grid+),
+        xi_grid   = (synth(Phi*) - phi_grid+) / dt   in beta(phi_grid+);
+
+    the multiplier relation holds exactly at every node, so an obstacle
+    bound holds by construction.  Both schemes then take
     Theta+ = (I + dt Lambda)^(-1) (Theta - E (Phi+ - Phi) + dt g(t+dt)).
     """
+    dt, prox = scheme.dt, scheme.scheme == "implicit_prox"
     t_new = state.t + dt
     theta_denom, phi_denom = system.step_denominators(dt)
-    terms = eval_nonlinearity(system, state.theta, state.phi)
-    phi_new = guard((state.phi - dt * terms.fphi) / phi_denom, "phi coefficients")
+    terms = eval_nonlinearity(system, state.theta, state.phi, include_beta=not prox)
+    phi_new = (state.phi - dt * terms.fphi) / phi_denom
+    xi_grid = phi_grid = None
+    if prox:
+        intermediate = guard(synthesize(system.basis_b, phi_new), "phase grid")
+        phi_grid = np.asarray(prox_step(system.potential, system.eps, dt, intermediate))
+        xi_grid = (intermediate - phi_grid) / dt
+        phi_new = analyze(system.basis_b, phi_grid)
+    phi_new = guard(phi_new, "phi coefficients")
     dphi = phi_new - state.phi
     coupled = apply_coupling(system, terms.phi_grid, dphi)
     g = system.source_at(t_new)
     # + dt*g stays for a zero source too: it turns a -0.0 of theta - coupled
     # into the +0.0 the recorded series hold
     theta_new = guard((state.theta - coupled + dt * g) / theta_denom, "theta coefficients")
-    return StepResult(State(t_new, theta_new, phi_new), terms, g, dphi)
-
-
-def step_implicit_prox(system: DiscreteSystem, state: State, dt: float) -> StepResult:
-    """One proximal step; the result carries xi_grid and phi_grid.
-
-    The smooth explicit terms are frozen at the current state exactly as in
-    the semi-implicit step; the stiff diagonal is then solved implicitly and
-    the convex part applied backward on the grid through the resolvent of
-    (beta_eps or, at eps = 0, beta itself) at level dt:
-
-        intermediate = synth((Phi - dt*explicit) / (1 + dt*M)),
-        phi_grid+    = J_dt(intermediate),
-        xi_grid      = (intermediate - phi_grid+) / dt   in beta(phi_grid+).
-
-    The multiplier relation holds pointwise and exactly, so an obstacle bound
-    is satisfied at every node by construction, and with beta = 0 the step
-    reduces to the semi-implicit one identically.
-    """
-    pot, eps = system.potential, system.eps
-    t_new = state.t + dt
-    theta_denom, phi_denom = system.step_denominators(dt)
-    terms = eval_nonlinearity(system, state.theta, state.phi, include_beta=False)
-    phi_mid = (state.phi - dt * terms.fphi) / phi_denom
-    intermediate = guard(synthesize(system.basis_b, phi_mid), "phase grid")
-    phi_grid = np.asarray(prox_step(pot, eps, dt, intermediate))
-    xi_grid = (intermediate - phi_grid) / dt
-    phi_next = guard(analyze(system.basis_b, phi_grid), "phi coefficients")
-    dphi = phi_next - state.phi
-    coupled = apply_coupling(system, terms.phi_grid, dphi)
-    g = system.source_at(t_new)
-    theta_next = guard((state.theta - coupled + dt * g) / theta_denom, "theta coefficients")
-    return StepResult(State(t_new, theta_next, phi_next), terms, g, dphi, xi_grid,
-                      phi_grid)
+    return StepResult(State(t_new, theta_new, phi_new), terms, g, dphi, xi_grid, phi_grid)
 
 
 class _LedgerAccumulator:
@@ -305,22 +291,18 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
 
     Snapshots land every `snapshot_stride` steps plus always at t = 0 and the
     final time.  A stacked system returns one output whose arrays carry its
-    row axis (`RunOutput.rows` splits it).  An overflow guard trip raises
-    BlowupError with the step, its end time, the offending row and the
-    output up to the last completed snapshot.
+    row axis (`RunOutput.rows` splits it).  An overflow guard trip or a
+    resolvent failure raises BlowupError with the step, its end time, the
+    offending row and the output up to the last completed snapshot.
     """
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     dt = scheme.dt
     n_steps = step_count(t_final, dt)
-    if scheme.scheme == "imex_euler" and system.eps == 0.0 and system.potential.multivalued:
-        raise ValueError("imex_euler cannot treat a multivalued potential at eps = 0; "
-                         "use implicit_prox")
 
     theta0, phi0 = project_data(system)
     state = State(0.0, theta0, phi0)
     prox = scheme.scheme == "implicit_prox"
-    step_fn = step_implicit_prox if prox else step_imex
     ledger = _LedgerAccumulator(system)
     n_rows = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
     snaps = _Snapshots(system, n_rows, prox)
@@ -330,7 +312,7 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
     snaps.record(state, 0.0, ledger, None, system.phi0_grid if prox else None)
     try:
         for k in range(1, n_steps + 1):
-            step = step_fn(system, state, dt)
+            step = step_imex(system, state, scheme)
             new_state = step.state
             new_state.t = k * dt  # avoid accumulated drift in snapshot times
             dphi_sq = ledger.accumulate(state, step, dt)
@@ -338,9 +320,9 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
             if k % snapshot_stride == 0 or k == n_steps:
                 snaps.record(state, np.sqrt(dphi_sq) / dt, ledger, step.xi_grid,
                              step.phi_grid)
-    except OverflowGuardError as exc:
+    except (OverflowGuardError, ResolventError) as exc:
         raise BlowupError(f"{exc} in step {k}, t={k * dt!r}", _finalize(snaps), step=k,
-                          t=k * dt, row=exc.row) from None
+                          t=k * dt, row=getattr(exc, "row", None)) from None
     return _finalize(snaps)
 
 

@@ -234,6 +234,24 @@ class TestExitCodes:
             assert (int(step), float(t)) == (3, manifest["failure"]["t"])
             assert (out / "timeseries.csv").exists()
 
+    def test_resolvent_failure_is_a_step_failure(self, tmp_path):
+        # one IMEX step carries phi far outside the logarithmic domain, where
+        # the resolvent behind the Moreau envelope of the snapshot fails
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["potential"] = {"kind": "logarithmic", "c1": 2.0, "eps": 0.01}
+        cfgd["coupling"]["value"] = 10.0
+        cfgd["data"] = {"theta0": [{"kind": "constant", "value": 20.0}],
+                        "phi0": [{"kind": "constant", "value": 0.99}]}
+        cfgd["scheme"] = {"scheme": "imex_euler", "dt": 0.01, "t_final": 0.1}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, cfgd), "--out",
+                     str(out), "--quiet"]) == EXIT_SOLVER
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert (failure["stage"], failure["exception"]) == ("solver", "BlowupError")
+        assert failure["message"].startswith("resolvent failed")
+        assert (failure["step"], failure["t"], failure["row"]) == (1, 0.01, None)
+        assert read_timeseries(str(out / "timeseries.csv"))["t"].tolist() == [0.0]
+
     def test_relaxlimit_solver_failure(self, tmp_path, monkeypatch):
         # the proximal scheme does not blow up on the data above
         def blowup(*args, **kwargs):
@@ -326,6 +344,17 @@ class TestManifestStatus:
         """Dirichlet temperature, Neumann phase on a rectangle: the exact cross
         mass, the contdep mode perturbation and the n_modes re-expression."""
         code, manifest = self.run(tmp_path, command, MIXED_RECT)
+        assert code == EXIT_OK
+        assert all(check["passed"] for check in manifest["checks"].values())
+
+    @pytest.mark.parametrize("geometry", ["interval", "rect"])
+    def test_longtime_obstacle_at_eps0(self, tmp_path, geometry):
+        """The stationarity probe of a proximal run at eps = 0 takes the convex
+        part from the recorded multiplier; an explicit beta does not exist."""
+        cfgd = self.matrix_config(geometry, "longtime", None)
+        cfgd["potential"] = {"kind": "double_obstacle", "c2": 0.5, "eps": 0.0}
+        cfgd["scheme"]["scheme"] = "implicit_prox"
+        code, manifest = self.run(tmp_path, "longtime", cfgd)
         assert code == EXIT_OK
         assert all(check["passed"] for check in manifest["checks"].values())
 

@@ -9,15 +9,16 @@ import fracphase.timestepper
 from conftest import smoke_data, smoke_run
 from fracphase.config import build_system, load_raw_config, validate_config
 from fracphase.expressions import build_source
-from fracphase.galerkin import (Coupling, DiscreteSystem, ProblemData, assemble,
-                                project_data, stack_systems)
+from fracphase.galerkin import (Coupling, DiscreteSystem, ProblemData, apply_coupling,
+                                assemble, eval_nonlinearity, guard, project_data,
+                                stack_systems)
 from fracphase.potentials import (double_obstacle_potential,
-                                  logarithmic_potential, regular_potential,
+                                  logarithmic_potential, prox_step, regular_potential,
                                   zero_potential)
-from fracphase.spectral import (build_basis, build_interval_basis, build_rect_basis,
-                                synthesize)
-from fracphase.timestepper import (BlowupError, SchemeConfig, State,
-                                   integrate, step_imex, step_implicit_prox)
+from fracphase.spectral import (analyze, build_basis, build_interval_basis,
+                                build_rect_basis, synthesize)
+from fracphase.timestepper import (BlowupError, SchemeConfig, State, StepResult,
+                                   integrate, step_imex)
 
 
 def linear_system(basis, r=0.25, sigma=0.5, ell=0.0, theta0=None):
@@ -42,7 +43,8 @@ class TestStepImex:
         system = linear_system(neumann8, r=0.5)
         theta = np.zeros(8)
         theta[1] = 1.0
-        out = step_imex(system, State(0.0, theta, np.zeros(8)), 0.1).state
+        out = step_imex(system, State(0.0, theta, np.zeros(8)),
+                        SchemeConfig("imex_euler", dt=0.1)).state
         a = system.theta_stiff[1]
         assert out.theta[1] == pytest.approx(1.0 / (1.0 + 0.1 * a), rel=1e-14)
 
@@ -50,7 +52,8 @@ class TestStepImex:
         system = linear_system(neumann8)
         theta = np.zeros(8)
         theta[0] = 2.5
-        out = step_imex(system, State(0.0, theta, np.zeros(8)), 1.0).state
+        out = step_imex(system, State(0.0, theta, np.zeros(8)),
+                        SchemeConfig("imex_euler", dt=1.0)).state
         assert out.theta[0] == pytest.approx(2.5, rel=1e-15)
 
     def test_double_well_drifts_toward_one(self, neumann8):
@@ -80,7 +83,8 @@ class TestStepImplicitProx:
         system = assemble(data, neumann8, neumann8, 0.5, 0.5, 0.0,
                           double_obstacle_potential(0.5))
         theta0, phi0 = project_data(system)
-        step = step_implicit_prox(system, State(0.0, theta0, phi0), 0.05)
+        step = step_imex(system, State(0.0, theta0, phi0),
+                         SchemeConfig("implicit_prox", dt=0.05))
         xi, phi_grid = step.xi_grid, step.phi_grid
         assert np.max(np.abs(phi_grid)) <= 1.0
         touching = phi_grid >= 1.0 - 1e-12
@@ -90,8 +94,8 @@ class TestStepImplicitProx:
         system = linear_system(neumann8, ell=0.5)
         rng = np.random.default_rng(2)
         state = State(0.0, rng.standard_normal(8), rng.standard_normal(8))
-        a = step_imex(system, state, 0.01).state
-        b = step_implicit_prox(system, state, 0.01).state
+        a = step_imex(system, state, SchemeConfig("imex_euler", dt=0.01)).state
+        b = step_imex(system, state, SchemeConfig("implicit_prox", dt=0.01)).state
         assert np.max(np.abs(a.theta - b.theta)) <= 1e-12
         assert np.max(np.abs(a.phi - b.phi)) <= 1e-12
 
@@ -103,7 +107,8 @@ class TestStepImplicitProx:
                           regular_potential(gamma=0.0))
         system.phi_stiff = np.zeros_like(system.phi_stiff)
         theta0, phi0 = project_data(system)
-        phi_grid = step_implicit_prox(system, State(0.0, theta0, phi0), 0.1).phi_grid
+        phi_grid = step_imex(system, State(0.0, theta0, phi0),
+                             SchemeConfig("implicit_prox", dt=0.1)).phi_grid
         assert np.allclose(phi_grid, 0.9216989942046786, atol=1e-10)
 
 
@@ -135,6 +140,12 @@ class TestIntegrate:
         system = linear_system(neumann8)
         with pytest.raises(ValueError, match="integer number of steps"):
             integrate(system, SchemeConfig("imex_euler", dt=3e-3), 0.01)
+
+    def test_imex_rejects_multivalued_potential_at_eps0(self, neumann8):
+        system, _ = fast_and_oracle(obstacle_data(), neumann8, neumann8,
+                                    double_obstacle_potential(0.5), 0.0)
+        with pytest.raises(ValueError, match="requires the proximal scheme"):
+            integrate(system, SchemeConfig("imex_euler", dt=1e-3), 0.01)
 
     def test_zero_source_records_positive_zeros(self):
         # theta - coupled can round to -0.0; adding dt*g of a zero source
@@ -213,7 +224,7 @@ class TestEnergyLedger:
         rng = np.random.default_rng(9)
         state = State(0.0, rng.standard_normal(8), rng.standard_normal(8))
         for dt in (1e-3, 1.0, 1e3):
-            out = step_imex(system, state, dt).state
+            out = step_imex(system, state, SchemeConfig("imex_euler", dt=dt)).state
             assert np.linalg.norm(out.theta) <= np.linalg.norm(state.theta) + 1e-14
             assert np.linalg.norm(out.phi) <= np.linalg.norm(state.phi) + 1e-14
 
@@ -410,3 +421,104 @@ class TestStackedSystems:
         for out in partial:
             assert out.phi_series.shape == (out.times.size, 8)
         assert np.all(partial[0].phi_series == 0.0)
+
+
+# The two per-scheme steps that `step_imex` replaced, kept verbatim as the
+# oracle of the merged step.
+def oracle_step_imex(system: DiscreteSystem, state: State, dt: float) -> StepResult:
+    """One semi-implicit Euler step.
+
+    Phi+ = (I + dt M)^(-1) (Phi - dt F(Theta, Phi)), then
+    Theta+ = (I + dt Lambda)^(-1) (Theta - E (Phi+ - Phi) + dt g(t+dt)).
+    """
+    t_new = state.t + dt
+    theta_denom, phi_denom = system.step_denominators(dt)
+    terms = eval_nonlinearity(system, state.theta, state.phi)
+    phi_new = guard((state.phi - dt * terms.fphi) / phi_denom, "phi coefficients")
+    dphi = phi_new - state.phi
+    coupled = apply_coupling(system, terms.phi_grid, dphi)
+    g = system.source_at(t_new)
+    # + dt*g stays for a zero source too: it turns a -0.0 of theta - coupled
+    # into the +0.0 the recorded series hold
+    theta_new = guard((state.theta - coupled + dt * g) / theta_denom, "theta coefficients")
+    return StepResult(State(t_new, theta_new, phi_new), terms, g, dphi)
+
+
+def oracle_step_implicit_prox(system: DiscreteSystem, state: State, dt: float) -> StepResult:
+    """One proximal step; the result carries xi_grid and phi_grid.
+
+    The smooth explicit terms are frozen at the current state exactly as in
+    the semi-implicit step; the stiff diagonal is then solved implicitly and
+    the convex part applied backward on the grid through the resolvent of
+    (beta_eps or, at eps = 0, beta itself) at level dt:
+
+        intermediate = synth((Phi - dt*explicit) / (1 + dt*M)),
+        phi_grid+    = J_dt(intermediate),
+        xi_grid      = (intermediate - phi_grid+) / dt   in beta(phi_grid+).
+
+    The multiplier relation holds pointwise and exactly, so an obstacle bound
+    is satisfied at every node by construction, and with beta = 0 the step
+    reduces to the semi-implicit one identically.
+    """
+    pot, eps = system.potential, system.eps
+    t_new = state.t + dt
+    theta_denom, phi_denom = system.step_denominators(dt)
+    terms = eval_nonlinearity(system, state.theta, state.phi, include_beta=False)
+    phi_mid = (state.phi - dt * terms.fphi) / phi_denom
+    intermediate = guard(synthesize(system.basis_b, phi_mid), "phase grid")
+    phi_grid = np.asarray(prox_step(pot, eps, dt, intermediate))
+    xi_grid = (intermediate - phi_grid) / dt
+    phi_next = guard(analyze(system.basis_b, phi_grid), "phi coefficients")
+    dphi = phi_next - state.phi
+    coupled = apply_coupling(system, terms.phi_grid, dphi)
+    g = system.source_at(t_new)
+    theta_next = guard((state.theta - coupled + dt * g) / theta_denom, "theta coefficients")
+    return StepResult(State(t_new, theta_next, phi_next), terms, g, dphi, xi_grid,
+                      phi_grid)
+
+
+def step_arrays(step: StepResult) -> dict:
+    """Every array (or None) a step returns, by name."""
+    terms = step.terms
+    return {"t": step.state.t, "theta": step.state.theta, "phi": step.state.phi,
+            "fphi": terms.fphi, "terms.phi_grid": terms.phi_grid,
+            "pi_grid": terms.pi_grid, "pi_proj": terms.pi_proj, "source": step.source,
+            "dphi": step.dphi, "xi_grid": step.xi_grid, "phi_grid": step.phi_grid}
+
+
+class TestMergedStepAgainstOracle:
+    """The merged step against the per-scheme steps it replaced: every array
+    bit for bit, along a few chained steps."""
+
+    @pytest.mark.parametrize("case", ["same_basis", "mixed_basis", "tanh_coupling",
+                                      "no_declared_slope", "stacked"])
+    @pytest.mark.parametrize("scheme", ["imex_euler", "implicit_prox"])
+    def test_bit_identical_to_per_scheme_steps(self, neumann8, scheme, case):
+        if case == "stacked":
+            system = stack_systems(stacked_rows("interval", scheme, True)[:2])
+        else:
+            if scheme == "implicit_prox":
+                potential, eps = double_obstacle_potential(0.5), 0.0
+            else:
+                potential, eps = regular_potential(1.0), 1e-2
+            if case == "no_declared_slope":
+                potential = dataclasses.replace(potential, gamma=None)
+            basis_a = (build_interval_basis("dirichlet", 1.0, 8)
+                       if case == "mixed_basis" else neumann8)
+            data = dataclasses.replace(obstacle_data(),
+                                       source=build_source(SMOKE_SOURCE, basis_a))
+            if case == "tanh_coupling":
+                data.coupling = Coupling.function(lambda v: 2.0 + 0.5 * np.tanh(v))
+            system = assemble(data, basis_a, neumann8, 0.5, 0.5, eps, potential)
+        oracle = oracle_step_implicit_prox if scheme == "implicit_prox" else oracle_step_imex
+        config = SchemeConfig(scheme, dt=1e-2)
+        state = State(0.0, *project_data(system))
+        for _ in range(5):
+            merged, expected = step_imex(system, state, config), oracle(system, state, 1e-2)
+            got, want = step_arrays(merged), step_arrays(expected)
+            for name in want:
+                if want[name] is None:
+                    assert got[name] is None, name
+                else:
+                    assert np.array_equal(got[name], want[name]), name
+            state = merged.state
