@@ -39,9 +39,8 @@ from .galerkin import (OverflowGuardError, ProblemData, ValidationError, assembl
 from .potentials import (ResolventError, double_obstacle_potential,
                          logarithmic_potential, moreau, regular_potential,
                          resolvent, yosida)
-from .spectral import (BasisBuildError, build_basis, build_interval_basis,
-                       gram_defect, kernel_projection, fractional_multipliers,
-                       synthesize)
+from .spectral import (BasisBuildError, build_basis, gram_defect, kernel_projection,
+                       fractional_multipliers, synthesize)
 from .timestepper import BlowupError, RunOutput, SchemeConfig, integrate
 
 EXIT_OK = 0
@@ -114,8 +113,8 @@ def emit_run_outputs(run: RunOutput, system, out_dir: str,
     _write_atomic(path, "\n".join([SNAPSHOT_HEADER, *snap_rows]) + "\n")
     files.append(path)
 
-    for t_req in grid_times:
-        k = int(np.argmin(np.abs(run.times - t_req)))
+    # one file per distinct recorded snapshot the requests snap to
+    for k in dict.fromkeys(int(np.argmin(np.abs(run.times - t))) for t in grid_times):
         theta_grid = synthesize(system.basis_a, run.theta_series[k])
         phi_grid = synthesize(system.basis_b, run.phi_series[k])
         pts = system.basis_b.grid_points
@@ -220,6 +219,7 @@ def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter,
 
 
 def _cmd_simulate(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
+    read_study(cfg, "simulate")
     _, run = _simulate_and_emit(cfg, manifest, out_dir)
     resid = float(np.max(run.ledger.residual))
     manifest.check("energy_ledger_finite", bool(np.all(np.isfinite(run.ledger.residual))),
@@ -238,9 +238,11 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
         ba, bb, level_data, eps = basis_a, basis_b, data, cfg.eps
         r, sigma = cfg.operator_a.exponent, cfg.operator_b.exponent
         if axis == "n_modes":
-            ba = build_basis(cfg.operator_a.kind, cfg.operator_a.extent, int(value))
-            bb = ba if cfg.operator_b.kind == cfg.operator_a.kind else \
-                build_basis(cfg.operator_b.kind, cfg.operator_b.extent, int(value))
+            # each level on its default grid, which grows with n_modes
+            level = dataclasses.replace(cfg, **{
+                name: dataclasses.replace(getattr(cfg, name), n_modes=value, m_grid=None)
+                for name in ("operator_a", "operator_b")})
+            ba, bb = build_bases(level)
             level_data = build_problem_data(cfg, ba, bb)
         elif axis == "eps":
             eps = float(value)
@@ -399,7 +401,7 @@ def _selftest_rows(seed: int) -> list[tuple[str, str, int, float, float, bool]]:
     rows = []
 
     for kind in ("interval_neumann", "interval_dirichlet"):
-        basis = build_interval_basis(kind, 1.0, 64, 512)
+        basis = build_basis(kind, 1.0, 64, 512)
         defect = gram_defect(basis)
         rows.append(("gram_identity", kind, 64, defect, 1e-10, defect <= 1e-10))
         worst = 0.0
@@ -493,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"under ${OUTPUT_ROOT_ENV} if set)")
     parser.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry, e.g. scheme.dt=5e-4 (repeatable)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="ignored: study ladders march as one batched state")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -534,9 +534,6 @@ def main(argv=None) -> int:
     out_dir = resolve_out_dir(args, cfg)
     manifest = _ManifestWriter(out_dir, args.command, cfg.raw)
     manifest.payload["advisories"].extend(cfg.advisories)
-    if args.jobs is not None:
-        manifest.payload["advisories"].append(
-            "--jobs is ignored: study ladders march as one batched state")
     code = EXIT_OK
     try:
         summary = COMMANDS[args.command](cfg, manifest, out_dir)

@@ -318,8 +318,15 @@ def read_study(cfg: RunConfig, command: str) -> dict:
     """The `study.<command>` section of a validated config, every key checked
     and defaults filled in ({} for a command without one); a ConfigError lists
     every key that breaks its rule.  Only the running command's section is
-    read, so the others may hold anything."""
+    read, so the others may hold anything.  The commands that write grid files
+    (simulate, longtime) also check that each `output.grid_times` entry lies
+    in [0, t_final]; the others ignore them, so a study may shorten t_final."""
     r, key = _Reader(cfg.raw), f"study.{command}"
+    study = {}
+    if command in ("simulate", "longtime"):
+        in_run = (f"a number in [0, {cfg.t_final}]",
+                  lambda v: is_number(v) and 0 <= v <= cfg.t_final)
+        r.get("output.grid_times", list_of(in_run), [])
     if command == "converge":
         axis = r.get(f"{key}.axis", one_of(*CONVERGE_AXES), "dt")
         values = None if axis is None else \
@@ -329,7 +336,8 @@ def read_study(cfg: RunConfig, command: str) -> dict:
         if None not in (values, n_shared):
             study["levels"] = _converge_levels(r, cfg, values, axis, n_shared)
     elif command == "contdep":
-        study = {"deltas": r.get(f"{key}.deltas", list_of(NUMBER, at_least=1),
+        nonzero = ("a nonzero number", lambda v: is_number(v) and v != 0)
+        study = {"deltas": r.get(f"{key}.deltas", list_of(nonzero, at_least=1),
                                  [1e-1, 1e-2, 1e-3, 1e-4]),
                  "max_ratio_spread": r.get(f"{key}.max_ratio_spread", POSITIVE, 0.2),
                  "mode_index": r.get(f"{key}.mode_index",
@@ -354,8 +362,6 @@ def read_study(cfg: RunConfig, command: str) -> dict:
                 r.get(f"{key}.vector.amplitude", NUMBER, 1.0))
         if r.get(f"{key}.hpqo.enable", BOOLEAN, False):
             study["hpqo_vectors"] = r.get(f"{key}.hpqo.n_vectors", COUNT, 5)
-    else:
-        return {}
     r.done()
     return study
 

@@ -2,13 +2,18 @@
 
 The simulator works with two self-adjoint monotone operators realized through
 their eigenpairs: the Laplacian on an interval or a rectangle with Dirichlet or
-Neumann boundary conditions.  A basis stores the eigenvalues, trapezoid
-weights and one table of 1-D eigenfunction samples per axis, so every
-downstream operation (transforms, fractional powers, kernel projection, graph
-norms) reduces to small dense linear algebra; rectangle eigenfunctions are
-products e_jx(x) e_jy(y), so their transforms and Gram gate run one axis at a
-time (sum factorization).  Inner products between two bases on one domain
-(`cross_gram`) are exact closed-form integrals.
+Neumann boundary conditions, the kinds interval_dirichlet, interval_neumann,
+rect_dirichlet and rect_neumann.  `build_basis` is the one builder: it keeps
+the n_modes lowest modes (`_select_modes`), samples each axis's 1-D
+eigenfunctions on m_grid uniform nodes, holds m_grid to `min_grid_nodes`
+(the rule config validation applies too) and runs the Gram gate once.  A
+basis stores the eigenvalues, trapezoid weights and one table of 1-D
+eigenfunction samples per axis, so every downstream operation (transforms,
+fractional powers, kernel projection, graph norms) reduces to small dense
+linear algebra; rectangle eigenfunctions are products e_jx(x) e_jy(y), so
+their transforms and Gram gate run one axis at a time (sum factorization).
+Inner products between two bases on one domain (`cross_gram`) are exact
+closed-form integrals.
 
 The interval nodes linspace(0, L, m) are the DCT-I/DST-I nodes, so an interval
 basis whose dense table is large (n_modes*m_grid >= FFT_MIN_TABLE_SIZE)
@@ -150,35 +155,19 @@ def _interval_grid(length: float, m_grid: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _interval_eigendata(bc: str, length: float, indices: np.ndarray,
-                        x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and sampled eigenfunctions for 1-D mode labels.
+def _interval_eigendata(bc: str, length: float, labels: np.ndarray,
+                        x: np.ndarray) -> np.ndarray:
+    """Eigenfunctions with 1-D mode labels sampled at x, one column per label.
 
     Dirichlet labels start at 1 (sin modes); Neumann labels start at 0 where
     mode 0 is the normalized constant.
     """
-    k = indices * np.pi / length
-    values = np.empty((x.shape[0], indices.shape[0]))
+    k = labels * np.pi / length
     if bc == "dirichlet":
-        if np.any(indices < 1):
-            raise BasisBuildError("Dirichlet mode labels start at 1")
-        values[:] = np.sqrt(2.0 / length) * np.sin(np.outer(x, k))
-    elif bc == "neumann":
-        values[:] = np.sqrt(2.0 / length) * np.cos(np.outer(x, k))
-        values[:, indices == 0] = 1.0 / np.sqrt(length)
-    else:
-        raise BasisBuildError(f"unknown boundary condition {bc!r}")
-    return k**2, values
-
-
-def _check_orthonormality(basis: SpectralBasis) -> None:
-    defect = gram_defect(basis)
-    if defect > ORTHONORMALITY_TOL:
-        raise BasisBuildError(
-            f"orthonormality defect {defect:.3e} exceeds {ORTHONORMALITY_TOL:.0e} "
-            f"for kind={basis.kind}, n_modes={basis.n_modes}, m_grid={basis.n_grid}; "
-            "increase m_grid"
-        )
+        return np.sqrt(2.0 / length) * np.sin(np.outer(x, k))
+    values = np.sqrt(2.0 / length) * np.cos(np.outer(x, k))
+    values[:, labels == 0] = 1.0 / np.sqrt(length)
+    return values
 
 
 def _bc_of(kind: str) -> str:
@@ -187,134 +176,120 @@ def _bc_of(kind: str) -> str:
     return kind.split("_", 1)[1]
 
 
-def build_interval_basis(kind: str, length: float, n_modes: int,
-                         m_grid: int | None = None) -> SpectralBasis:
-    """Build a 1-D eigenbasis on (0, length).
+def _select_modes(kind: str, lengths, n_modes: int) -> tuple[tuple, np.ndarray]:
+    """Per-axis label columns and eigenvalues of the n_modes lowest modes.
 
-    kind is "interval_dirichlet" or "interval_neumann" (bare "dirichlet" /
-    "neumann" also accepted).  m_grid defaults to 8*n_modes and must be at
-    least 4*n_modes to keep pointwise nonlinearities alias-free.
+    Column j of an axis is its j-th 1-D label.  A rectangle sorts its modes by
+    eigenvalue with (jx, jy) lexicographic tie-break.  It does not enumerate
+    the n x n lattice: it bisects a level whose lattice count (per jx, a
+    searchsorted on the sorted y-eigenvalues) is at least n_modes and at most
+    twice that, evaluates the eigenvalue sums of the candidates up to that
+    level and sorts only those, in O(n log n) time and O(n) memory.
     """
-    bc = kind if kind in ("dirichlet", "neumann") else _bc_of(kind)
-    if bc not in ("dirichlet", "neumann"):
-        raise BasisBuildError(f"{kind!r} is not an interval kind")
-    if length <= 0.0:
-        raise BasisBuildError(f"domain length must be positive, got {length}")
-    if n_modes < 1:
-        raise BasisBuildError(f"n_modes must be >= 1, got {n_modes}")
-    if m_grid is None:
-        m_grid = DEFAULT_GRID_FACTOR * n_modes
-    if m_grid < MIN_GRID_FACTOR * n_modes:
-        raise BasisBuildError(
-            f"m_grid={m_grid} too small: need at least {MIN_GRID_FACTOR}*n_modes={MIN_GRID_FACTOR * n_modes}"
-        )
-    x, w = _interval_grid(float(length), m_grid)
-    first = 1 if bc == "dirichlet" else 0
-    indices = np.arange(first, first + n_modes)
-    eigvals, values = _interval_eigendata(bc, float(length), indices, x)
-    basis = SpectralBasis(
-        kind=f"interval_{bc}",
-        domain_extent=(float(length),),
-        n_modes=n_modes,
-        eigenvalues=eigvals,
-        grid_points=x,
-        quad_weights=w,
-        axis_values=(values,),
-        axis_weights=(w,),
-        axis_modes=(np.arange(n_modes),),
-        mode_indices=indices,
-    )
-    _check_orthonormality(basis)
-    if (n_modes * m_grid >= FFT_MIN_TABLE_SIZE
-            and _largest_prime_factor(2 * (m_grid - 1)) <= FFT_MAX_PRIME_FACTOR):
-        basis = replace(basis, fft=_fft_plan(basis))
-    return basis
+    columns = np.arange(n_modes)
+    labels = columns + (1 if _bc_of(kind) == "dirichlet" else 0)
+    if len(lengths) == 1:
+        return (columns,), (labels * np.pi / lengths[0]) ** 2
+    ex, ey = ((labels * np.pi / length) ** 2 for length in lengths)
 
+    def count(level):
+        return int(np.searchsorted(ey, level - ex, side="right").sum())
 
-def _rect_modes(bc: str, lx: float, ly: float,
-                n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axis column indices (jx, jy) and eigenvalues of the n_modes lowest
-    rectangle modes, sorted by eigenvalue with (jx, jy) lexicographic
-    tie-break."""
-    labels = np.arange(n_modes) + (1 if bc == "dirichlet" else 0)
-    jx, jy = np.meshgrid(np.arange(n_modes), np.arange(n_modes), indexing="ij")
-    jx, jy = jx.ravel(), jy.ravel()
-    sums = (labels * np.pi / lx)[jx] ** 2 + (labels * np.pi / ly)[jy] ** 2
+    lo, hi = -1.0, 2.0 * (ex[-1] + ey[-1])
+    n_hi = count(hi)
+    while n_hi > 2 * n_modes and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        n_mid = count(mid)
+        if n_mid >= n_modes:
+            hi, n_hi = mid, n_mid
+        else:
+            lo = mid
+    # the candidates: every (jx, jy) whose sum is at most the level, found
+    # with a margin far above the rounding of the sum and the searchsorted
+    level = hi * (1.0 + 1e-12)
+    rows = np.searchsorted(ey, level - ex + 1e-9 * level, side="right")
+    jx = np.repeat(columns, rows)
+    jy = np.arange(jx.size) - np.repeat(np.cumsum(rows) - rows, rows)
+    sums = ex[jx] + ey[jy]
+    keep = sums <= level
+    jx, jy, sums = jx[keep], jy[keep], sums[keep]
     order = np.lexsort((jy, jx, sums))[:n_modes]
-    return jx[order], jy[order], sums[order]
+    return (jx[order], jy[order]), sums[order]
 
 
 def min_grid_nodes(kind: str, extent, n_modes: int) -> int:
     """Smallest m_grid (nodes per axis) a basis accepts.
 
     MIN_GRID_FACTOR times the 1-D modes an axis keeps: n_modes on an
-    interval; on a rectangle the largest retained 1-D mode index + 1 over
-    both axes, which is far below n_modes when the retained modes spread
-    over both axes.
+    interval (closed form, nothing is enumerated); on a rectangle the largest
+    retained column + 1 over both axes, which is far below n_modes when the
+    retained modes spread over both axes.
     """
     if kind in RECT_KINDS:
-        lx, ly = np.atleast_1d(extent).astype(float)
-        jx, jy, _ = _rect_modes(_bc_of(kind), lx, ly, n_modes)
-        return MIN_GRID_FACTOR * int(max(jx.max(), jy.max()) + 1)
+        columns, _ = _select_modes(kind, np.atleast_1d(extent).astype(float), n_modes)
+        return MIN_GRID_FACTOR * max(int(c.max()) + 1 for c in columns)
     return MIN_GRID_FACTOR * n_modes
 
 
-def build_rect_basis(kind: str, lx: float, ly: float, n_modes: int,
-                     m_grid: int | None = None) -> SpectralBasis:
-    """Tensor-product eigenbasis on (0, lx) x (0, ly).
+def build_basis(kind: str, extent, n_modes: int, m_grid: int | None = None) -> SpectralBasis:
+    """Eigenbasis of kind interval_/rect_ dirichlet/neumann on (0, L) or
+    (0, Lx) x (0, Ly); extent is L, [L] or [Lx, Ly].
 
-    Modes are sorted by eigenvalue lambda_jx + lambda_jy with (jx, jy)
-    lexicographic tie-break; the first n_modes are retained.  m_grid counts
-    nodes per axis, defaults to 8*n_modes and must be at least
-    `min_grid_nodes`; each axis keeps only the 1-D modes a retained mode uses.
+    The n_modes lowest modes are retained (`_select_modes`).  m_grid counts
+    nodes per axis, defaults to DEFAULT_GRID_FACTOR*n_modes and must be at
+    least `min_grid_nodes`; each axis keeps only the 1-D modes a retained mode
+    uses.  The Gram gate runs once, and an interval basis picks its transform
+    path (`FFTPlan` or dense) here.
     """
-    bc = kind if kind in ("dirichlet", "neumann") else _bc_of(kind)
-    if lx <= 0.0 or ly <= 0.0:
-        raise BasisBuildError(f"domain extents must be positive, got ({lx}, {ly})")
+    bc = _bc_of(kind)
+    lengths = tuple(np.atleast_1d(extent).astype(float).tolist())
+    axes = 2 if kind in RECT_KINDS else 1
+    if len(lengths) != axes:
+        raise BasisBuildError(f"{kind} needs {axes} extent(s), got {extent!r}")
+    if min(lengths) <= 0.0:
+        raise BasisBuildError(f"domain extents must be positive, got {lengths}")
     if n_modes < 1:
         raise BasisBuildError(f"n_modes must be >= 1, got {n_modes}")
-    jx, jy, sums = _rect_modes(bc, float(lx), float(ly), n_modes)
-    kx, ky = int(jx.max()) + 1, int(jy.max()) + 1
+    need = min_grid_nodes(kind, lengths, n_modes)
     if m_grid is None:
         m_grid = DEFAULT_GRID_FACTOR * n_modes
-    if m_grid < MIN_GRID_FACTOR * max(kx, ky):
-        raise BasisBuildError(
-            f"m_grid={m_grid} too small: the retained modes use {max(kx, ky)} 1-D "
-            f"modes on an axis, so need at least {MIN_GRID_FACTOR * max(kx, ky)}"
-        )
-    ax = build_interval_basis(bc, float(lx), kx, m_grid)
-    ay = build_interval_basis(bc, float(ly), ky, m_grid)
-
-    points = np.column_stack([
-        np.repeat(ax.grid_points, ay.n_grid),
-        np.tile(ay.grid_points, ax.n_grid),
-    ])
+    if m_grid < need:
+        raise BasisBuildError(f"m_grid={m_grid} too small: need at least {need}, "
+                              f"{MIN_GRID_FACTOR} times the 1-D modes per axis")
+    columns, eigenvalues = _select_modes(kind, lengths, n_modes)
+    first = 1 if bc == "dirichlet" else 0
+    grids = [_interval_grid(length, m_grid) for length in lengths]
+    tables = tuple(_interval_eigendata(bc, length, np.arange(first, first + c.max() + 1), x)
+                   for length, c, (x, _) in zip(lengths, columns, grids))
+    if len(grids) == 1:
+        (points, weights), = grids
+        labels = first + columns[0]
+    else:
+        (x, wx), (y, wy) = grids
+        points = np.column_stack([np.repeat(x, m_grid), np.tile(y, m_grid)])
+        weights = np.outer(wx, wy).ravel()
+        labels = first + np.column_stack(columns)
     basis = SpectralBasis(
-        kind=f"rect_{bc}",
-        domain_extent=(float(lx), float(ly)),
+        kind=kind,
+        domain_extent=lengths,
         n_modes=n_modes,
-        eigenvalues=sums,
+        eigenvalues=eigenvalues,
         grid_points=points,
-        quad_weights=np.outer(ax.quad_weights, ay.quad_weights).ravel(),
-        axis_values=(ax.axis_values[0], ay.axis_values[0]),
-        axis_weights=(ax.quad_weights, ay.quad_weights),
-        axis_modes=(jx, jy),
-        mode_indices=np.column_stack([ax.mode_indices[jx], ay.mode_indices[jy]]),
+        quad_weights=weights,
+        axis_values=tables,
+        axis_weights=tuple(w for _, w in grids),
+        axis_modes=columns,
+        mode_indices=labels,
     )
-    _check_orthonormality(basis)
+    defect = gram_defect(basis)
+    if defect > ORTHONORMALITY_TOL:
+        raise BasisBuildError(
+            f"orthonormality defect {defect:.3e} exceeds {ORTHONORMALITY_TOL:.0e} "
+            f"for kind={kind}, n_modes={n_modes}, m_grid={m_grid}; increase m_grid")
+    if (len(lengths) == 1 and n_modes * m_grid >= FFT_MIN_TABLE_SIZE
+            and _largest_prime_factor(2 * (m_grid - 1)) <= FFT_MAX_PRIME_FACTOR):
+        basis = replace(basis, fft=_fft_plan(basis))
     return basis
-
-
-def build_basis(kind: str, extent, n_modes: int, m_grid: int | None = None) -> SpectralBasis:
-    """Dispatch on kind; extent is a scalar (interval) or a pair (rectangle)."""
-    if kind in INTERVAL_KINDS:
-        return build_interval_basis(kind, float(np.atleast_1d(extent)[0]), n_modes, m_grid)
-    if kind in RECT_KINDS:
-        ext = np.atleast_1d(extent).astype(float)
-        if ext.shape[0] != 2:
-            raise BasisBuildError(f"rect basis needs two extents, got {extent!r}")
-        return build_rect_basis(kind, ext[0], ext[1], n_modes, m_grid)
-    raise BasisBuildError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
 
 
 def eigenfunctions_at(basis: SpectralBasis, points: np.ndarray,
@@ -331,7 +306,7 @@ def eigenfunctions_at(basis: SpectralBasis, points: np.ndarray,
     labels = basis.mode_indices.reshape(basis.n_modes, basis.ndim)[modes]
     out = 1.0
     for axis, length in enumerate(basis.domain_extent):
-        out = out * _interval_eigendata(bc, length, labels[:, axis], pts[:, axis])[1]
+        out = out * _interval_eigendata(bc, length, labels[:, axis], pts[:, axis])
     return out
 
 
@@ -462,5 +437,5 @@ def gram_defect(basis: SpectralBasis) -> float:
     for values, weights, modes in zip(basis.axis_values, basis.axis_weights,
                                       basis.axis_modes):
         axis_gram = values.T @ (weights[:, None] * values)
-        gram = gram * axis_gram[np.ix_(modes, modes)]
+        gram = gram * axis_gram[modes[:, None], modes]
     return float(np.abs(gram - np.eye(basis.n_modes)).max())

@@ -3,18 +3,18 @@ import pytest
 
 from fracphase.galerkin import Coupling, ProblemData, assemble
 from fracphase.potentials import regular_potential
-from fracphase.spectral import build_interval_basis, eigenfunctions_at
+from fracphase.spectral import build_basis, eigenfunctions_at
 from fracphase.timestepper import SchemeConfig, integrate
 
 
 @pytest.fixture(scope="session")
 def neumann8():
-    return build_interval_basis("neumann", 1.0, 8)
+    return build_basis("interval_neumann", 1.0, 8)
 
 
 @pytest.fixture(scope="session")
 def dirichlet8():
-    return build_interval_basis("dirichlet", 1.0, 8)
+    return build_basis("interval_dirichlet", 1.0, 8)
 
 
 def smoke_data():

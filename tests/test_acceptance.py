@@ -20,7 +20,7 @@ from fracphase.potentials import (double_obstacle_potential,
                                   logarithmic_potential, moreau,
                                   regular_potential, resolvent, yosida,
                                   zero_potential)
-from fracphase.spectral import (build_interval_basis, fractional_multipliers,
+from fracphase.spectral import (build_basis, fractional_multipliers,
                                 gram_defect, synthesize)
 from fracphase.timestepper import SchemeConfig, integrate
 
@@ -46,7 +46,7 @@ def test_c01_spectral_foundation():
     worst_semigroup = 0.0
     rng = np.random.default_rng(101)
     for kind in ("neumann", "dirichlet"):
-        basis = build_interval_basis(kind, 1.0, 64, 512)
+        basis = build_basis(f"interval_{kind}", 1.0, 64, 512)
         worst_gram = max(worst_gram, gram_defect(basis))
         for _ in range(100):
             v = rng.standard_normal(64)
@@ -116,7 +116,7 @@ def test_c02_convex_analysis_suite():
 
 
 def test_c03_exact_linear_oracle():
-    basis = build_interval_basis("neumann", 1.0, 6)
+    basis = build_basis("interval_neumann", 1.0, 6)
     theta0 = np.ones(6)
     data = ProblemData(theta0=synthesize(basis, theta0), phi0=None,
                        coupling=Coupling.constant(0.0))
@@ -139,7 +139,7 @@ def test_c03_exact_linear_oracle():
 
 
 def test_c04_energy_ledger_richardson():
-    basis = build_interval_basis("neumann", 1.0, 8)
+    basis = build_basis("interval_neumann", 1.0, 8)
     maxima = []
     for dt in (1e-3, 5e-4):
         system = smoke_system(basis)
@@ -158,7 +158,7 @@ def test_c04_energy_ledger_richardson():
 
 
 def test_c05_uniform_in_eps():
-    basis = build_interval_basis("neumann", 1.0, 8)
+    basis = build_basis("interval_neumann", 1.0, 8)
     sups, cauchy, prev = [], [], None
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         run = integrate(smoke_system(basis, eps=eps),
@@ -179,7 +179,7 @@ def test_c05_uniform_in_eps():
 
 def test_c06_continuous_dependence():
     start = time.perf_counter()
-    basis = build_interval_basis("neumann", 1.0, 8)
+    basis = build_basis("interval_neumann", 1.0, 8)
 
     def make_run(data):
         system = assemble(data, basis, basis, 0.5, 0.5, 1e-2, regular_potential(1.0))
@@ -208,7 +208,7 @@ def test_c06_continuous_dependence():
 
 
 def test_c07_omega_limit():
-    neumann = build_interval_basis("neumann", 1.0, 8)
+    neumann = build_basis("interval_neumann", 1.0, 8)
     data = ProblemData(theta0=lambda x: 0.2 + 0.3 * np.cos(np.pi * x),
                        phi0=lambda x: 0.4 + 0.2 * np.cos(np.pi * x),
                        coupling=Coupling.constant(0.5))
@@ -216,7 +216,7 @@ def test_c07_omega_limit():
     run = integrate(system, SchemeConfig("imex_euler", dt=1e-2), 200.0, 100)
     rep = omega_limit_probe(system, run, tail_fraction=0.1)
 
-    dirichlet = build_interval_basis("dirichlet", 1.0, 8)
+    dirichlet = build_basis("interval_dirichlet", 1.0, 8)
     data_d = ProblemData(theta0=lambda x: 0.3 * np.sin(np.pi * x),
                          phi0=data.phi0, coupling=Coupling.constant(0.5))
     system_d = assemble(data_d, dirichlet, neumann, 0.5, 0.5, 1e-2,
@@ -234,7 +234,7 @@ def test_c07_omega_limit():
 
 
 def test_c08_sigma_zero_operator_identity():
-    basis = build_interval_basis("neumann", 1.0, 8)
+    basis = build_basis("interval_neumann", 1.0, 8)
     v = np.zeros(8)
     v[1] = 1.0
     chk = sigma_zero_operator_check(basis, v, [0.25])
@@ -255,7 +255,7 @@ def test_c08_sigma_zero_operator_identity():
 
 def test_c09_relaxation_limit():
     start = time.perf_counter()
-    basis = build_interval_basis("neumann", 1.0, 8)
+    basis = build_basis("interval_neumann", 1.0, 8)
 
     def ladder(data, potential):
         return [assemble(data, basis, basis, 0.5, sigma, 0.0, potential)

@@ -12,7 +12,7 @@ from fracphase.analysis import (contdep_report, convergence_study,
 from fracphase.galerkin import Coupling, ProblemData, assemble
 from fracphase.potentials import (custom_potential, double_obstacle_potential,
                                   regular_potential, zero_potential)
-from fracphase.spectral import build_interval_basis, build_rect_basis, synthesize
+from fracphase.spectral import build_basis, synthesize
 from fracphase.timestepper import SchemeConfig, integrate
 
 
@@ -98,7 +98,7 @@ class TestConvergenceStudy:
 
     def test_n_axis_errors_decrease(self):
         def make_run(n):
-            basis = build_interval_basis("neumann", 1.0, n)
+            basis = build_basis("interval_neumann", 1.0, n)
             data = ProblemData(
                 theta0=lambda x: np.exp(-5 * (x - 0.4) ** 2),
                 phi0=lambda x: 0.3 * np.exp(-4 * (x - 0.6) ** 2),
@@ -119,7 +119,7 @@ class TestConvergenceStudy:
         assert all(np.diff(cauchy) < 0)
 
     def test_reexpress_is_exact_on_nested_spaces(self, neumann8):
-        fine = build_interval_basis("neumann", 1.0, 16)
+        fine = build_basis("interval_neumann", 1.0, 16)
         rng = np.random.default_rng(0)
         coeffs = rng.standard_normal((3, 8))
         lifted = reexpress(coeffs, neumann8, fine)
@@ -128,8 +128,8 @@ class TestConvergenceStudy:
 
     @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
     def test_reexpress_is_exact_on_nested_rect_spaces(self, kind):
-        coarse = build_rect_basis(kind, 1.0, 2.0, 6)
-        fine = build_rect_basis(kind, 1.0, 2.0, 16)
+        coarse = build_basis(f"rect_{kind}", [1.0, 2.0], 6)
+        fine = build_basis(f"rect_{kind}", [1.0, 2.0], 16)
         assert np.array_equal(fine.mode_indices[:6], coarse.mode_indices)
         coeffs = np.random.default_rng(1).standard_normal((3, 6))
         lifted = reexpress(coeffs, coarse, fine)

@@ -311,6 +311,7 @@ class TestManifestStatus:
             cfgd["data"] = {"theta0": [{"kind": "constant", "value": 1.0}],
                             "phi0": [{"kind": "constant", "value": 0.99}]}
             cfgd["scheme"] = {"scheme": "imex_euler", "dt": 0.01, "t_final": 0.01}
+            cfgd["output"]["grid_times"] = [0.0, 0.01]
         code, manifest = self.run(tmp_path, command, cfgd)
         assert code == expected and manifest["status"] == status
 
@@ -338,6 +339,35 @@ class TestManifestStatus:
         assert manifest["checks"]["errors_decrease"]["passed"]
         rows = (tmp_path / "o" / "study_converge.csv").read_text().splitlines()
         assert rows[0].startswith("n_modes,") and len(rows) == 4
+
+    @pytest.mark.parametrize("command", ["simulate", "converge"])
+    def test_bases_on_different_domains_are_rejected(self, tmp_path, command):
+        """converge builds each n_modes level through the rule every command
+        uses: basis b shares basis a only when both specs agree."""
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["geometry"]["b"]["extent"] = 2.0
+        cfgd["study"] = {"converge": {"axis": "n_modes", "values": [4, 6, 8]}}
+        code, manifest = self.run(tmp_path, command, cfgd)
+        assert code == EXIT_CONFIG
+        assert manifest["failure"]["stage"] == "validation"
+        assert "different domains" in manifest["failure"]["message"]
+
+    def test_grid_times_write_one_file_per_snapshot(self, tmp_path):
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["output"]["grid_times"] = [0.0, 0.001, 0.1, 0.0999]
+        code, manifest = self.run(tmp_path, "simulate", cfgd)
+        assert code == EXIT_OK
+        grids = [f for f in manifest["files"] if f.startswith("grid_")]
+        assert grids == ["grid_0.0.csv", "grid_0.1.csv"]
+        assert sorted(p.name for p in (tmp_path / "o").glob("grid_*")) == grids
+
+    def test_study_commands_ignore_grid_times(self, tmp_path):
+        # only simulate and longtime write grid files
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["output"]["grid_times"] = [7.0]
+        cfgd["study"] = {"contdep": {"deltas": [1e-1, 1e-2]}}
+        code, _ = self.run(tmp_path, "contdep", cfgd)
+        assert code == EXIT_OK
 
     @pytest.mark.parametrize("command", ["simulate", "contdep", "converge"])
     def test_mixed_rect_commands(self, tmp_path, command):
@@ -429,7 +459,9 @@ class TestManifestStatus:
         ("converge", "smoke.json", 'study.converge={"axis":"dt","values":[0.002]}'),
         ("converge", "smoke.json", 'study.converge={"axis":"eps","values":[0.01,-0.01]}'),
         ("converge", "smoke.json", 'study.converge={"axis":"n_modes","values":[4,true]}'),
-        ("opcheck", "relaxlimit.json", "study.opcheck.hpqo.enable=1")])
+        ("opcheck", "relaxlimit.json", "study.opcheck.hpqo.enable=1"),
+        ("contdep", "smoke.json", "study.contdep.deltas=[0.0,0.1]"),
+        ("longtime", "longtime.json", "output.grid_times=[0.0,300]")])
     def test_bad_study_key_is_a_config_error(self, tmp_path, command, config, override):
         out = tmp_path / "o"
         code = main([command, "--config", os.path.join(CONFIGS, config),
@@ -443,6 +475,8 @@ class TestManifestStatus:
         ("geometry.a.n_modes=true", "geometry.a.n_modes"),
         ('geometry.a.extent="abc"', "geometry.a.extent"),
         ('output.grid_times=["x"]', "output.grid_times"),
+        ("output.grid_times=[0.0,0.5]", "output.grid_times"),
+        ("output.grid_times=[-0.001]", "output.grid_times"),
         ("geometry=[]", "geometry"),
         ("potential=null", "potential"),
         ("scheme.t_final=Infinity", "scheme.t_final"),
@@ -463,7 +497,8 @@ class TestManifestStatus:
     def test_bad_shared_key_is_a_config_error(self, tmp_path, override, key):
         out = tmp_path / "o"
         code = main(["simulate", "--config", os.path.join(CONFIGS, "smoke.json"),
-                     "--override", "scheme.t_final=0.01", "--override", override,
+                     "--override", "scheme.t_final=0.01",
+                     "--override", "output.grid_times=[0.0]", "--override", override,
                      "--out", str(out), "--quiet"])
         failure = json.loads((out / "manifest.json").read_text())["failure"]
         assert code == EXIT_CONFIG
@@ -656,13 +691,10 @@ class TestStudyCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["checks"]["closed_form_agreement"]["passed"]
 
-    def test_converge_jobs_flag(self, tmp_path):
-        cfgd = json.loads(json.dumps(SMOKE))
-        cfgd["study"] = {"converge": {"axis": "dt", "values": [0.004, 0.002, 0.001]}}
+    def test_jobs_flag_is_rejected(self, tmp_path):
         out = tmp_path / "out"
-        code = main(["converge", "--config", write_config(tmp_path, cfgd),
-                     "--out", str(out), "--jobs", "3", "--quiet"])
-        assert code == EXIT_OK
-        assert (out / "study_converge.csv").exists()
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert any("--jobs is ignored" in a for a in manifest["advisories"])
+        with pytest.raises(SystemExit) as info:
+            main(["converge", "--config", write_config(tmp_path, SMOKE),
+                  "--out", str(out), "--jobs", "3", "--quiet"])
+        assert info.value.code == EXIT_CONFIG
+        assert not out.exists()

@@ -13,8 +13,7 @@ from fracphase.galerkin import (OVERFLOW_LIMIT, Coupling, OverflowGuardError,
                                 assemble, eval_nonlinearity, guard, project_data)
 from fracphase.potentials import (double_obstacle_potential, regular_potential,
                                   yosida, zero_potential)
-from fracphase.spectral import (analyze, build_basis, build_interval_basis,
-                                synthesize)
+from fracphase.spectral import analyze, build_basis, synthesize
 
 
 def make_system(basis_a, basis_b, coupling, potential=None, eps=1e-2,
@@ -65,7 +64,7 @@ class TestAssemble:
                         phi0=lambda x: 1.0 + x)
 
     def test_domain_mismatch_rejected(self, neumann8):
-        other = build_interval_basis("neumann", 2.0, 8)
+        other = build_basis("interval_neumann", 2.0, 8)
         with pytest.raises(ValidationError, match="domain"):
             make_system(neumann8, other, Coupling.constant(0.0))
 
@@ -153,7 +152,7 @@ class TestQuadratureConsistency:
         coeffs /= np.linalg.norm(coeffs)
         results = []
         for factor in (8, 16):
-            basis = build_interval_basis("neumann", 1.0, 8, m_grid=factor * 8)
+            basis = build_basis("interval_neumann", 1.0, 8, m_grid=factor * 8)
             grid = synthesize(basis, coeffs)
             results.append(analyze(basis, grid**3))
         assert np.max(np.abs(results[0] - results[1])) <= 1e-8

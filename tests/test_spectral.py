@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,81 +10,127 @@ from fracphase.expressions import build_space_field
 import fracphase.spectral
 from fracphase.spectral import (FFT_MIN_TABLE_SIZE, ORTHONORMALITY_TOL,
                                 BasisBuildError, analyze, build_basis,
-                                build_interval_basis, build_rect_basis,
                                 cross_gram, eigenfunctions_at,
                                 fractional_multipliers, gram_defect, graph_norm,
                                 kernel_projection, min_grid_nodes, synthesize)
+from fracphase.spectral import _select_modes
 
 PI2 = np.pi**2
 
 
 class TestIntervalBuilder:
     def test_neumann_spectrum(self):
-        b = build_interval_basis("neumann", 1.0, 3)
+        b = build_basis("interval_neumann", 1.0, 3)
         assert np.allclose(b.eigenvalues, [0.0, PI2, 4 * PI2], rtol=0, atol=1e-12)
 
     def test_dirichlet_spectrum_and_midpoint(self):
-        b = build_interval_basis("dirichlet", 1.0, 2)
+        b = build_basis("interval_dirichlet", 1.0, 2)
         assert np.allclose(b.eigenvalues, [PI2, 4 * PI2])
         e1 = eigenfunctions_at(b, np.array([0.5]))[0, 0]
         assert e1 == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
     def test_neumann_constant_mode(self):
-        b = build_interval_basis("neumann", 2.0, 1)
+        b = build_basis("interval_neumann", 2.0, 1)
         assert b.eigenvalues[0] == 0.0
         assert np.allclose(b.axis_values[0][:, 0], 1.0 / np.sqrt(2.0))
 
     def test_rejects_small_grid(self):
         with pytest.raises(BasisBuildError, match="m_grid"):
-            build_interval_basis("neumann", 1.0, 8, m_grid=16)
+            build_basis("interval_neumann", 1.0, 8, m_grid=16)
 
     def test_rejects_bad_length(self):
         with pytest.raises(BasisBuildError, match="positive"):
-            build_interval_basis("neumann", -1.0, 4)
+            build_basis("interval_neumann", -1.0, 4)
 
     def test_eigenvalues_sorted(self):
         for kind in ("neumann", "dirichlet"):
-            b = build_interval_basis(kind, 1.7, 12)
+            b = build_basis(f"interval_{kind}", 1.7, 12)
             assert np.all(np.diff(b.eigenvalues) >= 0)
 
+    def test_rejects_extent_count_of_other_shape(self):
+        with pytest.raises(BasisBuildError, match="extent"):
+            build_basis("interval_neumann", [1.0, 2.0], 4)
+        with pytest.raises(BasisBuildError, match="extent"):
+            build_basis("rect_neumann", 1.0, 4)
+
     def test_dirichlet_strictly_positive(self):
-        b = build_interval_basis("dirichlet", 1.0, 6)
+        b = build_basis("interval_dirichlet", 1.0, 6)
         assert np.all(b.eigenvalues > 0)
 
 
 class TestRectBuilder:
     def test_neumann_square(self):
-        b = build_rect_basis("neumann", 1.0, 1.0, 4)
+        b = build_basis("rect_neumann", [1.0, 1.0], 4)
         assert np.allclose(b.eigenvalues, [0.0, PI2, PI2, 2 * PI2])
         # lexicographic tie-break puts the y-mode first
         assert tuple(b.mode_indices[1]) == (0, 1)
         assert tuple(b.mode_indices[2]) == (1, 0)
 
     def test_dirichlet_square_first(self):
-        b = build_rect_basis("dirichlet", 1.0, 1.0, 1)
+        b = build_basis("rect_dirichlet", [1.0, 1.0], 1)
         assert b.eigenvalues[0] == pytest.approx(2 * PI2)
 
     def test_anisotropic_ordering(self):
-        b = build_rect_basis("neumann", 1.0, 2.0, 2)
+        b = build_basis("rect_neumann", [1.0, 2.0], 2)
         assert np.allclose(b.eigenvalues, [0.0, (np.pi / 2.0) ** 2])
 
     def test_quadrature_measures_area(self):
-        b = build_rect_basis("neumann", 1.0, 2.0, 4)
+        b = build_basis("rect_neumann", [1.0, 2.0], 4)
         assert np.sum(b.quad_weights) == pytest.approx(2.0, rel=1e-13)
 
     def test_orthonormal(self):
-        b = build_rect_basis("dirichlet", 1.0, 1.5, 9)
+        b = build_basis("rect_dirichlet", [1.0, 1.5], 9)
         assert gram_defect(b) < 1e-10
 
     @pytest.mark.parametrize("kind", ["rect_dirichlet", "rect_neumann"])
     def test_grid_rule_counts_retained_axis_modes(self, kind):
         # 64 modes on the unit square use 1-D modes 0..8 of each axis
         assert min_grid_nodes(kind, [1.0, 1.0], 64) == 36
-        b = build_rect_basis(kind, 1.0, 1.0, 64, 36)
+        b = build_basis(kind, [1.0, 1.0], 64, 36)
         assert [v.shape for v in b.axis_values] == [(36, 9), (36, 9)]
         assert gram_defect(b) <= ORTHONORMALITY_TOL
-        with pytest.raises(BasisBuildError, match="m_grid=35"):
-            build_rect_basis(kind, 1.0, 1.0, 64, 35)
+        with pytest.raises(BasisBuildError, match="m_grid=35 .*at least 36"):
+            build_basis(kind, [1.0, 1.0], 64, 35)
+
+
+def meshgrid_modes(bc, lx, ly, n):
+    """The selection oracle: every (jx, jy) of the n x n lattice, sorted by
+    eigenvalue with lexicographic tie-break."""
+    labels = np.arange(n) + (1 if bc == "dirichlet" else 0)
+    jx, jy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    jx, jy = jx.ravel(), jy.ravel()
+    sums = (labels * np.pi / lx)[jx] ** 2 + (labels * np.pi / ly)[jy] ** 2
+    order = np.lexsort((jy, jx, sums))
+    return jx[order], jy[order], sums[order]
+
+
+class TestModeSelection:
+    """The bounded rectangle selection against the full lattice sort."""
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.5, np.sqrt(2.0), 10.0])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_matches_meshgrid_oracle(self, bc, ratio):
+        # a mode among the n lowest has both columns below n, so the n lowest
+        # of the 400 x 400 lattice are the n lowest of the n x n lattice
+        want_x, want_y, want_sums = meshgrid_modes(bc, 1.0, ratio, 400)
+        for n in range(1, 401):
+            (jx, jy), sums = _select_modes(f"rect_{bc}", (1.0, ratio), n)
+            assert np.array_equal(jx, want_x[:n])
+            assert np.array_equal(jy, want_y[:n])
+            assert np.array_equal(sums, want_sums[:n])
+
+    def test_grid_rule_memory_is_bounded(self):
+        # the lattice of 20 000 modes per axis would take gigabytes
+        tracemalloc.start()
+        try:
+            need = min_grid_nodes("rect_dirichlet", [1.0, 1.5], 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert need < 4 * 20_000 // 10
+        # an interval's rule is closed form: nothing is enumerated
+        assert min_grid_nodes("interval_neumann", 1.0, 10**10) == 4 * 10**10
 
 
 # rectangles for the tensor-product paths: both kinds, square and not
@@ -143,10 +191,10 @@ class TestFFTTransforms:
     @pytest.mark.parametrize("n,m", [(64, 512), (128, 512), (512, 2048)])
     @pytest.mark.parametrize("kind", ["interval_neumann", "interval_dirichlet"])
     def test_matches_dense_oracle(self, kind, n, m, monkeypatch):
-        b = build_interval_basis(kind, 1.7, n, m)
+        b = build_basis(kind, 1.7, n, m)
         assert (b.fft is not None) == (n * m >= FFT_MIN_TABLE_SIZE)
         monkeypatch.setattr(fracphase.spectral, "FFT_MIN_TABLE_SIZE", 0)
-        fft = build_interval_basis(kind, 1.7, n, m)
+        fft = build_basis(kind, 1.7, n, m)
         assert fft.fft is not None
         dense = b.axis_values[0]
         rng = np.random.default_rng(n)
@@ -159,16 +207,16 @@ class TestFFTTransforms:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_run_matches_dense_path(self, monkeypatch):
-        _, dense = smoke_run(build_interval_basis("neumann", 1.0, 16))
+        _, dense = smoke_run(build_basis("interval_neumann", 1.0, 16))
         monkeypatch.setattr(fracphase.spectral, "FFT_MIN_TABLE_SIZE", 0)
-        _, fft = smoke_run(build_interval_basis("neumann", 1.0, 16))
+        _, fft = smoke_run(build_basis("interval_neumann", 1.0, 16))
         for a, b in ((fft.theta_series, dense.theta_series),
                      (fft.phi_series, dense.phi_series),
                      (fft.ledger.lhs, dense.ledger.lhs)):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
     def test_fft_path_keeps_input_checks(self):
-        b = build_interval_basis("neumann", 1.0, 512, 2048)
+        b = build_basis("interval_neumann", 1.0, 512, 2048)
         assert b.fft is not None
         with pytest.raises(ValueError, match="shape"):
             synthesize(b, np.zeros(511))
@@ -180,16 +228,16 @@ class TestFFTTransforms:
     def test_dispatch_rule(self):
         """Intervals only: a dense table of at least FFT_MIN_TABLE_SIZE entries
         and an FFT length 2(m-1) without a prime factor above 100."""
-        assert build_interval_basis("neumann", 1.0, 8).fft is None
-        assert build_interval_basis("neumann", 1.0, 128, 1024).fft is None
-        assert build_interval_basis("dirichlet", 1.0, 128, 2048).fft is not None
-        assert build_interval_basis("neumann", 1.0, 512, 2048).fft is not None
+        assert build_basis("interval_neumann", 1.0, 8).fft is None
+        assert build_basis("interval_neumann", 1.0, 128, 1024).fft is None
+        assert build_basis("interval_dirichlet", 1.0, 128, 2048).fft is not None
+        assert build_basis("interval_neumann", 1.0, 512, 2048).fft is not None
         # 2*(1536 - 1) = 2*5*307: the FFT would be slower than the dense product
         assert 192 * 1536 >= FFT_MIN_TABLE_SIZE
-        assert build_interval_basis("neumann", 1.0, 192).fft is None
+        assert build_basis("interval_neumann", 1.0, 192).fft is None
         # a rectangle's sample matrix (65 536 x 64 here) is never formed: it
         # stays sum-factorized whatever its size
-        rect = build_rect_basis("rect_neumann", 1.0, 1.0, 64, 256)
+        rect = build_basis("rect_neumann", [1.0, 1.0], 64, 256)
         assert rect.n_grid * rect.n_modes >= FFT_MIN_TABLE_SIZE and rect.fft is None
 
 
@@ -203,8 +251,8 @@ class TestCrossGram:
         assert np.max(np.abs(cross_gram(a, b) - gauss_legendre_gram(a, b))) <= 1e-13
 
     def test_rejects_different_domains(self):
-        a = build_interval_basis("neumann", 1.0, 4)
-        b = build_interval_basis("dirichlet", 2.0, 4)
+        a = build_basis("interval_neumann", 1.0, 4)
+        b = build_basis("interval_dirichlet", 2.0, 4)
         with pytest.raises(ValueError, match="different domains"):
             cross_gram(a, b)
 
@@ -319,7 +367,7 @@ class TestGraphNorm:
 
 def test_acceptance_scale_gram():
     for kind in ("neumann", "dirichlet"):
-        b = build_interval_basis(kind, 1.0, 64, 512)
+        b = build_basis(f"interval_{kind}", 1.0, 64, 512)
         assert gram_defect(b) <= 1e-10
 
 
@@ -332,7 +380,7 @@ FINITENESS_EDGES = [1.0, 1e200, -1e200, np.inf, -np.inf, np.nan]
                         max_size=6),
        rows=st.sampled_from([None, 2]))
 def test_analyze_finiteness_fast_path_matches_exact(entries, rows):
-    basis = build_interval_basis("neumann", 1.0, 8, 64)
+    basis = build_basis("interval_neumann", 1.0, 8, 64)
     grid = np.zeros(64 if rows is None else (rows, 64))
     for k, value in entries:
         grid.flat[k] = value

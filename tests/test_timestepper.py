@@ -15,8 +15,7 @@ from fracphase.galerkin import (Coupling, DiscreteSystem, ProblemData, apply_cou
 from fracphase.potentials import (double_obstacle_potential,
                                   logarithmic_potential, prox_step, regular_potential,
                                   zero_potential)
-from fracphase.spectral import (analyze, build_basis, build_interval_basis,
-                                build_rect_basis, synthesize)
+from fracphase.spectral import analyze, build_basis, synthesize
 from fracphase.timestepper import (BlowupError, SchemeConfig, State, StepResult,
                                    integrate, step_imex)
 
@@ -301,7 +300,7 @@ class TestFastPathsAgainstOracle:
         ("imex_no_declared_slope", (1, 2, 1, 3)),
     ])
     def test_transforms_per_step(self, neumann8, monkeypatch, case, expected):
-        dirichlet8 = build_interval_basis("dirichlet", 1.0, 8)
+        dirichlet8 = build_basis("interval_dirichlet", 1.0, 8)
         scheme = "implicit_prox" if case == "prox" else "imex_euler"
         if case == "prox":
             system, _ = fast_and_oracle(obstacle_data(), neumann8, neumann8,
@@ -345,12 +344,12 @@ def stacked_rows(geometry, scheme, sourced):
     """Three systems on mixed Dirichlet/Neumann bases that differ in sigma and
     in their initial data and share everything else."""
     if geometry == "interval":
-        basis_a = build_interval_basis("dirichlet", 1.0, 8)
-        basis_b = build_interval_basis("neumann", 1.0, 8)
+        basis_a = build_basis("interval_dirichlet", 1.0, 8)
+        basis_b = build_basis("interval_neumann", 1.0, 8)
         spec = SMOKE_SOURCE
     else:
-        basis_a = build_rect_basis("rect_dirichlet", 1.0, 1.5, 6, 24)
-        basis_b = build_rect_basis("rect_neumann", 1.0, 1.5, 6, 24)
+        basis_a = build_basis("rect_dirichlet", [1.0, 1.5], 6, 24)
+        basis_b = build_basis("rect_neumann", [1.0, 1.5], 6, 24)
         spec = dict(SMOKE_SOURCE, space={"kind": "sin", "k": [1, 1], "amplitude": 0.5})
     if scheme == "implicit_prox":
         potential, eps = double_obstacle_potential(0.5), 0.0
@@ -503,7 +502,7 @@ class TestMergedStepAgainstOracle:
                 potential, eps = regular_potential(1.0), 1e-2
             if case == "no_declared_slope":
                 potential = dataclasses.replace(potential, gamma=None)
-            basis_a = (build_interval_basis("dirichlet", 1.0, 8)
+            basis_a = (build_basis("interval_dirichlet", 1.0, 8)
                        if case == "mixed_basis" else neumann8)
             data = dataclasses.replace(obstacle_data(),
                                        source=build_source(SMOKE_SOURCE, basis_a))
