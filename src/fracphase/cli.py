@@ -31,16 +31,15 @@ from .analysis import (contdep_report, convergence_study, hpqo_probe,
                        omega_limit_probe, relaxation_limit_study,
                        sigma_zero_operator_check)
 from .config import (ConfigError, RunConfig, apply_overrides, build_bases,
-                     build_potential, build_problem_data, build_system,
-                     load_raw_config, read_study, validate_config)
+                     build_problem_data, build_system, load_raw_config, read_study,
+                     validate_config)
 from .expressions import ExpressionError
-from .galerkin import (OverflowGuardError, ProblemData, ValidationError, assemble,
-                       stack_systems)
+from .galerkin import OverflowGuardError, ValidationError, assemble, stack_systems
 from .potentials import (ResolventError, double_obstacle_potential,
                          logarithmic_potential, moreau, regular_potential,
                          resolvent, yosida)
-from .spectral import (BasisBuildError, build_basis, gram_defect, kernel_projection,
-                       fractional_multipliers, synthesize)
+from .spectral import (DEFAULT_GRID_FACTOR, BasisBuildError, build_basis, gram_defect,
+                       kernel_projection, fractional_multipliers, synthesize)
 from .timestepper import BlowupError, RunOutput, SchemeConfig, integrate
 
 EXIT_OK = 0
@@ -174,6 +173,12 @@ class _ManifestWriter:
             failure["traceback"] = "".join(traceback.format_exception(exc))
         self.payload["failure"] = failure
 
+    def advise(self, *systems) -> None:
+        """List each advisory of the marched `systems` not yet listed."""
+        listed = self.payload["advisories"]
+        for system in systems:
+            listed.extend(a for a in system.advisories if a not in listed)
+
     def add_files(self, files) -> None:
         self.payload["files"].extend(os.path.basename(f) for f in files)
 
@@ -208,7 +213,7 @@ def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter,
     propagates; `main` records the solver failure.
     """
     system = build_system(cfg)
-    manifest.payload["advisories"].extend(system.advisories)
+    manifest.advise(system)
     try:
         run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
     except BlowupError as exc:
@@ -227,34 +232,35 @@ def _cmd_simulate(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
     return f"simulate: {run.times.size} snapshots, max energy residual {resid:.3e}"
 
 
+def _assemble_levels(cfg: RunConfig, levels) -> list:
+    """The config's system at each (sigma, eps) of `levels`, assembled over
+    bases, data and potential built once."""
+    basis_a, basis_b = build_bases(cfg)
+    data = build_problem_data(cfg, basis_a, basis_b)
+    return [assemble(data, basis_a, basis_b, cfg.operator_a.exponent, float(sigma),
+                     float(eps), cfg.potential) for sigma, eps in levels]
+
+
 def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = read_study(cfg, "converge")
     axis, values = study["axis"], study["values"]
-    basis_a, basis_b = build_bases(cfg)
-    potential = build_potential(cfg)
-    data = build_problem_data(cfg, basis_a, basis_b)
-
-    def make_system(value):
-        ba, bb, level_data, eps = basis_a, basis_b, data, cfg.eps
-        r, sigma = cfg.operator_a.exponent, cfg.operator_b.exponent
-        if axis == "n_modes":
-            # each level on its default grid, which grows with n_modes
-            level = dataclasses.replace(cfg, **{
-                name: dataclasses.replace(getattr(cfg, name), n_modes=value, m_grid=None)
-                for name in ("operator_a", "operator_b")})
-            ba, bb = build_bases(level)
-            level_data = build_problem_data(cfg, ba, bb)
-        elif axis == "eps":
-            eps = float(value)
-        elif axis == "sigma":
-            sigma = float(value)
-        return assemble(level_data, ba, bb, r, sigma, eps, potential)
+    if axis == "n_modes":
+        # each level on its default grid, which grows with n_modes
+        systems = [build_system(dataclasses.replace(cfg, **{
+            name: dataclasses.replace(getattr(cfg, name), n_modes=value,
+                                      m_grid=DEFAULT_GRID_FACTOR * value)
+            for name in ("operator_a", "operator_b")})) for value in values]
+    else:
+        sigma, eps = cfg.operator_b.exponent, cfg.eps
+        systems = _assemble_levels(cfg, [(value if axis == "sigma" else sigma,
+                                          value if axis == "eps" else eps)
+                                         for value in values])
+    manifest.advise(*systems)
 
     def march(system, dt, stride):
         scheme = SchemeConfig(cfg.scheme.scheme, dt=dt)
         return integrate(system, scheme, cfg.t_final, stride).rows()
 
-    systems = [make_system(v) for v in values]
     if axis == "sigma":
         # the potentials branch on a scalar eps, so only sigma levels share a batch
         runs = march(stack_systems(systems), *study["levels"][0])
@@ -282,21 +288,13 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
 def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     study = read_study(cfg, "contdep")
     deltas = study["deltas"]
-    basis_a, basis_b = build_bases(cfg)
-    potential = build_potential(cfg)
-    base = build_problem_data(cfg, basis_a, basis_b)
-    mode = synthesize(basis_a, np.eye(basis_a.n_modes)[study["mode_index"]])
-
-    def system(data: ProblemData):
-        return assemble(data, basis_a, basis_b, cfg.operator_a.exponent,
-                        cfg.operator_b.exponent, cfg.eps, potential)
-
+    base = build_system(cfg)
+    mode = synthesize(base.basis_a, np.eye(base.n_a)[study["mode_index"]])
     # the base run and one run per datum theta0 + delta*e_mode march as one
     # stacked system
-    systems = [system(base)]
-    theta0 = systems[0].theta0_grid
-    systems += [system(dataclasses.replace(base, theta0=theta0 + float(d) * mode))
-                for d in deltas]
+    systems = [base] + [dataclasses.replace(base, theta0_grid=base.theta0_grid
+                                            + float(d) * mode) for d in deltas]
+    manifest.advise(*systems)
     runs = integrate(stack_systems(systems), cfg.scheme, cfg.t_final,
                      cfg.snapshot_stride).rows()
     reports = [contdep_report(systems[0], runs[0], system, run)
@@ -338,16 +336,9 @@ def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
 
 def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
     sigmas = read_study(cfg, "relaxlimit")["sigmas"]
-    basis_a, basis_b = build_bases(cfg)
-    potential = build_potential(cfg)
-    data = build_problem_data(cfg, basis_a, basis_b)
-    try:
-        ladder = [assemble(data, basis_a, basis_b, cfg.operator_a.exponent,
-                           float(sigma), cfg.eps, potential) for sigma in sigmas]
-        report = relaxation_limit_study(ladder, cfg.scheme.dt, cfg.t_final,
-                                        cfg.snapshot_stride)
-    except ValueError as exc:
-        raise ConfigError([("study.relaxlimit", str(exc))]) from None
+    ladder = _assemble_levels(cfg, [(sigma, cfg.eps) for sigma in sigmas])
+    manifest.advise(*ladder)
+    report = relaxation_limit_study(ladder, cfg.scheme.dt, cfg.t_final, cfg.snapshot_stride)
 
     rows = [[_fmt(s), _fmt(pe), _fmt(te)]
             for s, pe, te in zip(report.sigmas, report.phi_errors, report.theta_errors)]
@@ -381,11 +372,10 @@ def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str
     manifest.check("errors_decreasing", decreasing, {"errors": chk["direct"].tolist()})
 
     if study["hpqo_vectors"] is not None:
-        pot = build_potential(cfg)
         vectors = rng.standard_normal((study["hpqo_vectors"], basis_b.n_modes))
         vectors /= (1.0 + basis_b.eigenvalues)
         eps = cfg.eps if cfg.eps > 0 else 1e-2
-        rep = hpqo_probe(basis_b, cfg.operator_b.exponent, pot, eps, vectors)
+        rep = hpqo_probe(basis_b, cfg.operator_b.exponent, cfg.potential, eps, vectors)
         manifest.write_table("study_hpqo.csv", "vector,value",
                              [[str(k), _fmt(v)] for k, v in enumerate(rep.values)])
         manifest.payload["checks"]["hpqo_sign"] = {

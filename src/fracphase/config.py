@@ -22,7 +22,8 @@ from .expressions import is_number
 from .galerkin import Coupling, ProblemData, assemble
 from .potentials import (Potential, double_obstacle_potential, logarithmic_potential,
                          regular_potential, zero_potential)
-from .spectral import BASIS_KINDS, RECT_KINDS, SpectralBasis, build_basis, min_grid_nodes
+from .spectral import (BASIS_KINDS, DEFAULT_GRID_FACTOR, RECT_KINDS, SpectralBasis,
+                       build_basis, min_grid_nodes)
 from .timestepper import SCHEMES, SchemeConfig, step_count
 
 
@@ -114,10 +115,13 @@ class _Reader:
 
 @dataclass
 class OperatorSpec:
+    """One operator's basis and exponent; an absent m_grid is resolved to
+    DEFAULT_GRID_FACTOR*n_modes, so equal specs build equal bases."""
+
     kind: str
     extent: tuple[float, ...]
     n_modes: int
-    m_grid: Optional[int]
+    m_grid: int
     exponent: float
 
 
@@ -125,12 +129,9 @@ class OperatorSpec:
 class RunConfig:
     operator_a: OperatorSpec
     operator_b: OperatorSpec
-    potential_kind: str
+    potential: Potential
     eps: float
-    c1: Optional[float]
-    c2: Optional[float]
-    gamma: Optional[float]
-    coupling: dict
+    coupling: Coupling
     data: dict
     scheme: SchemeConfig
     t_final: float
@@ -186,7 +187,11 @@ _EXTENT = {1: ("a positive number or a list of one",
            2: ("a list of two positive numbers",
                lambda v: type(v) is list and len(v) == 2 and all(map(POSITIVE[1], v)))}
 _BASIS_KIND = one_of(*BASIS_KINDS)
-_POTENTIAL_KIND = one_of("regular", "logarithmic", "double_obstacle", "none")
+# each potential kind's builder, called with its one parameter
+_POTENTIALS = {"regular": regular_potential, "logarithmic": logarithmic_potential,
+               "double_obstacle": double_obstacle_potential,
+               "none": lambda _: zero_potential()}
+_POTENTIAL_KIND = one_of(*_POTENTIALS)
 _COUPLING_KIND = one_of("constant", "function")
 _SCHEME = one_of(*SCHEMES)
 
@@ -209,34 +214,40 @@ def _operator_spec(r: _Reader, label: str, exponent_key: str) -> OperatorSpec | 
     exponent = r.get(exponent_key, POSITIVE, 0.5)
     if None in (ext, n_modes, exponent):
         return None
-    return OperatorSpec(kind=kind, extent=ext, n_modes=n_modes, m_grid=m_grid,
+    return OperatorSpec(kind=kind, extent=ext, n_modes=n_modes,
+                        m_grid=DEFAULT_GRID_FACTOR * n_modes if m_grid is None else m_grid,
                         exponent=float(exponent))
 
 
 def validate_config(raw: dict) -> RunConfig:
-    """Read every shared key of the JSON object `raw` into a RunConfig; a
-    ConfigError lists every key that breaks its rule."""
+    """Read every shared key of the JSON object `raw` into a RunConfig, which
+    carries the run's one potential and coupling; a ConfigError lists every
+    key that breaks its rule."""
     r = _Reader(raw)
     op_a = _operator_spec(r, "a", "exponents.r")
     op_b = _operator_spec(r, "b", "exponents.sigma")
 
     pot_kind = r.get("potential.kind", _POTENTIAL_KIND)
     eps = r.get("potential.eps", NONNEGATIVE, 0.0)
-    c1 = c2 = None
-    if pot_kind == "logarithmic":
-        c1 = r.get("potential.c1", ("a number > 1", lambda v: is_number(v) and v > 1))
-    if pot_kind == "double_obstacle":
-        c2 = r.get("potential.c2", POSITIVE)
     gamma = r.get("potential.gamma", NONNEGATIVE, None)
+    parameter = 1.0 if gamma is None else gamma
+    if pot_kind == "logarithmic":
+        parameter = r.get("potential.c1", ("a number > 1", lambda v: is_number(v) and v > 1))
+    elif pot_kind == "double_obstacle":
+        parameter = r.get("potential.c2", POSITIVE)
+    advisories = []
+    if gamma is not None and pot_kind != "regular":
+        advisories.append(f"potential.gamma is ignored: the {pot_kind} potential "
+                          "fixes its own slope")
 
     # an absent coupling section is the zero constant coupling
-    coupling = {"kind": r.get("coupling.kind", _COUPLING_KIND, "constant")}
-    if coupling["kind"] == "constant":
-        coupling["value"] = r.get("coupling.value", NUMBER, 0.0)
-    elif coupling["kind"] == "function":
-        coupling.update(name=r.get("coupling.name", one_of("tanh")),
-                        offset=r.get("coupling.offset", NUMBER, 0.0),
-                        scale=r.get("coupling.scale", NUMBER, 1.0))
+    coupling_kind = r.get("coupling.kind", _COUPLING_KIND, "constant")
+    if coupling_kind == "constant":
+        value = r.get("coupling.value", NUMBER, 0.0)
+    elif coupling_kind == "function":
+        r.get("coupling.name", one_of("tanh"))
+        offset = r.get("coupling.offset", NUMBER, 0.0)
+        scale = r.get("coupling.scale", NUMBER, 1.0)
 
     scheme_name = r.get("scheme.scheme", _SCHEME, "imex_euler")
     dt = r.get("scheme.dt", POSITIVE, 1e-3)
@@ -249,9 +260,8 @@ def validate_config(raw: dict) -> RunConfig:
     stride = r.get("scheme.snapshot_stride", COUNT, 1)
     # keys of the retired proximal fixed-point loop; old manifests still replay
     scheme_raw = r.get("scheme", OBJECT, {}) or {}
-    advisories = tuple(f"scheme.{key} is ignored: the proximal step is closed form"
-                       for key in ("fixed_point_tol", "max_inner_iters")
-                       if key in scheme_raw)
+    advisories += [f"scheme.{key} is ignored: the proximal step is closed form"
+                   for key in ("fixed_point_tol", "max_inner_iters") if key in scheme_raw]
 
     if pot_kind == "double_obstacle" and eps == 0 and scheme_name == "imex_euler":
         r.problems.append(("scheme.scheme",
@@ -263,14 +273,16 @@ def validate_config(raw: dict) -> RunConfig:
     seed = r.get("seed", ("an integer >= 0", lambda v: type(v) is int and v >= 0), 0)
     r.done()
 
+    if coupling_kind == "constant":
+        coupling = Coupling.constant(value)
+    else:
+        offset, scale = float(offset), float(scale)
+        coupling = Coupling.function(lambda v: offset + scale * np.tanh(v))
     return RunConfig(
         operator_a=op_a,
         operator_b=op_b,
-        potential_kind=pot_kind,
+        potential=_POTENTIALS[pot_kind](float(parameter)),
         eps=float(eps),
-        c1=None if c1 is None else float(c1),
-        c2=None if c2 is None else float(c2),
-        gamma=None if gamma is None else float(gamma),
         coupling=coupling,
         data=data,
         scheme=SchemeConfig(scheme=scheme_name, dt=float(dt)),
@@ -280,7 +292,7 @@ def validate_config(raw: dict) -> RunConfig:
         grid_times=tuple(float(t) for t in grid_times),
         seed=seed,
         raw=raw,
-        advisories=advisories,
+        advisories=tuple(advisories),
     )
 
 
@@ -349,8 +361,12 @@ def read_study(cfg: RunConfig, command: str) -> dict:
                  "stationary_threshold": r.get(f"{key}.stationary_threshold",
                                                POSITIVE, 1e-5)}
     elif command == "relaxlimit":
-        study = {"sigmas": r.get(f"{key}.sigmas", list_of(POSITIVE, at_least=1),
-                                 [0.5, 0.25, 0.1, 0.05])}
+        sigmas = r.get(f"{key}.sigmas", list_of(POSITIVE, at_least=1), [0.5, 0.25, 0.1, 0.05])
+        if sigmas is not None and sigmas != sorted(sigmas, reverse=True):
+            r.problems.append((f"{key}.sigmas", f"must be decreasing, got {sigmas!r}"))
+        if cfg.coupling.kind != "constant":
+            r.problems.append((key, "the relaxation limit requires a constant coupling"))
+        study = {"sigmas": sigmas}
     elif command == "opcheck":
         study = {"sigmas": r.get(f"{key}.sigmas", list_of(POSITIVE, at_least=1),
                                  [0.2, 0.1, 0.05, 0.01]),
@@ -366,16 +382,9 @@ def read_study(cfg: RunConfig, command: str) -> dict:
     return study
 
 
-def build_coupling(cfg: RunConfig) -> Coupling:
-    section = cfg.coupling
-    if section["kind"] == "constant":
-        return Coupling.constant(section["value"])
-    offset = float(section["offset"])
-    scale = float(section["scale"])
-    return Coupling.function(lambda v: offset + scale * np.tanh(v))
-
-
 def build_bases(cfg: RunConfig) -> tuple[SpectralBasis, SpectralBasis]:
+    """The two operators' bases: one object when the specs equal in all but
+    the exponent, which is the one rule for sharing a basis."""
     a, b = cfg.operator_a, cfg.operator_b
     basis_a = build_basis(a.kind, a.extent, a.n_modes, a.m_grid)
     if (b.kind, b.extent, b.n_modes, b.m_grid) == (a.kind, a.extent, a.n_modes, a.m_grid):
@@ -383,23 +392,12 @@ def build_bases(cfg: RunConfig) -> tuple[SpectralBasis, SpectralBasis]:
     return basis_a, build_basis(b.kind, b.extent, b.n_modes, b.m_grid)
 
 
-def build_potential(cfg: RunConfig) -> Potential:
-    if cfg.potential_kind == "regular":
-        return regular_potential(1.0 if cfg.gamma is None else cfg.gamma)
-    if cfg.potential_kind == "logarithmic":
-        return logarithmic_potential(cfg.c1)
-    if cfg.potential_kind == "double_obstacle":
-        return double_obstacle_potential(cfg.c2)
-    return zero_potential()
-
-
 def build_problem_data(cfg: RunConfig, basis_a: SpectralBasis,
                        basis_b: SpectralBasis) -> ProblemData:
     theta0 = expressions.build_space_field(cfg.data.get("theta0"), basis_a, "data.theta0")
     phi0 = expressions.build_space_field(cfg.data.get("phi0"), basis_b, "data.phi0")
     source = expressions.build_source(cfg.data.get("source"), basis_a, "data.source")
-    return ProblemData(theta0=theta0, phi0=phi0, source=source,
-                       coupling=build_coupling(cfg))
+    return ProblemData(theta0=theta0, phi0=phi0, source=source, coupling=cfg.coupling)
 
 
 def build_system(cfg: RunConfig):
@@ -407,4 +405,4 @@ def build_system(cfg: RunConfig):
     basis_a, basis_b = build_bases(cfg)
     data = build_problem_data(cfg, basis_a, basis_b)
     return assemble(data, basis_a, basis_b, cfg.operator_a.exponent,
-                    cfg.operator_b.exponent, cfg.eps, build_potential(cfg))
+                    cfg.operator_b.exponent, cfg.eps, cfg.potential)

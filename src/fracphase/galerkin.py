@@ -219,11 +219,9 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
             f"phi0 leaves the domain of the convex potential at {bad.size} node(s): {report}"
         )
 
-    same = basis_a is basis_b or (
-        basis_a.kind == basis_b.kind
-        and np.array_equal(basis_a.mode_indices, basis_b.mode_indices)
-        and all(map(np.array_equal, basis_a.axis_values, basis_b.axis_values))
-    )
+    # one basis object takes the scalar coupling; two distinct objects, even
+    # equal ones, take the cross-Gram matrix
+    same = basis_a is basis_b
     if not same and not basis_a.same_grid_as(basis_b):
         raise ValidationError(
             "distinct bases must share the quadrature grid (use the same m_grid)"

@@ -283,13 +283,12 @@ def _newton_resolvent(pot: Potential, eps: float,
     """Safeguarded Newton with bisection fallback; returns (x, |residual|)."""
     lo, hi = _newton_bracket(pot, s_arr)
     x = np.clip(s_arr, lo, hi)
-    best_x = x.copy()
-    best_f = np.abs(x + eps * np.asarray(pot.beta(x), dtype=float) - s_arr)
 
     def residual(v):
         return v + eps * np.asarray(pot.beta(v), dtype=float) - s_arr
 
     f = residual(x)
+    best_x, best_f = x.copy(), np.abs(f)
     for _ in range(NEWTON_MAX_ITERS):
         improved = np.abs(f) < best_f
         best_x[improved] = x[improved]

@@ -217,15 +217,17 @@ def _potential_integral(system: DiscreteSystem, phi: np.ndarray,
     return np.vecdot(system.basis_b.quad_weights, density)
 
 
-_COLUMNS = ("t", "norm_theta", "graph_theta", "norm_phi", "graph_phi", "dtphi",
-            "half_theta_sq", "diss_theta", "diss_phi", "half_phi_graph_sq",
-            "potential_integral", "work_source", "work_phi")
+# what a snapshot records besides the state; `_finalize` derives the norms
+_COLUMNS = ("t", "dtphi", "diss_theta", "diss_phi", "potential_integral",
+            "work_source", "work_phi")
 
 
 class _Snapshots:
     """Per-snapshot columns preallocated for a whole run; `count` rows are
-    filled, each with one entry per row of a stacked system.  An unstacked
-    proximal run also records its multiplier and grid iterates."""
+    filled, each with one entry per row of a stacked system.  A record holds
+    only what the step produced: the state, |d_t phi|, the ledger sums and
+    the potential integral.  An unstacked proximal run also records its
+    multiplier and grid iterates."""
 
     def __init__(self, system: DiscreteSystem, n_rows: int, prox: bool):
         self.system = system
@@ -241,27 +243,16 @@ class _Snapshots:
 
     def record(self, state: State, dtphi, ledger: _LedgerAccumulator,
                xi: np.ndarray | None, phi_grid: np.ndarray | None) -> None:
-        system, k, c = self.system, self.count, self.cols
-        theta, phi = state.theta, state.phi
-        theta_sq = np.vecdot(theta, theta)
-        ar_theta_sq = np.vecdot(system.theta_stiff * theta, theta)  # |A^r theta|^2
-        phi_sq = np.vecdot(phi, phi)
-        half_graph_phi = 0.5 * (phi_sq + np.vecdot(system.phi_stiff * phi, phi))
+        k, c = self.count, self.cols
         c["t"][k] = state.t
-        c["norm_theta"][k] = np.sqrt(theta_sq)
-        c["graph_theta"][k] = np.sqrt(theta_sq + ar_theta_sq)
-        c["norm_phi"][k] = np.sqrt(phi_sq)
-        c["graph_phi"][k] = np.sqrt(2.0 * half_graph_phi)
         c["dtphi"][k] = dtphi
-        c["half_theta_sq"][k] = 0.5 * theta_sq
         c["diss_theta"][k] = ledger.diss_theta
         c["diss_phi"][k] = ledger.diss_phi
-        c["half_phi_graph_sq"][k] = half_graph_phi
-        c["potential_integral"][k] = _potential_integral(system, phi, phi_grid)
+        c["potential_integral"][k] = _potential_integral(self.system, state.phi, phi_grid)
         c["work_source"][k] = ledger.work_source
         c["work_phi"][k] = ledger.work_phi
-        self.theta[k] = theta
-        self.phi[k] = phi
+        self.theta[k] = state.theta
+        self.phi[k] = state.phi
         if self.xi is not None:
             # a proximal run hands every record its grid iterate
             self.xi[k] = 0.0 if xi is None else xi
@@ -327,19 +318,27 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
 
 
 def _finalize(snaps: _Snapshots) -> RunOutput:
-    n = snaps.count
+    """The recorded rows as a RunOutput, with the norms of every snapshot
+    derived at once (a row-batched vecdot equals the per-row one)."""
+    system, n = snaps.system, snaps.count
 
     def col(name):
         return snaps.cols[name][:n]
 
-    lhs = (col("half_theta_sq") + col("diss_theta") + col("diss_phi")
-           + col("half_phi_graph_sq") + col("potential_integral"))
+    theta, phi = snaps.theta[:n], snaps.phi[:n]
+    theta_sq = np.vecdot(theta, theta)
+    ar_theta_sq = np.vecdot(system.theta_stiff * theta, theta)  # |A^r theta|^2
+    phi_sq = np.vecdot(phi, phi)
+    half_theta_sq = 0.5 * theta_sq
+    half_graph_phi = 0.5 * (phi_sq + np.vecdot(system.phi_stiff * phi, phi))
+    lhs = (half_theta_sq + col("diss_theta") + col("diss_phi")
+           + half_graph_phi + col("potential_integral"))
     rhs = lhs[0] + col("work_source") + col("work_phi")
     ledger = LedgerSeries(
-        half_theta_sq=col("half_theta_sq"),
+        half_theta_sq=half_theta_sq,
         diss_theta=col("diss_theta"),
         diss_phi=col("diss_phi"),
-        half_phi_graph_sq=col("half_phi_graph_sq"),
+        half_phi_graph_sq=half_graph_phi,
         potential_integral=col("potential_integral"),
         work_source=col("work_source"),
         work_phi=col("work_phi"),
@@ -349,12 +348,12 @@ def _finalize(snaps: _Snapshots) -> RunOutput:
     )
     return RunOutput(
         times=col("t"),
-        theta_series=snaps.theta[:n],
-        phi_series=snaps.phi[:n],
-        norm_theta=col("norm_theta"),
-        graph_theta=col("graph_theta"),
-        norm_phi=col("norm_phi"),
-        graph_phi=col("graph_phi"),
+        theta_series=theta,
+        phi_series=phi,
+        norm_theta=np.sqrt(theta_sq),
+        graph_theta=np.sqrt(theta_sq + ar_theta_sq),
+        norm_phi=np.sqrt(phi_sq),
+        graph_phi=np.sqrt(2.0 * half_graph_phi),
         dtphi_norm=col("dtphi"),
         ledger=ledger,
         xi_series=None if snaps.xi is None else snaps.xi[:n],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fracphase.analysis
 import fracphase.cli
+import fracphase.config
 from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                            EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
                            config_hash, main, read_timeseries)
@@ -88,6 +89,19 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def count_basis_builds(monkeypatch) -> list[tuple[int, int]]:
+    """The (n_modes, m_grid) of every basis the config module builds from now on."""
+    built = []
+    build_basis = fracphase.config.build_basis
+
+    def counting(kind, extent, n_modes, m_grid=None):
+        built.append((n_modes, m_grid))
+        return build_basis(kind, extent, n_modes, m_grid)
+
+    monkeypatch.setattr(fracphase.config, "build_basis", counting)
+    return built
 
 
 class TestConfigValidation:
@@ -173,7 +187,12 @@ def key_paths(node, prefix=()):
 def test_property_bases_are_valid(base):
     cfg = validate_config(PROPERTY_BASES[base])
     for command in STUDIES:
-        read_study(cfg, command)
+        if command == "relaxlimit" and cfg.coupling.kind == "function":
+            # the relaxation limit needs a constant coupling
+            with pytest.raises(ConfigError, match="study.relaxlimit"):
+                read_study(cfg, command)
+        else:
+            read_study(cfg, command)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -425,9 +444,8 @@ class TestManifestStatus:
             entries = {"eps": cfgd["potential"]["eps"], **entries}
         cfgd[section] = entries
         if command == "relaxlimit" and variant == "tanh_coupling":
-            # assembling the small-sigma ladder warns before the limit rejects it
-            with pytest.warns(UserWarning, match="embedding condition"):
-                code, manifest = self.run(tmp_path, command, cfgd)
+            # the study reader rejects it before any basis is built
+            code, manifest = self.run(tmp_path, command, cfgd)
             assert code == EXIT_CONFIG
             assert manifest["failure"]["stage"] == "validation"
             assert "study.relaxlimit" in manifest["failure"]["message"]
@@ -533,6 +551,63 @@ class TestManifestStatus:
         assert code == EXIT_OK
         for key in ("fixed_point_tol", "max_inner_iters"):
             assert any(f"scheme.{key} is ignored" in a for a in manifest["advisories"])
+
+    @pytest.mark.parametrize("kind,extra", [("logarithmic", {"c1": 1.5}),
+                                            ("double_obstacle", {"c2": 0.5}),
+                                            ("none", {})])
+    def test_gamma_of_a_fixed_slope_potential_is_ignored_with_advisory(
+            self, tmp_path, kind, extra):
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["potential"] = {"kind": kind, "gamma": 1.0, "eps": 0.01, **extra}
+        code, manifest = self.run(tmp_path, "simulate", cfgd)
+        assert code == EXIT_OK
+        assert any(a.startswith("potential.gamma is ignored: ")
+                   for a in manifest["advisories"])
+
+    @pytest.mark.parametrize("command,axis", [("simulate", None), ("contdep", None),
+                                              ("converge", "sigma")])
+    def test_every_command_records_the_advisories_of_its_systems(
+            self, tmp_path, command, axis):
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["coupling"] = {"kind": "function", "name": "tanh", "offset": 1.0, "scale": 0.5}
+        cfgd["exponents"] = {"r": 0.25, "sigma": 0.2}
+        cfgd["scheme"]["t_final"] = 0.05
+        cfgd["output"]["grid_times"] = []
+        cfgd["study"] = {"contdep": {"deltas": [1e-1, 1e-2]},
+                         "converge": {"axis": axis, "values": [0.2, 0.1]}}
+        with pytest.warns(UserWarning, match="embedding condition"):
+            code, manifest = self.run(tmp_path, command, cfgd)
+        assert code == EXIT_OK
+        assert any("r + 2*sigma = 0.65 <= 0.75" in a for a in manifest["advisories"])
+
+    def test_relaxlimit_rejects_an_increasing_ladder_before_building(
+            self, tmp_path, monkeypatch):
+        built = count_basis_builds(monkeypatch)
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["study"] = {"relaxlimit": {"sigmas": [0.25, 0.5]}}
+        code, manifest = self.run(tmp_path, "relaxlimit", cfgd)
+        assert code == EXIT_CONFIG
+        assert manifest["failure"]["stage"] == "validation"
+        assert "study.relaxlimit.sigmas: must be decreasing" in manifest["failure"]["message"]
+        assert built == []
+
+    def test_converge_n_modes_builds_only_the_level_bases(self, tmp_path, monkeypatch):
+        built = count_basis_builds(monkeypatch)
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["scheme"]["t_final"] = 0.05
+        cfgd["study"] = {"converge": {"axis": "n_modes", "values": [4, 8, 16]}}
+        code, _ = self.run(tmp_path, "converge", cfgd)
+        assert code == EXIT_OK
+        assert built == [(4, 32), (8, 64), (16, 128)]
+
+    def test_absent_m_grid_equal_to_the_default_shares_one_basis(self, monkeypatch):
+        # b's m_grid of 48 is 8*n_modes, the grid an absent m_grid stands for
+        built = count_basis_builds(monkeypatch)
+        cfg = validate_config(apply_overrides(SMOKE, ["geometry.a.m_grid=null"]))
+        system = fracphase.config.build_system(cfg)
+        assert built == [(6, 48)]
+        assert system.basis_a is system.basis_b
+        assert system.coupling_matrix is None
 
     def test_n_modes_axis_rejects_non_integers(self, tmp_path):
         cfgd = json.loads(json.dumps(SMOKE))

@@ -32,6 +32,13 @@ class TestAssemble:
         assert out[3] == pytest.approx(2.0)
         assert np.max(np.abs(np.delete(out, 3))) <= 1e-12
 
+    def test_distinct_equal_bases_take_the_cross_gram_matrix(self, neumann8):
+        # only one basis object is one basis: an equal twin gets the matrix
+        twin = build_basis("interval_neumann", 1.0, 8)
+        system = make_system(neumann8, twin, Coupling.constant(2.0))
+        assert not system.same_basis
+        np.testing.assert_allclose(system.coupling_matrix, 2.0 * np.eye(8), atol=1e-12)
+
     def test_cross_basis_entry_matches_analytic_integral(self, neumann8, dirichlet8):
         # (eta_0, e_1) = int_0^1 sqrt(2) sin(pi x) dx = 2 sqrt(2)/pi
         system = make_system(dirichlet8, neumann8, Coupling.constant(1.0))
