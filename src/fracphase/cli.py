@@ -34,7 +34,8 @@ from .config import (ConfigError, RunConfig, apply_overrides, build_bases,
                      build_problem_data, build_system, load_raw_config, read_study,
                      validate_config)
 from .expressions import ExpressionError
-from .galerkin import OverflowGuardError, ValidationError, assemble, stack_systems
+from .galerkin import (OverflowGuardError, ValidationError, assemble, resolve_field,
+                       stack_systems)
 from .potentials import (ResolventError, double_obstacle_potential,
                          logarithmic_potential, moreau, regular_potential,
                          resolvent, yosida)
@@ -142,17 +143,18 @@ def read_timeseries(path: str) -> dict[str, np.ndarray]:
 
 
 class _ManifestWriter:
-    """Collects run metadata and guarantees a manifest lands on disk."""
+    """Collects run metadata, which `main` writes as manifest.json into
+    `out_dir`, None until the run directory is known."""
 
-    def __init__(self, out_dir: str, command: str, raw_config: dict):
+    def __init__(self, out_dir: str | None, command: str):
         self.out_dir = out_dir
         self.started = time.perf_counter()
         self.payload = {
             "artifact": "fracphase",
             "version": __version__,
             "command": command,
-            "config": raw_config,
-            "config_hash": None if raw_config is None else config_hash(raw_config),
+            "config": None,
+            "config_hash": None,
             "status": "ok",
             "checks": {},
             "advisories": [],
@@ -173,11 +175,12 @@ class _ManifestWriter:
             failure["traceback"] = "".join(traceback.format_exception(exc))
         self.payload["failure"] = failure
 
-    def advise(self, *systems) -> None:
-        """List each advisory of the marched `systems` not yet listed."""
+    def advise(self, *sources) -> None:
+        """List each advisory of `sources` (the config, the marched systems)
+        not yet listed."""
         listed = self.payload["advisories"]
-        for system in systems:
-            listed.extend(a for a in system.advisories if a not in listed)
+        for source in sources:
+            listed.extend(a for a in source.advisories if a not in listed)
 
     def add_files(self, files) -> None:
         self.payload["files"].extend(os.path.basename(f) for f in files)
@@ -205,9 +208,9 @@ class _ManifestWriter:
 # subcommands
 
 
-def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter,
-                       out_dir: str) -> tuple:
-    """Assemble and march the config's system and write its run outputs.
+def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter) -> tuple:
+    """Assemble and march the config's system and write its run outputs into
+    the run directory.
 
     On a BlowupError the partial outputs are written before the error
     propagates; `main` records the solver failure.
@@ -217,15 +220,15 @@ def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter,
     try:
         run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
     except BlowupError as exc:
-        manifest.add_files(emit_run_outputs(exc.partial, system, out_dir, cfg.grid_times))
+        manifest.add_files(emit_run_outputs(exc.partial, system, manifest.out_dir,
+                                            cfg.grid_times))
         raise
-    manifest.add_files(emit_run_outputs(run, system, out_dir, cfg.grid_times))
+    manifest.add_files(emit_run_outputs(run, system, manifest.out_dir, cfg.grid_times))
     return system, run
 
 
-def _cmd_simulate(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    read_study(cfg, "simulate")
-    _, run = _simulate_and_emit(cfg, manifest, out_dir)
+def _cmd_simulate(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
+    _, run = _simulate_and_emit(cfg, manifest)
     resid = float(np.max(run.ledger.residual))
     manifest.check("energy_ledger_finite", bool(np.all(np.isfinite(run.ledger.residual))),
                    {"max_residual": resid})
@@ -241,8 +244,7 @@ def _assemble_levels(cfg: RunConfig, levels) -> list:
                      float(eps), cfg.potential) for sigma, eps in levels]
 
 
-def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    study = read_study(cfg, "converge")
+def _cmd_converge(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
     axis, values = study["axis"], study["values"]
     if axis == "n_modes":
         # each level on its default grid, which grows with n_modes
@@ -285,15 +287,17 @@ def _cmd_converge(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
     return f"converge[{axis}]: errors {errors['phi_l2_h']}"
 
 
-def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    study = read_study(cfg, "contdep")
+def _cmd_contdep(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
     deltas = study["deltas"]
     base = build_system(cfg)
     mode = synthesize(base.basis_a, np.eye(base.n_a)[study["mode_index"]])
     # the base run and one run per datum theta0 + delta*e_mode march as one
-    # stacked system
-    systems = [base] + [dataclasses.replace(base, theta0_grid=base.theta0_grid
-                                            + float(d) * mode) for d in deltas]
+    # stacked system; each shifted datum is held to assembly's datum checks
+    with np.errstate(over="ignore"):  # resolve_field rejects a shift that overflows
+        shifted = [resolve_field(base.theta0_grid + float(d) * mode, base.basis_a,
+                                 f"theta0 + study.contdep.deltas[{k}]*mode")
+                   for k, d in enumerate(deltas)]
+    systems = [base] + [dataclasses.replace(base, theta0_grid=grid) for grid in shifted]
     manifest.advise(*systems)
     runs = integrate(stack_systems(systems), cfg.scheme, cfg.t_final,
                      cfg.snapshot_stride).rows()
@@ -313,10 +317,9 @@ def _cmd_contdep(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str
     return f"contdep: ratios {ratios}, spread {spread:.3%}"
 
 
-def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    study = read_study(cfg, "longtime")
+def _cmd_longtime(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
     tail_threshold = study["tail_threshold"]
-    system, run = _simulate_and_emit(cfg, manifest, out_dir)
+    system, run = _simulate_and_emit(cfg, manifest)
     report = omega_limit_probe(system, run, study["tail_fraction"])
     manifest.check("tail_ar_theta", report.tail_sup_ar_theta <= tail_threshold,
                    {"value": report.tail_sup_ar_theta})
@@ -334,9 +337,8 @@ def _cmd_longtime(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> st
             f"stationary residual {report.stationary_residual:.3e}")
 
 
-def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    sigmas = read_study(cfg, "relaxlimit")["sigmas"]
-    ladder = _assemble_levels(cfg, [(sigma, cfg.eps) for sigma in sigmas])
+def _cmd_relaxlimit(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
+    ladder = _assemble_levels(cfg, [(sigma, cfg.eps) for sigma in study["sigmas"]])
     manifest.advise(*ladder)
     report = relaxation_limit_study(ladder, cfg.scheme.dt, cfg.t_final, cfg.snapshot_stride)
 
@@ -348,8 +350,7 @@ def _cmd_relaxlimit(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> 
     return f"relaxlimit: phi errors {report.phi_errors} (monotone={report.monotone})"
 
 
-def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
-    study = read_study(cfg, "opcheck")
+def _cmd_opcheck(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
     sigmas = [float(s) for s in study["sigmas"]]
     _, basis_b = build_bases(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -378,10 +379,8 @@ def _cmd_opcheck(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str
         rep = hpqo_probe(basis_b, cfg.operator_b.exponent, cfg.potential, eps, vectors)
         manifest.write_table("study_hpqo.csv", "vector,value",
                              [[str(k), _fmt(v)] for k, v in enumerate(rep.values)])
-        manifest.payload["checks"]["hpqo_sign"] = {
-            "passed": True,  # diagnostic only, never a gate
-            "detail": {"min_value": rep.min_value, "violations": rep.violations},
-        }
+        manifest.check("hpqo_sign", True,  # diagnostic only, never a gate
+                       {"min_value": rep.min_value, "violations": rep.violations})
     return f"opcheck: direct vs closed-form agree to {agree:.2e}"
 
 
@@ -452,7 +451,7 @@ def _selftest_rows(seed: int) -> list[tuple[str, str, int, float, float, bool]]:
     return rows
 
 
-def _cmd_selftest(cfg: RunConfig, manifest: _ManifestWriter, out_dir: str) -> str:
+def _cmd_selftest(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
     rows = _selftest_rows(cfg.seed)
     csv_rows = [[check, kind, str(ns), _fmt(worst), _fmt(tol), str(ok).lower()]
                 for check, kind, ns, worst, tol, ok in rows]
@@ -500,33 +499,19 @@ def resolve_out_dir(args, cfg: RunConfig) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command; every failure after argument parsing lands in the
+    manifest, which is written whenever the run directory is known: `--out`,
+    or the config's own directory once the config validates."""
     args = build_parser().parse_args(argv)
-    raw = None
-    try:
-        raw = apply_overrides(load_raw_config(args.config), args.override)
-        cfg = validate_config(raw)
-    except (ConfigError, ValidationError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        if args.out:
-            # --out names the run directory: record the rejection there, with
-            # the config when it was read
-            manifest = _ManifestWriter(args.out, args.command, raw)
-            manifest.fail("validation", str(exc), exc)
-            return _write_manifest(manifest, EXIT_CONFIG)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = resolve_out_dir(args, cfg)
-    manifest = _ManifestWriter(out_dir, args.command, cfg.raw)
-    manifest.payload["advisories"].extend(cfg.advisories)
+    manifest = _ManifestWriter(args.out or None, args.command)
     code = EXIT_OK
     try:
-        summary = COMMANDS[args.command](cfg, manifest, out_dir)
+        raw = apply_overrides(load_raw_config(args.config), args.override)
+        manifest.payload.update(config=raw, config_hash=config_hash(raw))
+        cfg = validate_config(raw)
+        manifest.out_dir = resolve_out_dir(args, cfg)
+        manifest.advise(cfg)
+        summary = COMMANDS[args.command](cfg, read_study(cfg, args.command), manifest)
         if not args.quiet:
             print(summary)
         if not manifest.all_passed:
@@ -555,17 +540,12 @@ def main(argv=None) -> int:
         manifest.fail("interrupted", type(exc).__name__, exc)
         raise
     finally:
-        code = _write_manifest(manifest, code)
-    return code
-
-
-def _write_manifest(manifest: _ManifestWriter, code: int) -> int:
-    """Write the manifest and return `code`, or EXIT_IO when it cannot be written."""
-    try:
-        manifest.write()
-    except OSError as exc:
-        print(f"cannot write manifest: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if manifest.out_dir is not None:
+            try:
+                manifest.write()
+            except OSError as exc:
+                print(f"cannot write manifest: {exc}", file=sys.stderr)
+                code = EXIT_IO
     return code
 
 

@@ -166,7 +166,10 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 def load_raw_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ConfigError([("<root>", f"config is not valid JSON: {exc}")]) from None
     if not isinstance(raw, dict):
         raise ConfigError([("<root>", f"config must be a JSON object, got {raw!r}")])
     # manifests embed the config they ran with; accept them directly

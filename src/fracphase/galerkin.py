@@ -34,6 +34,9 @@ OVERFLOW_LIMIT = 1e12
 # of the dot product
 _GUARD_SUM_SQ = (OVERFLOW_LIMIT / 2.0) ** 2
 
+# lambda**p overflows once p*log(lambda) reaches this
+_LOG_FLOAT_MAX = np.log(np.finfo(float).max)
+
 # Sufficient embedding condition for the nonconstant-coupling analysis; an
 # unmet threshold is advisory only, never a hard error.
 SOBOLEV_ADVISORY_THRESHOLD = 0.75
@@ -89,7 +92,10 @@ class ProblemData:
     coupling: Coupling = field(default_factory=lambda: Coupling.constant(0.0))
 
 
-def _resolve_field(spec, basis: SpectralBasis, name: str) -> np.ndarray:
+def resolve_field(spec, basis: SpectralBasis, name: str) -> np.ndarray:
+    """The grid values of datum `spec` (None, a callable or an array) on
+    `basis`; a ValidationError unless they fill the grid and pass the overflow
+    guard, since no step could carry them."""
     if spec is None:
         return np.zeros(basis.n_grid)
     if callable(spec):
@@ -100,9 +106,10 @@ def _resolve_field(spec, basis: SpectralBasis, name: str) -> np.ndarray:
         raise ValidationError(
             f"{name}: expected {basis.n_grid} grid values, got shape {vals.shape}"
         )
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError(f"{name}: grid values must be finite")
-    return vals
+    try:
+        return guard(vals, name)
+    except OverflowGuardError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 @dataclass
@@ -127,7 +134,6 @@ class DiscreteSystem:
     theta0_grid: np.ndarray
     phi0_grid: np.ndarray
     coupling_matrix: Optional[np.ndarray] = None
-    same_basis: bool = False
     source_coeffs: Optional[Callable[[float], np.ndarray]] = None
     source: object = None  # the ProblemData source source_coeffs samples
     advisories: tuple[str, ...] = ()
@@ -165,8 +171,7 @@ class NonlinearTerms:
 
     fphi: np.ndarray                # B-coefficients of beta-part + pi(phi) - ell(phi) theta
     phi_grid: Optional[np.ndarray]  # phi on the grid; None when nothing was collocated
-    pi_grid: Optional[np.ndarray]   # pi(phi) on the grid when the split declares no gamma
-    pi_proj: Optional[np.ndarray] = None  # P(pi(phi)) = -gamma*phi when gamma is declared
+    pi_proj: np.ndarray             # P(pi(phi)), -gamma*phi when gamma is declared
 
 
 def _make_source_sampler(source, basis_a: SpectralBasis):
@@ -201,13 +206,18 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
         raise ValidationError(f"exponent sigma must be positive, got {sigma}")
     if eps < 0.0:
         raise ValidationError(f"Yosida level eps must be nonnegative, got {eps}")
+    for name, basis, value in (("r", basis_a, r), ("sigma", basis_b, sigma)):
+        # decided before the power is taken, so no overflow warning prints
+        if 2.0 * value * np.log(max(basis.eigenvalues.max(), 1.0)) >= _LOG_FLOAT_MAX:
+            raise ValidationError(f"exponent {name} = {value:g} overflows the "
+                                  f"multipliers lambda**(2*{name})")
     if basis_a.domain_extent != basis_b.domain_extent:
         raise ValidationError(
             f"bases live on different domains: {basis_a.domain_extent} vs {basis_b.domain_extent}"
         )
 
-    theta0_grid = _resolve_field(data.theta0, basis_a, "theta0")
-    phi0_grid = _resolve_field(data.phi0, basis_b, "phi0")
+    theta0_grid = resolve_field(data.theta0, basis_a, "theta0")
+    phi0_grid = resolve_field(data.phi0, basis_b, "phi0")
 
     bh0 = np.asarray(potential.beta_hat(phi0_grid), dtype=float)
     if not np.all(np.isfinite(bh0)):
@@ -253,7 +263,6 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
         theta0_grid=theta0_grid,
         phi0_grid=phi0_grid,
         coupling_matrix=coupling_matrix,
-        same_basis=same,
         source_coeffs=_make_source_sampler(data.source, basis_a),
         source=data.source,
         advisories=tuple(advisories),
@@ -329,18 +338,19 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
     quadrature is consistent in both equations.  include_beta = False leaves
     out the convex part, which the proximal scheme applies through its
     resolvent; with a declared gamma and a constant coupling it synthesizes
-    nothing.
+    nothing.  The terms carry P(pi(phi)) for the energy ledger; without a
+    declared gamma that is one more analysis, of pi(phi) alone.
     """
     pot, coupling = system.potential, system.coupling
     pi_proj = None if pot.gamma is None else -pot.gamma * phi
     fphi = 0.0 if pi_proj is None else pi_proj
     if coupling.kind == "constant":
-        if system.same_basis:
+        if system.basis_a is system.basis_b:
             fphi = fphi - coupling.value * theta
         elif system.coupling_matrix is not None:
             fphi = fphi - theta @ system.coupling_matrix
 
-    phi_grid = pi_grid = None
+    phi_grid = None
     parts = []
     if include_beta or pot.gamma is None or coupling.kind == "function":
         phi_grid = synthesize(system.basis_b, phi)
@@ -359,19 +369,20 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
     if pot.gamma is None:
         pi_grid = np.asarray(pot.pi(phi_grid), dtype=float)
         parts.append(pi_grid)
+        pi_proj = analyze(system.basis_b, pi_grid)
     if coupling.kind == "function":
         parts.append(-coupling.on_grid(phi_grid) * synthesize(system.basis_a, theta))
     if parts:
         pointwise = guard(sum(parts[1:], parts[0]), "nonlinearity")
         fphi = fphi + analyze(system.basis_b, pointwise)
-    return NonlinearTerms(fphi=fphi, phi_grid=phi_grid, pi_grid=pi_grid, pi_proj=pi_proj)
+    return NonlinearTerms(fphi=fphi, phi_grid=phi_grid, pi_proj=pi_proj)
 
 
 def apply_coupling(system: DiscreteSystem, phi_grid: np.ndarray,
                    w: np.ndarray) -> np.ndarray:
     """E w (or E(Phi) w): the A-projection of ell(phi) * (B-synthesis of w)."""
     if system.coupling.kind == "constant":
-        if system.same_basis:
+        if system.basis_a is system.basis_b:
             return system.coupling.value * w
         if system.coupling_matrix is None:
             return np.zeros(system.n_a)

@@ -180,7 +180,7 @@ def zero_potential() -> Potential:
 
 def custom_potential(beta_hat, beta, *, beta_prime=None, pi_hat=None, pi=None,
                      gamma: Optional[float] = None,
-                     domain=(-np.inf, np.inf), validate: bool = True) -> Potential:
+                     domain=(-np.inf, np.inf)) -> Potential:
     """User-supplied split; beta_hat/beta must be vectorized over arrays.
 
     Validation samples the interior of the domain: midpoint convexity of
@@ -199,27 +199,26 @@ def custom_potential(beta_hat, beta, *, beta_prime=None, pi_hat=None, pi=None,
         gamma=gamma,
         domain=(float(domain[0]), float(domain[1])),
     )
-    if validate:
-        lo = max(pot.domain[0], -10.0) + 1e-6
-        hi = min(pot.domain[1], 10.0) - 1e-6
-        s = np.linspace(lo, hi, 201)
-        bh = np.asarray(beta_hat(s), dtype=float)
-        if abs(float(np.asarray(beta_hat(np.array([0.0])))[0])) > 1e-12:
-            raise ValueError("custom potential must satisfy beta_hat(0) = 0")
-        if np.any(bh < -1e-12):
-            raise ValueError("custom beta_hat must be nonnegative")
-        mid = 0.5 * (bh[:-1] + bh[1:])
-        bh_mid = np.asarray(beta_hat(0.5 * (s[:-1] + s[1:])), dtype=float)
-        if np.any(bh_mid > mid + 1e-9 * (1.0 + np.abs(mid))):
-            raise ValueError("custom beta_hat fails midpoint convexity sampling")
-        b = np.asarray(beta(s), dtype=float)
-        if np.any(np.diff(b) < -1e-9):
-            raise ValueError("custom beta must be monotone nondecreasing")
-        if gamma is not None:
-            p = np.asarray(pot.pi(s), dtype=float)
-            if not np.all(np.abs(p + gamma * s) <= 1e-12 * (1.0 + np.abs(gamma * s))):
-                raise ValueError(f"custom pi does not match the declared slope "
-                                 f"pi(s) = -gamma*s with gamma={gamma}")
+    lo = max(pot.domain[0], -10.0) + 1e-6
+    hi = min(pot.domain[1], 10.0) - 1e-6
+    s = np.linspace(lo, hi, 201)
+    bh = np.asarray(beta_hat(s), dtype=float)
+    if abs(float(np.asarray(beta_hat(np.array([0.0])))[0])) > 1e-12:
+        raise ValueError("custom potential must satisfy beta_hat(0) = 0")
+    if np.any(bh < -1e-12):
+        raise ValueError("custom beta_hat must be nonnegative")
+    mid = 0.5 * (bh[:-1] + bh[1:])
+    bh_mid = np.asarray(beta_hat(0.5 * (s[:-1] + s[1:])), dtype=float)
+    if np.any(bh_mid > mid + 1e-9 * (1.0 + np.abs(mid))):
+        raise ValueError("custom beta_hat fails midpoint convexity sampling")
+    b = np.asarray(beta(s), dtype=float)
+    if np.any(np.diff(b) < -1e-9):
+        raise ValueError("custom beta must be monotone nondecreasing")
+    if gamma is not None:
+        p = np.asarray(pot.pi(s), dtype=float)
+        if not np.all(np.abs(p + gamma * s) <= 1e-12 * (1.0 + np.abs(gamma * s))):
+            raise ValueError(f"custom pi does not match the declared slope "
+                             f"pi(s) = -gamma*s with gamma={gamma}")
     return pot
 
 

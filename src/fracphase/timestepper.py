@@ -184,7 +184,7 @@ class _LedgerAccumulator:
     source work uses the implicit sample g(t+dt) that the scheme applies
     and stays exactly 0.0 without a source.  The increment and every modal or
     grid quantity come from the step's own terms, so the ledger does no
-    transform of its own (one analysis when pi has no declared slope).
+    transform of its own.
     The accumulators are scalars, or one entry per row of a stacked system.
     """
 
@@ -203,10 +203,7 @@ class _LedgerAccumulator:
         self.diss_phi += dphi_sq / dt
         if sysm.source_coeffs is not None:
             self.work_source += dt * np.vecdot(step.source, step.state.theta)
-        pi_proj = step.terms.pi_proj
-        if pi_proj is None:
-            pi_proj = analyze(sysm.basis_b, step.terms.pi_grid)
-        self.work_phi += np.vecdot(state.phi - pi_proj, dphi)
+        self.work_phi += np.vecdot(state.phi - step.terms.pi_proj, dphi)
         return dphi_sq
 
 

@@ -288,8 +288,7 @@ class TestHpqoProbe:
     def test_linear_beta_always_nonnegative(self, neumann8):
         pot = custom_potential(lambda s: np.asarray(s) ** 2 / 2.0,
                                lambda s: np.asarray(s, dtype=float),
-                               beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                               validate=False)
+                               beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)))
         rng = np.random.default_rng(4)
         vectors = rng.standard_normal((8, 8)) / (1.0 + neumann8.eigenvalues)
         report = hpqo_probe(neumann8, 0.5, pot, 0.1, vectors)

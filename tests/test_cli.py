@@ -2,6 +2,8 @@ import copy
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 import fracphase.analysis
 import fracphase.cli
 import fracphase.config
-from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
+from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
                            EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
                            config_hash, main, read_timeseries)
 from fracphase.config import (ConfigError, apply_overrides, load_raw_config,
@@ -138,6 +140,13 @@ class TestConfigValidation:
                               ["scheme.dt=0.001", "coupling.value=1.5"])
         assert raw["scheme"]["dt"] == 0.001
         assert raw["coupling"]["value"] == 1.5
+
+    @pytest.mark.parametrize("text", [b'{"geometry": ', b"\xff{}"],
+                             ids=["malformed", "not-utf8"])
+    def test_unparseable_config_is_a_config_error(self, tmp_path, text):
+        (tmp_path / "config.json").write_bytes(text)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_raw_config(str(tmp_path / "config.json"))
 
     def test_hash_ignores_output_location_only(self):
         base = config_hash(SMOKE)
@@ -297,24 +306,39 @@ class TestExitCodes:
 class TestManifestStatus:
     """The exit code and the manifest status always agree, also on a crash."""
 
-    def run(self, tmp_path, command, payload):
+    def run(self, tmp_path, command, payload, config=None):
         out = tmp_path / "o"
-        code = main([command, "--config", write_config(tmp_path, payload),
+        code = main([command, "--config", config or write_config(tmp_path, payload),
                      "--out", str(out), "--quiet"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert (code == EXIT_OK) == (manifest["status"] == "ok")
         return code, manifest
 
-    @pytest.mark.parametrize("expected,status,case", [
-        (EXIT_OK, "ok", "ok"), (EXIT_INTERNAL, "failed", "defect"),
-        (EXIT_CONFIG, "failed", "config"), (EXIT_CHECK, "check_failed", "contdep"),
-        (EXIT_CHECK, "check_failed", "ledger")],
-        ids=["0-ok", "1-failed", "2-failed", "4-check_failed", "4-check_failed-ledger"])
+    @pytest.mark.parametrize("expected,status,stage,case", [
+        (EXIT_OK, "ok", None, "ok"), (EXIT_INTERNAL, "failed", "internal", "defect"),
+        (EXIT_INTERNAL, "failed", "internal", "validation_defect"),
+        (EXIT_CONFIG, "failed", "validation", "config"),
+        (EXIT_CONFIG, "failed", "validation", "malformed_json"),
+        (EXIT_CHECK, "check_failed", None, "contdep"),
+        (EXIT_CHECK, "check_failed", None, "ledger"),
+        (EXIT_IO, "failed", "io", "missing_config")],
+        ids=["0-ok", "1-failed", "1-failed-validation", "2-failed", "2-failed-json",
+             "4-check_failed", "4-check_failed-ledger", "5-failed-missing"])
     def test_status_agrees_with_exit_code(self, tmp_path, monkeypatch, expected, status,
-                                          case):
-        cfgd, command = json.loads(json.dumps(SMOKE)), "simulate"
+                                          stage, case):
+        cfgd, command, config = json.loads(json.dumps(SMOKE)), "simulate", None
         if case == "defect":
             monkeypatch.setattr(fracphase.cli, "integrate", None)  # a TypeError: a defect
+        elif case == "validation_defect":
+            def broken(raw):
+                raise RuntimeError("defect under test")
+
+            monkeypatch.setattr(fracphase.cli, "validate_config", broken)
+        elif case == "malformed_json":
+            config = str(tmp_path / "malformed.json")
+            (tmp_path / "malformed.json").write_text('{"geometry": ')
+        elif case == "missing_config":
+            config = str(tmp_path / "absent.json")
         elif case == "config":
             cfgd["geometry"]["a"]["m_grid"] = 8  # rejected before any command runs
         elif case == "contdep":
@@ -331,8 +355,63 @@ class TestManifestStatus:
                             "phi0": [{"kind": "constant", "value": 0.99}]}
             cfgd["scheme"] = {"scheme": "imex_euler", "dt": 0.01, "t_final": 0.01}
             cfgd["output"]["grid_times"] = [0.0, 0.01]
-        code, manifest = self.run(tmp_path, command, cfgd)
+        code, manifest = self.run(tmp_path, command, cfgd, config)
         assert code == expected and manifest["status"] == status
+        assert manifest.get("failure", {}).get("stage") == stage
+        if case in ("malformed_json", "missing_config"):
+            assert manifest["config"] is None and manifest["config_hash"] is None
+        if case == "malformed_json":
+            assert "not valid JSON" in manifest["failure"]["message"]
+
+    @pytest.mark.parametrize("case", ["invalid", "malformed_json"])
+    def test_rejected_config_without_out_writes_nothing(self, tmp_path, monkeypatch,
+                                                        case):
+        # the run directory comes from a config that never validated
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+        config = write_config(tmp_path, apply_overrides(SMOKE, ["geometry.a.m_grid=8"]))
+        if case == "malformed_json":
+            (tmp_path / "config.json").write_text("{")
+        assert main(["simulate", "--config", config, "--quiet"]) == EXIT_CONFIG
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_module_entry_point_returns_the_exit_code(self, tmp_path):
+        # python -m fracphase.cli exits with what main returns
+        (tmp_path / "config.json").write_text("[1, 2")
+        src = os.path.dirname(os.path.dirname(fracphase.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, "-m", "fracphase.cli", "simulate", "--config",
+                               str(tmp_path / "config.json"), "--out", str(out), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failure"]["stage"]) == ("failed", "validation")
+
+    @pytest.mark.parametrize("command,override,named", [
+        ("contdep", "study.contdep.deltas=[1e308]",
+         "theta0 + study.contdep.deltas[0]*mode exceeded the overflow guard"),
+        ("contdep", "study.contdep.deltas=[0.1,1.7e308]",  # the shift itself overflows
+         "theta0 + study.contdep.deltas[1]*mode exceeded the overflow guard"),
+        ("simulate", 'data.theta0={"kind":"constant","value":1e308}',
+         "theta0 exceeded the overflow guard"),
+        ("simulate", 'data.phi0={"kind":"constant","value":1e100}',
+         "phi0 exceeded the overflow guard"),
+        ("simulate", "exponents.r=60", "exponent r = 60 overflows"),
+        ("simulate", "exponents.sigma=60", "exponent sigma = 60 overflows")])
+    def test_input_no_run_can_carry_is_a_config_error(self, tmp_path, command, override,
+                                                      named):
+        # each used to overflow (a RuntimeWarning, an error under this suite)
+        # and fail later, as a solver or check failure or with the wrong reason
+        out = tmp_path / "o"
+        code = main([command, "--config", os.path.join(CONFIGS, "smoke.json"),
+                     "--override", "scheme.t_final=0.01",
+                     "--override", "output.grid_times=[0.0]", "--override", override,
+                     "--out", str(out), "--quiet"])
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert code == EXIT_CONFIG
+        assert failure["stage"] == "validation"
+        assert named in failure["message"]
 
     def test_rect_grid_rule_counts_retained_axis_modes(self, tmp_path):
         # 64 modes on the unit square use 1-D modes 0..8 per axis: 36 nodes

@@ -36,7 +36,7 @@ class TestAssemble:
         # only one basis object is one basis: an equal twin gets the matrix
         twin = build_basis("interval_neumann", 1.0, 8)
         system = make_system(neumann8, twin, Coupling.constant(2.0))
-        assert not system.same_basis
+        assert system.basis_a is not system.basis_b
         np.testing.assert_allclose(system.coupling_matrix, 2.0 * np.eye(8), atol=1e-12)
 
     def test_cross_basis_entry_matches_analytic_integral(self, neumann8, dirichlet8):

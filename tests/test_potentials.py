@@ -79,7 +79,7 @@ class TestCanonicalSplits:
     def test_custom_rejects_nonconvex(self):
         with pytest.raises(ValueError, match="convex"):
             custom_potential(lambda s: -np.asarray(s) ** 2 + 1e3 * np.abs(s),
-                             lambda s: np.sign(s), validate=True)
+                             lambda s: np.sign(s))
 
 
 class TestResolvent:
@@ -232,8 +232,7 @@ class TestProxStep:
         # on beta(s) = s the identity has a closed form to compare against
         pot = custom_potential(lambda s: np.asarray(s) ** 2 / 2.0,
                                lambda s: np.asarray(s, dtype=float),
-                               beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                               validate=False)
+                               beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)))
         eps, lam, s = 0.3, 0.2, 1.7
         got = prox_step(pot, eps, lam, s)
         expected = s * (1 + eps) / (1 + eps + lam)
@@ -262,8 +261,7 @@ class TestCoercivityProbe:
                                lambda s: np.asarray(s, dtype=float),
                                beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
                                pi_hat=lambda s: -10.0 * np.asarray(s) ** 2,
-                               pi=lambda s: -20.0 * np.asarray(s, dtype=float),
-                               validate=False)
+                               pi=lambda s: -20.0 * np.asarray(s, dtype=float))
         rep = coercivity_probe(pot, [1e-1], (-3, 3))
         assert not rep.ok and rep.alpha == 0.0
 

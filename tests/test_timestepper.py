@@ -481,7 +481,7 @@ def step_arrays(step: StepResult) -> dict:
     terms = step.terms
     return {"t": step.state.t, "theta": step.state.theta, "phi": step.state.phi,
             "fphi": terms.fphi, "terms.phi_grid": terms.phi_grid,
-            "pi_grid": terms.pi_grid, "pi_proj": terms.pi_proj, "source": step.source,
+            "pi_proj": terms.pi_proj, "source": step.source,
             "dphi": step.dphi, "xi_grid": step.xi_grid, "phi_grid": step.phi_grid}
 
 
