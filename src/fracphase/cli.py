@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -76,18 +77,44 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_columns(path: str, header: str, columns) -> str:
-    """Write float columns as CSV text, one row per line, each value as _fmt
-    writes it; returns the text.
+# rows per `%` template: blocks of 256-4096 rows format 20-30% faster than one
+# `%` per row, and one template for a whole 65 536-row file gives most of it back
+_BLOCK_ROWS = 1024
 
-    "%.17g" % x is the same text as _fmt(x); one format per row instead of a
-    call per value halves the cost of large grid files.
+
+def _table(header: str, prefixes, values) -> str:
+    """CSV text: `header`, then line i = prefixes[i] followed by row i of the
+    2-D float array `values`, each value as _fmt writes it.
+
+    `prefixes` is an iterable of strings, read one block at a time, so a
+    generator is never materialized. "%.17g" % x is the same text as _fmt(x);
+    each block of _BLOCK_ROWS rows is formatted by one `%` template. The
+    prefixes become part of that template: they hold only _fmt text, field
+    names, integers and commas, never a `%`.
     """
-    fmt = ",".join(["%.17g"] * len(columns))
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    text = "\n".join([header, *(fmt % row for row in rows)]) + "\n"
-    _write_atomic(path, text)
-    return text
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    prefixes = iter(prefixes)
+    blocks = [header + "\n"]
+    for start in range(0, values.shape[0], _BLOCK_ROWS):
+        block = values[start:start + _BLOCK_ROWS]
+        template = row.join(itertools.islice(prefixes, block.shape[0])) + row
+        blocks.append(template % tuple(block.ravel().tolist()))
+    return "".join(blocks)
+
+
+def _coordinate_text(points) -> list[str]:
+    """Per grid point, its coordinates as _fmt text, each followed by a comma.
+
+    Each distinct value of a coordinate column is formatted once; values are
+    told apart by their bit pattern, so 0.0 and -0.0 stay distinct.
+    """
+    text = None
+    for column in points.reshape(len(points), -1).T:
+        bits, inverse = np.unique(np.ascontiguousarray(column).view(np.int64),
+                                  return_inverse=True)
+        distinct = np.array([_fmt(v) + "," for v in bits.view(float).tolist()], dtype=object)
+        text = distinct[inverse] if text is None else text + distinct[inverse]
+    return text.tolist()
 
 
 def emit_run_outputs(run: RunOutput, system, out_dir: str,
@@ -99,31 +126,33 @@ def emit_run_outputs(run: RunOutput, system, out_dir: str,
     led = run.ledger
     columns = [run.times, run.norm_theta, run.graph_theta, run.norm_phi, run.graph_phi,
                run.dtphi_norm, led.lhs, led.rhs, led.residual]
+    timeseries = _table(TIMESERIES_HEADER, itertools.repeat(""), np.column_stack(columns))
     path = os.path.join(out_dir, "timeseries.csv")
-    timeseries = write_columns(path, TIMESERIES_HEADER, columns)
+    _write_atomic(path, timeseries)
     files.append(path)
 
-    snap_rows = []
-    for t, theta, phi in zip(run.times.tolist(), run.theta_series.tolist(),
-                             run.phi_series.tolist()):
-        t = _fmt(t)
-        snap_rows.extend("%s,theta,%d,%.17g" % (t, j, c) for j, c in enumerate(theta))
-        snap_rows.extend("%s,phi,%d,%.17g" % (t, j, c) for j, c in enumerate(phi))
+    # one row per (snapshot, field, mode) holding the snapshot's theta then
+    # phi coefficients; each time is formatted once
+    tails = ([f",theta,{j}," for j in range(run.theta_series.shape[1])]
+             + [f",phi,{j}," for j in range(run.phi_series.shape[1])])
+    prefixes = (t + tail for t in map(_fmt, run.times.tolist()) for tail in tails)
+    coeffs = np.concatenate([run.theta_series, run.phi_series], axis=1).reshape(-1, 1)
     path = os.path.join(out_dir, "snapshots.csv")
-    _write_atomic(path, "\n".join([SNAPSHOT_HEADER, *snap_rows]) + "\n")
+    _write_atomic(path, _table(SNAPSHOT_HEADER, prefixes, coeffs))
     files.append(path)
 
-    # one file per distinct recorded snapshot the requests snap to
-    for k in dict.fromkeys(int(np.argmin(np.abs(run.times - t))) for t in grid_times):
+    # one file per distinct recorded snapshot the requests snap to; all share
+    # the grid, so its coordinate text is made once
+    snaps = dict.fromkeys(int(np.argmin(np.abs(run.times - t))) for t in grid_times)
+    if snaps:
+        pts = system.basis_b.grid_points
+        header = "x,theta,phi" if pts.ndim == 1 else "x,y,theta,phi"
+        coords = _coordinate_text(pts)
+    for k in snaps:
         theta_grid = synthesize(system.basis_a, run.theta_series[k])
         phi_grid = synthesize(system.basis_b, run.phi_series[k])
-        pts = system.basis_b.grid_points
-        if pts.ndim == 1:
-            header, coords = "x,theta,phi", [pts]
-        else:
-            header, coords = "x,y,theta,phi", [pts[:, 0], pts[:, 1]]
         path = os.path.join(out_dir, f"grid_{float(run.times[k])!r}.csv")
-        write_columns(path, header, coords + [theta_grid, phi_grid])
+        _write_atomic(path, _table(header, coords, np.column_stack([theta_grid, phi_grid])))
         files.append(path)
 
     # the plot data is the CSV text space-separated: %.17g text holds no comma

@@ -157,9 +157,24 @@ class DiscreteSystem:
 
     def step_denominators(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(1 + dt*theta_stiff, 1 + dt*phi_stiff), built once per dt; the
-        stiffness arrays are fixed once the system is assembled."""
+        stiffness arrays are fixed once the system is assembled.
+
+        A ValidationError when max(dt, 1) * largest multiplier * n *
+        OVERFLOW_LIMIT**2 overflows: below that the denominators, the ledger's
+        dt*lambda**(2r)*theta*theta sums and the graph norms of every state
+        the overflow guard passes stay finite.
+        """
         cached = self._denominators
         if cached is None or cached[0] != dt:
+            for name, stiff in (("r", self.theta_stiff), ("sigma", self.phi_stiff)):
+                # decided before any product is taken, so no overflow warning prints
+                log_bound = (np.log(max(dt, 1.0)) + np.log(max(stiff.max(), 1.0))
+                             + np.log(stiff.shape[-1]) + 2.0 * np.log(OVERFLOW_LIMIT))
+                if log_bound >= _LOG_FLOAT_MAX:
+                    raise ValidationError(
+                        f"exponent {name} = {np.max(getattr(self, name)):g} with dt = "
+                        f"{dt:g} overflows the step: dt * multiplier * n_modes * "
+                        f"OVERFLOW_LIMIT**2 exceeds the float range")
             cached = self._denominators = (dt, 1.0 + dt * self.theta_stiff,
                                            1.0 + dt * self.phi_stiff)
         return cached[1], cached[2]

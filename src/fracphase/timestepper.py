@@ -287,6 +287,7 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     dt = scheme.dt
     n_steps = step_count(t_final, dt)
+    system.step_denominators(dt)  # a dt the products cannot carry fails here
 
     theta0, phi0 = project_data(system)
     state = State(0.0, theta0, phi0)

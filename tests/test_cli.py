@@ -15,7 +15,8 @@ import fracphase.cli
 import fracphase.config
 from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
                            EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
-                           config_hash, main, read_timeseries)
+                           _coordinate_text, _table, config_hash, main,
+                           read_timeseries)
 from fracphase.config import (ConfigError, apply_overrides, load_raw_config,
                               read_study, validate_config)
 from fracphase.timestepper import BlowupError
@@ -85,6 +86,22 @@ VARIANTS = {
     "no_potential": ("potential", {"kind": "none"}),
     "regular_eps0": ("potential", {"kind": "regular", "gamma": 1.0, "eps": 0.0}),
 }
+
+
+# the mixed rectangle on 36 x 36 = 1296 nodes with 51 snapshots of 12 + 12
+# modes (1224 snapshot rows): both tables cross a block boundary
+ORACLE_RECT = copy.deepcopy(MIXED_RECT)
+ORACLE_RECT["geometry"] = {side: dict(MIXED_RECT["geometry"][side], n_modes=12, m_grid=36)
+                           for side in ("a", "b")}
+ORACLE_RECT["scheme"]["snapshot_stride"] = 1
+ORACLE_RECT["output"] = {"directory": "run", "grid_times": [0.0, 0.05, 0.1]}
+
+# values whose text is easy to get wrong, and random ones over the exponent range
+_RNG = np.random.default_rng(5)
+EDGE_VALUES = np.concatenate([
+    [5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.0, -0.0, np.nan, np.inf,
+     -np.inf, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1.0 / 3.0],
+    _RNG.standard_normal(40) * 10.0 ** _RNG.integers(-300, 300, 40)])
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -413,6 +430,21 @@ class TestManifestStatus:
         assert failure["stage"] == "validation"
         assert named in failure["message"]
 
+    @pytest.mark.parametrize("exponent", ["r", "sigma"])
+    def test_exponent_times_dt_overflow_is_a_config_error(self, tmp_path, exponent):
+        # the multipliers themselves are finite, but dt times them, the step
+        # denominators, used to overflow (a RuntimeWarning) with status "ok"
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", os.path.join(CONFIGS, "smoke.json"),
+                     "--override", "scheme.dt=10", "--override", "scheme.t_final=10",
+                     "--override", "output.grid_times=[0.0]",
+                     "--override", f"exponents.{exponent}=57.41",
+                     "--out", str(out), "--quiet"])
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert code == EXIT_CONFIG
+        assert failure["stage"] == "validation"
+        assert f"exponent {exponent} = 57.41 with dt = 10 overflows" in failure["message"]
+
     def test_rect_grid_rule_counts_retained_axis_modes(self, tmp_path):
         # 64 modes on the unit square use 1-D modes 0..8 per axis: 36 nodes
         # per axis suffice, far below 4*n_modes = 256
@@ -716,7 +748,100 @@ class TestManifestStatus:
         assert "broken" in failure["traceback"]
 
 
+def per_row_emit(run, system, out_dir, grid_times):
+    """The run outputs as the one-format-per-row writer wrote them before the
+    block formatter; the reference for every table emit_run_outputs writes."""
+    from fracphase.cli import SNAPSHOT_HEADER, _fmt, _write_atomic
+    from fracphase.spectral import synthesize
+
+    def write_columns(path: str, header: str, columns) -> str:
+        fmt = ",".join(["%.17g"] * len(columns))
+        rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+        text = "\n".join([header, *(fmt % row for row in rows)]) + "\n"
+        _write_atomic(path, text)
+        return text
+
+    os.makedirs(out_dir, exist_ok=True)
+    files = []
+
+    led = run.ledger
+    columns = [run.times, run.norm_theta, run.graph_theta, run.norm_phi, run.graph_phi,
+               run.dtphi_norm, led.lhs, led.rhs, led.residual]
+    path = os.path.join(out_dir, "timeseries.csv")
+    timeseries = write_columns(path, TIMESERIES_HEADER, columns)
+    files.append(path)
+
+    snap_rows = []
+    for t, theta, phi in zip(run.times.tolist(), run.theta_series.tolist(),
+                             run.phi_series.tolist()):
+        t = _fmt(t)
+        snap_rows.extend("%s,theta,%d,%.17g" % (t, j, c) for j, c in enumerate(theta))
+        snap_rows.extend("%s,phi,%d,%.17g" % (t, j, c) for j, c in enumerate(phi))
+    path = os.path.join(out_dir, "snapshots.csv")
+    _write_atomic(path, "\n".join([SNAPSHOT_HEADER, *snap_rows]) + "\n")
+    files.append(path)
+
+    for k in dict.fromkeys(int(np.argmin(np.abs(run.times - t))) for t in grid_times):
+        theta_grid = synthesize(system.basis_a, run.theta_series[k])
+        phi_grid = synthesize(system.basis_b, run.phi_series[k])
+        pts = system.basis_b.grid_points
+        if pts.ndim == 1:
+            header, coords = "x,theta,phi", [pts]
+        else:
+            header, coords = "x,y,theta,phi", [pts[:, 0], pts[:, 1]]
+        path = os.path.join(out_dir, f"grid_{float(run.times[k])!r}.csv")
+        write_columns(path, header, coords + [theta_grid, phi_grid])
+        files.append(path)
+
+    path = os.path.join(out_dir, "timeseries.dat")
+    _write_atomic(path, "# " + timeseries.replace(",", " "))
+    files.append(path)
+    return files
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("payload", [SMOKE, ORACLE_RECT], ids=["interval", "rect"])
+    def test_tables_match_per_row_writer(self, tmp_path, monkeypatch, payload):
+        calls = []
+        emit = fracphase.cli.emit_run_outputs
+
+        def recording(run, system, out_dir, grid_times=()):
+            calls.append((run, system, tuple(grid_times)))
+            return emit(run, system, out_dir, grid_times)
+
+        monkeypatch.setattr(fracphase.cli, "emit_run_outputs", recording)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        [(run, system, grid_times)] = calls
+        names = sorted(os.path.basename(f)
+                       for f in per_row_emit(run, system, str(tmp_path / "ref"), grid_times))
+        assert names == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert len([n for n in names if n.startswith("grid_")]) == len(grid_times)
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2049])
+    def test_table_matches_per_value_format(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        values = rng.choice(EDGE_VALUES, size=(n_rows, 3))
+        prefixes = [f"{k},p," if k % 3 else "" for k in range(n_rows)]
+        expected = "h,a,b\n" + "".join(
+            p + ",".join("%.17g" % v for v in row) + "\n"
+            for p, row in zip(prefixes, values.tolist()))
+        assert _table("h,a,b", prefixes, values) == expected
+        assert _table("h,a,b", iter(prefixes), values) == expected
+
+    def test_coordinate_text_keeps_signed_zero_and_repeats(self):
+        rng = np.random.default_rng(11)
+        x = rng.permutation(np.repeat(EDGE_VALUES, 3))
+        y = rng.permutation(np.repeat(EDGE_VALUES, 3))
+        for points in (x, np.column_stack([x, y])):
+            expected = ["".join("%.17g," % v for v in np.atleast_1d(p).tolist())
+                        for p in points]
+            assert _coordinate_text(points) == expected
+        assert _coordinate_text(np.array([0.0, -0.0, 0.0])) == ["0,", "-0,", "0,"]
+
     def run_smoke(self, tmp_path):
         out = tmp_path / "out"
         code = main(["simulate", "--config", write_config(tmp_path, SMOKE),
