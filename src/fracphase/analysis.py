@@ -20,7 +20,7 @@ from .galerkin import DiscreteSystem, eval_nonlinearity, project_data, \
     stack_systems
 from .potentials import Potential, yosida
 from .spectral import SpectralBasis, analyze, cross_gram, \
-    fractional_multipliers, kernel_projection, synthesize
+    fractional_multipliers, graph_norms, kernel_projection, synthesize
 from .timestepper import RunOutput, SchemeConfig, integrate
 
 
@@ -41,10 +41,6 @@ def _l2_time_norm(times: np.ndarray, values: np.ndarray) -> float:
 
 def _coeff_norms(series: np.ndarray) -> np.ndarray:
     return np.linalg.norm(series, axis=1)
-
-
-def _graph_norms(series: np.ndarray, stiff: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(series**2, axis=1) + np.sum(stiff * series**2, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +75,9 @@ def contdep_report(sys1: DiscreteSystem, run1: RunOutput,
     int_dtheta = running_time_integral(times, dtheta)
 
     lhs_theta_l2 = _l2_time_norm(times, _coeff_norms(dtheta))
-    lhs_int_theta = float(np.max(_graph_norms(int_dtheta, sys1.theta_stiff)))
+    lhs_int_theta = float(np.max(graph_norms(int_dtheta, sys1.theta_stiff)))
     lhs_phi_linf = float(np.max(_coeff_norms(dphi)))
-    lhs_phi_l2v = _l2_time_norm(times, _graph_norms(dphi, sys1.phi_stiff))
+    lhs_phi_l2v = _l2_time_norm(times, graph_norms(dphi, sys1.phi_stiff))
     lhs = lhs_theta_l2 + lhs_int_theta + lhs_phi_linf + lhs_phi_l2v
 
     g1 = np.array([sys1.source_at(t) for t in times])
@@ -135,10 +131,10 @@ def difference_norms(times: np.ndarray, dtheta: np.ndarray, dphi: np.ndarray,
     return {
         "theta_linf_h": float(np.max(_coeff_norms(dtheta))),
         "theta_l2_h": _l2_time_norm(times, _coeff_norms(dtheta)),
-        "theta_l2_v": _l2_time_norm(times, _graph_norms(dtheta, theta_stiff)),
+        "theta_l2_v": _l2_time_norm(times, graph_norms(dtheta, theta_stiff)),
         "phi_linf_h": float(np.max(_coeff_norms(dphi))),
         "phi_l2_h": _l2_time_norm(times, _coeff_norms(dphi)),
-        "phi_l2_v": _l2_time_norm(times, _graph_norms(dphi, phi_stiff)),
+        "phi_l2_v": _l2_time_norm(times, graph_norms(dphi, phi_stiff)),
     }
 
 

@@ -162,15 +162,6 @@ def emit_run_outputs(run: RunOutput, system, out_dir: str,
     return files
 
 
-def read_timeseries(path: str) -> dict[str, np.ndarray]:
-    """Re-ingest a timeseries.csv into named columns."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    arr = np.asarray(data)
-    return {name: arr[:, k] for k, name in enumerate(header)}
-
-
 class _ManifestWriter:
     """Collects run metadata, which `main` writes as manifest.json into
     `out_dir`, None until the run directory is known."""
@@ -477,6 +468,16 @@ def _selftest_rows(seed: int) -> list[tuple[str, str, int, float, float, bool]]:
         rows.append(("yosida_lipschitz", name, n, worst_lip, 1e-9, worst_lip <= 1e-9))
         rows.append(("resolvent_nonexpansive", name, n, worst_nonexp, 1e-9,
                      worst_nonexp <= 1e-9))
+    # |beta_eps| <= |beta| on the window's part of the domain of beta (the
+    # minimal section); drawn after every other row so their samples stay put
+    for name, (pot, s_range, eps_range) in pots.items():
+        window = (max(s_range[0], pot.domain[0]), min(s_range[1], pot.domain[1]))
+        worst = 0.0
+        for e in np.geomspace(eps_range[0], eps_range[1], n_eps):
+            s = rng.uniform(*window, size=n_s)
+            worst = max(worst, float(np.max(np.abs(yosida(pot, float(e), s))
+                                            - np.abs(pot.beta(s)))))
+        rows.append(("yosida_minimal_section", name, n, worst, 1e-9, worst <= 1e-9))
     return rows
 
 

@@ -149,21 +149,14 @@ def _time_factor(spec, where: str) -> callable:
 
 
 class SeparableSource:
-    """Sum of space(points) * time(t) products, callable as (points, t) -> values.
+    """A source f(x, t) = sum of space(x) * time(t) products.
 
-    `products` lists the (space, time) factor pairs, so assembly can project
+    `products` lists the (space, time) factor pairs, so assembly projects
     each space factor once instead of the whole source at every sample.
     """
 
     def __init__(self, products):
         self.products = tuple(products)
-
-    def __call__(self, points: np.ndarray, t: float) -> np.ndarray:
-        total = None
-        for space, time in self.products:
-            vals = space(points) * time(t)
-            total = vals if total is None else total + vals
-        return total
 
 
 def build_source(spec, basis: SpectralBasis, where: str = "source"):

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .expressions import SeparableSource
 from .potentials import Potential, yosida
 from .spectral import (SpectralBasis, analyze, cross_gram, fractional_multipliers,
                        synthesize)
@@ -80,15 +81,13 @@ class ProblemData:
     """Initial data, source and coupling before projection.
 
     theta0/phi0 are callables over grid points or raw grid arrays; the source
-    is None or a callable (points, t) -> values.  A source whose `products`
-    attribute lists (space, time) factor pairs (`expressions.build_source`
-    builds one) is projected once per space factor at assembly; any other
-    callable is sampled on the grid and analyzed at every step.
+    is None or a SeparableSource (`expressions.build_source` builds one),
+    projected once per space factor at assembly.
     """
 
     theta0: object
     phi0: object
-    source: object = None
+    source: Optional[SeparableSource] = None
     coupling: Coupling = field(default_factory=lambda: Coupling.constant(0.0))
 
 
@@ -135,7 +134,7 @@ class DiscreteSystem:
     phi0_grid: np.ndarray
     coupling_matrix: Optional[np.ndarray] = None
     source_coeffs: Optional[Callable[[float], np.ndarray]] = None
-    source: object = None  # the ProblemData source source_coeffs samples
+    source: Optional[SeparableSource] = None  # the source source_coeffs samples
     advisories: tuple[str, ...] = ()
     # (dt, 1 + dt*theta_stiff, 1 + dt*phi_stiff) of the last step_denominators
     # call; not an init field, so every `replace` starts without it
@@ -189,26 +188,21 @@ class NonlinearTerms:
     pi_proj: np.ndarray             # P(pi(phi)), -gamma*phi when gamma is declared
 
 
-def _make_source_sampler(source, basis_a: SpectralBasis):
+def _make_source_sampler(source: Optional[SeparableSource], basis_a: SpectralBasis):
+    """g(t) = sum over the products of time(t) * P(space), each space factor
+    projected once."""
     if source is None:
         return None
-    products = getattr(source, "products", None)
-    if products is not None:
-        points = basis_a.grid_points
-        parts = [(time, analyze(basis_a, np.asarray(space(points), dtype=float)))
-                 for space, time in products]
-
-        def sampler(t: float) -> np.ndarray:
-            total = None
-            for time, coeffs in parts:
-                term = time(t) * coeffs
-                total = term if total is None else total + term
-            return total
-        return sampler
+    points = basis_a.grid_points
+    parts = [(time, analyze(basis_a, np.asarray(space(points), dtype=float)))
+             for space, time in source.products]
 
     def sampler(t: float) -> np.ndarray:
-        vals = np.asarray(source(basis_a.grid_points, t), dtype=float)
-        return analyze(basis_a, vals)
+        total = None
+        for time, coeffs in parts:
+            term = time(t) * coeffs
+            total = term if total is None else total + term
+        return total
     return sampler
 
 
@@ -264,6 +258,13 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
         )
         advisories.append(msg)
         warnings.warn(msg, stacklevel=2)
+    # every split pairs pi_hat = -gamma*s^2/2 (+ const) with a beta_hat_eps
+    # growing like s^2/(2*eps), so their sum is coercive exactly when
+    # eps*gamma < 1; at eps = 0 beta_hat dominates or bounds the domain
+    if eps > 0.0 and potential.gamma is not None and eps * potential.gamma >= 1.0:
+        advisories.append(
+            f"eps*gamma = {eps * potential.gamma:.3g} >= 1: beta_hat_eps + pi_hat is "
+            "then unbounded below, and the coercivity assumed of the potential fails")
 
     return DiscreteSystem(
         basis_a=basis_a,

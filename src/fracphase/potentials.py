@@ -8,9 +8,9 @@ perturbation pi_hat with Lipschitz derivative pi.  Three canonical splits ship:
   logarithmic     beta_hat = (1+s)ln(1+s)+(1-s)ln(1-s) on [-1,1], pi_hat = -c1 s^2
   double obstacle beta_hat = indicator of [-1,1],                 pi_hat = -c2 s^2
 
-plus a custom hook.  The resolvent J_eps = (I + eps*beta)^{-1} has a closed
-form for the regular (a real cubic root) and obstacle (a projection) splits;
-the logarithmic and custom splits solve it by safeguarded Newton with a
+plus the inert split "none".  The resolvent J_eps = (I + eps*beta)^{-1} has a
+closed form for the regular (a real cubic root) and obstacle (a projection)
+splits; the logarithmic split solves it by safeguarded Newton with a
 guaranteed bisection bracket.  The Yosida map and the Moreau envelope derive
 from it.
 """
@@ -47,8 +47,9 @@ class Potential:
     """A convex/concave split with everything the solver needs.
 
     beta is the minimal section of the subdifferential of beta_hat, defined on
-    the open part of the domain; beta_prime (when available) feeds Newton.
-    gamma is set whenever pi(v) = -gamma*v, which the relaxation-limit solver
+    the open part of the domain; beta_prime feeds Newton, so a split without a
+    closed-form resolvent declares it.  gamma is set whenever pi(v) = -gamma*v
+    (pi_hat = -gamma*s^2/2 up to a constant), which the relaxation-limit solver
     requires.
     """
 
@@ -56,7 +57,6 @@ class Potential:
     beta_hat: Callable[[np.ndarray], np.ndarray]
     beta: Callable[[np.ndarray], np.ndarray]
     beta_prime: Optional[Callable[[np.ndarray], np.ndarray]]
-    pi_hat: Callable[[np.ndarray], np.ndarray]
     pi: Callable[[np.ndarray], np.ndarray]
     gamma: Optional[float]
     domain: tuple[float, float]
@@ -92,7 +92,6 @@ def regular_potential(gamma: float = 1.0) -> Potential:
         # s*s*s: numpy's float power has no fast path for the exponent 3
         beta=lambda s: (v := np.asarray(s, dtype=float)) * v * v,
         beta_prime=lambda s: 3.0 * np.asarray(s, dtype=float) ** 2,
-        pi_hat=lambda s: (1.0 - 2.0 * gamma * np.asarray(s, dtype=float) ** 2) / 4.0,
         pi=lambda s: -gamma * np.asarray(s, dtype=float),
         gamma=gamma,
         domain=(-np.inf, np.inf),
@@ -129,7 +128,6 @@ def logarithmic_potential(c1: float) -> Potential:
         beta_hat=_log_beta_hat,
         beta=_log_beta,
         beta_prime=lambda s: 2.0 / (1.0 - np.asarray(s, dtype=float) ** 2),
-        pi_hat=lambda s: -c1 * np.asarray(s, dtype=float) ** 2,
         pi=lambda s: -2.0 * c1 * np.asarray(s, dtype=float),
         gamma=2.0 * c1,
         domain=(-1.0, 1.0),
@@ -154,7 +152,6 @@ def double_obstacle_potential(c2: float) -> Potential:
         beta_hat=beta_hat,
         beta=beta_min,
         beta_prime=None,
-        pi_hat=lambda s: -c2 * np.asarray(s, dtype=float) ** 2,
         pi=lambda s: -2.0 * c2 * np.asarray(s, dtype=float),
         gamma=2.0 * c2,
         domain=(-1.0, 1.0),
@@ -166,60 +163,15 @@ def zero_potential() -> Potential:
     """beta_hat = 0, pi = 0: reduces the phase equation to a linear flow."""
     zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
     return Potential(
-        kind="custom",
+        kind="none",
         beta_hat=zero,
         beta=zero,
         beta_prime=zero,
-        pi_hat=zero,
         pi=zero,
         gamma=0.0,
         domain=(-np.inf, np.inf),
         resolvent_closed_form=lambda eps, s: np.asarray(s, dtype=float).copy(),
     )
-
-
-def custom_potential(beta_hat, beta, *, beta_prime=None, pi_hat=None, pi=None,
-                     gamma: Optional[float] = None,
-                     domain=(-np.inf, np.inf)) -> Potential:
-    """User-supplied split; beta_hat/beta must be vectorized over arrays.
-
-    Validation samples the interior of the domain: midpoint convexity of
-    beta_hat, beta_hat(0) = 0, monotonicity of beta, and, when gamma is given,
-    the declared slope pi(s) = -gamma*s that the energy ledger and the
-    relaxation-limit solver rely on.
-    """
-    zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    pot = Potential(
-        kind="custom",
-        beta_hat=beta_hat,
-        beta=beta,
-        beta_prime=beta_prime,
-        pi_hat=pi_hat if pi_hat is not None else zero,
-        pi=pi if pi is not None else zero,
-        gamma=gamma,
-        domain=(float(domain[0]), float(domain[1])),
-    )
-    lo = max(pot.domain[0], -10.0) + 1e-6
-    hi = min(pot.domain[1], 10.0) - 1e-6
-    s = np.linspace(lo, hi, 201)
-    bh = np.asarray(beta_hat(s), dtype=float)
-    if abs(float(np.asarray(beta_hat(np.array([0.0])))[0])) > 1e-12:
-        raise ValueError("custom potential must satisfy beta_hat(0) = 0")
-    if np.any(bh < -1e-12):
-        raise ValueError("custom beta_hat must be nonnegative")
-    mid = 0.5 * (bh[:-1] + bh[1:])
-    bh_mid = np.asarray(beta_hat(0.5 * (s[:-1] + s[1:])), dtype=float)
-    if np.any(bh_mid > mid + 1e-9 * (1.0 + np.abs(mid))):
-        raise ValueError("custom beta_hat fails midpoint convexity sampling")
-    b = np.asarray(beta(s), dtype=float)
-    if np.any(np.diff(b) < -1e-9):
-        raise ValueError("custom beta must be monotone nondecreasing")
-    if gamma is not None:
-        p = np.asarray(pot.pi(s), dtype=float)
-        if not np.all(np.abs(p + gamma * s) <= 1e-12 * (1.0 + np.abs(gamma * s))):
-            raise ValueError(f"custom pi does not match the declared slope "
-                             f"pi(s) = -gamma*s with gamma={gamma}")
-    return pot
 
 
 def _newton_bracket(pot: Potential, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,12 +250,9 @@ def _newton_resolvent(pot: Potential, eps: float,
         # keep the sign-based bracket current (residual is increasing in x)
         hi = np.where(f > 0.0, np.minimum(hi, x), hi)
         lo = np.where(f < 0.0, np.maximum(lo, x), lo)
-        if pot.beta_prime is not None:
-            fp = 1.0 + eps * np.asarray(pot.beta_prime(x), dtype=float)
-            step = np.where(fp > 0.0, f / np.where(fp > 0.0, fp, 1.0), 0.0)
-            cand = x - step
-        else:
-            cand = 0.5 * (lo + hi)
+        fp = 1.0 + eps * np.asarray(pot.beta_prime(x), dtype=float)
+        step = np.where(fp > 0.0, f / np.where(fp > 0.0, fp, 1.0), 0.0)
+        cand = x - step
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
         cand = np.where(bad, 0.5 * (lo + hi), cand)
         x = np.where(active, cand, x)
@@ -359,44 +308,3 @@ def potential_energy_density(pot: Potential, eps: float, s) -> np.ndarray:
     if eps > 0.0:
         return np.atleast_1d(moreau(pot, eps, s))
     return np.asarray(pot.beta_hat(np.asarray(s, dtype=float)), dtype=float)
-
-
-@dataclass(frozen=True)
-class CoercivityReport:
-    """Outcome of the quadratic-lower-bound scan for beta_hat_eps + pi_hat."""
-
-    alpha: float
-    offset: float
-    ok: bool
-    worst_s: float
-    sample_range: tuple[float, float]
-    eps_list: tuple[float, ...]
-
-
-def coercivity_probe(pot: Potential, eps_list, sample_range=(-3.0, 3.0),
-                     n_samples: int = 1201, n_alpha: int = 80) -> CoercivityReport:
-    """Largest alpha (grid-searched) with beta_hat_eps + pi_hat >= alpha*s^2 - C.
-
-    The scan accepts an alpha only when the worst deficit sits strictly inside
-    the sampled range; a deficit growing at the edge means the quadratic is
-    outrunning the envelope and the bound would fail beyond the sample window.
-    """
-    eps_list = tuple(float(e) for e in eps_list)
-    s = np.linspace(sample_range[0], sample_range[1], n_samples)
-    envelope = np.full(s.shape, np.inf)
-    for eps in eps_list:
-        envelope = np.minimum(envelope, np.atleast_1d(moreau(pot, eps, s))
-                              + np.asarray(pot.pi_hat(s), dtype=float))
-    scale = max(1.0, float(np.max(np.abs(envelope))))
-    alphas = np.geomspace(scale / max(np.max(s**2), 1.0) * 10.0, 1e-4, n_alpha)
-    edge = max(2, n_samples // 50)
-    for alpha in alphas:
-        deficit = alpha * s**2 - envelope
-        k = int(np.argmax(deficit))
-        if edge <= k < n_samples - edge:
-            c = float(max(0.0, deficit[k]))
-            return CoercivityReport(alpha=float(alpha), offset=c, ok=True,
-                                    worst_s=float(s[k]), sample_range=tuple(sample_range),
-                                    eps_list=eps_list)
-    return CoercivityReport(alpha=0.0, offset=0.0, ok=False, worst_s=float("nan"),
-                            sample_range=tuple(sample_range), eps_list=eps_list)

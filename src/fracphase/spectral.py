@@ -420,11 +420,11 @@ def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
     return ((wx[:, None] * vx).T @ grid @ (wy[:, None] * vy))[(..., *basis.axis_modes)]
 
 
-def graph_norm(basis: SpectralBasis, exponent: float, coeffs: np.ndarray) -> float:
-    """(sum |c_j|^2 + sum |lambda_j^rho c_j|^2)^(1/2)."""
-    coeffs = _check_coeffs(basis, coeffs)
-    frac = fractional_multipliers(basis, exponent) * coeffs
-    return float(np.sqrt(np.dot(coeffs, coeffs) + np.dot(frac, frac)))
+def graph_norms(series: np.ndarray, stiff: np.ndarray) -> np.ndarray:
+    """Graph norms (|c|^2 + sum_j stiff_j c_j^2)^(1/2) over the trailing axis
+    of a coefficient array; stiff = lambda**(2 rho) gives the norm of the
+    graph of the fractional power lambda**rho."""
+    return np.sqrt(np.vecdot(series, series) + np.vecdot(stiff * series, series))
 
 
 def gram_defect(basis: SpectralBasis) -> float:

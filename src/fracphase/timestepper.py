@@ -27,7 +27,7 @@ import numpy as np
 from .galerkin import DiscreteSystem, NonlinearTerms, OverflowGuardError, \
     apply_coupling, eval_nonlinearity, guard, project_data
 from .potentials import ResolventError, potential_energy_density, prox_step
-from .spectral import analyze, synthesize
+from .spectral import analyze, graph_norms, synthesize
 
 SCHEMES = ("imex_euler", "implicit_prox")
 
@@ -325,7 +325,6 @@ def _finalize(snaps: _Snapshots) -> RunOutput:
 
     theta, phi = snaps.theta[:n], snaps.phi[:n]
     theta_sq = np.vecdot(theta, theta)
-    ar_theta_sq = np.vecdot(system.theta_stiff * theta, theta)  # |A^r theta|^2
     phi_sq = np.vecdot(phi, phi)
     half_theta_sq = 0.5 * theta_sq
     half_graph_phi = 0.5 * (phi_sq + np.vecdot(system.phi_stiff * phi, phi))
@@ -349,9 +348,9 @@ def _finalize(snaps: _Snapshots) -> RunOutput:
         theta_series=theta,
         phi_series=phi,
         norm_theta=np.sqrt(theta_sq),
-        graph_theta=np.sqrt(theta_sq + ar_theta_sq),
+        graph_theta=graph_norms(theta, system.theta_stiff),
         norm_phi=np.sqrt(phi_sq),
-        graph_phi=np.sqrt(2.0 * half_graph_phi),
+        graph_phi=graph_norms(phi, system.phi_stiff),
         dtphi_norm=col("dtphi"),
         ledger=ledger,
         xi_series=None if snaps.xi is None else snaps.xi[:n],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracphase.expressions import SeparableSource
 from fracphase.galerkin import Coupling, ProblemData, assemble
 from fracphase.potentials import regular_potential
 from fracphase.spectral import build_basis, eigenfunctions_at
@@ -22,7 +23,7 @@ def smoke_data():
     return ProblemData(
         theta0=lambda x: 0.1 + 0.5 * np.cos(np.pi * x),
         phi0=lambda x: 0.1 + 0.3 * np.cos(np.pi * x),
-        source=lambda x, t: 0.5 * np.cos(np.pi * x) * np.exp(-t),
+        source=SeparableSource([(lambda x: 0.5 * np.cos(np.pi * x), lambda t: np.exp(-t))]),
         coupling=Coupling.constant(0.7),
     )
 
@@ -54,3 +55,12 @@ def gauss_legendre_gram(basis_a, basis_b, nodes=200):
     va = eigenfunctions_at(basis_a, points)
     vb = eigenfunctions_at(basis_b, points)
     return va.T @ (weights[:, None] * vb)
+
+
+def read_timeseries(path):
+    """A run's timeseries.csv as named columns."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        data = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
+    arr = np.asarray(data)
+    return {name: arr[:, k] for k, name in enumerate(header)}

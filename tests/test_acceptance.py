@@ -4,24 +4,23 @@ Each test prints one PASS/FAIL line (run with -s to see them live).  The
 scenarios are pinned here, including the sampling windows documented in the
 module tests.
 """
+import csv
 import json
+import os
 import time
 
 import numpy as np
 import pytest
 
+from conftest import read_timeseries, smoke_data
 from fracphase.analysis import (contdep_report, limit_system, omega_limit_probe,
                                 relaxation_limit_study,
                                 sigma_zero_operator_check)
 from fracphase.cli import main as cli_main
-from fracphase.cli import read_timeseries
 from fracphase.galerkin import Coupling, ProblemData, assemble
-from fracphase.potentials import (double_obstacle_potential,
-                                  logarithmic_potential, moreau,
-                                  regular_potential, resolvent, yosida,
+from fracphase.potentials import (double_obstacle_potential, regular_potential,
                                   zero_potential)
-from fracphase.spectral import (build_basis, fractional_multipliers,
-                                gram_defect, synthesize)
+from fracphase.spectral import build_basis, synthesize
 from fracphase.timestepper import SchemeConfig, integrate
 
 
@@ -31,88 +30,42 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def smoke_system(basis, eps=1e-2):
-    data = ProblemData(
-        theta0=lambda x: 0.1 + 0.5 * np.cos(np.pi * x),
-        phi0=lambda x: 0.1 + 0.3 * np.cos(np.pi * x),
-        source=lambda x, t: 0.5 * np.cos(np.pi * x) * np.exp(-t),
-        coupling=Coupling.constant(0.7),
-    )
-    return assemble(data, basis, basis, 0.5, 0.5, eps, regular_potential(1.0))
+    return assemble(smoke_data(), basis, basis, 0.5, 0.5, eps, regular_potential(1.0))
 
 
-def test_c01_spectral_foundation():
+SELFTEST_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                               "selftest.json")
+
+
+def check_selftest(num, name, out, checks, limit_s):
+    """Criterion `num`: `selftest` through the CLI exits 0 within limit_s
+    seconds with every row passing, and holds rows of each of `checks`,
+    whose worst values the report lists."""
     start = time.perf_counter()
-    worst_gram = 0.0
-    worst_semigroup = 0.0
-    rng = np.random.default_rng(101)
-    for kind in ("neumann", "dirichlet"):
-        basis = build_basis(f"interval_{kind}", 1.0, 64, 512)
-        worst_gram = max(worst_gram, gram_defect(basis))
-        for _ in range(100):
-            v = rng.standard_normal(64)
-            two = fractional_multipliers(basis, 0.6) * (
-                fractional_multipliers(basis, 0.9) * v)
-            one = fractional_multipliers(basis, 1.5) * v
-            scale = np.max(np.abs(one)) or 1.0
-            worst_semigroup = max(worst_semigroup,
-                                  float(np.max(np.abs(two - one)) / scale))
+    code = cli_main(["selftest", "--config", SELFTEST_CONFIG, "--out", str(out), "--quiet"])
     elapsed = time.perf_counter() - start
-    ok = worst_gram <= 1e-10 and worst_semigroup <= 1e-13 and elapsed < 1.0
-    report(1, "spectral foundation", ok,
-           f"gram {worst_gram:.2e}, semigroup {worst_semigroup:.2e}, {elapsed:.2f}s")
+    with open(out / "selftest.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    failed = [f"{r['check']}.{r['kind']}" for r in rows if r["passed"] != "true"]
+    # a check without rows reads inf and fails the criterion
+    worst = {check: max((float(r["worst"]) for r in rows if r["check"] == check),
+                        default=np.inf) for check in checks}
+    ok = (code == 0 and not failed and np.all(np.isfinite(list(worst.values())))
+          and elapsed < limit_s)
+    report(num, name, ok, ", ".join(f"{k} {v:.1e}" for k, v in worst.items())
+           + f", failed {failed}, {elapsed:.2f}s")
 
 
-def test_c02_convex_analysis_suite():
-    start = time.perf_counter()
-    rng = np.random.default_rng(202)
-    cases = {
-        "regular": (regular_potential(), (-5.0, 5.0), (1e-4, 1.0), (-5.0, 5.0)),
-        "logarithmic": (logarithmic_potential(2.0), (-1.6, 1.6), (0.05, 1.0),
-                        (-0.999, 0.999)),
-        "double_obstacle": (double_obstacle_potential(0.5), (-5.0, 5.0),
-                            (1e-4, 1.0), (-1.0, 1.0)),
-    }
-    worst = {k: 0.0 for k in ("envelope", "monotone", "minimal", "lipschitz",
-                              "nonexpansive", "residual")}
-    for name, (pot, s_range, eps_range, dom_range) in cases.items():
-        for eps in np.geomspace(*eps_range, 25):
-            eps = float(eps)
-            s = rng.uniform(*s_range, size=40)
-            t = rng.uniform(*s_range, size=40)
-            j_s = np.asarray(resolvent(pot, eps, s))
-            j_t = np.asarray(resolvent(pot, eps, t))
-            if name == "double_obstacle":
-                res = np.abs(j_s - np.clip(s, -1.0, 1.0))
-            else:
-                res = np.abs(j_s + eps * np.asarray(pot.beta(j_s)) - s)
-            worst["residual"] = max(worst["residual"], float(np.max(res)))
+def test_c01_spectral_foundation(tmp_path):
+    check_selftest(1, "spectral foundation", tmp_path,
+                   ("gram_identity", "semigroup_relative"), 1.0)
 
-            env = np.asarray(moreau(pot, eps, s))
-            bh = np.asarray(pot.beta_hat(s))
-            finite = np.isfinite(bh)
-            worst["envelope"] = max(worst["envelope"], float(np.max(
-                np.maximum(-env, np.where(finite, env - bh, 0.0)))))
-            worst["monotone"] = max(worst["monotone"], float(np.max(
-                env - np.asarray(moreau(pot, eps / 2.0, s)))))
 
-            sd = rng.uniform(*dom_range, size=40)
-            worst["minimal"] = max(worst["minimal"], float(np.max(
-                np.abs(np.asarray(yosida(pot, eps, sd)))
-                - np.abs(np.asarray(pot.beta(sd))))))
-
-            gap = np.abs(s - t) + 1e-300
-            by_s, by_t = (s - j_s) / eps, (t - j_t) / eps
-            worst["lipschitz"] = max(worst["lipschitz"], float(np.max(
-                eps * np.abs(by_s - by_t) / gap - 1.0)))
-            worst["nonexpansive"] = max(worst["nonexpansive"], float(np.max(
-                np.abs(j_s - j_t) / gap - 1.0)))
-    elapsed = time.perf_counter() - start
-    ok = (worst["residual"] <= 1e-10 and worst["envelope"] <= 1e-12
-          and worst["monotone"] <= 1e-11 and worst["minimal"] <= 1e-9
-          and worst["lipschitz"] <= 1e-9 and worst["nonexpansive"] <= 1e-9
-          and elapsed < 5.0)
-    report(2, "convex-analysis suite", ok,
-           ", ".join(f"{k} {v:.1e}" for k, v in worst.items()) + f", {elapsed:.2f}s")
+def test_c02_convex_analysis_suite(tmp_path):
+    check_selftest(2, "convex-analysis suite", tmp_path,
+                   ("resolvent_residual", "envelope_bounds", "envelope_monotone_in_eps",
+                    "yosida_minimal_section", "yosida_lipschitz",
+                    "resolvent_nonexpansive"), 5.0)
 
 
 def test_c03_exact_linear_oracle():
@@ -185,11 +138,7 @@ def test_c06_continuous_dependence():
         system = assemble(data, basis, basis, 0.5, 0.5, 1e-2, regular_potential(1.0))
         return system, integrate(system, SchemeConfig("imex_euler", dt=1e-3), 0.5, 1)
 
-    base = ProblemData(
-        theta0=lambda x: 0.1 + 0.5 * np.cos(np.pi * x),
-        phi0=lambda x: 0.1 + 0.3 * np.cos(np.pi * x),
-        source=lambda x, t: 0.5 * np.cos(np.pi * x) * np.exp(-t),
-        coupling=Coupling.constant(0.7))
+    base = smoke_data()
     mode1 = np.sqrt(2.0) * np.cos(np.pi * basis.grid_points)
     ratios = []
     for delta in (1e-1, 1e-2, 1e-3, 1e-4):

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import fracphase.analysis
 import fracphase.cli
 import fracphase.config
+from conftest import read_timeseries
 from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
                            EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
-                           _coordinate_text, _table, config_hash, main,
-                           read_timeseries)
+                           _coordinate_text, _table, config_hash, main)
 from fracphase.config import (ConfigError, apply_overrides, load_raw_config,
                               read_study, validate_config)
 from fracphase.timestepper import BlowupError
@@ -674,6 +674,27 @@ class TestManifestStatus:
         assert code == EXIT_OK
         assert any(a.startswith("potential.gamma is ignored: ")
                    for a in manifest["advisories"])
+
+    @pytest.mark.parametrize("command,overrides,expected", [
+        ("simulate", [], []),
+        ("simulate", ["potential.eps=1.0"], ["1"]),
+        ("simulate", ['potential={"kind":"double_obstacle","c2":0.5,"eps":1.0}'], ["1"]),
+        ("simulate", ['potential={"kind":"logarithmic","c1":2.0,"eps":0.25}'], ["1"]),
+        ("converge", ['study.converge={"axis":"eps","values":[2.0,1.0,0.5]}'], ["2", "1"])],
+        ids=["smoke", "regular", "double_obstacle", "logarithmic", "converge-eps"])
+    def test_noncoercive_eps_is_an_advisory(self, tmp_path, command, overrides, expected):
+        # every split pairs pi_hat = -gamma*s^2/2 with beta_hat_eps ~ s^2/(2*eps)
+        out = tmp_path / "o"
+        argv = [command, "--config", os.path.join(CONFIGS, "smoke.json"),
+                "--out", str(out), "--quiet"]
+        for override in overrides:
+            argv += ["--override", override]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = [a for a in manifest["advisories"] if "pi_hat is then unbounded below" in a]
+        assert listed == [f"eps*gamma = {value} >= 1: beta_hat_eps + pi_hat is then "
+                          "unbounded below, and the coercivity assumed of the potential "
+                          "fails" for value in expected]
 
     @pytest.mark.parametrize("command,axis", [("simulate", None), ("contdep", None),
                                               ("converge", "sigma")])

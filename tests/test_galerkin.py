@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import gauss_legendre_gram
-from fracphase.expressions import build_source
+from fracphase.expressions import SeparableSource, build_source
 from fracphase.galerkin import (OVERFLOW_LIMIT, Coupling, OverflowGuardError,
                                 ProblemData, ValidationError, apply_coupling,
                                 assemble, eval_nonlinearity, guard, project_data)
@@ -190,7 +190,8 @@ class TestQuadratureConsistency:
 class TestSourceSampling:
     def test_closed_form_source(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(0.0),
-                             source=lambda x, t: np.cos(np.pi * x) * np.exp(-t))
+                             source=SeparableSource([(lambda x: np.cos(np.pi * x),
+                                                      lambda t: np.exp(-t))]))
         g = system.source_at(0.3)
         assert g[1] == pytest.approx(np.exp(-0.3) / np.sqrt(2.0), rel=1e-12)
 
@@ -205,7 +206,8 @@ class TestSourceSampling:
             system = make_system(neumann8, neumann8, Coupling.constant(0.0),
                                  source=source)
             for t in (0.0, 0.3, 1.7, 12.0):
-                per_step = analyze(neumann8, source(x, t))
+                per_step = analyze(neumann8, sum(space(x) * time(t)
+                                                 for space, time in source.products))
                 assert np.max(np.abs(system.source_at(t) - per_step)) <= 1e-14
 
     def test_beta_term_uses_yosida(self, neumann8):

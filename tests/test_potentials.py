@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracphase.potentials import (CoercivityReport, ResolventError,
-                                  coercivity_probe, custom_potential,
+from fracphase.potentials import (Potential, ResolventError,
                                   double_obstacle_potential,
                                   logarithmic_potential, moreau, prox_step,
                                   regular_potential, resolvent, yosida,
@@ -19,6 +18,16 @@ KINDS = {
     "logarithmic": (logarithmic_potential(2.0), (-1.6, 1.6), (0.05, 1.0)),
     "double_obstacle": (double_obstacle_potential(0.5), (-5.0, 5.0), (1e-4, 1.0)),
 }
+
+
+# beta(s) = s, whose resolvent s/(1+eps) has a closed form to compare against;
+# without one declared it runs the Newton path
+LINEAR = Potential(kind="linear",
+                   beta_hat=lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
+                   beta=lambda s: np.asarray(s, dtype=float),
+                   beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+                   pi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+                   gamma=None, domain=(-np.inf, np.inf))
 
 
 def bisect_resolvent(beta, eps, s, lo, hi, iters=200):
@@ -38,7 +47,8 @@ class TestCanonicalSplits:
     def test_regular_reassembles_double_well(self):
         pot = regular_potential(1.0)
         s = np.linspace(-2, 2, 41)
-        full = pot.beta_hat(s) + pot.pi_hat(s)
+        # pi_hat = (1 - 2*gamma*s^2)/4, the declared slope's primitive
+        full = pot.beta_hat(s) + (1.0 - 2.0 * pot.gamma * s**2) / 4.0
         assert np.allclose(full, 0.25 * (s**2 - 1.0) ** 2, atol=1e-14)
 
     def test_logarithmic_values(self):
@@ -63,23 +73,6 @@ class TestCanonicalSplits:
             logarithmic_potential(1.0)
         with pytest.raises(ValueError):
             double_obstacle_potential(0.0)
-
-    def test_custom_gamma_must_match_pi(self):
-        quartic = (lambda s: np.asarray(s) ** 4 / 4.0, lambda s: np.asarray(s) ** 3)
-        pot = custom_potential(*quartic, pi=lambda s: -0.5 * np.asarray(s, dtype=float),
-                               gamma=0.5)
-        assert pot.gamma == 0.5
-        with pytest.raises(ValueError, match="gamma"):
-            custom_potential(*quartic, pi=lambda s: -0.5 * np.asarray(s, dtype=float),
-                             gamma=1.0)
-        with pytest.raises(ValueError, match="gamma"):
-            custom_potential(*quartic, pi=lambda s: -np.sin(np.asarray(s, dtype=float)),
-                             gamma=1.0)
-
-    def test_custom_rejects_nonconvex(self):
-        with pytest.raises(ValueError, match="convex"):
-            custom_potential(lambda s: -np.asarray(s) ** 2 + 1e3 * np.abs(s),
-                             lambda s: np.sign(s))
 
 
 class TestResolvent:
@@ -230,40 +223,45 @@ class TestProxStep:
 
     def test_yosida_resolvent_identity_linear(self):
         # on beta(s) = s the identity has a closed form to compare against
-        pot = custom_potential(lambda s: np.asarray(s) ** 2 / 2.0,
-                               lambda s: np.asarray(s, dtype=float),
-                               beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)))
         eps, lam, s = 0.3, 0.2, 1.7
-        got = prox_step(pot, eps, lam, s)
+        got = prox_step(LINEAR, eps, lam, s)
         expected = s * (1 + eps) / (1 + eps + lam)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
-class TestCoercivityProbe:
-    def test_obstacle_has_quadratic_lower_bound(self):
-        rep = coercivity_probe(double_obstacle_potential(0.5), [1e-1, 1e-2], (-3, 3))
-        assert rep.ok and rep.alpha > 0
+# points past each well, ordered by |s|; the logarithmic ones stay where the
+# resolvent root is representable at the levels below
+COERCIVITY_CASES = {
+    "regular": (regular_potential(1.0), [10.0, 100.0, 1000.0]),
+    "logarithmic": (logarithmic_potential(2.0), [2.0, 3.0, 4.0]),
+    "double_obstacle": (double_obstacle_potential(0.5), [10.0, 100.0, 1000.0]),
+}
 
-    def test_regular_split(self):
-        rep = coercivity_probe(regular_potential(1.0), [1e-1, 1e-2, 1e-3], (-3, 3))
-        assert rep.ok and rep.alpha > 0
 
-    def test_pure_quartic(self):
-        pot = custom_potential(lambda s: np.asarray(s) ** 4 / 4.0,
-                               lambda s: np.asarray(s) ** 3,
-                               beta_prime=lambda s: 3.0 * np.asarray(s) ** 2)
-        rep = coercivity_probe(pot, [1e-1], (-3, 3))
-        assert rep.ok and rep.alpha > 0
+def regularized_energy(pot, eps, s):
+    """beta_hat_eps + pi_hat with pi_hat = -gamma*s^2/2, on +-s."""
+    s = np.concatenate([s, -np.asarray(s)])
+    return moreau(pot, eps, s) - 0.5 * pot.gamma * s * s
 
-    def test_noncoercive_reports_failure(self):
-        # a strongly concave perturbation defeats any quadratic lower bound
-        pot = custom_potential(lambda s: np.asarray(s) ** 2 / 2.0,
-                               lambda s: np.asarray(s, dtype=float),
-                               beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                               pi_hat=lambda s: -10.0 * np.asarray(s) ** 2,
-                               pi=lambda s: -20.0 * np.asarray(s, dtype=float))
-        rep = coercivity_probe(pot, [1e-1], (-3, 3))
-        assert not rep.ok and rep.alpha == 0.0
+
+class TestCoercivityRule:
+    """beta_hat_eps + pi_hat is coercive exactly when eps*gamma < 1.
+
+    Every shipped split has pi_hat = -gamma*s^2/2 and a beta_hat_eps that
+    grows like s^2/(2*eps); `galerkin.assemble` advises on this rule.
+    """
+
+    @pytest.mark.parametrize("kind", COERCIVITY_CASES)
+    def test_grows_below_the_threshold(self, kind):
+        pot, s = COERCIVITY_CASES[kind]
+        f = regularized_energy(pot, 0.5 / pot.gamma, s).reshape(2, -1)
+        assert np.all(np.diff(f, axis=1) > 0.0), f
+
+    @pytest.mark.parametrize("kind", COERCIVITY_CASES)
+    def test_unbounded_below_at_the_threshold(self, kind):
+        pot, s = COERCIVITY_CASES[kind]
+        f = regularized_energy(pot, 1.0 / pot.gamma, s).reshape(2, -1)
+        assert np.all(np.diff(f, axis=1) < 0.0) and np.all(f < 0.0), f
 
 
 def test_zero_potential_is_inert():
@@ -287,11 +285,6 @@ def test_resolvent_finiteness_fast_path_matches_exact(s, stacked):
     else:
         with pytest.raises(ValueError, match="resolvent input must be finite"):
             resolvent(regular_potential(), 0.01, s)
-
-
-# beta(s) = s, whose resolvent s/(1+eps) the closed forms below perturb
-LINEAR = custom_potential(lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
-                          lambda s: np.asarray(s, dtype=float))
 
 
 def exact_residual_message(pot, eps, s):

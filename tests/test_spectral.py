@@ -11,7 +11,7 @@ import fracphase.spectral
 from fracphase.spectral import (FFT_MIN_TABLE_SIZE, ORTHONORMALITY_TOL,
                                 BasisBuildError, analyze, build_basis,
                                 cross_gram, eigenfunctions_at,
-                                fractional_multipliers, gram_defect, graph_norm,
+                                fractional_multipliers, gram_defect, graph_norms,
                                 kernel_projection, min_grid_nodes, synthesize)
 from fracphase.spectral import _select_modes
 
@@ -337,6 +337,11 @@ class TestKernelProjection:
         assert np.max(np.abs(kernel_projection(neumann8, pu) - pu)) <= 1e-12
         pv = kernel_projection(neumann8, v)
         assert abs(np.dot(pu, v) - np.dot(u, pv)) <= 1e-12
+
+
+def graph_norm(basis, rho, coeffs):
+    """The graph norm of lambda**rho: graph_norms with stiff = lambda**(2 rho)."""
+    return graph_norms(coeffs, fractional_multipliers(basis, 2.0 * rho))
 
 
 class TestGraphNorm:

@@ -255,16 +255,19 @@ SMOKE_SOURCE = {"space": {"kind": "cos", "k": 1, "amplitude": 0.5},
 
 def fast_and_oracle(data, basis_a, basis_b, potential, eps, sigma=0.5):
     """The shipped system and its slow twin: Newton resolvent (where the split
-    is smooth), no declared pi slope, and the source as an opaque callable."""
+    is smooth), no declared pi slope, and the source sampled on the grid and
+    analyzed at every step."""
     if potential.kind == "regular":
         slow_pot = dataclasses.replace(potential, resolvent_closed_form=None, gamma=None)
     else:
         slow_pot = dataclasses.replace(potential, gamma=None)
     source = build_source(SMOKE_SOURCE, basis_a)
     fast = dataclasses.replace(data, source=source)
-    slow = dataclasses.replace(data, source=lambda x, t: source(x, t))
-    return (assemble(fast, basis_a, basis_b, 0.5, sigma, eps, potential),
-            assemble(slow, basis_a, basis_b, 0.5, sigma, eps, slow_pot))
+    slow = assemble(fast, basis_a, basis_b, 0.5, sigma, eps, slow_pot)
+    x = basis_a.grid_points
+    slow = dataclasses.replace(slow, source_coeffs=lambda t: analyze(
+        basis_a, sum(space(x) * time(t) for space, time in source.products)))
+    return assemble(fast, basis_a, basis_b, 0.5, sigma, eps, potential), slow
 
 
 def obstacle_data():
