@@ -12,7 +12,7 @@ proximal scheme is the direct solver of the sigma -> 0 limit system.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def _coeff_norms(series: np.ndarray) -> np.ndarray:
 class ContdepReport:
     lhs: float
     rhs: float
-    ratio: Optional[float]
+    ratio: float  # NaN when degenerate
     degenerate: bool
     components: dict
 
@@ -64,7 +64,8 @@ def contdep_report(sys1: DiscreteSystem, run1: RunOutput,
     difference in Linf of the A graph norm, and |phi1-phi2| in
     Linf(H) + L2(B graph norm); RHS collects the data differences with the
     source entering through its running time integral.  The ratio LHS/RHS is
-    reported, never asserted against a theoretical constant.
+    reported, never asserted against a theoretical constant; it is NaN when
+    RHS vanishes against LHS (`degenerate`), so no check on it passes.
     """
     if run1.times.shape != run2.times.shape or not np.allclose(run1.times, run2.times):
         raise ValueError("contdep runs must share snapshot times")
@@ -96,9 +97,8 @@ def contdep_report(sys1: DiscreteSystem, run1: RunOutput,
         source=rhs_f, theta0=rhs_theta0, phi0=rhs_phi0,
     )
     degenerate = rhs <= 1e-14 * (1.0 + lhs)
-    ratio = None if degenerate else lhs / rhs
-    return ContdepReport(lhs=lhs, rhs=rhs, ratio=ratio, degenerate=degenerate,
-                         components=components)
+    return ContdepReport(lhs=lhs, rhs=rhs, ratio=np.nan if degenerate else lhs / rhs,
+                         degenerate=degenerate, components=components)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,12 @@ from .expressions import is_number
 from .galerkin import Coupling, ProblemData, assemble
 from .potentials import (Potential, double_obstacle_potential, logarithmic_potential,
                          regular_potential, zero_potential)
-from .spectral import (BASIS_KINDS, DEFAULT_GRID_FACTOR, RECT_KINDS, SpectralBasis,
-                       build_basis, min_grid_nodes)
+from .spectral import BASIS_KINDS, RECT_KINDS, SpectralBasis, build_basis, min_grid_nodes
 from .timestepper import SCHEMES, SchemeConfig, step_count
+
+
+# an absent m_grid is DEFAULT_GRID_FACTOR * n_modes nodes per axis
+DEFAULT_GRID_FACTOR = 8
 
 
 class ConfigError(Exception):

@@ -190,12 +190,12 @@ class NonlinearTerms:
 
 def _make_source_sampler(source: Optional[SeparableSource], basis_a: SpectralBasis):
     """g(t) = sum over the products of time(t) * P(space), each space factor
-    projected once."""
+    held to the datum rule (`resolve_field`) and projected once."""
     if source is None:
         return None
-    points = basis_a.grid_points
-    parts = [(time, analyze(basis_a, np.asarray(space(points), dtype=float)))
-             for space, time in source.products]
+    parts = [(time, analyze(basis_a,
+                            resolve_field(space, basis_a, f"source product {k}")))
+             for k, (space, time) in enumerate(source.products)]
 
     def sampler(t: float) -> np.ndarray:
         total = None
@@ -372,7 +372,7 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
         phi_grid = synthesize(system.basis_b, phi)
     if include_beta:
         if system.eps > 0.0:
-            parts.append(np.asarray(yosida(pot, system.eps, phi_grid)))
+            parts.append(yosida(pot, system.eps, phi_grid))
         else:
             if pot.multivalued:
                 raise ValidationError(

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 import numpy as np
 
 NEWTON_TOL = 1e-12          # acceptance threshold for the residual
-NEWTON_TARGET = 1e-15       # polish target; iteration stops on stagnation
 NEWTON_MAX_ITERS = 100
 BISECTION_MAX_ITERS = 200
 
@@ -191,8 +190,8 @@ def _newton_bracket(pot: Potential, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return lo, hi
 
 
-def resolvent(pot: Potential, eps: float, s) -> np.ndarray | float:
-    """J_eps(s): the unique solution of x + eps*beta(x) = s.
+def resolvent(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
+    """J_eps(s): the unique solution of x + eps*beta(x) = s, pointwise.
 
     A closed form is used when the potential declares one (the cubic root for
     the regular split, the projection onto [-1, 1] for the obstacle);
@@ -202,7 +201,7 @@ def resolvent(pot: Potential, eps: float, s) -> np.ndarray | float:
     """
     if eps <= 0.0:
         raise ValueError(f"resolvent level eps must be positive, got {eps}")
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    s_arr = np.asarray(s, dtype=float)
     # a finite sum of squares means finite entries; the exact test decides
     # the rest (finite entries above ~1e154 overflow the sum, which np.vdot
     # returns as inf without a warning)
@@ -226,7 +225,7 @@ def resolvent(pot: Potential, eps: float, s) -> np.ndarray | float:
                 f"resolvent failed for kind={pot.kind}, eps={eps}: residual "
                 f"{residual.flat[worst]:.3e} at s={s_arr.flat[worst]!r}"
             )
-    return x if np.ndim(s) else float(x[0])
+    return x
 
 
 def _newton_resolvent(pot: Potential, eps: float,
@@ -274,21 +273,19 @@ def _newton_resolvent(pot: Potential, eps: float,
     return best_x, best_f
 
 
-def yosida(pot: Potential, eps: float, s) -> np.ndarray | float:
+def yosida(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     """beta_eps(s) = (s - J_eps(s)) / eps: monotone and 1/eps-Lipschitz."""
-    j = resolvent(pot, eps, s)
-    return (np.asarray(s, dtype=float) - j) / eps if np.ndim(s) else (float(s) - j) / eps
+    return (np.asarray(s, dtype=float) - resolvent(pot, eps, s)) / eps
 
 
-def moreau(pot: Potential, eps: float, s) -> np.ndarray | float:
+def moreau(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     """Moreau envelope beta_hat_eps(s) = |s - J_eps(s)|^2/(2 eps) + beta_hat(J_eps(s))."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    j = np.atleast_1d(resolvent(pot, eps, s_arr))
-    val = (s_arr - j) ** 2 / (2.0 * eps) + np.asarray(pot.beta_hat(j), dtype=float)
-    return val if np.ndim(s) else float(val[0])
+    s_arr = np.asarray(s, dtype=float)
+    j = resolvent(pot, eps, s_arr)
+    return (s_arr - j) ** 2 / (2.0 * eps) + np.asarray(pot.beta_hat(j), dtype=float)
 
 
-def prox_step(pot: Potential, eps: float, lam: float, s) -> np.ndarray | float:
+def prox_step(pot: Potential, eps: float, lam: float, s: np.ndarray) -> np.ndarray:
     """Resolvent at level lam of the effective graph used by the stepper.
 
     eps = 0 treats beta itself (the unregularized graph); eps > 0 treats the
@@ -303,8 +300,8 @@ def prox_step(pot: Potential, eps: float, lam: float, s) -> np.ndarray | float:
     return (eps * s_arr + lam * resolvent(pot, lam + eps, s_arr)) / (lam + eps)
 
 
-def potential_energy_density(pot: Potential, eps: float, s) -> np.ndarray:
+def potential_energy_density(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     """beta_hat_eps pointwise for eps > 0, beta_hat itself at eps = 0."""
     if eps > 0.0:
-        return np.atleast_1d(moreau(pot, eps, s))
+        return moreau(pot, eps, s)
     return np.asarray(pot.beta_hat(np.asarray(s, dtype=float)), dtype=float)

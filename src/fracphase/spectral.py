@@ -34,7 +34,6 @@ import numpy as np
 # downstream identity (Parseval, coupling cancellation) relies on it.
 ORTHONORMALITY_TOL = 1e-8
 
-DEFAULT_GRID_FACTOR = 8
 MIN_GRID_FACTOR = 4
 
 # Interval bases whose dense m x n table has at least this many entries
@@ -231,15 +230,14 @@ def min_grid_nodes(kind: str, extent, n_modes: int) -> int:
     return MIN_GRID_FACTOR * n_modes
 
 
-def build_basis(kind: str, extent, n_modes: int, m_grid: int | None = None) -> SpectralBasis:
+def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
     """Eigenbasis of kind interval_/rect_ dirichlet/neumann on (0, L) or
     (0, Lx) x (0, Ly); extent is L, [L] or [Lx, Ly].
 
     The n_modes lowest modes are retained (`_select_modes`).  m_grid counts
-    nodes per axis, defaults to DEFAULT_GRID_FACTOR*n_modes and must be at
-    least `min_grid_nodes`; each axis keeps only the 1-D modes a retained mode
-    uses.  The Gram gate runs once, and an interval basis picks its transform
-    path (`FFTPlan` or dense) here.
+    nodes per axis and must be at least `min_grid_nodes`; each axis keeps
+    only the 1-D modes a retained mode uses.  The Gram gate runs once, and an
+    interval basis picks its transform path (`FFTPlan` or dense) here.
     """
     bc = _bc_of(kind)
     lengths = tuple(np.atleast_1d(extent).astype(float).tolist())
@@ -251,8 +249,6 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int | None = None) -> S
     if n_modes < 1:
         raise BasisBuildError(f"n_modes must be >= 1, got {n_modes}")
     need = min_grid_nodes(kind, lengths, n_modes)
-    if m_grid is None:
-        m_grid = DEFAULT_GRID_FACTOR * n_modes
     if m_grid < need:
         raise BasisBuildError(f"m_grid={m_grid} too small: need at least {need}, "
                               f"{MIN_GRID_FACTOR} times the 1-D modes per axis")

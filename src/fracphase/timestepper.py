@@ -163,7 +163,7 @@ def step_imex(system: DiscreteSystem, state: State, scheme: SchemeConfig) -> Ste
     xi_grid = phi_grid = None
     if prox:
         intermediate = guard(synthesize(system.basis_b, phi_new), "phase grid")
-        phi_grid = np.asarray(prox_step(system.potential, system.eps, dt, intermediate))
+        phi_grid = prox_step(system.potential, system.eps, dt, intermediate)
         xi_grid = (intermediate - phi_grid) / dt
         phi_new = analyze(system.basis_b, phi_grid)
     phi_new = guard(phi_new, "phi coefficients")

@@ -10,12 +10,12 @@ from fracphase.timestepper import SchemeConfig, integrate
 
 @pytest.fixture(scope="session")
 def neumann8():
-    return build_basis("interval_neumann", 1.0, 8)
+    return build_basis("interval_neumann", 1.0, 8, 64)
 
 
 @pytest.fixture(scope="session")
 def dirichlet8():
-    return build_basis("interval_dirichlet", 1.0, 8)
+    return build_basis("interval_dirichlet", 1.0, 8, 64)
 
 
 def smoke_data():

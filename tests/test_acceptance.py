@@ -69,7 +69,7 @@ def test_c02_convex_analysis_suite(tmp_path):
 
 
 def test_c03_exact_linear_oracle():
-    basis = build_basis("interval_neumann", 1.0, 6)
+    basis = build_basis("interval_neumann", 1.0, 6, 48)
     theta0 = np.ones(6)
     data = ProblemData(theta0=synthesize(basis, theta0), phi0=None,
                        coupling=Coupling.constant(0.0))
@@ -92,7 +92,7 @@ def test_c03_exact_linear_oracle():
 
 
 def test_c04_energy_ledger_richardson():
-    basis = build_basis("interval_neumann", 1.0, 8)
+    basis = build_basis("interval_neumann", 1.0, 8, 64)
     maxima = []
     for dt in (1e-3, 5e-4):
         system = smoke_system(basis)
@@ -111,7 +111,7 @@ def test_c04_energy_ledger_richardson():
 
 
 def test_c05_uniform_in_eps():
-    basis = build_basis("interval_neumann", 1.0, 8)
+    basis = build_basis("interval_neumann", 1.0, 8, 64)
     sups, cauchy, prev = [], [], None
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         run = integrate(smoke_system(basis, eps=eps),
@@ -132,7 +132,7 @@ def test_c05_uniform_in_eps():
 
 def test_c06_continuous_dependence():
     start = time.perf_counter()
-    basis = build_basis("interval_neumann", 1.0, 8)
+    basis = build_basis("interval_neumann", 1.0, 8, 64)
 
     def make_run(data):
         system = assemble(data, basis, basis, 0.5, 0.5, 1e-2, regular_potential(1.0))
@@ -157,7 +157,7 @@ def test_c06_continuous_dependence():
 
 
 def test_c07_omega_limit():
-    neumann = build_basis("interval_neumann", 1.0, 8)
+    neumann = build_basis("interval_neumann", 1.0, 8, 64)
     data = ProblemData(theta0=lambda x: 0.2 + 0.3 * np.cos(np.pi * x),
                        phi0=lambda x: 0.4 + 0.2 * np.cos(np.pi * x),
                        coupling=Coupling.constant(0.5))
@@ -165,7 +165,7 @@ def test_c07_omega_limit():
     run = integrate(system, SchemeConfig("imex_euler", dt=1e-2), 200.0, 100)
     rep = omega_limit_probe(system, run, tail_fraction=0.1)
 
-    dirichlet = build_basis("interval_dirichlet", 1.0, 8)
+    dirichlet = build_basis("interval_dirichlet", 1.0, 8, 64)
     data_d = ProblemData(theta0=lambda x: 0.3 * np.sin(np.pi * x),
                          phi0=data.phi0, coupling=Coupling.constant(0.5))
     system_d = assemble(data_d, dirichlet, neumann, 0.5, 0.5, 1e-2,
@@ -183,7 +183,7 @@ def test_c07_omega_limit():
 
 
 def test_c08_sigma_zero_operator_identity():
-    basis = build_basis("interval_neumann", 1.0, 8)
+    basis = build_basis("interval_neumann", 1.0, 8, 64)
     v = np.zeros(8)
     v[1] = 1.0
     chk = sigma_zero_operator_check(basis, v, [0.25])
@@ -204,7 +204,7 @@ def test_c08_sigma_zero_operator_identity():
 
 def test_c09_relaxation_limit():
     start = time.perf_counter()
-    basis = build_basis("interval_neumann", 1.0, 8)
+    basis = build_basis("interval_neumann", 1.0, 8, 64)
 
     def ladder(data, potential):
         return [assemble(data, basis, basis, 0.5, sigma, 0.0, potential)

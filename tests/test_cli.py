@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT
                            _coordinate_text, _table, config_hash, main)
 from fracphase.config import (ConfigError, apply_overrides, load_raw_config,
                               read_study, validate_config)
+from fracphase.potentials import double_obstacle_potential
 from fracphase.timestepper import BlowupError
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -115,7 +117,7 @@ def count_basis_builds(monkeypatch) -> list[tuple[int, int]]:
     built = []
     build_basis = fracphase.config.build_basis
 
-    def counting(kind, extent, n_modes, m_grid=None):
+    def counting(kind, extent, n_modes, m_grid):
         built.append((n_modes, m_grid))
         return build_basis(kind, extent, n_modes, m_grid)
 
@@ -414,6 +416,11 @@ class TestManifestStatus:
          "theta0 exceeded the overflow guard"),
         ("simulate", 'data.phi0={"kind":"constant","value":1e100}',
          "phi0 exceeded the overflow guard"),
+        ("simulate", 'data.source=[{"space":{"kind":"constant","value":1e308},"time":null},'
+                     '{"space":{"kind":"constant","value":1e308},"time":null}]',
+         "source product 0 exceeded the overflow guard"),  # their sum overflows
+        ("simulate", 'data.source={"space":{"kind":"constant","value":1e300},"time":null}',
+         "source product 0 exceeded the overflow guard"),
         ("simulate", "exponents.r=60", "exponent r = 60 overflows"),
         ("simulate", "exponents.sigma=60", "exponent sigma = 60 overflows")])
     def test_input_no_run_can_carry_is_a_config_error(self, tmp_path, command, override,
@@ -979,6 +986,41 @@ class TestStudyCommands:
         lines = (out / "selftest.csv").read_text().splitlines()
         assert lines[0] == "check,kind,samples,worst,tolerance,passed"
         assert all(line.endswith("true") for line in lines[1:])
+
+    def test_selftest_nan_sample_fails_its_row(self, tmp_path, monkeypatch):
+        # an obstacle projection that returns NaN: each obstacle row's worst is
+        # NaN, which fails the row instead of being skipped
+        def nan_obstacle(c2):
+            return dataclasses.replace(double_obstacle_potential(c2), resolvent_closed_form=(
+                lambda eps, s: np.full_like(s, np.nan)))
+
+        monkeypatch.setattr(fracphase.cli, "double_obstacle_potential", nan_obstacle)
+        out = tmp_path / "out"
+        code = main(["selftest", "--config", os.path.join(CONFIGS, "selftest.json"),
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_CHECK
+        assert json.loads((out / "manifest.json").read_text())["status"] == "check_failed"
+        rows = [line.split(",") for line in (out / "selftest.csv").read_text().splitlines()]
+        obstacle = [row for row in rows if row[1] == "double_obstacle"]
+        assert len(obstacle) == 6
+        assert all(row[3] == "nan" and row[5] == "false" for row in obstacle)
+        assert all(row[5] == "true" for row in rows[1:] if row[1] != "double_obstacle")
+
+    def test_contdep_degenerate_ratio_fails_its_checks(self, tmp_path):
+        # a shift of 1e-300 vanishes in theta0 + delta*mode: no data differ,
+        # so the ratio is NaN and both ratio checks fail
+        out = tmp_path / "out"
+        code = main(["contdep", "--config", os.path.join(CONFIGS, "smoke.json"),
+                     "--override", "study.contdep.deltas=[1e-300,0.1]",
+                     "--override", "scheme.t_final=0.05", "--out", str(out), "--quiet"])
+        assert code == EXIT_CHECK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "check_failed"
+        assert not manifest["checks"]["ratio_finite"]["passed"]
+        assert not manifest["checks"]["ratio_stable"]["passed"]
+        lines = (out / "study_contdep.csv").read_text().splitlines()
+        assert lines[1].split(",")[1:] == ["0", "0", "nan"]
+        assert np.isfinite(float(lines[2].split(",")[3]))
 
     def test_opcheck_agreement(self, tmp_path):
         cfgd = json.loads(json.dumps(SMOKE))

@@ -34,7 +34,7 @@ class TestAssemble:
 
     def test_distinct_equal_bases_take_the_cross_gram_matrix(self, neumann8):
         # only one basis object is one basis: an equal twin gets the matrix
-        twin = build_basis("interval_neumann", 1.0, 8)
+        twin = build_basis("interval_neumann", 1.0, 8, 64)
         system = make_system(neumann8, twin, Coupling.constant(2.0))
         assert system.basis_a is not system.basis_b
         np.testing.assert_allclose(system.coupling_matrix, 2.0 * np.eye(8), atol=1e-12)
@@ -47,10 +47,10 @@ class TestAssemble:
             2.0 * np.sqrt(2.0) / np.pi, abs=1e-8)
 
     @pytest.mark.parametrize("kind_a,kind_b,extent,n,m", [
-        ("interval_dirichlet", "interval_neumann", 1.7, 16, None),
-        ("interval_neumann", "interval_dirichlet", 1.7, 16, None),
+        ("interval_dirichlet", "interval_neumann", 1.7, 16, 128),
+        ("interval_neumann", "interval_dirichlet", 1.7, 16, 128),
         ("rect_dirichlet", "rect_neumann", [1.0, 1.0], 64, 256),
-        ("rect_dirichlet", "rect_neumann", [1.0, 2.0], 12, None),
+        ("rect_dirichlet", "rect_neumann", [1.0, 2.0], 12, 96),
     ])
     def test_cross_mass_matches_gauss_legendre(self, kind_a, kind_b, extent, n, m):
         basis_a, basis_b = build_basis(kind_a, extent, n, m), build_basis(kind_b, extent, n, m)
@@ -71,7 +71,7 @@ class TestAssemble:
                         phi0=lambda x: 1.0 + x)
 
     def test_domain_mismatch_rejected(self, neumann8):
-        other = build_basis("interval_neumann", 2.0, 8)
+        other = build_basis("interval_neumann", 2.0, 8, 64)
         with pytest.raises(ValidationError, match="domain"):
             make_system(neumann8, other, Coupling.constant(0.0))
 
@@ -216,7 +216,8 @@ class TestSourceSampling:
         phi[0] = 1.0
         terms = eval_nonlinearity(system, np.zeros(8), phi)
         # phi = eta_0 = 1 on (0, 1): F = (beta_0.1(1) - gamma) eta_0
-        expected = (yosida(system.potential, 0.1, 1.0) - system.potential.gamma) * phi
+        beta_eps = yosida(system.potential, 0.1, np.array([1.0]))
+        expected = (beta_eps - system.potential.gamma) * phi
         assert np.max(np.abs(terms.fphi - expected)) <= 1e-14
 
 

@@ -78,19 +78,19 @@ class TestCanonicalSplits:
 class TestResolvent:
     def test_obstacle_is_projection(self):
         pot = double_obstacle_potential(1.0)
-        assert resolvent(pot, 0.37, 2.0) == 1.0
-        assert resolvent(pot, 5.0, -3.0) == -1.0
-        assert resolvent(pot, 1.0, 0.5) == 0.5
+        assert resolvent(pot, 0.37, np.array([2.0]))[0] == 1.0
+        assert resolvent(pot, 5.0, np.array([-3.0]))[0] == -1.0
+        assert resolvent(pot, 1.0, np.array([0.5]))[0] == 0.5
 
     def test_regular_against_bisection_oracle(self):
         pot = regular_potential()
         oracle = bisect_resolvent(lambda x: x**3, 0.1, 1.0, 0.0, 1.0)
         assert oracle == pytest.approx(0.9216989942046786, abs=1e-12)
-        assert resolvent(pot, 0.1, 1.0) == pytest.approx(oracle, abs=1e-11)
+        assert resolvent(pot, 0.1, np.array([1.0]))[0] == pytest.approx(oracle, abs=1e-11)
 
     def test_logarithmic_fixes_origin(self):
         pot = logarithmic_potential(2.0)
-        assert resolvent(pot, 0.8, 0.0) == pytest.approx(0.0, abs=1e-13)
+        assert resolvent(pot, 0.8, np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-13)
 
     def test_residuals_on_window(self):
         rng = np.random.default_rng(11)
@@ -115,18 +115,18 @@ class TestResolvent:
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
-            resolvent(regular_potential(), 0.0, 1.0)
+            resolvent(regular_potential(), 0.0, np.array([1.0]))
 
 
 class TestYosida:
     def test_obstacle_formula(self):
         pot = double_obstacle_potential(0.5)
-        assert yosida(pot, 0.25, 1.5) == pytest.approx(2.0)
-        assert yosida(pot, 0.33, 0.5) == 0.0
+        assert yosida(pot, 0.25, np.array([1.5]))[0] == pytest.approx(2.0)
+        assert yosida(pot, 0.33, np.array([0.5]))[0] == 0.0
 
     def test_regular_value_and_minimal_section_bound(self):
         pot = regular_potential()
-        val = yosida(pot, 0.1, 1.0)
+        val = yosida(pot, 0.1, np.array([1.0]))[0]
         assert val == pytest.approx(0.783010057953214, abs=1e-10)
         assert abs(val) <= abs(pot.beta(np.array([1.0]))[0])
 
@@ -134,26 +134,27 @@ class TestYosida:
         # beta_eps is the derivative of the Moreau envelope
         pot = regular_potential()
         h = 1e-6
-        for s in (-1.7, -0.3, 0.9, 2.4):
-            fd = (moreau(pot, 0.1, s + h) - moreau(pot, 0.1, s - h)) / (2 * h)
-            assert fd == pytest.approx(yosida(pot, 0.1, s), rel=1e-5)
+        s = np.array([-1.7, -0.3, 0.9, 2.4])
+        fd = (moreau(pot, 0.1, s + h) - moreau(pot, 0.1, s - h)) / (2 * h)
+        assert fd == pytest.approx(yosida(pot, 0.1, s), rel=1e-5)
 
 
 class TestMoreau:
     def test_obstacle_squared_distance(self):
         pot = double_obstacle_potential(0.5)
-        assert moreau(pot, 0.5, 1.5) == pytest.approx(0.25)
+        assert moreau(pot, 0.5, np.array([1.5]))[0] == pytest.approx(0.25)
 
     def test_zero_at_origin(self):
         for pot, _, _ in KINDS.values():
-            assert moreau(pot, 0.3, 0.0) == pytest.approx(0.0, abs=1e-14)
+            assert moreau(pot, 0.3, np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_regular_against_grid_minimization_oracle(self):
         # dense scan of tau -> (tau-1)^2/(2 eps) + tau^4/4
         tau = np.linspace(-2.0, 2.0, 2_000_001)
         oracle = float(np.min((tau - 1.0) ** 2 / 0.2 + tau**4 / 4.0))
         assert oracle == pytest.approx(0.2110801332597008, abs=1e-8)
-        assert moreau(regular_potential(), 0.1, 1.0) == pytest.approx(oracle, abs=1e-8)
+        assert moreau(regular_potential(), 0.1, np.array([1.0]))[0] == pytest.approx(
+            oracle, abs=1e-8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,12 +219,12 @@ def test_yosida_bounded_by_minimal_section():
 class TestProxStep:
     def test_eps_zero_is_plain_resolvent(self):
         pot = regular_potential()
-        assert prox_step(pot, 0.0, 0.1, 1.0) == pytest.approx(
-            resolvent(pot, 0.1, 1.0), abs=1e-14)
+        s = np.array([1.0])
+        assert prox_step(pot, 0.0, 0.1, s) == pytest.approx(resolvent(pot, 0.1, s), abs=1e-14)
 
     def test_yosida_resolvent_identity_linear(self):
         # on beta(s) = s the identity has a closed form to compare against
-        eps, lam, s = 0.3, 0.2, 1.7
+        eps, lam, s = 0.3, 0.2, np.array([1.7])
         got = prox_step(LINEAR, eps, lam, s)
         expected = s * (1 + eps) / (1 + eps + lam)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -266,9 +267,9 @@ class TestCoercivityRule:
 
 def test_zero_potential_is_inert():
     pot = zero_potential()
-    assert resolvent(pot, 0.5, 1.23) == 1.23
-    assert yosida(pot, 0.5, -4.0) == 0.0
-    assert moreau(pot, 0.5, 2.0) == 0.0
+    assert resolvent(pot, 0.5, np.array([1.23]))[0] == 1.23
+    assert yosida(pot, 0.5, np.array([-4.0]))[0] == 0.0
+    assert moreau(pot, 0.5, np.array([2.0]))[0] == 0.0
 
 
 # finite entries of 1e200 overflow the dot product of the fast finiteness test

@@ -20,17 +20,17 @@ PI2 = np.pi**2
 
 class TestIntervalBuilder:
     def test_neumann_spectrum(self):
-        b = build_basis("interval_neumann", 1.0, 3)
+        b = build_basis("interval_neumann", 1.0, 3, 24)
         assert np.allclose(b.eigenvalues, [0.0, PI2, 4 * PI2], rtol=0, atol=1e-12)
 
     def test_dirichlet_spectrum_and_midpoint(self):
-        b = build_basis("interval_dirichlet", 1.0, 2)
+        b = build_basis("interval_dirichlet", 1.0, 2, 16)
         assert np.allclose(b.eigenvalues, [PI2, 4 * PI2])
         e1 = eigenfunctions_at(b, np.array([0.5]))[0, 0]
         assert e1 == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
     def test_neumann_constant_mode(self):
-        b = build_basis("interval_neumann", 2.0, 1)
+        b = build_basis("interval_neumann", 2.0, 1, 8)
         assert b.eigenvalues[0] == 0.0
         assert np.allclose(b.axis_values[0][:, 0], 1.0 / np.sqrt(2.0))
 
@@ -40,46 +40,46 @@ class TestIntervalBuilder:
 
     def test_rejects_bad_length(self):
         with pytest.raises(BasisBuildError, match="positive"):
-            build_basis("interval_neumann", -1.0, 4)
+            build_basis("interval_neumann", -1.0, 4, 32)
 
     def test_eigenvalues_sorted(self):
         for kind in ("neumann", "dirichlet"):
-            b = build_basis(f"interval_{kind}", 1.7, 12)
+            b = build_basis(f"interval_{kind}", 1.7, 12, 96)
             assert np.all(np.diff(b.eigenvalues) >= 0)
 
     def test_rejects_extent_count_of_other_shape(self):
         with pytest.raises(BasisBuildError, match="extent"):
-            build_basis("interval_neumann", [1.0, 2.0], 4)
+            build_basis("interval_neumann", [1.0, 2.0], 4, 32)
         with pytest.raises(BasisBuildError, match="extent"):
-            build_basis("rect_neumann", 1.0, 4)
+            build_basis("rect_neumann", 1.0, 4, 32)
 
     def test_dirichlet_strictly_positive(self):
-        b = build_basis("interval_dirichlet", 1.0, 6)
+        b = build_basis("interval_dirichlet", 1.0, 6, 48)
         assert np.all(b.eigenvalues > 0)
 
 
 class TestRectBuilder:
     def test_neumann_square(self):
-        b = build_basis("rect_neumann", [1.0, 1.0], 4)
+        b = build_basis("rect_neumann", [1.0, 1.0], 4, 32)
         assert np.allclose(b.eigenvalues, [0.0, PI2, PI2, 2 * PI2])
         # lexicographic tie-break puts the y-mode first
         assert tuple(b.mode_indices[1]) == (0, 1)
         assert tuple(b.mode_indices[2]) == (1, 0)
 
     def test_dirichlet_square_first(self):
-        b = build_basis("rect_dirichlet", [1.0, 1.0], 1)
+        b = build_basis("rect_dirichlet", [1.0, 1.0], 1, 8)
         assert b.eigenvalues[0] == pytest.approx(2 * PI2)
 
     def test_anisotropic_ordering(self):
-        b = build_basis("rect_neumann", [1.0, 2.0], 2)
+        b = build_basis("rect_neumann", [1.0, 2.0], 2, 16)
         assert np.allclose(b.eigenvalues, [0.0, (np.pi / 2.0) ** 2])
 
     def test_quadrature_measures_area(self):
-        b = build_basis("rect_neumann", [1.0, 2.0], 4)
+        b = build_basis("rect_neumann", [1.0, 2.0], 4, 32)
         assert np.sum(b.quad_weights) == pytest.approx(2.0, rel=1e-13)
 
     def test_orthonormal(self):
-        b = build_basis("rect_dirichlet", [1.0, 1.5], 9)
+        b = build_basis("rect_dirichlet", [1.0, 1.5], 9, 72)
         assert gram_defect(b) < 1e-10
 
     @pytest.mark.parametrize("kind", ["rect_dirichlet", "rect_neumann"])
@@ -136,8 +136,8 @@ class TestModeSelection:
 # rectangles for the tensor-product paths: both kinds, square and not
 RECT_CASES = [("rect_dirichlet", [1.0, 1.0], 64, 256),
               ("rect_neumann", [1.0, 1.0], 64, 256),
-              ("rect_neumann", [1.0, 2.0], 12, None),
-              ("rect_dirichlet", [1.3, 0.7], 20, None)]
+              ("rect_neumann", [1.0, 2.0], 12, 96),
+              ("rect_dirichlet", [1.3, 0.7], 20, 160)]
 
 
 class TestTensorProduct:
@@ -158,7 +158,7 @@ class TestTensorProduct:
         assert np.array_equal(field(b.grid_points), 2.0 * dense[:, 3])
 
     @pytest.mark.parametrize("kind,extent,n,m", RECT_CASES + [
-        ("interval_neumann", 1.7, 12, None), ("interval_dirichlet", 1.0, 64, 512)])
+        ("interval_neumann", 1.7, 12, 96), ("interval_dirichlet", 1.0, 64, 512)])
     def test_gram_defect_matches_dense_gram(self, kind, extent, n, m):
         b = build_basis(kind, extent, n, m)
         dense = eigenfunctions_at(b, b.grid_points)
@@ -170,7 +170,7 @@ class TestBatchedTransforms:
     """Stacked (..., n) / (..., m) inputs against row-by-row calls."""
 
     @pytest.mark.parametrize("kind,extent,n,m", [
-        ("interval_neumann", 1.0, 8, None), ("interval_dirichlet", 1.7, 12, None),
+        ("interval_neumann", 1.0, 8, 64), ("interval_dirichlet", 1.7, 12, 96),
         ("rect_neumann", [1.0, 1.0], 6, 24), ("rect_dirichlet", [1.0, 1.5], 9, 36)])
     def test_rows_match_single_calls(self, kind, extent, n, m):
         b = build_basis(kind, extent, n, m)
@@ -187,7 +187,7 @@ class TestBatchedTransforms:
 class TestFFTTransforms:
     """FFT interval transforms against the dense table they replace."""
 
-    # below the FFT rule at the default m = 8n and at m = 4n, above it at m = 4n
+    # below the FFT rule at m = 8n and at m = 4n, above it at m = 4n
     @pytest.mark.parametrize("n,m", [(64, 512), (128, 512), (512, 2048)])
     @pytest.mark.parametrize("kind", ["interval_neumann", "interval_dirichlet"])
     def test_matches_dense_oracle(self, kind, n, m, monkeypatch):
@@ -207,9 +207,9 @@ class TestFFTTransforms:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_run_matches_dense_path(self, monkeypatch):
-        _, dense = smoke_run(build_basis("interval_neumann", 1.0, 16))
+        _, dense = smoke_run(build_basis("interval_neumann", 1.0, 16, 128))
         monkeypatch.setattr(fracphase.spectral, "FFT_MIN_TABLE_SIZE", 0)
-        _, fft = smoke_run(build_basis("interval_neumann", 1.0, 16))
+        _, fft = smoke_run(build_basis("interval_neumann", 1.0, 16, 128))
         for a, b in ((fft.theta_series, dense.theta_series),
                      (fft.phi_series, dense.phi_series),
                      (fft.ledger.lhs, dense.ledger.lhs)):
@@ -228,13 +228,13 @@ class TestFFTTransforms:
     def test_dispatch_rule(self):
         """Intervals only: a dense table of at least FFT_MIN_TABLE_SIZE entries
         and an FFT length 2(m-1) without a prime factor above 100."""
-        assert build_basis("interval_neumann", 1.0, 8).fft is None
+        assert build_basis("interval_neumann", 1.0, 8, 64).fft is None
         assert build_basis("interval_neumann", 1.0, 128, 1024).fft is None
         assert build_basis("interval_dirichlet", 1.0, 128, 2048).fft is not None
         assert build_basis("interval_neumann", 1.0, 512, 2048).fft is not None
         # 2*(1536 - 1) = 2*5*307: the FFT would be slower than the dense product
         assert 192 * 1536 >= FFT_MIN_TABLE_SIZE
-        assert build_basis("interval_neumann", 1.0, 192).fft is None
+        assert build_basis("interval_neumann", 1.0, 192, 1536).fft is None
         # a rectangle's sample matrix (65 536 x 64 here) is never formed: it
         # stays sum-factorized whatever its size
         rect = build_basis("rect_neumann", [1.0, 1.0], 64, 256)
@@ -247,12 +247,12 @@ class TestCrossGram:
     def test_same_family_matches_gauss_legendre(self, kind, extent):
         # the mixed families are checked through the coupling matrix in
         # test_galerkin; nested same-family bases are what reexpress uses
-        a, b = build_basis(kind, extent, 6), build_basis(kind, extent, 16)
+        a, b = build_basis(kind, extent, 6, 48), build_basis(kind, extent, 16, 128)
         assert np.max(np.abs(cross_gram(a, b) - gauss_legendre_gram(a, b))) <= 1e-13
 
     def test_rejects_different_domains(self):
-        a = build_basis("interval_neumann", 1.0, 4)
-        b = build_basis("interval_dirichlet", 2.0, 4)
+        a = build_basis("interval_neumann", 1.0, 4, 32)
+        b = build_basis("interval_dirichlet", 2.0, 4, 32)
         with pytest.raises(ValueError, match="different domains"):
             cross_gram(a, b)
 

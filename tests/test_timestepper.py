@@ -303,7 +303,7 @@ class TestFastPathsAgainstOracle:
         ("imex_no_declared_slope", (1, 2, 1, 3)),
     ])
     def test_transforms_per_step(self, neumann8, monkeypatch, case, expected):
-        dirichlet8 = build_basis("interval_dirichlet", 1.0, 8)
+        dirichlet8 = build_basis("interval_dirichlet", 1.0, 8, 64)
         scheme = "implicit_prox" if case == "prox" else "imex_euler"
         if case == "prox":
             system, _ = fast_and_oracle(obstacle_data(), neumann8, neumann8,
@@ -347,8 +347,8 @@ def stacked_rows(geometry, scheme, sourced):
     """Three systems on mixed Dirichlet/Neumann bases that differ in sigma and
     in their initial data and share everything else."""
     if geometry == "interval":
-        basis_a = build_basis("interval_dirichlet", 1.0, 8)
-        basis_b = build_basis("interval_neumann", 1.0, 8)
+        basis_a = build_basis("interval_dirichlet", 1.0, 8, 64)
+        basis_b = build_basis("interval_neumann", 1.0, 8, 64)
         spec = SMOKE_SOURCE
     else:
         basis_a = build_basis("rect_dirichlet", [1.0, 1.5], 6, 24)
@@ -505,7 +505,7 @@ class TestMergedStepAgainstOracle:
                 potential, eps = regular_potential(1.0), 1e-2
             if case == "no_declared_slope":
                 potential = dataclasses.replace(potential, gamma=None)
-            basis_a = (build_basis("interval_dirichlet", 1.0, 8)
+            basis_a = (build_basis("interval_dirichlet", 1.0, 8, 64)
                        if case == "mixed_basis" else neumann8)
             data = dataclasses.replace(obstacle_data(),
                                        source=build_source(SMOKE_SOURCE, basis_a))
