@@ -229,16 +229,13 @@ def limit_system(system: DiscreteSystem) -> DiscreteSystem:
     """The sigma -> 0 limit of `system`: B^(2 sigma) replaced by the
     kernel-complement mask I - P, at eps = 0.
 
-    The limit requires a constant coupling and a linear concave perturbation
-    pi(v) = -gamma*v.  Marched by `integrate` with the implicit_prox scheme
-    it is the direct limit solver: the convex part runs through the exact
-    (eps = 0) resolvent, so obstacle constraints hold without regularization.
+    The limit requires a constant coupling.  Marched by `integrate` with the
+    implicit_prox scheme it is the direct limit solver: the convex part runs
+    through the exact (eps = 0) resolvent, so obstacle constraints hold
+    without regularization.
     """
     if system.coupling.kind != "constant":
         raise ValueError("the relaxation limit requires a constant coupling")
-    if system.potential.gamma is None:
-        raise ValueError("the relaxation limit requires pi(v) = -gamma*v "
-                         "(potential.gamma must be set)")
     mask = (system.basis_b.eigenvalues > 0.0).astype(float)
     return replace(system, sigma=0.0, eps=0.0, phi_stiff=mask)
 

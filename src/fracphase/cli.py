@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -162,6 +163,17 @@ def emit_run_outputs(run: RunOutput, system, out_dir: str,
     return files
 
 
+def _strict_json(value):
+    """`value` with each non-finite float (not JSON) as None, written as null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 class _ManifestWriter:
     """Collects run metadata, which `main` writes as manifest.json into
     `out_dir`, None until the run directory is known."""
@@ -216,7 +228,9 @@ class _ManifestWriter:
         self.payload["wall_clock_s"] = time.perf_counter() - self.started
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, "manifest.json")
-        _write_atomic(path, json.dumps(self.payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(_strict_json(self.payload), indent=2, sort_keys=True,
+                          allow_nan=False)
+        _write_atomic(path, text + "\n")
         return path
 
     @property

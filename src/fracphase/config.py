@@ -23,7 +23,7 @@ from .galerkin import Coupling, ProblemData, assemble
 from .potentials import (Potential, double_obstacle_potential, logarithmic_potential,
                          regular_potential, zero_potential)
 from .spectral import BASIS_KINDS, RECT_KINDS, SpectralBasis, build_basis, min_grid_nodes
-from .timestepper import SCHEMES, SchemeConfig, step_count
+from .timestepper import SCHEMES, SchemeConfig, scheme_problem, step_count
 
 
 # an absent m_grid is DEFAULT_GRID_FACTOR * n_modes nodes per axis
@@ -245,6 +245,8 @@ def validate_config(raw: dict) -> RunConfig:
     if gamma is not None and pot_kind != "regular":
         advisories.append(f"potential.gamma is ignored: the {pot_kind} potential "
                           "fixes its own slope")
+    potential = None if None in (pot_kind, parameter) else \
+        _POTENTIALS[pot_kind](float(parameter))
 
     # an absent coupling section is the zero constant coupling
     coupling_kind = r.get("coupling.kind", _COUPLING_KIND, "constant")
@@ -269,9 +271,9 @@ def validate_config(raw: dict) -> RunConfig:
     advisories += [f"scheme.{key} is ignored: the proximal step is closed form"
                    for key in ("fixed_point_tol", "max_inner_iters") if key in scheme_raw]
 
-    if pot_kind == "double_obstacle" and eps == 0 and scheme_name == "imex_euler":
-        r.problems.append(("scheme.scheme",
-                           "double_obstacle at eps = 0 requires implicit_prox"))
+    if None not in (potential, eps, scheme_name):
+        if problem := scheme_problem(potential, eps, scheme_name):
+            r.problems.append(("scheme.scheme", problem))
 
     data = r.get("data", OBJECT, {})
     out_dir = r.get("output.directory", STRING, None)
@@ -287,7 +289,7 @@ def validate_config(raw: dict) -> RunConfig:
     return RunConfig(
         operator_a=op_a,
         operator_b=op_b,
-        potential=_POTENTIALS[pot_kind](float(parameter)),
+        potential=potential,
         eps=float(eps),
         coupling=coupling,
         data=data,
@@ -353,6 +355,10 @@ def read_study(cfg: RunConfig, command: str) -> dict:
         study = {"axis": axis, "values": values, "levels": None}
         if None not in (values, n_shared):
             study["levels"] = _converge_levels(r, cfg, values, axis, n_shared)
+        if axis == "eps" and values is not None:
+            for value in values:
+                if problem := scheme_problem(cfg.potential, value, cfg.scheme.scheme):
+                    r.problems.append((f"{key}.values", f"{problem}, got {value!r}"))
     elif command == "contdep":
         nonzero = ("a nonzero number", lambda v: is_number(v) and v != 0)
         study = {"deltas": r.get(f"{key}.deltas", list_of(nonzero, at_least=1),

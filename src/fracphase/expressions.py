@@ -148,22 +148,13 @@ def _time_factor(spec, where: str) -> callable:
     raise ExpressionError(f"{where}.kind: unknown time expression kind {kind!r}")
 
 
-class SeparableSource:
-    """A source f(x, t) = sum of space(x) * time(t) products.
-
-    `products` lists the (space, time) factor pairs, so assembly projects
-    each space factor once instead of the whole source at every sample.
-    """
-
-    def __init__(self, products):
-        self.products = tuple(products)
-
-
 def build_source(spec, basis: SpectralBasis, where: str = "source"):
-    """Return a SeparableSource for a source spec, or None.
+    """The (space, time) factor pairs of a source spec as a tuple, or None.
 
     A source spec is a {"space": ..., "time": ...} product or a list of such
-    products, summed.
+    products; the source f(x, t) is the sum of space(x) * time(t), so
+    assembly projects each space factor once instead of the whole source at
+    every sample.
     """
     if spec is None:
         return None
@@ -174,4 +165,4 @@ def build_source(spec, basis: SpectralBasis, where: str = "source"):
             raise ExpressionError(f"{name}.space: a source product needs a space factor")
         parts.append((build_space_field(product["space"], basis, f"{name}.space"),
                       _time_factor(product.get("time"), f"{name}.time")))
-    return SeparableSource(parts)
+    return tuple(parts)

@@ -9,7 +9,7 @@ with Lambda = diag(lambda_j^(2r)), M = diag(mu_j^(2sigma)), the coupling
 matrix E = ell*[(eta_j, e_i)] (or its state-dependent, matrix-free variant for
 a nonconstant latent-heat coefficient), source samples g(t) = [(f(t), e_i)]
 and F = P(beta_eps(phi)) + P(pi(phi)) - E^T Theta.  The terms of F that are
-linear in the state act in modal space (a declared slope gives
+linear in the state act in modal space (the slope pi(v) = -gamma*v gives
 P(pi(phi)) = -gamma*Phi, a constant coupling the same E in both equations);
 the rest is evaluated pseudospectrally, by collocation on the quadrature grid.
 """
@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expressions import SeparableSource
 from .potentials import Potential, yosida
 from .spectral import (SpectralBasis, analyze, cross_gram, fractional_multipliers,
                        synthesize)
@@ -81,13 +80,13 @@ class ProblemData:
     """Initial data, source and coupling before projection.
 
     theta0/phi0 are callables over grid points or raw grid arrays; the source
-    is None or a SeparableSource (`expressions.build_source` builds one),
-    projected once per space factor at assembly.
+    is None or the (space, time) factor pairs `expressions.build_source`
+    returns, each space factor projected once at assembly.
     """
 
     theta0: object
     phi0: object
-    source: Optional[SeparableSource] = None
+    source: Optional[tuple] = None
     coupling: Coupling = field(default_factory=lambda: Coupling.constant(0.0))
 
 
@@ -134,7 +133,7 @@ class DiscreteSystem:
     phi0_grid: np.ndarray
     coupling_matrix: Optional[np.ndarray] = None
     source_coeffs: Optional[Callable[[float], np.ndarray]] = None
-    source: Optional[SeparableSource] = None  # the source source_coeffs samples
+    source: Optional[tuple] = None  # the (space, time) pairs source_coeffs samples
     advisories: tuple[str, ...] = ()
     # (dt, 1 + dt*theta_stiff, 1 + dt*phi_stiff) of the last step_denominators
     # call; not an init field, so every `replace` starts without it
@@ -185,17 +184,17 @@ class NonlinearTerms:
 
     fphi: np.ndarray                # B-coefficients of beta-part + pi(phi) - ell(phi) theta
     phi_grid: Optional[np.ndarray]  # phi on the grid; None when nothing was collocated
-    pi_proj: np.ndarray             # P(pi(phi)), -gamma*phi when gamma is declared
+    pi_proj: np.ndarray             # P(pi(phi)) = -gamma*phi
 
 
-def _make_source_sampler(source: Optional[SeparableSource], basis_a: SpectralBasis):
+def _make_source_sampler(source: Optional[tuple], basis_a: SpectralBasis):
     """g(t) = sum over the products of time(t) * P(space), each space factor
     held to the datum rule (`resolve_field`) and projected once."""
     if source is None:
         return None
     parts = [(time, analyze(basis_a,
                             resolve_field(space, basis_a, f"source product {k}")))
-             for k, (space, time) in enumerate(source.products)]
+             for k, (space, time) in enumerate(source)]
 
     def sampler(t: float) -> np.ndarray:
         total = None
@@ -228,7 +227,7 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
     theta0_grid = resolve_field(data.theta0, basis_a, "theta0")
     phi0_grid = resolve_field(data.phi0, basis_b, "phi0")
 
-    bh0 = np.asarray(potential.beta_hat(phi0_grid), dtype=float)
+    bh0 = potential.beta_hat(phi0_grid)
     if not np.all(np.isfinite(bh0)):
         bad = np.flatnonzero(~np.isfinite(bh0))
         report = ", ".join(
@@ -247,7 +246,7 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
         )
 
     coupling_matrix = None
-    if data.coupling.kind == "constant" and not same and data.coupling.value != 0.0:
+    if data.coupling.kind == "constant" and not same:
         coupling_matrix = data.coupling.value * cross_gram(basis_a, basis_b)
 
     advisories: list[str] = []
@@ -261,7 +260,7 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
     # every split pairs pi_hat = -gamma*s^2/2 (+ const) with a beta_hat_eps
     # growing like s^2/(2*eps), so their sum is coercive exactly when
     # eps*gamma < 1; at eps = 0 beta_hat dominates or bounds the domain
-    if eps > 0.0 and potential.gamma is not None and eps * potential.gamma >= 1.0:
+    if eps > 0.0 and eps * potential.gamma >= 1.0:
         advisories.append(
             f"eps*gamma = {eps * potential.gamma:.3g} >= 1: beta_hat_eps + pi_hat is "
             "then unbounded below, and the coercivity assumed of the potential fails")
@@ -343,49 +342,35 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
                       *, include_beta: bool = True) -> NonlinearTerms:
     """F(theta, phi) = P(beta_eps(phi)) + P(pi(phi)) - E^T theta in the B basis.
 
-    The terms linear in the state stay in modal space: a split that declares
-    gamma gives P(pi(phi)) = -gamma*phi exactly, and a constant coupling gives
-    E^T theta = ell*theta on one basis or theta @ coupling_matrix on two, the
-    exact matrix `apply_coupling` applies in the temperature equation, so the
-    two coupling operators are transposes and the discrete energy identity
-    holds on mixed bases too.  Only what has no modal form is collocated and
-    analyzed, in one pass: beta_eps(phi) (beta(phi) at eps = 0), pi(phi) when
-    gamma is None, and ell(phi)*theta for a function coupling, whose weighted
-    quadrature is consistent in both equations.  include_beta = False leaves
-    out the convex part, which the proximal scheme applies through its
-    resolvent; with a declared gamma and a constant coupling it synthesizes
-    nothing.  The terms carry P(pi(phi)) for the energy ledger; without a
-    declared gamma that is one more analysis, of pi(phi) alone.
+    The terms linear in the state stay in modal space: P(pi(phi)) =
+    -gamma*phi exactly, and a constant coupling gives E^T theta = ell*theta on
+    one basis or theta @ coupling_matrix on two, the exact matrix
+    `apply_coupling` applies in the temperature equation, so the two coupling
+    operators are transposes and the discrete energy identity holds on mixed
+    bases too.  Only what has no modal form is collocated and analyzed, in
+    one pass under one overflow guard: beta_eps(phi) (beta(phi) at eps = 0)
+    and ell(phi)*theta for a function coupling, whose weighted quadrature is
+    consistent in both equations.  include_beta = False leaves out the convex
+    part, which the proximal scheme applies through its resolvent; with a
+    constant coupling it synthesizes nothing.  The ledger reuses P(pi(phi)).
     """
     pot, coupling = system.potential, system.coupling
-    pi_proj = None if pot.gamma is None else -pot.gamma * phi
-    fphi = 0.0 if pi_proj is None else pi_proj
+    pi_proj = -pot.gamma * phi
+    fphi = pi_proj
     if coupling.kind == "constant":
         if system.basis_a is system.basis_b:
             fphi = fphi - coupling.value * theta
-        elif system.coupling_matrix is not None:
+        else:
             fphi = fphi - theta @ system.coupling_matrix
 
     phi_grid = None
     parts = []
-    if include_beta or pot.gamma is None or coupling.kind == "function":
+    if include_beta or coupling.kind == "function":
         phi_grid = synthesize(system.basis_b, phi)
     if include_beta:
-        if system.eps > 0.0:
-            parts.append(yosida(pot, system.eps, phi_grid))
-        else:
-            if pot.multivalued:
-                raise ValidationError(
-                    "eps = 0 with a multivalued potential requires the proximal scheme"
-                )
-            beta_grid = np.asarray(pot.beta(phi_grid), dtype=float)
-            if not np.all(np.isfinite(beta_grid)):
-                raise OverflowGuardError("beta(phi) left its domain during evaluation")
-            parts.append(beta_grid)
-    if pot.gamma is None:
-        pi_grid = np.asarray(pot.pi(phi_grid), dtype=float)
-        parts.append(pi_grid)
-        pi_proj = analyze(system.basis_b, pi_grid)
+        # beta(phi) off its domain is NaN, which the guard below rejects
+        parts.append(yosida(pot, system.eps, phi_grid) if system.eps > 0.0
+                     else pot.beta(phi_grid))
     if coupling.kind == "function":
         parts.append(-coupling.on_grid(phi_grid) * synthesize(system.basis_a, theta))
     if parts:
@@ -400,8 +385,6 @@ def apply_coupling(system: DiscreteSystem, phi_grid: np.ndarray,
     if system.coupling.kind == "constant":
         if system.basis_a is system.basis_b:
             return system.coupling.value * w
-        if system.coupling_matrix is None:
-            return np.zeros(system.n_a)
         return w @ system.coupling_matrix.T
     values = system.coupling.on_grid(phi_grid) * synthesize(system.basis_b, w)
     return analyze(system.basis_a, values)

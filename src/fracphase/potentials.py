@@ -47,17 +47,16 @@ class Potential:
 
     beta is the minimal section of the subdifferential of beta_hat, defined on
     the open part of the domain; beta_prime feeds Newton, so a split without a
-    closed-form resolvent declares it.  gamma is set whenever pi(v) = -gamma*v
-    (pi_hat = -gamma*s^2/2 up to a constant), which the relaxation-limit solver
-    requires.
+    closed-form resolvent declares it.  Every split's Lipschitz part is
+    pi(v) = -gamma*v (pi_hat = -gamma*s^2/2 up to a constant), so gamma is all
+    of it.  The callables take and return float arrays.
     """
 
     kind: str
     beta_hat: Callable[[np.ndarray], np.ndarray]
     beta: Callable[[np.ndarray], np.ndarray]
     beta_prime: Optional[Callable[[np.ndarray], np.ndarray]]
-    pi: Callable[[np.ndarray], np.ndarray]
-    gamma: Optional[float]
+    gamma: float
     domain: tuple[float, float]
     resolvent_closed_form: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
@@ -87,11 +86,10 @@ def regular_potential(gamma: float = 1.0) -> Potential:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     return Potential(
         kind="regular",
-        beta_hat=lambda s: np.asarray(s, dtype=float) ** 4 / 4.0,
+        beta_hat=lambda s: s ** 4 / 4.0,
         # s*s*s: numpy's float power has no fast path for the exponent 3
-        beta=lambda s: (v := np.asarray(s, dtype=float)) * v * v,
-        beta_prime=lambda s: 3.0 * np.asarray(s, dtype=float) ** 2,
-        pi=lambda s: -gamma * np.asarray(s, dtype=float),
+        beta=lambda s: s * s * s,
+        beta_prime=lambda s: 3.0 * s ** 2,
         gamma=gamma,
         domain=(-np.inf, np.inf),
         resolvent_closed_form=_cubic_resolvent,
@@ -99,7 +97,6 @@ def regular_potential(gamma: float = 1.0) -> Potential:
 
 
 def _log_beta_hat(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
     out = np.full(s.shape, np.inf)
     inside = np.abs(s) < 1.0
     si = s[inside]
@@ -110,7 +107,6 @@ def _log_beta_hat(s: np.ndarray) -> np.ndarray:
 
 
 def _log_beta(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
     out = np.full(s.shape, np.nan)
     inside = np.abs(s) < 1.0
     si = s[inside]
@@ -126,8 +122,7 @@ def logarithmic_potential(c1: float) -> Potential:
         kind="logarithmic",
         beta_hat=_log_beta_hat,
         beta=_log_beta,
-        beta_prime=lambda s: 2.0 / (1.0 - np.asarray(s, dtype=float) ** 2),
-        pi=lambda s: -2.0 * c1 * np.asarray(s, dtype=float),
+        beta_prime=lambda s: 2.0 / (1.0 - s ** 2),
         gamma=2.0 * c1,
         domain=(-1.0, 1.0),
     )
@@ -139,11 +134,9 @@ def double_obstacle_potential(c2: float) -> Potential:
         raise ValueError(f"obstacle potential requires c2 > 0, got {c2}")
 
     def beta_hat(s):
-        s = np.asarray(s, dtype=float)
         return np.where(np.abs(s) <= 1.0 + OBSTACLE_SLACK, 0.0, np.inf)
 
     def beta_min(s):
-        s = np.asarray(s, dtype=float)
         return np.where(np.abs(s) <= 1.0 + OBSTACLE_SLACK, 0.0, np.nan)
 
     return Potential(
@@ -151,7 +144,6 @@ def double_obstacle_potential(c2: float) -> Potential:
         beta_hat=beta_hat,
         beta=beta_min,
         beta_prime=None,
-        pi=lambda s: -2.0 * c2 * np.asarray(s, dtype=float),
         gamma=2.0 * c2,
         domain=(-1.0, 1.0),
         resolvent_closed_form=lambda eps, s: np.clip(s, -1.0, 1.0),
@@ -160,16 +152,15 @@ def double_obstacle_potential(c2: float) -> Potential:
 
 def zero_potential() -> Potential:
     """beta_hat = 0, pi = 0: reduces the phase equation to a linear flow."""
-    zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+    zero = lambda s: np.zeros_like(s)
     return Potential(
         kind="none",
         beta_hat=zero,
         beta=zero,
         beta_prime=zero,
-        pi=zero,
         gamma=0.0,
         domain=(-np.inf, np.inf),
-        resolvent_closed_form=lambda eps, s: np.asarray(s, dtype=float).copy(),
+        resolvent_closed_form=lambda eps, s: s.copy(),
     )
 
 
@@ -212,8 +203,7 @@ def resolvent(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     else:
         x = pot.resolvent_closed_form(eps, s_arr)
         # the obstacle projection is exact and its beta is multivalued
-        residual = None if pot.multivalued else \
-            x + eps * np.asarray(pot.beta(x), dtype=float) - s_arr
+        residual = None if pot.multivalued else x + eps * pot.beta(x) - s_arr
     # one dot accepts most calls (NaN fails it); the per-point bound decides
     if residual is not None and not np.vdot(residual, residual) <= _RESIDUAL_SUM_SQ:
         residual = np.abs(residual)
@@ -235,7 +225,7 @@ def _newton_resolvent(pot: Potential, eps: float,
     x = np.clip(s_arr, lo, hi)
 
     def residual(v):
-        return v + eps * np.asarray(pot.beta(v), dtype=float) - s_arr
+        return v + eps * pot.beta(v) - s_arr
 
     f = residual(x)
     best_x, best_f = x.copy(), np.abs(f)
@@ -249,7 +239,7 @@ def _newton_resolvent(pot: Potential, eps: float,
         # keep the sign-based bracket current (residual is increasing in x)
         hi = np.where(f > 0.0, np.minimum(hi, x), hi)
         lo = np.where(f < 0.0, np.maximum(lo, x), lo)
-        fp = 1.0 + eps * np.asarray(pot.beta_prime(x), dtype=float)
+        fp = 1.0 + eps * pot.beta_prime(x)
         step = np.where(fp > 0.0, f / np.where(fp > 0.0, fp, 1.0), 0.0)
         cand = x - step
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
@@ -282,7 +272,7 @@ def moreau(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     """Moreau envelope beta_hat_eps(s) = |s - J_eps(s)|^2/(2 eps) + beta_hat(J_eps(s))."""
     s_arr = np.asarray(s, dtype=float)
     j = resolvent(pot, eps, s_arr)
-    return (s_arr - j) ** 2 / (2.0 * eps) + np.asarray(pot.beta_hat(j), dtype=float)
+    return (s_arr - j) ** 2 / (2.0 * eps) + pot.beta_hat(j)
 
 
 def prox_step(pot: Potential, eps: float, lam: float, s: np.ndarray) -> np.ndarray:
@@ -304,4 +294,4 @@ def potential_energy_density(pot: Potential, eps: float, s: np.ndarray) -> np.nd
     """beta_hat_eps pointwise for eps > 0, beta_hat itself at eps = 0."""
     if eps > 0.0:
         return moreau(pot, eps, s)
-    return np.asarray(pot.beta_hat(np.asarray(s, dtype=float)), dtype=float)
+    return pot.beta_hat(np.asarray(s, dtype=float))

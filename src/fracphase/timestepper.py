@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .galerkin import DiscreteSystem, NonlinearTerms, OverflowGuardError, \
-    apply_coupling, eval_nonlinearity, guard, project_data
-from .potentials import ResolventError, potential_energy_density, prox_step
+    ValidationError, apply_coupling, eval_nonlinearity, guard, project_data
+from .potentials import Potential, ResolventError, potential_energy_density, prox_step
 from .spectral import analyze, graph_norms, synthesize
 
 SCHEMES = ("imex_euler", "implicit_prox")
@@ -46,6 +46,15 @@ class BlowupError(RuntimeError):
         super().__init__(message)
         self.partial = partial
         self.step, self.t, self.row = step, t, row
+
+
+def scheme_problem(potential: Potential, eps: float, scheme: str) -> str | None:
+    """Why `scheme` cannot march `potential` at Yosida level `eps`, or None: a
+    multivalued beta at eps = 0 has no value to take explicitly, so only the
+    proximal scheme, which applies it through its resolvent, can march it."""
+    if potential.multivalued and eps == 0 and scheme != "implicit_prox":
+        return f"{potential.kind} at eps = 0 requires implicit_prox"
+    return None
 
 
 @dataclass
@@ -279,12 +288,16 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
 
     Snapshots land every `snapshot_stride` steps plus always at t = 0 and the
     final time.  A stacked system returns one output whose arrays carry its
-    row axis (`RunOutput.rows` splits it).  An overflow guard trip or a
+    row axis (`RunOutput.rows` splits it).  A `scheme_problem` raises
+    ValidationError before the first step.  An overflow guard trip or a
     resolvent failure raises BlowupError with the step, its end time, the
     offending row and the output up to the last completed snapshot.
     """
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    problem = scheme_problem(system.potential, system.eps, scheme.scheme)
+    if problem is not None:
+        raise ValidationError(problem)
     dt = scheme.dt
     n_steps = step_count(t_final, dt)
     system.step_denominators(dt)  # a dt the products cannot carry fails here

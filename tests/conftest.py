@@ -1,7 +1,9 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
-from fracphase.expressions import SeparableSource
 from fracphase.galerkin import Coupling, ProblemData, assemble
 from fracphase.potentials import regular_potential
 from fracphase.spectral import build_basis, eigenfunctions_at
@@ -23,7 +25,7 @@ def smoke_data():
     return ProblemData(
         theta0=lambda x: 0.1 + 0.5 * np.cos(np.pi * x),
         phi0=lambda x: 0.1 + 0.3 * np.cos(np.pi * x),
-        source=SeparableSource([(lambda x: 0.5 * np.cos(np.pi * x), lambda t: np.exp(-t))]),
+        source=((lambda x: 0.5 * np.cos(np.pi * x), lambda t: np.exp(-t)),),
         coupling=Coupling.constant(0.7),
     )
 
@@ -64,3 +66,14 @@ def read_timeseries(path):
         data = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
     arr = np.asarray(data)
     return {name: arr[:, k] for k, name in enumerate(header)}
+
+
+def _reject_constant(token):
+    raise ValueError(f"manifest holds {token}, which is not JSON")
+
+
+def read_manifest(out_dir):
+    """A run's manifest.json, parsed as strict JSON: NaN and +-Infinity
+    tokens fail the parse."""
+    with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=_reject_constant)

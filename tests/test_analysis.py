@@ -9,7 +9,6 @@ from fracphase.analysis import (contdep_report, convergence_study,
                                 omega_limit_probe, reexpress,
                                 relaxation_limit_study, running_time_integral,
                                 sigma_zero_operator_check)
-from fracphase.expressions import SeparableSource
 from fracphase.galerkin import Coupling, ProblemData, assemble
 from fracphase.potentials import (Potential, double_obstacle_potential,
                                   regular_potential, zero_potential)
@@ -172,8 +171,7 @@ class TestOmegaLimit:
     def test_integrable_source_still_converges(self, neumann8):
         data = ProblemData(theta0=lambda x: 0.2 + 0.3 * np.cos(np.pi * x),
                            phi0=lambda x: 0.4 + 0.2 * np.cos(np.pi * x),
-                           source=SeparableSource([(lambda x: np.cos(np.pi * x),
-                                                    lambda t: np.exp(-t))]),
+                           source=((lambda x: np.cos(np.pi * x), lambda t: np.exp(-t)),),
                            coupling=Coupling.constant(0.5))
         system = assemble(data, neumann8, neumann8, 0.5, 0.5, 1e-2,
                           regular_potential(1.0))
@@ -288,11 +286,10 @@ class TestSigmaZeroOperator:
 
 class TestHpqoProbe:
     def test_linear_beta_always_nonnegative(self, neumann8):
-        zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
         pot = Potential(kind="linear", beta_hat=lambda s: np.asarray(s) ** 2 / 2.0,
                         beta=lambda s: np.asarray(s, dtype=float),
                         beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                        pi=zero, gamma=None, domain=(-np.inf, np.inf))
+                        gamma=0.0, domain=(-np.inf, np.inf))
         rng = np.random.default_rng(4)
         vectors = rng.standard_normal((8, 8)) / (1.0 + neumann8.eigenvalues)
         report = hpqo_probe(neumann8, 0.5, pot, 0.1, vectors)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import fracphase.analysis
 import fracphase.cli
 import fracphase.config
-from conftest import read_timeseries
+from conftest import read_manifest, read_timeseries
 from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
                            EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
                            _coordinate_text, _table, config_hash, main)
@@ -268,7 +268,7 @@ class TestExitCodes:
             out = tmp_path / command
             assert main([command, "--config", cfg, "--out", str(out),
                          "--quiet"]) == EXIT_SOLVER
-            manifest = json.loads((out / "manifest.json").read_text())
+            manifest = read_manifest(out)
             assert manifest["status"] == "failed"
             assert manifest["failure"]["stage"] == "solver"
             assert manifest["failure"]["exception"] == "BlowupError"
@@ -293,7 +293,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["simulate", "--config", write_config(tmp_path, cfgd), "--out",
                      str(out), "--quiet"]) == EXIT_SOLVER
-        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        failure = read_manifest(out)["failure"]
         assert (failure["stage"], failure["exception"]) == ("solver", "BlowupError")
         assert failure["message"].startswith("resolvent failed")
         assert (failure["step"], failure["t"], failure["row"]) == (1, 0.01, None)
@@ -308,7 +308,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["relaxlimit", "--config", write_config(tmp_path, SMOKE),
                      "--out", str(out), "--quiet"]) == EXIT_SOLVER
-        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        failure = read_manifest(out)["failure"]
         assert failure["stage"] == "solver"
         assert failure["exception"] == "BlowupError"
 
@@ -329,7 +329,7 @@ class TestManifestStatus:
         out = tmp_path / "o"
         code = main([command, "--config", config or write_config(tmp_path, payload),
                      "--out", str(out), "--quiet"])
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert (code == EXIT_OK) == (manifest["status"] == "ok")
         return code, manifest
 
@@ -404,7 +404,7 @@ class TestManifestStatus:
                                str(tmp_path / "config.json"), "--out", str(out), "--quiet"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == EXIT_CONFIG, proc.stderr
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert (manifest["status"], manifest["failure"]["stage"]) == ("failed", "validation")
 
     @pytest.mark.parametrize("command,override,named", [
@@ -432,7 +432,7 @@ class TestManifestStatus:
                      "--override", "scheme.t_final=0.01",
                      "--override", "output.grid_times=[0.0]", "--override", override,
                      "--out", str(out), "--quiet"])
-        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        failure = read_manifest(out)["failure"]
         assert code == EXIT_CONFIG
         assert failure["stage"] == "validation"
         assert named in failure["message"]
@@ -447,7 +447,7 @@ class TestManifestStatus:
                      "--override", "output.grid_times=[0.0]",
                      "--override", f"exponents.{exponent}=57.41",
                      "--out", str(out), "--quiet"])
-        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        failure = read_manifest(out)["failure"]
         assert code == EXIT_CONFIG
         assert failure["stage"] == "validation"
         assert f"exponent {exponent} = 57.41 with dt = 10 overflows" in failure["message"]
@@ -602,7 +602,7 @@ class TestManifestStatus:
         out = tmp_path / "o"
         code = main([command, "--config", os.path.join(CONFIGS, config),
                      "--override", override, "--out", str(out), "--quiet"])
-        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        failure = read_manifest(out)["failure"]
         assert code == EXIT_CONFIG
         assert failure["stage"] == "validation"
         assert override.partition("=")[0] in failure["message"]
@@ -636,7 +636,7 @@ class TestManifestStatus:
                      "--override", "scheme.t_final=0.01",
                      "--override", "output.grid_times=[0.0]", "--override", override,
                      "--out", str(out), "--quiet"])
-        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        failure = read_manifest(out)["failure"]
         assert code == EXIT_CONFIG
         assert failure["stage"] == "validation"
         assert key in failure["message"]
@@ -645,7 +645,7 @@ class TestManifestStatus:
         out = tmp_path / "o"
         code = main(["simulate", "--config", write_config(tmp_path, {"config": 5}),
                      "--out", str(out), "--quiet"])
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert code == EXIT_CONFIG
         assert manifest["failure"]["stage"] == "validation"
         assert "config: must be an object" in manifest["failure"]["message"]
@@ -697,7 +697,7 @@ class TestManifestStatus:
         for override in overrides:
             argv += ["--override", override]
         assert main(argv) == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         listed = [a for a in manifest["advisories"] if "pi_hat is then unbounded below" in a]
         assert listed == [f"eps*gamma = {value} >= 1: beta_hat_eps + pi_hat is then "
                           "unbounded below, and the coercivity assumed of the potential "
@@ -728,6 +728,27 @@ class TestManifestStatus:
         assert code == EXIT_CONFIG
         assert manifest["failure"]["stage"] == "validation"
         assert "study.relaxlimit.sigmas: must be decreasing" in manifest["failure"]["message"]
+        assert built == []
+
+    def test_converge_eps_level_the_scheme_cannot_march_is_a_study_error(
+            self, tmp_path, monkeypatch):
+        # an obstacle eps ladder that reaches 0 under imex_euler fails on the
+        # study key before any level is built or marched
+        built = count_basis_builds(monkeypatch)
+        out = tmp_path / "out"
+        code = main(["converge", "--config", os.path.join(CONFIGS, "smoke.json"),
+                     "--override",
+                     'potential={"kind":"double_obstacle","c2":0.5,"eps":0.1}',
+                     "--override", 'data.phi0={"kind":"cos","k":1,"amplitude":0.3}',
+                     "--override", "study.converge.axis=eps",
+                     "--override", "study.converge.values=[0.1,0.05,0]",
+                     "--override", "scheme.t_final=0.05", "--out", str(out), "--quiet"])
+        assert code == EXIT_CONFIG
+        failure = read_manifest(out)["failure"]
+        assert failure["stage"] == "validation"
+        assert ("study.converge.values: double_obstacle at eps = 0 requires "
+                "implicit_prox, got 0") in failure["message"]
+        assert not (out / "study_converge.csv").exists()
         assert built == []
 
     def test_converge_n_modes_builds_only_the_level_bases(self, tmp_path, monkeypatch):
@@ -999,7 +1020,7 @@ class TestStudyCommands:
         code = main(["selftest", "--config", os.path.join(CONFIGS, "selftest.json"),
                      "--out", str(out), "--quiet"])
         assert code == EXIT_CHECK
-        assert json.loads((out / "manifest.json").read_text())["status"] == "check_failed"
+        assert read_manifest(out)["status"] == "check_failed"
         rows = [line.split(",") for line in (out / "selftest.csv").read_text().splitlines()]
         obstacle = [row for row in rows if row[1] == "double_obstacle"]
         assert len(obstacle) == 6
@@ -1008,16 +1029,20 @@ class TestStudyCommands:
 
     def test_contdep_degenerate_ratio_fails_its_checks(self, tmp_path):
         # a shift of 1e-300 vanishes in theta0 + delta*mode: no data differ,
-        # so the ratio is NaN and both ratio checks fail
+        # so the ratio is NaN and both ratio checks fail; the strict manifest
+        # writes the NaN ratio and the infinite spread as null
         out = tmp_path / "out"
         code = main(["contdep", "--config", os.path.join(CONFIGS, "smoke.json"),
                      "--override", "study.contdep.deltas=[1e-300,0.1]",
                      "--override", "scheme.t_final=0.05", "--out", str(out), "--quiet"])
         assert code == EXIT_CHECK
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert manifest["status"] == "check_failed"
         assert not manifest["checks"]["ratio_finite"]["passed"]
         assert not manifest["checks"]["ratio_stable"]["passed"]
+        detail = manifest["checks"]["ratio_stable"]["detail"]
+        assert detail["spread"] is None
+        assert detail["ratios"][0] is None and np.isfinite(detail["ratios"][1])
         lines = (out / "study_contdep.csv").read_text().splitlines()
         assert lines[1].split(",")[1:] == ["0", "0", "nan"]
         assert np.isfinite(float(lines[2].split(",")[3]))
@@ -1030,7 +1055,7 @@ class TestStudyCommands:
         code = main(["opcheck", "--config", write_config(tmp_path, cfgd),
                      "--out", str(out), "--quiet"])
         assert code == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert manifest["checks"]["closed_form_agreement"]["passed"]
 
     def test_jobs_flag_is_rejected(self, tmp_path):

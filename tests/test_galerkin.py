@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import gauss_legendre_gram
-from fracphase.expressions import SeparableSource, build_source
+from fracphase.expressions import build_source
 from fracphase.galerkin import (OVERFLOW_LIMIT, Coupling, OverflowGuardError,
                                 ProblemData, ValidationError, apply_coupling,
-                                assemble, eval_nonlinearity, guard, project_data)
-from fracphase.potentials import (double_obstacle_potential, regular_potential,
-                                  yosida, zero_potential)
+                                assemble, eval_nonlinearity, guard, project_data,
+                                stack_systems)
+from fracphase.potentials import (double_obstacle_potential, logarithmic_potential,
+                                  regular_potential, yosida, zero_potential)
 from fracphase.spectral import analyze, build_basis, synthesize
 
 
@@ -143,12 +144,18 @@ class TestEvalNonlinearity:
         with pytest.raises(OverflowGuardError):
             eval_nonlinearity(system, np.zeros(8), huge)
 
-    def test_eps_zero_multivalued_rejected(self, neumann8):
-        system = make_system(neumann8, neumann8, Coupling.constant(0.0),
-                             potential=double_obstacle_potential(0.5), eps=0.0,
-                             phi0=lambda x: 0.5 * np.cos(np.pi * x))
-        with pytest.raises(ValidationError, match="prox"):
-            eval_nonlinearity(system, np.zeros(8), np.zeros(8))
+    def test_eps_zero_beta_off_domain_names_row(self, neumann8):
+        # beta(phi) off the logarithmic domain is NaN, which the one guard of
+        # the collocated terms rejects, naming the stacked row it is in
+        potential = logarithmic_potential(2.0)
+        row = make_system(neumann8, neumann8, Coupling.constant(0.0),
+                          potential=potential, eps=0.0)
+        system = stack_systems([row, row, row])
+        phi = np.zeros((3, 8))
+        phi[1, 0] = 2.0  # eta_0 = 1, so phi = 2 at every node of row 1
+        with pytest.raises(OverflowGuardError, match="nonlinearity") as info:
+            eval_nonlinearity(system, np.zeros((3, 8)), phi)
+        assert info.value.row == 1
 
 
 class TestQuadratureConsistency:
@@ -190,8 +197,7 @@ class TestQuadratureConsistency:
 class TestSourceSampling:
     def test_closed_form_source(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(0.0),
-                             source=SeparableSource([(lambda x: np.cos(np.pi * x),
-                                                      lambda t: np.exp(-t))]))
+                             source=((lambda x: np.cos(np.pi * x), lambda t: np.exp(-t)),))
         g = system.source_at(0.3)
         assert g[1] == pytest.approx(np.exp(-0.3) / np.sqrt(2.0), rel=1e-12)
 
@@ -207,7 +213,7 @@ class TestSourceSampling:
                                  source=source)
             for t in (0.0, 0.3, 1.7, 12.0):
                 per_step = analyze(neumann8, sum(space(x) * time(t)
-                                                 for space, time in source.products))
+                                                 for space, time in source))
                 assert np.max(np.abs(system.source_at(t) - per_step)) <= 1e-14
 
     def test_beta_term_uses_yosida(self, neumann8):

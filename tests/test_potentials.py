@@ -26,8 +26,7 @@ LINEAR = Potential(kind="linear",
                    beta_hat=lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
                    beta=lambda s: np.asarray(s, dtype=float),
                    beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                   pi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                   gamma=None, domain=(-np.inf, np.inf))
+                   gamma=0.0, domain=(-np.inf, np.inf))
 
 
 def bisect_resolvent(beta, eps, s, lo, hi, iters=200):
