@@ -144,6 +144,20 @@ class TestEvalNonlinearity:
         with pytest.raises(OverflowGuardError):
             eval_nonlinearity(system, np.zeros(8), huge)
 
+    def test_eps_zero_multivalued_evaluates_minimal_section(self, neumann8):
+        # the step only evaluates: at eps = 0 inside [-1, 1] the obstacle's
+        # minimal section is 0, so F is the slope alone; which scheme may
+        # march it is decided before the march, not here
+        potential = double_obstacle_potential(0.5)
+        system = make_system(neumann8, neumann8, Coupling.constant(0.0),
+                             potential=potential, eps=0.0,
+                             phi0=lambda x: 0.5 * np.cos(np.pi * x))
+        phi = np.zeros(8)
+        phi[0] = 0.5  # eta_0 = 1, so phi = 0.5 at every node
+        terms = eval_nonlinearity(system, np.zeros(8), phi)
+        assert np.array_equal(terms.pi_proj, -potential.gamma * phi)
+        assert np.max(np.abs(terms.fphi - terms.pi_proj)) <= 1e-15
+
     def test_eps_zero_beta_off_domain_names_row(self, neumann8):
         # beta(phi) off the logarithmic domain is NaN, which the one guard of
         # the collocated terms rejects, naming the stacked row it is in

@@ -17,7 +17,7 @@ from fracphase.potentials import (double_obstacle_potential,
                                   zero_potential)
 from fracphase.spectral import analyze, build_basis, synthesize
 from fracphase.timestepper import (BlowupError, SchemeConfig, State, StepResult,
-                                   integrate, step_imex)
+                                   integrate, scheme_problem, step_imex)
 
 
 def linear_system(basis, r=0.25, sigma=0.5, ell=0.0, theta0=None):
@@ -109,6 +109,22 @@ class TestStepImplicitProx:
         phi_grid = step_imex(system, State(0.0, theta0, phi0),
                              SchemeConfig("implicit_prox", dt=0.1)).phi_grid
         assert np.allclose(phi_grid, 0.9216989942046786, atol=1e-10)
+
+
+class TestSchemeProblem:
+    @pytest.mark.parametrize("potential, eps, scheme, expected", [
+        (double_obstacle_potential(0.5), 0.0, "imex_euler",
+         "double_obstacle at eps = 0 requires implicit_prox"),
+        (double_obstacle_potential(0.5), 0.0, "implicit_prox", None),
+        (double_obstacle_potential(0.5), 1e-2, "imex_euler", None),
+        (logarithmic_potential(2.0), 0.0, "imex_euler", None),
+        (regular_potential(1.0), 0.0, "imex_euler", None),
+    ], ids=["obstacle_imex_eps0", "obstacle_prox_eps0", "obstacle_imex_yosida",
+            "logarithmic_imex_eps0", "regular_imex_eps0"])
+    def test_only_an_explicit_multivalued_beta_at_eps0(self, potential, eps, scheme,
+                                                       expected):
+        # only a multivalued beta at eps = 0 lacks a value to take explicitly
+        assert scheme_problem(potential, eps, scheme) == expected
 
 
 class TestIntegrate:
