@@ -201,7 +201,7 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
     theta_f = run.theta_series[-1]
     phi_f = run.phi_series[-1]
     prox = run.xi_series is not None
-    fphi = eval_nonlinearity(system, theta_f, phi_f, include_beta=not prox).fphi
+    fphi, _ = eval_nonlinearity(system, theta_f, phi_f, include_beta=not prox)
     if prox:
         fphi = fphi + analyze(system.basis_b, run.xi_series[-1])
     stationary = float(np.linalg.norm(system.phi_stiff * phi_f + fphi))

@@ -110,7 +110,7 @@ def resolve_field(spec, basis: SpectralBasis, name: str) -> np.ndarray:
         raise ValidationError(str(exc)) from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteSystem:
     """Everything needed to advance the Galerkin ODE system in time.
 
@@ -135,10 +135,6 @@ class DiscreteSystem:
     source_coeffs: Optional[Callable[[float], np.ndarray]] = None
     source: Optional[tuple] = None  # the (space, time) pairs source_coeffs samples
     advisories: tuple[str, ...] = ()
-    # (dt, 1 + dt*theta_stiff, 1 + dt*phi_stiff) of the last step_denominators
-    # call; not an init field, so every `replace` starts without it
-    _denominators: Optional[tuple] = field(default=None, init=False, repr=False,
-                                           compare=False)
 
     @property
     def n_a(self) -> int:
@@ -154,37 +150,24 @@ class DiscreteSystem:
         return self.source_coeffs(t)
 
     def step_denominators(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(1 + dt*theta_stiff, 1 + dt*phi_stiff), built once per dt; the
-        stiffness arrays are fixed once the system is assembled.
+        """(1 + dt*theta_stiff, 1 + dt*phi_stiff); `integrate` builds them
+        once per run.
 
         A ValidationError when max(dt, 1) * largest multiplier * n *
         OVERFLOW_LIMIT**2 overflows: below that the denominators, the ledger's
         dt*lambda**(2r)*theta*theta sums and the graph norms of every state
         the overflow guard passes stay finite.
         """
-        cached = self._denominators
-        if cached is None or cached[0] != dt:
-            for name, stiff in (("r", self.theta_stiff), ("sigma", self.phi_stiff)):
-                # decided before any product is taken, so no overflow warning prints
-                log_bound = (np.log(max(dt, 1.0)) + np.log(max(stiff.max(), 1.0))
-                             + np.log(stiff.shape[-1]) + 2.0 * np.log(OVERFLOW_LIMIT))
-                if log_bound >= _LOG_FLOAT_MAX:
-                    raise ValidationError(
-                        f"exponent {name} = {np.max(getattr(self, name)):g} with dt = "
-                        f"{dt:g} overflows the step: dt * multiplier * n_modes * "
-                        f"OVERFLOW_LIMIT**2 exceeds the float range")
-            cached = self._denominators = (dt, 1.0 + dt * self.theta_stiff,
-                                           1.0 + dt * self.phi_stiff)
-        return cached[1], cached[2]
-
-
-@dataclass
-class NonlinearTerms:
-    """The phase nonlinearity at one state plus the grids a step reuses."""
-
-    fphi: np.ndarray                # B-coefficients of beta-part + pi(phi) - ell(phi) theta
-    phi_grid: Optional[np.ndarray]  # phi on the grid; None when nothing was collocated
-    pi_proj: np.ndarray             # P(pi(phi)) = -gamma*phi
+        for name, stiff in (("r", self.theta_stiff), ("sigma", self.phi_stiff)):
+            # decided before any product is taken, so no overflow warning prints
+            log_bound = (np.log(max(dt, 1.0)) + np.log(max(stiff.max(), 1.0))
+                         + np.log(stiff.shape[-1]) + 2.0 * np.log(OVERFLOW_LIMIT))
+            if log_bound >= _LOG_FLOAT_MAX:
+                raise ValidationError(
+                    f"exponent {name} = {np.max(getattr(self, name)):g} with dt = "
+                    f"{dt:g} overflows the step: dt * multiplier * n_modes * "
+                    f"OVERFLOW_LIMIT**2 exceeds the float range")
+        return 1.0 + dt * self.theta_stiff, 1.0 + dt * self.phi_stiff
 
 
 def _make_source_sampler(source: Optional[tuple], basis_a: SpectralBasis):
@@ -338,9 +321,10 @@ def guard(values: np.ndarray, label: str) -> np.ndarray:
     return values
 
 
-def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray,
-                      *, include_beta: bool = True) -> NonlinearTerms:
-    """F(theta, phi) = P(beta_eps(phi)) + P(pi(phi)) - E^T theta in the B basis.
+def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray, *,
+                      include_beta: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """(F(theta, phi), phi_grid): F = P(beta_eps(phi)) + P(pi(phi)) - E^T theta
+    in the B basis, and phi on the grid (None when nothing was collocated).
 
     The terms linear in the state stay in modal space: P(pi(phi)) =
     -gamma*phi exactly, and a constant coupling gives E^T theta = ell*theta on
@@ -352,11 +336,10 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
     and ell(phi)*theta for a function coupling, whose weighted quadrature is
     consistent in both equations.  include_beta = False leaves out the convex
     part, which the proximal scheme applies through its resolvent; with a
-    constant coupling it synthesizes nothing.  The ledger reuses P(pi(phi)).
+    constant coupling it synthesizes nothing.
     """
     pot, coupling = system.potential, system.coupling
-    pi_proj = -pot.gamma * phi
-    fphi = pi_proj
+    fphi = -pot.gamma * phi
     if coupling.kind == "constant":
         if system.basis_a is system.basis_b:
             fphi = fphi - coupling.value * theta
@@ -376,7 +359,7 @@ def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray
     if parts:
         pointwise = guard(sum(parts[1:], parts[0]), "nonlinearity")
         fphi = fphi + analyze(system.basis_b, pointwise)
-    return NonlinearTerms(fphi=fphi, phi_grid=phi_grid, pi_proj=pi_proj)
+    return fphi, phi_grid
 
 
 def apply_coupling(system: DiscreteSystem, phi_grid: np.ndarray,

@@ -228,11 +228,11 @@ def _newton_resolvent(pot: Potential, eps: float,
         return v + eps * pot.beta(v) - s_arr
 
     f = residual(x)
-    best_x, best_f = x.copy(), np.abs(f)
+    best_x, best_f = x, np.abs(f)
     for _ in range(NEWTON_MAX_ITERS):
         improved = np.abs(f) < best_f
-        best_x[improved] = x[improved]
-        best_f[improved] = np.abs(f[improved])
+        best_x = np.where(improved, x, best_x)
+        best_f = np.where(improved, np.abs(f), best_f)
         active = best_f > NEWTON_TOL
         if not np.any(active):
             break
@@ -255,8 +255,8 @@ def _newton_resolvent(pot: Potential, eps: float,
         collapsed = (mid <= lo) | (mid >= hi)
         fm = residual(mid)
         improved = active & (np.abs(fm) < best_f)
-        best_x[improved] = mid[improved]
-        best_f[improved] = np.abs(fm[improved])
+        best_x = np.where(improved, mid, best_x)
+        best_f = np.where(improved, np.abs(fm), best_f)
         hi = np.where(active & (fm > 0.0), mid, hi)
         lo = np.where(active & (fm <= 0.0), mid, lo)
         active = active & ~collapsed & (best_f > NEWTON_TOL)

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .galerkin import DiscreteSystem, NonlinearTerms, OverflowGuardError, \
-    ValidationError, apply_coupling, eval_nonlinearity, guard, project_data
+from .galerkin import DiscreteSystem, OverflowGuardError, ValidationError, \
+    apply_coupling, eval_nonlinearity, guard, project_data
 from .potentials import Potential, ResolventError, potential_energy_density, prox_step
 from .spectral import analyze, graph_norms, synthesize
 
@@ -135,22 +135,22 @@ class RunOutput:
 class StepResult:
     """One step: the new state plus what the step computed on the way.
 
-    terms are the explicit nonlinear terms at the start state, source is
-    the sample g(t+dt) the step applied and dphi the phase increment the
-    coupling received; the energy ledger reuses all three.  A proximal step
-    also reports its multiplier and grid state.
+    source is the sample g(t+dt) the step applied and dphi the phase
+    increment the coupling received; the energy ledger reuses both.  A
+    proximal step also reports its multiplier and grid state.
     """
 
     state: State
-    terms: NonlinearTerms
     source: np.ndarray
     dphi: np.ndarray
     xi_grid: Optional[np.ndarray] = None
     phi_grid: Optional[np.ndarray] = None
 
 
-def step_imex(system: DiscreteSystem, state: State, scheme: SchemeConfig) -> StepResult:
-    """One implicit-explicit Euler step of either scheme.
+def step_imex(system: DiscreteSystem, state: State, scheme: SchemeConfig,
+              denominators: tuple[np.ndarray, np.ndarray]) -> StepResult:
+    """One implicit-explicit Euler step of either scheme; `denominators` is
+    `system.step_denominators(scheme.dt)`.
 
     Phi* = (Phi - dt F(Theta, Phi)) / (1 + dt M) with F frozen at the start
     state.  Under imex_euler F holds beta_eps and Phi+ = Phi*.  Under
@@ -166,9 +166,10 @@ def step_imex(system: DiscreteSystem, state: State, scheme: SchemeConfig) -> Ste
     """
     dt, prox = scheme.dt, scheme.scheme == "implicit_prox"
     t_new = state.t + dt
-    theta_denom, phi_denom = system.step_denominators(dt)
-    terms = eval_nonlinearity(system, state.theta, state.phi, include_beta=not prox)
-    phi_new = (state.phi - dt * terms.fphi) / phi_denom
+    theta_denom, phi_denom = denominators
+    fphi, start_grid = eval_nonlinearity(system, state.theta, state.phi,
+                                         include_beta=not prox)
+    phi_new = (state.phi - dt * fphi) / phi_denom
     xi_grid = phi_grid = None
     if prox:
         intermediate = guard(synthesize(system.basis_b, phi_new), "phase grid")
@@ -177,50 +178,12 @@ def step_imex(system: DiscreteSystem, state: State, scheme: SchemeConfig) -> Ste
         phi_new = analyze(system.basis_b, phi_grid)
     phi_new = guard(phi_new, "phi coefficients")
     dphi = phi_new - state.phi
-    coupled = apply_coupling(system, terms.phi_grid, dphi)
+    coupled = apply_coupling(system, start_grid, dphi)
     g = system.source_at(t_new)
     # + dt*g stays for a zero source too: it turns a -0.0 of theta - coupled
     # into the +0.0 the recorded series hold
     theta_new = guard((state.theta - coupled + dt * g) / theta_denom, "theta coefficients")
-    return StepResult(State(t_new, theta_new, phi_new), terms, g, dphi, xi_grid, phi_grid)
-
-
-class _LedgerAccumulator:
-    """Step-by-step accumulation of the energy identity terms.
-
-    Dissipation and work integrals use the left-endpoint rule with forward
-    difference quotients, which matches the Euler consistency order; the
-    source work uses the implicit sample g(t+dt) that the scheme applies
-    and stays exactly 0.0 without a source.  The increment and every modal or
-    grid quantity come from the step's own terms, so the ledger does no
-    transform of its own.
-    The accumulators are scalars, or one entry per row of a stacked system.
-    """
-
-    def __init__(self, system: DiscreteSystem):
-        self.system = system
-        self.diss_theta = 0.0
-        self.diss_phi = 0.0
-        self.work_source = 0.0
-        self.work_phi = 0.0
-
-    def accumulate(self, state: State, step: StepResult, dt: float) -> np.ndarray:
-        """Add one step's terms; returns |dphi|^2, which the caller reuses."""
-        sysm, dphi = self.system, step.dphi
-        dphi_sq = np.vecdot(dphi, dphi)
-        self.diss_theta += dt * np.vecdot(sysm.theta_stiff * state.theta, state.theta)
-        self.diss_phi += dphi_sq / dt
-        if sysm.source_coeffs is not None:
-            self.work_source += dt * np.vecdot(step.source, step.state.theta)
-        self.work_phi += np.vecdot(state.phi - step.terms.pi_proj, dphi)
-        return dphi_sq
-
-
-def _potential_integral(system: DiscreteSystem, phi: np.ndarray,
-                        phi_grid: np.ndarray | None) -> np.ndarray:
-    grid = phi_grid if phi_grid is not None else synthesize(system.basis_b, phi)
-    density = potential_energy_density(system.potential, system.eps, grid)
-    return np.vecdot(system.basis_b.quad_weights, density)
+    return StepResult(State(t_new, theta_new, phi_new), g, dphi, xi_grid, phi_grid)
 
 
 # what a snapshot records besides the state; `_finalize` derives the norms
@@ -228,15 +191,29 @@ _COLUMNS = ("t", "dtphi", "diss_theta", "diss_phi", "potential_integral",
             "work_source", "work_phi")
 
 
-class _Snapshots:
-    """Per-snapshot columns preallocated for a whole run; `count` rows are
-    filled, each with one entry per row of a stacked system.  A record holds
-    only what the step produced: the state, |d_t phi|, the ledger sums and
-    the potential integral.  An unstacked proximal run also records its
-    multiplier and grid iterates."""
+class _LedgerAccumulator:
+    """The energy identity terms, accumulated step by step, and the
+    per-snapshot columns of a whole run.
+
+    Dissipation and work integrals use the left-endpoint rule with forward
+    difference quotients, which matches the Euler consistency order; the
+    source work uses the implicit sample g(t+dt) that the scheme applies
+    and stays exactly 0.0 without a source.  The increment and every modal or
+    grid quantity come from the step, so the ledger does no transform of its
+    own.  The sums are scalars, or one entry per row of a stacked system.
+
+    The columns are preallocated for `n_rows` snapshots, `count` of them
+    filled.  A record holds only what the march produced: the state,
+    |d_t phi|, the sums and the potential integral.  An unstacked proximal
+    run also records its multiplier and grid iterates.
+    """
 
     def __init__(self, system: DiscreteSystem, n_rows: int, prox: bool):
         self.system = system
+        self.diss_theta = 0.0
+        self.diss_phi = 0.0
+        self.work_source = 0.0
+        self.work_phi = 0.0
         self.count = 0
         shape = (n_rows,) + system.phi_stiff.shape[:-1]
         self.cols = {name: np.empty(shape) for name in _COLUMNS}
@@ -247,16 +224,29 @@ class _Snapshots:
         self.xi = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
         self.phi_grid = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
 
-    def record(self, state: State, dtphi, ledger: _LedgerAccumulator,
-               xi: np.ndarray | None, phi_grid: np.ndarray | None) -> None:
+    def accumulate(self, state: State, step: StepResult, dt: float) -> np.ndarray:
+        """Add one step's terms; returns |dphi|^2, which the caller reuses.
+        phi - P(pi(phi)) is phi + gamma*phi, since pi(v) = -gamma*v."""
+        sysm, dphi = self.system, step.dphi
+        dphi_sq = np.vecdot(dphi, dphi)
+        self.diss_theta += dt * np.vecdot(sysm.theta_stiff * state.theta, state.theta)
+        self.diss_phi += dphi_sq / dt
+        if sysm.source_coeffs is not None:
+            self.work_source += dt * np.vecdot(step.source, step.state.theta)
+        self.work_phi += np.vecdot(state.phi + sysm.potential.gamma * state.phi, dphi)
+        return dphi_sq
+
+    def record(self, state: State, dtphi, xi: np.ndarray | None,
+               phi_grid: np.ndarray | None) -> None:
+        """Write one snapshot: `state`, |d_t phi| and the sums so far."""
         k, c = self.count, self.cols
         c["t"][k] = state.t
         c["dtphi"][k] = dtphi
-        c["diss_theta"][k] = ledger.diss_theta
-        c["diss_phi"][k] = ledger.diss_phi
+        c["diss_theta"][k] = self.diss_theta
+        c["diss_phi"][k] = self.diss_phi
         c["potential_integral"][k] = _potential_integral(self.system, state.phi, phi_grid)
-        c["work_source"][k] = ledger.work_source
-        c["work_phi"][k] = ledger.work_phi
+        c["work_source"][k] = self.work_source
+        c["work_phi"][k] = self.work_phi
         self.theta[k] = state.theta
         self.phi[k] = state.phi
         if self.xi is not None:
@@ -264,6 +254,13 @@ class _Snapshots:
             self.xi[k] = 0.0 if xi is None else xi
             self.phi_grid[k] = phi_grid
         self.count += 1
+
+
+def _potential_integral(system: DiscreteSystem, phi: np.ndarray,
+                        phi_grid: np.ndarray | None) -> np.ndarray:
+    grid = phi_grid if phi_grid is not None else synthesize(system.basis_b, phi)
+    density = potential_energy_density(system.potential, system.eps, grid)
+    return np.vecdot(system.basis_b.quad_weights, density)
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -300,43 +297,42 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
         raise ValidationError(problem)
     dt = scheme.dt
     n_steps = step_count(t_final, dt)
-    system.step_denominators(dt)  # a dt the products cannot carry fails here
+    # built once per run; a dt the products cannot carry fails here
+    denominators = system.step_denominators(dt)
 
     theta0, phi0 = project_data(system)
     state = State(0.0, theta0, phi0)
     prox = scheme.scheme == "implicit_prox"
-    ledger = _LedgerAccumulator(system)
     n_rows = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
-    snaps = _Snapshots(system, n_rows, prox)
+    ledger = _LedgerAccumulator(system, n_rows, prox)
 
     # prox runs ledger the datum grid at t = 0: the modal projection of a
     # clamped field can overshoot the obstacle and blow up the indicator
-    snaps.record(state, 0.0, ledger, None, system.phi0_grid if prox else None)
+    ledger.record(state, 0.0, None, system.phi0_grid if prox else None)
     try:
         for k in range(1, n_steps + 1):
-            step = step_imex(system, state, scheme)
+            step = step_imex(system, state, scheme, denominators)
             new_state = step.state
             new_state.t = k * dt  # avoid accumulated drift in snapshot times
             dphi_sq = ledger.accumulate(state, step, dt)
             state = new_state
             if k % snapshot_stride == 0 or k == n_steps:
-                snaps.record(state, np.sqrt(dphi_sq) / dt, ledger, step.xi_grid,
-                             step.phi_grid)
+                ledger.record(state, np.sqrt(dphi_sq) / dt, step.xi_grid, step.phi_grid)
     except (OverflowGuardError, ResolventError) as exc:
-        raise BlowupError(f"{exc} in step {k}, t={k * dt!r}", _finalize(snaps), step=k,
+        raise BlowupError(f"{exc} in step {k}, t={k * dt!r}", _finalize(ledger), step=k,
                           t=k * dt, row=getattr(exc, "row", None)) from None
-    return _finalize(snaps)
+    return _finalize(ledger)
 
 
-def _finalize(snaps: _Snapshots) -> RunOutput:
+def _finalize(ledger: _LedgerAccumulator) -> RunOutput:
     """The recorded rows as a RunOutput, with the norms of every snapshot
     derived at once (a row-batched vecdot equals the per-row one)."""
-    system, n = snaps.system, snaps.count
+    system, n = ledger.system, ledger.count
 
     def col(name):
-        return snaps.cols[name][:n]
+        return ledger.cols[name][:n]
 
-    theta, phi = snaps.theta[:n], snaps.phi[:n]
+    theta, phi = ledger.theta[:n], ledger.phi[:n]
     theta_sq = np.vecdot(theta, theta)
     phi_sq = np.vecdot(phi, phi)
     half_theta_sq = 0.5 * theta_sq
@@ -344,7 +340,7 @@ def _finalize(snaps: _Snapshots) -> RunOutput:
     lhs = (half_theta_sq + col("diss_theta") + col("diss_phi")
            + half_graph_phi + col("potential_integral"))
     rhs = lhs[0] + col("work_source") + col("work_phi")
-    ledger = LedgerSeries(
+    series = LedgerSeries(
         half_theta_sq=half_theta_sq,
         diss_theta=col("diss_theta"),
         diss_phi=col("diss_phi"),
@@ -365,7 +361,7 @@ def _finalize(snaps: _Snapshots) -> RunOutput:
         norm_phi=np.sqrt(phi_sq),
         graph_phi=graph_norms(phi, system.phi_stiff),
         dtphi_norm=col("dtphi"),
-        ledger=ledger,
-        xi_series=None if snaps.xi is None else snaps.xi[:n],
-        phi_grid_series=None if snaps.phi_grid is None else snaps.phi_grid[:n],
+        ledger=series,
+        xi_series=None if ledger.xi is None else ledger.xi[:n],
+        phi_grid_series=None if ledger.phi_grid is None else ledger.phi_grid[:n],
     )

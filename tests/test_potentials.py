@@ -116,6 +116,14 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent(regular_potential(), 0.0, np.array([1.0]))
 
+    @pytest.mark.parametrize("pot", [regular_potential(), logarithmic_potential(2.0),
+                                     double_obstacle_potential(0.5), zero_potential()],
+                             ids=["regular", "logarithmic", "double_obstacle", "zero"])
+    def test_zero_d_input_matches_one_element(self, pot):
+        point = resolvent(pot, 0.1, np.array(0.2))
+        assert np.ndim(point) == 0
+        assert np.array_equal(point, resolvent(pot, 0.1, np.array([0.2]))[0])
+
 
 class TestYosida:
     def test_obstacle_formula(self):
