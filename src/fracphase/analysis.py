@@ -51,9 +51,7 @@ def _coeff_norms(series: np.ndarray) -> np.ndarray:
 class ContdepReport:
     lhs: float
     rhs: float
-    ratio: float  # NaN when degenerate
-    degenerate: bool
-    components: dict
+    ratio: float  # NaN when RHS vanishes against LHS
 
 
 def contdep_report(sys1: DiscreteSystem, run1: RunOutput,
@@ -65,40 +63,29 @@ def contdep_report(sys1: DiscreteSystem, run1: RunOutput,
     Linf(H) + L2(B graph norm); RHS collects the data differences with the
     source entering through its running time integral.  The ratio LHS/RHS is
     reported, never asserted against a theoretical constant; it is NaN when
-    RHS vanishes against LHS (`degenerate`), so no check on it passes.
+    RHS vanishes against LHS, so no check on it passes.
     """
     if run1.times.shape != run2.times.shape or not np.allclose(run1.times, run2.times):
         raise ValueError("contdep runs must share snapshot times")
     times = run1.times
 
     dtheta = run1.theta_series - run2.theta_series
-    dphi = run1.phi_series - run2.phi_series
-    int_dtheta = running_time_integral(times, dtheta)
-
-    lhs_theta_l2 = _l2_time_norm(times, _coeff_norms(dtheta))
-    lhs_int_theta = float(np.max(graph_norms(int_dtheta, sys1.theta_stiff)))
-    lhs_phi_linf = float(np.max(_coeff_norms(dphi)))
-    lhs_phi_l2v = _l2_time_norm(times, graph_norms(dphi, sys1.phi_stiff))
-    lhs = lhs_theta_l2 + lhs_int_theta + lhs_phi_linf + lhs_phi_l2v
+    norms = difference_norms(times, dtheta, run1.phi_series - run2.phi_series,
+                             sys1.theta_stiff, sys1.phi_stiff)
+    int_theta = float(np.max(graph_norms(running_time_integral(times, dtheta),
+                                         sys1.theta_stiff)))
+    lhs = norms["theta_l2_h"] + int_theta + norms["phi_linf_h"] + norms["phi_l2_v"]
 
     g1 = np.array([sys1.source_at(t) for t in times])
     g2 = np.array([sys2.source_at(t) for t in times])
     int_df = running_time_integral(times, g1 - g2)
     theta0_1, phi0_1 = project_data(sys1)
     theta0_2, phi0_2 = project_data(sys2)
-    rhs_f = _l2_time_norm(times, _coeff_norms(int_df))
-    rhs_theta0 = float(np.linalg.norm(theta0_1 - theta0_2))
-    rhs_phi0 = float(np.linalg.norm(phi0_1 - phi0_2))
-    rhs = rhs_f + rhs_theta0 + rhs_phi0
-
-    components = dict(
-        theta_l2=lhs_theta_l2, int_theta_linf_graph=lhs_int_theta,
-        phi_linf=lhs_phi_linf, phi_l2_graph=lhs_phi_l2v,
-        source=rhs_f, theta0=rhs_theta0, phi0=rhs_phi0,
-    )
-    degenerate = rhs <= 1e-14 * (1.0 + lhs)
-    return ContdepReport(lhs=lhs, rhs=rhs, ratio=np.nan if degenerate else lhs / rhs,
-                         degenerate=degenerate, components=components)
+    rhs = (_l2_time_norm(times, _coeff_norms(int_df))
+           + float(np.linalg.norm(theta0_1 - theta0_2))
+           + float(np.linalg.norm(phi0_1 - phi0_2)))
+    return ContdepReport(lhs=lhs, rhs=rhs,
+                         ratio=lhs / rhs if rhs > 1e-14 * (1.0 + lhs) else np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +166,6 @@ class OmegaReport:
     stationary_residual: float
     final_theta_norm: float
     final_nonkernel_theta: float
-    tail_monotone: bool
 
 
 def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
@@ -206,18 +192,12 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
         fphi = fphi + analyze(system.basis_b, run.xi_series[-1])
     stationary = float(np.linalg.norm(system.phi_stiff * phi_f + fphi))
     nonkernel = float(np.linalg.norm(theta_f - kernel_projection(system.basis_a, theta_f)))
-
-    # allow roundoff jitter once the series sits at machine zero
-    slack = 1e-12 * (1.0 + float(tail_ar[0]) + float(tail_dtphi[0]))
-    monotone = bool(np.all(np.diff(tail_ar) <= slack)
-                    and np.all(np.diff(tail_dtphi) <= slack))
     return OmegaReport(
         tail_sup_ar_theta=float(np.max(tail_ar)),
         tail_sup_dtphi=float(np.max(tail_dtphi)),
         stationary_residual=stationary,
         final_theta_norm=float(np.linalg.norm(theta_f)),
         final_nonkernel_theta=nonkernel,
-        tail_monotone=monotone,
     )
 
 

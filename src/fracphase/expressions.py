@@ -4,9 +4,11 @@ Configs describe initial fields and sources with small JSON fragments:
 constants, sin/cos monomials tied to the domain extents, Gaussians,
 eigenfunction modes, and separable space*time products with exponential or
 cosine time factors.  This covers every shipped scenario without pulling in
-an expression-language dependency.  Each term is parsed when its field or
-source is built, so a malformed term fails there, as an ExpressionError
-naming the term, before anything is evaluated.
+an expression-language dependency.  A space expression is evaluated once,
+on the grid of its basis, when its field or source is built: the result is
+an array of grid values, which assembly projects.  Every term's `amplitude`
+(default 1) multiplies it, a constant's `value` included.  A malformed term
+fails as an ExpressionError naming the term.
 """
 from __future__ import annotations
 
@@ -52,23 +54,16 @@ def _terms(spec, where: str) -> list[tuple[object, str]]:
     return [(term, f"{where}[{i}]") for i, term in enumerate(spec)]
 
 
-def _size(points: np.ndarray) -> int:
-    return points.shape[0] if points.ndim > 1 else points.size
-
-
-def _axis_values(points: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    return points.reshape(-1) if ndim == 1 else points[:, axis]
-
-
-def _space_term(term, basis: SpectralBasis, where: str):
-    """Parse one space term into a callable points -> values."""
+def _space_term(term, basis: SpectralBasis, where: str) -> np.ndarray:
+    """The values of one space term on the basis grid."""
     term = _object(term, where)
     kind = term.get("kind")
     ndim = basis.ndim
+    points = basis.grid_points
+    axes = [points] if ndim == 1 else points.T  # the grid's coordinates per axis
     amp = _number(term, "amplitude", where, 1.0)
     if kind == "constant":
-        value = _number(term, "value", where)
-        return lambda points: np.full(_size(points), value)
+        return np.full(basis.n_grid, amp * _number(term, "value", where))
     if kind in ("cos", "sin"):
         k = term.get("k")
         ks = k if type(k) is list else [k]
@@ -76,14 +71,10 @@ def _space_term(term, basis: SpectralBasis, where: str):
             raise ExpressionError(
                 f"{where}.k: must be {ndim} integer wavenumber(s), got {k!r}")
         fn = np.cos if kind == "cos" else np.sin
-
-        def monomial(points):
-            out = np.full(_size(points), amp)
-            for axis, kj in enumerate(ks):
-                x = _axis_values(points, axis, ndim)
-                out = out * fn(kj * np.pi * x / basis.domain_extent[axis])
-            return out
-        return monomial
+        out = np.full(basis.n_grid, amp)
+        for x, kj, length in zip(axes, ks, basis.domain_extent):
+            out = out * fn(kj * np.pi * x / length)
+        return out
     if kind == "gaussian":
         center = term.get("center")
         centers = center if type(center) is list else [center]
@@ -93,40 +84,28 @@ def _space_term(term, basis: SpectralBasis, where: str):
         width = _number(term, "width", where)
         if width <= 0:
             raise ExpressionError(f"{where}.width: must be positive, got {width!r}")
-
-        def gaussian(points):
-            d2 = np.zeros(_size(points))
-            for axis in range(ndim):
-                d2 = d2 + (_axis_values(points, axis, ndim) - center[axis]) ** 2
-            return amp * np.exp(-d2 / (2.0 * width**2))
-        return gaussian
+        d2 = np.zeros(basis.n_grid)
+        for x, c in zip(axes, center):
+            d2 = d2 + (x - c) ** 2
+        return amp * np.exp(-d2 / (2.0 * width**2))
     if kind == "mode":
         j = term.get("index")
         if not (type(j) is int and 0 <= j < basis.n_modes):
             raise ExpressionError(
                 f"{where}.index: must be an integer in [0, {basis.n_modes}), got {j!r}")
-        return lambda points: amp * eigenfunctions_at(basis, points, [j])[:, 0]
+        return amp * eigenfunctions_at(basis, points, [j])[:, 0]
     raise ExpressionError(f"{where}.kind: unknown space expression kind {kind!r}")
 
 
 def build_space_field(spec, basis: SpectralBasis, where: str = "field"):
-    """Return a callable points -> values for a space expression, or None.
+    """The values of a space expression on `basis.grid_points`, or None.
 
     `where` names the expression in error messages, e.g. "data.theta0".
     """
     if spec is None:
         return None
-    terms = [_space_term(term, basis, name) for term, name in _terms(spec, where)]
-
-    def field(points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        total = None
-        for term in terms:
-            vals = term(points)
-            total = vals if total is None else total + vals
-        return total
-
-    return field
+    values = [_space_term(term, basis, name) for term, name in _terms(spec, where)]
+    return sum(values[1:], values[0])
 
 
 def _time_factor(spec, where: str) -> callable:
@@ -136,7 +115,7 @@ def _time_factor(spec, where: str) -> callable:
     kind = spec.get("kind")
     amp = _number(spec, "amplitude", where, 1.0)
     if kind == "constant":
-        value = _number(spec, "value", where, amp)
+        value = amp * _number(spec, "value", where, 1.0)
         return lambda t: value
     if kind == "exp":
         rate = _number(spec, "rate", where)
@@ -149,12 +128,13 @@ def _time_factor(spec, where: str) -> callable:
 
 
 def build_source(spec, basis: SpectralBasis, where: str = "source"):
-    """The (space, time) factor pairs of a source spec as a tuple, or None.
+    """The (space values, time factor) pairs of a source spec as a tuple, or
+    None.
 
     A source spec is a {"space": ..., "time": ...} product or a list of such
     products; the source f(x, t) is the sum of space(x) * time(t), so
-    assembly projects each space factor once instead of the whole source at
-    every sample.
+    assembly projects each space factor's grid values once instead of the
+    whole source at every sample.
     """
     if spec is None:
         return None

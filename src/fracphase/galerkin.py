@@ -79,9 +79,11 @@ class Coupling:
 class ProblemData:
     """Initial data, source and coupling before projection.
 
-    theta0/phi0 are callables over grid points or raw grid arrays; the source
-    is None or the (space, time) factor pairs `expressions.build_source`
-    returns, each space factor projected once at assembly.
+    theta0/phi0 are grid values (what `expressions.build_space_field`
+    returns), callables over the grid points, or None; the source is None or
+    (space, time) factor pairs whose space factors take the same forms, as
+    `expressions.build_source` returns them.  Assembly holds each space datum
+    to `resolve_field` and projects it once.
     """
 
     theta0: object
@@ -118,6 +120,10 @@ class DiscreteSystem:
     kernel-complement mask realizing I - P (at sigma = eps = 0).  A stacked
     system (`stack_systems`) carries a leading row axis on sigma, phi_stiff
     and the initial grids and marches one trajectory per row.
+
+    `source` holds one (time, coeffs) pair per source product, coeffs the
+    A-projection of its space factor, so the sample is g(t) = sum of
+    time(t) * coeffs; () is no source and samples zeros.
     """
 
     basis_a: SpectralBasis
@@ -132,8 +138,7 @@ class DiscreteSystem:
     theta0_grid: np.ndarray
     phi0_grid: np.ndarray
     coupling_matrix: Optional[np.ndarray] = None
-    source_coeffs: Optional[Callable[[float], np.ndarray]] = None
-    source: Optional[tuple] = None  # the (space, time) pairs source_coeffs samples
+    source: tuple[tuple[Callable[[float], float], np.ndarray], ...] = ()
     advisories: tuple[str, ...] = ()
 
     @property
@@ -145,9 +150,11 @@ class DiscreteSystem:
         return self.basis_b.n_modes
 
     def source_at(self, t: float) -> np.ndarray:
-        if self.source_coeffs is None:
-            return np.zeros(self.n_a)
-        return self.source_coeffs(t)
+        total = None
+        for time, coeffs in self.source:
+            term = time(t) * coeffs
+            total = term if total is None else total + term
+        return np.zeros(self.n_a) if total is None else total
 
     def step_denominators(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(1 + dt*theta_stiff, 1 + dt*phi_stiff); `integrate` builds them
@@ -168,24 +175,6 @@ class DiscreteSystem:
                     f"{dt:g} overflows the step: dt * multiplier * n_modes * "
                     f"OVERFLOW_LIMIT**2 exceeds the float range")
         return 1.0 + dt * self.theta_stiff, 1.0 + dt * self.phi_stiff
-
-
-def _make_source_sampler(source: Optional[tuple], basis_a: SpectralBasis):
-    """g(t) = sum over the products of time(t) * P(space), each space factor
-    held to the datum rule (`resolve_field`) and projected once."""
-    if source is None:
-        return None
-    parts = [(time, analyze(basis_a,
-                            resolve_field(space, basis_a, f"source product {k}")))
-             for k, (space, time) in enumerate(source)]
-
-    def sampler(t: float) -> np.ndarray:
-        total = None
-        for time, coeffs in parts:
-            term = time(t) * coeffs
-            total = term if total is None else total + term
-        return total
-    return sampler
 
 
 def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
@@ -261,8 +250,9 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
         theta0_grid=theta0_grid,
         phi0_grid=phi0_grid,
         coupling_matrix=coupling_matrix,
-        source_coeffs=_make_source_sampler(data.source, basis_a),
-        source=data.source,
+        source=tuple((time, analyze(basis_a, resolve_field(
+            space, basis_a, f"source product {k}")))
+            for k, (space, time) in enumerate(data.source or ())),
         advisories=tuple(advisories),
     )
 
@@ -270,13 +260,17 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
 def stack_systems(systems: Sequence[DiscreteSystem]) -> DiscreteSystem:
     """One system whose rows march the trajectories of `systems` at once.
 
-    The rows must share the bases, r, eps, potential, coupling and source;
-    sigma, phi_stiff and the initial grids gain a leading row axis.
+    The rows must share the bases, r, eps, potential, coupling and source
+    (the same time factors with equal coefficients); sigma, phi_stiff and
+    the initial grids gain a leading row axis.
     """
     first = systems[0]
     for other in systems[1:]:
+        same_source = len(other.source) == len(first.source) and all(
+            t1 is t2 and np.array_equal(c1, c2)
+            for (t1, c1), (t2, c2) in zip(other.source, first.source))
         if not (other.basis_a is first.basis_a and other.basis_b is first.basis_b
-                and other.potential is first.potential and other.source is first.source
+                and other.potential is first.potential and same_source
                 and other.coupling == first.coupling
                 and (other.r, other.eps) == (first.r, first.eps)):
             raise ValidationError("stacked systems must share bases, r, eps, "

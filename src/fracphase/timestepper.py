@@ -231,7 +231,7 @@ class _LedgerAccumulator:
         dphi_sq = np.vecdot(dphi, dphi)
         self.diss_theta += dt * np.vecdot(sysm.theta_stiff * state.theta, state.theta)
         self.diss_phi += dphi_sq / dt
-        if sysm.source_coeffs is not None:
+        if sysm.source:
             self.work_source += dt * np.vecdot(step.source, step.state.theta)
         self.work_phi += np.vecdot(state.phi + sysm.potential.gamma * state.phi, dphi)
         return dphi_sq

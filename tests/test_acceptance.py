@@ -146,7 +146,7 @@ def test_c06_continuous_dependence():
             theta0=lambda x, d=delta: base.theta0(x) + d * mode1,
             phi0=base.phi0, source=base.source, coupling=base.coupling)
         rep = contdep_report(*make_run(base), *make_run(pert))
-        assert not rep.degenerate
+        assert np.isfinite(rep.ratio)
         ratios.append(rep.ratio)
     ratios = np.array(ratios)
     spread = float(ratios.max() / ratios.min() - 1.0)

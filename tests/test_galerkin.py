@@ -219,13 +219,12 @@ class TestSourceSampling:
                    "time": {"kind": "exp", "rate": -1.0}}
         gauss = {"space": {"kind": "gaussian", "center": 0.3, "width": 0.1},
                  "time": {"kind": "cos", "omega": 3.0, "phase": 0.2}}
-        x = neumann8.grid_points
         for spec in (exp_cos, [exp_cos, gauss]):
             source = build_source(spec, neumann8)
             system = make_system(neumann8, neumann8, Coupling.constant(0.0),
                                  source=source)
             for t in (0.0, 0.3, 1.7, 12.0):
-                per_step = analyze(neumann8, sum(space(x) * time(t)
+                per_step = analyze(neumann8, sum(space * time(t)
                                                  for space, time in source))
                 assert np.max(np.abs(system.source_at(t) - per_step)) <= 1e-14
 

@@ -208,7 +208,7 @@ class TestIntegrate:
                             "longtime.json")
         cfg = validate_config(load_raw_config(path))
         system = build_system(cfg)
-        assert system.source_coeffs is None
+        assert system.source == ()
         run = integrate(system, cfg.scheme, 22.0, cfg.snapshot_stride)
         zeros = run.theta_series == 0.0
         assert zeros.sum() == 5
@@ -244,6 +244,22 @@ class TestFrozenSystem:
         assert np.array_equal(reused.phi_series, alone.phi_series)
         assert np.array_equal(reused.theta_series, alone.theta_series)
         assert np.array_equal(reused.ledger.residual, alone.ledger.residual)
+
+    def test_replaced_source_is_not_marched(self, neumann8):
+        # the projected source is the system's one source field, so a system
+        # whose source is replaced by () marches exactly like one assembled
+        # without a source
+        args = (neumann8, neumann8, 0.5, 0.5, 1e-2, regular_potential(1.0))
+        dropped = dataclasses.replace(assemble(smoke_data(), *args), source=())
+        unsourced = assemble(dataclasses.replace(smoke_data(), source=None), *args)
+        config = SchemeConfig("imex_euler", dt=1e-2)
+        run, want = (integrate(system, config, 0.1) for system in (dropped, unsourced))
+        assert np.array_equal(run.theta_series, want.theta_series)
+        assert np.array_equal(run.phi_series, want.phi_series)
+        for f in dataclasses.fields(run.ledger):
+            assert np.array_equal(getattr(run.ledger, f.name),
+                                  getattr(want.ledger, f.name)), f.name
+        assert np.all(run.ledger.work_source == 0.0)
 
 
 class TestEnergyLedger:
@@ -314,7 +330,7 @@ class TestEnergyLedger:
             dphi = phi[k + 1] - phi[k]
             sums["diss_theta"] += dt * np.vecdot(system.theta_stiff * theta[k], theta[k])
             sums["diss_phi"] += np.vecdot(dphi, dphi) / dt
-            if system.source_coeffs is not None:
+            if system.source:
                 g = system.source_at(run.times[k] + dt)
                 sums["work_source"] += dt * np.vecdot(g, theta[k + 1])
             # phi - P(pi(phi)) with P(pi(phi)) = -gamma*phi: the same bits as
@@ -322,7 +338,7 @@ class TestEnergyLedger:
             sums["work_phi"] += np.vecdot(phi[k] - (-gamma * phi[k]), dphi)
             for name, total in sums.items():
                 want[name].append(np.full(rows, total))  # a copy: += works in place
-        assert (system.source_coeffs is None) == (case == "one_basis")
+        assert (not system.source) == (case == "one_basis")
         for name, series in want.items():
             assert np.array_equal(getattr(run.ledger, name), np.array(series)), name
 
@@ -378,9 +394,12 @@ def fast_and_oracle(data, basis_a, basis_b, potential, eps, sigma=0.5):
     source = build_source(SMOKE_SOURCE, basis_a)
     fast = dataclasses.replace(data, source=source)
     slow = assemble(fast, basis_a, basis_b, 0.5, sigma, eps, slow_pot)
-    x = basis_a.grid_points
-    slow = dataclasses.replace(slow, source_coeffs=lambda t: analyze(
-        basis_a, sum(space(x) * time(t) for space, time in source)))
+
+    class GridSourced(DiscreteSystem):
+        def source_at(self, t):
+            return analyze(basis_a, sum(space * time(t) for space, time in source))
+
+    slow = GridSourced(**{f.name: getattr(slow, f.name) for f in dataclasses.fields(slow)})
     return assemble(fast, basis_a, basis_b, 0.5, sigma, eps, potential), slow
 
 
@@ -505,12 +524,21 @@ class TestStackedSystems:
                     assert a.shape == b.shape
                     assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
-    @pytest.mark.parametrize("field,value", [("eps", 0.1), ("source", None),
+    @pytest.mark.parametrize("field,value", [("eps", 0.1), ("source", ()),
                                              ("potential", regular_potential(1.0))])
     def test_rows_must_share_everything_but_the_trajectory(self, field, value):
         systems = stacked_rows("interval", "imex_euler", True)
-        assert stack_systems(systems).source_coeffs is systems[0].source_coeffs
+        assert stack_systems(systems).source is systems[0].source
         systems[2] = dataclasses.replace(systems[2], **{field: value})
+        with pytest.raises(ValueError, match="share"):
+            stack_systems(systems)
+
+    def test_rows_must_share_source_coefficients(self):
+        # rows assembled one by one hold distinct source tuples; their
+        # coefficients are compared by value
+        systems = stacked_rows("interval", "imex_euler", True)
+        (time, coeffs), = systems[2].source
+        systems[2] = dataclasses.replace(systems[2], source=((time, 2.0 * coeffs),))
         with pytest.raises(ValueError, match="share"):
             stack_systems(systems)
 
