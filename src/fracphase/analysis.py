@@ -18,9 +18,8 @@ import numpy as np
 
 from .galerkin import DiscreteSystem, eval_nonlinearity, project_data, \
     stack_systems
-from .potentials import Potential, yosida
-from .spectral import SpectralBasis, analyze, cross_gram, \
-    fractional_multipliers, graph_norms, kernel_projection, synthesize
+from .spectral import SpectralBasis, analyze, cross_gram, graph_norms, \
+    kernel_projection
 from .timestepper import RunOutput, SchemeConfig, integrate
 
 
@@ -225,7 +224,7 @@ class RelaxReport:
     sigmas: list[float]
     phi_errors: list[float]
     theta_errors: list[float]
-    monotone: bool
+    monotone: bool | None  # None for a one-sigma ladder, which has no pair
 
 
 def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
@@ -240,7 +239,8 @@ def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
     is 0 and which it runs beside otherwise.  The report holds distances
     only; the limit multiplier comes from `integrate(limit_system(system),
     ...)`.  The theory gives weak convergence without a rate; `monotone`
-    reports whether both error columns decrease strictly down the ladder.
+    reports whether both error columns decrease strictly down the ladder
+    (None for a ladder of one sigma).
     """
     limit = limit_system(ladder[0])
     sigmas = [float(row.sigma) for row in ladder]
@@ -260,52 +260,7 @@ def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
         dtheta = run.theta_series - limit_traj.theta_series[idx]
         phi_errs.append(_l2_time_norm(run.times, _coeff_norms(dphi)))
         theta_errs.append(_l2_time_norm(run.times, _coeff_norms(dtheta)))
-    monotone = bool(np.all(np.diff(phi_errs) < 0.0) and np.all(np.diff(theta_errs) < 0.0))
+    monotone = None if len(runs) < 2 else \
+        bool(np.all(np.diff(phi_errs) < 0.0) and np.all(np.diff(theta_errs) < 0.0))
     return RelaxReport(sigmas=sigmas, phi_errors=phi_errs,
                        theta_errors=theta_errs, monotone=monotone)
-
-
-def sigma_zero_operator_check(basis: SpectralBasis, coeffs: np.ndarray,
-                              sigmas: Sequence[float]) -> dict[str, np.ndarray]:
-    """|B^sigma v - (v - Pv)| per sigma, computed two independent ways.
-
-    The direct route applies the fractional multiplier and subtracts the
-    kernel complement; the closed form sums (mu_j^sigma - 1)^2 |v_j|^2 over
-    positive eigenvalues.  Both columns are returned so callers can assert
-    their agreement.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    pv = kernel_projection(basis, coeffs)
-    direct, closed = [], []
-    positive = basis.eigenvalues > 0.0
-    for sigma in sigmas:
-        mult = fractional_multipliers(basis, float(sigma))
-        direct.append(float(np.linalg.norm(mult * coeffs - (coeffs - pv))))
-        closed.append(float(np.sqrt(np.sum(
-            (mult[positive] - 1.0) ** 2 * coeffs[positive] ** 2
-        ))))
-    return {"sigma": np.asarray(list(sigmas), dtype=float),
-            "direct": np.asarray(direct), "closed_form": np.asarray(closed)}
-
-
-@dataclass
-class HpqoReport:
-    values: np.ndarray
-    min_value: float
-    violations: int
-
-
-def hpqo_probe(basis: SpectralBasis, sigma: float, potential: Potential,
-               eps: float, vectors: np.ndarray) -> HpqoReport:
-    """Sign probe of (B^sigma beta_eps(v), B^sigma v) on supplied vectors.
-
-    Diagnostic only: nonnegativity here is evidence, not proof, that the
-    strong form of the phase equation applies.
-    """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    mult = fractional_multipliers(basis, sigma)
-    bcoef = analyze(basis, yosida(potential, eps, synthesize(basis, vectors)))
-    out = np.vecdot(mult * bcoef, mult * vectors)
-    tol = -1e-12 * (1.0 + float(np.max(np.abs(out))))
-    return HpqoReport(values=out, min_value=float(np.min(out)),
-                      violations=int(np.sum(out < tol)))

@@ -7,7 +7,6 @@ Subcommands map one-to-one onto the solver and analysis drivers:
   contdep     continuous-dependence ratio ladder
   longtime    long-horizon run plus the stationarity probe
   relaxlimit  sigma -> 0 ladder against the direct limit solver
-  opcheck     fractional-operator consistency checks (sigma -> 0 identity)
   selftest    spectral + convex-analysis property suites
 
 Exit codes: 0 ok, 1 internal error, 2 configuration error, 3 solver failure,
@@ -29,9 +28,8 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .analysis import (contdep_report, convergence_study, hpqo_probe,
-                       omega_limit_probe, relaxation_limit_study,
-                       sigma_zero_operator_check)
+from .analysis import (contdep_report, convergence_study, omega_limit_probe,
+                       relaxation_limit_study)
 from .config import (DEFAULT_GRID_FACTOR, ConfigError, RunConfig, apply_overrides,
                      build_bases, build_problem_data, build_system, load_raw_config,
                      read_study, validate_config)
@@ -315,9 +313,11 @@ def _cmd_converge(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str
         rows.append(row)
     manifest.write_table("study_converge.csv", ",".join([axis] + names), rows)
 
-    monotone = bool(np.all(np.diff(errors["phi_l2_h"][:-1]) <= 0.0)) \
-        if len(values) > 2 else True
-    manifest.check("errors_decrease", monotone, {"errors": errors["phi_l2_h"]})
+    # the last level is the reference, so a pair to compare needs 3 levels
+    if len(values) > 2:
+        manifest.check("errors_decrease",
+                       bool(np.all(np.diff(errors["phi_l2_h"][:-1]) <= 0.0)),
+                       {"errors": errors["phi_l2_h"]})
     return f"converge[{axis}]: errors {errors['phi_l2_h']}"
 
 
@@ -346,8 +346,9 @@ def _cmd_contdep(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
     finite = bool(np.all(np.isfinite(ratios)))
     spread = float(ratios.max() / ratios.min() - 1.0) if finite and ratios.min() > 0 else np.inf
     manifest.check("ratio_finite", finite)
-    manifest.check("ratio_stable", spread < study["max_ratio_spread"],
-                   {"spread": spread, "ratios": ratios.tolist()})
+    if len(deltas) > 1:  # a spread compares at least two ratios
+        manifest.check("ratio_stable", spread < study["max_ratio_spread"],
+                       {"spread": spread, "ratios": ratios.tolist()})
     return f"contdep: ratios {ratios}, spread {spread:.3%}"
 
 
@@ -379,43 +380,10 @@ def _cmd_relaxlimit(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> s
     rows = [[_fmt(s), _fmt(pe), _fmt(te)]
             for s, pe, te in zip(report.sigmas, report.phi_errors, report.theta_errors)]
     manifest.write_table("study_relaxlimit.csv", "sigma,phi_l2q_error,theta_l2q_error", rows)
-    manifest.check("errors_decreasing", report.monotone,
-                   {"phi": report.phi_errors, "theta": report.theta_errors})
+    if report.monotone is not None:
+        manifest.check("errors_decreasing", report.monotone,
+                       {"phi": report.phi_errors, "theta": report.theta_errors})
     return f"relaxlimit: phi errors {report.phi_errors} (monotone={report.monotone})"
-
-
-def _cmd_opcheck(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
-    sigmas = [float(s) for s in study["sigmas"]]
-    _, basis_b = build_bases(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    if study["vector"] is None:
-        coeffs = rng.standard_normal(basis_b.n_modes)
-        coeffs /= 1.0 + basis_b.eigenvalues  # smooth test vector
-    else:
-        coeffs = np.zeros(basis_b.n_modes)
-        index, amplitude = study["vector"]
-        coeffs[index] = amplitude
-
-    chk = sigma_zero_operator_check(basis_b, coeffs, sigmas)
-    rows = [[_fmt(s), _fmt(d), _fmt(c)]
-            for s, d, c in zip(chk["sigma"], chk["direct"], chk["closed_form"])]
-    manifest.write_table("study_opcheck.csv", "sigma,error_direct,error_closed_form", rows)
-
-    agree = float(np.max(np.abs(chk["direct"] - chk["closed_form"])))
-    manifest.check("closed_form_agreement", agree <= 1e-12, {"max_diff": agree})
-    decreasing = bool(np.all(np.diff(chk["direct"]) < 0.0)) if len(sigmas) > 1 else True
-    manifest.check("errors_decreasing", decreasing, {"errors": chk["direct"].tolist()})
-
-    if study["hpqo_vectors"] is not None:
-        vectors = rng.standard_normal((study["hpqo_vectors"], basis_b.n_modes))
-        vectors /= (1.0 + basis_b.eigenvalues)
-        eps = cfg.eps if cfg.eps > 0 else 1e-2
-        rep = hpqo_probe(basis_b, cfg.operator_b.exponent, cfg.potential, eps, vectors)
-        manifest.write_table("study_hpqo.csv", "vector,value",
-                             [[str(k), _fmt(v)] for k, v in enumerate(rep.values)])
-        manifest.check("hpqo_sign", True,  # diagnostic only, never a gate
-                       {"min_value": rep.min_value, "violations": rep.violations})
-    return f"opcheck: direct vs closed-form agree to {agree:.2e}"
 
 
 def _selftest_rows(seed: int) -> list[tuple[str, str, int, float, float, bool]]:
@@ -429,8 +397,9 @@ def _selftest_rows(seed: int) -> list[tuple[str, str, int, float, float, bool]]:
         worst = float(np.maximum(np.max(values), 0.0))
         rows.append((check, kind, samples, worst, tol, worst <= tol))
 
-    for kind in ("interval_neumann", "interval_dirichlet"):
-        basis = build_basis(kind, 1.0, 64, 512)
+    bases = {kind: build_basis(kind, 1.0, 64, 512)
+             for kind in ("interval_neumann", "interval_dirichlet")}
+    for kind, basis in bases.items():
         row("gram_identity", kind, 64, gram_defect(basis), 1e-10)
         v = rng.standard_normal((100, 64))
         two = fractional_multipliers(basis, 0.7) * (fractional_multipliers(basis, 0.3) * v)
@@ -482,6 +451,15 @@ def _selftest_rows(seed: int) -> list[tuple[str, str, int, float, float, bool]]:
         row("yosida_minimal_section", name, n,
             [np.abs(yosida(pot, e, s_e)) - np.abs(pot.beta(s_e))
              for e, s_e in zip(np.geomspace(*eps_range, n_eps).tolist(), s)], 1e-9)
+    # B^(2 sigma) -> I - P as sigma -> 0: on each positive eigenvalue mu,
+    # |mu**sigma - 1| shrinks strictly down the ladder, so each rung's error
+    # over the one before is below 1 (the tolerance is the float below 1)
+    for kind, basis in bases.items():
+        positive = basis.eigenvalues > 0.0
+        errors = np.abs([fractional_multipliers(basis, sigma)[positive] - 1.0
+                         for sigma in (0.2, 0.1, 0.05, 0.01)])
+        ratios = errors[1:] / errors[:-1]
+        row("sigma_zero_multiplier", kind, ratios.size, ratios, math.nextafter(1.0, 0.0))
     return rows
 
 
@@ -503,7 +481,6 @@ COMMANDS = {
     "contdep": _cmd_contdep,
     "longtime": _cmd_longtime,
     "relaxlimit": _cmd_relaxlimit,
-    "opcheck": _cmd_opcheck,
     "selftest": _cmd_selftest,
 }
 

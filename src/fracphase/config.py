@@ -44,7 +44,6 @@ NUMBER = ("a finite number", is_number)
 POSITIVE = ("a positive number", lambda v: is_number(v) and v > 0)
 NONNEGATIVE = ("a number >= 0", lambda v: is_number(v) and v >= 0)
 COUNT = ("a positive integer", lambda v: type(v) is int and is_number(v) and v >= 1)
-BOOLEAN = ("true or false", lambda v: type(v) is bool)
 STRING = ("a string", lambda v: type(v) is str)
 OBJECT = ("an object", lambda v: type(v) is dict)
 
@@ -379,17 +378,6 @@ def read_study(cfg: RunConfig, command: str) -> dict:
         if cfg.coupling.kind != "constant":
             r.problems.append((key, "the relaxation limit requires a constant coupling"))
         study = {"sigmas": sigmas}
-    elif command == "opcheck":
-        study = {"sigmas": r.get(f"{key}.sigmas", list_of(POSITIVE, at_least=1),
-                                 [0.2, 0.1, 0.05, 0.01]),
-                 "vector": None, "hpqo_vectors": None}
-        # without a vector section the check draws a smooth random vector
-        if r.get(f"{key}.vector", OBJECT, None) is not None:
-            study["vector"] = (
-                r.get(f"{key}.vector.index", index_below(cfg.operator_b.n_modes), 1),
-                r.get(f"{key}.vector.amplitude", NUMBER, 1.0))
-        if r.get(f"{key}.hpqo.enable", BOOLEAN, False):
-            study["hpqo_vectors"] = r.get(f"{key}.hpqo.n_vectors", COUNT, 5)
     r.done()
     return study
 

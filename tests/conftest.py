@@ -6,7 +6,8 @@ import pytest
 
 from fracphase.galerkin import Coupling, ProblemData, assemble
 from fracphase.potentials import regular_potential
-from fracphase.spectral import build_basis, eigenfunctions_at
+from fracphase.spectral import (build_basis, eigenfunctions_at, fractional_multipliers,
+                                kernel_projection)
 from fracphase.timestepper import SchemeConfig, integrate
 
 
@@ -66,6 +67,24 @@ def read_timeseries(path):
         data = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
     arr = np.asarray(data)
     return {name: arr[:, k] for k, name in enumerate(header)}
+
+
+def sigma_zero_errors(basis, coeffs, sigmas):
+    """|B^sigma v - (v - Pv)| per sigma, as two arrays from two routes.
+
+    The direct route applies the fractional multiplier and subtracts the
+    kernel complement; the closed form sums (mu_j^sigma - 1)^2 v_j^2 over the
+    positive eigenvalues.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    complement = coeffs - kernel_projection(basis, coeffs)
+    positive = basis.eigenvalues > 0.0
+    direct, closed = [], []
+    for sigma in sigmas:
+        mult = fractional_multipliers(basis, float(sigma))
+        direct.append(np.linalg.norm(mult * coeffs - complement))
+        closed.append(np.sqrt(np.sum((mult[positive] - 1.0) ** 2 * coeffs[positive] ** 2)))
+    return np.array(direct), np.array(closed)
 
 
 def _reject_constant(token):

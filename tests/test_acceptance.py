@@ -12,10 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import read_timeseries, smoke_data
+from conftest import read_timeseries, sigma_zero_errors, smoke_data
 from fracphase.analysis import (contdep_report, limit_system, omega_limit_probe,
-                                relaxation_limit_study,
-                                sigma_zero_operator_check)
+                                relaxation_limit_study)
 from fracphase.cli import main as cli_main
 from fracphase.galerkin import Coupling, ProblemData, assemble
 from fracphase.potentials import (double_obstacle_potential, regular_potential,
@@ -58,7 +57,7 @@ def check_selftest(num, name, out, checks, limit_s):
 
 def test_c01_spectral_foundation(tmp_path):
     check_selftest(1, "spectral foundation", tmp_path,
-                   ("gram_identity", "semigroup_relative"), 1.0)
+                   ("gram_identity", "semigroup_relative", "sigma_zero_multiplier"), 1.0)
 
 
 def test_c02_convex_analysis_suite(tmp_path):
@@ -186,19 +185,19 @@ def test_c08_sigma_zero_operator_identity():
     basis = build_basis("interval_neumann", 1.0, 8, 64)
     v = np.zeros(8)
     v[1] = 1.0
-    chk = sigma_zero_operator_check(basis, v, [0.25])
+    direct, closed = sigma_zero_errors(basis, v, [0.25])
     # scalar formula recomputed directly: |(pi^2)^0.25 - 1| = sqrt(pi) - 1
     scalar = abs(np.pi**0.5 - 1.0)
-    agree = float(np.max(np.abs(chk["direct"] - chk["closed_form"])))
-    value_err = abs(chk["direct"][0] - scalar)
+    agree = float(np.max(np.abs(direct - closed)))
+    value_err = abs(direct[0] - scalar)
 
-    ladder = sigma_zero_operator_check(basis, v, [0.2, 0.1, 0.05, 0.01])
-    decreasing = bool(np.all(np.diff(ladder["direct"]) < 0.0))
-    ladder_agree = float(np.max(np.abs(ladder["direct"] - ladder["closed_form"])))
+    ladder, ladder_closed = sigma_zero_errors(basis, v, [0.2, 0.1, 0.05, 0.01])
+    decreasing = bool(np.all(np.diff(ladder) < 0.0))
+    ladder_agree = float(np.max(np.abs(ladder - ladder_closed)))
     ok = (agree <= 1e-12 and ladder_agree <= 1e-12 and value_err <= 1e-12
           and decreasing)
     report(8, "sigma->0 operator check", ok,
-           f"value {chk['direct'][0]:.10f} vs {scalar:.10f}, agreement {agree:.1e}, "
+           f"value {direct[0]:.10f} vs {scalar:.10f}, agreement {agree:.1e}, "
            f"decreasing {decreasing}")
 
 

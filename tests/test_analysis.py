@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import smoke_data, smoke_run
+from conftest import sigma_zero_errors, smoke_data, smoke_run
 from fracphase.analysis import (contdep_report, convergence_study,
-                                difference_norms, hpqo_probe, limit_system,
+                                difference_norms, limit_system,
                                 omega_limit_probe, reexpress,
-                                relaxation_limit_study, running_time_integral,
-                                sigma_zero_operator_check)
+                                relaxation_limit_study, running_time_integral)
 from fracphase.galerkin import Coupling, ProblemData, assemble
-from fracphase.potentials import (Potential, double_obstacle_potential,
-                                  regular_potential, zero_potential)
+from fracphase.potentials import (double_obstacle_potential, regular_potential,
+                                  zero_potential)
 from fracphase.spectral import build_basis, synthesize
 from fracphase.timestepper import SchemeConfig, integrate
 
@@ -272,45 +271,19 @@ class TestSigmaZeroOperator:
     def test_first_neumann_mode_value(self, neumann8):
         v = np.zeros(8)
         v[1] = 1.0
-        chk = sigma_zero_operator_check(neumann8, v, [0.25])
+        direct, closed = sigma_zero_errors(neumann8, v, [0.25])
         # (pi^2)^0.25 - 1 = sqrt(pi) - 1
-        assert chk["direct"][0] == pytest.approx(np.sqrt(np.pi) - 1.0, abs=1e-12)
-        assert np.max(np.abs(chk["direct"] - chk["closed_form"])) <= 1e-12
+        assert direct[0] == pytest.approx(np.sqrt(np.pi) - 1.0, abs=1e-12)
+        assert np.max(np.abs(direct - closed)) <= 1e-12
 
     def test_kernel_vector_error_free(self, neumann8):
         v = np.zeros(8)
         v[0] = 2.0
-        chk = sigma_zero_operator_check(neumann8, v, [0.3, 0.1, 0.01])
-        assert np.all(chk["direct"] == 0.0)
+        direct, _ = sigma_zero_errors(neumann8, v, [0.3, 0.1, 0.01])
+        assert np.all(direct == 0.0)
 
     def test_strictly_decreasing_ladder(self, neumann8):
         v = np.zeros(8)
         v[1] = 1.0
-        chk = sigma_zero_operator_check(neumann8, v, [0.2, 0.1, 0.05, 0.01])
-        assert np.all(np.diff(chk["direct"]) < 0.0)
-
-
-class TestHpqoProbe:
-    def test_linear_beta_always_nonnegative(self, neumann8):
-        pot = Potential(kind="linear", beta_hat=lambda s: np.asarray(s) ** 2 / 2.0,
-                        beta=lambda s: np.asarray(s, dtype=float),
-                        beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                        gamma=0.0, domain=(-np.inf, np.inf))
-        rng = np.random.default_rng(4)
-        vectors = rng.standard_normal((8, 8)) / (1.0 + neumann8.eigenvalues)
-        report = hpqo_probe(neumann8, 0.5, pot, 0.1, vectors)
-        assert report.violations == 0
-
-    def test_kernel_vector_vanishes(self, neumann8):
-        v = np.zeros((1, 8))
-        v[0, 0] = 1.0
-        report = hpqo_probe(neumann8, 0.5, regular_potential(), 0.1, v)
-        assert report.values[0] == pytest.approx(0.0, abs=1e-14)
-
-    def test_obstacle_probe_records_sign(self, neumann8):
-        rng = np.random.default_rng(6)
-        vectors = 1.5 * rng.standard_normal((6, 8)) / (1.0 + neumann8.eigenvalues)
-        report = hpqo_probe(neumann8, 0.5, double_obstacle_potential(0.5), 0.05,
-                            vectors)
-        assert report.values.shape == (6,)
-        assert np.isfinite(report.min_value)
+        direct, _ = sigma_zero_errors(neumann8, v, [0.2, 0.1, 0.05, 0.01])
+        assert np.all(np.diff(direct) < 0.0)

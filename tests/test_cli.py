@@ -73,7 +73,7 @@ MIXED_RECT = {
 
 # the command x basis matrix: every command, every converge axis
 COMMAND_CASES = [("simulate", None), ("contdep", None), ("longtime", None),
-                 ("relaxlimit", None), ("opcheck", None), ("selftest", None),
+                 ("relaxlimit", None), ("selftest", None),
                  ("converge", "n_modes"), ("converge", "eps"), ("converge", "dt"),
                  ("converge", "sigma")]
 CONVERGE_VALUES = {"n_modes": [3, 6, 12], "eps": [0.04, 0.02, 0.01],
@@ -185,8 +185,6 @@ STUDIES = {
     "longtime": {"tail_fraction": 0.1, "tail_threshold": 1e-6,
                  "stationary_threshold": 1e-5},
     "relaxlimit": {"sigmas": [0.5, 0.25]},
-    "opcheck": {"sigmas": [0.2, 0.1], "vector": {"index": 1, "amplitude": 1.0},
-                "hpqo": {"enable": True, "n_vectors": 3}},
 }
 PROPERTY_BASES = [
     dict(SMOKE, study=STUDIES),
@@ -586,8 +584,6 @@ class TestManifestStatus:
         ("longtime", "longtime.json", "study.longtime.tail_fraction=-1"),
         ("contdep", "smoke.json", "study.contdep.max_ratio_spread=abc"),
         ("converge", "smoke.json", "study.converge.n_shared_snapshots=0"),
-        ("opcheck", "relaxlimit.json", "study.opcheck.vector.index=999"),
-        ("opcheck", "relaxlimit.json", "study.opcheck.vector.amplitude=abc"),
         ("contdep", "smoke.json", "study.contdep.deltas=abc"),
         ("relaxlimit", "relaxlimit.json", 'study.relaxlimit.sigmas="51"'),
         ("longtime", "longtime.json", "study=[]"),
@@ -595,7 +591,6 @@ class TestManifestStatus:
         ("converge", "smoke.json", 'study.converge={"axis":"dt","values":[0.002]}'),
         ("converge", "smoke.json", 'study.converge={"axis":"eps","values":[0.01,-0.01]}'),
         ("converge", "smoke.json", 'study.converge={"axis":"n_modes","values":[4,true]}'),
-        ("opcheck", "relaxlimit.json", "study.opcheck.hpqo.enable=1"),
         ("contdep", "smoke.json", "study.contdep.deltas=[0.0,0.1]"),
         ("longtime", "longtime.json", "output.grid_times=[0.0,300]")])
     def test_bad_study_key_is_a_config_error(self, tmp_path, command, config, override):
@@ -1027,6 +1022,21 @@ class TestStudyCommands:
         assert all(row[3] == "nan" and row[5] == "false" for row in obstacle)
         assert all(row[5] == "true" for row in rows[1:] if row[1] != "double_obstacle")
 
+    def test_selftest_sigma_zero_rows_fail_on_a_fixed_multiplier(self, tmp_path,
+                                                                 monkeypatch):
+        # multipliers that ignore the exponent leave |mu**sigma - 1| the same
+        # on every rung: each ratio is exactly 1, which fails the strict rows
+        monkeypatch.setattr(fracphase.cli, "fractional_multipliers",
+                            lambda basis, exponent: basis.eigenvalues ** 0.5)
+        out = tmp_path / "out"
+        code = main(["selftest", "--config", os.path.join(CONFIGS, "selftest.json"),
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_CHECK
+        rows = [line.split(",") for line in (out / "selftest.csv").read_text().splitlines()]
+        sigma_zero = [row for row in rows if row[0] == "sigma_zero_multiplier"]
+        assert [row[1] for row in sigma_zero] == ["interval_neumann", "interval_dirichlet"]
+        assert all(row[3] == "1" and row[5] == "false" for row in sigma_zero)
+
     def test_contdep_degenerate_ratio_fails_its_checks(self, tmp_path):
         # a shift of 1e-300 vanishes in theta0 + delta*mode: no data differ,
         # so the ratio is NaN and both ratio checks fail; the strict manifest
@@ -1047,17 +1057,6 @@ class TestStudyCommands:
         assert lines[1].split(",")[1:] == ["0", "0", "nan"]
         assert np.isfinite(float(lines[2].split(",")[3]))
 
-    def test_opcheck_agreement(self, tmp_path):
-        cfgd = json.loads(json.dumps(SMOKE))
-        cfgd["study"] = {"opcheck": {"sigmas": [0.2, 0.1, 0.05, 0.01],
-                                     "vector": {"index": 1, "amplitude": 1.0}}}
-        out = tmp_path / "out"
-        code = main(["opcheck", "--config", write_config(tmp_path, cfgd),
-                     "--out", str(out), "--quiet"])
-        assert code == EXIT_OK
-        manifest = read_manifest(out)
-        assert manifest["checks"]["closed_form_agreement"]["passed"]
-
     def test_jobs_flag_is_rejected(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as info:
@@ -1065,3 +1064,47 @@ class TestStudyCommands:
                   "--out", str(out), "--jobs", "3", "--quiet"])
         assert info.value.code == EXIT_CONFIG
         assert not out.exists()
+
+    def test_retired_opcheck_command_is_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["opcheck", "--config", os.path.join(CONFIGS, "relaxlimit.json"),
+                  "--out", str(out), "--quiet"])
+        assert info.value.code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_relaxlimit_replays_a_config_with_an_opcheck_section(self, tmp_path):
+        # configs/relaxlimit.json once carried a study.opcheck section, so
+        # manifests written then embed it; the relaxlimit run ignores it
+        with open(os.path.join(CONFIGS, "relaxlimit.json"), encoding="utf-8") as fh:
+            cfgd = json.load(fh)
+        cfgd["study"]["opcheck"] = {"sigmas": [0.2, 0.1, 0.05, 0.01],
+                                    "vector": {"index": 1, "amplitude": 1.0},
+                                    "hpqo": {"enable": True, "n_vectors": 5}}
+        outs = [tmp_path / "shipped", tmp_path / "old"]
+        for out, config in zip(outs, [os.path.join(CONFIGS, "relaxlimit.json"),
+                                      write_config(tmp_path, cfgd)]):
+            assert main(["relaxlimit", "--config", config, "--out", str(out),
+                         "--quiet"]) == EXIT_OK
+        shipped, old = (read_manifest(out) for out in outs)
+        assert old["config"]["study"]["opcheck"] == cfgd["study"]["opcheck"]
+        assert old["checks"] == shipped["checks"]
+        assert ((outs[1] / "study_relaxlimit.csv").read_bytes()
+                == (outs[0] / "study_relaxlimit.csv").read_bytes())
+
+    @pytest.mark.parametrize("command,study,check", [
+        ("converge", {"axis": "dt", "values": [0.004, 0.002]}, "errors_decrease"),
+        ("relaxlimit", {"sigmas": [0.5]}, "errors_decreasing"),
+        ("contdep", {"deltas": [1e-1]}, "ratio_stable")],
+        ids=["converge-2-levels", "relaxlimit-1-sigma", "contdep-1-delta"])
+    def test_no_check_compares_nothing(self, tmp_path, command, study, check):
+        # 2 converge levels (the last is the reference), 1 relaxlimit sigma
+        # and 1 contdep ratio leave no pair to compare, so no such check
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["study"] = {command: study}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfgd),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        checks = read_manifest(out)["checks"]
+        assert check not in checks
+        assert all(entry["passed"] for entry in checks.values())
