@@ -1037,6 +1037,17 @@ class TestStudyCommands:
         assert [row[1] for row in sigma_zero] == ["interval_neumann", "interval_dirichlet"]
         assert all(row[3] == "1" and row[5] == "false" for row in sigma_zero)
 
+    def test_selftest_sigma_zero_rows_pass_on_the_fractional_multiplier(self, tmp_path):
+        # the true multipliers: |mu**sigma - 1| shrinks on every rung, so the
+        # worst ratio of two rungs is below 1 on both bases
+        out = tmp_path / "out"
+        assert main(["selftest", "--config", os.path.join(CONFIGS, "selftest.json"),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        rows = [line.split(",") for line in (out / "selftest.csv").read_text().splitlines()]
+        sigma_zero = [row for row in rows if row[0] == "sigma_zero_multiplier"]
+        assert [row[1] for row in sigma_zero] == ["interval_neumann", "interval_dirichlet"]
+        assert all(float(row[3]) < 1.0 and row[5] == "true" for row in sigma_zero)
+
     def test_contdep_degenerate_ratio_fails_its_checks(self, tmp_path):
         # a shift of 1e-300 vanishes in theta0 + delta*mode: no data differ,
         # so the ratio is NaN and both ratio checks fail; the strict manifest
@@ -1108,3 +1119,19 @@ class TestStudyCommands:
         checks = read_manifest(out)["checks"]
         assert check not in checks
         assert all(entry["passed"] for entry in checks.values())
+
+    @pytest.mark.parametrize("command,study,check", [
+        ("converge", {"axis": "dt", "values": [0.004, 0.002, 0.001]}, "errors_decrease"),
+        ("relaxlimit", {"sigmas": [0.5, 0.25]}, "errors_decreasing"),
+        ("contdep", {"deltas": [1e-1, 1e-2]}, "ratio_stable")],
+        ids=["converge-3-levels", "relaxlimit-2-sigmas", "contdep-2-deltas"])
+    def test_first_pair_writes_its_check(self, tmp_path, command, study, check):
+        # one level, sigma or delta more than the cases above gives the first
+        # pair to compare, so the check is written
+        cfgd = json.loads(json.dumps(SMOKE))
+        cfgd["study"] = {command: study}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfgd),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        checks = read_manifest(out)["checks"]
+        assert checks[check]["passed"]
