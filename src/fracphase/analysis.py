@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .galerkin import DiscreteSystem, eval_nonlinearity, project_data, \
+from .galerkin import DiscreteSystem, eval_nonlinearity, prepare_terms, project_data, \
     stack_systems
 from .spectral import SpectralBasis, analyze, cross_gram, graph_norms, \
     kernel_projection
@@ -186,7 +186,8 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
     theta_f = run.theta_series[-1]
     phi_f = run.phi_series[-1]
     prox = run.xi_series is not None
-    fphi, _ = eval_nonlinearity(system, theta_f, phi_f, include_beta=not prox)
+    fphi, _ = eval_nonlinearity(prepare_terms(system, explicit_beta=not prox),
+                                theta_f, phi_f)
     if prox:
         fphi = fphi + analyze(system.basis_b, run.xi_series[-1])
     stationary = float(np.linalg.norm(system.phi_stiff * phi_f + fphi))

@@ -157,8 +157,8 @@ class DiscreteSystem:
         return np.zeros(self.n_a) if total is None else total
 
     def step_denominators(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(1 + dt*theta_stiff, 1 + dt*phi_stiff); `integrate` builds them
-        once per run.
+        """(1 + dt*theta_stiff, 1 + dt*phi_stiff), built once per run by
+        `timestepper.prepare_step`.
 
         A ValidationError when max(dt, 1) * largest multiplier * n *
         OVERFLOW_LIMIT**2 overflows: below that the denominators, the ledger's
@@ -315,53 +315,71 @@ def guard(values: np.ndarray, label: str) -> np.ndarray:
     return values
 
 
-def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray, *,
-                      include_beta: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """(F(theta, phi), phi_grid): F = P(beta_eps(phi)) + P(pi(phi)) - E^T theta
-    in the B basis, and phi on the grid (None when nothing was collocated).
+@dataclass(frozen=True)
+class StepTerms:
+    """F and E w of one system: `modal(theta, phi)` the part of F linear in
+    the state, `pointwise(phi_grid, theta)` the collocated rest (None when
+    nothing is collocated) and `couple(phi_grid, w)` = E w."""
+
+    basis_b: SpectralBasis
+    modal: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    pointwise: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
+    couple: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def prepare_terms(system: DiscreteSystem, explicit_beta: bool = True) -> StepTerms:
+    """The StepTerms of F = P(beta_eps(phi)) + P(pi(phi)) - E^T theta, with
+    every choice a run never changes made once: the coupling and the convex
+    map; explicit_beta = False leaves the convex part out, which the proximal
+    scheme applies through its resolvent.
 
     The terms linear in the state stay in modal space: P(pi(phi)) =
     -gamma*phi exactly, and a constant coupling gives E^T theta = ell*theta on
-    one basis or theta @ coupling_matrix on two, the exact matrix
-    `apply_coupling` applies in the temperature equation, so the two coupling
-    operators are transposes and the discrete energy identity holds on mixed
-    bases too.  Only what has no modal form is collocated and analyzed, in
-    one pass under one overflow guard: beta_eps(phi) (beta(phi) at eps = 0)
-    and ell(phi)*theta for a function coupling, whose weighted quadrature is
-    consistent in both equations.  include_beta = False leaves out the convex
-    part, which the proximal scheme applies through its resolvent; with a
-    constant coupling it synthesizes nothing.
+    one basis or theta @ coupling_matrix on two, the exact matrix E w applies
+    in the temperature equation, so the two coupling operators are transposes
+    and the discrete energy identity holds on mixed bases too.  Only what has
+    no modal form is collocated: beta_eps(phi) (beta(phi) at eps = 0) and
+    ell(phi)*theta for a function coupling, whose weighted quadrature is
+    consistent in both equations.
     """
-    pot, coupling = system.potential, system.coupling
-    fphi = -pot.gamma * phi
-    if coupling.kind == "constant":
-        if system.basis_a is system.basis_b:
-            fphi = fphi - coupling.value * theta
-        else:
-            fphi = fphi - theta @ system.coupling_matrix
-
-    phi_grid = None
-    parts = []
-    if include_beta or coupling.kind == "function":
-        phi_grid = synthesize(system.basis_b, phi)
-    if include_beta:
-        # beta(phi) off its domain is NaN, which the guard below rejects
-        parts.append(yosida(pot, system.eps, phi_grid) if system.eps > 0.0
-                     else pot.beta(phi_grid))
+    pot, eps, coupling = system.potential, system.eps, system.coupling
+    basis_a, basis_b, neg_gamma = system.basis_a, system.basis_b, -pot.gamma
+    convex = None
+    if explicit_beta:
+        # beta(phi) off its domain is NaN, which the guard of F rejects
+        convex = ((lambda grid, theta: yosida(pot, eps, grid)) if eps > 0.0
+                  else (lambda grid, theta: pot.beta(grid)))
     if coupling.kind == "function":
-        parts.append(-coupling.on_grid(phi_grid) * synthesize(system.basis_a, theta))
-    if parts:
-        pointwise = guard(sum(parts[1:], parts[0]), "nonlinearity")
-        fphi = fphi + analyze(system.basis_b, pointwise)
-    return fphi, phi_grid
+        def latent(grid, theta):
+            return -coupling.on_grid(grid) * synthesize(basis_a, theta)
+
+        return StepTerms(
+            basis_b, lambda theta, phi: neg_gamma * phi,
+            latent if convex is None else (
+                lambda grid, theta: convex(grid, theta) + latent(grid, theta)),
+            lambda grid, w: analyze(basis_a, coupling.on_grid(grid) * synthesize(basis_b, w)))
+    if basis_a is basis_b:
+        ell = coupling.value
+        return StepTerms(basis_b, lambda theta, phi: neg_gamma * phi - ell * theta, convex,
+                         lambda grid, w: ell * w)
+    matrix, matrix_t = system.coupling_matrix, system.coupling_matrix.T
+    return StepTerms(basis_b, lambda theta, phi: neg_gamma * phi - theta @ matrix, convex,
+                     lambda grid, w: w @ matrix_t)
 
 
-def apply_coupling(system: DiscreteSystem, phi_grid: np.ndarray,
-                   w: np.ndarray) -> np.ndarray:
+def eval_nonlinearity(terms: StepTerms, theta: np.ndarray,
+                      phi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(F(theta, phi), phi_grid): F in the B basis, and phi on the grid (None
+    when nothing was collocated); the collocated terms are analyzed in one
+    pass under one overflow guard."""
+    fphi = terms.modal(theta, phi)
+    if terms.pointwise is None:
+        return fphi, None
+    phi_grid = synthesize(terms.basis_b, phi)
+    pointwise = guard(terms.pointwise(phi_grid, theta), "nonlinearity")
+    return fphi + analyze(terms.basis_b, pointwise), phi_grid
+
+
+def apply_coupling(terms: StepTerms, phi_grid: np.ndarray, w: np.ndarray) -> np.ndarray:
     """E w (or E(Phi) w): the A-projection of ell(phi) * (B-synthesis of w)."""
-    if system.coupling.kind == "constant":
-        if system.basis_a is system.basis_b:
-            return system.coupling.value * w
-        return w @ system.coupling_matrix.T
-    values = system.coupling.on_grid(phi_grid) * synthesize(system.basis_b, w)
-    return analyze(system.basis_a, values)
+    return terms.couple(phi_grid, w)

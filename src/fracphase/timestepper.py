@@ -4,12 +4,13 @@ Both schemes are one implicit-explicit Euler step, `step_imex`, with the
 linear stiff parts implicit: semi-implicit Euler (imex_euler) takes the
 convex part of the potential explicitly, the proximal scheme (implicit_prox)
 backward through its resolvent on the grid, which is what the obstacle
-potential and the sigma -> 0 limit system need.
+potential and the sigma -> 0 limit system need.  `prepare_step` takes once
+per run every decision a run never changes, so a step does only arithmetic.
 
 The ledger mirrors the first a-priori energy identity of the continuous
 problem: at the semi-discrete level the identity is exact, so the recorded
 balance residual measures pure time-discretization error and must shrink
-first order in dt.
+first order in dt.  It is reduced once per snapshot block.
 
 A stacked system (`galerkin.stack_systems`) marches B trajectories as one
 (B, n) state; steps, ledger and snapshots work over the trailing axis, so a
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .galerkin import DiscreteSystem, OverflowGuardError, ValidationError, \
-    apply_coupling, eval_nonlinearity, guard, project_data
+from .galerkin import DiscreteSystem, OverflowGuardError, StepTerms, ValidationError, \
+    apply_coupling, eval_nonlinearity, guard, prepare_terms, project_data
 from .potentials import Potential, ResolventError, potential_energy_density, prox_step
 from .spectral import analyze, graph_norms, synthesize
 
@@ -57,13 +58,6 @@ def scheme_problem(potential: Potential, eps: float, scheme: str) -> str | None:
     return None
 
 
-@dataclass
-class State:
-    t: float
-    theta: np.ndarray
-    phi: np.ndarray
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     scheme: str = "imex_euler"
@@ -72,8 +66,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass
@@ -131,26 +125,38 @@ class RunOutput:
                 for b in range(self.theta_series.shape[1])]
 
 
-@dataclass
-class StepResult:
-    """One step: the new state plus what the step computed on the way.
+@dataclass(frozen=True)
+class PreparedStep:
+    """What `step_imex` needs of one run, every decision the run never changes
+    taken: the denominators 1 + dt*Lambda and 1 + dt*M, the terms of F and E w,
+    g(t) (a bound zero vector without a source) and, under implicit_prox, the
+    resolvent J_dt of the phase grid."""
 
-    source is the sample g(t+dt) the step applied and dphi the phase
-    increment the coupling received; the energy ledger reuses both.  A
-    proximal step also reports its multiplier and grid state.
-    """
-
-    state: State
-    source: np.ndarray
-    dphi: np.ndarray
-    xi_grid: Optional[np.ndarray] = None
-    phi_grid: Optional[np.ndarray] = None
+    dt: float
+    theta_denom: np.ndarray
+    phi_denom: np.ndarray
+    terms: StepTerms
+    source_at: Callable[[float], np.ndarray]
+    prox: Optional[Callable[[np.ndarray], np.ndarray]]
 
 
-def step_imex(system: DiscreteSystem, state: State, scheme: SchemeConfig,
-              denominators: tuple[np.ndarray, np.ndarray]) -> StepResult:
-    """One implicit-explicit Euler step of either scheme; `denominators` is
-    `system.step_denominators(scheme.dt)`.
+def prepare_step(system: DiscreteSystem, scheme: SchemeConfig) -> PreparedStep:
+    """The PreparedStep of `system` under `scheme`; a `scheme_problem`, or a dt
+    the denominators cannot carry, raises ValidationError here."""
+    if problem := scheme_problem(system.potential, system.eps, scheme.scheme):
+        raise ValidationError(problem)
+    dt, prox = scheme.dt, scheme.scheme == "implicit_prox"
+    zeros = np.zeros(system.n_a)
+    return PreparedStep(
+        dt, *system.step_denominators(dt), prepare_terms(system, explicit_beta=not prox),
+        system.source_at if system.source else lambda t: zeros,
+        (lambda grid: prox_step(system.potential, system.eps, dt, grid)) if prox else None)
+
+
+def step_imex(prepared: PreparedStep, theta: np.ndarray, phi: np.ndarray, t: float):
+    """One implicit-explicit Euler step of either scheme from the state
+    (theta, phi) at time t: (theta+, phi+, g(t+dt), xi_grid, phi_grid), the
+    last two None under imex_euler.
 
     Phi* = (Phi - dt F(Theta, Phi)) / (1 + dt M) with F frozen at the start
     state.  Under imex_euler F holds beta_eps and Phi+ = Phi*.  Under
@@ -164,91 +170,105 @@ def step_imex(system: DiscreteSystem, state: State, scheme: SchemeConfig,
     bound holds by construction.  Both schemes then take
     Theta+ = (I + dt Lambda)^(-1) (Theta - E (Phi+ - Phi) + dt g(t+dt)).
     """
-    dt, prox = scheme.dt, scheme.scheme == "implicit_prox"
-    t_new = state.t + dt
-    theta_denom, phi_denom = denominators
-    fphi, start_grid = eval_nonlinearity(system, state.theta, state.phi,
-                                         include_beta=not prox)
-    phi_new = (state.phi - dt * fphi) / phi_denom
+    p, dt = prepared, prepared.dt
+    fphi, start_grid = eval_nonlinearity(p.terms, theta, phi)
+    phi_new = (phi - dt * fphi) / p.phi_denom
     xi_grid = phi_grid = None
-    if prox:
-        intermediate = guard(synthesize(system.basis_b, phi_new), "phase grid")
-        phi_grid = prox_step(system.potential, system.eps, dt, intermediate)
+    if p.prox is not None:
+        intermediate = guard(synthesize(p.terms.basis_b, phi_new), "phase grid")
+        phi_grid = p.prox(intermediate)
         xi_grid = (intermediate - phi_grid) / dt
-        phi_new = analyze(system.basis_b, phi_grid)
+        phi_new = analyze(p.terms.basis_b, phi_grid)
     phi_new = guard(phi_new, "phi coefficients")
-    dphi = phi_new - state.phi
-    coupled = apply_coupling(system, start_grid, dphi)
-    g = system.source_at(t_new)
+    coupled = apply_coupling(p.terms, start_grid, phi_new - phi)
+    g = p.source_at(t + dt)
     # + dt*g stays for a zero source too: it turns a -0.0 of theta - coupled
     # into the +0.0 the recorded series hold
-    theta_new = guard((state.theta - coupled + dt * g) / theta_denom, "theta coefficients")
-    return StepResult(State(t_new, theta_new, phi_new), g, dphi, xi_grid, phi_grid)
+    theta_new = guard((theta - coupled + dt * g) / p.theta_denom, "theta coefficients")
+    return theta_new, phi_new, g, xi_grid, phi_grid
 
 
-# what a snapshot records besides the state; `_finalize` derives the norms
-_COLUMNS = ("t", "dtphi", "diss_theta", "diss_phi", "potential_integral",
-            "work_source", "work_phi")
+# what a snapshot records besides the state; `_finalize` derives the norms.
+# The four sums come in the order of `_LedgerAccumulator.sums`.
+_SUMS = ("diss_theta", "diss_phi", "work_source", "work_phi")
+_COLUMNS = ("t", "dtphi", "potential_integral") + _SUMS
 
 
 class _LedgerAccumulator:
-    """The energy identity terms, accumulated step by step, and the
+    """The energy identity terms, reduced once per snapshot block, and the
     per-snapshot columns of a whole run.
 
     Dissipation and work integrals use the left-endpoint rule with forward
     difference quotients, which matches the Euler consistency order; the
     source work uses the implicit sample g(t+dt) that the scheme applies
-    and stays exactly 0.0 without a source.  The increment and every modal or
-    grid quantity come from the step, so the ledger does no transform of its
-    own.  The sums are scalars, or one entry per row of a stacked system.
-
-    The columns are preallocated for `n_rows` snapshots, `count` of them
-    filled.  A record holds only what the march produced: the state,
-    |d_t phi|, the sums and the potential integral.  An unstacked proximal
-    run also records its multiplier and grid iterates.
+    and stays exactly 0.0 without a source.  The march writes each step's
+    state and source sample into a block row, row 0 holding the state the
+    block starts from; `accumulate` reduces the block with one batched
+    vecdot per term and np.add.accumulate, which adds in the order of a
+    per-step +=.  The sums are scalars, or one entry per row of a stacked
+    system.  The columns hold `n_rows` snapshots, `count` of them filled: the
+    state, |d_t phi|, the sums and the potential integral, and of an
+    unstacked proximal run the multiplier and grid iterates.
     """
 
-    def __init__(self, system: DiscreteSystem, n_rows: int, prox: bool):
+    def __init__(self, system: DiscreteSystem, n_rows: int, block_steps: int, prox: bool):
         self.system = system
-        self.diss_theta = 0.0
-        self.diss_phi = 0.0
-        self.work_source = 0.0
-        self.work_phi = 0.0
         self.count = 0
-        shape = (n_rows,) + system.phi_stiff.shape[:-1]
-        self.cols = {name: np.empty(shape) for name in _COLUMNS}
+        rows = system.phi_stiff.shape[:-1]
+        self.cols = {name: np.empty((n_rows,) + rows) for name in _COLUMNS}
         self.cols["t"] = np.empty(n_rows)
-        self.theta = np.empty(shape + (system.n_a,))
-        self.phi = np.empty(shape + (system.n_b,))
+        self.theta = np.empty((n_rows,) + rows + (system.n_a,))
+        self.phi = np.empty((n_rows,) + rows + (system.n_b,))
         grids = prox and system.phi_stiff.ndim == 1
         self.xi = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
         self.phi_grid = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
+        # the block and the sums, whose row 0 carries them from the block
+        # before; the (n,) source sample of a stacked run gets a row axis
+        block = (block_steps + 1,) + rows
+        self.theta_block = np.empty(block + (system.n_a,))
+        self.phi_block = np.empty(block + (system.n_b,))
+        self.source_block = (np.empty((block_steps + 1,) + (1,) * len(rows) + (system.n_a,))
+                             if system.source else None)
+        self.sums = np.zeros((len(_SUMS),) + block)
+        # scratch, so that a reduction allocates only its vecdots
+        self.dphi, self.phi_tmp = np.empty((2, block_steps) + rows + (system.n_b,))
+        self.theta_tmp = np.empty((block_steps,) + rows + (system.n_a,))
 
-    def accumulate(self, state: State, step: StepResult, dt: float) -> np.ndarray:
-        """Add one step's terms; returns |dphi|^2, which the caller reuses.
-        phi - P(pi(phi)) is phi + gamma*phi, since pi(v) = -gamma*v."""
-        sysm, dphi = self.system, step.dphi
+    def accumulate(self, steps: int, dt: float):
+        """Reduce the block's first `steps` steps into the sums, carried in
+        row 0; returns |d_t phi| of the last step.  phi - P(pi(phi)) is
+        phi + gamma*phi, since pi(v) = -gamma*v."""
+        sysm, k = self.system, steps
+        theta, phi, sums = self.theta_block, self.phi_block, self.sums[:, :k + 1]
+        start_theta, start_phi = theta[:k], phi[:k]
+        dphi = np.subtract(phi[1:k + 1], start_phi, out=self.dphi[:k])
+        stiff_theta = np.multiply(sysm.theta_stiff, start_theta, out=self.theta_tmp[:k])
+        np.multiply(dt, np.vecdot(stiff_theta, start_theta), out=sums[0, 1:])
         dphi_sq = np.vecdot(dphi, dphi)
-        self.diss_theta += dt * np.vecdot(sysm.theta_stiff * state.theta, state.theta)
-        self.diss_phi += dphi_sq / dt
-        if sysm.source:
-            self.work_source += dt * np.vecdot(step.source, step.state.theta)
-        self.work_phi += np.vecdot(state.phi + sysm.potential.gamma * state.phi, dphi)
-        return dphi_sq
+        np.divide(dphi_sq, dt, out=sums[1, 1:])
+        if self.source_block is not None:
+            np.multiply(dt, np.vecdot(self.source_block[1:k + 1], theta[1:k + 1]),
+                        out=sums[2, 1:])
+        slope = np.multiply(sysm.potential.gamma, start_phi, out=self.phi_tmp[:k])
+        np.vecdot(np.add(start_phi, slope, out=slope), dphi, out=sums[3, 1:])
+        np.add.accumulate(sums, axis=1, out=sums)
+        sums[:, 0] = sums[:, k]
+        return np.sqrt(dphi_sq[k - 1]) / dt
 
-    def record(self, state: State, dtphi, xi: np.ndarray | None,
-               phi_grid: np.ndarray | None) -> None:
-        """Write one snapshot: `state`, |d_t phi| and the sums so far."""
+    def record(self, t: float, theta: np.ndarray, phi: np.ndarray, dtphi,
+               xi: np.ndarray | None, phi_grid: np.ndarray | None) -> None:
+        """Write one snapshot: the state at time t, |d_t phi| and the sums
+        carried in row 0; the state starts the next block."""
         k, c = self.count, self.cols
-        c["t"][k] = state.t
+        c["t"][k] = t
         c["dtphi"][k] = dtphi
-        c["diss_theta"][k] = self.diss_theta
-        c["diss_phi"][k] = self.diss_phi
-        c["potential_integral"][k] = _potential_integral(self.system, state.phi, phi_grid)
-        c["work_source"][k] = self.work_source
-        c["work_phi"][k] = self.work_phi
-        self.theta[k] = state.theta
-        self.phi[k] = state.phi
+        grid = phi_grid if phi_grid is not None else synthesize(self.system.basis_b, phi)
+        density = potential_energy_density(self.system.potential, self.system.eps, grid)
+        c["potential_integral"][k] = np.vecdot(self.system.basis_b.quad_weights, density)
+        for name, total in zip(_SUMS, self.sums[:, 0]):
+            c[name][k] = total
+        self.theta[k] = self.theta_block[0] = theta
+        self.phi[k] = self.phi_block[0] = phi
         if self.xi is not None:
             # a proximal run hands every record its grid iterate
             self.xi[k] = 0.0 if xi is None else xi
@@ -256,18 +276,12 @@ class _LedgerAccumulator:
         self.count += 1
 
 
-def _potential_integral(system: DiscreteSystem, phi: np.ndarray,
-                        phi_grid: np.ndarray | None) -> np.ndarray:
-    grid = phi_grid if phi_grid is not None else synthesize(system.basis_b, phi)
-    density = potential_energy_density(system.potential, system.eps, grid)
-    return np.vecdot(system.basis_b.quad_weights, density)
-
-
 def step_count(t_final: float, dt: float) -> int:
-    """The number of dt steps that reach t_final; ValueError unless t_final
-    is positive and a whole, finite number of steps."""
-    if t_final <= 0.0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
+    """The number of dt steps that reach t_final; ValueError unless both are
+    positive and finite and t_final is a whole, finite number of steps."""
+    for name, value in (("t_final", t_final), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     steps = t_final / dt
     # an overflowing quotient counts as 0 steps, which the test below rejects
     n_steps = max(1, int(round(steps))) if math.isfinite(steps) else 0
@@ -292,32 +306,27 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
     """
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
-    problem = scheme_problem(system.potential, system.eps, scheme.scheme)
-    if problem is not None:
-        raise ValidationError(problem)
+    prepared = prepare_step(system, scheme)
     dt = scheme.dt
     n_steps = step_count(t_final, dt)
-    # built once per run; a dt the products cannot carry fails here
-    denominators = system.step_denominators(dt)
-
-    theta0, phi0 = project_data(system)
-    state = State(0.0, theta0, phi0)
-    prox = scheme.scheme == "implicit_prox"
+    theta, phi = project_data(system)
+    prox = prepared.prox is not None
     n_rows = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
-    ledger = _LedgerAccumulator(system, n_rows, prox)
+    ledger = _LedgerAccumulator(system, n_rows, min(snapshot_stride, n_steps), prox)
 
     # prox runs ledger the datum grid at t = 0: the modal projection of a
     # clamped field can overshoot the obstacle and blow up the indicator
-    ledger.record(state, 0.0, None, system.phi0_grid if prox else None)
+    ledger.record(0.0, theta, phi, 0.0, None, system.phi0_grid if prox else None)
     try:
         for k in range(1, n_steps + 1):
-            step = step_imex(system, state, scheme, denominators)
-            new_state = step.state
-            new_state.t = k * dt  # avoid accumulated drift in snapshot times
-            dphi_sq = ledger.accumulate(state, step, dt)
-            state = new_state
+            # (k - 1)*dt, not the sum of k - 1 dt's, avoids drift in the times
+            theta, phi, g, xi_grid, phi_grid = step_imex(prepared, theta, phi, (k - 1) * dt)
+            j = (k - 1) % snapshot_stride + 1  # the step's row in its block
+            ledger.theta_block[j], ledger.phi_block[j] = theta, phi
+            if ledger.source_block is not None:
+                ledger.source_block[j] = g
             if k % snapshot_stride == 0 or k == n_steps:
-                ledger.record(state, np.sqrt(dphi_sq) / dt, step.xi_grid, step.phi_grid)
+                ledger.record(k * dt, theta, phi, ledger.accumulate(j, dt), xi_grid, phi_grid)
     except (OverflowGuardError, ResolventError) as exc:
         raise BlowupError(f"{exc} in step {k}, t={k * dt!r}", _finalize(ledger), step=k,
                           t=k * dt, row=getattr(exc, "row", None)) from None

@@ -10,8 +10,8 @@ from conftest import gauss_legendre_gram
 from fracphase.expressions import build_source
 from fracphase.galerkin import (OVERFLOW_LIMIT, Coupling, OverflowGuardError,
                                 ProblemData, ValidationError, apply_coupling,
-                                assemble, eval_nonlinearity, guard, project_data,
-                                stack_systems)
+                                assemble, eval_nonlinearity, guard, prepare_terms,
+                                project_data, stack_systems)
 from fracphase.potentials import (double_obstacle_potential, logarithmic_potential,
                                   regular_potential, yosida, zero_potential)
 from fracphase.spectral import analyze, build_basis, synthesize
@@ -29,7 +29,7 @@ class TestAssemble:
         system = make_system(neumann8, neumann8, Coupling.constant(2.0))
         w = np.zeros(8)
         w[3] = 1.0
-        out = apply_coupling(system, None, w)
+        out = apply_coupling(prepare_terms(system), None, w)
         assert out[3] == pytest.approx(2.0)
         assert np.max(np.abs(np.delete(out, 3))) <= 1e-12
 
@@ -114,7 +114,7 @@ class TestProjectData:
 class TestEvalNonlinearity:
     def test_zero_state(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(1.0))
-        fphi, _ = eval_nonlinearity(system, np.zeros(8), np.zeros(8))
+        fphi, _ = eval_nonlinearity(prepare_terms(system), np.zeros(8), np.zeros(8))
         assert np.max(np.abs(fphi)) <= 1e-14
 
     def test_constant_state_approaches_cubic(self, neumann8):
@@ -122,7 +122,7 @@ class TestEvalNonlinearity:
         system = make_system(neumann8, neumann8, Coupling.constant(0.0), eps=1e-6)
         phi = np.zeros(8)
         phi[0] = 1.0  # eta_0 = 1 on (0,1)
-        fphi, _ = eval_nonlinearity(system, np.zeros(8), phi)
+        fphi, _ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
         assert fphi[0] == pytest.approx(0.0, abs=1e-5)
         assert np.max(np.abs(fphi[1:])) <= 1e-12
 
@@ -132,17 +132,17 @@ class TestEvalNonlinearity:
         theta = np.zeros(8)
         theta[0] = 2.0
         system = make_system(neumann8, neumann8, Coupling.constant(3.0))
-        fphi, _ = eval_nonlinearity(system, theta, np.zeros(8))
+        fphi, _ = eval_nonlinearity(prepare_terms(system), theta, np.zeros(8))
         assert np.array_equal(fphi, -3.0 * theta)
         mixed = make_system(dirichlet8, neumann8, Coupling.constant(3.0))
-        fphi, _ = eval_nonlinearity(mixed, theta, np.zeros(8))
+        fphi, _ = eval_nonlinearity(prepare_terms(mixed), theta, np.zeros(8))
         assert np.max(np.abs(fphi + theta @ mixed.coupling_matrix)) <= 1e-15
 
     def test_overflow_guard(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(0.0))
         huge = np.full(8, 1e13)
         with pytest.raises(OverflowGuardError):
-            eval_nonlinearity(system, np.zeros(8), huge)
+            eval_nonlinearity(prepare_terms(system), np.zeros(8), huge)
 
     def test_eps_zero_multivalued_evaluates_minimal_section(self, neumann8):
         # the step only evaluates: at eps = 0 inside [-1, 1] the obstacle's
@@ -154,7 +154,7 @@ class TestEvalNonlinearity:
                              phi0=lambda x: 0.5 * np.cos(np.pi * x))
         phi = np.zeros(8)
         phi[0] = 0.5  # eta_0 = 1, so phi = 0.5 at every node
-        fphi, _ = eval_nonlinearity(system, np.zeros(8), phi)
+        fphi, _ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
         assert np.max(np.abs(fphi + potential.gamma * phi)) <= 1e-15
 
     def test_eps_zero_beta_off_domain_names_row(self, neumann8):
@@ -167,7 +167,7 @@ class TestEvalNonlinearity:
         phi = np.zeros((3, 8))
         phi[1, 0] = 2.0  # eta_0 = 1, so phi = 2 at every node of row 1
         with pytest.raises(OverflowGuardError, match="nonlinearity") as info:
-            eval_nonlinearity(system, np.zeros((3, 8)), phi)
+            eval_nonlinearity(prepare_terms(system), np.zeros((3, 8)), phi)
         assert info.value.row == 1
 
 
@@ -191,8 +191,8 @@ class TestQuadratureConsistency:
         rng = np.random.default_rng(0)
         w = rng.standard_normal(8)
         phi_grid = synthesize(neumann8, rng.standard_normal(8))
-        fast = apply_coupling(system, phi_grid, w)
-        slow = apply_coupling(generic, phi_grid, w)
+        fast = apply_coupling(prepare_terms(system), phi_grid, w)
+        slow = apply_coupling(prepare_terms(generic), phi_grid, w)
         assert np.max(np.abs(fast - slow)) <= 1e-10
 
     def test_lipschitz_in_phi(self, neumann8):
@@ -202,8 +202,8 @@ class TestQuadratureConsistency:
         rng = np.random.default_rng(1)
         for _ in range(20):
             p1, p2 = rng.standard_normal(8), rng.standard_normal(8)
-            f1 = eval_nonlinearity(system, np.zeros(8), p1)[0]
-            f2 = eval_nonlinearity(system, np.zeros(8), p2)[0]
+            f1 = eval_nonlinearity(prepare_terms(system), np.zeros(8), p1)[0]
+            f2 = eval_nonlinearity(prepare_terms(system), np.zeros(8), p2)[0]
             assert np.linalg.norm(f1 - f2) <= lip * np.linalg.norm(p1 - p2) * (1 + 1e-10)
 
 
@@ -232,7 +232,7 @@ class TestSourceSampling:
         system = make_system(neumann8, neumann8, Coupling.constant(0.0), eps=0.1)
         phi = np.zeros(8)
         phi[0] = 1.0
-        fphi, _ = eval_nonlinearity(system, np.zeros(8), phi)
+        fphi, _ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
         # phi = eta_0 = 1 on (0, 1): F = (beta_0.1(1) - gamma) eta_0
         beta_eps = yosida(system.potential, 0.1, np.array([1.0]))
         expected = (beta_eps - system.potential.gamma) * phi

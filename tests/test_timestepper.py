@@ -1,5 +1,8 @@
 import dataclasses
+import math
 import os
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -9,15 +12,15 @@ import fracphase.timestepper
 from conftest import smoke_data, smoke_run
 from fracphase.config import build_system, load_raw_config, validate_config
 from fracphase.expressions import build_source
-from fracphase.galerkin import (Coupling, DiscreteSystem, ProblemData, ValidationError,
-                                apply_coupling, assemble, eval_nonlinearity, guard,
+from fracphase.galerkin import (Coupling, DiscreteSystem, OverflowGuardError,
+                                ProblemData, ValidationError, assemble, guard,
                                 project_data, stack_systems)
-from fracphase.potentials import (double_obstacle_potential,
-                                  logarithmic_potential, prox_step, regular_potential,
-                                  zero_potential)
+from fracphase.potentials import (ResolventError, double_obstacle_potential,
+                                  logarithmic_potential, potential_energy_density,
+                                  prox_step, regular_potential, yosida, zero_potential)
 from fracphase.spectral import analyze, build_basis, synthesize
-from fracphase.timestepper import (BlowupError, SchemeConfig, State, StepResult,
-                                   integrate, scheme_problem, step_imex)
+from fracphase.timestepper import (BlowupError, SchemeConfig, _finalize, integrate,
+                                   prepare_step, scheme_problem, step_count, step_imex)
 
 
 def linear_system(basis, r=0.25, sigma=0.5, ell=0.0, theta0=None):
@@ -42,20 +45,18 @@ class TestStepImex:
         system = linear_system(neumann8, r=0.5)
         theta = np.zeros(8)
         theta[1] = 1.0
-        out = step_imex(system, State(0.0, theta, np.zeros(8)),
-                        SchemeConfig("imex_euler", dt=0.1),
-                        system.step_denominators(0.1)).state
+        out, *_ = step_imex(prepare_step(system, SchemeConfig("imex_euler", dt=0.1)),
+                            theta, np.zeros(8), 0.0)
         a = system.theta_stiff[1]
-        assert out.theta[1] == pytest.approx(1.0 / (1.0 + 0.1 * a), rel=1e-14)
+        assert out[1] == pytest.approx(1.0 / (1.0 + 0.1 * a), rel=1e-14)
 
     def test_kernel_mode_conserved(self, neumann8):
         system = linear_system(neumann8)
         theta = np.zeros(8)
         theta[0] = 2.5
-        out = step_imex(system, State(0.0, theta, np.zeros(8)),
-                        SchemeConfig("imex_euler", dt=1.0),
-                        system.step_denominators(1.0)).state
-        assert out.theta[0] == pytest.approx(2.5, rel=1e-15)
+        out, *_ = step_imex(prepare_step(system, SchemeConfig("imex_euler", dt=1.0)),
+                            theta, np.zeros(8), 0.0)
+        assert out[0] == pytest.approx(2.5, rel=1e-15)
 
     def test_double_well_drifts_toward_one(self, neumann8):
         # kernel-mode dynamics phi' = -(beta_eps(phi) - phi); RK4 oracle
@@ -65,7 +66,6 @@ class TestStepImex:
         system = assemble(data, neumann8, neumann8, 0.5, 0.5, eps,
                           regular_potential(1.0))
         run = integrate(system, SchemeConfig("imex_euler", dt=1e-3), 2.0, 200)
-        from fracphase.potentials import yosida
 
         def rhs(y):
             return -(yosida(system.potential, eps, y) - y)
@@ -84,10 +84,8 @@ class TestStepImplicitProx:
         system = assemble(data, neumann8, neumann8, 0.5, 0.5, 0.0,
                           double_obstacle_potential(0.5))
         theta0, phi0 = project_data(system)
-        step = step_imex(system, State(0.0, theta0, phi0),
-                         SchemeConfig("implicit_prox", dt=0.05),
-                         system.step_denominators(0.05))
-        xi, phi_grid = step.xi_grid, step.phi_grid
+        prepared = prepare_step(system, SchemeConfig("implicit_prox", dt=0.05))
+        *_, xi, phi_grid = step_imex(prepared, theta0, phi0, 0.0)
         assert np.max(np.abs(phi_grid)) <= 1.0
         touching = phi_grid >= 1.0 - 1e-12
         assert np.any(touching) and np.all(xi[touching] >= 0.0)
@@ -95,13 +93,11 @@ class TestStepImplicitProx:
     def test_reduces_to_imex_without_beta(self, neumann8):
         system = linear_system(neumann8, ell=0.5)
         rng = np.random.default_rng(2)
-        state = State(0.0, rng.standard_normal(8), rng.standard_normal(8))
-        denominators = system.step_denominators(0.01)
-        a = step_imex(system, state, SchemeConfig("imex_euler", dt=0.01), denominators).state
-        b = step_imex(system, state, SchemeConfig("implicit_prox", dt=0.01),
-                      denominators).state
-        assert np.max(np.abs(a.theta - b.theta)) <= 1e-12
-        assert np.max(np.abs(a.phi - b.phi)) <= 1e-12
+        theta, phi = rng.standard_normal(8), rng.standard_normal(8)
+        a, b = (step_imex(prepare_step(system, SchemeConfig(scheme, dt=0.01)), theta, phi, 0.0)
+                for scheme in ("imex_euler", "implicit_prox"))
+        assert np.max(np.abs(a[0] - b[0])) <= 1e-12
+        assert np.max(np.abs(a[1] - b[1])) <= 1e-12
 
     def test_scalar_cubic_prox_oracle(self, neumann8):
         # d_t phi + phi^3 = 0 from phi(0) = 1, one step dt = 0.1
@@ -111,9 +107,8 @@ class TestStepImplicitProx:
                           regular_potential(gamma=0.0))
         system = dataclasses.replace(system, phi_stiff=np.zeros_like(system.phi_stiff))
         theta0, phi0 = project_data(system)
-        phi_grid = step_imex(system, State(0.0, theta0, phi0),
-                             SchemeConfig("implicit_prox", dt=0.1),
-                             system.step_denominators(0.1)).phi_grid
+        *_, phi_grid = step_imex(prepare_step(system, SchemeConfig("implicit_prox", dt=0.1)),
+                                 theta0, phi0, 0.0)
         assert np.allclose(phi_grid, 0.9216989942046786, atol=1e-10)
 
 
@@ -163,7 +158,8 @@ class TestIntegrate:
             integrate(system, SchemeConfig("imex_euler", dt=3e-3), 0.01)
 
     def test_imex_rejects_multivalued_potential_at_eps0(self, neumann8, monkeypatch):
-        # the scheme rule is checked once, before the march, not by each step
+        # the scheme rule is checked once, when the step is prepared, so a
+        # march that breaks it takes no step
         system, _ = fast_and_oracle(obstacle_data(), neumann8, neumann8,
                                     double_obstacle_potential(0.5), 0.0)
         calls = []
@@ -173,12 +169,15 @@ class TestIntegrate:
             return step_imex(*args)
 
         monkeypatch.setattr(fracphase.timestepper, "step_imex", counted)
-        with pytest.raises(ValidationError,
-                           match="double_obstacle at eps = 0 requires implicit_prox"):
+        message = "double_obstacle at eps = 0 requires implicit_prox"
+        with pytest.raises(ValidationError, match=message):
+            prepare_step(system, SchemeConfig("imex_euler", dt=1e-3))
+        with pytest.raises(ValidationError, match=message):
             integrate(system, SchemeConfig("imex_euler", dt=1e-3), 0.01)
         assert calls == []
 
-    def test_step_and_ledger_called_once_per_step(self, neumann8, monkeypatch):
+    def test_one_step_per_step_and_one_ledger_reduction_per_snapshot(self, neumann8,
+                                                                      monkeypatch):
         # the per-layer profile wraps these two module-level names; a march
         # that inlined either would drop its span without failing otherwise
         system = assemble(smoke_data(), neumann8, neumann8, 0.5, 0.5, 1e-2,
@@ -197,8 +196,24 @@ class TestIntegrate:
         monkeypatch.setattr(fracphase.timestepper, "step_imex", counted_step)
         monkeypatch.setattr(fracphase.timestepper._LedgerAccumulator, "accumulate",
                             counted_ledger)
-        integrate(system, SchemeConfig("imex_euler", dt=1e-3), 0.02, 5)
-        assert calls == {"step": 20, "ledger": 20}
+        # 22 steps: snapshots after steps 5, 10, 15, 20 and the last one
+        run = integrate(system, SchemeConfig("imex_euler", dt=1e-3), 0.022, 5)
+        assert calls == {"step": 22, "ledger": 5}
+        assert run.times.size == 6
+
+    @pytest.mark.parametrize("dt, t_final", [(math.nan, 1.0), (math.inf, 1.0),
+                                             (1e-3, math.nan)],
+                             ids=["nan_dt", "inf_dt", "nan_t_final"])
+    def test_rejects_non_finite_dt_and_horizon(self, neumann8, dt, t_final):
+        # a NaN once passed every comparison and marched nothing
+        with pytest.raises(ValueError):
+            step_count(t_final, dt)
+        if math.isfinite(dt):
+            with pytest.raises(ValueError, match="t_final"):
+                integrate(linear_system(neumann8), SchemeConfig("imex_euler", dt), t_final)
+        else:
+            with pytest.raises(ValueError, match="dt must be"):
+                SchemeConfig("imex_euler", dt)
 
     def test_zero_source_records_positive_zeros(self):
         # theta - coupled can round to -0.0; adding dt*g of a zero source
@@ -352,12 +367,12 @@ class TestEnergyLedger:
     def test_unconditional_linear_contraction(self, neumann8):
         system = linear_system(neumann8, r=0.5, sigma=0.5)
         rng = np.random.default_rng(9)
-        state = State(0.0, rng.standard_normal(8), rng.standard_normal(8))
+        theta, phi = rng.standard_normal(8), rng.standard_normal(8)
         for dt in (1e-3, 1.0, 1e3):
-            out = step_imex(system, state, SchemeConfig("imex_euler", dt=dt),
-                            system.step_denominators(dt)).state
-            assert np.linalg.norm(out.theta) <= np.linalg.norm(state.theta) + 1e-14
-            assert np.linalg.norm(out.phi) <= np.linalg.norm(state.phi) + 1e-14
+            theta_new, phi_new, *_ = step_imex(
+                prepare_step(system, SchemeConfig("imex_euler", dt=dt)), theta, phi, 0.0)
+            assert np.linalg.norm(theta_new) <= np.linalg.norm(theta) + 1e-14
+            assert np.linalg.norm(phi_new) <= np.linalg.norm(phi) + 1e-14
 
     def test_schemes_converge_to_each_other(self, neumann8):
         diffs = []
@@ -562,6 +577,83 @@ class TestStackedSystems:
         assert np.all(partial[0].phi_series == 0.0)
 
 
+# The state, step result, F and E w of the per-step march, kept verbatim
+# as the helpers of the oracle steps and of the per-step ledger below.
+@dataclass
+class State:
+    t: float
+    theta: np.ndarray
+    phi: np.ndarray
+
+
+@dataclass
+class StepResult:
+    """One step: the new state plus what the step computed on the way.
+
+    source is the sample g(t+dt) the step applied and dphi the phase
+    increment the coupling received; the energy ledger reuses both.  A
+    proximal step also reports its multiplier and grid state.
+    """
+
+    state: State
+    source: np.ndarray
+    dphi: np.ndarray
+    xi_grid: Optional[np.ndarray] = None
+    phi_grid: Optional[np.ndarray] = None
+
+
+def eval_nonlinearity(system: DiscreteSystem, theta: np.ndarray, phi: np.ndarray, *,
+                      include_beta: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """(F(theta, phi), phi_grid): F = P(beta_eps(phi)) + P(pi(phi)) - E^T theta
+    in the B basis, and phi on the grid (None when nothing was collocated).
+
+    The terms linear in the state stay in modal space: P(pi(phi)) =
+    -gamma*phi exactly, and a constant coupling gives E^T theta = ell*theta on
+    one basis or theta @ coupling_matrix on two, the exact matrix
+    `apply_coupling` applies in the temperature equation, so the two coupling
+    operators are transposes and the discrete energy identity holds on mixed
+    bases too.  Only what has no modal form is collocated and analyzed, in
+    one pass under one overflow guard: beta_eps(phi) (beta(phi) at eps = 0)
+    and ell(phi)*theta for a function coupling, whose weighted quadrature is
+    consistent in both equations.  include_beta = False leaves out the convex
+    part, which the proximal scheme applies through its resolvent; with a
+    constant coupling it synthesizes nothing.
+    """
+    pot, coupling = system.potential, system.coupling
+    fphi = -pot.gamma * phi
+    if coupling.kind == "constant":
+        if system.basis_a is system.basis_b:
+            fphi = fphi - coupling.value * theta
+        else:
+            fphi = fphi - theta @ system.coupling_matrix
+
+    phi_grid = None
+    parts = []
+    if include_beta or coupling.kind == "function":
+        phi_grid = synthesize(system.basis_b, phi)
+    if include_beta:
+        # beta(phi) off its domain is NaN, which the guard below rejects
+        parts.append(yosida(pot, system.eps, phi_grid) if system.eps > 0.0
+                     else pot.beta(phi_grid))
+    if coupling.kind == "function":
+        parts.append(-coupling.on_grid(phi_grid) * synthesize(system.basis_a, theta))
+    if parts:
+        pointwise = guard(sum(parts[1:], parts[0]), "nonlinearity")
+        fphi = fphi + analyze(system.basis_b, pointwise)
+    return fphi, phi_grid
+
+
+def apply_coupling(system: DiscreteSystem, phi_grid: np.ndarray,
+                   w: np.ndarray) -> np.ndarray:
+    """E w (or E(Phi) w): the A-projection of ell(phi) * (B-synthesis of w)."""
+    if system.coupling.kind == "constant":
+        if system.basis_a is system.basis_b:
+            return system.coupling.value * w
+        return w @ system.coupling_matrix.T
+    values = system.coupling.on_grid(phi_grid) * synthesize(system.basis_b, w)
+    return analyze(system.basis_a, values)
+
+
 # The two per-scheme steps that `step_imex` replaced, kept verbatim as the
 # oracle of the merged step.
 def oracle_step_imex(system: DiscreteSystem, state: State, dt: float) -> StepResult:
@@ -617,14 +709,13 @@ def oracle_step_implicit_prox(system: DiscreteSystem, state: State, dt: float) -
 
 
 def step_arrays(step: StepResult) -> dict:
-    """Every array (or None) a step returns, by name."""
-    return {"t": step.state.t, "theta": step.state.theta, "phi": step.state.phi,
-            "source": step.source, "dphi": step.dphi, "xi_grid": step.xi_grid,
-            "phi_grid": step.phi_grid}
+    """Every array (or None) an oracle step returns, by name."""
+    return {"theta": step.state.theta, "phi": step.state.phi, "source": step.source,
+            "dphi": step.dphi, "xi_grid": step.xi_grid, "phi_grid": step.phi_grid}
 
 
 class TestMergedStepAgainstOracle:
-    """The merged step against the per-scheme steps it replaced: every array
+    """The prepared step against the per-scheme steps it replaced: every array
     bit for bit, along a few chained steps."""
 
     @pytest.mark.parametrize("case", ["same_basis", "mixed_basis", "tanh_coupling",
@@ -646,16 +737,189 @@ class TestMergedStepAgainstOracle:
                 data.coupling = Coupling.function(lambda v: 2.0 + 0.5 * np.tanh(v))
             system = assemble(data, basis_a, neumann8, 0.5, 0.5, eps, potential)
         oracle = oracle_step_implicit_prox if scheme == "implicit_prox" else oracle_step_imex
-        config = SchemeConfig(scheme, dt=1e-2)
-        denominators = system.step_denominators(1e-2)
+        prepared = prepare_step(system, SchemeConfig(scheme, dt=1e-2))
         state = State(0.0, *project_data(system))
         for _ in range(5):
-            merged = step_imex(system, state, config, denominators)
+            theta, phi, g, xi_grid, phi_grid = step_imex(prepared, state.theta, state.phi,
+                                                         state.t)
             expected = oracle(system, state, 1e-2)
-            got, want = step_arrays(merged), step_arrays(expected)
+            want = step_arrays(expected)
+            got = {"theta": theta, "phi": phi, "source": g, "dphi": phi - state.phi,
+                   "xi_grid": xi_grid, "phi_grid": phi_grid}
             for name in want:
                 if want[name] is None:
                     assert got[name] is None, name
                 else:
                     assert np.array_equal(got[name], want[name]), name
-            state = merged.state
+            assert expected.state.t == state.t + 1e-2
+            state = State(expected.state.t, theta, phi)
+
+
+def _potential_integral(system: DiscreteSystem, phi: np.ndarray,
+                        phi_grid: np.ndarray | None) -> np.ndarray:
+    grid = phi_grid if phi_grid is not None else synthesize(system.basis_b, phi)
+    density = potential_energy_density(system.potential, system.eps, grid)
+    return np.vecdot(system.basis_b.quad_weights, density)
+
+
+# what a snapshot records besides the state; `_finalize` derives the norms
+_COLUMNS = ("t", "dtphi", "diss_theta", "diss_phi", "potential_integral",
+            "work_source", "work_phi")
+
+
+class OracleLedger:
+    """The energy identity terms, accumulated step by step, and the
+    per-snapshot columns of a whole run.
+
+    Dissipation and work integrals use the left-endpoint rule with forward
+    difference quotients, which matches the Euler consistency order; the
+    source work uses the implicit sample g(t+dt) that the scheme applies
+    and stays exactly 0.0 without a source.  The increment and every modal or
+    grid quantity come from the step, so the ledger does no transform of its
+    own.  The sums are scalars, or one entry per row of a stacked system.
+
+    The columns are preallocated for `n_rows` snapshots, `count` of them
+    filled.  A record holds only what the march produced: the state,
+    |d_t phi|, the sums and the potential integral.  An unstacked proximal
+    run also records its multiplier and grid iterates.
+    """
+
+    def __init__(self, system: DiscreteSystem, n_rows: int, prox: bool):
+        self.system = system
+        self.diss_theta = 0.0
+        self.diss_phi = 0.0
+        self.work_source = 0.0
+        self.work_phi = 0.0
+        self.count = 0
+        shape = (n_rows,) + system.phi_stiff.shape[:-1]
+        self.cols = {name: np.empty(shape) for name in _COLUMNS}
+        self.cols["t"] = np.empty(n_rows)
+        self.theta = np.empty(shape + (system.n_a,))
+        self.phi = np.empty(shape + (system.n_b,))
+        grids = prox and system.phi_stiff.ndim == 1
+        self.xi = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
+        self.phi_grid = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
+
+    def accumulate(self, state: State, step: StepResult, dt: float) -> np.ndarray:
+        """Add one step's terms; returns |dphi|^2, which the caller reuses.
+        phi - P(pi(phi)) is phi + gamma*phi, since pi(v) = -gamma*v."""
+        sysm, dphi = self.system, step.dphi
+        dphi_sq = np.vecdot(dphi, dphi)
+        self.diss_theta += dt * np.vecdot(sysm.theta_stiff * state.theta, state.theta)
+        self.diss_phi += dphi_sq / dt
+        if sysm.source:
+            self.work_source += dt * np.vecdot(step.source, step.state.theta)
+        self.work_phi += np.vecdot(state.phi + sysm.potential.gamma * state.phi, dphi)
+        return dphi_sq
+
+    def record(self, state: State, dtphi, xi: np.ndarray | None,
+               phi_grid: np.ndarray | None) -> None:
+        """Write one snapshot: `state`, |d_t phi| and the sums so far."""
+        k, c = self.count, self.cols
+        c["t"][k] = state.t
+        c["dtphi"][k] = dtphi
+        c["diss_theta"][k] = self.diss_theta
+        c["diss_phi"][k] = self.diss_phi
+        c["potential_integral"][k] = _potential_integral(self.system, state.phi, phi_grid)
+        c["work_source"][k] = self.work_source
+        c["work_phi"][k] = self.work_phi
+        self.theta[k] = state.theta
+        self.phi[k] = state.phi
+        if self.xi is not None:
+            # a proximal run hands every record its grid iterate
+            self.xi[k] = 0.0 if xi is None else xi
+            self.phi_grid[k] = phi_grid
+        self.count += 1
+
+
+def oracle_integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
+                     snapshot_stride: int):
+    """The per-step march and ledger: integrate's loop before the ledger was
+    reduced per snapshot block, over the oracle steps."""
+    dt = scheme.dt
+    n_steps = step_count(t_final, dt)
+    theta0, phi0 = project_data(system)
+    state = State(0.0, theta0, phi0)
+    prox = scheme.scheme == "implicit_prox"
+    oracle = oracle_step_implicit_prox if prox else oracle_step_imex
+    n_rows = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
+    ledger = OracleLedger(system, n_rows, prox)
+    ledger.record(state, 0.0, None, system.phi0_grid if prox else None)
+    try:
+        for k in range(1, n_steps + 1):
+            step = oracle(system, state, dt)
+            new_state = step.state
+            new_state.t = k * dt  # avoid accumulated drift in snapshot times
+            dphi_sq = ledger.accumulate(state, step, dt)
+            state = new_state
+            if k % snapshot_stride == 0 or k == n_steps:
+                ledger.record(state, np.sqrt(dphi_sq) / dt, step.xi_grid, step.phi_grid)
+    except (OverflowGuardError, ResolventError) as exc:
+        raise BlowupError(f"{exc} in step {k}, t={k * dt!r}", _finalize(ledger), step=k,
+                          t=k * dt, row=getattr(exc, "row", None)) from None
+    return _finalize(ledger)
+
+
+def assert_same_bits(run, want):
+    """Every array of two RunOutputs and their ledgers equal bit for bit."""
+    for obj, other in ((run, want), (run.ledger, want.ledger)):
+        for f in dataclasses.fields(obj):
+            a, b = getattr(obj, f.name), getattr(other, f.name)
+            if f.name == "ledger" or b is None:
+                assert a is None or f.name == "ledger", f.name
+                continue
+            a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+            assert a.shape == b.shape, f.name
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), f.name
+
+
+class TestBlockedLedgerAgainstOracle:
+    """The ledger reduced once per snapshot block against the per-step one."""
+
+    # 50 steps to t = 0.05: a stride of 7 leaves a last block of 1 step, 1000
+    # makes one block.  By t = 1.5 a source sampled at k*dt instead of the
+    # march's (k - 1)*dt + dt changes bits.
+    @pytest.mark.parametrize("case, stride, t_final", [
+        ("single", 7, 0.05), ("single", 1, 0.05), ("single", 1000, 0.05),
+        ("single", 10, 1.5), ("stacked_sourced", 4, 0.05), ("stacked_prox", 3, 0.05),
+        ("tanh_mixed", 6, 0.05), ("obstacle", 5, 0.05)])
+    def test_bit_identical_to_per_step_ledger(self, neumann8, dirichlet8, case, stride,
+                                              t_final):
+        scheme = "implicit_prox" if case in ("stacked_prox", "obstacle") else "imex_euler"
+        if case == "single":
+            system, _ = fast_and_oracle(smoke_data(), neumann8, neumann8,
+                                        regular_potential(0.7), 1e-2)
+        elif case.startswith("stacked"):
+            system = stack_systems(stacked_rows("interval", scheme, True))
+        elif case == "tanh_mixed":
+            data = dataclasses.replace(
+                smoke_data(), coupling=Coupling.function(lambda v: 2.0 + 0.5 * np.tanh(v)))
+            system, _ = fast_and_oracle(data, dirichlet8, neumann8,
+                                        regular_potential(1.0), 1e-2)
+        else:
+            system, _ = fast_and_oracle(obstacle_data(), neumann8, neumann8,
+                                        double_obstacle_potential(0.5), 0.0)
+        config = SchemeConfig(scheme, dt=1e-3)
+        assert_same_bits(integrate(system, config, t_final, stride),
+                         oracle_integrate(system, config, t_final, stride))
+
+    def test_blowup_mid_block_keeps_step_row_and_partial(self, neumann8):
+        # row 1 blows up in step 3, the first step of the second block
+        potential = regular_potential(1.0)
+
+        def row(value):
+            data = ProblemData(theta0=None, phi0=lambda x: np.full_like(x, value),
+                               coupling=Coupling.constant(0.0))
+            return assemble(data, neumann8, neumann8, 0.5, 0.5, 1e-6, potential)
+
+        system = stack_systems([row(0.0), row(3.0), row(0.0)])
+        config = SchemeConfig("imex_euler", dt=10.0)
+        errors = []
+        for march in (integrate, oracle_integrate):
+            with pytest.raises(BlowupError) as info:
+                march(system, config, 100.0, 2)
+            errors.append(info.value)
+        got, want = errors
+        assert (got.step, got.t, got.row, str(got)) == (want.step, want.t, want.row, str(want))
+        assert got.step == 3 and got.partial.times.tolist() == [0.0, 20.0]
+        assert_same_bits(got.partial, want.partial)
