@@ -256,6 +256,14 @@ def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter) -> tuple:
                                             cfg.grid_times))
         raise
     manifest.add_files(emit_run_outputs(run, system, manifest.out_dir, cfg.grid_times))
+    phi, xi = run.phi_grid_series, run.xi_series
+    if xi is not None and system.potential.multivalued and system.eps == 0.0:
+        # |phi| <= 1, xi >= 0 where phi = 1 and xi <= 0 where phi = -1 (eps > 0
+        # may leave [-1, 1]): the worst violation at a recorded node; NaN fails
+        for name, excess in (("obstacle_bound", np.abs(phi) - 1.0),
+                             ("multiplier_sign", np.where(np.abs(phi) == 1.0, -phi * xi, 0.0))):
+            worst = float(np.maximum(np.max(excess), 0.0))
+            manifest.check(name, worst == 0.0, {"worst_violation": worst})
     return system, run
 
 

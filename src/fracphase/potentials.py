@@ -146,7 +146,8 @@ def double_obstacle_potential(c2: float) -> Potential:
         beta_prime=None,
         gamma=2.0 * c2,
         domain=(-1.0, 1.0),
-        resolvent_closed_form=lambda eps, s: np.clip(s, -1.0, 1.0),
+        # np.clip's values (NaN and -0.0 included) without its Python layers
+        resolvent_closed_form=lambda eps, s: np.minimum(np.maximum(s, -1.0), 1.0),
     )
 
 

@@ -10,7 +10,7 @@ per run every decision a run never changes, so a step does only arithmetic.
 The ledger mirrors the first a-priori energy identity of the continuous
 problem: at the semi-discrete level the identity is exact, so the recorded
 balance residual measures pure time-discretization error and must shrink
-first order in dt.  It is reduced once per snapshot block.
+first order in dt.  It is reduced once per block of LEDGER_BLOCK steps.
 
 A stacked system (`galerkin.stack_systems`) marches B trajectories as one
 (B, n) state; steps, ledger and snapshots work over the trailing axis, so a
@@ -31,6 +31,9 @@ from .potentials import Potential, ResolventError, potential_energy_density, pro
 from .spectral import analyze, graph_norms, synthesize
 
 SCHEMES = ("imex_euler", "implicit_prox")
+
+# steps per ledger reduction, whatever the snapshot stride
+LEDGER_BLOCK = 64
 
 
 class BlowupError(RuntimeError):
@@ -155,8 +158,8 @@ def prepare_step(system: DiscreteSystem, scheme: SchemeConfig) -> PreparedStep:
 
 def step_imex(prepared: PreparedStep, theta: np.ndarray, phi: np.ndarray, t: float):
     """One implicit-explicit Euler step of either scheme from the state
-    (theta, phi) at time t: (theta+, phi+, g(t+dt), xi_grid, phi_grid), the
-    last two None under imex_euler.
+    (theta, phi) at time t: (theta+, phi+, g(t+dt), synth(Phi*), phi_grid+),
+    the last two None under imex_euler.
 
     Phi* = (Phi - dt F(Theta, Phi)) / (1 + dt M) with F frozen at the start
     state.  Under imex_euler F holds beta_eps and Phi+ = Phi*.  Under
@@ -173,11 +176,10 @@ def step_imex(prepared: PreparedStep, theta: np.ndarray, phi: np.ndarray, t: flo
     p, dt = prepared, prepared.dt
     fphi, start_grid = eval_nonlinearity(p.terms, theta, phi)
     phi_new = (phi - dt * fphi) / p.phi_denom
-    xi_grid = phi_grid = None
+    intermediate = phi_grid = None
     if p.prox is not None:
         intermediate = guard(synthesize(p.terms.basis_b, phi_new), "phase grid")
         phi_grid = p.prox(intermediate)
-        xi_grid = (intermediate - phi_grid) / dt
         phi_new = analyze(p.terms.basis_b, phi_grid)
     phi_new = guard(phi_new, "phi coefficients")
     coupled = apply_coupling(p.terms, start_grid, phi_new - phi)
@@ -185,17 +187,17 @@ def step_imex(prepared: PreparedStep, theta: np.ndarray, phi: np.ndarray, t: flo
     # + dt*g stays for a zero source too: it turns a -0.0 of theta - coupled
     # into the +0.0 the recorded series hold
     theta_new = guard((theta - coupled + dt * g) / p.theta_denom, "theta coefficients")
-    return theta_new, phi_new, g, xi_grid, phi_grid
+    return theta_new, phi_new, g, intermediate, phi_grid
 
 
 # what a snapshot records besides the state; `_finalize` derives the norms.
-# The four sums come in the order of `_LedgerAccumulator.sums`.
-_SUMS = ("diss_theta", "diss_phi", "work_source", "work_phi")
-_COLUMNS = ("t", "dtphi", "potential_integral") + _SUMS
+# The four sums and |d_t phi| come in the order of `_LedgerAccumulator.sums`.
+_REDUCED = ("diss_theta", "diss_phi", "work_source", "work_phi", "dtphi")
+_COLUMNS = ("t", "potential_integral") + _REDUCED
 
 
 class _LedgerAccumulator:
-    """The energy identity terms, reduced once per snapshot block, and the
+    """The energy identity terms, reduced once per block of steps, and the
     per-snapshot columns of a whole run.
 
     Dissipation and work integrals use the left-endpoint rule with forward
@@ -207,8 +209,8 @@ class _LedgerAccumulator:
     vecdot per term and np.add.accumulate, which adds in the order of a
     per-step +=.  The sums are scalars, or one entry per row of a stacked
     system.  The columns hold `n_rows` snapshots, `count` of them filled: the
-    state, |d_t phi|, the sums and the potential integral, and of an
-    unstacked proximal run the multiplier and grid iterates.
+    state, the potential integral, of an unstacked proximal run the multiplier
+    and grid iterates, and, once their block is reduced, |d_t phi| and sums.
     """
 
     def __init__(self, system: DiscreteSystem, n_rows: int, block_steps: int, prox: bool):
@@ -222,53 +224,51 @@ class _LedgerAccumulator:
         grids = prox and system.phi_stiff.ndim == 1
         self.xi = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
         self.phi_grid = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
-        # the block and the sums, whose row 0 carries them from the block
-        # before; the (n,) source sample of a stacked run gets a row axis
+        self.rows: list[int] = []  # the block rows of the snapshots to fill in
+        # the block and per row the sums and |d_t phi|, row 0 carrying the block
+        # before (0 at t = 0); the (n,) source of a stacked run gets a row axis
         block = (block_steps + 1,) + rows
         self.theta_block = np.empty(block + (system.n_a,))
         self.phi_block = np.empty(block + (system.n_b,))
         self.source_block = (np.empty((block_steps + 1,) + (1,) * len(rows) + (system.n_a,))
                              if system.source else None)
-        self.sums = np.zeros((len(_SUMS),) + block)
-        # scratch, so that a reduction allocates only its vecdots
-        self.dphi, self.phi_tmp = np.empty((2, block_steps) + rows + (system.n_b,))
-        self.theta_tmp = np.empty((block_steps,) + rows + (system.n_a,))
+        self.sums = np.zeros((len(_REDUCED),) + block)
 
-    def accumulate(self, steps: int, dt: float):
-        """Reduce the block's first `steps` steps into the sums, carried in
-        row 0; returns |d_t phi| of the last step.  phi - P(pi(phi)) is
-        phi + gamma*phi, since pi(v) = -gamma*v."""
+    def accumulate(self, steps: int, dt: float) -> None:
+        """Reduce the block's first `steps` steps, fill in the snapshots taken
+        in them and carry the sums and the last state into row 0.
+        phi - P(pi(phi)) is phi + gamma*phi, since pi(v) = -gamma*v."""
         sysm, k = self.system, steps
         theta, phi, sums = self.theta_block, self.phi_block, self.sums[:, :k + 1]
         start_theta, start_phi = theta[:k], phi[:k]
-        dphi = np.subtract(phi[1:k + 1], start_phi, out=self.dphi[:k])
-        stiff_theta = np.multiply(sysm.theta_stiff, start_theta, out=self.theta_tmp[:k])
-        np.multiply(dt, np.vecdot(stiff_theta, start_theta), out=sums[0, 1:])
+        dphi = phi[1:k + 1] - start_phi
+        np.multiply(dt, np.vecdot(sysm.theta_stiff * start_theta, start_theta), out=sums[0, 1:])
         dphi_sq = np.vecdot(dphi, dphi)
         np.divide(dphi_sq, dt, out=sums[1, 1:])
+        np.divide(np.sqrt(dphi_sq), dt, out=sums[4, 1:])
         if self.source_block is not None:
             np.multiply(dt, np.vecdot(self.source_block[1:k + 1], theta[1:k + 1]),
                         out=sums[2, 1:])
-        slope = np.multiply(sysm.potential.gamma, start_phi, out=self.phi_tmp[:k])
-        np.vecdot(np.add(start_phi, slope, out=slope), dphi, out=sums[3, 1:])
-        np.add.accumulate(sums, axis=1, out=sums)
+        np.vecdot(start_phi + sysm.potential.gamma * start_phi, dphi, out=sums[3, 1:])
+        np.add.accumulate(sums[:4], axis=1, out=sums[:4])
+        snapshots = slice(self.count - len(self.rows), self.count)
+        for name, per_row in zip(_REDUCED, sums):
+            self.cols[name][snapshots] = per_row[self.rows]
+        self.rows.clear()
         sums[:, 0] = sums[:, k]
-        return np.sqrt(dphi_sq[k - 1]) / dt
+        theta[0], phi[0] = theta[k], phi[k]
 
-    def record(self, t: float, theta: np.ndarray, phi: np.ndarray, dtphi,
+    def record(self, t: float, theta: np.ndarray, phi: np.ndarray, row: int,
                xi: np.ndarray | None, phi_grid: np.ndarray | None) -> None:
-        """Write one snapshot: the state at time t, |d_t phi| and the sums
-        carried in row 0; the state starts the next block."""
+        """Write one snapshot but for the sums and |d_t phi|, which the
+        reduction fills in from block row `row`."""
         k, c = self.count, self.cols
         c["t"][k] = t
-        c["dtphi"][k] = dtphi
         grid = phi_grid if phi_grid is not None else synthesize(self.system.basis_b, phi)
         density = potential_energy_density(self.system.potential, self.system.eps, grid)
         c["potential_integral"][k] = np.vecdot(self.system.basis_b.quad_weights, density)
-        for name, total in zip(_SUMS, self.sums[:, 0]):
-            c[name][k] = total
-        self.theta[k] = self.theta_block[0] = theta
-        self.phi[k] = self.phi_block[0] = phi
+        self.theta[k], self.phi[k] = theta, phi
+        self.rows.append(row)
         if self.xi is not None:
             # a proximal run hands every record its grid iterate
             self.xi[k] = 0.0 if xi is None else xi
@@ -312,22 +312,28 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
     theta, phi = project_data(system)
     prox = prepared.prox is not None
     n_rows = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
-    ledger = _LedgerAccumulator(system, n_rows, min(snapshot_stride, n_steps), prox)
+    block = min(LEDGER_BLOCK, n_steps)
+    ledger = _LedgerAccumulator(system, n_rows, block, prox)
 
     # prox runs ledger the datum grid at t = 0: the modal projection of a
     # clamped field can overshoot the obstacle and blow up the indicator
-    ledger.record(0.0, theta, phi, 0.0, None, system.phi0_grid if prox else None)
+    ledger.theta_block[0], ledger.phi_block[0] = theta, phi
+    ledger.record(0.0, theta, phi, 0, None, system.phi0_grid if prox else None)
     try:
         for k in range(1, n_steps + 1):
             # (k - 1)*dt, not the sum of k - 1 dt's, avoids drift in the times
-            theta, phi, g, xi_grid, phi_grid = step_imex(prepared, theta, phi, (k - 1) * dt)
-            j = (k - 1) % snapshot_stride + 1  # the step's row in its block
+            theta, phi, g, star_grid, phi_grid = step_imex(prepared, theta, phi, (k - 1) * dt)
+            j = (k - 1) % block + 1  # the step's row in its block
             ledger.theta_block[j], ledger.phi_block[j] = theta, phi
             if ledger.source_block is not None:
                 ledger.source_block[j] = g
             if k % snapshot_stride == 0 or k == n_steps:
-                ledger.record(k * dt, theta, phi, ledger.accumulate(j, dt), xi_grid, phi_grid)
+                xi = (star_grid - phi_grid) / dt if ledger.xi is not None else None
+                ledger.record(k * dt, theta, phi, j, xi, phi_grid)
+            if j == block or k == n_steps:
+                ledger.accumulate(j, dt)
     except (OverflowGuardError, ResolventError) as exc:
+        ledger.accumulate((k - 1) % block, dt)  # fills the unfinished block's snapshots
         raise BlowupError(f"{exc} in step {k}, t={k * dt!r}", _finalize(ledger), step=k,
                           t=k * dt, row=getattr(exc, "row", None)) from None
     return _finalize(ledger)

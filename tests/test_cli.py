@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 import fracphase.analysis
 import fracphase.cli
 import fracphase.config
+import fracphase.timestepper
 from conftest import read_manifest, read_timeseries
 from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
                            EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
                            _coordinate_text, _table, config_hash, main)
-from fracphase.config import (ConfigError, apply_overrides, load_raw_config,
+from fracphase.config import (ConfigError, apply_overrides, build_system, load_raw_config,
                               read_study, validate_config)
 from fracphase.potentials import double_obstacle_potential
-from fracphase.timestepper import BlowupError
+from fracphase.timestepper import BlowupError, integrate
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SMOKE = {
@@ -45,6 +46,17 @@ SMOKE = {
     "output": {"directory": "run", "grid_times": [0.0, 0.1]},
     "seed": 7,
 }
+
+
+# a proximal double-obstacle run at eps = 0 whose coupling drives phi onto
+# both contact sets phi = 1 and phi = -1
+OBSTACLE_CONTACT = dict(
+    SMOKE, potential={"kind": "double_obstacle", "c2": 0.5, "eps": 0.0},
+    coupling={"kind": "constant", "value": 2.0},
+    data={"theta0": [{"kind": "cos", "k": 1, "amplitude": 10.0}],
+          "phi0": [{"kind": "cos", "k": 1, "amplitude": 0.9}]},
+    scheme={"scheme": "implicit_prox", "dt": 0.002, "t_final": 0.1, "snapshot_stride": 5})
+OBSTACLE_CHECKS = ("obstacle_bound", "multiplier_sign")
 
 
 # a tiny Dirichlet/Neumann rectangle: exercises the mixed-basis paths
@@ -521,6 +533,7 @@ class TestManifestStatus:
         cfgd["scheme"]["scheme"] = "implicit_prox"
         code, manifest = self.run(tmp_path, "longtime", cfgd)
         assert code == EXIT_OK
+        assert set(OBSTACLE_CHECKS) <= set(manifest["checks"])
         assert all(check["passed"] for check in manifest["checks"].values())
 
     @staticmethod
@@ -1047,6 +1060,47 @@ class TestStudyCommands:
         sigma_zero = [row for row in rows if row[0] == "sigma_zero_multiplier"]
         assert [row[1] for row in sigma_zero] == ["interval_neumann", "interval_dirichlet"]
         assert all(float(row[3]) < 1.0 and row[5] == "true" for row in sigma_zero)
+
+    def test_obstacle_checks_pass_on_the_contact_sets(self, tmp_path):
+        cfg = validate_config(copy.deepcopy(OBSTACLE_CONTACT))
+        run = integrate(build_system(cfg), cfg.scheme, cfg.t_final, cfg.snapshot_stride)
+        assert (run.phi_grid_series == 1.0).any() and (run.phi_grid_series == -1.0).any()
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, OBSTACLE_CONTACT),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        checks = read_manifest(out)["checks"]
+        for name in OBSTACLE_CHECKS:
+            assert checks[name] == {"passed": True, "detail": {"worst_violation": 0.0}}
+
+    @pytest.mark.parametrize("payload", [
+        SMOKE, dict(OBSTACLE_CONTACT, potential={"kind": "double_obstacle", "c2": 0.5,
+                                                 "eps": 0.01})], ids=["regular", "eps>0"])
+    def test_obstacle_checks_only_where_they_hold(self, tmp_path, payload):
+        # at eps > 0 the Yosida-regularized step may leave [-1, 1]
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        assert not set(OBSTACLE_CHECKS) & set(read_manifest(out)["checks"])
+
+    @pytest.mark.parametrize("defect, failing", [("unclipped", "obstacle_bound"),
+                                                 ("flipped_xi", "multiplier_sign")])
+    def test_obstacle_checks_fail_on_a_defect(self, tmp_path, monkeypatch, defect, failing):
+        if defect == "unclipped":
+            # a prox step that skips the projection onto [-1, 1]
+            monkeypatch.setattr(fracphase.timestepper, "prox_step",
+                                lambda pot, eps, lam, s: np.array(s))
+        else:
+            def flipped(*args):
+                run = integrate(*args)
+                return dataclasses.replace(run, xi_series=-run.xi_series)
+
+            monkeypatch.setattr(fracphase.cli, "integrate", flipped)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, OBSTACLE_CONTACT),
+                     "--out", str(out), "--quiet"]) == EXIT_CHECK
+        checks = read_manifest(out)["checks"]
+        assert [name for name in OBSTACLE_CHECKS if not checks[name]["passed"]] == [failing]
+        assert checks[failing]["detail"]["worst_violation"] > 0.0
 
     def test_contdep_degenerate_ratio_fails_its_checks(self, tmp_path):
         # a shift of 1e-300 vanishes in theta0 + delta*mode: no data differ,

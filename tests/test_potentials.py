@@ -81,6 +81,18 @@ class TestResolvent:
         assert resolvent(pot, 5.0, np.array([-3.0]))[0] == -1.0
         assert resolvent(pot, 1.0, np.array([0.5]))[0] == 0.5
 
+    @pytest.mark.parametrize("shape", [(24,), (3, 8)], ids=["1d", "stacked"])
+    def test_obstacle_closed_form_has_the_bits_of_clip(self, shape):
+        # signed zeros, the bounds and their neighbours, NaN and large values
+        edges = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e300, -1e300,
+                 np.finfo(float).max, -np.finfo(float).max, np.nan, -np.nan]
+        edges += [np.nextafter(b, d) for b in (1.0, -1.0) for d in (np.inf, -np.inf)]
+        s = np.resize(np.array(edges), shape)
+        got = double_obstacle_potential(0.5).resolvent_closed_form(0.1, s)
+        want = np.clip(s, -1.0, 1.0)
+        assert got.shape == s.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_regular_against_bisection_oracle(self):
         pot = regular_potential()
         oracle = bisect_resolvent(lambda x: x**3, 0.1, 1.0, 0.0, 1.0)

@@ -85,7 +85,8 @@ class TestStepImplicitProx:
                           double_obstacle_potential(0.5))
         theta0, phi0 = project_data(system)
         prepared = prepare_step(system, SchemeConfig("implicit_prox", dt=0.05))
-        *_, xi, phi_grid = step_imex(prepared, theta0, phi0, 0.0)
+        *_, intermediate, phi_grid = step_imex(prepared, theta0, phi0, 0.0)
+        xi = (intermediate - phi_grid) / 0.05
         assert np.max(np.abs(phi_grid)) <= 1.0
         touching = phi_grid >= 1.0 - 1e-12
         assert np.any(touching) and np.all(xi[touching] >= 0.0)
@@ -176,8 +177,11 @@ class TestIntegrate:
             integrate(system, SchemeConfig("imex_euler", dt=1e-3), 0.01)
         assert calls == []
 
-    def test_one_step_per_step_and_one_ledger_reduction_per_snapshot(self, neumann8,
-                                                                      monkeypatch):
+    # 22 steps fill part of one block; 150 steps make blocks of 64, 64 and 22
+    @pytest.mark.parametrize("t_final, steps, reductions, snapshots",
+                             [(0.022, 22, 1, 6), (0.15, 150, 3, 31)])
+    def test_one_step_per_step_and_one_ledger_reduction_per_block(
+            self, neumann8, monkeypatch, t_final, steps, reductions, snapshots):
         # the per-layer profile wraps these two module-level names; a march
         # that inlined either would drop its span without failing otherwise
         system = assemble(smoke_data(), neumann8, neumann8, 0.5, 0.5, 1e-2,
@@ -196,10 +200,11 @@ class TestIntegrate:
         monkeypatch.setattr(fracphase.timestepper, "step_imex", counted_step)
         monkeypatch.setattr(fracphase.timestepper._LedgerAccumulator, "accumulate",
                             counted_ledger)
-        # 22 steps: snapshots after steps 5, 10, 15, 20 and the last one
-        run = integrate(system, SchemeConfig("imex_euler", dt=1e-3), 0.022, 5)
-        assert calls == {"step": 22, "ledger": 5}
-        assert run.times.size == 6
+        assert fracphase.timestepper.LEDGER_BLOCK == 64
+        # snapshots every 5 steps and after the last one
+        run = integrate(system, SchemeConfig("imex_euler", dt=1e-3), t_final, 5)
+        assert calls == {"step": steps, "ledger": reductions}
+        assert run.times.size == snapshots
 
     @pytest.mark.parametrize("dt, t_final", [(math.nan, 1.0), (math.inf, 1.0),
                                              (1e-3, math.nan)],
@@ -317,12 +322,20 @@ class TestEnergyLedger:
         ratios = [coarse / fine for coarse, fine in zip(peaks, peaks[1:])]
         assert all(3.8 <= ratio <= 4.2 for ratio in ratios[1:]), ratios
 
-    @pytest.mark.parametrize("case", ["one_basis", "mixed_sourced", "stacked",
-                                      "obstacle_prox"])
-    def test_sums_match_sequential_oracle(self, neumann8, dirichlet8, case):
-        # at stride 1 every state is recorded, so the sums can be redone from
-        # the series alone, term by term in the order of the march
+    # 50 steps: blocks of 1 and 3 steps, and of the default, one block; a
+    # stride of 7 ends in a 1-step snapshot interval, 1e9 records only t = 0.05
+    @pytest.mark.parametrize("block", [1, 3, fracphase.timestepper.LEDGER_BLOCK])
+    @pytest.mark.parametrize("case, stride", [
+        ("one_basis", 1), ("mixed_sourced", 1), ("stacked", 1), ("obstacle_prox", 1),
+        ("one_basis", 5), ("one_basis", 7), ("one_basis", 10**9), ("stacked", 7),
+        ("obstacle_prox", 5), ("smoke_blowup", 3)])
+    def test_sums_match_sequential_oracle(self, neumann8, dirichlet8, monkeypatch, case,
+                                          stride, block):
+        # the block length is no output's business: every array equals the
+        # per-step march's bit for bit
+        monkeypatch.setattr(fracphase.timestepper, "LEDGER_BLOCK", block)
         scheme = "implicit_prox" if case == "obstacle_prox" else "imex_euler"
+        config, t_final = SchemeConfig(scheme, dt=1e-3), 0.05
         if case == "one_basis":
             system = assemble(dataclasses.replace(smoke_data(), source=None), neumann8,
                               neumann8, 0.5, 0.5, 1e-2, regular_potential(1.0))
@@ -331,12 +344,39 @@ class TestEnergyLedger:
             system, _ = fast_and_oracle(smoke_data(), dirichlet8, neumann8,
                                         regular_potential(0.7), 1e-2)
         elif case == "stacked":
+            # a sourced pair
             system = stack_systems(stacked_rows("interval", scheme, True)[:2])
-        else:
+        elif case == "obstacle_prox":
             system, _ = fast_and_oracle(obstacle_data(), neumann8, neumann8,
                                         double_obstacle_potential(0.5), 0.0)
-        dt = 1e-3
-        run = integrate(system, SchemeConfig(scheme, dt=dt), 0.05, 1)
+        else:
+            # a fast-growing source trips the theta guard in step 472, inside
+            # a block of the default length
+            raw = load_raw_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                               "configs", "smoke.json"))
+            raw["data"]["source"]["time"]["rate"] = 70.0
+            cfg = validate_config(raw)
+            system, config, t_final = build_system(cfg), cfg.scheme, cfg.t_final
+            errors = []
+            for march in (integrate, oracle_integrate):
+                with pytest.raises(BlowupError) as info:
+                    march(system, config, t_final, stride)
+                errors.append(info.value)
+            got, want = errors
+            assert (got.step, got.t, got.row, str(got)) == (want.step, want.t, want.row,
+                                                            str(want))
+            assert got.step == 472 and got.partial.times.size == 158
+            assert_same_bits(got.partial, want.partial)
+            return
+        run = integrate(system, config, t_final, stride)
+        assert_same_bits(run, oracle_integrate(system, config, t_final, stride))
+        assert (run.xi_series is not None) == (case == "obstacle_prox")
+        assert (not system.source) == (case == "one_basis")
+        if stride > 1:
+            return
+        # at stride 1 every state is recorded, so the sums can be redone from
+        # the series alone, term by term in the order of the march
+        dt = config.dt
         theta, phi, gamma = run.theta_series, run.phi_series, system.potential.gamma
         rows = phi.shape[1:-1]
         sums = dict.fromkeys(("diss_theta", "diss_phi", "work_source", "work_phi"), 0.0)
@@ -353,7 +393,6 @@ class TestEnergyLedger:
             sums["work_phi"] += np.vecdot(phi[k] - (-gamma * phi[k]), dphi)
             for name, total in sums.items():
                 want[name].append(np.full(rows, total))  # a copy: += works in place
-        assert (not system.source) == (case == "one_basis")
         for name, series in want.items():
             assert np.array_equal(getattr(run.ledger, name), np.array(series)), name
 
@@ -740,10 +779,12 @@ class TestMergedStepAgainstOracle:
         prepared = prepare_step(system, SchemeConfig(scheme, dt=1e-2))
         state = State(0.0, *project_data(system))
         for _ in range(5):
-            theta, phi, g, xi_grid, phi_grid = step_imex(prepared, state.theta, state.phi,
-                                                         state.t)
+            theta, phi, g, intermediate, phi_grid = step_imex(prepared, state.theta,
+                                                              state.phi, state.t)
             expected = oracle(system, state, 1e-2)
             want = step_arrays(expected)
+            # the multiplier as integrate forms it where it records one
+            xi_grid = None if phi_grid is None else (intermediate - phi_grid) / 1e-2
             got = {"theta": theta, "phi": phi, "source": g, "dphi": phi - state.phi,
                    "xi_grid": xi_grid, "phi_grid": phi_grid}
             for name in want:
@@ -835,7 +876,7 @@ class OracleLedger:
 def oracle_integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
                      snapshot_stride: int):
     """The per-step march and ledger: integrate's loop before the ledger was
-    reduced per snapshot block, over the oracle steps."""
+    reduced per block, over the oracle steps."""
     dt = scheme.dt
     n_steps = step_count(t_final, dt)
     theta0, phi0 = project_data(system)
@@ -874,7 +915,7 @@ def assert_same_bits(run, want):
 
 
 class TestBlockedLedgerAgainstOracle:
-    """The ledger reduced once per snapshot block against the per-step one."""
+    """The ledger reduced once per block against the per-step one."""
 
     # 50 steps to t = 0.05: a stride of 7 leaves a last block of 1 step, 1000
     # makes one block.  By t = 1.5 a source sampled at k*dt instead of the
@@ -904,7 +945,7 @@ class TestBlockedLedgerAgainstOracle:
                          oracle_integrate(system, config, t_final, stride))
 
     def test_blowup_mid_block_keeps_step_row_and_partial(self, neumann8):
-        # row 1 blows up in step 3, the first step of the second block
+        # row 1 blows up in step 3, after the snapshot of step 2 in the same block
         potential = regular_potential(1.0)
 
         def row(value):
