@@ -92,9 +92,7 @@ class _Reader:
         recording a problem when it breaks `rule` or a section on its path is
         not an object.  A key whose default is None may also be null."""
         path, _, name = key.rpartition(".")
-        node = self._sections.get(path, False)
-        if node is False:
-            node = self._section(path)
+        node = self._section(path)
         if node is None:
             return None
         value = node.get(name, default)

@@ -199,12 +199,10 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
     theta0_grid = resolve_field(data.theta0, basis_a, "theta0")
     phi0_grid = resolve_field(data.phi0, basis_b, "phi0")
 
-    bh0 = potential.beta_hat(phi0_grid)
-    if not np.all(np.isfinite(bh0)):
-        bad = np.flatnonzero(~np.isfinite(bh0))
-        report = ", ".join(
-            f"node {k}: phi0={phi0_grid[k]:.6g}" for k in bad[:5]
-        )
+    lo, hi = potential.domain
+    bad = np.flatnonzero(~((lo <= phi0_grid) & (phi0_grid <= hi)))
+    if bad.size:
+        report = ", ".join(f"node {k}: phi0={float(phi0_grid[k])!r}" for k in bad[:5])
         raise ValidationError(
             f"phi0 leaves the domain of the convex potential at {bad.size} node(s): {report}"
         )

@@ -8,23 +8,27 @@ perturbation pi_hat with Lipschitz derivative pi.  Three canonical splits ship:
   logarithmic     beta_hat = (1+s)ln(1+s)+(1-s)ln(1-s) on [-1,1], pi_hat = -c1 s^2
   double obstacle beta_hat = indicator of [-1,1],                 pi_hat = -c2 s^2
 
-plus the inert split "none".  The resolvent J_eps = (I + eps*beta)^{-1} has a
-closed form for the regular (a real cubic root) and obstacle (a projection)
-splits; the logarithmic split solves it by safeguarded Newton with a
-guaranteed bisection bracket.  The Yosida map and the Moreau envelope derive
-from it.
+plus the inert split "none".  Every split declares the solver of its
+resolvent J_eps = (I + eps*beta)^{-1}: a real cubic root for the regular
+split, a projection for the obstacle, and for the logarithmic split a Newton
+iteration on artanh(x) that needs no bracket.  The Yosida map and the Moreau
+envelope derive from it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-NEWTON_TOL = 1e-12          # acceptance threshold for the residual
-NEWTON_MAX_ITERS = 100
-BISECTION_MAX_ITERS = 200
+# Newton on y = artanh(x) climbs at least 1/2 per step while the root lies in
+# tanh's flat tail, so this many steps reach _ATANH_MAX from 0
+LOG_NEWTON_MAX_ITERS = 64
+# tanh(20) rounds to 1.0: past it no root is representable, and bounding y
+# there keeps 2*eps*y finite for every finite s
+_ATANH_MAX = 20.0
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 # `resolvent` accepts a solution outright when the sum of its squared
 # residuals is at most this.  The sum bounds every squared residual, and half
@@ -46,19 +50,19 @@ class Potential:
     """A convex/concave split with everything the solver needs.
 
     beta is the minimal section of the subdifferential of beta_hat, defined on
-    the open part of the domain; beta_prime feeds Newton, so a split without a
-    closed-form resolvent declares it.  Every split's Lipschitz part is
-    pi(v) = -gamma*v (pi_hat = -gamma*s^2/2 up to a constant), so gamma is all
-    of it.  The callables take and return float arrays.
+    the open part of the domain; domain is the closed domain of beta_hat.
+    resolvent_solver(eps, s) solves x + eps*beta(x) = s pointwise.  Every
+    split's Lipschitz part is pi(v) = -gamma*v (pi_hat = -gamma*s^2/2 up to a
+    constant), so gamma is all of it.  The callables take and return float
+    arrays.
     """
 
     kind: str
     beta_hat: Callable[[np.ndarray], np.ndarray]
     beta: Callable[[np.ndarray], np.ndarray]
-    beta_prime: Optional[Callable[[np.ndarray], np.ndarray]]
     gamma: float
     domain: tuple[float, float]
-    resolvent_closed_form: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    resolvent_solver: Callable[[float, np.ndarray], np.ndarray]
 
     @property
     def multivalued(self) -> bool:
@@ -89,10 +93,9 @@ def regular_potential(gamma: float = 1.0) -> Potential:
         beta_hat=lambda s: s ** 4 / 4.0,
         # s*s*s: numpy's float power has no fast path for the exponent 3
         beta=lambda s: s * s * s,
-        beta_prime=lambda s: 3.0 * s ** 2,
         gamma=gamma,
         domain=(-np.inf, np.inf),
-        resolvent_closed_form=_cubic_resolvent,
+        resolvent_solver=_cubic_resolvent,
     )
 
 
@@ -114,6 +117,32 @@ def _log_beta(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_resolvent(eps: float, s: np.ndarray) -> np.ndarray:
+    """Root of x + eps*ln((1+x)/(1-x)) = s by Newton on y = artanh(x).
+
+    There the equation is tanh(y) + 2*eps*y = |s|, increasing and concave for
+    y >= 0, so Newton from y = 0 climbs monotonically to the root; the sign of
+    s is restored at the end, which makes J odd bit for bit.  A root closer
+    to +-1 than float resolution returns an interior float (the last one
+    below 1 once tanh rounds to 1), and the residual check of `resolvent`
+    decides whether it is usable.
+    """
+    a = np.abs(s)
+    c = 2.0 * eps
+    tol = 1e-15 * (1.0 + a)
+    y = np.zeros_like(a)
+    for _ in range(LOG_NEWTON_MAX_ITERS):
+        g = np.tanh(y) + c * y - a
+        active = (np.abs(g) > tol) & (y < _ATANH_MAX)
+        if not active.any():
+            break
+        # a point at rest takes no step, which may overflow at the bound
+        cosh = np.cosh(y)
+        step = np.divide(g, 1.0 / (cosh * cosh) + c, out=np.zeros_like(y), where=active)
+        y = np.minimum(y - step, _ATANH_MAX)
+    return np.copysign(np.minimum(np.tanh(y), _BELOW_ONE), s)
+
+
 def logarithmic_potential(c1: float) -> Potential:
     """Logarithmic double well; c1 > 1 makes the full potential nonconvex."""
     if c1 <= 1.0:
@@ -122,9 +151,9 @@ def logarithmic_potential(c1: float) -> Potential:
         kind="logarithmic",
         beta_hat=_log_beta_hat,
         beta=_log_beta,
-        beta_prime=lambda s: 2.0 / (1.0 - s ** 2),
         gamma=2.0 * c1,
         domain=(-1.0, 1.0),
+        resolvent_solver=_log_resolvent,
     )
 
 
@@ -143,11 +172,10 @@ def double_obstacle_potential(c2: float) -> Potential:
         kind="double_obstacle",
         beta_hat=beta_hat,
         beta=beta_min,
-        beta_prime=None,
         gamma=2.0 * c2,
         domain=(-1.0, 1.0),
         # np.clip's values (NaN and -0.0 included) without its Python layers
-        resolvent_closed_form=lambda eps, s: np.minimum(np.maximum(s, -1.0), 1.0),
+        resolvent_solver=lambda eps, s: np.minimum(np.maximum(s, -1.0), 1.0),
     )
 
 
@@ -158,38 +186,17 @@ def zero_potential() -> Potential:
         kind="none",
         beta_hat=zero,
         beta=zero,
-        beta_prime=zero,
         gamma=0.0,
         domain=(-np.inf, np.inf),
-        resolvent_closed_form=lambda eps, s: s.copy(),
+        resolvent_solver=lambda eps, s: s.copy(),
     )
-
-
-def _newton_bracket(pot: Potential, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Guaranteed bracket for x + eps*beta(x) = s.
-
-    The root lies between 0 and s (beta is monotone with 0 in beta(0)), so the
-    wide bracket [min(s,0)-|s|-1, max(s,0)+|s|+1] always contains it; bounded
-    domains shrink it to representable interior points.
-    """
-    lo = np.minimum(s, 0.0) - np.abs(s) - 1.0
-    hi = np.maximum(s, 0.0) + np.abs(s) + 1.0
-    dlo, dhi = pot.domain
-    if np.isfinite(dlo):
-        lo = np.maximum(lo, np.nextafter(dlo, dhi))
-    if np.isfinite(dhi):
-        hi = np.minimum(hi, np.nextafter(dhi, dlo))
-    return lo, hi
 
 
 def resolvent(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     """J_eps(s): the unique solution of x + eps*beta(x) = s, pointwise.
 
-    A closed form is used when the potential declares one (the cubic root for
-    the regular split, the projection onto [-1, 1] for the obstacle);
-    otherwise a Newton iteration with bracketed bisection fallback drives the
-    residual to the representable floor.  Every single-valued solution passes
-    the same residual sanity check.
+    The potential's own solver computes it, and every single-valued solution
+    passes the same residual sanity check.
     """
     if eps <= 0.0:
         raise ValueError(f"resolvent level eps must be positive, got {eps}")
@@ -199,14 +206,12 @@ def resolvent(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     # returns as inf without a warning)
     if not math.isfinite(np.vdot(s_arr, s_arr)) and not np.isfinite(s_arr).all():
         raise ValueError("resolvent input must be finite")
-    if pot.resolvent_closed_form is None:
-        x, residual = _newton_resolvent(pot, eps, s_arr)
-    else:
-        x = pot.resolvent_closed_form(eps, s_arr)
-        # the obstacle projection is exact and its beta is multivalued
-        residual = None if pot.multivalued else x + eps * pot.beta(x) - s_arr
+    x = pot.resolvent_solver(eps, s_arr)
+    if pot.multivalued:  # the obstacle projection is exact
+        return x
+    residual = x + eps * pot.beta(x) - s_arr
     # one dot accepts most calls (NaN fails it); the per-point bound decides
-    if residual is not None and not np.vdot(residual, residual) <= _RESIDUAL_SUM_SQ:
+    if not np.vdot(residual, residual) <= _RESIDUAL_SUM_SQ:
         residual = np.abs(residual)
         sanity = 1e-6 * (1.0 + np.abs(s_arr))
         if not (residual <= sanity).all():
@@ -217,51 +222,6 @@ def resolvent(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
                 f"{residual.flat[worst]:.3e} at s={s_arr.flat[worst]!r}"
             )
     return x
-
-
-def _newton_resolvent(pot: Potential, eps: float,
-                      s_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Safeguarded Newton with bisection fallback; returns (x, |residual|)."""
-    lo, hi = _newton_bracket(pot, s_arr)
-    x = np.clip(s_arr, lo, hi)
-
-    def residual(v):
-        return v + eps * pot.beta(v) - s_arr
-
-    f = residual(x)
-    best_x, best_f = x, np.abs(f)
-    for _ in range(NEWTON_MAX_ITERS):
-        improved = np.abs(f) < best_f
-        best_x = np.where(improved, x, best_x)
-        best_f = np.where(improved, np.abs(f), best_f)
-        active = best_f > NEWTON_TOL
-        if not np.any(active):
-            break
-        # keep the sign-based bracket current (residual is increasing in x)
-        hi = np.where(f > 0.0, np.minimum(hi, x), hi)
-        lo = np.where(f < 0.0, np.maximum(lo, x), lo)
-        fp = 1.0 + eps * pot.beta_prime(x)
-        step = np.where(fp > 0.0, f / np.where(fp > 0.0, fp, 1.0), 0.0)
-        cand = x - step
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        x = np.where(active, cand, x)
-        f = residual(x)
-
-    active = best_f > NEWTON_TOL
-    for _ in range(BISECTION_MAX_ITERS):
-        if not np.any(active) or not np.any(hi[active] > lo[active]):
-            break
-        mid = 0.5 * (lo + hi)
-        collapsed = (mid <= lo) | (mid >= hi)
-        fm = residual(mid)
-        improved = active & (np.abs(fm) < best_f)
-        best_x = np.where(improved, mid, best_x)
-        best_f = np.where(improved, np.abs(fm), best_f)
-        hi = np.where(active & (fm > 0.0), mid, hi)
-        lo = np.where(active & (fm <= 0.0), mid, lo)
-        active = active & ~collapsed & (best_f > NEWTON_TOL)
-    return best_x, best_f
 
 
 def yosida(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:

@@ -41,6 +41,19 @@ def smoke_run(basis, dt=1e-3, eps=1e-2, t_final=0.5, scheme="imex_euler",
     return system, run
 
 
+def bisect_resolvent(beta, eps, s, lo, hi, iters=200):
+    """Independent bisection oracle for x + eps*beta(x) = s, pointwise on
+    the bracket [lo, hi] (broadcast against s)."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        above = mid + eps * beta(mid) - s > 0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return 0.5 * (lo + hi)
+
+
 def gauss_legendre_gram(basis_a, basis_b, nodes=200):
     """(e^a_i, e^b_j) by a `nodes`-point Gauss-Legendre rule per axis.
 

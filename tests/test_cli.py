@@ -1020,7 +1020,7 @@ class TestStudyCommands:
         # an obstacle projection that returns NaN: each obstacle row's worst is
         # NaN, which fails the row instead of being skipped
         def nan_obstacle(c2):
-            return dataclasses.replace(double_obstacle_potential(c2), resolvent_closed_form=(
+            return dataclasses.replace(double_obstacle_potential(c2), resolvent_solver=(
                 lambda eps, s: np.full_like(s, np.nan)))
 
         monkeypatch.setattr(fracphase.cli, "double_obstacle_potential", nan_obstacle)
@@ -1071,6 +1071,24 @@ class TestStudyCommands:
         checks = read_manifest(out)["checks"]
         for name in OBSTACLE_CHECKS:
             assert checks[name] == {"passed": True, "detail": {"worst_violation": 0.0}}
+
+    @pytest.mark.parametrize("value", [1.0, -1.0, 1.0 + 5e-13, -1.0 - 2e-12])
+    def test_obstacle_datum_validates_as_the_bound_check_reads_it(self, tmp_path, value):
+        # a datum on [-1, 1] runs and passes both checks; one past it, even by
+        # less than the obstacle's rounding slack, is a validation failure
+        payload = dict(OBSTACLE_CONTACT, data=dict(
+            OBSTACLE_CONTACT["data"], phi0=[{"kind": "constant", "value": value}]))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out), "--quiet"])
+        manifest = read_manifest(out)
+        if abs(value) <= 1.0:
+            assert code == EXIT_OK
+            assert all(manifest["checks"][name]["passed"] for name in OBSTACLE_CHECKS)
+        else:
+            assert code == EXIT_CONFIG
+            assert manifest["failure"]["stage"] == "validation"
+            assert f"phi0={value!r}" in manifest["failure"]["message"]
 
     @pytest.mark.parametrize("payload", [
         SMOKE, dict(OBSTACLE_CONTACT, potential={"kind": "double_obstacle", "c2": 0.5,

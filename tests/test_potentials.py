@@ -1,10 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bisect_resolvent
 from fracphase.potentials import (Potential, ResolventError,
                                   double_obstacle_potential,
                                   logarithmic_potential, moreau, prox_step,
@@ -20,26 +22,12 @@ KINDS = {
 }
 
 
-# beta(s) = s, whose resolvent s/(1+eps) has a closed form to compare against;
-# without one declared it runs the Newton path
+# beta(s) = s, whose resolvent s/(1+eps) has a closed form to compare against
 LINEAR = Potential(kind="linear",
                    beta_hat=lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
                    beta=lambda s: np.asarray(s, dtype=float),
-                   beta_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                   gamma=0.0, domain=(-np.inf, np.inf))
-
-
-def bisect_resolvent(beta, eps, s, lo, hi, iters=200):
-    """Independent bisection oracle for x + eps*beta(x) = s."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid + eps * beta(mid) - s > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+                   gamma=0.0, domain=(-np.inf, np.inf),
+                   resolvent_solver=lambda eps, s: s / (1.0 + eps))
 
 
 class TestCanonicalSplits:
@@ -88,7 +76,7 @@ class TestResolvent:
                  np.finfo(float).max, -np.finfo(float).max, np.nan, -np.nan]
         edges += [np.nextafter(b, d) for b in (1.0, -1.0) for d in (np.inf, -np.inf)]
         s = np.resize(np.array(edges), shape)
-        got = double_obstacle_potential(0.5).resolvent_closed_form(0.1, s)
+        got = double_obstacle_potential(0.5).resolvent_solver(0.1, s)
         want = np.clip(s, -1.0, 1.0)
         assert got.shape == s.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -101,7 +89,55 @@ class TestResolvent:
 
     def test_logarithmic_fixes_origin(self):
         pot = logarithmic_potential(2.0)
-        assert resolvent(pot, 0.8, np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-13)
+        assert resolvent(pot, 0.8, np.array([0.0]))[0] == 0.0
+
+    def test_logarithmic_against_bisection_oracle(self):
+        pot, s_range, eps_range = KINDS["logarithmic"]
+        s = np.linspace(*s_range, 321)
+        for eps in np.geomspace(*eps_range, 8):
+            oracle = bisect_resolvent(pot.beta, eps, s, -1.0, 1.0)
+            assert np.max(np.abs(resolvent(pot, float(eps), s) - oracle)) <= 1e-12, eps
+
+    def test_logarithmic_is_odd_bit_for_bit_and_stacks_by_row(self):
+        pot = logarithmic_potential(2.0)
+        s = np.linspace(-1.6, 1.6, 33).reshape(3, 11)  # holds 0.0
+        j = resolvent(pot, 0.1, s)
+        assert j.shape == s.shape
+        assert np.array_equal(resolvent(pot, 0.1, -s).view(np.int64), (-j).view(np.int64))
+        for row in range(3):
+            assert np.array_equal(resolvent(pot, 0.1, s[row]), j[row])
+
+    @pytest.mark.parametrize("s", [1.0 + 1e-15, 1.0 + 1e-14, 1.0 + 1e-9, 1.0 + 1e-7])
+    def test_logarithmic_root_past_float_resolution_stays_interior(self, s):
+        # at eps = 1e-300 the root is closer to +-1 than float resolution: an
+        # interior float within the solver's tolerance is returned, the last
+        # one once tanh rounds to 1, and its residual passes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = resolvent(logarithmic_potential(2.0), 1e-300, np.array([s, -s]))
+        edge = np.nextafter(1.0, 0.0)
+        assert x[0] == -x[1] and 1.0 - 1e-15 <= x[0] <= edge
+        if s > 1.0 + 1e-15:
+            assert x[0] == edge
+
+    @pytest.mark.parametrize("eps,s", [(1e300, 1e12), (1e100, 1e50), (1.0, 1e-300)])
+    def test_logarithmic_root_near_zero_has_no_overflow(self, eps, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = resolvent(logarithmic_potential(2.0), eps, np.array([s, -s]))
+        # tanh(y) + 2*eps*y = s with y ~ s/(1 + 2*eps) tiny
+        assert x == pytest.approx(np.array([s, -s]) / (1.0 + 2.0 * eps), rel=1e-14)
+
+    @pytest.mark.parametrize("eps,s", [(1e-300, 1e12), (1e-300, 1.7e308), (1e300, 1.7e308),
+                                       (1.0, 1e12), (1e-5, 10.0)])
+    def test_logarithmic_unrepresentable_root_fails_without_overflow(self, eps, s):
+        # the root is 1 to float resolution, where beta is off its domain:
+        # the residual check rejects the last interior float, and nothing
+        # warns, also while a point beside it still iterates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolventError, match="kind=logarithmic"):
+                resolvent(logarithmic_potential(2.0), eps, np.array([s, -s, 0.5]))
 
     def test_residuals_on_window(self):
         rng = np.random.default_rng(11)
@@ -115,9 +151,9 @@ class TestResolvent:
                     res = np.abs(j + eps * pot.beta(j) - s)
                 assert np.max(res) <= 1e-10, name
 
-    def test_closed_form_is_residual_checked(self):
+    def test_solver_is_residual_checked(self):
         wrong = dataclasses.replace(regular_potential(),
-                                    resolvent_closed_form=lambda eps, s: s.copy())
+                                    resolvent_solver=lambda eps, s: s.copy())
         with pytest.raises(ResolventError, match="residual"):
             resolvent(wrong, 1.0, np.array([0.0, 2.0]))
         # a stacked (2-D) input reports the failing point as well
@@ -205,18 +241,16 @@ def test_convex_analysis_properties(kind, seed):
         assert np.max(np.abs(by_s - np.asarray(pot.beta(js)))) <= 1e-6 / eps * 1e-3
 
 
-# the regular split with its closed form removed runs the Newton path
-NEWTON_REGULAR = dataclasses.replace(regular_potential(), resolvent_closed_form=None)
-
-
 @settings(max_examples=200, deadline=None)
 @given(log_eps=st.floats(-6.0, 3.0),
        s=st.lists(st.floats(-1e11, 1e11), min_size=1, max_size=16))
-def test_cubic_resolvent_matches_newton_oracle(log_eps, s):
+def test_cubic_resolvent_matches_bisection_oracle(log_eps, s):
     eps = 10.0 ** log_eps
     s = np.asarray(s)
     x = np.asarray(resolvent(regular_potential(), eps, s))
-    oracle = np.asarray(resolvent(NEWTON_REGULAR, eps, s))
+    # the root lies between 0 and s
+    oracle = bisect_resolvent(lambda v: v * v * v, eps, s, np.minimum(s, 0.0),
+                              np.maximum(s, 0.0))
     assert np.all(np.abs(x - oracle) <= 1e-11 * (1.0 + np.abs(oracle)))
     assert np.all(np.abs(x + eps * x**3 - s) <= 2e-15 * (1.0 + np.abs(s)))
     for bad in (np.nan, np.inf):
@@ -310,7 +344,7 @@ def test_resolvent_finiteness_fast_path_matches_exact(s, stacked):
 def exact_residual_message(pot, eps, s):
     """The per-point residual check `resolvent` accepts on one dot product in
     front of: the message of the error it raises, None when it accepts."""
-    x = pot.resolvent_closed_form(eps, s)
+    x = pot.resolvent_solver(eps, s)
     residual = np.abs(x + eps * np.asarray(pot.beta(x), dtype=float) - s)
     sanity = 1e-6 * (1.0 + np.abs(s))
     if (residual <= sanity).all():
@@ -333,7 +367,7 @@ def test_residual_check_fast_path_matches_exact(s, eps, data):
                                             min_size=s.size, max_size=s.size)))
     offsets[where] = data.draw(st.sampled_from([1e-5, -1e-5, 0.0]))
     wrong = dataclasses.replace(
-        LINEAR, resolvent_closed_form=lambda eps, s: s / (1.0 + eps) + offsets)
+        LINEAR, resolvent_solver=lambda eps, s: s / (1.0 + eps) + offsets)
     expected = exact_residual_message(wrong, eps, s)
     if expected is None:
         assert np.array_equal(resolvent(wrong, eps, s), s / (1.0 + eps) + offsets)

@@ -9,7 +9,7 @@ import pytest
 
 import fracphase.galerkin
 import fracphase.timestepper
-from conftest import smoke_data, smoke_run
+from conftest import bisect_resolvent, smoke_data, smoke_run
 from fracphase.config import build_system, load_raw_config, validate_config
 from fracphase.expressions import build_source
 from fracphase.galerkin import (Coupling, DiscreteSystem, OverflowGuardError,
@@ -440,11 +440,13 @@ SMOKE_SOURCE = {"space": {"kind": "cos", "k": 1, "amplitude": 0.5},
 
 
 def fast_and_oracle(data, basis_a, basis_b, potential, eps, sigma=0.5):
-    """The shipped system and its slow twin: Newton resolvent (where the split
-    is smooth) and the source sampled on the grid and analyzed at every step."""
+    """The shipped system and its slow twin: a bisection resolvent (for the
+    regular split) and the source sampled on the grid and analyzed at every
+    step."""
     slow_pot = potential
     if potential.kind == "regular":
-        slow_pot = dataclasses.replace(potential, resolvent_closed_form=None)
+        slow_pot = dataclasses.replace(potential, resolvent_solver=lambda eps, s: bisect_resolvent(
+            potential.beta, eps, s, np.minimum(s, 0.0), np.maximum(s, 0.0)))
     source = build_source(SMOKE_SOURCE, basis_a)
     fast = dataclasses.replace(data, source=source)
     slow = assemble(fast, basis_a, basis_b, 0.5, sigma, eps, slow_pot)
