@@ -20,7 +20,7 @@ from .galerkin import DiscreteSystem, eval_nonlinearity, prepare_terms, project_
     stack_systems
 from .spectral import SpectralBasis, analyze, cross_gram, graph_norms, \
     kernel_projection
-from .timestepper import RunOutput, SchemeConfig, integrate
+from .timestepper import RunOutput, SchemeConfig, integrate, scheme_problem
 
 
 def running_time_integral(times: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -175,8 +175,8 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
     tail_fraction of the run, the residual of the discrete stationary phase
     equation at the final state, and the part of the final temperature off
     ker A (it vanishes when the kernel is trivial).  A run that recorded the
-    proximal multiplier supplies the convex part of that equation with it,
-    so a multivalued potential at eps = 0 needs no explicit beta.
+    proximal multiplier supplies the convex part of that equation with it;
+    any other takes beta_eps explicitly, a ValueError where it has no value.
     """
     k0 = int(np.floor((1.0 - tail_fraction) * (run.times.size - 1)))
     ar_theta = np.sqrt(np.sum(system.theta_stiff * run.theta_series**2, axis=1))
@@ -186,6 +186,9 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
     theta_f = run.theta_series[-1]
     phi_f = run.phi_series[-1]
     prox = run.xi_series is not None
+    if not prox and scheme_problem(system.potential, system.eps, "imex_euler"):
+        raise ValueError(f"{system.potential.kind} at eps = 0 has no explicit beta and "
+                         "the run recorded no multiplier: march the row alone")
     fphi, _ = eval_nonlinearity(prepare_terms(system, explicit_beta=not prox),
                                 theta_f, phi_f)
     if prox:

@@ -31,11 +31,10 @@ from . import __version__
 from .analysis import (contdep_report, convergence_study, omega_limit_probe,
                        relaxation_limit_study)
 from .config import (DEFAULT_GRID_FACTOR, ConfigError, RunConfig, apply_overrides,
-                     build_bases, build_problem_data, build_system, load_raw_config,
-                     read_study, validate_config)
+                     build_system, build_systems, load_raw_config, read_study,
+                     validate_config)
 from .expressions import ExpressionError
-from .galerkin import (OverflowGuardError, ValidationError, assemble, resolve_field,
-                       stack_systems)
+from .galerkin import OverflowGuardError, ValidationError, resolve_field, stack_systems
 from .potentials import (ResolventError, double_obstacle_potential,
                          logarithmic_potential, moreau, regular_potential,
                          resolvent, yosida)
@@ -275,15 +274,6 @@ def _cmd_simulate(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str
     return f"simulate: {run.times.size} snapshots, max energy residual {resid:.3e}"
 
 
-def _assemble_levels(cfg: RunConfig, levels) -> list:
-    """The config's system at each (sigma, eps) of `levels`, assembled over
-    bases, data and potential built once."""
-    basis_a, basis_b = build_bases(cfg)
-    data = build_problem_data(cfg, basis_a, basis_b)
-    return [assemble(data, basis_a, basis_b, cfg.operator_a.exponent, float(sigma),
-                     float(eps), cfg.potential) for sigma, eps in levels]
-
-
 def _cmd_converge(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
     axis, values = study["axis"], study["values"]
     if axis == "n_modes":
@@ -294,9 +284,9 @@ def _cmd_converge(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str
             for name in ("operator_a", "operator_b")})) for value in values]
     else:
         sigma, eps = cfg.operator_b.exponent, cfg.eps
-        systems = _assemble_levels(cfg, [(value if axis == "sigma" else sigma,
-                                          value if axis == "eps" else eps)
-                                         for value in values])
+        systems = build_systems(cfg, [(value if axis == "sigma" else sigma,
+                                       value if axis == "eps" else eps)
+                                      for value in values])
     manifest.advise(*systems)
 
     def march(system, dt, stride):
@@ -381,7 +371,7 @@ def _cmd_longtime(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str
 
 
 def _cmd_relaxlimit(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
-    ladder = _assemble_levels(cfg, [(sigma, cfg.eps) for sigma in study["sigmas"]])
+    ladder = build_systems(cfg, [(sigma, cfg.eps) for sigma in study["sigmas"]])
     manifest.advise(*ladder)
     report = relaxation_limit_study(ladder, cfg.scheme.dt, cfg.t_final, cfg.snapshot_stride)
 

@@ -398,9 +398,15 @@ def build_problem_data(cfg: RunConfig, basis_a: SpectralBasis,
     return ProblemData(theta0=theta0, phi0=phi0, source=source, coupling=cfg.coupling)
 
 
-def build_system(cfg: RunConfig):
-    """Assemble the discrete system a config describes."""
+def build_systems(cfg: RunConfig, levels) -> list:
+    """The config's system at each (sigma, eps) of `levels`, assembled over
+    bases and data built once."""
     basis_a, basis_b = build_bases(cfg)
     data = build_problem_data(cfg, basis_a, basis_b)
-    return assemble(data, basis_a, basis_b, cfg.operator_a.exponent,
-                    cfg.operator_b.exponent, cfg.eps, cfg.potential)
+    return [assemble(data, basis_a, basis_b, cfg.operator_a.exponent, float(sigma),
+                     float(eps), cfg.potential) for sigma, eps in levels]
+
+
+def build_system(cfg: RunConfig):
+    """Assemble the discrete system a config describes."""
+    return build_systems(cfg, [(cfg.operator_b.exponent, cfg.eps)])[0]

@@ -186,6 +186,10 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
         raise ValidationError(f"exponent sigma must be positive, got {sigma}")
     if eps < 0.0:
         raise ValidationError(f"Yosida level eps must be nonnegative, got {eps}")
+    # the splits multiply values up to OVERFLOW_LIMIT by eps (compared in logs)
+    if np.log(max(eps, 1.0)) + np.log(OVERFLOW_LIMIT) >= _LOG_FLOAT_MAX:
+        raise ValidationError(f"Yosida level eps = {eps:g} overflows the potential: "
+                              "eps * OVERFLOW_LIMIT exceeds the float range")
     for name, basis, value in (("r", basis_a, r), ("sigma", basis_b, sigma)):
         # decided before the power is taken, so no overflow warning prints
         if 2.0 * value * np.log(max(basis.eigenvalues.max(), 1.0)) >= _LOG_FLOAT_MAX:
@@ -230,7 +234,7 @@ def assemble(data: ProblemData, basis_a: SpectralBasis, basis_b: SpectralBasis,
     # every split pairs pi_hat = -gamma*s^2/2 (+ const) with a beta_hat_eps
     # growing like s^2/(2*eps), so their sum is coercive exactly when
     # eps*gamma < 1; at eps = 0 beta_hat dominates or bounds the domain
-    if eps > 0.0 and eps * potential.gamma >= 1.0:
+    if eps * potential.gamma >= 1.0:
         advisories.append(
             f"eps*gamma = {eps * potential.gamma:.3g} >= 1: beta_hat_eps + pi_hat is "
             "then unbounded below, and the coercivity assumed of the potential fails")
@@ -342,11 +346,8 @@ def prepare_terms(system: DiscreteSystem, explicit_beta: bool = True) -> StepTer
     """
     pot, eps, coupling = system.potential, system.eps, system.coupling
     basis_a, basis_b, neg_gamma = system.basis_a, system.basis_b, -pot.gamma
-    convex = None
-    if explicit_beta:
-        # beta(phi) off its domain is NaN, which the guard of F rejects
-        convex = ((lambda grid, theta: yosida(pot, eps, grid)) if eps > 0.0
-                  else (lambda grid, theta: pot.beta(grid)))
+    # beta(phi) off its domain is NaN (eps = 0), which the guard of F rejects
+    convex = (lambda grid, theta: yosida(pot, eps, grid)) if explicit_beta else None
     if coupling.kind == "function":
         def latent(grid, theta):
             return -coupling.on_grid(grid) * synthesize(basis_a, theta)

@@ -12,7 +12,8 @@ plus the inert split "none".  Every split declares the solver of its
 resolvent J_eps = (I + eps*beta)^{-1}: a real cubic root for the regular
 split, a projection for the obstacle, and for the logarithmic split a Newton
 iteration on artanh(x) that needs no bracket.  The Yosida map and the Moreau
-envelope derive from it.
+envelope derive from it; level eps = 0 is the split itself (beta and beta_hat),
+and this module is the only one that tells the levels apart.
 """
 from __future__ import annotations
 
@@ -35,10 +36,6 @@ _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 # the smallest per-point bound (1e-6), squared, leaves room for the rounding
 # of the dot product
 _RESIDUAL_SUM_SQ = 0.5e-6 ** 2
-
-# Slack for "inside the obstacle" so that grid values clamped to +-1 do not
-# evaluate the indicator at +inf through rounding.
-OBSTACLE_SLACK = 1e-12
 
 
 class ResolventError(RuntimeError):
@@ -163,10 +160,10 @@ def double_obstacle_potential(c2: float) -> Potential:
         raise ValueError(f"obstacle potential requires c2 > 0, got {c2}")
 
     def beta_hat(s):
-        return np.where(np.abs(s) <= 1.0 + OBSTACLE_SLACK, 0.0, np.inf)
+        return np.where(np.abs(s) <= 1.0, 0.0, np.inf)
 
     def beta_min(s):
-        return np.where(np.abs(s) <= 1.0 + OBSTACLE_SLACK, 0.0, np.nan)
+        return np.where(np.abs(s) <= 1.0, 0.0, np.nan)
 
     return Potential(
         kind="double_obstacle",
@@ -198,8 +195,8 @@ def resolvent(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     The potential's own solver computes it, and every single-valued solution
     passes the same residual sanity check.
     """
-    if eps <= 0.0:
-        raise ValueError(f"resolvent level eps must be positive, got {eps}")
+    if not (eps > 0.0 and math.isfinite(3.0 * eps)):  # the cubic takes sqrt(3*eps)
+        raise ValueError(f"resolvent level eps must be positive with 3*eps finite, got {eps}")
     s_arr = np.asarray(s, dtype=float)
     # a finite sum of squares means finite entries; the exact test decides
     # the rest (finite entries above ~1e154 overflow the sum, which np.vdot
@@ -225,13 +222,20 @@ def resolvent(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
 
 
 def yosida(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
-    """beta_eps(s) = (s - J_eps(s)) / eps: monotone and 1/eps-Lipschitz."""
-    return (np.asarray(s, dtype=float) - resolvent(pot, eps, s)) / eps
+    """beta_eps(s) = (s - J_eps(s)) / eps: monotone and 1/eps-Lipschitz; at
+    eps = 0 beta itself (NaN off its domain)."""
+    s_arr = np.asarray(s, dtype=float)
+    if eps == 0.0:
+        return pot.beta(s_arr)
+    return (s_arr - resolvent(pot, eps, s_arr)) / eps
 
 
 def moreau(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
-    """Moreau envelope beta_hat_eps(s) = |s - J_eps(s)|^2/(2 eps) + beta_hat(J_eps(s))."""
+    """Moreau envelope beta_hat_eps(s) = |s - J_eps(s)|^2/(2 eps) + beta_hat(J_eps(s));
+    at eps = 0 beta_hat itself (inf off its domain)."""
     s_arr = np.asarray(s, dtype=float)
+    if eps == 0.0:
+        return pot.beta_hat(s_arr)
     j = resolvent(pot, eps, s_arr)
     return (s_arr - j) ** 2 / (2.0 * eps) + pot.beta_hat(j)
 
@@ -249,10 +253,3 @@ def prox_step(pot: Potential, eps: float, lam: float, s: np.ndarray) -> np.ndarr
         return resolvent(pot, lam, s)
     s_arr = np.asarray(s, dtype=float)
     return (eps * s_arr + lam * resolvent(pot, lam + eps, s_arr)) / (lam + eps)
-
-
-def potential_energy_density(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
-    """beta_hat_eps pointwise for eps > 0, beta_hat itself at eps = 0."""
-    if eps > 0.0:
-        return moreau(pot, eps, s)
-    return pot.beta_hat(np.asarray(s, dtype=float))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .galerkin import DiscreteSystem, OverflowGuardError, StepTerms, ValidationError, \
     apply_coupling, eval_nonlinearity, guard, prepare_terms, project_data
-from .potentials import Potential, ResolventError, potential_energy_density, prox_step
+from .potentials import Potential, ResolventError, moreau, prox_step
 from .spectral import analyze, graph_norms, synthesize
 
 SCHEMES = ("imex_euler", "implicit_prox")
@@ -265,7 +265,7 @@ class _LedgerAccumulator:
         k, c = self.count, self.cols
         c["t"][k] = t
         grid = phi_grid if phi_grid is not None else synthesize(self.system.basis_b, phi)
-        density = potential_energy_density(self.system.potential, self.system.eps, grid)
+        density = moreau(self.system.potential, self.system.eps, grid)
         c["potential_integral"][k] = np.vecdot(self.system.basis_b.quad_weights, density)
         self.theta[k], self.phi[k] = theta, phi
         self.rows.append(row)

@@ -8,7 +8,7 @@ from fracphase.analysis import (contdep_report, convergence_study,
                                 difference_norms, limit_system,
                                 omega_limit_probe, reexpress,
                                 relaxation_limit_study, running_time_integral)
-from fracphase.galerkin import Coupling, ProblemData, assemble
+from fracphase.galerkin import Coupling, ProblemData, assemble, stack_systems
 from fracphase.potentials import (double_obstacle_potential, regular_potential,
                                   zero_potential)
 from fracphase.spectral import build_basis, synthesize
@@ -182,6 +182,25 @@ class TestOmegaLimit:
                           regular_potential(1.0))
         run = integrate(system, SchemeConfig("imex_euler", dt=1e-2), 120.0, 100)
         self.assert_stationary(omega_limit_probe(system, run))
+
+    def test_proximal_obstacle_row_without_multiplier_is_refused(self):
+        # phi0 pressed against the obstacle at eps = 0: the marched-alone run
+        # records the multiplier and reaches a stationary state; the stacked
+        # row records none, and beta there has no explicit value to stand in
+        basis = build_basis("interval_neumann", 1.0, 16, 64)
+        data = ProblemData(theta0=lambda x: 3.0 + 0.0 * x,
+                           phi0=lambda x: 0.9 + 0.05 * np.cos(np.pi * x),
+                           coupling=Coupling.constant(2.0))
+        obstacle = double_obstacle_potential(0.5)
+        systems = [assemble(data, basis, basis, 0.5, sigma, 0.0, obstacle)
+                   for sigma in (0.5, 0.25)]
+        scheme = SchemeConfig("implicit_prox", dt=1e-3)
+        alone = integrate(systems[0], scheme, 2.0, 100)
+        assert omega_limit_probe(systems[0], alone).stationary_residual <= 1e-10
+        row = integrate(stack_systems(systems), scheme, 2.0, 100).rows()[0]
+        assert row.xi_series is None
+        with pytest.raises(ValueError, match="march the row alone"):
+            omega_limit_probe(systems[0], row)
 
 
 class TestRelaxationLimit:

@@ -432,7 +432,13 @@ class TestManifestStatus:
         ("simulate", 'data.source={"space":{"kind":"constant","value":1e300},"time":null}',
          "source product 0 exceeded the overflow guard"),
         ("simulate", "exponents.r=60", "exponent r = 60 overflows"),
-        ("simulate", "exponents.sigma=60", "exponent sigma = 60 overflows")])
+        ("simulate", "exponents.sigma=60", "exponent sigma = 60 overflows"),
+        # sqrt(3*eps) or 2*eps of the resolvents overflows in the first step
+        ("simulate", "potential.eps=1e308", "Yosida level eps = 1e+308 overflows"),
+        ("simulate", 'potential={"kind":"logarithmic","c1":1.5,"eps":1e308}',
+         "Yosida level eps = 1e+308 overflows"),
+        ("converge", 'study.converge={"axis":"eps","values":[0.04,1e308,0.0]}',
+         "Yosida level eps = 1e+308 overflows")])
     def test_input_no_run_can_carry_is_a_config_error(self, tmp_path, command, override,
                                                       named):
         # each used to overflow (a RuntimeWarning, an error under this suite)
@@ -446,6 +452,14 @@ class TestManifestStatus:
         assert code == EXIT_CONFIG
         assert failure["stage"] == "validation"
         assert named in failure["message"]
+
+    def test_largest_yosida_level_still_runs(self, tmp_path):
+        # just below the bound eps * OVERFLOW_LIMIT < float max
+        code = main(["simulate", "--config", os.path.join(CONFIGS, "smoke.json"),
+                     "--override", "scheme.t_final=0.01", "--override", "output.grid_times=[0.0]",
+                     "--override", "potential.eps=1e296", "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        assert code == EXIT_OK
 
     @pytest.mark.parametrize("exponent", ["r", "sigma"])
     def test_exponent_times_dt_overflow_is_a_config_error(self, tmp_path, exponent):

@@ -71,6 +71,21 @@ class TestAssemble:
                         potential=double_obstacle_potential(0.5),
                         phi0=lambda x: 1.0 + x)
 
+    @pytest.mark.parametrize("potential", [regular_potential(), logarithmic_potential(1.5)],
+                             ids=["regular", "logarithmic"])
+    def test_yosida_level_the_splits_cannot_carry_is_rejected(self, neumann8, potential):
+        # eps * OVERFLOW_LIMIT must stay in the float range: above it
+        # sqrt(3*eps) or 2*eps of the splits overflows in the first step
+        largest = np.finfo(float).max / OVERFLOW_LIMIT / (1.0 + 1e-12)
+        phi0 = lambda x: 0.3 * np.cos(np.pi * x)
+        for eps in (1e308, largest * (1.0 + 1e-9)):
+            with pytest.raises(ValidationError, match="eps \\* OVERFLOW_LIMIT exceeds"):
+                make_system(neumann8, neumann8, Coupling.constant(0.0),
+                            potential=potential, eps=eps, phi0=phi0)
+        system = make_system(neumann8, neumann8, Coupling.constant(0.0),
+                             potential=potential, eps=largest, phi0=phi0)
+        assert system.eps == largest
+
     def test_domain_mismatch_rejected(self, neumann8):
         other = build_basis("interval_neumann", 2.0, 8, 64)
         with pytest.raises(ValidationError, match="domain"):

@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bisect_resolvent
+from fracphase.galerkin import OVERFLOW_LIMIT
 from fracphase.potentials import (Potential, ResolventError,
                                   double_obstacle_potential,
                                   logarithmic_potential, moreau, prox_step,
                                   regular_potential, resolvent, yosida,
                                   zero_potential)
+
+ALL_SPLITS = [regular_potential(), logarithmic_potential(2.0),
+              double_obstacle_potential(0.5), zero_potential()]
+ALL_SPLIT_IDS = ["regular", "logarithmic", "double_obstacle", "zero"]
 
 # sampling windows per kind; the logarithmic window keeps the resolvent root
 # representable in float64 (it approaches the endpoint like exp(-(|s|-1)/eps))
@@ -49,6 +54,13 @@ class TestCanonicalSplits:
         pot = double_obstacle_potential(0.5)
         assert pot.beta_hat(np.array([0.7]))[0] == 0.0
         assert pot.beta_hat(np.array([1.2]))[0] == np.inf
+
+    def test_obstacle_domain_is_closed_and_exact(self):
+        # the indicator of [-1, 1]: no slack past the endpoints
+        pot = double_obstacle_potential(0.5)
+        s = np.array([-1.0 - 5e-13, -1.0, 1.0, 1.0 + 5e-13])
+        assert pot.beta_hat(s).tolist() == [np.inf, 0.0, 0.0, np.inf]
+        assert np.array_equal(np.isnan(pot.beta(s)), [True, False, False, True])
 
     def test_gamma_recorded(self):
         assert regular_potential(1.0).gamma == 1.0
@@ -164,9 +176,22 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent(regular_potential(), 0.0, np.array([1.0]))
 
-    @pytest.mark.parametrize("pot", [regular_potential(), logarithmic_potential(2.0),
-                                     double_obstacle_potential(0.5), zero_potential()],
-                             ids=["regular", "logarithmic", "double_obstacle", "zero"])
+    @pytest.mark.parametrize("pot", ALL_SPLITS, ids=ALL_SPLIT_IDS)
+    def test_rejects_eps_whose_triple_overflows(self, pot):
+        # sqrt(3*eps) of the cubic would be inf; every split refuses the same level
+        with pytest.raises(ValueError, match="3\\*eps finite"):
+            resolvent(pot, 6e307, np.array([0.5]))
+
+    @pytest.mark.parametrize("pot", [regular_potential(), logarithmic_potential(2.0)],
+                             ids=["regular", "logarithmic"])
+    def test_iterating_solvers_are_warning_free_below_the_eps_bound(self, pot):
+        s = np.linspace(-10.0, 10.0, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = resolvent(pot, 5.99e307, s)
+        assert np.array_equal(np.sign(x), np.sign(s))
+
+    @pytest.mark.parametrize("pot", ALL_SPLITS, ids=ALL_SPLIT_IDS)
     def test_zero_d_input_matches_one_element(self, pot):
         point = resolvent(pot, 0.1, np.array(0.2))
         assert np.ndim(point) == 0
@@ -316,6 +341,46 @@ class TestCoercivityRule:
         pot, s = COERCIVITY_CASES[kind]
         f = regularized_energy(pot, 1.0 / pot.gamma, s).reshape(2, -1)
         assert np.all(np.diff(f, axis=1) < 0.0) and np.all(f < 0.0), f
+
+
+# +-1, points just past them, and points far off every bounded domain
+LEVEL_ZERO_WINDOW = np.array([-1e12, -2.0, -1.0 - 5e-13, -1.0, -0.5, -0.0, 0.0, 0.3,
+                              1.0, 1.0 + 5e-13, 2.0, 1e12])
+
+
+class TestLevelZero:
+    """Level eps = 0 of the Yosida family is the split itself."""
+
+    @pytest.mark.parametrize("pot", ALL_SPLITS, ids=ALL_SPLIT_IDS)
+    def test_yosida_and_moreau_are_beta_and_beta_hat_bit_for_bit(self, pot):
+        s = LEVEL_ZERO_WINDOW
+        for got, want in ((yosida(pot, 0.0, s), pot.beta(s)),
+                          (moreau(pot, 0.0, s), pot.beta_hat(s))):
+            # int64 views compare every bit: NaN, inf and the sign of zero
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_window_leaves_the_bounded_domains(self):
+        for pot in (logarithmic_potential(2.0), double_obstacle_potential(0.5)):
+            assert np.isnan(yosida(pot, 0.0, LEVEL_ZERO_WINDOW)).any()
+            assert np.isinf(moreau(pot, 0.0, LEVEL_ZERO_WINDOW)).any()
+
+    @pytest.mark.parametrize("pot", ALL_SPLITS, ids=ALL_SPLIT_IDS)
+    def test_negative_level_raises(self, pot):
+        for level_map in (yosida, moreau):
+            with pytest.raises(ValueError, match="must be positive"):
+                level_map(pot, -0.1, np.array([0.5]))
+
+    @pytest.mark.parametrize("pot", ALL_SPLITS, ids=ALL_SPLIT_IDS)
+    def test_largest_valid_level_is_warning_free(self, pot):
+        # the largest eps `galerkin.assemble` accepts, on inputs up to its
+        # overflow guard
+        eps = np.finfo(float).max / OVERFLOW_LIMIT / (1.0 + 1e-12)
+        s = np.array([-OVERFLOW_LIMIT, -3.0, -0.5, 0.0, 0.7, 3.0, OVERFLOW_LIMIT])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [resolvent(pot, eps, s), yosida(pot, eps, s), moreau(pot, eps, s),
+                      prox_step(pot, eps, 1e-3, s)]
+        assert all(np.isfinite(v).all() for v in values)
 
 
 def test_zero_potential_is_inert():

@@ -16,8 +16,8 @@ from fracphase.galerkin import (Coupling, DiscreteSystem, OverflowGuardError,
                                 ProblemData, ValidationError, assemble, guard,
                                 project_data, stack_systems)
 from fracphase.potentials import (ResolventError, double_obstacle_potential,
-                                  logarithmic_potential, potential_energy_density,
-                                  prox_step, regular_potential, yosida, zero_potential)
+                                  logarithmic_potential, moreau, prox_step,
+                                  regular_potential, yosida, zero_potential)
 from fracphase.spectral import analyze, build_basis, synthesize
 from fracphase.timestepper import (BlowupError, SchemeConfig, _finalize, integrate,
                                    prepare_step, scheme_problem, step_count, step_imex)
@@ -801,7 +801,7 @@ class TestMergedStepAgainstOracle:
 def _potential_integral(system: DiscreteSystem, phi: np.ndarray,
                         phi_grid: np.ndarray | None) -> np.ndarray:
     grid = phi_grid if phi_grid is not None else synthesize(system.basis_b, phi)
-    density = potential_energy_density(system.potential, system.eps, grid)
+    density = moreau(system.potential, system.eps, grid)
     return np.vecdot(system.basis_b.quad_weights, density)
 
 
