@@ -20,7 +20,7 @@ from .galerkin import DiscreteSystem, eval_nonlinearity, prepare_terms, project_
     stack_systems
 from .spectral import SpectralBasis, analyze, cross_gram, graph_norms, \
     kernel_projection
-from .timestepper import RunOutput, SchemeConfig, integrate, scheme_problem
+from .timestepper import RunOutput, SchemeConfig, integrate
 
 
 def running_time_integral(times: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -174,9 +174,9 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
     Measures the sup of |A^r theta| and |d_t phi| along the last
     tail_fraction of the run, the residual of the discrete stationary phase
     equation at the final state, and the part of the final temperature off
-    ker A (it vanishes when the kernel is trivial).  A run that recorded the
-    proximal multiplier supplies the convex part of that equation with it;
-    any other takes beta_eps explicitly, a ValueError where it has no value.
+    ker A (it vanishes when the kernel is trivial).  A proximal run, stacked
+    or not, supplies the convex part of that equation with its final
+    multiplier; any other takes beta_eps explicitly.
     """
     k0 = int(np.floor((1.0 - tail_fraction) * (run.times.size - 1)))
     ar_theta = np.sqrt(np.sum(system.theta_stiff * run.theta_series**2, axis=1))
@@ -185,14 +185,11 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
 
     theta_f = run.theta_series[-1]
     phi_f = run.phi_series[-1]
-    prox = run.xi_series is not None
-    if not prox and scheme_problem(system.potential, system.eps, "imex_euler"):
-        raise ValueError(f"{system.potential.kind} at eps = 0 has no explicit beta and "
-                         "the run recorded no multiplier: march the row alone")
+    prox = run.xi_final is not None
     fphi, _ = eval_nonlinearity(prepare_terms(system, explicit_beta=not prox),
                                 theta_f, phi_f)
     if prox:
-        fphi = fphi + analyze(system.basis_b, run.xi_series[-1])
+        fphi = fphi + analyze(system.basis_b, run.xi_final)
     stationary = float(np.linalg.norm(system.phi_stiff * phi_f + fphi))
     nonkernel = float(np.linalg.norm(theta_f - kernel_projection(system.basis_a, theta_f)))
     return OmegaReport(
@@ -229,6 +226,8 @@ class RelaxReport:
     phi_errors: list[float]
     theta_errors: list[float]
     monotone: bool | None  # None for a one-sigma ladder, which has no pair
+    # (system, run) of the limit, then of each ladder row
+    marched: list[tuple[DiscreteSystem, RunOutput]]
 
 
 def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
@@ -240,11 +239,11 @@ def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
     `stack_systems` accepts; the limit is `limit_system` of its first row.
     Everything marches with the implicit_prox scheme at step dt: the ladder
     as one stacked system, which the limit run joins when the ladder's eps
-    is 0 and which it runs beside otherwise.  The report holds distances
-    only; the limit multiplier comes from `integrate(limit_system(system),
-    ...)`.  The theory gives weak convergence without a rate; `monotone`
-    reports whether both error columns decrease strictly down the ladder
-    (None for a ladder of one sigma).
+    is 0 and which it runs beside otherwise.  The report holds the
+    distances and, in `marched`, every (system, run) pair, the limit first,
+    for the checks a caller runs on the runs.  The theory gives weak
+    convergence without a rate; `monotone` reports whether both error columns
+    decrease strictly down the ladder (None for a ladder of one sigma).
     """
     limit = limit_system(ladder[0])
     sigmas = [float(row.sigma) for row in ladder]
@@ -266,5 +265,6 @@ def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
         theta_errs.append(_l2_time_norm(run.times, _coeff_norms(dtheta)))
     monotone = None if len(runs) < 2 else \
         bool(np.all(np.diff(phi_errs) < 0.0) and np.all(np.diff(theta_errs) < 0.0))
-    return RelaxReport(sigmas=sigmas, phi_errors=phi_errs,
-                       theta_errors=theta_errs, monotone=monotone)
+    return RelaxReport(sigmas=sigmas, phi_errors=phi_errs, theta_errors=theta_errs,
+                       monotone=monotone,
+                       marched=[(limit, limit_traj), *zip(ladder, runs)])

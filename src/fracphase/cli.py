@@ -255,15 +255,34 @@ def _simulate_and_emit(cfg: RunConfig, manifest: _ManifestWriter) -> tuple:
                                             cfg.grid_times))
         raise
     manifest.add_files(emit_run_outputs(run, system, manifest.out_dir, cfg.grid_times))
-    phi, xi = run.phi_grid_series, run.xi_series
-    if xi is not None and system.potential.multivalued and system.eps == 0.0:
-        # |phi| <= 1, xi >= 0 where phi = 1 and xi <= 0 where phi = -1 (eps > 0
-        # may leave [-1, 1]): the worst violation at a recorded node; NaN fails
-        for name, excess in (("obstacle_bound", np.abs(phi) - 1.0),
-                             ("multiplier_sign", np.where(np.abs(phi) == 1.0, -phi * xi, 0.0))):
-            worst = float(np.maximum(np.max(excess), 0.0))
-            manifest.check(name, worst == 0.0, {"worst_violation": worst})
+    _check_obstacle(manifest, [(system, run)])
     return system, run
+
+
+def _check_obstacle(manifest: _ManifestWriter, marched) -> None:
+    """Gate the obstacle contracts on the (system, run) pairs `marched` at the
+    obstacle at eps = 0 (eps > 0 may leave [-1, 1]), when there are any.
+
+    `obstacle_bound` is |phi| <= 1 and `multiplier_sign` is xi >= 0 where
+    phi = 1 and xi <= 0 where phi = -1, each the worst violation at a
+    recorded node, read from the runs' per-snapshot reductions; NaN fails.
+    A failing check names its worst row, the index into `marched`, when there
+    are several.
+    """
+    gated = [(k, run) for k, (system, run) in enumerate(marched)
+             if system.potential.multivalued and system.eps == 0.0]
+    if not gated:
+        return
+    for name, excess in (
+            ("obstacle_bound",
+             lambda run: np.maximum(np.max(run.grid_max), -np.min(run.grid_min)) - 1.0),
+            ("multiplier_sign", lambda run: np.max(run.sign_excess))):
+        per_row = np.array([excess(run) for _, run in gated])
+        worst = float(np.maximum(np.max(per_row), 0.0))
+        detail = {"worst_violation": worst}
+        if worst != 0.0 and len(marched) > 1:
+            detail["row"] = gated[int(np.argmax(np.nan_to_num(per_row, nan=np.inf)))][0]
+        manifest.check(name, worst == 0.0, detail)
 
 
 def _cmd_simulate(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
@@ -290,15 +309,13 @@ def _cmd_converge(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str
     manifest.advise(*systems)
 
     def march(system, dt, stride):
-        scheme = SchemeConfig(cfg.scheme.scheme, dt=dt)
-        return integrate(system, scheme, cfg.t_final, stride).rows()
+        return integrate(system, SchemeConfig(cfg.scheme.scheme, dt=dt), cfg.t_final, stride)
 
     if axis == "sigma":
         # the potentials branch on a scalar eps, so only sigma levels share a batch
-        runs = march(stack_systems(systems), *study["levels"][0])
+        runs = march(stack_systems(systems), *study["levels"][0]).rows()
     else:
-        runs = [run for system, level in zip(systems, study["levels"])
-                for run in march(system, *level)]
+        runs = [march(system, *level) for system, level in zip(systems, study["levels"])]
     errors = convergence_study(list(zip(systems, runs)))
 
     rows = []
@@ -333,6 +350,7 @@ def _cmd_contdep(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str:
     manifest.advise(*systems)
     runs = integrate(stack_systems(systems), cfg.scheme, cfg.t_final,
                      cfg.snapshot_stride).rows()
+    _check_obstacle(manifest, list(zip(systems, runs)))
     reports = [contdep_report(systems[0], runs[0], system, run)
                for system, run in zip(systems[1:], runs[1:])]
     ratios = np.array([r.ratio for r in reports], dtype=float)
@@ -374,6 +392,7 @@ def _cmd_relaxlimit(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> s
     ladder = build_systems(cfg, [(sigma, cfg.eps) for sigma in study["sigmas"]])
     manifest.advise(*ladder)
     report = relaxation_limit_study(ladder, cfg.scheme.dt, cfg.t_final, cfg.snapshot_stride)
+    _check_obstacle(manifest, report.marched)
 
     rows = [[_fmt(s), _fmt(pe), _fmt(te)]
             for s, pe, te in zip(report.sigmas, report.phi_errors, report.theta_errors)]

@@ -377,7 +377,9 @@ def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
         getattr(spectrum, plan.part)[..., plan.slots] = coeffs * plan.synthesis_scale
         return np.fft.irfft(spectrum, 2 * (m - 1))[..., :m]
     if len(basis.axis_values) == 1:
-        return coeffs @ basis.axis_values[0].T
+        # np.dot calls BLAS directly: on a march's (B, n) rows it costs less
+        # than matmul's dispatch, with the same bits
+        return np.dot(coeffs, basis.axis_values[0].T)
     vx, vy = basis.axis_values
     table = np.zeros(coeffs.shape[:-1] + (vx.shape[1], vy.shape[1]))
     table[(..., *basis.axis_modes)] = coeffs
@@ -410,7 +412,7 @@ def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
         spectrum = np.fft.rfft(extended)[..., plan.slots]
         return getattr(spectrum, plan.part) * plan.analysis_scale
     if len(basis.axis_values) == 1:
-        return (basis.quad_weights * grid_values) @ basis.axis_values[0]
+        return np.dot(basis.quad_weights * grid_values, basis.axis_values[0])
     (vx, vy), (wx, wy) = basis.axis_values, basis.axis_weights
     grid = grid_values.reshape(grid_values.shape[:-1] + (wx.shape[0], wy.shape[0]))
     return ((wx[:, None] * vx).T @ grid @ (wy[:, None] * vy))[(..., *basis.axis_modes)]

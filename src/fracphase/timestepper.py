@@ -12,10 +12,11 @@ problem: at the semi-discrete level the identity is exact, so the recorded
 balance residual measures pure time-discretization error and must shrink
 first order in dt.  It is reduced once per block of LEDGER_BLOCK steps.
 
-A stacked system (`galerkin.stack_systems`) marches B trajectories as one
-(B, n) state; steps, ledger and snapshots work over the trailing axis, so a
-single run keeps its 1-D arrays and arithmetic.  `integrate` always starts
-from the system's projected data and returns only what it recorded.
+Every march is a stack (`galerkin.stack_systems`): B trajectories advance as
+one (B, n) state, and a lone system is a stack of one, which `integrate`
+makes at its top and splits off its output.  Steps, ledger and snapshots
+work over the trailing axis.  `integrate` always starts from the system's
+projected data and returns only what it recorded.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .galerkin import DiscreteSystem, OverflowGuardError, StepTerms, ValidationError, \
-    apply_coupling, eval_nonlinearity, guard, prepare_terms, project_data
+    apply_coupling, eval_nonlinearity, guard, prepare_terms, project_data, stack_systems
 from .potentials import Potential, ResolventError, moreau, prox_step
 from .spectral import analyze, graph_norms, synthesize
 
@@ -39,10 +40,9 @@ LEDGER_BLOCK = 64
 class BlowupError(RuntimeError):
     """A step failed (an overflow guard trip or a resolvent failure) in step
     `step`, the one that ends at simulated time `t`; `row` is the offending
-    row of a stacked system (None otherwise).  `integrate` attaches as
-    `partial` the output it would have returned, up to the last completed
-    snapshot (for a stacked run the batched output, which `partial.rows()`
-    splits)."""
+    row of a stacked system of several rows (None for a lone system).
+    `integrate` attaches as `partial` the output it would have returned, up
+    to the last completed snapshot."""
 
     def __init__(self, message: str, partial: "RunOutput | None" = None, *,
                  step: int | None = None, t: float | None = None,
@@ -97,9 +97,13 @@ class LedgerSeries:
 class RunOutput:
     """Snapshot times, trajectory, norm series and energy ledger of one run.
 
-    Of a stacked run every array but `times` carries a row axis after the
-    snapshot axis; `rows()` splits it into one output per trajectory.  Only
-    an unstacked proximal run records the grid series (None otherwise).
+    A proximal run also records, per snapshot, the largest and smallest value
+    of its grid iterate and the worst sign excess max(-phi*xi) of its
+    multiplier xi over the nodes where |phi| = 1 (0 where there are none),
+    and keeps the multiplier of the last snapshot; the obstacle contracts
+    read these (None otherwise).  Of a stacked run every array but `times`
+    carries a row axis, after the snapshot axis and before the grid axis of
+    `xi_final`; `rows()` splits it into one output per trajectory.
     """
 
     times: np.ndarray
@@ -111,20 +115,22 @@ class RunOutput:
     graph_phi: np.ndarray
     dtphi_norm: np.ndarray
     ledger: LedgerSeries
-    xi_series: Optional[np.ndarray] = None        # (K, m) prox multiplier samples
-    phi_grid_series: Optional[np.ndarray] = None  # (K, m) prox grid iterates
+    grid_max: Optional[np.ndarray] = None     # (K,)
+    grid_min: Optional[np.ndarray] = None     # (K,)
+    sign_excess: Optional[np.ndarray] = None  # (K,)
+    xi_final: Optional[np.ndarray] = None     # (m,)
 
     def rows(self) -> list["RunOutput"]:
-        """One single-trajectory output per row ([self] for a single run)."""
-        if self.theta_series.ndim == 2:
-            return [self]
+        """One single-trajectory output per row of a stacked run's output."""
 
         def pick(obj, b):
             return {f.name: getattr(obj, f.name)[:, b] for f in fields(obj)
-                    if np.ndim(getattr(obj, f.name)) > 1}
+                    if f.name not in ("times", "ledger", "xi_final")
+                    and getattr(obj, f.name) is not None}
 
         return [replace(self, **pick(self, b),
-                        ledger=replace(self.ledger, **pick(self.ledger, b)))
+                        ledger=replace(self.ledger, **pick(self.ledger, b)),
+                        xi_final=None if self.xi_final is None else self.xi_final[b])
                 for b in range(self.theta_series.shape[1])]
 
 
@@ -144,14 +150,21 @@ class PreparedStep:
 
 
 def prepare_step(system: DiscreteSystem, scheme: SchemeConfig) -> PreparedStep:
-    """The PreparedStep of `system` under `scheme`; a `scheme_problem`, or a dt
-    the denominators cannot carry, raises ValidationError here."""
+    """The PreparedStep of `system` under `scheme`; a `scheme_problem`, or a
+    dt the denominators cannot carry, raises ValidationError here.
+
+    The temperature denominator and the zero source take theta's shape:
+    same-shape operands skip numpy's costly broadcasting setup.
+    """
     if problem := scheme_problem(system.potential, system.eps, scheme.scheme):
         raise ValidationError(problem)
     dt, prox = scheme.dt, scheme.scheme == "implicit_prox"
-    zeros = np.zeros(system.n_a)
+    theta_denom, phi_denom = system.step_denominators(dt)
+    rows = system.phi_stiff.shape[:-1]
+    zeros = np.zeros(rows + (system.n_a,))
     return PreparedStep(
-        dt, *system.step_denominators(dt), prepare_terms(system, explicit_beta=not prox),
+        dt, np.tile(theta_denom, rows + (1,)), phi_denom,
+        prepare_terms(system, explicit_beta=not prox),
         system.source_at if system.source else lambda t: zeros,
         (lambda grid: prox_step(system.potential, system.eps, dt, grid)) if prox else None)
 
@@ -191,9 +204,11 @@ def step_imex(prepared: PreparedStep, theta: np.ndarray, phi: np.ndarray, t: flo
 
 
 # what a snapshot records besides the state; `_finalize` derives the norms.
-# The four sums and |d_t phi| come in the order of `_LedgerAccumulator.sums`.
+# The four sums and |d_t phi| come in the order of `_LedgerAccumulator.sums`;
+# a proximal run adds the reductions of its grid iterate and multiplier.
 _REDUCED = ("diss_theta", "diss_phi", "work_source", "work_phi", "dtphi")
 _COLUMNS = ("t", "potential_integral") + _REDUCED
+_CONTACT = ("grid_max", "grid_min", "sign_excess")
 
 
 class _LedgerAccumulator:
@@ -204,35 +219,34 @@ class _LedgerAccumulator:
     difference quotients, which matches the Euler consistency order; the
     source work uses the implicit sample g(t+dt) that the scheme applies
     and stays exactly 0.0 without a source.  The march writes each step's
-    state and source sample into a block row, row 0 holding the state the
-    block starts from; `accumulate` reduces the block with one batched
-    vecdot per term and np.add.accumulate, which adds in the order of a
-    per-step +=.  The sums are scalars, or one entry per row of a stacked
-    system.  The columns hold `n_rows` snapshots, `count` of them filled: the
-    state, the potential integral, of an unstacked proximal run the multiplier
-    and grid iterates, and, once their block is reduced, |d_t phi| and sums.
+    (B, n) state and source sample into a block row, row 0 holding the state
+    the block starts from; `accumulate` reduces the block into preallocated
+    buffers with one batched vecdot per term and np.add.accumulate, which adds
+    in the order of a per-step +=.  The columns hold `n_snaps` snapshots,
+    `count` of them filled: per row the state, the potential integral, of a
+    proximal run the `_CONTACT` reductions, and, once their block is reduced,
+    |d_t phi| and the sums.  `xi` is a proximal run's last multiplier.
     """
 
-    def __init__(self, system: DiscreteSystem, n_rows: int, block_steps: int, prox: bool):
+    def __init__(self, system: DiscreteSystem, n_snaps: int, block_steps: int, prox: bool):
         self.system = system
         self.count = 0
-        rows = system.phi_stiff.shape[:-1]
-        self.cols = {name: np.empty((n_rows,) + rows) for name in _COLUMNS}
-        self.cols["t"] = np.empty(n_rows)
-        self.theta = np.empty((n_rows,) + rows + (system.n_a,))
-        self.phi = np.empty((n_rows,) + rows + (system.n_b,))
-        grids = prox and system.phi_stiff.ndim == 1
-        self.xi = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
-        self.phi_grid = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
+        n_rows, n_a, n_b = system.phi_stiff.shape[0], system.n_a, system.n_b
+        self.cols = {name: np.empty((n_snaps, n_rows))
+                     for name in _COLUMNS + (_CONTACT if prox else ())}
+        self.cols["t"] = np.empty(n_snaps)
+        self.theta = np.empty((n_snaps, n_rows, n_a))
+        self.phi = np.empty((n_snaps, n_rows, n_b))
+        self.xi = np.zeros((n_rows, system.basis_b.n_grid)) if prox else None
         self.rows: list[int] = []  # the block rows of the snapshots to fill in
         # the block and per row the sums and |d_t phi|, row 0 carrying the block
-        # before (0 at t = 0); the (n,) source of a stacked run gets a row axis
-        block = (block_steps + 1,) + rows
-        self.theta_block = np.empty(block + (system.n_a,))
-        self.phi_block = np.empty(block + (system.n_b,))
-        self.source_block = (np.empty((block_steps + 1,) + (1,) * len(rows) + (system.n_a,))
-                             if system.source else None)
-        self.sums = np.zeros((len(_REDUCED),) + block)
+        # before (0 at t = 0); the source sample is shared by the rows
+        self.theta_block = np.empty((block_steps + 1, n_rows, n_a))
+        self.phi_block = np.empty((block_steps + 1, n_rows, n_b))
+        self.source_block = np.empty((block_steps + 1, 1, n_a)) if system.source else None
+        self.sums = np.zeros((len(_REDUCED), block_steps + 1, n_rows))
+        # the reduction's buffers: Lambda theta, d phi, phi + gamma*phi, |d phi|^2
+        self.scratch = [np.empty((block_steps, n_rows) + n) for n in ((n_a,), (n_b,), (n_b,), ())]
 
     def accumulate(self, steps: int, dt: float) -> None:
         """Reduce the block's first `steps` steps, fill in the snapshots taken
@@ -241,15 +255,19 @@ class _LedgerAccumulator:
         sysm, k = self.system, steps
         theta, phi, sums = self.theta_block, self.phi_block, self.sums[:, :k + 1]
         start_theta, start_phi = theta[:k], phi[:k]
-        dphi = phi[1:k + 1] - start_phi
-        np.multiply(dt, np.vecdot(sysm.theta_stiff * start_theta, start_theta), out=sums[0, 1:])
-        dphi_sq = np.vecdot(dphi, dphi)
+        stiff_theta, dphi, phi_term, dphi_sq = (buf[:k] for buf in self.scratch)
+        np.vecdot(np.multiply(sysm.theta_stiff, start_theta, out=stiff_theta), start_theta,
+                  out=sums[0, 1:])
+        sums[0, 1:] *= dt
+        np.vecdot(np.subtract(phi[1:k + 1], start_phi, out=dphi), dphi, out=dphi_sq)
         np.divide(dphi_sq, dt, out=sums[1, 1:])
-        np.divide(np.sqrt(dphi_sq), dt, out=sums[4, 1:])
+        np.divide(np.sqrt(dphi_sq, out=dphi_sq), dt, out=sums[4, 1:])
         if self.source_block is not None:
-            np.multiply(dt, np.vecdot(self.source_block[1:k + 1], theta[1:k + 1]),
-                        out=sums[2, 1:])
-        np.vecdot(start_phi + sysm.potential.gamma * start_phi, dphi, out=sums[3, 1:])
+            np.vecdot(self.source_block[1:k + 1], theta[1:k + 1], out=sums[2, 1:])
+            sums[2, 1:] *= dt
+        np.add(start_phi, np.multiply(sysm.potential.gamma, start_phi, out=phi_term),
+               out=phi_term)
+        np.vecdot(phi_term, dphi, out=sums[3, 1:])
         np.add.accumulate(sums[:4], axis=1, out=sums[:4])
         snapshots = slice(self.count - len(self.rows), self.count)
         for name, per_row in zip(_REDUCED, sums):
@@ -261,18 +279,22 @@ class _LedgerAccumulator:
     def record(self, t: float, theta: np.ndarray, phi: np.ndarray, row: int,
                xi: np.ndarray | None, phi_grid: np.ndarray | None) -> None:
         """Write one snapshot but for the sums and |d_t phi|, which the
-        reduction fills in from block row `row`."""
-        k, c = self.count, self.cols
+        reduction fills in from block row `row`.  A proximal run hands every
+        record its grid iterate and, after t = 0, its multiplier."""
+        k, c, sysm = self.count, self.cols, self.system
         c["t"][k] = t
-        grid = phi_grid if phi_grid is not None else synthesize(self.system.basis_b, phi)
-        density = moreau(self.system.potential, self.system.eps, grid)
-        c["potential_integral"][k] = np.vecdot(self.system.basis_b.quad_weights, density)
+        grid = phi_grid if phi_grid is not None else synthesize(sysm.basis_b, phi)
+        density = moreau(sysm.potential, sysm.eps, grid)
+        c["potential_integral"][k] = np.vecdot(sysm.basis_b.quad_weights, density)
         self.theta[k], self.phi[k] = theta, phi
         self.rows.append(row)
         if self.xi is not None:
-            # a proximal run hands every record its grid iterate
-            self.xi[k] = 0.0 if xi is None else xi
-            self.phi_grid[k] = phi_grid
+            if xi is not None:
+                self.xi = xi
+            np.max(grid, axis=-1, out=c["grid_max"][k])
+            np.min(grid, axis=-1, out=c["grid_min"][k])
+            excess = np.where(np.abs(grid) == 1.0, -grid * self.xi, 0.0)
+            np.max(excess, axis=-1, out=c["sign_excess"][k])
         self.count += 1
 
 
@@ -299,21 +321,31 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
 
     Snapshots land every `snapshot_stride` steps plus always at t = 0 and the
     final time.  A stacked system returns one output whose arrays carry its
-    row axis (`RunOutput.rows` splits it).  A `scheme_problem` raises
+    row axis (`RunOutput.rows` splits it); a lone system marches as a stack
+    of one and returns that row's output.  A `scheme_problem` raises
     ValidationError before the first step.  An overflow guard trip or a
     resolvent failure raises BlowupError with the step, its end time, the
     offending row and the output up to the last completed snapshot.
     """
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    lone = np.shape(system.sigma) == ()
+    system = stack_systems([system]) if lone else system
     prepared = prepare_step(system, scheme)
     dt = scheme.dt
     n_steps = step_count(t_final, dt)
     theta, phi = project_data(system)
     prox = prepared.prox is not None
-    n_rows = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
+    n_snaps = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
     block = min(LEDGER_BLOCK, n_steps)
-    ledger = _LedgerAccumulator(system, n_rows, block, prox)
+    ledger = _LedgerAccumulator(system, n_snaps, block, prox)
+
+    def output() -> RunOutput:
+        # the reduction is done: its buffers go before the norms' temporaries
+        # come, which keeps the run's peak memory at the per-call temporaries'
+        ledger.scratch = None
+        run = _finalize(ledger)
+        return run.rows()[0] if lone else run
 
     # prox runs ledger the datum grid at t = 0: the modal projection of a
     # clamped field can overshoot the obstacle and blow up the indicator
@@ -328,15 +360,15 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
             if ledger.source_block is not None:
                 ledger.source_block[j] = g
             if k % snapshot_stride == 0 or k == n_steps:
-                xi = (star_grid - phi_grid) / dt if ledger.xi is not None else None
+                xi = None if phi_grid is None else (star_grid - phi_grid) / dt
                 ledger.record(k * dt, theta, phi, j, xi, phi_grid)
             if j == block or k == n_steps:
                 ledger.accumulate(j, dt)
     except (OverflowGuardError, ResolventError) as exc:
         ledger.accumulate((k - 1) % block, dt)  # fills the unfinished block's snapshots
-        raise BlowupError(f"{exc} in step {k}, t={k * dt!r}", _finalize(ledger), step=k,
+        raise BlowupError(f"{exc} in step {k}, t={k * dt!r}", output(), step=k,
                           t=k * dt, row=getattr(exc, "row", None)) from None
-    return _finalize(ledger)
+    return output()
 
 
 def _finalize(ledger: _LedgerAccumulator) -> RunOutput:
@@ -345,7 +377,7 @@ def _finalize(ledger: _LedgerAccumulator) -> RunOutput:
     system, n = ledger.system, ledger.count
 
     def col(name):
-        return ledger.cols[name][:n]
+        return ledger.cols[name][:n] if name in ledger.cols else None
 
     theta, phi = ledger.theta[:n], ledger.phi[:n]
     theta_sq = np.vecdot(theta, theta)
@@ -377,6 +409,6 @@ def _finalize(ledger: _LedgerAccumulator) -> RunOutput:
         graph_phi=graph_norms(phi, system.phi_stiff),
         dtphi_norm=col("dtphi"),
         ledger=series,
-        xi_series=None if ledger.xi is None else ledger.xi[:n],
-        phi_grid_series=None if ledger.phi_grid is None else ledger.phi_grid[:n],
+        xi_final=ledger.xi,
+        **{name: col(name) for name in _CONTACT},
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,10 +185,10 @@ class TestOmegaLimit:
         run = integrate(system, SchemeConfig("imex_euler", dt=1e-2), 120.0, 100)
         self.assert_stationary(omega_limit_probe(system, run))
 
-    def test_proximal_obstacle_row_without_multiplier_is_refused(self):
-        # phi0 pressed against the obstacle at eps = 0: the marched-alone run
-        # records the multiplier and reaches a stationary state; the stacked
-        # row records none, and beta there has no explicit value to stand in
+    def test_proximal_obstacle_row_probes_like_the_run_alone(self):
+        # phi0 pressed against the obstacle at eps = 0: a stacked row records
+        # its final multiplier like the run marched alone, so both probe the
+        # same stationary state
         basis = build_basis("interval_neumann", 1.0, 16, 64)
         data = ProblemData(theta0=lambda x: 3.0 + 0.0 * x,
                            phi0=lambda x: 0.9 + 0.05 * np.cos(np.pi * x),
@@ -195,12 +197,13 @@ class TestOmegaLimit:
         systems = [assemble(data, basis, basis, 0.5, sigma, 0.0, obstacle)
                    for sigma in (0.5, 0.25)]
         scheme = SchemeConfig("implicit_prox", dt=1e-3)
-        alone = integrate(systems[0], scheme, 2.0, 100)
-        assert omega_limit_probe(systems[0], alone).stationary_residual <= 1e-10
+        alone = omega_limit_probe(systems[0], integrate(systems[0], scheme, 2.0, 100))
         row = integrate(stack_systems(systems), scheme, 2.0, 100).rows()[0]
-        assert row.xi_series is None
-        with pytest.raises(ValueError, match="march the row alone"):
-            omega_limit_probe(systems[0], row)
+        stacked = omega_limit_probe(systems[0], row)
+        assert stacked.stationary_residual <= 1e-10
+        # equal up to the rounding of a two-row against a one-row product
+        for name, value in dataclasses.asdict(alone).items():
+            assert getattr(stacked, name) == pytest.approx(value, rel=1e-9, abs=1e-10), name
 
 
 class TestRelaxationLimit:
@@ -232,9 +235,9 @@ class TestRelaxationLimit:
                            coupling=Coupling.constant(2.0))
         _, run = self.solve_limit(data, neumann8, double_obstacle_potential(0.5),
                                   1e-2, 1.0, 10)
-        assert np.max(np.abs(run.phi_grid_series)) <= 1.0
-        contact = run.phi_grid_series >= 1.0 - 1e-9
-        assert np.any(contact) and np.min(run.xi_series[contact]) >= 0.0
+        assert np.max(run.grid_max) <= 1.0 and np.min(run.grid_min) >= -1.0
+        # the upper contact set is reached, and xi >= 0 on it
+        assert np.any(run.grid_max == 1.0) and np.max(run.sign_excess) <= 0.0
 
     def test_dirichlet_kernel_free_projection(self, dirichlet8):
         # trivial kernel: P = 0 and the limit stiffness is the identity

@@ -58,6 +58,17 @@ OBSTACLE_CONTACT = dict(
     scheme={"scheme": "implicit_prox", "dt": 0.002, "t_final": 0.1, "snapshot_stride": 5})
 OBSTACLE_CHECKS = ("obstacle_bound", "multiplier_sign")
 
+# the obstacle-ladder benchmark's shape on a smaller basis and horizon: a
+# sigma ladder of obstacle rows at eps = 0 that reaches both contact sets
+OBSTACLE_LADDER = dict(
+    OBSTACLE_CONTACT,
+    geometry={side: {"kind": "interval_neumann", "extent": 1.0, "n_modes": 16,
+                     "m_grid": 64} for side in ("a", "b")},
+    data={"theta0": [{"kind": "cos", "k": 1, "amplitude": 2.5}],
+          "phi0": [{"kind": "cos", "k": 1, "amplitude": 0.8}]},
+    scheme={"scheme": "implicit_prox", "dt": 0.001, "t_final": 0.2, "snapshot_stride": 10},
+    study={"relaxlimit": {"sigmas": [0.5, 0.25, 0.1, 0.05]}})
+
 
 # a tiny Dirichlet/Neumann rectangle: exercises the mixed-basis paths
 MIXED_RECT = {
@@ -1078,7 +1089,7 @@ class TestStudyCommands:
     def test_obstacle_checks_pass_on_the_contact_sets(self, tmp_path):
         cfg = validate_config(copy.deepcopy(OBSTACLE_CONTACT))
         run = integrate(build_system(cfg), cfg.scheme, cfg.t_final, cfg.snapshot_stride)
-        assert (run.phi_grid_series == 1.0).any() and (run.phi_grid_series == -1.0).any()
+        assert (run.grid_max == 1.0).any() and (run.grid_min == -1.0).any()
         out = tmp_path / "out"
         assert main(["simulate", "--config", write_config(tmp_path, OBSTACLE_CONTACT),
                      "--out", str(out), "--quiet"]) == EXIT_OK
@@ -1114,25 +1125,55 @@ class TestStudyCommands:
                      "--out", str(out), "--quiet"]) == EXIT_OK
         assert not set(OBSTACLE_CHECKS) & set(read_manifest(out)["checks"])
 
+    @pytest.mark.parametrize("command", ["simulate", "relaxlimit", "contdep"])
+    def test_obstacle_checks_gate_every_row(self, tmp_path, command):
+        # the obstacle-ladder shape: four sigma rows and the limit (or the base
+        # and two shifted data) march at eps = 0, and every row is gated
+        out = tmp_path / "out"
+        payload = dict(OBSTACLE_LADDER, study={"contdep": {"deltas": [1e-1, 1e-2]}})
+        assert main([command, "--config", write_config(tmp_path, payload),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        checks = read_manifest(out)["checks"]
+        for name in OBSTACLE_CHECKS:
+            assert checks[name] == {"passed": True, "detail": {"worst_violation": 0.0}}
+
+    def test_relaxlimit_at_positive_eps_gates_the_limit_row(self, tmp_path):
+        # the ladder at eps > 0 may leave [-1, 1]; the limit runs at eps = 0
+        payload = dict(OBSTACLE_LADDER,
+                       potential={"kind": "double_obstacle", "c2": 0.5, "eps": 0.01})
+        out = tmp_path / "out"
+        assert main(["relaxlimit", "--config", write_config(tmp_path, payload),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        checks = read_manifest(out)["checks"]
+        assert all(checks[name]["passed"] for name in OBSTACLE_CHECKS)
+
+    @pytest.mark.parametrize("command, config", [("simulate", OBSTACLE_CONTACT),
+                                                 ("relaxlimit", OBSTACLE_LADDER)])
     @pytest.mark.parametrize("defect, failing", [("unclipped", "obstacle_bound"),
                                                  ("flipped_xi", "multiplier_sign")])
-    def test_obstacle_checks_fail_on_a_defect(self, tmp_path, monkeypatch, defect, failing):
+    def test_obstacle_checks_fail_on_a_defect(self, tmp_path, monkeypatch, defect, failing,
+                                              command, config):
         if defect == "unclipped":
             # a prox step that skips the projection onto [-1, 1]
             monkeypatch.setattr(fracphase.timestepper, "prox_step",
                                 lambda pot, eps, lam, s: np.array(s))
         else:
-            def flipped(*args):
-                run = integrate(*args)
-                return dataclasses.replace(run, xi_series=-run.xi_series)
+            # the march hands the snapshots the negated multiplier
+            record = fracphase.timestepper._LedgerAccumulator.record
 
-            monkeypatch.setattr(fracphase.cli, "integrate", flipped)
+            def flipped(self, t, theta, phi, row, xi, phi_grid):
+                record(self, t, theta, phi, row, None if xi is None else -xi, phi_grid)
+
+            monkeypatch.setattr(fracphase.timestepper._LedgerAccumulator, "record", flipped)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", write_config(tmp_path, OBSTACLE_CONTACT),
+        assert main([command, "--config", write_config(tmp_path, config),
                      "--out", str(out), "--quiet"]) == EXIT_CHECK
         checks = read_manifest(out)["checks"]
         assert [name for name in OBSTACLE_CHECKS if not checks[name]["passed"]] == [failing]
-        assert checks[failing]["detail"]["worst_violation"] > 0.0
+        detail = checks[failing]["detail"]
+        assert detail["worst_violation"] > 0.0
+        # a lone run names no row; the ladder names one of its five
+        assert detail.get("row") in ((None,) if command == "simulate" else range(5))
 
     def test_contdep_degenerate_ratio_fails_its_checks(self, tmp_path):
         # a shift of 1e-300 vanishes in theta0 + delta*mode: no data differ,

@@ -261,7 +261,7 @@ def exact_guard(values, label):
     if peak <= OVERFLOW_LIMIT:
         return None
     at, row = "", None
-    if values.ndim == 2:
+    if values.ndim == 2 and values.shape[0] > 1:  # a stack of one names no row
         peaks = np.abs(values).max(axis=1)
         row = int(np.argmax(~(peaks <= OVERFLOW_LIMIT)))
         at, peak = f" in row {row}", peaks[row]

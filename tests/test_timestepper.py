@@ -370,7 +370,7 @@ class TestEnergyLedger:
             return
         run = integrate(system, config, t_final, stride)
         assert_same_bits(run, oracle_integrate(system, config, t_final, stride))
-        assert (run.xi_series is not None) == (case == "obstacle_prox")
+        assert (run.xi_final is not None) == (case == "obstacle_prox")
         assert (not system.source) == (case == "one_basis")
         if stride > 1:
             return
@@ -566,13 +566,19 @@ class TestStackedSystems:
         config = SchemeConfig(scheme, dt=1e-3)
         batch = integrate(stack_systems(systems), config, 0.05, 10)
         assert batch.theta_series.shape[1] == 3 and batch.times.ndim == 1
-        assert batch.xi_series is None and batch.phi_grid_series is None
+        # every proximal row carries its obstacle contract
+        prox = scheme == "implicit_prox"
+        contract = ("grid_max", "grid_min", "sign_excess") if prox else ()
+        assert (batch.xi_final is not None) == prox
         for system, row in zip(systems, batch.rows()):
             alone = integrate(system, config, 0.05, 10)
             assert np.array_equal(row.times, alone.times)
+            if prox:  # (synth(Phi*) - phi_grid)/dt scales a rounding by 1/dt
+                assert row.xi_final.shape == alone.xi_final.shape
+                assert np.max(np.abs(row.xi_final - alone.xi_final)) <= 1e-12 / config.dt
             for obj, names in ((row, ("theta_series", "phi_series", "norm_theta",
                                       "graph_theta", "norm_phi", "graph_phi",
-                                      "dtphi_norm")),
+                                      "dtphi_norm") + contract),
                                (row.ledger, ("lhs", "rhs", "residual"))):
                 other = alone if obj is row else alone.ledger
                 for name in names:
@@ -823,8 +829,9 @@ class OracleLedger:
 
     The columns are preallocated for `n_rows` snapshots, `count` of them
     filled.  A record holds only what the march produced: the state,
-    |d_t phi|, the sums and the potential integral.  An unstacked proximal
-    run also records its multiplier and grid iterates.
+    |d_t phi|, the sums and the potential integral.  A proximal run also
+    records per row the largest and smallest grid value and the worst sign
+    excess of its multiplier, and keeps the last multiplier.
     """
 
     def __init__(self, system: DiscreteSystem, n_rows: int, prox: bool):
@@ -839,9 +846,9 @@ class OracleLedger:
         self.cols["t"] = np.empty(n_rows)
         self.theta = np.empty(shape + (system.n_a,))
         self.phi = np.empty(shape + (system.n_b,))
-        grids = prox and system.phi_stiff.ndim == 1
-        self.xi = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
-        self.phi_grid = np.empty((n_rows, system.basis_b.n_grid)) if grids else None
+        self.xi = np.zeros(shape[1:] + (system.basis_b.n_grid,)) if prox else None
+        for name in ("grid_max", "grid_min", "sign_excess") if prox else ():
+            self.cols[name] = np.empty(shape)
 
     def accumulate(self, state: State, step: StepResult, dt: float) -> np.ndarray:
         """Add one step's terms; returns |dphi|^2, which the caller reuses.
@@ -870,8 +877,11 @@ class OracleLedger:
         self.phi[k] = state.phi
         if self.xi is not None:
             # a proximal run hands every record its grid iterate
-            self.xi[k] = 0.0 if xi is None else xi
-            self.phi_grid[k] = phi_grid
+            self.xi = self.xi if xi is None else xi
+            c["grid_max"][k] = phi_grid.max(axis=-1)
+            c["grid_min"][k] = phi_grid.min(axis=-1)
+            c["sign_excess"][k] = np.where(np.abs(phi_grid) == 1.0, -phi_grid * self.xi,
+                                           0.0).max(axis=-1)
         self.count += 1
 
 
