@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .galerkin import DiscreteSystem, eval_nonlinearity, prepare_terms, project_data, \
-    stack_systems
+from .galerkin import DiscreteSystem, eval_nonlinearity, guard, prepare_terms, \
+    project_data, stack_systems
 from .spectral import SpectralBasis, analyze, cross_gram, graph_norms, \
     kernel_projection
 from .timestepper import RunOutput, SchemeConfig, integrate
@@ -186,8 +186,10 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
     theta_f = run.theta_series[-1]
     phi_f = run.phi_series[-1]
     prox = run.xi_final is not None
-    fphi, _ = eval_nonlinearity(prepare_terms(system, explicit_beta=not prox),
-                                theta_f, phi_f)
+    fphi, _, collocated = eval_nonlinearity(prepare_terms(system, explicit_beta=not prox),
+                                            theta_f, phi_f)
+    if collocated is not None:
+        guard(collocated, "nonlinearity")
     if prox:
         fphi = fphi + analyze(system.basis_b, run.xi_final)
     stationary = float(np.linalg.norm(system.phi_stiff * phi_f + fphi))

@@ -335,11 +335,13 @@ class StepTerms:
     couple: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def prepare_terms(system: DiscreteSystem, explicit_beta: bool = True) -> StepTerms:
+def prepare_terms(system: DiscreteSystem, explicit_beta: bool = True,
+                  solve: Optional[Callable] = None) -> StepTerms:
     """The StepTerms of F = P(beta_eps(phi)) + P(pi(phi)) - E^T theta, with
     every choice a run never changes made once: the coupling and the convex
     map; explicit_beta = False leaves the convex part out, which the proximal
-    scheme applies through its resolvent.
+    scheme applies through its resolvent, and `solve` is the resolvent the
+    convex map takes (`yosida`'s).
 
     The terms linear in the state stay in modal space: P(pi(phi)) =
     -gamma*phi exactly, and a constant coupling gives E^T theta = ell*theta on
@@ -353,7 +355,7 @@ def prepare_terms(system: DiscreteSystem, explicit_beta: bool = True) -> StepTer
     pot, eps, coupling = system.potential, system.eps, system.coupling
     basis_a, basis_b, neg_gamma = system.basis_a, system.basis_b, -pot.gamma
     # beta(phi) off its domain is NaN (eps = 0), which the guard of F rejects
-    convex = (lambda grid, theta: yosida(pot, eps, grid)) if explicit_beta else None
+    convex = (lambda grid, theta: yosida(pot, eps, grid, solve)) if explicit_beta else None
     if coupling.kind == "function":
         def latent(grid, theta):
             return -coupling.on_grid(grid) * synthesize(basis_a, theta)
@@ -372,17 +374,19 @@ def prepare_terms(system: DiscreteSystem, explicit_beta: bool = True) -> StepTer
                      lambda grid, w: w @ matrix_t)
 
 
-def eval_nonlinearity(terms: StepTerms, theta: np.ndarray,
-                      phi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(F(theta, phi), phi_grid): F in the B basis, and phi on the grid (None
-    when nothing was collocated); the collocated terms are analyzed in one
-    pass under one overflow guard."""
+def eval_nonlinearity(terms: StepTerms, theta: np.ndarray, phi: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(F(theta, phi), phi_grid, collocated): F in the B basis, phi on the
+    grid and the collocated terms of F on the grid, analyzed in one pass (both
+    None when nothing was collocated).  The caller holds the collocated grid
+    to the overflow guard, labelled "nonlinearity": the march once per span
+    of steps, other callers at once."""
     fphi = terms.modal(theta, phi)
     if terms.pointwise is None:
-        return fphi, None
+        return fphi, None, None
     phi_grid = synthesize(terms.basis_b, phi)
-    pointwise = guard(terms.pointwise(phi_grid, theta), "nonlinearity")
-    return fphi + analyze(terms.basis_b, pointwise), phi_grid
+    collocated = terms.pointwise(phi_grid, theta)
+    return fphi + analyze(terms.basis_b, collocated), phi_grid, collocated
 
 
 def apply_coupling(terms: StepTerms, phi_grid: np.ndarray, w: np.ndarray) -> np.ndarray:

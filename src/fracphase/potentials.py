@@ -31,7 +31,7 @@ LOG_NEWTON_MAX_ITERS = 64
 _ATANH_MAX = 20.0
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
-# `resolvent` accepts a solution outright when the sum of its squared
+# `check_resolvent` accepts a solution outright when the sum of its squared
 # residuals is at most this.  The sum bounds every squared residual, and half
 # the smallest per-point bound (1e-6), squared, leaves room for the rounding
 # of the dot product
@@ -121,8 +121,8 @@ def _log_resolvent(eps: float, s: np.ndarray) -> np.ndarray:
     y >= 0, so Newton from y = 0 climbs monotonically to the root; the sign of
     s is restored at the end, which makes J odd bit for bit.  A root closer
     to +-1 than float resolution returns an interior float (the last one
-    below 1 once tanh rounds to 1), and the residual check of `resolvent`
-    decides whether it is usable.
+    below 1 once tanh rounds to 1), and `check_resolvent` decides whether
+    it is usable.  Non-finite input passes through without raising.
     """
     a = np.abs(s)
     c = 2.0 * eps
@@ -192,8 +192,8 @@ def zero_potential() -> Potential:
 def resolvent(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     """J_eps(s): the unique solution of x + eps*beta(x) = s, pointwise.
 
-    The potential's own solver computes it, and every single-valued solution
-    passes the same residual sanity check.
+    The potential's own solver computes it, and the solution passes
+    `check_resolvent`.
     """
     if not (eps > 0.0 and math.isfinite(3.0 * eps)):  # the cubic takes sqrt(3*eps)
         raise ValueError(f"resolvent level eps must be positive with 3*eps finite, got {eps}")
@@ -204,30 +204,41 @@ def resolvent(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     if not math.isfinite(np.vdot(s_arr, s_arr)) and not np.isfinite(s_arr).all():
         raise ValueError("resolvent input must be finite")
     x = pot.resolvent_solver(eps, s_arr)
-    if pot.multivalued:  # the obstacle projection is exact
-        return x
-    residual = x + eps * pot.beta(x) - s_arr
+    check_resolvent(pot, eps, s_arr, x)
+    return x
+
+
+def check_resolvent(pot: Potential, eps: float, s: np.ndarray, x: np.ndarray) -> None:
+    """Raise ResolventError unless x solves x + eps*beta(x) = s to within
+    1e-6*(1 + |s|) at every point, naming the worst one; the obstacle
+    projection is exact and always passes.  Any array shape: the march checks
+    many steps' grids in one call.
+    """
+    if pot.multivalued:
+        return
+    residual = x + eps * pot.beta(x) - s
     # one dot accepts most calls (NaN fails it); the per-point bound decides
     if not np.vdot(residual, residual) <= _RESIDUAL_SUM_SQ:
         residual = np.abs(residual)
-        sanity = 1e-6 * (1.0 + np.abs(s_arr))
+        sanity = 1e-6 * (1.0 + np.abs(s))
         if not (residual <= sanity).all():
             excess = np.where(np.isfinite(residual), residual - sanity, np.inf)
             worst = int(np.argmax(excess))
             raise ResolventError(
                 f"resolvent failed for kind={pot.kind}, eps={eps}: residual "
-                f"{residual.flat[worst]:.3e} at s={s_arr.flat[worst]!r}"
+                f"{residual.flat[worst]:.3e} at s={s.flat[worst]!r}"
             )
-    return x
 
 
-def yosida(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
+def yosida(pot: Potential, eps: float, s: np.ndarray,
+           solve: Callable | None = None) -> np.ndarray:
     """beta_eps(s) = (s - J_eps(s)) / eps: monotone and 1/eps-Lipschitz; at
-    eps = 0 beta itself (NaN off its domain)."""
+    eps = 0 beta itself (NaN off its domain).  `solve(pot, eps, s)` computes
+    J_eps in place of `resolvent` (the march's unchecked solve)."""
     s_arr = np.asarray(s, dtype=float)
     if eps == 0.0:
         return pot.beta(s_arr)
-    return (s_arr - resolvent(pot, eps, s_arr)) / eps
+    return (s_arr - (solve or resolvent)(pot, eps, s_arr)) / eps
 
 
 def moreau(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
@@ -240,16 +251,19 @@ def moreau(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
     return (s_arr - j) ** 2 / (2.0 * eps) + pot.beta_hat(j)
 
 
-def prox_step(pot: Potential, eps: float, lam: float, s: np.ndarray) -> np.ndarray:
+def prox_step(pot: Potential, eps: float, lam: float, s: np.ndarray,
+              solve: Callable | None = None) -> np.ndarray:
     """Resolvent at level lam of the effective graph used by the stepper.
 
     eps = 0 treats beta itself (the unregularized graph); eps > 0 treats the
     Yosida map beta_eps through the resolvent identity
     (I + lam*beta_eps)^{-1} = (eps*I + lam*J_{lam+eps}) / (lam + eps).
+    `solve` replaces `resolvent` as in `yosida`.
     """
     if lam <= 0.0:
         raise ValueError(f"prox step size must be positive, got {lam}")
+    solve = solve or resolvent
     if eps == 0.0:
-        return resolvent(pot, lam, s)
+        return solve(pot, lam, s)
     s_arr = np.asarray(s, dtype=float)
-    return (eps * s_arr + lam * resolvent(pot, lam + eps, s_arr)) / (lam + eps)
+    return (eps * s_arr + lam * solve(pot, lam + eps, s_arr)) / (lam + eps)

@@ -25,7 +25,6 @@ tested against.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -391,19 +390,15 @@ def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
 
     On a rectangle the (..., mx, my) grid G gives (Vx.T @ (W*G) @ Vy)[..., jx, jy],
     with the tensor-product weights W folded into the per-axis tables.  An
-    interval basis with an FFT plan runs one rfft per row (`FFTPlan`).
+    interval basis with an FFT plan runs one rfft per row (`FFTPlan`).  The
+    values are not scanned: every caller passes a grid the overflow guard
+    holds, and the march guards its grids once per span of steps.
     """
     grid_values = np.asarray(grid_values, dtype=float)
     if grid_values.shape[-1:] != (basis.n_grid,):
         raise ValueError(
             f"grid array has shape {grid_values.shape}, expected (..., {basis.n_grid})"
         )
-    # a finite sum of squares means finite entries; the exact test decides
-    # the rest (finite entries above ~1e154 overflow the sum, which np.vdot
-    # returns as inf without a warning)
-    if not math.isfinite(np.vdot(grid_values, grid_values)) \
-            and not np.isfinite(grid_values).all():
-        raise ValueError("grid values must be finite")
     if basis.fft is not None:
         plan = basis.fft
         mirrored = grid_values[..., -2:0:-1]
@@ -418,11 +413,20 @@ def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
     return ((wx[:, None] * vx).T @ grid @ (wy[:, None] * vy))[(..., *basis.axis_modes)]
 
 
+def squared_graph_norms(series: np.ndarray, stiff: np.ndarray,
+                        norm_sq: np.ndarray | None = None) -> np.ndarray:
+    """Squared graph norms |c|^2 + sum_j stiff_j c_j^2 over the trailing axis
+    of a coefficient array; stiff = lambda**(2 rho) gives the graph of the
+    fractional power lambda**rho.  `norm_sq` is vecdot(c, c) when the caller
+    has formed it already."""
+    if norm_sq is None:
+        norm_sq = np.vecdot(series, series)
+    return norm_sq + np.vecdot(stiff * series, series)
+
+
 def graph_norms(series: np.ndarray, stiff: np.ndarray) -> np.ndarray:
-    """Graph norms (|c|^2 + sum_j stiff_j c_j^2)^(1/2) over the trailing axis
-    of a coefficient array; stiff = lambda**(2 rho) gives the norm of the
-    graph of the fractional power lambda**rho."""
-    return np.sqrt(np.vecdot(series, series) + np.vecdot(stiff * series, series))
+    """The graph norms, square roots of `squared_graph_norms`."""
+    return np.sqrt(squared_graph_norms(series, stiff))
 
 
 def gram_defect(basis: SpectralBasis) -> float:

@@ -5,7 +5,10 @@ linear stiff parts implicit: semi-implicit Euler (imex_euler) takes the
 convex part of the potential explicitly, the proximal scheme (implicit_prox)
 backward through its resolvent on the grid, which is what the obstacle
 potential and the sigma -> 0 limit system need.  `prepare_step` takes once
-per run every decision a run never changes, so a step does only arithmetic.
+per run every decision a run never changes, so a step does only arithmetic:
+it calls no overflow guard and no resolvent check.  It writes what those
+checks read into rows (`_CheckRows`), and `integrate` runs every check once
+per span of steps, in a step's order, before anything records the span.
 
 The ledger mirrors the first a-priori energy identity of the continuous
 problem: at the semi-discrete level the identity is exact, so the recorded
@@ -28,13 +31,18 @@ import numpy as np
 
 from .galerkin import DiscreteSystem, OverflowGuardError, StepTerms, ValidationError, \
     apply_coupling, eval_nonlinearity, guard, prepare_terms, project_data, stack_systems
-from .potentials import Potential, ResolventError, moreau, prox_step
-from .spectral import analyze, graph_norms, synthesize
+from .potentials import Potential, ResolventError, check_resolvent, moreau, prox_step
+from .spectral import analyze, squared_graph_norms, synthesize
 
 SCHEMES = ("imex_euler", "implicit_prox")
 
 # steps per ledger reduction, whatever the snapshot stride
 LEDGER_BLOCK = 64
+
+# floats a check row block may hold per stored grid: a span of steps ends
+# once its rows fill this (or at a snapshot or a ledger block end), so a
+# span is 64 steps on an n = 8 interval and one step on a 256 x 256 rectangle
+CHECK_GRID_FLOATS = 8192
 
 
 class BlowupError(RuntimeError):
@@ -134,12 +142,79 @@ class RunOutput:
                 for b in range(self.theta_series.shape[1])]
 
 
+class _CheckRows:
+    """What the checks of a step read, one row per step of a span, written
+    by the step at row `i`: the resolvent's input and output grids `s`, `x`
+    (None when no residual is checked: at eps = 0 under imex_euler, and for
+    the exact obstacle projection), the collocated grid of F `f` (None when
+    nothing is collocated) and, under implicit_prox, the intermediate grid
+    `star`.  The coefficient checks read the ledger's state rows.
+
+    The resolvent level is checked by assembly (eps) and `prepare_step` (dt),
+    and its input is finite in the first step that fails any check: a
+    synthesis of checked coefficients, or the checked intermediate grid.
+    """
+
+    def __init__(self, system: DiscreteSystem, level: float | None, prox: bool):
+        self.shape = system.phi_stiff.shape[:-1] + (system.basis_b.n_grid,)
+        self.n_rows = min(LEDGER_BLOCK, max(1, CHECK_GRID_FLOATS // math.prod(self.shape)))
+        self.i = 0
+        self.potential, self.level, self.prox = system.potential, level, prox
+        self.s = self.grids() if level is not None else None
+        self.x = self.grids() if level is not None else None
+        self.star = self.grids() if prox else None
+        self.f = None  # `prepare_step` allocates it once it knows the terms of F
+
+    def grids(self) -> np.ndarray:
+        return np.empty((self.n_rows,) + self.shape)
+
+    def solve(self, pot: Potential, level: float, s: np.ndarray) -> np.ndarray:
+        """J_level(s) by the split's own solver, its grids kept in row i."""
+        x = pot.resolvent_solver(level, s)
+        self.s[self.i], self.x[self.i] = s, x
+        return x
+
+    def run(self, rows, theta: np.ndarray, phi: np.ndarray) -> None:
+        """Every check in a step's order on check rows `rows` (a step's index
+        or a slice of several) and the matching coefficient rows; the first
+        failing one raises."""
+        residual = self.x is not None
+        if residual and not self.prox:
+            check_resolvent(self.potential, self.level, self.s[rows], self.x[rows])
+        if self.f is not None:
+            guard(self.f[rows], "nonlinearity")
+        if self.prox:
+            guard(self.star[rows], "phase grid")
+            if residual:
+                check_resolvent(self.potential, self.level, self.s[rows], self.x[rows])
+        guard(phi, "phi coefficients")
+        guard(theta, "theta coefficients")
+
+    def first_failure(self, theta: np.ndarray, phi: np.ndarray, first: int):
+        """None when the span's steps, rows 0..i here and block rows first..
+        of the ledger's theta and phi, pass every check, which one batched
+        call per check decides; else (r, error) of the span's first failing
+        step r, the error its own checks raise."""
+        n = self.i + 1
+        try:
+            self.run(slice(0, n), theta[first:first + n], phi[first:first + n])
+            return None
+        except (OverflowGuardError, ResolventError):
+            for r in range(n):
+                try:
+                    self.run(r, theta[first + r], phi[first + r])
+                except (OverflowGuardError, ResolventError) as exc:
+                    return r, exc
+            raise
+
+
 @dataclass(frozen=True)
 class PreparedStep:
     """What `step_imex` needs of one run, every decision the run never changes
     taken: the denominators 1 + dt*Lambda and 1 + dt*M, the terms of F and E w,
-    g(t) (a bound zero vector without a source) and, under implicit_prox, the
-    resolvent J_dt of the phase grid."""
+    g(t) (a bound zero vector without a source), under implicit_prox the
+    resolvent J_dt of the phase grid, and the rows the step writes for the
+    checks."""
 
     dt: float
     theta_denom: np.ndarray
@@ -147,6 +222,7 @@ class PreparedStep:
     terms: StepTerms
     source_at: Callable[[float], np.ndarray]
     prox: Optional[Callable[[np.ndarray], np.ndarray]]
+    checks: _CheckRows
 
 
 def prepare_step(system: DiscreteSystem, scheme: SchemeConfig) -> PreparedStep:
@@ -156,17 +232,30 @@ def prepare_step(system: DiscreteSystem, scheme: SchemeConfig) -> PreparedStep:
     The temperature denominator and the zero source take theta's shape:
     same-shape operands skip numpy's costly broadcasting setup.
     """
-    if problem := scheme_problem(system.potential, system.eps, scheme.scheme):
+    pot, eps = system.potential, system.eps
+    if problem := scheme_problem(pot, eps, scheme.scheme):
         raise ValidationError(problem)
     dt, prox = scheme.dt, scheme.scheme == "implicit_prox"
     theta_denom, phi_denom = system.step_denominators(dt)
     rows = system.phi_stiff.shape[:-1]
     zeros = np.zeros(rows + (system.n_a,))
+    # the level of the resolvent whose residual the checks read (`prox_step`'s
+    # lam + eps); the obstacle projection is exact, and imex_euler at eps = 0
+    # takes beta itself
+    level = None
+    if not pot.multivalued and (prox or eps > 0.0):
+        level = dt + eps if prox else eps
+    checks = _CheckRows(system, level, prox)
+    solve = checks.solve if level is not None else (
+        lambda pot, level, s: pot.resolvent_solver(level, s))
+    terms = prepare_terms(system, explicit_beta=not prox, solve=solve)
+    if terms.pointwise is not None:
+        checks.f = checks.grids()
     return PreparedStep(
-        dt, np.tile(theta_denom, rows + (1,)), phi_denom,
-        prepare_terms(system, explicit_beta=not prox),
+        dt, np.tile(theta_denom, rows + (1,)), phi_denom, terms,
         system.source_at if system.source else lambda t: zeros,
-        (lambda grid: prox_step(system.potential, system.eps, dt, grid)) if prox else None)
+        (lambda grid: prox_step(pot, eps, dt, grid, solve)) if prox else None,
+        checks)
 
 
 def step_imex(prepared: PreparedStep, theta: np.ndarray, phi: np.ndarray, t: float):
@@ -185,21 +274,25 @@ def step_imex(prepared: PreparedStep, theta: np.ndarray, phi: np.ndarray, t: flo
     the multiplier relation holds exactly at every node, so an obstacle
     bound holds by construction.  Both schemes then take
     Theta+ = (I + dt Lambda)^(-1) (Theta - E (Phi+ - Phi) + dt g(t+dt)).
+    The step checks nothing: it writes the grids the checks read into row
+    `checks.i` of the prepared check rows.
     """
-    p, dt = prepared, prepared.dt
-    fphi, start_grid = eval_nonlinearity(p.terms, theta, phi)
+    p, dt, checks = prepared, prepared.dt, prepared.checks
+    fphi, start_grid, collocated = eval_nonlinearity(p.terms, theta, phi)
+    if collocated is not None:
+        checks.f[checks.i] = collocated
     phi_new = (phi - dt * fphi) / p.phi_denom
     intermediate = phi_grid = None
     if p.prox is not None:
-        intermediate = guard(synthesize(p.terms.basis_b, phi_new), "phase grid")
+        intermediate = synthesize(p.terms.basis_b, phi_new)
+        checks.star[checks.i] = intermediate
         phi_grid = p.prox(intermediate)
         phi_new = analyze(p.terms.basis_b, phi_grid)
-    phi_new = guard(phi_new, "phi coefficients")
     coupled = apply_coupling(p.terms, start_grid, phi_new - phi)
     g = p.source_at(t + dt)
     # + dt*g stays for a zero source too: it turns a -0.0 of theta - coupled
     # into the +0.0 the recorded series hold
-    theta_new = guard((theta - coupled + dt * g) / p.theta_denom, "theta coefficients")
+    theta_new = (theta - coupled + dt * g) / p.theta_denom
     return theta_new, phi_new, g, intermediate, phi_grid
 
 
@@ -326,6 +419,11 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
     ValidationError before the first step.  An overflow guard trip or a
     resolvent failure raises BlowupError with the step, its end time, the
     offending row and the output up to the last completed snapshot.
+
+    The checks run once per span of steps (`_CheckRows`), which ends at each
+    snapshot, at each ledger block end and when the check rows are full; the
+    error is the one the first failing step's own checks raise, so it equals
+    a per-step check's.
     """
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
@@ -351,19 +449,35 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
     # clamped field can overshoot the obstacle and blow up the indicator
     ledger.theta_block[0], ledger.phi_block[0] = theta, phi
     ledger.record(0.0, theta, phi, 0, None, system.phi0_grid if prox else None)
+    checks, first = prepared.checks, 1  # the block row of the span's first step
     try:
-        for k in range(1, n_steps + 1):
-            # (k - 1)*dt, not the sum of k - 1 dt's, avoids drift in the times
-            theta, phi, g, star_grid, phi_grid = step_imex(prepared, theta, phi, (k - 1) * dt)
-            j = (k - 1) % block + 1  # the step's row in its block
-            ledger.theta_block[j], ledger.phi_block[j] = theta, phi
-            if ledger.source_block is not None:
-                ledger.source_block[j] = g
-            if k % snapshot_stride == 0 or k == n_steps:
-                xi = None if phi_grid is None else (star_grid - phi_grid) / dt
-                ledger.record(k * dt, theta, phi, j, xi, phi_grid)
-            if j == block or k == n_steps:
-                ledger.accumulate(j, dt)
+        # the steps a span computes after one that fails its checks run on
+        # inf or NaN, which must print nothing
+        with np.errstate(all="ignore"):
+            for k in range(1, n_steps + 1):
+                j = (k - 1) % block + 1  # the step's row in its block
+                checks.i = j - first  # and in its span
+                # (k - 1)*dt, not the sum of k - 1 dt's, avoids drift in the times
+                theta, phi, g, star_grid, phi_grid = step_imex(prepared, theta, phi,
+                                                               (k - 1) * dt)
+                ledger.theta_block[j], ledger.phi_block[j] = theta, phi
+                if ledger.source_block is not None:
+                    ledger.source_block[j] = g
+                snapshot = k % snapshot_stride == 0 or k == n_steps
+                # a span ends before a snapshot, so only checked states record
+                if snapshot or j == block or checks.i + 1 == checks.n_rows:
+                    failure = checks.first_failure(ledger.theta_block, ledger.phi_block,
+                                                   first)
+                    if failure is not None:
+                        r, exc = failure
+                        k += r - checks.i  # the failing step
+                        raise exc
+                    first = j % block + 1
+                if snapshot:
+                    xi = None if phi_grid is None else (star_grid - phi_grid) / dt
+                    ledger.record(k * dt, theta, phi, j, xi, phi_grid)
+                if j == block or k == n_steps:
+                    ledger.accumulate(j, dt)
     except (OverflowGuardError, ResolventError) as exc:
         ledger.accumulate((k - 1) % block, dt)  # fills the unfinished block's snapshots
         raise BlowupError(f"{exc} in step {k}, t={k * dt!r}", output(), step=k,
@@ -373,7 +487,8 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
 
 def _finalize(ledger: _LedgerAccumulator) -> RunOutput:
     """The recorded rows as a RunOutput, with the norms of every snapshot
-    derived at once (a row-batched vecdot equals the per-row one)."""
+    derived at once (a row-batched vecdot equals the per-row one), each
+    product formed once."""
     system, n = ledger.system, ledger.count
 
     def col(name):
@@ -382,8 +497,9 @@ def _finalize(ledger: _LedgerAccumulator) -> RunOutput:
     theta, phi = ledger.theta[:n], ledger.phi[:n]
     theta_sq = np.vecdot(theta, theta)
     phi_sq = np.vecdot(phi, phi)
+    phi_graph_sq = squared_graph_norms(phi, system.phi_stiff, phi_sq)
     half_theta_sq = 0.5 * theta_sq
-    half_graph_phi = 0.5 * (phi_sq + np.vecdot(system.phi_stiff * phi, phi))
+    half_graph_phi = 0.5 * phi_graph_sq
     lhs = (half_theta_sq + col("diss_theta") + col("diss_phi")
            + half_graph_phi + col("potential_integral"))
     rhs = lhs[0] + col("work_source") + col("work_phi")
@@ -404,9 +520,9 @@ def _finalize(ledger: _LedgerAccumulator) -> RunOutput:
         theta_series=theta,
         phi_series=phi,
         norm_theta=np.sqrt(theta_sq),
-        graph_theta=graph_norms(theta, system.theta_stiff),
+        graph_theta=np.sqrt(squared_graph_norms(theta, system.theta_stiff, theta_sq)),
         norm_phi=np.sqrt(phi_sq),
-        graph_phi=graph_norms(phi, system.phi_stiff),
+        graph_phi=np.sqrt(phi_graph_sq),
         dtphi_norm=col("dtphi"),
         ledger=series,
         xi_final=ledger.xi,

@@ -1154,9 +1154,12 @@ class TestStudyCommands:
     def test_obstacle_checks_fail_on_a_defect(self, tmp_path, monkeypatch, defect, failing,
                                               command, config):
         if defect == "unclipped":
-            # a prox step that skips the projection onto [-1, 1]
-            monkeypatch.setattr(fracphase.timestepper, "prox_step",
-                                lambda pot, eps, lam, s: np.array(s))
+            # an obstacle whose resolvent solver skips the projection onto [-1, 1]
+            def unclipped(c2):
+                return dataclasses.replace(double_obstacle_potential(c2),
+                                           resolvent_solver=lambda eps, s: np.array(s))
+
+            monkeypatch.setitem(fracphase.config._POTENTIALS, "double_obstacle", unclipped)
         else:
             # the march hands the snapshots the negated multiplier
             record = fracphase.timestepper._LedgerAccumulator.record

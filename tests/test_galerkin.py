@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import gauss_legendre_gram
+from fracphase.analysis import omega_limit_probe
 from fracphase.expressions import build_source
 from fracphase.galerkin import (OVERFLOW_LIMIT, Coupling, OverflowGuardError,
                                 ProblemData, ValidationError, apply_coupling,
@@ -15,6 +17,7 @@ from fracphase.galerkin import (OVERFLOW_LIMIT, Coupling, OverflowGuardError,
 from fracphase.potentials import (double_obstacle_potential, logarithmic_potential,
                                   regular_potential, yosida, zero_potential)
 from fracphase.spectral import analyze, build_basis, synthesize
+from fracphase.timestepper import SchemeConfig, integrate
 
 
 def make_system(basis_a, basis_b, coupling, potential=None, eps=1e-2,
@@ -129,7 +132,7 @@ class TestProjectData:
 class TestEvalNonlinearity:
     def test_zero_state(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(1.0))
-        fphi, _ = eval_nonlinearity(prepare_terms(system), np.zeros(8), np.zeros(8))
+        fphi, *_ = eval_nonlinearity(prepare_terms(system), np.zeros(8), np.zeros(8))
         assert np.max(np.abs(fphi)) <= 1e-14
 
     def test_constant_state_approaches_cubic(self, neumann8):
@@ -137,7 +140,7 @@ class TestEvalNonlinearity:
         system = make_system(neumann8, neumann8, Coupling.constant(0.0), eps=1e-6)
         phi = np.zeros(8)
         phi[0] = 1.0  # eta_0 = 1 on (0,1)
-        fphi, _ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
+        fphi, *_ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
         assert fphi[0] == pytest.approx(0.0, abs=1e-5)
         assert np.max(np.abs(fphi[1:])) <= 1e-12
 
@@ -147,17 +150,19 @@ class TestEvalNonlinearity:
         theta = np.zeros(8)
         theta[0] = 2.0
         system = make_system(neumann8, neumann8, Coupling.constant(3.0))
-        fphi, _ = eval_nonlinearity(prepare_terms(system), theta, np.zeros(8))
+        fphi, *_ = eval_nonlinearity(prepare_terms(system), theta, np.zeros(8))
         assert np.array_equal(fphi, -3.0 * theta)
         mixed = make_system(dirichlet8, neumann8, Coupling.constant(3.0))
-        fphi, _ = eval_nonlinearity(prepare_terms(mixed), theta, np.zeros(8))
+        fphi, *_ = eval_nonlinearity(prepare_terms(mixed), theta, np.zeros(8))
         assert np.max(np.abs(fphi + theta @ mixed.coupling_matrix)) <= 1e-15
 
     def test_overflow_guard(self, neumann8):
+        # the collocated grid's guard belongs to the callers of
+        # eval_nonlinearity: the omega-limit probe guards a run's final state
         system = make_system(neumann8, neumann8, Coupling.constant(0.0))
         huge = np.full(8, 1e13)
-        with pytest.raises(OverflowGuardError):
-            eval_nonlinearity(prepare_terms(system), np.zeros(8), huge)
+        with pytest.raises(OverflowGuardError, match="nonlinearity"):
+            omega_limit_probe(system, ending_in(system, np.zeros(8), huge))
 
     def test_eps_zero_multivalued_evaluates_minimal_section(self, neumann8):
         # the step only evaluates: at eps = 0 inside [-1, 1] the obstacle's
@@ -169,12 +174,12 @@ class TestEvalNonlinearity:
                              phi0=lambda x: 0.5 * np.cos(np.pi * x))
         phi = np.zeros(8)
         phi[0] = 0.5  # eta_0 = 1, so phi = 0.5 at every node
-        fphi, _ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
+        fphi, *_ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
         assert np.max(np.abs(fphi + potential.gamma * phi)) <= 1e-15
 
     def test_eps_zero_beta_off_domain_names_row(self, neumann8):
-        # beta(phi) off the logarithmic domain is NaN, which the one guard of
-        # the collocated terms rejects, naming the stacked row it is in
+        # beta(phi) off the logarithmic domain is NaN, which the probe's guard
+        # of the collocated terms rejects, naming the stacked row it is in
         potential = logarithmic_potential(2.0)
         row = make_system(neumann8, neumann8, Coupling.constant(0.0),
                           potential=potential, eps=0.0)
@@ -182,8 +187,16 @@ class TestEvalNonlinearity:
         phi = np.zeros((3, 8))
         phi[1, 0] = 2.0  # eta_0 = 1, so phi = 2 at every node of row 1
         with pytest.raises(OverflowGuardError, match="nonlinearity") as info:
-            eval_nonlinearity(prepare_terms(system), np.zeros((3, 8)), phi)
+            omega_limit_probe(system, ending_in(system, np.zeros((3, 8)), phi))
         assert info.value.row == 1
+
+
+def ending_in(system, theta, phi):
+    """A short run of `system` whose last state is replaced by (theta, phi)."""
+    run = integrate(system, SchemeConfig("imex_euler", dt=1e-2), 0.02)
+    return dataclasses.replace(run, theta_series=np.concatenate([run.theta_series[:-1],
+                                                                 theta[None]]),
+                               phi_series=np.concatenate([run.phi_series[:-1], phi[None]]))
 
 
 class TestQuadratureConsistency:
@@ -247,7 +260,7 @@ class TestSourceSampling:
         system = make_system(neumann8, neumann8, Coupling.constant(0.0), eps=0.1)
         phi = np.zeros(8)
         phi[0] = 1.0
-        fphi, _ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
+        fphi, *_ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
         # phi = eta_0 = 1 on (0, 1): F = (beta_0.1(1) - gamma) eta_0
         beta_eps = yosida(system.potential, 0.1, np.array([1.0]))
         expected = (beta_eps - system.potential.gamma) * phi

@@ -108,15 +108,16 @@ def test_per_step_call_counts(monkeypatch, workload):
 # the linear system in closed form
 
 
-def exact_final_state(system: DiscreteSystem, t: float, time_factor) -> np.ndarray:
+def exact_final_state(system: DiscreteSystem, t: float, time_terms) -> np.ndarray:
     """[Theta(t), Phi(t)] of the linear Galerkin system the march discretizes
     at potential kind "none" and a constant coupling ell:
 
         Phi' = -M Phi + E^T Theta,
         Theta' = -(Lambda + E E^T) Theta + E M Phi + f(t) q,
 
-    from the projected data, with q the projected source and f(s) = a*exp(r*s)
-    (r = 0 for a constant factor), given as (a, r).  Lambda, M and E are built
+    from the projected data, with q the projected source and f(s) the sum of
+    the terms a*exp(r*s) of `time_terms`, a list of (a, r) pairs: r = 0 for a
+    constant factor, and a conjugate pair of complex terms for a cosine.  Lambda, M and E are built
     here from the config's exponents and coupling, the bases' eigenvalues and
     a Gauss-Legendre Gram matrix, not from the system's arrays.  numpy's eig
     diagonalizes the matrix, and each mode's Duhamel integral is closed form.
@@ -131,12 +132,13 @@ def exact_final_state(system: DiscreteSystem, t: float, time_factor) -> np.ndarr
     y0 = np.concatenate(project_data(system))
     d, v = np.linalg.eig(matrix)
     z0, p = np.linalg.solve(v, y0), np.linalg.solve(v, force)
-    a, r = time_factor
-    gap = r - d
-    # a * int_0^t exp(d (t - s)) exp(r s) ds, with its limit a*t*exp(d t) at r = d
-    tiny = np.abs(gap * t) < 1e-8
-    duhamel = a * np.where(tiny, t * np.exp(d * t),
-                           (np.exp(r * t) - np.exp(d * t)) / np.where(tiny, 1.0, gap))
+    duhamel = 0.0
+    for a, r in time_terms:
+        gap = r - d
+        # a * int_0^t exp(d (t - s)) exp(r s) ds, with its limit a*t*exp(d t) at r = d
+        tiny = np.abs(gap * t) < 1e-8
+        duhamel = duhamel + a * np.where(
+            tiny, t * np.exp(d * t), (np.exp(r * t) - np.exp(d * t)) / np.where(tiny, 1.0, gap))
     y = v @ (np.exp(d * t) * z0 + duhamel * p)
     assert np.max(np.abs(y.imag)) <= 1e-10 * np.max(np.abs(y.real))
     return y.real
@@ -148,15 +150,23 @@ GEOMETRIES = {
     "rect": {"a": {"kind": "rect_neumann", "extent": [1.0, 1.5], "n_modes": 6, "m_grid": 24},
              "b": {"kind": "rect_neumann", "extent": [1.0, 1.5], "n_modes": 6, "m_grid": 24}},
 }
-# the config's time factor and its (a, r) in a*exp(r*t)
-TIME_FACTORS = {"constant": ({"kind": "constant", "value": 0.8}, (0.8, 0.0)),
-                "exp": ({"kind": "exp", "rate": -1.5, "amplitude": 1.2}, (1.2, -1.5))}
+# the config's time factor as its terms (a, r) of a sum of a*exp(r*t); a
+# cosine amp*cos(omega t + phase) is the conjugate pair amp/2 e^(+-i phase)
+# e^(+-i omega t)
+COS_AMP, COS_OMEGA, COS_PHASE = 1.1, 6.0, 0.4
+TIME_FACTORS = {
+    "constant": ({"kind": "constant", "value": 0.8}, [(0.8, 0.0)]),
+    "exp": ({"kind": "exp", "rate": -1.5, "amplitude": 1.2}, [(1.2, -1.5)]),
+    "cos": ({"kind": "cos", "omega": COS_OMEGA, "phase": COS_PHASE, "amplitude": COS_AMP},
+            [(0.5 * COS_AMP * np.exp(sign * 1j * COS_PHASE), sign * 1j * COS_OMEGA)
+             for sign in (1, -1)]),
+}
 
 
 @pytest.mark.parametrize("factor", sorted(TIME_FACTORS))
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 def test_linear_march_converges_to_the_exact_solution(geometry, factor):
-    spec, time_factor = TIME_FACTORS[factor]
+    spec, time_terms = TIME_FACTORS[factor]
     source = {"space": {"kind": "mode", "index": 1, "amplitude": 0.5}, "time": spec}
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
@@ -168,7 +178,7 @@ def test_linear_march_converges_to_the_exact_solution(geometry, factor):
         run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
         final = np.concatenate([run.theta_series[-1], run.phi_series[-1]])
         errors.append(np.linalg.norm(final - exact_final_state(system, cfg.t_final,
-                                                                time_factor)))
+                                                                time_terms)))
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     # implicit-explicit Euler is first order: halving dt halves the error
     assert np.all((1.9 <= ratios) & (ratios <= 2.1)), ratios

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from conftest import gauss_legendre_gram, smoke_run
 from fracphase.expressions import build_space_field
 import fracphase.spectral
+from fracphase.galerkin import Coupling, ProblemData, assemble, stack_systems
+from fracphase.potentials import logarithmic_potential
 from fracphase.spectral import (FFT_MIN_TABLE_SIZE, ORTHONORMALITY_TOL,
                                 BasisBuildError, analyze, build_basis,
                                 cross_gram, eigenfunctions_at,
                                 fractional_multipliers, gram_defect, graph_norms,
                                 kernel_projection, min_grid_nodes, synthesize)
 from fracphase.spectral import _select_modes
+from fracphase.timestepper import BlowupError, SchemeConfig, integrate
 
 PI2 = np.pi**2
 
@@ -220,10 +223,8 @@ class TestFFTTransforms:
         assert b.fft is not None
         with pytest.raises(ValueError, match="shape"):
             synthesize(b, np.zeros(511))
-        grid = np.zeros(2048)
-        grid[7] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            analyze(b, grid)
+        with pytest.raises(ValueError, match="shape"):
+            analyze(b, np.zeros(2047))
 
     def test_dispatch_rule(self):
         """Intervals only: a dense table of at least FFT_MIN_TABLE_SIZE entries
@@ -275,12 +276,6 @@ class TestTransforms:
         c = analyze(neumann8, np.cos(3 * np.pi * neumann8.grid_points))
         assert c[3] == pytest.approx(0.7071067811865475, abs=1e-12)
         assert np.max(np.abs(np.delete(c, 3))) <= 1e-12
-
-    def test_rejects_nonfinite(self, neumann8):
-        vals = np.zeros(neumann8.n_grid)
-        vals[3] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            analyze(neumann8, vals)
 
     def test_rejects_length_mismatch(self, neumann8):
         with pytest.raises(ValueError, match="shape"):
@@ -376,21 +371,29 @@ def test_acceptance_scale_gram():
         assert gram_defect(b) <= 1e-10
 
 
-# finite entries of 1e200 overflow the dot product of the fast finiteness test
-FINITENESS_EDGES = [1.0, 1e200, -1e200, np.inf, -np.inf, np.nan]
+# analyze does not scan its input: a NaN on the march's collocated grid is
+# the nonlinearity guard's to reject, on either transform path.  At eps = 0
+# the logarithmic beta pushes a datum near 1 past -1 in one step of dt = 1,
+# so the second step's beta(phi) is NaN.
+@pytest.mark.parametrize("n_modes, m_grid", [(8, 64), (128, 2048)], ids=["dense", "fft"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stacked"])
+def test_nan_collocated_grid_trips_the_nonlinearity_guard(n_modes, m_grid, stacked):
+    basis = build_basis("interval_neumann", 1.0, n_modes, m_grid)
+    assert (basis.fft is not None) == (m_grid == 2048)
+    potential = logarithmic_potential(2.0)
 
+    def system(value):
+        data = ProblemData(theta0=None, phi0=lambda x: np.full_like(x, value),
+                           coupling=Coupling.constant(0.0))
+        return assemble(data, basis, basis, 0.5, 0.5, 0.0, potential)
 
-@settings(max_examples=100, deadline=None)
-@given(entries=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(FINITENESS_EDGES)),
-                        max_size=6),
-       rows=st.sampled_from([None, 2]))
-def test_analyze_finiteness_fast_path_matches_exact(entries, rows):
-    basis = build_basis("interval_neumann", 1.0, 8, 64)
-    grid = np.zeros(64 if rows is None else (rows, 64))
-    for k, value in entries:
-        grid.flat[k] = value
-    if np.isfinite(grid).all():
-        assert analyze(basis, grid).shape == grid.shape[:-1] + (8,)
-    else:
-        with pytest.raises(ValueError, match="grid values must be finite"):
-            analyze(basis, grid)
+    rows = [system(0.0), system(0.9999999), system(0.5)]
+    march = stack_systems(rows) if stacked else rows[1]
+    with pytest.raises(BlowupError) as info:
+        integrate(march, SchemeConfig("imex_euler", dt=1.0), 4.0, 10)
+    at = " in row 1" if stacked else ""
+    assert str(info.value) == (f"nonlinearity exceeded the overflow guard{at} "
+                               "(peak |value| nan) in step 2, t=2.0")
+    assert (info.value.step, info.value.t) == (2, 2.0)
+    assert info.value.row == (1 if stacked else None)
+    assert info.value.partial.times.tolist() == [0.0]

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import fracphase.galerkin
+import fracphase.potentials
 import fracphase.timestepper
 from conftest import bisect_resolvent, smoke_data, smoke_run
 from fracphase.config import build_system, load_raw_config, validate_config
@@ -485,10 +487,11 @@ class TestFastPathsAgainstOracle:
             assert np.max(np.abs(getattr(runs[0].ledger, name)
                                  - getattr(runs[1].ledger, name))) <= 1e-10
 
+    # the checks run once per span of steps, so a step adds no guard call
     @pytest.mark.parametrize("case,expected", [
-        ("imex_same_basis", (1, 1, 1, 3)),
-        ("imex_mixed_basis", (1, 1, 1, 3)),
-        ("prox", (1, 1, 1, 3)),
+        ("imex_same_basis", (1, 1, 1, 0)),
+        ("imex_mixed_basis", (1, 1, 1, 0)),
+        ("prox", (1, 1, 1, 0)),
     ])
     def test_transforms_per_step(self, neumann8, monkeypatch, case, expected):
         dirichlet8 = build_basis("interval_dirichlet", 1.0, 8, 64)
@@ -976,3 +979,164 @@ class TestBlockedLedgerAgainstOracle:
         assert (got.step, got.t, got.row, str(got)) == (want.step, want.t, want.row, str(want))
         assert got.step == 3 and got.partial.times.tolist() == [0.0, 20.0]
         assert_same_bits(got.partial, want.partial)
+
+
+def constant_rows(potential, eps, ell, rows, source_rate=None):
+    """One neumann8 system per (theta0, phi0) pair of constant data, sharing
+    the potential, the coupling ell and, given a rate, the source e^(rate t)."""
+    basis = build_basis("interval_neumann", 1.0, 8, 64)
+    source = None if source_rate is None else (
+        (lambda x: np.ones_like(x), lambda t: np.exp(source_rate * t)),)
+
+    def row(theta0, phi0):
+        data = ProblemData(theta0=lambda x: np.full_like(x, theta0),
+                           phi0=lambda x: np.full_like(x, phi0), source=source,
+                           coupling=Coupling.constant(ell))
+        return assemble(data, basis, basis, 0.5, 0.5, eps, potential)
+
+    return [row(*pair) for pair in rows]
+
+
+# Each check kind tripped by the lone system (the middle row) and by the
+# stack of all three in the middle of a span: each trip step (lone, stacked)
+# is neither the first nor the last of its snapshot interval, and a snapshot
+# precedes it in the same ledger block.
+FAILURES = {
+    # the Newton root of a phase pushed past 1.374 rounds to the last float
+    # below 1, whose residual fails; no row is named
+    "resolvent": ("resolvent failed", ("imex_euler", 1e-3, 1.0, 10), (28, 28),
+                  (logarithmic_potential(2.0), 1e-2, 1.0,
+                   [(0.0, 0.1), (50.0, 0.1), (0.0, 0.2)], None)),
+    # beta(phi) is NaN once the explicit step takes phi past 1
+    "nan_beta": ("nonlinearity", ("imex_euler", 1e-3, 1.0, 5), (19, 19),
+                 (logarithmic_potential(2.0), 0.0, 1.0,
+                  [(0.0, 0.1), (50.0, 0.1), (0.0, 0.2)], None)),
+    # phi+ = 2 phi - phi^3 leaves phi = sqrt(3) + 1e-6 slowly, then beta =
+    # phi^3 trips the guard; the steps after it overflow to inf and NaN
+    "cubic_overflow": ("nonlinearity", ("imex_euler", 1.0, 60.0, 8), (11, 11),
+                       (regular_potential(1.0), 0.0, 0.0,
+                        [(0.0, 0.5), (0.0, 1.7320518076), (0.0, -0.5)], None)),
+    # dt*ell*theta outgrows the guard on the intermediate grid
+    "phase_grid": ("phase grid", ("implicit_prox", 0.5, 40.0, 4), (27, 27),
+                   (double_obstacle_potential(0.5), 0.0, 10.0,
+                    [(0.0, 0.1), (1e11, 0.1), (0.0, 0.2)], 2.0)),
+    # beta_eps(phi) ~ phi/eps and dt = 30*eps make phi+ ~ -29 phi
+    "phi": ("phi coefficients", ("imex_euler", 3.0, 3000.0, 8), (21, 15),
+            (regular_potential(1.0), 0.1, 0.0, [(0.0, 0.5), (0.0, 1.0), (0.0, 1.5)], None)),
+    # the source grows theta past the guard
+    "theta": ("theta coefficients", ("imex_euler", 0.1, 20.0, 4), (139, 139),
+              (zero_potential(), 1e-2, 0.1, [(0.0, 0.1), (5e11, 0.1), (0.0, 0.2)], 2.0)),
+}
+
+
+class TestFailureSemantics:
+    """A failing check found once per span raises what the per-step march
+    raises: the same message, step, time, row and partial output.  The steps
+    a span computes after the failing one run on inf or NaN and print
+    nothing (warnings are errors in this suite)."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stacked"])
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_trip_mid_span_matches_per_step_march(self, case, stacked):
+        label, (scheme, dt, t_final, stride), steps, (potential, eps, ell, rows, rate) = \
+            FAILURES[case]
+        systems = constant_rows(potential, eps, ell, rows, rate)
+        system = stack_systems(systems) if stacked else systems[1]
+        config = SchemeConfig(scheme, dt=dt)
+        errors = []
+        for march in (integrate, oracle_integrate):
+            with pytest.raises(BlowupError) as info:
+                march(system, config, t_final, stride)
+            errors.append(info.value)
+        got, want = errors
+        assert (str(got), got.step, got.t, got.row) == (str(want), want.step, want.t,
+                                                        want.row)
+        assert_same_bits(got.partial, want.partial)
+        assert str(got).startswith(label) and got.step == steps[stacked]
+        assert (got.row is None) == (not stacked or case == "resolvent")
+        last_snapshot = (got.partial.times.size - 1) * stride
+        assert 0 < last_snapshot and got.step % stride > 1
+        block = fracphase.timestepper.LEDGER_BLOCK
+        assert (last_snapshot - 1) // block == (got.step - 1) // block
+
+    @pytest.mark.parametrize("case", ["imex_regular", "imex_log_tanh", "prox_obstacle",
+                                      "prox_regular"])
+    def test_step_calls_no_check(self, neumann8, monkeypatch, case):
+        # the step writes what the checks read; integrate runs them per span
+        if case == "prox_obstacle":
+            system, _ = fast_and_oracle(obstacle_data(), neumann8, neumann8,
+                                        double_obstacle_potential(0.5), 0.0)
+        else:
+            data = smoke_data()
+            potential = regular_potential(1.0)
+            if case == "imex_log_tanh":
+                data.coupling = Coupling.function(lambda v: 2.0 + 0.5 * np.tanh(v))
+                potential = logarithmic_potential(2.0)
+            system = assemble(data, neumann8, neumann8, 0.5, 0.5, 5e-2, potential)
+        scheme = "implicit_prox" if case.startswith("prox") else "imex_euler"
+        counts, in_step = collections.Counter(), [False]
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name, in_step[0]] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module, name in ((fracphase.galerkin, "guard"), (fracphase.timestepper, "guard"),
+                             (fracphase.potentials, "resolvent"),
+                             (fracphase.potentials, "check_resolvent"),
+                             (fracphase.timestepper, "check_resolvent")):
+            monkeypatch.setattr(module, name, counting(f"{module.__name__}.{name}",
+                                                       getattr(module, name)))
+        step = fracphase.timestepper.step_imex
+
+        def stepping(*args):
+            in_step[0] = True
+            try:
+                return step(*args)
+            finally:
+                in_step[0] = False
+
+        monkeypatch.setattr(fracphase.timestepper, "step_imex", stepping)
+        integrate(system, SchemeConfig(scheme, dt=1e-3), 0.05, 10)
+        assert not any(inside for _, inside in +counts)
+        # five spans of ten steps, each checked once (three guarded grids:
+        # the collocated F or the phase grid, phi and theta), and the six
+        # snapshots' Moreau envelopes checked by `resolvent` (none for the
+        # obstacle at eps = 0)
+        prox_obstacle = case == "prox_obstacle"
+        assert counts["fracphase.timestepper.guard", False] == 5 * 3
+        assert counts["fracphase.timestepper.check_resolvent", False] == 5 * (not prox_obstacle)
+        assert counts["fracphase.potentials.resolvent", False] == 6 * (not prox_obstacle)
+
+    @pytest.mark.parametrize("shape, rows", [("rect256", 1), ("interval64", 1),
+                                             ("interval128", 5)])
+    def test_check_rows_stay_within_the_float_budget(self, monkeypatch, shape, rows):
+        # a span holds as many steps as CHECK_GRID_FLOATS allows per stored
+        # grid, one step at least: a 256 x 256 rectangle checks every step
+        if shape == "rect256":
+            basis_a = build_basis("rect_dirichlet", [1.0, 1.0], 64, 256)
+            basis_b = build_basis("rect_neumann", [1.0, 1.0], 64, 256)
+        else:
+            basis_a = basis_b = build_basis("interval_neumann", 1.0, 8, int(shape[8:]))
+        potential = regular_potential(1.0)
+        data = ProblemData(theta0=lambda p: np.ones(len(p)), phi0=lambda p: np.ones(len(p)),
+                           coupling=Coupling.constant(0.7))
+        system = stack_systems([assemble(data, basis_a, basis_b, 0.5, sigma, 1e-2, potential)
+                                for sigma in np.linspace(0.5, 1.0, rows)])
+        prepared = []
+        prepare = fracphase.timestepper.prepare_step
+        monkeypatch.setattr(fracphase.timestepper, "prepare_step",
+                            lambda *args: prepared.append(prepare(*args)) or prepared[-1])
+        integrate(system, SchemeConfig("imex_euler", dt=1e-3), 3e-3)
+        checks = prepared[0].checks
+        grids = [checks.s, checks.x, checks.f]
+        assert checks.star is None and all(grid is not None for grid in grids)
+        one_step = rows * basis_b.n_grid
+        budget = fracphase.timestepper.CHECK_GRID_FLOATS
+        want = {"rect256": 1, "interval64": 64, "interval128": 12}[shape]
+        assert checks.n_rows == want == min(fracphase.timestepper.LEDGER_BLOCK,
+                                            max(1, budget // one_step))
+        for grid in grids:
+            assert grid.shape == (want, rows, basis_b.n_grid)
+            assert grid.size <= max(budget, one_step)
