@@ -75,7 +75,16 @@ def _cubic_resolvent(eps: float, s: np.ndarray) -> np.ndarray:
     """
     k = math.sqrt(3.0 * eps)
     x = (2.0 / k) * np.sinh(np.arcsinh(1.5 * k * s) / 3.0)
-    return x - (x + eps * (x * x * x) - s) / (1.0 + 3.0 * eps * x * x)
+    # x*x is formed once and the denominator 1 + 3 eps x^2 built in its place
+    # and freed before the update: on a large grid the polish then holds no
+    # more temporaries than the one-expression form, whose chain numpy reuses
+    x2 = x * x
+    step = x + eps * (x2 * x) - s
+    x2 *= 3.0 * eps
+    x2 += 1.0
+    step /= x2
+    del x2
+    return x - step
 
 
 def regular_potential(gamma: float = 1.0) -> Potential:
@@ -87,7 +96,9 @@ def regular_potential(gamma: float = 1.0) -> Potential:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     return Potential(
         kind="regular",
-        beta_hat=lambda s: s ** 4 / 4.0,
+        # (s*s)**2: numpy's float power has a fast path for the exponent 2,
+        # none for 4, and squares the temporary s*s in place
+        beta_hat=lambda s: (s * s) ** 2 / 4.0,
         # s*s*s: numpy's float power has no fast path for the exponent 3
         beta=lambda s: s * s * s,
         gamma=gamma,

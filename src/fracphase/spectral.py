@@ -12,6 +12,8 @@ eigenfunction samples per axis, so every downstream operation (transforms,
 fractional powers, kernel projection, graph norms) reduces to small dense
 linear algebra; rectangle eigenfunctions are products e_jx(x) e_jy(y), so
 their transforms and Gram gate run one axis at a time (sum factorization).
+The tables a transform multiplies by are formed once, with the basis: a
+dense interval transform is one product with a stored table.
 Inner products between two bases on one domain (`cross_gram`) are exact
 closed-form integrals.
 
@@ -21,11 +23,11 @@ transforms through one real FFT of length 2(m-1) instead (Makhoul, 1980,
 IEEE TASSP 28), unless that length has a prime factor above
 FFT_MAX_PRIME_FACTOR; the path is chosen once, when the basis is built, and
 the dense table stays as the Gram gate's input and the oracle the FFT is
-tested against.
+tested against; an FFT basis stores no other table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +69,10 @@ class SpectralBasis:
     is the product over the axes of column axis_modes[d][i].  On an interval
     the single table has one column per mode.  fft is the FFT plan of an
     interval basis that transforms by FFT, None on the dense and
-    sum-factorized paths.
+    sum-factorized paths.  analysis_tables are what `analyze` multiplies by,
+    with the weights folded in: w[:, None]*V on a dense interval,
+    (wx[:, None]*Vx).T and wy[:, None]*Vy on a rectangle, none on an FFT
+    basis; synthesis_table is a dense interval's contiguous V.T, else None.
     """
 
     kind: str
@@ -80,7 +85,9 @@ class SpectralBasis:
     axis_weights: tuple[np.ndarray, ...]
     axis_modes: tuple[np.ndarray, ...]
     mode_indices: np.ndarray
-    fft: "FFTPlan | None" = None
+    analysis_tables: tuple[np.ndarray, ...]
+    synthesis_table: np.ndarray | None
+    fft: "FFTPlan | None"
 
     @property
     def ndim(self) -> int:
@@ -132,11 +139,11 @@ def _largest_prime_factor(k: int) -> int:
     return max(largest, k)
 
 
-def _fft_plan(basis: SpectralBasis) -> FFTPlan:
-    length, labels, n = basis.domain_extent[0], basis.mode_indices, basis.n_grid - 1
+def _fft_plan(kind: str, length: float, labels: np.ndarray, m_grid: int) -> FFTPlan:
+    n = m_grid - 1
     scale = np.full(labels.shape, np.sqrt(2.0 / length))
     slots = slice(int(labels[0]), int(labels[-1]) + 1)
-    if basis.kind == "interval_dirichlet":
+    if kind == "interval_dirichlet":
         return FFTPlan("imag", slots, -n * scale, -0.5 * (length / n) * scale)
     scale[labels == 0] = 1.0 / np.sqrt(length)
     # irfft counts bin 0 once and every other bin twice
@@ -235,8 +242,9 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
 
     The n_modes lowest modes are retained (`_select_modes`).  m_grid counts
     nodes per axis and must be at least `min_grid_nodes`; each axis keeps
-    only the 1-D modes a retained mode uses.  The Gram gate runs once, and an
-    interval basis picks its transform path (`FFTPlan` or dense) here.
+    only the 1-D modes a retained mode uses.  The Gram gate runs once, an
+    interval basis picks its transform path (`FFTPlan` or dense) here, and
+    the transform tables are formed here, in the one construction.
     """
     bc = _bc_of(kind)
     lengths = tuple(np.atleast_1d(extent).astype(float).tolist())
@@ -256,14 +264,26 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
     grids = [_interval_grid(length, m_grid) for length in lengths]
     tables = tuple(_interval_eigendata(bc, length, np.arange(first, first + c.max() + 1), x)
                    for length, c, (x, _) in zip(lengths, columns, grids))
+    fft = synthesis_table = None
     if len(grids) == 1:
         (points, weights), = grids
         labels = first + columns[0]
+        if (n_modes * m_grid >= FFT_MIN_TABLE_SIZE
+                and _largest_prime_factor(2 * (m_grid - 1)) <= FFT_MAX_PRIME_FACTOR):
+            fft = _fft_plan(kind, lengths[0], labels, m_grid)
+        else:
+            synthesis_table = np.ascontiguousarray(tables[0].T)
     else:
         (x, wx), (y, wy) = grids
         points = np.column_stack([np.repeat(x, m_grid), np.tile(y, m_grid)])
         weights = np.outer(wx, wy).ravel()
         labels = first + np.column_stack(columns)
+    # the Gram gate's per-axis w[:, None]*V, which the dense transforms keep;
+    # an FFT basis leaves them to the gate, which frees them at once
+    weighted = None if fft is not None else tuple(
+        w[:, None] * v for v, (_, w) in zip(tables, grids))
+    analysis_tables = (() if weighted is None else weighted if len(weighted) == 1
+                       else (weighted[0].T, weighted[1]))
     basis = SpectralBasis(
         kind=kind,
         domain_extent=lengths,
@@ -275,15 +295,15 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
         axis_weights=tuple(w for _, w in grids),
         axis_modes=columns,
         mode_indices=labels,
+        analysis_tables=analysis_tables,
+        synthesis_table=synthesis_table,
+        fft=fft,
     )
-    defect = gram_defect(basis)
+    defect = gram_defect(basis, weighted)
     if defect > ORTHONORMALITY_TOL:
         raise BasisBuildError(
             f"orthonormality defect {defect:.3e} exceeds {ORTHONORMALITY_TOL:.0e} "
             f"for kind={kind}, n_modes={n_modes}, m_grid={m_grid}; increase m_grid")
-    if (len(lengths) == 1 and n_modes * m_grid >= FFT_MIN_TABLE_SIZE
-            and _largest_prime_factor(2 * (m_grid - 1)) <= FFT_MAX_PRIME_FACTOR):
-        basis = replace(basis, fft=_fft_plan(basis))
     return basis
 
 
@@ -370,15 +390,15 @@ def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
     with an FFT plan runs one irfft per row instead of the dense product.
     """
     coeffs = _check_coeffs(basis, coeffs)
+    if basis.synthesis_table is not None:
+        # np.dot calls BLAS directly: on a march's (B, n) rows it costs less
+        # than matmul's dispatch, with the same bits
+        return np.dot(coeffs, basis.synthesis_table)
     if basis.fft is not None:
         plan, m = basis.fft, basis.n_grid
         spectrum = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
         getattr(spectrum, plan.part)[..., plan.slots] = coeffs * plan.synthesis_scale
         return np.fft.irfft(spectrum, 2 * (m - 1))[..., :m]
-    if len(basis.axis_values) == 1:
-        # np.dot calls BLAS directly: on a march's (B, n) rows it costs less
-        # than matmul's dispatch, with the same bits
-        return np.dot(coeffs, basis.axis_values[0].T)
     vx, vy = basis.axis_values
     table = np.zeros(coeffs.shape[:-1] + (vx.shape[1], vy.shape[1]))
     table[(..., *basis.axis_modes)] = coeffs
@@ -388,8 +408,9 @@ def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
 def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
     """Grid samples (..., m) -> coefficients (..., n) via weighted inner products.
 
-    On a rectangle the (..., mx, my) grid G gives (Vx.T @ (W*G) @ Vy)[..., jx, jy],
-    with the tensor-product weights W folded into the per-axis tables.  An
+    A dense interval multiplies by its stored w[:, None]*V.  On a rectangle the
+    (..., mx, my) grid G gives (Vx.T @ (W*G) @ Vy)[..., jx, jy], with the
+    tensor-product weights W folded into the stored per-axis tables.  An
     interval basis with an FFT plan runs one rfft per row (`FFTPlan`).  The
     values are not scanned: every caller passes a grid the overflow guard
     holds, and the march guards its grids once per span of steps.
@@ -399,6 +420,9 @@ def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"grid array has shape {grid_values.shape}, expected (..., {basis.n_grid})"
         )
+    tables = basis.analysis_tables
+    if len(tables) == 1:
+        return np.dot(grid_values, tables[0])
     if basis.fft is not None:
         plan = basis.fft
         mirrored = grid_values[..., -2:0:-1]
@@ -406,11 +430,9 @@ def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
             [grid_values, mirrored if plan.part == "real" else -mirrored], axis=-1)
         spectrum = np.fft.rfft(extended)[..., plan.slots]
         return getattr(spectrum, plan.part) * plan.analysis_scale
-    if len(basis.axis_values) == 1:
-        return np.dot(basis.quad_weights * grid_values, basis.axis_values[0])
-    (vx, vy), (wx, wy) = basis.axis_values, basis.axis_weights
-    grid = grid_values.reshape(grid_values.shape[:-1] + (wx.shape[0], wy.shape[0]))
-    return ((wx[:, None] * vx).T @ grid @ (wy[:, None] * vy))[(..., *basis.axis_modes)]
+    tx, ty = tables
+    grid = grid_values.reshape(grid_values.shape[:-1] + (tx.shape[1], ty.shape[0]))
+    return (tx @ grid @ ty)[(..., *basis.axis_modes)]
 
 
 def squared_graph_norms(series: np.ndarray, stiff: np.ndarray,
@@ -429,15 +451,21 @@ def graph_norms(series: np.ndarray, stiff: np.ndarray) -> np.ndarray:
     return np.sqrt(squared_graph_norms(series, stiff))
 
 
-def gram_defect(basis: SpectralBasis) -> float:
+def gram_defect(basis: SpectralBasis, weighted=None) -> float:
     """Max-abs deviation of the weighted Gram matrix from the identity.
 
     The tensor-product weights make the Gram matrix the product of the
-    per-axis Gram tables at each mode pair's labels.
+    per-axis Gram tables at each mode pair's labels.  `weighted` holds the
+    per-axis w[:, None]*V when the caller has formed them already.
     """
-    gram = 1.0
-    for values, weights, modes in zip(basis.axis_values, basis.axis_weights,
-                                      basis.axis_modes):
-        axis_gram = values.T @ (weights[:, None] * values)
-        gram = gram * axis_gram[modes[:, None], modes]
+    if weighted is None:
+        weighted = [w[:, None] * v for v, w in zip(basis.axis_values, basis.axis_weights)]
+    if basis.ndim == 1:
+        # an interval's table holds its modes' columns in mode order
+        gram = basis.axis_values[0].T @ weighted[0]
+    else:
+        gram = 1.0
+        for values, table, modes in zip(basis.axis_values, weighted, basis.axis_modes):
+            axis_gram = values.T @ table
+            gram = gram * axis_gram[modes[:, None], modes]
     return float(np.abs(gram - np.eye(basis.n_modes)).max())

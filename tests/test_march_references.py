@@ -11,6 +11,7 @@ import pytest
 import fracphase.galerkin
 import fracphase.timestepper
 from conftest import gauss_legendre_gram
+from fracphase.analysis import limit_system
 from fracphase.config import build_system, build_systems, validate_config
 from fracphase.galerkin import DiscreteSystem, project_data, stack_systems
 from fracphase.timestepper import integrate
@@ -108,7 +109,8 @@ def test_per_step_call_counts(monkeypatch, workload):
 # the linear system in closed form
 
 
-def exact_final_state(system: DiscreteSystem, t: float, time_terms) -> np.ndarray:
+def exact_final_state(system: DiscreteSystem, t: float, time_terms,
+                      phi_stiff: np.ndarray | None = None) -> np.ndarray:
     """[Theta(t), Phi(t)] of the linear Galerkin system the march discretizes
     at potential kind "none" and a constant coupling ell:
 
@@ -117,13 +119,16 @@ def exact_final_state(system: DiscreteSystem, t: float, time_terms) -> np.ndarra
 
     from the projected data, with q the projected source and f(s) the sum of
     the terms a*exp(r*s) of `time_terms`, a list of (a, r) pairs: r = 0 for a
-    constant factor, and a conjugate pair of complex terms for a cosine.  Lambda, M and E are built
-    here from the config's exponents and coupling, the bases' eigenvalues and
-    a Gauss-Legendre Gram matrix, not from the system's arrays.  numpy's eig
-    diagonalizes the matrix, and each mode's Duhamel integral is closed form.
+    constant factor, and a conjugate pair of complex terms for a cosine.
+    Lambda, M and E are built here from the config's exponents and coupling,
+    the bases' eigenvalues and a Gauss-Legendre Gram matrix, not from the
+    system's arrays; `phi_stiff` replaces the diagonal of M (the sigma -> 0
+    limit's mask I - P).  numpy's eig diagonalizes the matrix, and each
+    mode's Duhamel integral is closed form.
     """
     lam = np.diag(system.basis_a.eigenvalues ** (2.0 * EXPONENT))
-    mu = np.diag(system.basis_b.eigenvalues ** (2.0 * EXPONENT))
+    mu = np.diag(system.basis_b.eigenvalues ** (2.0 * EXPONENT)
+                 if phi_stiff is None else phi_stiff)
     coupling = COUPLING * gauss_legendre_gram(system.basis_a, system.basis_b)
     matrix = np.block([[-(lam + coupling @ coupling.T), coupling @ mu],
                        [coupling.T, -mu]])
@@ -163,23 +168,37 @@ TIME_FACTORS = {
 }
 
 
-@pytest.mark.parametrize("factor", sorted(TIME_FACTORS))
+# each march against the closed form: one per time factor, and "limit",
+# `limit_system`'s sigma -> 0 march under a constant factor, whose
+# phi-equation takes the mask I - P (1 off the kernel of B, 0 on it) in place
+# of M; every geometry's B basis is Neumann, so that kernel is its constant mode
+MARCHES = {factor: (factor, False) for factor in TIME_FACTORS}
+MARCHES["limit"] = ("constant", True)
+
+
+@pytest.mark.parametrize("march", sorted(MARCHES))
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-def test_linear_march_converges_to_the_exact_solution(geometry, factor):
+def test_linear_march_converges_to_the_exact_solution(geometry, march):
+    factor, limit = MARCHES[march]
     spec, time_terms = TIME_FACTORS[factor]
     source = {"space": {"kind": "mode", "index": 1, "amplitude": 0.5}, "time": spec}
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
         raw = config(GEOMETRIES[geometry], {"kind": "none"},
-                     {"scheme": "imex_euler", "dt": dt, "t_final": 0.5,
-                      "snapshot_stride": 1000}, source)
+                     {"scheme": "implicit_prox" if limit else "imex_euler", "dt": dt,
+                      "t_final": 0.5, "snapshot_stride": 1000}, source)
         cfg = validate_config(raw)
-        system = build_system(cfg)
+        system, mask = build_system(cfg), None
+        if limit:
+            system = limit_system(system)
+            mask = np.where(system.basis_b.eigenvalues == 0.0, 0.0, 1.0)
+            assert mask[0] == 0.0 and mask[1:].all()
         run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
         final = np.concatenate([run.theta_series[-1], run.phi_series[-1]])
         errors.append(np.linalg.norm(final - exact_final_state(system, cfg.t_final,
-                                                                time_terms)))
+                                                                time_terms, mask)))
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     # implicit-explicit Euler is first order: halving dt halves the error
     assert np.all((1.9 <= ratios) & (ratios <= 2.1)), ratios
     assert errors[-1] <= 5e-4
+

@@ -187,6 +187,61 @@ class TestBatchedTransforms:
             assert np.max(np.abs(anal[idx] - analyze(b, grid[idx]))) <= 1e-12
 
 
+DENSE_INTERVALS = [("interval_neumann", 1.0, 8, 64), ("interval_dirichlet", 1.7, 12, 96),
+                   ("interval_neumann", 1.0, 16, 128), ("interval_dirichlet", 1.0, 128, 1024)]
+
+
+class TestStoredTables:
+    """The tables build_basis stores for the transforms, against the forms
+    they replace."""
+
+    @pytest.mark.parametrize("kind,extent,n,m", DENSE_INTERVALS)
+    def test_dense_interval_matches_quadrature_oracle(self, kind, extent, n, m):
+        b = build_basis(kind, extent, n, m)
+        assert b.fft is None
+        dense = eigenfunctions_at(b, b.grid_points)
+        rng = np.random.default_rng(n)
+        for rows in ((), (5,)):
+            coeffs = rng.standard_normal(rows + (n,))
+            grid = rng.standard_normal(rows + (m,))
+            for got, want in ((synthesize(b, coeffs), coeffs @ dense.T),
+                              (analyze(b, grid), (b.quad_weights * grid) @ dense)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind,extent,n,m", DENSE_INTERVALS)
+    def test_stacked_rows_match_single_calls_to_rounding(self, kind, extent, n, m):
+        # BLAS sums a (B, m) product (gemm) in another order than one row
+        # (gemv), so rows agree to rounding, not bit for bit: within a few
+        # units of the sum of the absolute products
+        b = build_basis(kind, extent, n, m)
+        rng = np.random.default_rng(m)
+        coeffs, grid = rng.standard_normal((5, n)), rng.standard_normal((5, m))
+        unit = 4.0 * np.finfo(float).eps
+        for stacked, rows, size in (
+                (analyze(b, grid), [analyze(b, g) for g in grid],
+                 np.abs(grid) @ np.abs(b.analysis_tables[0])),
+                (synthesize(b, coeffs), [synthesize(b, c) for c in coeffs],
+                 np.abs(coeffs) @ np.abs(b.synthesis_table))):
+            assert np.all(np.abs(stacked - np.stack(rows)) <= unit * size)
+
+    @pytest.mark.parametrize("kind,extent,n,m", RECT_CASES)
+    def test_rect_analyze_matches_per_call_weighting_bit_for_bit(self, kind, extent, n, m):
+        b = build_basis(kind, extent, n, m)
+        assert b.synthesis_table is None
+        (vx, vy), (wx, wy) = b.axis_values, b.axis_weights
+        grid = np.random.default_rng(7).standard_normal((3, b.n_grid))
+        table = grid.reshape(3, wx.shape[0], wy.shape[0])
+        want = ((wx[:, None] * vx).T @ table @ (wy[:, None] * vy))[(..., *b.axis_modes)]
+        assert np.array_equal(analyze(b, grid), want)
+
+    @pytest.mark.parametrize("kind", ["interval_neumann", "interval_dirichlet"])
+    def test_fft_basis_holds_no_dense_transform_table(self, kind):
+        b = build_basis(kind, 1.0, 512, 2048)
+        assert b.fft is not None
+        assert b.analysis_tables == () and b.synthesis_table is None
+
+
 class TestFFTTransforms:
     """FFT interval transforms against the dense table they replace."""
 
