@@ -477,6 +477,10 @@ def _selftest_rows(seed: int) -> list[tuple[str, str, int, float, float, bool]]:
                          for sigma in (0.2, 0.1, 0.05, 0.01)])
         ratios = errors[1:] / errors[:-1]
         row("sigma_zero_multiplier", kind, ratios.size, ratios, math.nextafter(1.0, 0.0))
+    # the gate of an FFT basis, on the pair it transforms with
+    for kind in bases:
+        row("fft_gram_identity", kind, 512,
+            gram_defect(build_basis(kind, 1.0, 512, 2048)), 1e-10)
     return rows
 
 

@@ -71,10 +71,12 @@ def _space_term(term, basis: SpectralBasis, where: str) -> np.ndarray:
             raise ExpressionError(
                 f"{where}.k: must be {ndim} integer wavenumber(s), got {k!r}")
         fn = np.cos if kind == "cos" else np.sin
-        out = np.full(basis.n_grid, amp)
-        for x, kj, length in zip(axes, ks, basis.domain_extent):
-            out = out * fn(kj * np.pi * x / length)
-        return out
+        # separable: each factor on its own axis's nodes, then their outer
+        # product, which forms (amp*fx)*fy as the product on every node does
+        out = amp
+        for x, kj, length in zip(basis.axis_nodes, ks, basis.domain_extent):
+            out = np.multiply.outer(out, fn(kj * np.pi * x / length))
+        return out.ravel()
     if kind == "gaussian":
         center = term.get("center")
         centers = center if type(center) is list else [center]

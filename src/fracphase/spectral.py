@@ -8,7 +8,8 @@ the n_modes lowest modes (`_select_modes`), samples each axis's 1-D
 eigenfunctions on m_grid uniform nodes, holds m_grid to `min_grid_nodes`
 (the rule config validation applies too) and runs the Gram gate once.  A
 basis stores the eigenvalues, trapezoid weights and one table of 1-D
-eigenfunction samples per axis, so every downstream operation (transforms,
+eigenfunction samples per axis (an FFT interval basis, below, stores its
+plan instead), so every downstream operation (transforms,
 fractional powers, kernel projection, graph norms) reduces to small dense
 linear algebra; rectangle eigenfunctions are products e_jx(x) e_jy(y), so
 their transforms and Gram gate run one axis at a time (sum factorization).
@@ -21,9 +22,11 @@ The interval nodes linspace(0, L, m) are the DCT-I/DST-I nodes, so an interval
 basis whose dense table is large (n_modes*m_grid >= FFT_MIN_TABLE_SIZE)
 transforms through one real FFT of length 2(m-1) instead (Makhoul, 1980,
 IEEE TASSP 28), unless that length has a prime factor above
-FFT_MAX_PRIME_FACTOR; the path is chosen once, when the basis is built, and
-the dense table stays as the Gram gate's input and the oracle the FFT is
-tested against; an FFT basis stores no other table.
+FFT_MAX_PRIME_FACTOR; the path is chosen once, when the basis is built.  An
+FFT basis holds only its `FFTPlan`: no table is sampled, and its Gram gate
+is the Gram matrix of the FFT pair itself, analyze o synthesize, which is
+diagonal in closed form (`_fft_gram_diagonal`).  The closed-form samples
+(`eigenfunctions_at`) are the oracle the FFT is tested against.
 """
 from __future__ import annotations
 
@@ -69,7 +72,8 @@ class SpectralBasis:
     is the product over the axes of column axis_modes[d][i].  On an interval
     the single table has one column per mode.  fft is the FFT plan of an
     interval basis that transforms by FFT, None on the dense and
-    sum-factorized paths.  analysis_tables are what `analyze` multiplies by,
+    sum-factorized paths; an FFT basis samples no table (axis_values is
+    empty).  analysis_tables are what `analyze` multiplies by,
     with the weights folded in: w[:, None]*V on a dense interval,
     (wx[:, None]*Vx).T and wy[:, None]*Vy on a rectangle, none on an FFT
     basis; synthesis_table is a dense interval's contiguous V.T, else None.
@@ -96,6 +100,14 @@ class SpectralBasis:
     @property
     def n_grid(self) -> int:
         return self.quad_weights.shape[0]
+
+    @property
+    def axis_nodes(self) -> tuple[np.ndarray, ...]:
+        """The nodes of each axis; grid_points is their row-major product."""
+        if self.ndim == 1:
+            return (self.grid_points,)
+        my = self.axis_weights[1].shape[0]
+        return (self.grid_points[::my, 0], self.grid_points[:my, 1])
 
     @property
     def kernel_mask(self) -> np.ndarray:
@@ -262,28 +274,27 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
     columns, eigenvalues = _select_modes(kind, lengths, n_modes)
     first = 1 if bc == "dirichlet" else 0
     grids = [_interval_grid(length, m_grid) for length in lengths]
-    tables = tuple(_interval_eigendata(bc, length, np.arange(first, first + c.max() + 1), x)
-                   for length, c, (x, _) in zip(lengths, columns, grids))
     fft = synthesis_table = None
-    if len(grids) == 1:
+    if (axes == 1 and n_modes * m_grid >= FFT_MIN_TABLE_SIZE
+            and _largest_prime_factor(2 * (m_grid - 1)) <= FFT_MAX_PRIME_FACTOR):
+        fft = _fft_plan(kind, lengths[0], first + columns[0], m_grid)
+    # an FFT basis samples no table: its gate checks the FFT pair itself
+    tables = () if fft is not None else tuple(
+        _interval_eigendata(bc, length, np.arange(first, first + c.max() + 1), x)
+        for length, c, (x, _) in zip(lengths, columns, grids))
+    if axes == 1:
         (points, weights), = grids
         labels = first + columns[0]
-        if (n_modes * m_grid >= FFT_MIN_TABLE_SIZE
-                and _largest_prime_factor(2 * (m_grid - 1)) <= FFT_MAX_PRIME_FACTOR):
-            fft = _fft_plan(kind, lengths[0], labels, m_grid)
-        else:
+        if fft is None:
             synthesis_table = np.ascontiguousarray(tables[0].T)
     else:
         (x, wx), (y, wy) = grids
         points = np.column_stack([np.repeat(x, m_grid), np.tile(y, m_grid)])
         weights = np.outer(wx, wy).ravel()
         labels = first + np.column_stack(columns)
-    # the Gram gate's per-axis w[:, None]*V, which the dense transforms keep;
-    # an FFT basis leaves them to the gate, which frees them at once
-    weighted = None if fft is not None else tuple(
-        w[:, None] * v for v, (_, w) in zip(tables, grids))
-    analysis_tables = (() if weighted is None else weighted if len(weighted) == 1
-                       else (weighted[0].T, weighted[1]))
+    # the Gram gate's per-axis w[:, None]*V, which the dense transforms keep
+    weighted = tuple(w[:, None] * v for v, (_, w) in zip(tables, grids))
+    analysis_tables = (weighted[0].T, weighted[1]) if axes == 2 else weighted
     basis = SpectralBasis(
         kind=kind,
         domain_extent=lengths,
@@ -451,13 +462,34 @@ def graph_norms(series: np.ndarray, stiff: np.ndarray) -> np.ndarray:
     return np.sqrt(squared_graph_norms(series, stiff))
 
 
+def _fft_gram_diagonal(plan: FFTPlan) -> np.ndarray:
+    """The Gram matrix of analyze o synthesize on an FFT basis is diag(s*a).
+
+    With N = m-1, synthesis writes s_k c_k into bin k, and the irfft turns it
+    into s_k c_k trig(pi i k/N)/(2N) on bin 0 and /N elsewhere, where trig
+    is cos (part "real") or sin ("imag"); analysis reads bin j of the rfft of
+    the grid's 2N-periodic extension, times a_j.  Over those 2N points
+    trig(pi i j/N) and trig(pi i k/N) are orthogonal for j != k below N, with
+    squared norm 2N on cosine bin 0 and N elsewhere (discrete orthogonality),
+    so mode k reaches bin k alone, as s_k a_k c_k; `build_basis` holds
+    m_grid >= MIN_GRID_FACTOR*n_modes, so every label is below N.  The scales
+    (the bin-0 factor, the node step L/N) are what a plan can get wrong, and
+    this checks them in O(n), with no table and no transform.
+    """
+    return plan.synthesis_scale * plan.analysis_scale
+
+
 def gram_defect(basis: SpectralBasis, weighted=None) -> float:
     """Max-abs deviation of the weighted Gram matrix from the identity.
 
-    The tensor-product weights make the Gram matrix the product of the
-    per-axis Gram tables at each mode pair's labels.  `weighted` holds the
-    per-axis w[:, None]*V when the caller has formed them already.
+    An FFT basis is gated on the pair it transforms with, whose Gram matrix
+    is diagonal (`_fft_gram_diagonal`).
+    Otherwise the tensor-product weights make the Gram matrix the product of
+    the per-axis Gram tables at each mode pair's labels.  `weighted` holds
+    the per-axis w[:, None]*V when the caller has formed them already.
     """
+    if basis.fft is not None:
+        return float(np.abs(_fft_gram_diagonal(basis.fft) - 1.0).max())
     if weighted is None:
         weighted = [w[:, None] * v for v, w in zip(basis.axis_values, basis.axis_weights)]
     if basis.ndim == 1:

@@ -57,7 +57,8 @@ def check_selftest(num, name, out, checks, limit_s):
 
 def test_c01_spectral_foundation(tmp_path):
     check_selftest(1, "spectral foundation", tmp_path,
-                   ("gram_identity", "semigroup_relative", "sigma_zero_multiplier"), 1.0)
+                   ("gram_identity", "semigroup_relative", "sigma_zero_multiplier",
+                    "fft_gram_identity"), 1.0)
 
 
 def test_c02_convex_analysis_suite(tmp_path):

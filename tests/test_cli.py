@@ -1085,6 +1085,27 @@ class TestStudyCommands:
         sigma_zero = [row for row in rows if row[0] == "sigma_zero_multiplier"]
         assert [row[1] for row in sigma_zero] == ["interval_neumann", "interval_dirichlet"]
         assert all(float(row[3]) < 1.0 and row[5] == "true" for row in sigma_zero)
+        # last, the gate of a 512 x 2048 FFT basis of each interval kind
+        assert [row[:3] for row in rows[-2:]] == [
+            ["fft_gram_identity", "interval_neumann", "512"],
+            ["fft_gram_identity", "interval_dirichlet", "512"]]
+        assert all(float(row[3]) <= 1e-12 and row[5] == "true" for row in rows[-2:])
+        # one manifest check per row: no row overwrites another's entry
+        assert len(read_manifest(out)["checks"]) == len(rows) - 1
+
+    def test_selftest_dense_gram_row_fails_beside_the_fft_rows(self, tmp_path, monkeypatch):
+        # a defect on the dense 64 x 512 bases alone: their gram_identity rows
+        # fail, and so does the run, although the FFT bases' rows pass
+        defect = fracphase.cli.gram_defect
+        monkeypatch.setattr(fracphase.cli, "gram_defect",
+                            lambda basis: 1.0 if basis.fft is None else defect(basis))
+        out = tmp_path / "out"
+        assert main(["selftest", "--config", os.path.join(CONFIGS, "selftest.json"),
+                     "--out", str(out), "--quiet"]) == EXIT_CHECK
+        checks = read_manifest(out)["checks"]
+        for kind in ("interval_neumann", "interval_dirichlet"):
+            assert checks[f"gram_identity.{kind}"]["passed"] is False
+            assert checks[f"fft_gram_identity.{kind}"]["passed"] is True
 
     def test_obstacle_checks_pass_on_the_contact_sets(self, tmp_path):
         cfg = validate_config(copy.deepcopy(OBSTACLE_CONTACT))

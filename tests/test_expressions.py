@@ -185,3 +185,36 @@ def test_constant_amplitude_multiplies_value(neumann8):
         [{"space": {"kind": "constant", "value": 1}, "time": time} for time in times],
         neumann8)
     assert [time(0.4) for _, time in source] == [6.0, 3.0, 2.0]
+
+
+def _full_grid_monomial(term, basis: SpectralBasis) -> np.ndarray:
+    """A verbatim copy of the cos/sin evaluation on every grid node, the form
+    `expressions._space_term` had before it evaluated each axis on its own
+    nodes."""
+    points = basis.grid_points
+    axes = [points] if basis.ndim == 1 else points.T  # the grid's coordinates per axis
+    amp = _number(term, "amplitude", "oracle", 1.0)
+    k = term.get("k")
+    ks = k if type(k) is list else [k]
+    fn = np.cos if term["kind"] == "cos" else np.sin
+    out = np.full(basis.n_grid, amp)
+    for x, kj, length in zip(axes, ks, basis.domain_extent):
+        out = out * fn(kj * np.pi * x / length)
+    return out
+
+
+@pytest.mark.parametrize("extent", [[1.0, 1.0], [1.3, 0.7]])
+@pytest.mark.parametrize("kind", ["rect_dirichlet", "rect_neumann"])
+def test_separable_terms_per_axis_match_full_grid(kind, extent):
+    basis = build_basis(kind, extent, 16, 64)
+    for fn in ("cos", "sin"):
+        for k in ([1, 1], [3, 0], [2, 5]):
+            for amp in (1.0, 0.37, -2.5):
+                term = {"kind": fn, "k": k, "amplitude": amp}
+                assert np.array_equal(expressions.build_space_field(term, basis),
+                                      _full_grid_monomial(term, basis)), term
+    interval = build_basis("interval_dirichlet", extent[1], 8, 64)
+    for fn in ("cos", "sin"):
+        term = {"kind": fn, "k": 3, "amplitude": 0.37}
+        assert np.array_equal(expressions.build_space_field(term, interval),
+                              _full_grid_monomial(term, interval))

@@ -15,7 +15,7 @@ from fracphase.spectral import (FFT_MIN_TABLE_SIZE, ORTHONORMALITY_TOL,
                                 cross_gram, eigenfunctions_at,
                                 fractional_multipliers, gram_defect, graph_norms,
                                 kernel_projection, min_grid_nodes, synthesize)
-from fracphase.spectral import _select_modes
+from fracphase.spectral import _fft_gram_diagonal, _select_modes
 from fracphase.timestepper import BlowupError, SchemeConfig, integrate
 
 PI2 = np.pi**2
@@ -240,6 +240,7 @@ class TestStoredTables:
         b = build_basis(kind, 1.0, 512, 2048)
         assert b.fft is not None
         assert b.analysis_tables == () and b.synthesis_table is None
+        assert b.axis_values == ()
 
 
 class TestFFTTransforms:
@@ -254,7 +255,7 @@ class TestFFTTransforms:
         monkeypatch.setattr(fracphase.spectral, "FFT_MIN_TABLE_SIZE", 0)
         fft = build_basis(kind, 1.7, n, m)
         assert fft.fft is not None
-        dense = b.axis_values[0]
+        dense = eigenfunctions_at(b, b.grid_points)
         rng = np.random.default_rng(n)
         for rows in ((), (3,)):
             coeffs = rng.standard_normal(rows + (n,))
@@ -263,6 +264,44 @@ class TestFFTTransforms:
                               (analyze(fft, grid), (b.quad_weights * grid) @ dense)):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # above the FFT rule as built, and below it with the rule lowered
+    @pytest.mark.parametrize("extent,n,m,threshold", [
+        (1.0, 512, 2048, FFT_MIN_TABLE_SIZE), (1.7, 128, 2048, FFT_MIN_TABLE_SIZE),
+        (1.7, 12, 96, 0), (0.3, 64, 512, 0)])
+    @pytest.mark.parametrize("kind", ["interval_neumann", "interval_dirichlet"])
+    def test_closed_form_gate_matches_pair_and_dense_gram(self, kind, extent, n, m,
+                                                          threshold, monkeypatch):
+        monkeypatch.setattr(fracphase.spectral, "FFT_MIN_TABLE_SIZE", threshold)
+        b = build_basis(kind, extent, n, m)
+        assert b.fft is not None
+        # the pair's Gram matrix is diagonal: off the diagonal both references
+        # must read within 1e-13 of 0
+        gram = np.diag(_fft_gram_diagonal(b.fft))
+        pair = analyze(b, synthesize(b, np.eye(n)))
+        dense = eigenfunctions_at(b, b.grid_points)
+        quadrature = dense.T @ (b.quad_weights[:, None] * dense)
+        assert np.max(np.abs(gram - pair)) <= 1e-13
+        assert np.max(np.abs(gram - quadrature)) <= 1e-13
+        assert gram_defect(b) == np.max(np.abs(gram - np.eye(n)))
+
+    # bin 0 given the factor n of the other bins, not 2n: irfft counts it
+    # once, so the constant mode would be synthesized at half its size; and
+    # the full node step L/N folded into the sine analysis, not L/(2N)
+    @pytest.mark.parametrize("kind,scales", [
+        ("interval_neumann", lambda s, a: (s * np.where(np.arange(s.size) == 0, 0.5, 1.0), a)),
+        ("interval_dirichlet", lambda s, a: (s, 2.0 * a))], ids=["bin_zero", "sine_step"])
+    def test_gate_rejects_a_wrong_fft_pair(self, kind, scales, monkeypatch):
+        build_plan = fracphase.spectral._fft_plan
+
+        def wrong_plan(kind, length, labels, m_grid):
+            plan = build_plan(kind, length, labels, m_grid)
+            return fracphase.spectral.FFTPlan(
+                plan.part, plan.slots, *scales(plan.synthesis_scale, plan.analysis_scale))
+
+        monkeypatch.setattr(fracphase.spectral, "_fft_plan", wrong_plan)
+        with pytest.raises(BasisBuildError, match="orthonormality defect"):
+            build_basis(kind, 1.0, 512, 2048)
 
     def test_run_matches_dense_path(self, monkeypatch):
         _, dense = smoke_run(build_basis("interval_neumann", 1.0, 16, 128))
