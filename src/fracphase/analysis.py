@@ -5,9 +5,10 @@ These drivers turn the qualitative statements about the continuous system
 into measurements at desk scale.  Each takes assembled systems and, except
 the relaxation study, their finished runs, and returns numbers; the caller
 sets the thresholds and decides pass or fail.  Weak-convergence statements
-are probed through strong norms; no rates are computed where the theory
-provides none.  `limit_system` plus `timestepper.integrate` with the
-proximal scheme is the direct solver of the sigma -> 0 limit system.
+are probed through strong norms.  On a fixed Galerkin space the linear case
+of the sigma -> 0 limit is first order in sigma, which a test pins.
+`limit_system` plus `timestepper.integrate` with the proximal scheme is the
+direct solver of the sigma -> 0 limit system.
 """
 from __future__ import annotations
 
@@ -16,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .galerkin import DiscreteSystem, eval_nonlinearity, guard, prepare_terms, \
-    project_data, stack_systems
+from .galerkin import DiscreteSystem, guard, prepare_force, project_data, stack_systems
 from .spectral import SpectralBasis, analyze, cross_gram, graph_norms, \
     kernel_projection
 from .timestepper import RunOutput, SchemeConfig, integrate
@@ -186,8 +186,7 @@ def omega_limit_probe(system: DiscreteSystem, run: RunOutput,
     theta_f = run.theta_series[-1]
     phi_f = run.phi_series[-1]
     prox = run.xi_final is not None
-    fphi, _, collocated = eval_nonlinearity(prepare_terms(system, explicit_beta=not prox),
-                                            theta_f, phi_f)
+    fphi, _, collocated = prepare_force(system, explicit_beta=not prox)[0](theta_f, phi_f)
     if collocated is not None:
         guard(collocated, "nonlinearity")
     if prox:
@@ -243,9 +242,11 @@ def relaxation_limit_study(ladder: Sequence[DiscreteSystem], dt: float,
     as one stacked system, which the limit run joins when the ladder's eps
     is 0 and which it runs beside otherwise.  The report holds the
     distances and, in `marched`, every (system, run) pair, the limit first,
-    for the checks a caller runs on the runs.  The theory gives weak
-    convergence without a rate; `monotone` reports whether both error columns
-    decrease strictly down the ladder (None for a ladder of one sigma).
+    for the checks a caller runs on the runs.  On a fixed Galerkin space the
+    linear case (beta = pi = 0, constant coupling) is first order in sigma,
+    mu^(2 sigma) - 1 being 2 sigma log(mu) + O(sigma^2) per mode, which a test
+    pins; `monotone` reports whether both error columns decrease strictly down
+    the ladder (None for a ladder of one sigma).
     """
     limit = limit_system(ladder[0])
     sigmas = [float(row.sigma) for row in ladder]

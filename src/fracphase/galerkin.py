@@ -323,25 +323,19 @@ def guard(values: np.ndarray, label: str) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class StepTerms:
-    """F and E w of one system: `modal(theta, phi)` the part of F linear in
-    the state, `pointwise(phi_grid, theta)` the collocated rest (None when
-    nothing is collocated) and `couple(phi_grid, w)` = E w."""
-
-    basis_b: SpectralBasis
-    modal: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    pointwise: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
-    couple: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def prepare_terms(system: DiscreteSystem, explicit_beta: bool = True,
-                  solve: Optional[Callable] = None) -> StepTerms:
-    """The StepTerms of F = P(beta_eps(phi)) + P(pi(phi)) - E^T theta, with
-    every choice a run never changes made once: the coupling and the convex
-    map; explicit_beta = False leaves the convex part out, which the proximal
-    scheme applies through its resolvent, and `solve` is the resolvent the
-    convex map takes (`yosida`'s).
+def prepare_force(system: DiscreteSystem, explicit_beta: bool = True,
+                  solve: Optional[Callable] = None) -> tuple[Callable, Callable]:
+    """(force, couple) of one system, every choice a run never changes made
+    once: the coupling and the convex map.  force(theta, phi) returns
+    (F, phi_grid, collocated) for F = P(beta_eps(phi)) + P(pi(phi)) - E^T theta
+    in the B basis, phi on the grid and the collocated terms of F on the grid,
+    analyzed in one pass (both None when nothing is collocated, which
+    `force.collocates` tells before any call); the caller holds `collocated`
+    to the overflow guard, labelled "nonlinearity": the march once per span of
+    steps, other callers at once.  couple(phi_grid, w) is E w (or E(Phi) w).
+    explicit_beta = False leaves the convex part out, which the proximal
+    scheme applies through its resolvent, and solve(level, s) is the resolvent
+    the convex map takes (`yosida`'s).
 
     The terms linear in the state stay in modal space: P(pi(phi)) =
     -gamma*phi exactly, and a constant coupling gives E^T theta = ell*theta on
@@ -360,35 +354,28 @@ def prepare_terms(system: DiscreteSystem, explicit_beta: bool = True,
         def latent(grid, theta):
             return -coupling.on_grid(grid) * synthesize(basis_a, theta)
 
-        return StepTerms(
-            basis_b, lambda theta, phi: neg_gamma * phi,
-            latent if convex is None else (
-                lambda grid, theta: convex(grid, theta) + latent(grid, theta)),
-            lambda grid, w: analyze(basis_a, coupling.on_grid(grid) * synthesize(basis_b, w)))
-    if basis_a is basis_b:
-        ell = coupling.value
-        return StepTerms(basis_b, lambda theta, phi: neg_gamma * phi - ell * theta, convex,
-                         lambda grid, w: ell * w)
-    matrix, matrix_t = system.coupling_matrix, system.coupling_matrix.T
-    return StepTerms(basis_b, lambda theta, phi: neg_gamma * phi - theta @ matrix, convex,
-                     lambda grid, w: w @ matrix_t)
+        def couple(grid, w):
+            return analyze(basis_a, coupling.on_grid(grid) * synthesize(basis_b, w))
 
+        modal = lambda theta, phi: neg_gamma * phi
+        collocate = latent if convex is None else (
+            lambda grid, theta: convex(grid, theta) + latent(grid, theta))
+    elif basis_a is basis_b:
+        ell, collocate = coupling.value, convex
+        modal = lambda theta, phi: neg_gamma * phi - ell * theta
+        couple = lambda grid, w: ell * w
+    else:
+        matrix, matrix_t, collocate = system.coupling_matrix, system.coupling_matrix.T, convex
+        modal = lambda theta, phi: neg_gamma * phi - theta @ matrix
+        couple = lambda grid, w: w @ matrix_t
+    if collocate is None:
+        def force(theta, phi):
+            return modal(theta, phi), None, None
+    else:
+        def force(theta, phi):
+            fphi, grid = modal(theta, phi), synthesize(basis_b, phi)
+            collocated = collocate(grid, theta)
+            return fphi + analyze(basis_b, collocated), grid, collocated
 
-def eval_nonlinearity(terms: StepTerms, theta: np.ndarray, phi: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(F(theta, phi), phi_grid, collocated): F in the B basis, phi on the
-    grid and the collocated terms of F on the grid, analyzed in one pass (both
-    None when nothing was collocated).  The caller holds the collocated grid
-    to the overflow guard, labelled "nonlinearity": the march once per span
-    of steps, other callers at once."""
-    fphi = terms.modal(theta, phi)
-    if terms.pointwise is None:
-        return fphi, None, None
-    phi_grid = synthesize(terms.basis_b, phi)
-    collocated = terms.pointwise(phi_grid, theta)
-    return fphi + analyze(terms.basis_b, collocated), phi_grid, collocated
-
-
-def apply_coupling(terms: StepTerms, phi_grid: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """E w (or E(Phi) w): the A-projection of ell(phi) * (B-synthesis of w)."""
-    return terms.couple(phi_grid, w)
+    force.collocates = collocate is not None
+    return force, couple

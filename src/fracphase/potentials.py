@@ -244,12 +244,12 @@ def check_resolvent(pot: Potential, eps: float, s: np.ndarray, x: np.ndarray) ->
 def yosida(pot: Potential, eps: float, s: np.ndarray,
            solve: Callable | None = None) -> np.ndarray:
     """beta_eps(s) = (s - J_eps(s)) / eps: monotone and 1/eps-Lipschitz; at
-    eps = 0 beta itself (NaN off its domain).  `solve(pot, eps, s)` computes
+    eps = 0 beta itself (NaN off its domain).  `solve(eps, s)` computes
     J_eps in place of `resolvent` (the march's unchecked solve)."""
     s_arr = np.asarray(s, dtype=float)
     if eps == 0.0:
         return pot.beta(s_arr)
-    return (s_arr - (solve or resolvent)(pot, eps, s_arr)) / eps
+    return (s_arr - (solve(eps, s_arr) if solve else resolvent(pot, eps, s_arr))) / eps
 
 
 def moreau(pot: Potential, eps: float, s: np.ndarray) -> np.ndarray:
@@ -273,8 +273,8 @@ def prox_step(pot: Potential, eps: float, lam: float, s: np.ndarray,
     """
     if lam <= 0.0:
         raise ValueError(f"prox step size must be positive, got {lam}")
-    solve = solve or resolvent
+    solve = solve or (lambda level, x: resolvent(pot, level, x))
     if eps == 0.0:
-        return solve(pot, lam, s)
+        return solve(lam, s)
     s_arr = np.asarray(s, dtype=float)
-    return (eps * s_arr + lam * solve(pot, lam + eps, s_arr)) / (lam + eps)
+    return (eps * s_arr + lam * solve(lam + eps, s_arr)) / (lam + eps)

@@ -29,10 +29,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .galerkin import DiscreteSystem, OverflowGuardError, StepTerms, ValidationError, \
-    apply_coupling, eval_nonlinearity, guard, prepare_terms, project_data, stack_systems
+from .galerkin import DiscreteSystem, OverflowGuardError, ValidationError, guard, \
+    prepare_force, project_data, stack_systems
 from .potentials import Potential, ResolventError, check_resolvent, moreau, prox_step
-from .spectral import analyze, squared_graph_norms, synthesize
+from .spectral import SpectralBasis, analyze, squared_graph_norms, synthesize
 
 SCHEMES = ("imex_euler", "implicit_prox")
 
@@ -147,8 +147,9 @@ class _CheckRows:
     by the step at row `i`: the resolvent's input and output grids `s`, `x`
     (None when no residual is checked: at eps = 0 under imex_euler, and for
     the exact obstacle projection), the collocated grid of F `f` (None when
-    nothing is collocated) and, under implicit_prox, the intermediate grid
-    `star`.  The coefficient checks read the ledger's state rows.
+    `galerkin.prepare_force` collocates nothing) and, under implicit_prox, the
+    intermediate grid `star`.  The coefficient checks read the ledger's state
+    rows.
 
     The resolvent level is checked by assembly (eps) and `prepare_step` (dt),
     and its input is finite in the first step that fails any check: a
@@ -163,14 +164,14 @@ class _CheckRows:
         self.s = self.grids() if level is not None else None
         self.x = self.grids() if level is not None else None
         self.star = self.grids() if prox else None
-        self.f = None  # `prepare_step` allocates it once it knows the terms of F
+        self.f = None  # `prepare_step` allocates it when `prepare_force`'s F collocates
 
     def grids(self) -> np.ndarray:
         return np.empty((self.n_rows,) + self.shape)
 
-    def solve(self, pot: Potential, level: float, s: np.ndarray) -> np.ndarray:
+    def solve(self, level: float, s: np.ndarray) -> np.ndarray:
         """J_level(s) by the split's own solver, its grids kept in row i."""
-        x = pot.resolvent_solver(level, s)
+        x = self.potential.resolvent_solver(level, s)
         self.s[self.i], self.x[self.i] = s, x
         return x
 
@@ -211,15 +212,17 @@ class _CheckRows:
 @dataclass(frozen=True)
 class PreparedStep:
     """What `step_imex` needs of one run, every decision the run never changes
-    taken: the denominators 1 + dt*Lambda and 1 + dt*M, the terms of F and E w,
-    g(t) (a bound zero vector without a source), under implicit_prox the
-    resolvent J_dt of the phase grid, and the rows the step writes for the
-    checks."""
+    taken: the denominators 1 + dt*Lambda and 1 + dt*M, F and E w as
+    `galerkin.prepare_force` binds them, the phase basis, g(t) (a bound zero
+    vector without a source), under implicit_prox the resolvent J_dt of the
+    phase grid, and the rows the step writes for the checks."""
 
     dt: float
     theta_denom: np.ndarray
     phi_denom: np.ndarray
-    terms: StepTerms
+    force: Callable[[np.ndarray, np.ndarray], tuple]
+    couple: Callable[[np.ndarray | None, np.ndarray], np.ndarray]
+    basis_b: SpectralBasis
     source_at: Callable[[float], np.ndarray]
     prox: Optional[Callable[[np.ndarray], np.ndarray]]
     checks: _CheckRows
@@ -246,13 +249,12 @@ def prepare_step(system: DiscreteSystem, scheme: SchemeConfig) -> PreparedStep:
     if not pot.multivalued and (prox or eps > 0.0):
         level = dt + eps if prox else eps
     checks = _CheckRows(system, level, prox)
-    solve = checks.solve if level is not None else (
-        lambda pot, level, s: pot.resolvent_solver(level, s))
-    terms = prepare_terms(system, explicit_beta=not prox, solve=solve)
-    if terms.pointwise is not None:
+    solve = checks.solve if level is not None else pot.resolvent_solver
+    force, couple = prepare_force(system, explicit_beta=not prox, solve=solve)
+    if force.collocates:
         checks.f = checks.grids()
     return PreparedStep(
-        dt, np.tile(theta_denom, rows + (1,)), phi_denom, terms,
+        dt, np.tile(theta_denom, rows + (1,)), phi_denom, force, couple, system.basis_b,
         system.source_at if system.source else lambda t: zeros,
         (lambda grid: prox_step(pot, eps, dt, grid, solve)) if prox else None,
         checks)
@@ -278,17 +280,17 @@ def step_imex(prepared: PreparedStep, theta: np.ndarray, phi: np.ndarray, t: flo
     `checks.i` of the prepared check rows.
     """
     p, dt, checks = prepared, prepared.dt, prepared.checks
-    fphi, start_grid, collocated = eval_nonlinearity(p.terms, theta, phi)
+    fphi, start_grid, collocated = p.force(theta, phi)
     if collocated is not None:
         checks.f[checks.i] = collocated
     phi_new = (phi - dt * fphi) / p.phi_denom
     intermediate = phi_grid = None
     if p.prox is not None:
-        intermediate = synthesize(p.terms.basis_b, phi_new)
+        intermediate = synthesize(p.basis_b, phi_new)
         checks.star[checks.i] = intermediate
         phi_grid = p.prox(intermediate)
-        phi_new = analyze(p.terms.basis_b, phi_grid)
-    coupled = apply_coupling(p.terms, start_grid, phi_new - phi)
+        phi_new = analyze(p.basis_b, phi_grid)
+    coupled = p.couple(start_grid, phi_new - phi)
     g = p.source_at(t + dt)
     # + dt*g stays for a zero source too: it turns a -0.0 of theta - coupled
     # into the +0.0 the recorded series hold

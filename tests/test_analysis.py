@@ -258,6 +258,34 @@ class TestRelaxationLimit:
         report = relaxation_limit_study(ladder, 2e-3, 0.5, 10)
         assert report.monotone
 
+    @pytest.mark.parametrize("geometry", ["interval", "dirichlet_neumann", "rect"])
+    def test_linear_limit_is_first_order_in_sigma(self, geometry):
+        # beta = pi = 0 and a constant coupling: on a fixed Galerkin space
+        # mu^(2 sigma) = 1 + 2 sigma log(mu) + O(sigma^2) on every mode off the
+        # kernel, so halving sigma halves both L2(Q) errors
+        if geometry == "interval":
+            basis_a = basis_b = build_basis("interval_neumann", 1.0, 8, 64)
+        elif geometry == "dirichlet_neumann":
+            basis_a = build_basis("interval_dirichlet", 1.0, 8, 64)
+            basis_b = build_basis("interval_neumann", 1.0, 8, 64)
+        else:
+            basis_a = build_basis("rect_dirichlet", [1.0, 1.5], 6, 24)
+            basis_b = build_basis("rect_neumann", [1.0, 1.5], 6, 24)
+
+        def cos_x(x):
+            return np.cos(np.pi * x.reshape(len(x), -1)[:, 0])
+
+        data = ProblemData(theta0=lambda x: 0.1 + 0.4 * cos_x(x),
+                           phi0=lambda x: 0.1 + 0.3 * cos_x(x),
+                           coupling=Coupling.constant(0.5))
+        pot = zero_potential()  # `stack_systems` requires one potential object
+        ladder = [assemble(data, basis_a, basis_b, 0.5, sigma, 0.0, pot)
+                  for sigma in (0.08, 0.04, 0.02, 0.01)]
+        report = relaxation_limit_study(ladder, 1e-3, 1.0, 10)
+        for errors in (report.phi_errors, report.theta_errors):
+            orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+            assert np.all((0.9 <= orders) & (orders <= 1.1)), orders
+
     @pytest.mark.parametrize("eps", [0.0, 1e-2])
     def test_batched_study_matches_runs_alone(self, neumann8, eps):
         # eps = 0 marches the limit row inside the batch, eps > 0 alone

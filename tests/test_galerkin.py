@@ -11,9 +11,8 @@ from conftest import gauss_legendre_gram
 from fracphase.analysis import omega_limit_probe
 from fracphase.expressions import build_source
 from fracphase.galerkin import (OVERFLOW_LIMIT, Coupling, OverflowGuardError,
-                                ProblemData, ValidationError, apply_coupling,
-                                assemble, eval_nonlinearity, guard, prepare_terms,
-                                project_data, stack_systems)
+                                ProblemData, ValidationError, assemble, guard,
+                                prepare_force, project_data, stack_systems)
 from fracphase.potentials import (double_obstacle_potential, logarithmic_potential,
                                   regular_potential, yosida, zero_potential)
 from fracphase.spectral import analyze, build_basis, synthesize
@@ -32,7 +31,7 @@ class TestAssemble:
         system = make_system(neumann8, neumann8, Coupling.constant(2.0))
         w = np.zeros(8)
         w[3] = 1.0
-        out = apply_coupling(prepare_terms(system), None, w)
+        out = prepare_force(system)[1](None, w)
         assert out[3] == pytest.approx(2.0)
         assert np.max(np.abs(np.delete(out, 3))) <= 1e-12
 
@@ -129,10 +128,10 @@ class TestProjectData:
         assert np.linalg.norm(phi0) <= grid_norm + 1e-12
 
 
-class TestEvalNonlinearity:
+class TestPrepareForce:
     def test_zero_state(self, neumann8):
         system = make_system(neumann8, neumann8, Coupling.constant(1.0))
-        fphi, *_ = eval_nonlinearity(prepare_terms(system), np.zeros(8), np.zeros(8))
+        fphi, *_ = prepare_force(system)[0](np.zeros(8), np.zeros(8))
         assert np.max(np.abs(fphi)) <= 1e-14
 
     def test_constant_state_approaches_cubic(self, neumann8):
@@ -140,7 +139,7 @@ class TestEvalNonlinearity:
         system = make_system(neumann8, neumann8, Coupling.constant(0.0), eps=1e-6)
         phi = np.zeros(8)
         phi[0] = 1.0  # eta_0 = 1 on (0,1)
-        fphi, *_ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
+        fphi, *_ = prepare_force(system)[0](np.zeros(8), phi)
         assert fphi[0] == pytest.approx(0.0, abs=1e-5)
         assert np.max(np.abs(fphi[1:])) <= 1e-12
 
@@ -150,15 +149,15 @@ class TestEvalNonlinearity:
         theta = np.zeros(8)
         theta[0] = 2.0
         system = make_system(neumann8, neumann8, Coupling.constant(3.0))
-        fphi, *_ = eval_nonlinearity(prepare_terms(system), theta, np.zeros(8))
+        fphi, *_ = prepare_force(system)[0](theta, np.zeros(8))
         assert np.array_equal(fphi, -3.0 * theta)
         mixed = make_system(dirichlet8, neumann8, Coupling.constant(3.0))
-        fphi, *_ = eval_nonlinearity(prepare_terms(mixed), theta, np.zeros(8))
+        fphi, *_ = prepare_force(mixed)[0](theta, np.zeros(8))
         assert np.max(np.abs(fphi + theta @ mixed.coupling_matrix)) <= 1e-15
 
     def test_overflow_guard(self, neumann8):
-        # the collocated grid's guard belongs to the callers of
-        # eval_nonlinearity: the omega-limit probe guards a run's final state
+        # the collocated grid's guard belongs to the callers of F from
+        # prepare_force: the omega-limit probe guards a run's final state
         system = make_system(neumann8, neumann8, Coupling.constant(0.0))
         huge = np.full(8, 1e13)
         with pytest.raises(OverflowGuardError, match="nonlinearity"):
@@ -174,7 +173,7 @@ class TestEvalNonlinearity:
                              phi0=lambda x: 0.5 * np.cos(np.pi * x))
         phi = np.zeros(8)
         phi[0] = 0.5  # eta_0 = 1, so phi = 0.5 at every node
-        fphi, *_ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
+        fphi, *_ = prepare_force(system)[0](np.zeros(8), phi)
         assert np.max(np.abs(fphi + potential.gamma * phi)) <= 1e-15
 
     def test_eps_zero_beta_off_domain_names_row(self, neumann8):
@@ -219,8 +218,8 @@ class TestQuadratureConsistency:
         rng = np.random.default_rng(0)
         w = rng.standard_normal(8)
         phi_grid = synthesize(neumann8, rng.standard_normal(8))
-        fast = apply_coupling(prepare_terms(system), phi_grid, w)
-        slow = apply_coupling(prepare_terms(generic), phi_grid, w)
+        fast = prepare_force(system)[1](phi_grid, w)
+        slow = prepare_force(generic)[1](phi_grid, w)
         assert np.max(np.abs(fast - slow)) <= 1e-10
 
     def test_lipschitz_in_phi(self, neumann8):
@@ -230,8 +229,8 @@ class TestQuadratureConsistency:
         rng = np.random.default_rng(1)
         for _ in range(20):
             p1, p2 = rng.standard_normal(8), rng.standard_normal(8)
-            f1 = eval_nonlinearity(prepare_terms(system), np.zeros(8), p1)[0]
-            f2 = eval_nonlinearity(prepare_terms(system), np.zeros(8), p2)[0]
+            f1 = prepare_force(system)[0](np.zeros(8), p1)[0]
+            f2 = prepare_force(system)[0](np.zeros(8), p2)[0]
             assert np.linalg.norm(f1 - f2) <= lip * np.linalg.norm(p1 - p2) * (1 + 1e-10)
 
 
@@ -260,7 +259,7 @@ class TestSourceSampling:
         system = make_system(neumann8, neumann8, Coupling.constant(0.0), eps=0.1)
         phi = np.zeros(8)
         phi[0] = 1.0
-        fphi, *_ = eval_nonlinearity(prepare_terms(system), np.zeros(8), phi)
+        fphi, *_ = prepare_force(system)[0](np.zeros(8), phi)
         # phi = eta_0 = 1 on (0, 1): F = (beta_0.1(1) - gamma) eta_0
         beta_eps = yosida(system.potential, 0.1, np.array([1.0]))
         expected = (beta_eps - system.potential.gamma) * phi

@@ -768,14 +768,24 @@ class TestMergedStepAgainstOracle:
     """The prepared step against the per-scheme steps it replaced: every array
     bit for bit, along a few chained steps."""
 
-    @pytest.mark.parametrize("case", ["same_basis", "mixed_basis", "tanh_coupling",
-                                      "stacked"])
-    @pytest.mark.parametrize("scheme", ["imex_euler", "implicit_prox"])
+    # each case under both schemes, and the regular split at the Yosida level
+    # the scheme does not take by default: imex_euler at eps = 0 takes beta
+    # itself, implicit_prox at eps > 0 checks its resolvent's residual
+    @pytest.mark.parametrize("scheme,case", [
+        (scheme, case) for case in ("same_basis", "mixed_basis", "tanh_coupling",
+                                    "logarithmic", "stacked", "stacked_rect")
+        for scheme in ("imex_euler", "implicit_prox")
+    ] + [("imex_euler", "regular_eps_zero"), ("implicit_prox", "regular_eps")])
     def test_bit_identical_to_per_scheme_steps(self, neumann8, scheme, case):
-        if case == "stacked":
-            system = stack_systems(stacked_rows("interval", scheme, True)[:2])
+        if case.startswith("stacked"):
+            geometry = "rect" if case == "stacked_rect" else "interval"
+            system = stack_systems(stacked_rows(geometry, scheme, True)[:2])
         else:
-            if scheme == "implicit_prox":
+            if case == "logarithmic":
+                potential, eps = logarithmic_potential(2.0), 1e-2
+            elif case.startswith("regular"):
+                potential, eps = regular_potential(1.0), 0.0 if case.endswith("zero") else 1e-2
+            elif scheme == "implicit_prox":
                 potential, eps = double_obstacle_potential(0.5), 0.0
             else:
                 potential, eps = regular_potential(1.0), 1e-2

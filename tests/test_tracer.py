@@ -9,8 +9,12 @@ import fracphase.cli
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
-# bindings the tracer requires that no longer exist (ROADMAP item 1)
-STALE_BINDINGS = ["fracphase.analysis.assemble"]
+# bindings the tracer requires that no longer exist (ROADMAP items 1 and 8)
+STALE_BINDINGS = ["fracphase.timestepper.eval_nonlinearity",
+                  "fracphase.timestepper.apply_coupling", "fracphase.analysis.assemble"]
+# reported spans of functions that no longer exist: F and E w are closures
+# the step calls, so their time counts in `timestepper.step` (ROADMAP item 8)
+LOST_SPANS = {"galerkin.eval_nonlinearity", "galerkin.apply_coupling"}
 # reported spans only another command calls
 NOT_ON_SIMULATE = {"analysis.relaxation_limit_study"}
 
@@ -47,7 +51,8 @@ def test_traced_simulate_calls_every_reported_span(tmp_path):
     assert unwrapped == STALE_BINDINGS
     reported = reported_spans()
     assert len(reported) >= 15 and NOT_ON_SIMULATE <= reported
-    assert reported <= set(tracer.names)  # each one wrapped at install
+    # each one wrapped at install, but for the lost ones
+    assert reported - set(tracer.names) == LOST_SPANS
     spans = tracer.summarize()["spans"]
-    not_called = {name for name in reported if spans[name]["calls"] == 0}
+    not_called = {name for name in reported - LOST_SPANS if spans[name]["calls"] == 0}
     assert not_called == NOT_ON_SIMULATE
