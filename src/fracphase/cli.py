@@ -333,6 +333,7 @@ def _cmd_converge(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str
         manifest.check("errors_decrease",
                        bool(np.all(np.diff(errors["phi_l2_h"][:-1]) <= 0.0)),
                        {"errors": errors["phi_l2_h"]})
+    _check_obstacle(manifest, list(zip(systems, runs)))
     return f"converge[{axis}]: errors {errors['phi_l2_h']}"
 
 

@@ -7,14 +7,14 @@ rect_dirichlet and rect_neumann.  `build_basis` is the one builder: it keeps
 the n_modes lowest modes (`_select_modes`), samples each axis's 1-D
 eigenfunctions on m_grid uniform nodes, holds m_grid to `min_grid_nodes`
 (the rule config validation applies too) and runs the Gram gate once.  A
-basis stores the eigenvalues, trapezoid weights and one table of 1-D
-eigenfunction samples per axis (an FFT interval basis, below, stores its
-plan instead), so every downstream operation (transforms,
-fractional powers, kernel projection, graph norms) reduces to small dense
-linear algebra; rectangle eigenfunctions are products e_jx(x) e_jy(y), so
-their transforms and Gram gate run one axis at a time (sum factorization).
-The tables a transform multiplies by are formed once, with the basis: a
-dense interval transform is one product with a stored table.
+basis stores the eigenvalues, trapezoid weights and the tables its transforms
+multiply by, formed once (an FFT interval basis, below, stores its plan
+instead), so every downstream operation (transforms, fractional powers,
+kernel projection, graph norms) reduces to small dense linear algebra: a
+dense interval transform is one product with a stored table, and rectangle
+eigenfunctions are products e_jx(x) e_jy(y), so their transforms run one
+axis at a time (sum factorization).  The Gram gate multiplies those same
+tables, so it checks what the transforms compute.
 Inner products between two bases on one domain (`cross_gram`) are exact
 closed-form integrals.
 
@@ -66,17 +66,18 @@ class SpectralBasis:
 
     eigenvalues are nondecreasing; quad_weights are trapezoid weights summing
     to the domain measure, listed like grid_points in row-major (x, y) order.
-    axis_values[d] samples the 1-D eigenfunctions of axis d on its nodes (one
-    column per 1-D label, counted from the first label of the boundary
-    condition), axis_weights[d] are that axis's trapezoid weights, and mode i
-    is the product over the axes of column axis_modes[d][i].  On an interval
-    the single table has one column per mode.  fft is the FFT plan of an
-    interval basis that transforms by FFT, None on the dense and
-    sum-factorized paths; an FFT basis samples no table (axis_values is
-    empty).  analysis_tables are what `analyze` multiplies by,
-    with the weights folded in: w[:, None]*V on a dense interval,
-    (wx[:, None]*Vx).T and wy[:, None]*Vy on a rectangle, none on an FFT
-    basis; synthesis_table is a dense interval's contiguous V.T, else None.
+    Mode i is the product over the axes of column axis_modes[d][i] of axis
+    d's 1-D eigenfunctions (one column per 1-D label, counted from the first
+    label of the boundary condition); on an interval, column i.  The
+    transforms multiply by axis_values, synthesis_table and analysis_tables,
+    and so does the Gram gate.  On a rectangle axis_values[d] samples axis
+    d's eigenfunctions on its nodes, which `synthesize` multiplies by; on an
+    interval it is empty.  synthesis_table is a dense interval's contiguous
+    V.T, else None.  analysis_tables are what `analyze` multiplies by, with
+    the weights folded in: w[:, None]*V on a dense interval, (wx[:, None]*Vx).T
+    and wy[:, None]*Vy on a rectangle, none on an FFT basis.  fft is the FFT
+    plan of an interval basis that transforms by FFT, None on the dense and
+    sum-factorized paths; an FFT basis samples no table.
     """
 
     kind: str
@@ -86,7 +87,6 @@ class SpectralBasis:
     grid_points: np.ndarray
     quad_weights: np.ndarray
     axis_values: tuple[np.ndarray, ...]
-    axis_weights: tuple[np.ndarray, ...]
     axis_modes: tuple[np.ndarray, ...]
     mode_indices: np.ndarray
     analysis_tables: tuple[np.ndarray, ...]
@@ -106,7 +106,7 @@ class SpectralBasis:
         """The nodes of each axis; grid_points is their row-major product."""
         if self.ndim == 1:
             return (self.grid_points,)
-        my = self.axis_weights[1].shape[0]
+        my = self.axis_values[1].shape[0]
         return (self.grid_points[::my, 0], self.grid_points[:my, 1])
 
     @property
@@ -274,7 +274,7 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
     columns, eigenvalues = _select_modes(kind, lengths, n_modes)
     first = 1 if bc == "dirichlet" else 0
     grids = [_interval_grid(length, m_grid) for length in lengths]
-    fft = synthesis_table = None
+    fft = None
     if (axes == 1 and n_modes * m_grid >= FFT_MIN_TABLE_SIZE
             and _largest_prime_factor(2 * (m_grid - 1)) <= FFT_MAX_PRIME_FACTOR):
         fft = _fft_plan(kind, lengths[0], first + columns[0], m_grid)
@@ -282,19 +282,19 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
     tables = () if fft is not None else tuple(
         _interval_eigendata(bc, length, np.arange(first, first + c.max() + 1), x)
         for length, c, (x, _) in zip(lengths, columns, grids))
+    weighted = tuple(w[:, None] * v for v, (_, w) in zip(tables, grids))
     if axes == 1:
         (points, weights), = grids
         labels = first + columns[0]
-        if fft is None:
-            synthesis_table = np.ascontiguousarray(tables[0].T)
+        # a dense interval's transforms multiply its V.T and w[:, None]*V alone
+        synthesis_table = np.ascontiguousarray(tables[0].T) if tables else None
+        tables, analysis_tables = (), weighted
     else:
         (x, wx), (y, wy) = grids
         points = np.column_stack([np.repeat(x, m_grid), np.tile(y, m_grid)])
         weights = np.outer(wx, wy).ravel()
         labels = first + np.column_stack(columns)
-    # the Gram gate's per-axis w[:, None]*V, which the dense transforms keep
-    weighted = tuple(w[:, None] * v for v, (_, w) in zip(tables, grids))
-    analysis_tables = (weighted[0].T, weighted[1]) if axes == 2 else weighted
+        synthesis_table, analysis_tables = None, (weighted[0].T, weighted[1])
     basis = SpectralBasis(
         kind=kind,
         domain_extent=lengths,
@@ -303,14 +303,13 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
         grid_points=points,
         quad_weights=weights,
         axis_values=tables,
-        axis_weights=tuple(w for _, w in grids),
         axis_modes=columns,
         mode_indices=labels,
         analysis_tables=analysis_tables,
         synthesis_table=synthesis_table,
         fft=fft,
     )
-    defect = gram_defect(basis, weighted)
+    defect = gram_defect(basis)
     if defect > ORTHONORMALITY_TOL:
         raise BasisBuildError(
             f"orthonormality defect {defect:.3e} exceeds {ORTHONORMALITY_TOL:.0e} "
@@ -479,25 +478,22 @@ def _fft_gram_diagonal(plan: FFTPlan) -> np.ndarray:
     return plan.synthesis_scale * plan.analysis_scale
 
 
-def gram_defect(basis: SpectralBasis, weighted=None) -> float:
-    """Max-abs deviation of the weighted Gram matrix from the identity.
+def gram_defect(basis: SpectralBasis) -> float:
+    """Max-abs deviation of the weighted Gram matrix from the identity, formed
+    from the tables the transforms multiply by.
 
     An FFT basis is gated on the pair it transforms with, whose Gram matrix
-    is diagonal (`_fft_gram_diagonal`).
-    Otherwise the tensor-product weights make the Gram matrix the product of
-    the per-axis Gram tables at each mode pair's labels.  `weighted` holds
-    the per-axis w[:, None]*V when the caller has formed them already.
+    is diagonal (`_fft_gram_diagonal`).  A dense interval's is its synthesis
+    times its analysis table, V.T @ (w V).  On a rectangle the tensor-product
+    weights make it the product of the per-axis Gram tables V.T @ (w V), each
+    axis's samples times its analysis table, at each mode pair's labels.
     """
     if basis.fft is not None:
         return float(np.abs(_fft_gram_diagonal(basis.fft) - 1.0).max())
-    if weighted is None:
-        weighted = [w[:, None] * v for v, w in zip(basis.axis_values, basis.axis_weights)]
     if basis.ndim == 1:
-        # an interval's table holds its modes' columns in mode order
-        gram = basis.axis_values[0].T @ weighted[0]
+        gram = basis.synthesis_table @ basis.analysis_tables[0]
     else:
-        gram = 1.0
-        for values, table, modes in zip(basis.axis_values, weighted, basis.axis_modes):
-            axis_gram = values.T @ table
-            gram = gram * axis_gram[modes[:, None], modes]
+        (vx, vy), (tx, ty) = basis.axis_values, basis.analysis_tables
+        jx, jy = basis.axis_modes
+        gram = (vx.T @ tx.T)[jx[:, None], jx] * (vy.T @ ty)[jy[:, None], jy]
     return float(np.abs(gram - np.eye(basis.n_modes)).max())

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,7 @@ class TestIntervalBuilder:
     def test_neumann_constant_mode(self):
         b = build_basis("interval_neumann", 2.0, 1, 8)
         assert b.eigenvalues[0] == 0.0
-        assert np.allclose(b.axis_values[0][:, 0], 1.0 / np.sqrt(2.0))
+        assert np.allclose(b.synthesis_table[0], 1.0 / np.sqrt(2.0))
 
     def test_rejects_small_grid(self):
         with pytest.raises(BasisBuildError, match="m_grid"):
@@ -229,11 +230,33 @@ class TestStoredTables:
     def test_rect_analyze_matches_per_call_weighting_bit_for_bit(self, kind, extent, n, m):
         b = build_basis(kind, extent, n, m)
         assert b.synthesis_table is None
-        (vx, vy), (wx, wy) = b.axis_values, b.axis_weights
+        (vx, vy), (lx, ly) = b.axis_values, b.domain_extent
+        (_, wx), (_, wy) = (fracphase.spectral._interval_grid(length, m) for length in (lx, ly))
         grid = np.random.default_rng(7).standard_normal((3, b.n_grid))
         table = grid.reshape(3, wx.shape[0], wy.shape[0])
         want = ((wx[:, None] * vx).T @ table @ (wy[:, None] * vy))[(..., *b.axis_modes)]
         assert np.array_equal(analyze(b, grid), want)
+
+    @pytest.mark.parametrize("kind,extent,n,m,field,index", [
+        ("interval_neumann", 1.0, 8, 64, "synthesis_table", (3, 17)),
+        ("interval_dirichlet", 1.0, 128, 1024, "synthesis_table", (0, 100)),
+        ("rect_neumann", [1.0, 2.0], 12, 96, "analysis_tables", (1, 40, 2)),
+        ("rect_dirichlet", [1.3, 0.7], 20, 160, "analysis_tables", (1, 7, 0))])
+    def test_gate_reads_the_tables_the_transforms_multiply(self, kind, extent, n, m,
+                                                           field, index):
+        # one corrupted entry of a stored transform table fails the gate: it
+        # multiplies those tables, not a second copy of the samples
+        b = build_basis(kind, extent, n, m)
+        assert gram_defect(b) <= ORTHONORMALITY_TOL
+        if field == "synthesis_table":
+            table = b.synthesis_table.copy()
+            table[index] += 1e-3
+            value = table
+        else:
+            tables = [t.copy() for t in b.analysis_tables]
+            tables[index[0]][index[1:]] += 1e-3
+            value = tuple(tables)
+        assert gram_defect(dataclasses.replace(b, **{field: value})) > ORTHONORMALITY_TOL
 
     @pytest.mark.parametrize("kind", ["interval_neumann", "interval_dirichlet"])
     def test_fft_basis_holds_no_dense_transform_table(self, kind):

@@ -1017,6 +1017,11 @@ FAILURES = {
     "resolvent": ("resolvent failed", ("imex_euler", 1e-3, 1.0, 10), (28, 28),
                   (logarithmic_potential(2.0), 1e-2, 1.0,
                    [(0.0, 0.1), (50.0, 0.1), (0.0, 0.2)], None)),
+    # the same under implicit_prox, whose resolvent J_(dt + eps) takes the
+    # intermediate grid: the message names level 0.011; no row is named
+    "prox_resolvent": ("resolvent failed", ("implicit_prox", 1e-3, 1.0, 10), (27, 27),
+                       (logarithmic_potential(2.0), 1e-2, 1.0,
+                        [(0.0, 0.1), (50.0, 0.1), (0.0, 0.2)], None)),
     # beta(phi) is NaN once the explicit step takes phi past 1
     "nan_beta": ("nonlinearity", ("imex_euler", 1e-3, 1.0, 5), (19, 19),
                  (logarithmic_potential(2.0), 0.0, 1.0,
@@ -1063,7 +1068,9 @@ class TestFailureSemantics:
                                                         want.row)
         assert_same_bits(got.partial, want.partial)
         assert str(got).startswith(label) and got.step == steps[stacked]
-        assert (got.row is None) == (not stacked or case == "resolvent")
+        assert (got.row is None) == (not stacked or case.endswith("resolvent"))
+        if case == "prox_resolvent":
+            assert "eps=0.011:" in str(got)
         last_snapshot = (got.partial.times.size - 1) * stride
         assert 0 < last_snapshot and got.step % stride > 1
         block = fracphase.timestepper.LEDGER_BLOCK
@@ -1123,7 +1130,9 @@ class TestFailureSemantics:
                                              ("interval128", 5)])
     def test_check_rows_stay_within_the_float_budget(self, monkeypatch, shape, rows):
         # a span holds as many steps as CHECK_GRID_FLOATS allows per stored
-        # grid, one step at least: a 256 x 256 rectangle checks every step
+        # grid, one step at least: a 256 x 256 rectangle checks every step.
+        # The rows record the resolvent call they check: its level, input
+        # (under implicit_prox the intermediate grid) and output
         if shape == "rect256":
             basis_a = build_basis("rect_dirichlet", [1.0, 1.0], 64, 256)
             basis_b = build_basis("rect_neumann", [1.0, 1.0], 64, 256)
@@ -1141,7 +1150,7 @@ class TestFailureSemantics:
         integrate(system, SchemeConfig("imex_euler", dt=1e-3), 3e-3)
         checks = prepared[0].checks
         grids = [checks.s, checks.x, checks.f]
-        assert checks.star is None and all(grid is not None for grid in grids)
+        assert checks.level == 1e-2 and all(grid is not None for grid in grids)
         one_step = rows * basis_b.n_grid
         budget = fracphase.timestepper.CHECK_GRID_FLOATS
         want = {"rect256": 1, "interval64": 64, "interval128": 12}[shape]
@@ -1150,3 +1159,18 @@ class TestFailureSemantics:
         for grid in grids:
             assert grid.shape == (want, rows, basis_b.n_grid)
             assert grid.size <= max(budget, one_step)
+        # under implicit_prox F collocates nothing, and the rows of the last
+        # span hold its steps' intermediate grids and their J_(dt + eps)
+        stepped = []
+        step = fracphase.timestepper.step_imex
+        monkeypatch.setattr(fracphase.timestepper, "step_imex",
+                            lambda *args: stepped.append(step(*args)) or stepped[-1])
+        integrate(system, SchemeConfig("implicit_prox", dt=1e-3), 3e-3, 3)
+        checks = prepared[1].checks
+        assert checks.level == 1e-3 + 1e-2 and checks.f is None
+        span = checks.i + 1
+        assert span == (1 if shape == "rect256" else 3)
+        intermediates = np.stack([out[3] for out in stepped[-span:]])
+        assert np.array_equal(checks.s[:span], intermediates)
+        assert np.array_equal(checks.x[:span],
+                              potential.resolvent_solver(checks.level, intermediates))
