@@ -100,18 +100,17 @@ def _table(header: str, prefixes, values) -> str:
     return "".join(blocks)
 
 
-def _coordinate_text(points) -> list[str]:
-    """Per grid point, its coordinates as _fmt text, each followed by a comma.
+def _coordinate_text(axis_nodes) -> list[str]:
+    """Per node of the row-major product of the axes' nodes, its coordinates
+    as _fmt text, each followed by a comma.
 
-    Each distinct value of a coordinate column is formatted once; values are
-    told apart by their bit pattern, so 0.0 and -0.0 stay distinct.
+    Each axis's nodes are formatted once, and np.add.outer joins the texts of
+    the axes row-major, as `SpectralBasis.grid_points` lists the nodes.
     """
-    text = None
-    for column in points.reshape(len(points), -1).T:
-        bits, inverse = np.unique(np.ascontiguousarray(column).view(np.int64),
-                                  return_inverse=True)
-        distinct = np.array([_fmt(v) + "," for v in bits.view(float).tolist()], dtype=object)
-        text = distinct[inverse] if text is None else text + distinct[inverse]
+    text = np.array([""], dtype=object)
+    for nodes in axis_nodes:
+        column = np.array([_fmt(v) + "," for v in nodes.tolist()], dtype=object)
+        text = np.add.outer(text, column).ravel()
     return text.tolist()
 
 
@@ -143,9 +142,8 @@ def emit_run_outputs(run: RunOutput, system, out_dir: str,
     # the grid, so its coordinate text is made once
     snaps = dict.fromkeys(int(np.argmin(np.abs(run.times - t))) for t in grid_times)
     if snaps:
-        pts = system.basis_b.grid_points
-        header = "x,theta,phi" if pts.ndim == 1 else "x,y,theta,phi"
-        coords = _coordinate_text(pts)
+        header = "x,theta,phi" if system.basis_b.ndim == 1 else "x,y,theta,phi"
+        coords = _coordinate_text(system.basis_b.axis_nodes)
     for k in snaps:
         theta_grid = synthesize(system.basis_a, run.theta_series[k])
         phi_grid = synthesize(system.basis_b, run.phi_series[k])

@@ -59,8 +59,6 @@ def _space_term(term, basis: SpectralBasis, where: str) -> np.ndarray:
     term = _object(term, where)
     kind = term.get("kind")
     ndim = basis.ndim
-    points = basis.grid_points
-    axes = [points] if ndim == 1 else points.T  # the grid's coordinates per axis
     amp = _number(term, "amplitude", where, 1.0)
     if kind == "constant":
         return np.full(basis.n_grid, amp * _number(term, "value", where))
@@ -87,7 +85,7 @@ def _space_term(term, basis: SpectralBasis, where: str) -> np.ndarray:
         if width <= 0:
             raise ExpressionError(f"{where}.width: must be positive, got {width!r}")
         d2 = np.zeros(basis.n_grid)
-        for x, c in zip(axes, center):
+        for x, c in zip(basis.grid_points.reshape(-1, ndim).T, center):
             d2 = d2 + (x - c) ** 2
         return amp * np.exp(-d2 / (2.0 * width**2))
     if kind == "mode":
@@ -95,12 +93,12 @@ def _space_term(term, basis: SpectralBasis, where: str) -> np.ndarray:
         if not (type(j) is int and 0 <= j < basis.n_modes):
             raise ExpressionError(
                 f"{where}.index: must be an integer in [0, {basis.n_modes}), got {j!r}")
-        return amp * eigenfunctions_at(basis, points, [j])[:, 0]
+        return amp * eigenfunctions_at(basis, basis.grid_points, [j])[:, 0]
     raise ExpressionError(f"{where}.kind: unknown space expression kind {kind!r}")
 
 
 def build_space_field(spec, basis: SpectralBasis, where: str = "field"):
-    """The values of a space expression on `basis.grid_points`, or None.
+    """The values of a space expression on the grid of `basis`, or None.
 
     `where` names the expression in error messages, e.g. "data.theta0".
     """

@@ -25,7 +25,8 @@ IEEE TASSP 28), unless that length has a prime factor above
 FFT_MAX_PRIME_FACTOR; the path is chosen once, when the basis is built.  An
 FFT basis holds only its `FFTPlan`: no table is sampled, and its Gram gate
 is the Gram matrix of the FFT pair itself, analyze o synthesize, which is
-diagonal in closed form (`_fft_gram_diagonal`).  The closed-form samples
+diagonal in closed form (`_fft_gram_diagonal`); `_check_fft_plan` ties the
+plan to the basis's labels and boundary condition.  The closed-form samples
 (`eigenfunctions_at`) are the oracle the FFT is tested against.
 """
 from __future__ import annotations
@@ -64,8 +65,10 @@ class BasisBuildError(ValueError):
 class SpectralBasis:
     """Eigenpairs of a Laplacian sampled on a tensor-product quadrature grid.
 
-    eigenvalues are nondecreasing; quad_weights are trapezoid weights summing
-    to the domain measure, listed like grid_points in row-major (x, y) order.
+    eigenvalues are nondecreasing.  axis_nodes holds each axis's m_grid nodes;
+    the grid is their row-major (x, y) product, which `grid_points` forms on
+    demand, and quad_weights, the product of the axes' trapezoid weights,
+    sum to the domain measure.
     Mode i is the product over the axes of column axis_modes[d][i] of axis
     d's 1-D eigenfunctions (one column per 1-D label, counted from the first
     label of the boundary condition); on an interval, column i.  The
@@ -84,7 +87,7 @@ class SpectralBasis:
     domain_extent: tuple[float, ...]
     n_modes: int
     eigenvalues: np.ndarray
-    grid_points: np.ndarray
+    axis_nodes: tuple[np.ndarray, ...]
     quad_weights: np.ndarray
     axis_values: tuple[np.ndarray, ...]
     axis_modes: tuple[np.ndarray, ...]
@@ -102,12 +105,13 @@ class SpectralBasis:
         return self.quad_weights.shape[0]
 
     @property
-    def axis_nodes(self) -> tuple[np.ndarray, ...]:
-        """The nodes of each axis; grid_points is their row-major product."""
+    def grid_points(self) -> np.ndarray:
+        """The grid's nodes in row-major (x, y) order, formed from axis_nodes on
+        each call: the (m,) nodes of an interval, (mx*my, 2) on a rectangle."""
         if self.ndim == 1:
-            return (self.grid_points,)
-        my = self.axis_values[1].shape[0]
-        return (self.grid_points[::my, 0], self.grid_points[:my, 1])
+            return self.axis_nodes[0]
+        x, y = self.axis_nodes
+        return np.column_stack([np.repeat(x, y.size), np.tile(y, x.size)])
 
     @property
     def kernel_mask(self) -> np.ndarray:
@@ -115,11 +119,10 @@ class SpectralBasis:
         return self.eigenvalues == 0.0
 
     def same_grid_as(self, other: "SpectralBasis") -> bool:
-        return (
-            self.grid_points.shape == other.grid_points.shape
-            and np.array_equal(self.grid_points, other.grid_points)
-            and np.array_equal(self.quad_weights, other.quad_weights)
-        )
+        """Both grids hold the same nodes.  An axis's trapezoid weights follow
+        from its nodes linspace(0, L, m), whose count and last node are m and L."""
+        return len(self.axis_nodes) == len(other.axis_nodes) and all(
+            map(np.array_equal, self.axis_nodes, other.axis_nodes))
 
 
 @dataclass(frozen=True)
@@ -243,9 +246,12 @@ def min_grid_nodes(kind: str, extent, n_modes: int) -> int:
     retained modes spread over both axes.
     """
     if kind in RECT_KINDS:
-        columns, _ = _select_modes(kind, np.atleast_1d(extent).astype(float), n_modes)
-        return MIN_GRID_FACTOR * max(int(c.max()) + 1 for c in columns)
+        return _grid_rule(_select_modes(kind, np.atleast_1d(extent).astype(float), n_modes)[0])
     return MIN_GRID_FACTOR * n_modes
+
+
+def _grid_rule(columns) -> int:
+    return MIN_GRID_FACTOR * max(int(c.max()) + 1 for c in columns)
 
 
 def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
@@ -267,13 +273,18 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
         raise BasisBuildError(f"domain extents must be positive, got {lengths}")
     if n_modes < 1:
         raise BasisBuildError(f"n_modes must be >= 1, got {n_modes}")
-    need = min_grid_nodes(kind, lengths, n_modes)
+    # a rectangle's rule reads the columns it selects; an interval's is closed
+    # form and holds before its n_modes labels are formed
+    need = MIN_GRID_FACTOR * n_modes
+    if axes == 2 or m_grid >= need:
+        columns, eigenvalues = _select_modes(kind, lengths, n_modes)
+        if axes == 2:
+            need = _grid_rule(columns)
     if m_grid < need:
         raise BasisBuildError(f"m_grid={m_grid} too small: need at least {need}, "
                               f"{MIN_GRID_FACTOR} times the 1-D modes per axis")
-    columns, eigenvalues = _select_modes(kind, lengths, n_modes)
     first = 1 if bc == "dirichlet" else 0
-    grids = [_interval_grid(length, m_grid) for length in lengths]
+    nodes, axis_weights = zip(*(_interval_grid(length, m_grid) for length in lengths))
     fft = None
     if (axes == 1 and n_modes * m_grid >= FFT_MIN_TABLE_SIZE
             and _largest_prime_factor(2 * (m_grid - 1)) <= FFT_MAX_PRIME_FACTOR):
@@ -281,18 +292,15 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
     # an FFT basis samples no table: its gate checks the FFT pair itself
     tables = () if fft is not None else tuple(
         _interval_eigendata(bc, length, np.arange(first, first + c.max() + 1), x)
-        for length, c, (x, _) in zip(lengths, columns, grids))
-    weighted = tuple(w[:, None] * v for v, (_, w) in zip(tables, grids))
+        for length, c, x in zip(lengths, columns, nodes))
+    weighted = tuple(w[:, None] * v for v, w in zip(tables, axis_weights))
     if axes == 1:
-        (points, weights), = grids
-        labels = first + columns[0]
+        weights, labels = axis_weights[0], first + columns[0]
         # a dense interval's transforms multiply its V.T and w[:, None]*V alone
         synthesis_table = np.ascontiguousarray(tables[0].T) if tables else None
         tables, analysis_tables = (), weighted
     else:
-        (x, wx), (y, wy) = grids
-        points = np.column_stack([np.repeat(x, m_grid), np.tile(y, m_grid)])
-        weights = np.outer(wx, wy).ravel()
+        weights = np.outer(*axis_weights).ravel()
         labels = first + np.column_stack(columns)
         synthesis_table, analysis_tables = None, (weighted[0].T, weighted[1])
     basis = SpectralBasis(
@@ -300,7 +308,7 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
         domain_extent=lengths,
         n_modes=n_modes,
         eigenvalues=eigenvalues,
-        grid_points=points,
+        axis_nodes=nodes,
         quad_weights=weights,
         axis_values=tables,
         axis_modes=columns,
@@ -314,6 +322,8 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
         raise BasisBuildError(
             f"orthonormality defect {defect:.3e} exceeds {ORTHONORMALITY_TOL:.0e} "
             f"for kind={kind}, n_modes={n_modes}, m_grid={m_grid}; increase m_grid")
+    if fft is not None:
+        _check_fft_plan(basis)
     return basis
 
 
@@ -476,6 +486,24 @@ def _fft_gram_diagonal(plan: FFTPlan) -> np.ndarray:
     this checks them in O(n), with no table and no transform.
     """
     return plan.synthesis_scale * plan.analysis_scale
+
+
+def _check_fft_plan(basis: SpectralBasis) -> None:
+    """BasisBuildError unless the FFT plan transforms the basis's labels, in
+    O(1): bins from the lowest label to the highest, cosines (Neumann) real
+    or sines (Dirichlet) imaginary, and at both ends the closed-form synthesis
+    scale, the eigenfunction's amplitude times the N = m-1 the irfft divides
+    by (2N on bin 0), negated on a sine."""
+    plan, (length,), sine = basis.fft, basis.domain_extent, basis.kind == "interval_dirichlet"
+    ends = int(basis.mode_indices[0]), int(basis.mode_indices[-1])
+    n = 1 - basis.n_grid if sine else basis.n_grid - 1
+    want = [n * (2.0 / length**0.5 if p == 0 else (2.0 / length) ** 0.5) for p in ends]
+    if ((plan.part, plan.slots.start, plan.slots.stop)
+            != ("imag" if sine else "real", ends[0], ends[1] + 1)
+            or any(abs(plan.synthesis_scale[k] / w - 1.0) > ORTHONORMALITY_TOL
+                   for k, w in zip((0, -1), want))):
+        raise BasisBuildError(f"the FFT plan (part {plan.part}, bins {plan.slots}) does not "
+                              f"transform labels {ends[0]}..{ends[1]} of {basis.kind}")
 
 
 def gram_defect(basis: SpectralBasis) -> float:

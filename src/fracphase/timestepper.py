@@ -148,7 +148,8 @@ class _CheckRows:
     which `solve` writes (under implicit_prox `s` is the intermediate grid),
     and the collocated grid of F `f` (None when `galerkin.prepare_force`
     collocates nothing).  The obstacle's projection is exact, so it keeps no
-    `x`.  The coefficient checks read the ledger's state rows.
+    `x`, and no `s` either under imex_euler, where no check reads it.  The
+    coefficient checks read the ledger's state rows.
 
     `level` is the level `solve` was called at, None while it never was (at
     eps = 0 under imex_euler); it is checked by assembly (eps) and
@@ -161,8 +162,8 @@ class _CheckRows:
         self.shape = system.phi_stiff.shape[:-1] + (system.basis_b.n_grid,)
         self.n_rows = min(LEDGER_BLOCK, max(1, CHECK_GRID_FLOATS // math.prod(self.shape)))
         self.i, self.level, self.potential, self.prox = 0, None, system.potential, prox
-        self.s = self.grids()
         self.x = None if system.potential.multivalued else self.grids()
+        self.s = self.grids() if prox or self.x is not None else None
         self.f = None  # `prepare_step` allocates it when `prepare_force`'s F collocates
 
     def grids(self) -> np.ndarray:
@@ -171,7 +172,9 @@ class _CheckRows:
     def solve(self, level: float, s: np.ndarray) -> np.ndarray:
         """J_level(s) by the split's own solver, its grids kept in row i."""
         x = self.potential.resolvent_solver(level, s)
-        self.level, self.s[self.i] = level, s
+        self.level = level
+        if self.s is not None:
+            self.s[self.i] = s
         if self.x is not None:
             self.x[self.i] = x
         return x

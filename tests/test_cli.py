@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -18,13 +19,15 @@ import fracphase.timestepper
 from conftest import read_manifest, read_timeseries
 from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
                            EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
-                           _coordinate_text, _table, config_hash, main)
+                           _coordinate_text, _fmt, _table, config_hash, main)
 from fracphase.config import (ConfigError, apply_overrides, build_system, load_raw_config,
                               read_study, validate_config)
 from fracphase.potentials import double_obstacle_potential
+from fracphase.spectral import SpectralBasis, build_basis
 from fracphase.timestepper import BlowupError, integrate
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 SMOKE = {
     "geometry": {
         "a": {"kind": "interval_neumann", "extent": 1.0, "n_modes": 6, "m_grid": 48},
@@ -889,6 +892,20 @@ def per_row_emit(run, system, out_dir, grid_times):
     return files
 
 
+def unique_coordinate_text(points) -> list[str]:
+    """A verbatim copy of the coordinate text `cli` formed from the full grid
+    before it formatted each axis's nodes once: each distinct value of a
+    coordinate column is formatted once; values are told apart by their bit
+    pattern, so 0.0 and -0.0 stay distinct."""
+    text = None
+    for column in points.reshape(len(points), -1).T:
+        bits, inverse = np.unique(np.ascontiguousarray(column).view(np.int64),
+                                  return_inverse=True)
+        distinct = np.array([_fmt(v) + "," for v in bits.view(float).tolist()], dtype=object)
+        text = distinct[inverse] if text is None else text + distinct[inverse]
+    return text.tolist()
+
+
 class TestOutputs:
     @pytest.mark.parametrize("payload", [SMOKE, ORACLE_RECT], ids=["interval", "rect"])
     def test_tables_match_per_row_writer(self, tmp_path, monkeypatch, payload):
@@ -923,14 +940,47 @@ class TestOutputs:
         assert _table("h,a,b", iter(prefixes), values) == expected
 
     def test_coordinate_text_keeps_signed_zero_and_repeats(self):
+        # axes holding repeats, both zeros and edge values; node (i, j) of
+        # the row-major product reads x[i] then y[j]
         rng = np.random.default_rng(11)
         x = rng.permutation(np.repeat(EDGE_VALUES, 3))
         y = rng.permutation(np.repeat(EDGE_VALUES, 3))
-        for points in (x, np.column_stack([x, y])):
+        points = np.column_stack([np.repeat(x, y.size), np.tile(y, x.size)])
+        for axes, nodes in (((x,), x), ((x, y), points)):
             expected = ["".join("%.17g," % v for v in np.atleast_1d(p).tolist())
-                        for p in points]
-            assert _coordinate_text(points) == expected
-        assert _coordinate_text(np.array([0.0, -0.0, 0.0])) == ["0,", "-0,", "0,"]
+                        for p in nodes]
+            assert _coordinate_text(axes) == expected
+        assert _coordinate_text((np.array([0.0, -0.0, 0.0]),)) == ["0,", "-0,", "0,"]
+        assert _coordinate_text((np.array([0.0, -0.0]), np.array([-0.0, 0.0]))) == [
+            "0,-0,", "0,0,", "-0,-0,", "-0,0,"]
+
+    @pytest.mark.parametrize("kind,extent,m", [
+        ("interval_neumann", 1.7, 64), ("interval_dirichlet", 0.3, 96),
+        ("rect_dirichlet", [1.3, 0.7], 48), ("rect_neumann", [1.0, 1.0], 256)])
+    def test_coordinate_text_matches_full_grid_text(self, kind, extent, m):
+        basis = build_basis(kind, extent, 6, m)
+        assert _coordinate_text(basis.axis_nodes) == unique_coordinate_text(
+            basis.grid_points)
+
+    def test_rect_mixed_builds_no_tensor_grid(self, tmp_path, monkeypatch):
+        # setup, march and emission of the benchmark's rectangle read each
+        # axis's nodes; the 65 536-node grid_points is never formed
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", os.path.join(BENCH, "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+        spec.loader.exec_module(workloads)
+        payload = copy.deepcopy(workloads.WORKLOADS["rect-mixed"].config)
+        formed = []
+        grid_points = SpectralBasis.grid_points
+        monkeypatch.setattr(SpectralBasis, "grid_points", property(
+            lambda basis: formed.append(basis.n_grid) or grid_points.fget(basis)))
+        system = build_system(validate_config(copy.deepcopy(payload)))
+        assert system.basis_b.n_grid == 256 * 256 and formed == []
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        assert (out / "grid_0.05.csv").exists() and formed == []
 
     def run_smoke(self, tmp_path):
         out = tmp_path / "out"

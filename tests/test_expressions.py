@@ -218,3 +218,18 @@ def test_separable_terms_per_axis_match_full_grid(kind, extent):
         term = {"kind": fn, "k": 3, "amplitude": 0.37}
         assert np.array_equal(expressions.build_space_field(term, interval),
                               _full_grid_monomial(term, interval))
+
+
+@pytest.mark.parametrize("kind", ["rect_dirichlet", "rect_neumann"])
+def test_grid_terms_keep_the_stored_grid_bytes(kind):
+    # the gaussian and mode terms read grid_points, which the axes now form:
+    # their values equal, byte for byte, the closures above on the grid a
+    # basis stored before (x repeated, y tiled)
+    extent, m = [1.3, 0.7], 40
+    basis = build_basis(kind, extent, 9, m)
+    x, y = (np.linspace(0.0, length, m) for length in extent)
+    stored = np.column_stack([np.repeat(x, m), np.tile(y, m)])
+    for spec in ({"kind": "gaussian", "center": [0.4, 0.3], "width": 0.15, "amplitude": 0.7},
+                 {"kind": "mode", "index": 5, "amplitude": -1.3}):
+        got = expressions.build_space_field(spec, basis)
+        assert got.tobytes() == build_space_field(spec, basis)(stored).tobytes(), spec

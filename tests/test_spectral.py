@@ -97,6 +97,46 @@ class TestRectBuilder:
             build_basis(kind, [1.0, 1.0], 64, 35)
 
 
+class TestAxisGrid:
+    """A basis stores each axis's nodes; `grid_points` and `same_grid_as`
+    derive from them what the stored (m*m, 2) tensor grid gave."""
+
+    @pytest.mark.parametrize("extent", [[1.3, 0.7], [1.0, 2.5]])
+    def test_grid_points_match_the_tensor_grid(self, extent):
+        # the oracle is the grid `build_basis` stored before: x repeated, y
+        # tiled; a Dirichlet and a Neumann basis (a mixed pair) share it
+        m = 40
+        x, y = (np.linspace(0.0, length, m) for length in extent)
+        want = np.column_stack([np.repeat(x, m), np.tile(y, m)])
+        for kind in ("rect_dirichlet", "rect_neumann"):
+            points = build_basis(kind, extent, 9, m).grid_points
+            assert points.shape == want.shape and points.dtype == want.dtype
+            assert points.tobytes() == want.tobytes()
+        for kind in ("interval_dirichlet", "interval_neumann"):
+            points = build_basis(kind, extent[0], 6, m).grid_points
+            assert points.tobytes() == np.linspace(0.0, extent[0], m).tobytes()
+
+    def test_same_grid_as_matches_the_full_arrays(self):
+        # bases that differ in m_grid, extent, kind and dimension; an interval
+        # of 64 nodes and an 8 x 8 rectangle hold the same node count
+        bases = [build_basis(kind, extent, n, m) for kind, extent, n, m in [
+            ("interval_neumann", 1.0, 8, 64), ("interval_dirichlet", 1.0, 8, 64),
+            ("interval_neumann", 1.0, 8, 96), ("interval_neumann", 1.7, 8, 64),
+            ("rect_neumann", [1.0, 1.5], 6, 24), ("rect_dirichlet", [1.0, 1.5], 6, 24),
+            ("rect_neumann", [1.0, 1.5], 6, 36), ("rect_neumann", [1.5, 1.0], 6, 24),
+            ("rect_dirichlet", [1.0, 1.0], 6, 24), ("rect_neumann", [1.0, 1.0], 1, 8)]]
+        same = 0
+        for a in bases:
+            for b in bases:
+                full = (a.grid_points.shape == b.grid_points.shape
+                        and np.array_equal(a.grid_points, b.grid_points)
+                        and np.array_equal(a.quad_weights, b.quad_weights))
+                assert a.same_grid_as(b) == full, (a.kind, a.domain_extent, b.kind,
+                                                   b.domain_extent)
+                same += full and a is not b
+        assert same == 4
+
+
 def meshgrid_modes(bc, lx, ly, n):
     """The selection oracle: every (jx, jy) of the n x n lattice, sorted by
     eigenvalue with lexicographic tie-break."""
@@ -325,6 +365,29 @@ class TestFFTTransforms:
         monkeypatch.setattr(fracphase.spectral, "_fft_plan", wrong_plan)
         with pytest.raises(BasisBuildError, match="orthonormality defect"):
             build_basis(kind, 1.0, 512, 2048)
+
+    # each coefficient one bin up, or the other boundary condition's plan:
+    # both pass the Gram gate, but they transform other eigenfunctions
+    @pytest.mark.parametrize("fault", ["labels_plus_one", "kinds_swapped"])
+    @pytest.mark.parametrize("kind", ["interval_neumann", "interval_dirichlet"])
+    def test_plan_check_rejects_a_plan_of_other_labels(self, kind, fault, monkeypatch):
+        build_plan = fracphase.spectral._fft_plan
+        other = {"interval_neumann": "interval_dirichlet",
+                 "interval_dirichlet": "interval_neumann"}
+
+        def wrong_plan(kind, length, labels, m_grid):
+            if fault == "labels_plus_one":
+                return build_plan(kind, length, labels + 1, m_grid)
+            return build_plan(other[kind], length, labels, m_grid)
+
+        monkeypatch.setattr(fracphase.spectral, "_fft_plan", wrong_plan)
+        with pytest.raises(BasisBuildError, match="FFT plan"):
+            build_basis(kind, 1.0, 512, 2048)
+        monkeypatch.setattr(fracphase.spectral, "_check_fft_plan", lambda basis: None)
+        b = build_basis(kind, 1.0, 512, 2048)
+        assert gram_defect(b) <= ORTHONORMALITY_TOL
+        mode0 = eigenfunctions_at(b, b.grid_points, [0])[:, 0]
+        assert np.max(np.abs(synthesize(b, np.eye(512)[0]) - mode0)) > 0.1
 
     def test_run_matches_dense_path(self, monkeypatch):
         _, dense = smoke_run(build_basis("interval_neumann", 1.0, 16, 128))

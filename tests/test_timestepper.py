@@ -1174,3 +1174,19 @@ class TestFailureSemantics:
         assert np.array_equal(checks.s[:span], intermediates)
         assert np.array_equal(checks.x[:span],
                               potential.resolvent_solver(checks.level, intermediates))
+
+    def test_imex_obstacle_keeps_no_resolvent_rows(self, neumann8, monkeypatch):
+        # under imex_euler at eps > 0 no check reads the obstacle's resolvent
+        # input (its projection is exact, so no residual is checked, and only
+        # implicit_prox guards the phase grid): neither its input nor its
+        # output is kept, while the level is recorded and F is guarded
+        system = assemble(obstacle_data(), neumann8, neumann8, 0.5, 0.5, 1e-2,
+                          double_obstacle_potential(0.5))
+        prepared = []
+        prepare = fracphase.timestepper.prepare_step
+        monkeypatch.setattr(fracphase.timestepper, "prepare_step",
+                            lambda *args: prepared.append(prepare(*args)) or prepared[-1])
+        integrate(system, SchemeConfig("imex_euler", dt=1e-3), 0.05, 10)
+        checks = prepared[0].checks
+        assert checks.s is None and checks.x is None
+        assert checks.level == 1e-2 and checks.f is not None
