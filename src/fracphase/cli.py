@@ -15,6 +15,7 @@ Exit codes: 0 ok, 1 internal error, 2 configuration error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -68,11 +69,22 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks) -> None:
+    """Write the string chunks of the iterable `chunks` to `path`, whole or
+    not at all: into path + ".tmp", which then replaces `path`; when anything
+    raises, the .tmp is removed and `path` keeps what it held.  A bare str is
+    refused: it would be written one character at a time."""
+    if isinstance(chunks, str):
+        raise TypeError("_write_atomic takes an iterable of string chunks, not a str")
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # rows per `%` template: blocks of 256-4096 rows format 20-30% faster than one
@@ -80,52 +92,57 @@ def _write_atomic(path: str, text: str) -> None:
 _BLOCK_ROWS = 1024
 
 
-def _table(header: str, prefixes, values) -> str:
-    """CSV text: `header`, then line i = prefixes[i] followed by row i of the
-    2-D float array `values`, each value as _fmt writes it.
+def _table(header: str, prefixes, values):
+    """CSV text, one chunk at a time: `header`, then line i = prefixes[i]
+    followed by row i of the 2-D float array `values`, each value as _fmt
+    writes it.
 
     `prefixes` is an iterable of strings, read one block at a time, so a
-    generator is never materialized. "%.17g" % x is the same text as _fmt(x);
-    each block of _BLOCK_ROWS rows is formatted by one `%` template. The
-    prefixes become part of that template: they hold only _fmt text, field
-    names, integers and commas, never a `%`.
+    generator is never materialized, and neither is the text: each block of
+    _BLOCK_ROWS rows is one chunk, formatted by one `%` template ("%.17g" % x
+    is the same text as _fmt(x)).  The prefixes become part of that template:
+    they hold only _fmt text, field names, integers and commas, never a `%`.
     """
     row = ",".join(["%.17g"] * values.shape[1]) + "\n"
     prefixes = iter(prefixes)
-    blocks = [header + "\n"]
+    yield header + "\n"
     for start in range(0, values.shape[0], _BLOCK_ROWS):
         block = values[start:start + _BLOCK_ROWS]
         template = row.join(itertools.islice(prefixes, block.shape[0])) + row
-        blocks.append(template % tuple(block.ravel().tolist()))
-    return "".join(blocks)
+        yield template % tuple(block.ravel().tolist())
 
 
-def _coordinate_text(axis_nodes) -> list[str]:
+def _coordinate_text(axis_nodes):
     """Per node of the row-major product of the axes' nodes, its coordinates
-    as _fmt text, each followed by a comma.
+    as _fmt text, each followed by a comma, one node at a time.
 
-    Each axis's nodes are formatted once, and np.add.outer joins the texts of
-    the axes row-major, as `SpectralBasis.grid_points` lists the nodes.
+    Each axis's nodes are formatted once, and the texts of the axes are
+    joined row-major, as `SpectralBasis.grid_points` lists the nodes.
     """
-    text = np.array([""], dtype=object)
-    for nodes in axis_nodes:
-        column = np.array([_fmt(v) + "," for v in nodes.tolist()], dtype=object)
-        text = np.add.outer(text, column).ravel()
-    return text.tolist()
+    *outer, inner = ([_fmt(v) + "," for v in nodes.tolist()] for nodes in axis_nodes)
+    for head in map("".join, itertools.product(*outer)):
+        yield from map(head.__add__, inner)
 
 
 def emit_run_outputs(run: RunOutput, system, out_dir: str,
                      grid_times=()) -> list[str]:
-    """Write timeseries.csv, snapshots.csv, optional grid slices, plot data."""
+    """Write timeseries.csv, snapshots.csv, optional grid slices, plot data.
+
+    Each file is streamed to disk one block of rows at a time and replaces
+    its path atomically (`_write_atomic`), so the memory emission takes does
+    not grow with the size of a file.
+    """
     os.makedirs(out_dir, exist_ok=True)
     files = []
 
     led = run.ledger
     columns = [run.times, run.norm_theta, run.graph_theta, run.norm_phi, run.graph_phi,
                run.dtphi_norm, led.lhs, led.rhs, led.residual]
-    timeseries = _table(TIMESERIES_HEADER, itertools.repeat(""), np.column_stack(columns))
+    # small, and timeseries.dat reuses it: the one text held whole
+    timeseries = "".join(_table(TIMESERIES_HEADER, itertools.repeat(""),
+                                np.column_stack(columns)))
     path = os.path.join(out_dir, "timeseries.csv")
-    _write_atomic(path, timeseries)
+    _write_atomic(path, [timeseries])
     files.append(path)
 
     # one row per (snapshot, field, mode) holding the snapshot's theta then
@@ -138,22 +155,20 @@ def emit_run_outputs(run: RunOutput, system, out_dir: str,
     _write_atomic(path, _table(SNAPSHOT_HEADER, prefixes, coeffs))
     files.append(path)
 
-    # one file per distinct recorded snapshot the requests snap to; all share
-    # the grid, so its coordinate text is made once
+    # one file per distinct recorded snapshot the requests snap to
     snaps = dict.fromkeys(int(np.argmin(np.abs(run.times - t))) for t in grid_times)
-    if snaps:
-        header = "x,theta,phi" if system.basis_b.ndim == 1 else "x,y,theta,phi"
-        coords = _coordinate_text(system.basis_b.axis_nodes)
+    header = "x,theta,phi" if system.basis_b.ndim == 1 else "x,y,theta,phi"
     for k in snaps:
         theta_grid = synthesize(system.basis_a, run.theta_series[k])
         phi_grid = synthesize(system.basis_b, run.phi_series[k])
         path = os.path.join(out_dir, f"grid_{float(run.times[k])!r}.csv")
-        _write_atomic(path, _table(header, coords, np.column_stack([theta_grid, phi_grid])))
+        _write_atomic(path, _table(header, _coordinate_text(system.basis_b.axis_nodes),
+                                   np.column_stack([theta_grid, phi_grid])))
         files.append(path)
 
     # the plot data is the CSV text space-separated: %.17g text holds no comma
     path = os.path.join(out_dir, "timeseries.dat")
-    _write_atomic(path, "# " + timeseries.replace(",", " "))
+    _write_atomic(path, ["# " + timeseries.replace(",", " ")])
     files.append(path)
     return files
 
@@ -216,7 +231,7 @@ class _ManifestWriter:
         """Write a study table (rows of text cells) into the run directory."""
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
-        _write_atomic(path, "\n".join([header, *map(",".join, rows)]) + "\n")
+        _write_atomic(path, ["\n".join([header, *map(",".join, rows)]) + "\n"])
         self.add_files([path])
 
     def write(self) -> str:
@@ -225,7 +240,7 @@ class _ManifestWriter:
         path = os.path.join(self.out_dir, "manifest.json")
         text = json.dumps(_strict_json(self.payload), indent=2, sort_keys=True,
                           allow_nan=False)
-        _write_atomic(path, text + "\n")
+        _write_atomic(path, [text + "\n"])
         return path
 
     @property

@@ -22,7 +22,8 @@ from .expressions import is_number
 from .galerkin import Coupling, ProblemData, assemble
 from .potentials import (Potential, double_obstacle_potential, logarithmic_potential,
                          regular_potential, zero_potential)
-from .spectral import BASIS_KINDS, RECT_KINDS, SpectralBasis, build_basis, min_grid_nodes
+from .spectral import (BASIS_KINDS, RECT_KINDS, GridTooSmallError, SpectralBasis,
+                       build_basis, min_grid_nodes)
 from .timestepper import SCHEMES, SchemeConfig, scheme_problem, step_count
 
 
@@ -199,7 +200,15 @@ _COUPLING_KIND = one_of("constant", "function")
 _SCHEME = one_of(*SCHEMES)
 
 
+def _grid_problem(label: str, need: int, m_grid) -> tuple[str, str]:
+    return (f"geometry.{label}.m_grid",
+            f"must be an integer >= {need}, four times the 1-D modes per axis, got {m_grid!r}")
+
+
 def _operator_spec(r: _Reader, label: str, exponent_key: str) -> OperatorSpec | None:
+    """The spec of operator `label`.  An interval's grid rule is closed form
+    and checked here; a rectangle's reads the modes it selects, so
+    `build_bases` checks it where the basis selects them, once."""
     key = f"geometry.{label}"
     kind = r.get(f"{key}.kind", _BASIS_KIND)
     ext = None
@@ -208,12 +217,10 @@ def _operator_spec(r: _Reader, label: str, exponent_key: str) -> OperatorSpec | 
         ext = None if extent is None else tuple(map(float, _axes(extent)))
     n_modes = r.get(f"{key}.n_modes", COUNT)
     m_grid = r.get(f"{key}.m_grid", COUNT, None)
-    if None not in (ext, n_modes, m_grid):
+    if None not in (ext, n_modes, m_grid) and kind not in RECT_KINDS:
         need = min_grid_nodes(kind, ext, n_modes)
         if m_grid < need:
-            r.problems.append((f"{key}.m_grid",
-                               f"must be an integer >= {need}, four times the 1-D modes "
-                               f"per axis, got {m_grid!r}"))
+            r.problems.append(_grid_problem(label, need, m_grid))
     exponent = r.get(exponent_key, POSITIVE, 0.5)
     if None in (ext, n_modes, exponent):
         return None
@@ -382,12 +389,20 @@ def read_study(cfg: RunConfig, command: str) -> dict:
 
 def build_bases(cfg: RunConfig) -> tuple[SpectralBasis, SpectralBasis]:
     """The two operators' bases: one object when the specs equal in all but
-    the exponent, which is the one rule for sharing a basis."""
+    the exponent, which is the one rule for sharing a basis.  A grid below a
+    rectangle's rule is a ConfigError naming the spec's m_grid key."""
     a, b = cfg.operator_a, cfg.operator_b
-    basis_a = build_basis(a.kind, a.extent, a.n_modes, a.m_grid)
+
+    def build(spec: OperatorSpec, label: str) -> SpectralBasis:
+        try:
+            return build_basis(spec.kind, spec.extent, spec.n_modes, spec.m_grid)
+        except GridTooSmallError as exc:
+            raise ConfigError([_grid_problem(label, exc.need, spec.m_grid)]) from None
+
+    basis_a = build(a, "a")
     if (b.kind, b.extent, b.n_modes, b.m_grid) == (a.kind, a.extent, a.n_modes, a.m_grid):
         return basis_a, basis_a
-    return basis_a, build_basis(b.kind, b.extent, b.n_modes, b.m_grid)
+    return basis_a, build(b, "b")
 
 
 def build_problem_data(cfg: RunConfig, basis_a: SpectralBasis,

@@ -326,12 +326,14 @@ def guard(values: np.ndarray, label: str) -> np.ndarray:
 def prepare_force(system: DiscreteSystem, explicit_beta: bool = True,
                   solve: Optional[Callable] = None) -> tuple[Callable, Callable]:
     """(force, couple) of one system, every choice a run never changes made
-    once: the coupling and the convex map.  force(theta, phi) returns
-    (F, phi_grid, collocated) for F = P(beta_eps(phi)) + P(pi(phi)) - E^T theta
-    in the B basis, phi on the grid and the collocated terms of F on the grid,
-    analyzed in one pass (both None when nothing is collocated, which
-    `force.collocates` tells before any call); the caller holds `collocated`
-    to the overflow guard, labelled "nonlinearity": the march once per span of
+    once: the coupling and the convex map.  force(theta, phi, grid, out)
+    returns (F, phi_grid, collocated) for F = P(beta_eps(phi)) + P(pi(phi)) -
+    E^T theta in the B basis, phi on the grid and the collocated terms of F on
+    the grid, analyzed in one pass (both None when nothing is collocated,
+    which `force.collocates` tells before any call); phi_grid is synthesized
+    into `grid` and the collocated terms formed in `out` when these are given
+    (the march's rows), else allocated.  The caller holds `collocated` to the
+    overflow guard, labelled "nonlinearity": the march once per span of
     steps, other callers at once.  couple(phi_grid, w) is E w (or E(Phi) w).
     explicit_beta = False leaves the convex part out, which the proximal
     scheme applies through its resolvent, and solve(level, s) is the resolvent
@@ -349,17 +351,19 @@ def prepare_force(system: DiscreteSystem, explicit_beta: bool = True,
     pot, eps, coupling = system.potential, system.eps, system.coupling
     basis_a, basis_b, neg_gamma = system.basis_a, system.basis_b, -pot.gamma
     # beta(phi) off its domain is NaN (eps = 0), which the guard of F rejects
-    convex = (lambda grid, theta: yosida(pot, eps, grid, solve)) if explicit_beta else None
+    convex = (lambda grid, theta, out: yosida(pot, eps, grid, solve, out)) \
+        if explicit_beta else None
     if coupling.kind == "function":
-        def latent(grid, theta):
-            return -coupling.on_grid(grid) * synthesize(basis_a, theta)
+        def latent(grid, theta, out):
+            return np.multiply(-coupling.on_grid(grid), synthesize(basis_a, theta), out=out)
 
         def couple(grid, w):
             return analyze(basis_a, coupling.on_grid(grid) * synthesize(basis_b, w))
 
         modal = lambda theta, phi: neg_gamma * phi
         collocate = latent if convex is None else (
-            lambda grid, theta: convex(grid, theta) + latent(grid, theta))
+            lambda grid, theta, out: np.add(convex(grid, theta, out),
+                                            latent(grid, theta, None), out=out))
     elif basis_a is basis_b:
         ell, collocate = coupling.value, convex
         modal = lambda theta, phi: neg_gamma * phi - ell * theta
@@ -369,12 +373,12 @@ def prepare_force(system: DiscreteSystem, explicit_beta: bool = True,
         modal = lambda theta, phi: neg_gamma * phi - theta @ matrix
         couple = lambda grid, w: w @ matrix_t
     if collocate is None:
-        def force(theta, phi):
+        def force(theta, phi, grid=None, out=None):
             return modal(theta, phi), None, None
     else:
-        def force(theta, phi):
-            fphi, grid = modal(theta, phi), synthesize(basis_b, phi)
-            collocated = collocate(grid, theta)
+        def force(theta, phi, grid=None, out=None):
+            fphi, grid = modal(theta, phi), synthesize(basis_b, phi, grid)
+            collocated = collocate(grid, theta, out)
             return fphi + analyze(basis_b, collocated), grid, collocated
 
     force.collocates = collocate is not None

@@ -6,10 +6,10 @@ Neumann boundary conditions, the kinds interval_dirichlet, interval_neumann,
 rect_dirichlet and rect_neumann.  `build_basis` is the one builder: it keeps
 the n_modes lowest modes (`_select_modes`), samples each axis's 1-D
 eigenfunctions on m_grid uniform nodes, holds m_grid to `min_grid_nodes`
-(the rule config validation applies too) and runs the Gram gate once.  A
-basis stores the eigenvalues, trapezoid weights and the tables its transforms
-multiply by, formed once (an FFT interval basis, below, stores its plan
-instead), so every downstream operation (transforms, fractional powers,
+(config validation applies an interval's rule too) and runs the Gram gate
+once.  A basis stores the eigenvalues, trapezoid weights and the tables its
+transforms multiply by, formed once (an FFT interval basis, below, stores its
+plan instead), so every downstream operation (transforms, fractional powers,
 kernel projection, graph norms) reduces to small dense linear algebra: a
 dense interval transform is one product with a stored table, and rectangle
 eigenfunctions are products e_jx(x) e_jy(y), so their transforms run one
@@ -59,6 +59,15 @@ BASIS_KINDS = INTERVAL_KINDS + RECT_KINDS
 
 class BasisBuildError(ValueError):
     """Raised when a basis violates its construction contract."""
+
+
+class GridTooSmallError(BasisBuildError):
+    """m_grid is below `min_grid_nodes`; `need` is the smallest it accepts."""
+
+    def __init__(self, m_grid: int, need: int):
+        super().__init__(f"m_grid={m_grid} too small: need at least {need}, "
+                         f"{MIN_GRID_FACTOR} times the 1-D modes per axis")
+        self.need = need
 
 
 @dataclass(frozen=True)
@@ -281,8 +290,7 @@ def build_basis(kind: str, extent, n_modes: int, m_grid: int) -> SpectralBasis:
         if axes == 2:
             need = _grid_rule(columns)
     if m_grid < need:
-        raise BasisBuildError(f"m_grid={m_grid} too small: need at least {need}, "
-                              f"{MIN_GRID_FACTOR} times the 1-D modes per axis")
+        raise GridTooSmallError(m_grid, need)
     first = 1 if bc == "dirichlet" else 0
     nodes, axis_weights = zip(*(_interval_grid(length, m_grid) for length in lengths))
     fft = None
@@ -402,8 +410,10 @@ def kernel_projection(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
     return np.where(basis.kernel_mask, coeffs, 0.0)
 
 
-def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients (..., n) -> grid samples (..., m).
+def synthesize(basis: SpectralBasis, coeffs: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients (..., n) -> grid samples (..., m), written into `out` when
+    given (a C-contiguous array of that shape) with the same bits.
 
     On a rectangle the coefficients are scattered into a (..., kx, ky) table C
     and the grid is Vx @ C @ Vy.T on the (mx, my) nodes.  An interval basis
@@ -413,20 +423,25 @@ def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
     if basis.synthesis_table is not None:
         # np.dot calls BLAS directly: on a march's (B, n) rows it costs less
         # than matmul's dispatch, with the same bits
-        return np.dot(coeffs, basis.synthesis_table)
+        return np.dot(coeffs, basis.synthesis_table, out)
     if basis.fft is not None:
         plan, m = basis.fft, basis.n_grid
         spectrum = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
         getattr(spectrum, plan.part)[..., plan.slots] = coeffs * plan.synthesis_scale
-        return np.fft.irfft(spectrum, 2 * (m - 1))[..., :m]
+        return _into(out, np.fft.irfft(spectrum, 2 * (m - 1))[..., :m])
     vx, vy = basis.axis_values
     table = np.zeros(coeffs.shape[:-1] + (vx.shape[1], vy.shape[1]))
     table[(..., *basis.axis_modes)] = coeffs
-    return (vx @ table @ vy.T).reshape(coeffs.shape[:-1] + (basis.n_grid,))
+    shape = coeffs.shape[:-1] + (vx.shape[0], vy.shape[0])
+    grid = np.matmul(vx @ table, vy.T, out=None if out is None else out.reshape(shape))
+    return grid.reshape(coeffs.shape[:-1] + (basis.n_grid,)) if out is None else out
 
 
-def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
-    """Grid samples (..., m) -> coefficients (..., n) via weighted inner products.
+def analyze(basis: SpectralBasis, grid_values: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Grid samples (..., m) -> coefficients (..., n) via weighted inner
+    products, written into `out` when given (a C-contiguous array of that
+    shape) with the same bits.
 
     A dense interval multiplies by its stored w[:, None]*V.  On a rectangle the
     (..., mx, my) grid G gives (Vx.T @ (W*G) @ Vy)[..., jx, jy], with the
@@ -442,17 +457,25 @@ def analyze(basis: SpectralBasis, grid_values: np.ndarray) -> np.ndarray:
         )
     tables = basis.analysis_tables
     if len(tables) == 1:
-        return np.dot(grid_values, tables[0])
+        return np.dot(grid_values, tables[0], out)
     if basis.fft is not None:
         plan = basis.fft
         mirrored = grid_values[..., -2:0:-1]
         extended = np.concatenate(
             [grid_values, mirrored if plan.part == "real" else -mirrored], axis=-1)
         spectrum = np.fft.rfft(extended)[..., plan.slots]
-        return getattr(spectrum, plan.part) * plan.analysis_scale
+        return np.multiply(getattr(spectrum, plan.part), plan.analysis_scale, out=out)
     tx, ty = tables
     grid = grid_values.reshape(grid_values.shape[:-1] + (tx.shape[1], ty.shape[0]))
-    return (tx @ grid @ ty)[(..., *basis.axis_modes)]
+    return _into(out, (tx @ grid @ ty)[(..., *basis.axis_modes)])
+
+
+def _into(out: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """`values`, copied into `out` when it is given."""
+    if out is None:
+        return values
+    np.copyto(out, values)
+    return out
 
 
 def squared_graph_norms(series: np.ndarray, stiff: np.ndarray,

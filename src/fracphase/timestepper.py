@@ -144,12 +144,20 @@ class RunOutput:
 
 class _CheckRows:
     """What the checks of a step read, one row per step of a span, written
-    by the step at row `i`: the resolvent's input and output grids `s`, `x`,
-    which `solve` writes (under implicit_prox `s` is the intermediate grid),
-    and the collocated grid of F `f` (None when `galerkin.prepare_force`
-    collocates nothing).  The obstacle's projection is exact, so it keeps no
-    `x`, and no `s` either under imex_euler, where no check reads it.  The
-    coefficient checks read the ledger's state rows.
+    by the step at row `i`: the resolvent's input and output grids `s`, `x`
+    (under implicit_prox `s` is the intermediate grid) and the collocated
+    grid of F `f` (None when `galerkin.prepare_force` collocates nothing).
+    The obstacle's projection is exact, so it keeps no `x`, and no `s` either
+    under imex_euler, where no check reads it.  The coefficient checks read
+    the ledger's state rows.
+
+    The step synthesizes the resolvent's input into its `s` row, and `solve`
+    has the split's solver write its output into row i of `x` (into the
+    per-run grid `solved` where no row is kept), its cubic taking scratch
+    grids 1 and 2.  `scratch` holds at least three grids and a row block:
+    the residual checks form their residuals in its first rows, and a
+    snapshot's record takes three of them between steps.  So a step
+    allocates no grid and copies none.
 
     `level` is the level `solve` was called at, None while it never was (at
     eps = 0 under imex_euler); it is checked by assembly (eps) and
@@ -165,19 +173,18 @@ class _CheckRows:
         self.x = None if system.potential.multivalued else self.grids()
         self.s = self.grids() if prox or self.x is not None else None
         self.f = None  # `prepare_step` allocates it when `prepare_force`'s F collocates
+        self.solved = [np.empty(self.shape)] * self.n_rows if self.x is None else list(self.x)
+        self.scratch = np.empty((max(3, self.n_rows),) + self.shape)
+        self.pair = tuple(self.scratch[1:3])  # a tuple unpacks without forming views
 
     def grids(self) -> np.ndarray:
         return np.empty((self.n_rows,) + self.shape)
 
     def solve(self, level: float, s: np.ndarray) -> np.ndarray:
-        """J_level(s) by the split's own solver, its grids kept in row i."""
-        x = self.potential.resolvent_solver(level, s)
+        """J_level(s) by the split's own solver, into row i of `x`; `s` is
+        the step's `s` row already."""
         self.level = level
-        if self.s is not None:
-            self.s[self.i] = s
-        if self.x is not None:
-            self.x[self.i] = x
-        return x
+        return self.potential.resolvent_solver(level, s, self.solved[self.i], self.pair)
 
     def run(self, rows, theta: np.ndarray, phi: np.ndarray) -> None:
         """Every check in a step's order on check rows `rows` (a step's index
@@ -185,13 +192,15 @@ class _CheckRows:
         failing one raises."""
         residual = self.level is not None and self.x is not None
         if residual and not self.prox:
-            check_resolvent(self.potential, self.level, self.s[rows], self.x[rows])
+            check_resolvent(self.potential, self.level, self.s[rows], self.x[rows],
+                            self.scratch[rows])
         if self.f is not None:
             guard(self.f[rows], "nonlinearity")
         if self.prox:
             guard(self.s[rows], "phase grid")
             if residual:
-                check_resolvent(self.potential, self.level, self.s[rows], self.x[rows])
+                check_resolvent(self.potential, self.level, self.s[rows], self.x[rows],
+                                self.scratch[rows])
         guard(phi, "phi coefficients")
         guard(theta, "theta coefficients")
 
@@ -219,17 +228,20 @@ class PreparedStep:
     taken: the denominators 1 + dt*Lambda and 1 + dt*M, F and E w as
     `galerkin.prepare_force` binds them, the phase basis, g(t) (a bound zero
     vector without a source), under implicit_prox the resolvent J_dt of the
-    phase grid, and the rows the step writes for the checks."""
+    phase grid, the rows the step writes for the checks and, per check row,
+    the grids the step writes into (`rows`): F's phase grid, F's collocated
+    terms and, under implicit_prox, the intermediate grid."""
 
     dt: float
     theta_denom: np.ndarray
     phi_denom: np.ndarray
-    force: Callable[[np.ndarray, np.ndarray], tuple]
+    force: Callable[..., tuple]
     couple: Callable[[np.ndarray | None, np.ndarray], np.ndarray]
     basis_b: SpectralBasis
     source_at: Callable[[float], np.ndarray]
     prox: Optional[Callable[[np.ndarray], np.ndarray]]
     checks: _CheckRows
+    rows: tuple
 
 
 def prepare_step(system: DiscreteSystem, scheme: SchemeConfig) -> PreparedStep:
@@ -237,7 +249,10 @@ def prepare_step(system: DiscreteSystem, scheme: SchemeConfig) -> PreparedStep:
     dt the denominators cannot carry, raises ValidationError here.
 
     The temperature denominator and the zero source take theta's shape:
-    same-shape operands skip numpy's costly broadcasting setup.
+    same-shape operands skip numpy's costly broadcasting setup.  Every grid a
+    step forms is allocated here, once per run: F's phase grid is the
+    resolvent's input row under imex_euler when one is kept, else a grid of
+    its own.
     """
     pot, eps = system.potential, system.eps
     if problem := scheme_problem(pot, eps, scheme.scheme):
@@ -248,13 +263,19 @@ def prepare_step(system: DiscreteSystem, scheme: SchemeConfig) -> PreparedStep:
     zeros = np.zeros(rows + (system.n_a,))
     checks = _CheckRows(system, prox)
     force, couple = prepare_force(system, explicit_beta=not prox, solve=checks.solve)
+    grid = f = star = [None] * checks.n_rows
     if force.collocates:
         checks.f = checks.grids()
+        f = list(checks.f)
+        grid = list(checks.s if checks.s is not None and not prox else checks.grids())
+    prox_grid = None
+    if prox:
+        star, out = list(checks.s), np.empty(checks.shape)
+        prox_grid = lambda s: prox_step(pot, eps, dt, s, checks.solve, out, checks.scratch[0])
     return PreparedStep(
         dt, np.tile(theta_denom, rows + (1,)), phi_denom, force, couple, system.basis_b,
-        system.source_at if system.source else lambda t: zeros,
-        (lambda grid: prox_step(pot, eps, dt, grid, checks.solve)) if prox else None,
-        checks)
+        system.source_at if system.source else lambda t: zeros, prox_grid, checks,
+        tuple(zip(grid, f, star)))
 
 
 def step_imex(prepared: PreparedStep, theta: np.ndarray, phi: np.ndarray, t: float):
@@ -274,16 +295,16 @@ def step_imex(prepared: PreparedStep, theta: np.ndarray, phi: np.ndarray, t: flo
     bound holds by construction.  Both schemes then take
     Theta+ = (I + dt Lambda)^(-1) (Theta - E (Phi+ - Phi) + dt g(t+dt)).
     The step checks nothing: it writes the grids the checks read into row
-    `checks.i` of the prepared check rows.
+    `checks.i` of the prepared check rows, and the two grids it returns are
+    per-run buffers, valid until the next step.
     """
-    p, dt, checks = prepared, prepared.dt, prepared.checks
-    fphi, start_grid, collocated = p.force(theta, phi)
-    if collocated is not None:
-        checks.f[checks.i] = collocated
+    p, dt = prepared, prepared.dt
+    grid, collocated, star = p.rows[p.checks.i]
+    fphi, start_grid, _ = p.force(theta, phi, grid, collocated)
     phi_new = (phi - dt * fphi) / p.phi_denom
     intermediate = phi_grid = None
     if p.prox is not None:
-        intermediate = synthesize(p.basis_b, phi_new)
+        intermediate = synthesize(p.basis_b, phi_new, star)
         phi_grid = p.prox(intermediate)
         phi_new = analyze(p.basis_b, phi_grid)
     coupled = p.couple(start_grid, phi_new - phi)
@@ -319,8 +340,12 @@ class _LedgerAccumulator:
     |d_t phi| and the sums.  `xi` is a proximal run's last multiplier.
     """
 
-    def __init__(self, system: DiscreteSystem, n_snaps: int, block_steps: int, prox: bool):
+    def __init__(self, system: DiscreteSystem, n_snaps: int, block_steps: int, prox: bool,
+                 grid: np.ndarray, scratch: np.ndarray):
         self.system = system
+        # a snapshot's phase grid (or, under implicit_prox, its envelope) and
+        # the envelope's three scratch grids: the step's, free between steps
+        self.grid, self.grid_scratch = grid, scratch
         self.count = 0
         n_rows, n_a, n_b = system.phi_stiff.shape[0], system.n_a, system.n_b
         self.cols = {name: np.empty((n_snaps, n_rows))
@@ -374,8 +399,8 @@ class _LedgerAccumulator:
         record its grid iterate and, after t = 0, its multiplier."""
         k, c, sysm = self.count, self.cols, self.system
         c["t"][k] = t
-        grid = phi_grid if phi_grid is not None else synthesize(sysm.basis_b, phi)
-        density = moreau(sysm.potential, sysm.eps, grid)
+        grid = phi_grid if phi_grid is not None else synthesize(sysm.basis_b, phi, self.grid)
+        density = moreau(sysm.potential, sysm.eps, grid, self.grid, self.grid_scratch)
         c["potential_integral"][k] = np.vecdot(sysm.basis_b.quad_weights, density)
         self.theta[k], self.phi[k] = theta, phi
         self.rows.append(row)
@@ -434,7 +459,11 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
     prox = prepared.prox is not None
     n_snaps = 1 + n_steps // snapshot_stride + (n_steps % snapshot_stride != 0)
     block = min(LEDGER_BLOCK, n_steps)
-    ledger = _LedgerAccumulator(system, n_snaps, block, prox)
+    checks = prepared.checks
+    # a snapshot records between steps, on an F row (free then) when F has rows
+    ledger = _LedgerAccumulator(system, n_snaps, block, prox,
+                                np.empty(checks.shape) if checks.f is None else checks.f[0],
+                                checks.scratch[:3])
 
     def output() -> RunOutput:
         # the reduction is done: its buffers go before the norms' temporaries
@@ -447,7 +476,7 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
     # clamped field can overshoot the obstacle and blow up the indicator
     ledger.theta_block[0], ledger.phi_block[0] = theta, phi
     ledger.record(0.0, theta, phi, 0, None, system.phi0_grid if prox else None)
-    checks, first = prepared.checks, 1  # the block row of the span's first step
+    first = 1  # the block row of the span's first step
     try:
         # the steps a span computes after one that fails its checks run on
         # inf or NaN, which must print nothing

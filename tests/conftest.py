@@ -41,6 +41,12 @@ def smoke_run(basis, dt=1e-3, eps=1e-2, t_final=0.5, scheme="imex_euler",
     return system, run
 
 
+def same_bits(a, b):
+    """Two float arrays of one shape holding the same bits."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def bisect_resolvent(beta, eps, s, lo, hi, iters=200):
     """Independent bisection oracle for x + eps*beta(x) = s, pointwise on
     the bracket [lo, hi] (broadcast against s)."""

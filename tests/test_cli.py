@@ -1,11 +1,13 @@
 import copy
 import dataclasses
 import importlib.util
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from hypothesis import strategies as st
 import fracphase.analysis
 import fracphase.cli
 import fracphase.config
+import fracphase.spectral
 import fracphase.timestepper
 from conftest import read_manifest, read_timeseries
 from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
-                           EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER,
-                           _coordinate_text, _fmt, _table, config_hash, main)
+                           EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER, _BLOCK_ROWS,
+                           _coordinate_text, _fmt, _table, _write_atomic, config_hash,
+                           emit_run_outputs, main)
 from fracphase.config import (ConfigError, apply_overrides, build_system, load_raw_config,
                               read_study, validate_config)
 from fracphase.potentials import double_obstacle_potential
@@ -136,6 +140,16 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def bench_workload(monkeypatch, name):
+    """The benchmark workload `name` of perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(BENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[name]
 
 
 def count_basis_builds(monkeypatch) -> list[tuple[int, int]]:
@@ -506,6 +520,39 @@ class TestManifestStatus:
         assert manifest["failure"]["stage"] == "validation"
         assert "geometry.b.m_grid" in manifest["failure"]["message"]
 
+    @pytest.mark.parametrize("label", ["a", "b"])
+    def test_rect_grid_below_the_rule_names_its_key(self, tmp_path, label):
+        # the rule reads the modes the basis selects, so the basis build
+        # checks it, under the config key and with the text validation gives
+        cfgd = json.loads(json.dumps(MIXED_RECT))
+        for side in ("a", "b"):
+            cfgd["geometry"][side].update(n_modes=64, m_grid=36, extent=[1.0, 1.0])
+        cfgd["geometry"][label]["m_grid"] = 35
+        code, manifest = self.run(tmp_path, "simulate", cfgd)
+        assert code == EXIT_CONFIG and manifest["failure"]["stage"] == "validation"
+        assert manifest["failure"]["message"] == (
+            f"invalid configuration: geometry.{label}.m_grid: must be an integer >= 36, "
+            "four times the 1-D modes per axis, got 35")
+
+    @pytest.mark.parametrize("case, selections", [
+        ("rect-mixed", 2), ("shared_rect", 1), ("interval", 1)])
+    def test_one_mode_selection_per_basis(self, monkeypatch, case, selections):
+        # validation reads no mode of a rectangle: each basis selects its
+        # modes once, in `build_basis`
+        if case == "interval":
+            payload = SMOKE
+        else:
+            payload = copy.deepcopy(bench_workload(monkeypatch, "rect-mixed").config)
+            if case == "shared_rect":
+                payload["geometry"]["b"] = payload["geometry"]["a"]
+        selected = []
+        select = fracphase.spectral._select_modes
+        monkeypatch.setattr(fracphase.spectral, "_select_modes",
+                            lambda *args: selected.append(args) or select(*args))
+        system = build_system(validate_config(copy.deepcopy(payload)))
+        assert len(selected) == selections
+        assert (system.basis_a is system.basis_b) == (selections == 1)
+
     def test_converge_n_modes_axis(self, tmp_path):
         cfgd = json.loads(json.dumps(SMOKE))
         cfgd["study"] = {"converge": {"axis": "n_modes", "values": [4, 6, 8]}}
@@ -851,7 +898,7 @@ def per_row_emit(run, system, out_dir, grid_times):
         fmt = ",".join(["%.17g"] * len(columns))
         rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
         text = "\n".join([header, *(fmt % row for row in rows)]) + "\n"
-        _write_atomic(path, text)
+        _write_atomic(path, [text])
         return text
 
     os.makedirs(out_dir, exist_ok=True)
@@ -871,7 +918,7 @@ def per_row_emit(run, system, out_dir, grid_times):
         snap_rows.extend("%s,theta,%d,%.17g" % (t, j, c) for j, c in enumerate(theta))
         snap_rows.extend("%s,phi,%d,%.17g" % (t, j, c) for j, c in enumerate(phi))
     path = os.path.join(out_dir, "snapshots.csv")
-    _write_atomic(path, "\n".join([SNAPSHOT_HEADER, *snap_rows]) + "\n")
+    _write_atomic(path, ["\n".join([SNAPSHOT_HEADER, *snap_rows]) + "\n"])
     files.append(path)
 
     for k in dict.fromkeys(int(np.argmin(np.abs(run.times - t))) for t in grid_times):
@@ -887,7 +934,7 @@ def per_row_emit(run, system, out_dir, grid_times):
         files.append(path)
 
     path = os.path.join(out_dir, "timeseries.dat")
-    _write_atomic(path, "# " + timeseries.replace(",", " "))
+    _write_atomic(path, ["# " + timeseries.replace(",", " ")])
     files.append(path)
     return files
 
@@ -936,8 +983,8 @@ class TestOutputs:
         expected = "h,a,b\n" + "".join(
             p + ",".join("%.17g" % v for v in row) + "\n"
             for p, row in zip(prefixes, values.tolist()))
-        assert _table("h,a,b", prefixes, values) == expected
-        assert _table("h,a,b", iter(prefixes), values) == expected
+        assert "".join(_table("h,a,b", prefixes, values)) == expected
+        assert "".join(_table("h,a,b", iter(prefixes), values)) == expected
 
     def test_coordinate_text_keeps_signed_zero_and_repeats(self):
         # axes holding repeats, both zeros and edge values; node (i, j) of
@@ -949,9 +996,9 @@ class TestOutputs:
         for axes, nodes in (((x,), x), ((x, y), points)):
             expected = ["".join("%.17g," % v for v in np.atleast_1d(p).tolist())
                         for p in nodes]
-            assert _coordinate_text(axes) == expected
-        assert _coordinate_text((np.array([0.0, -0.0, 0.0]),)) == ["0,", "-0,", "0,"]
-        assert _coordinate_text((np.array([0.0, -0.0]), np.array([-0.0, 0.0]))) == [
+            assert list(_coordinate_text(axes)) == expected
+        assert list(_coordinate_text((np.array([0.0, -0.0, 0.0]),))) == ["0,", "-0,", "0,"]
+        assert list(_coordinate_text((np.array([0.0, -0.0]), np.array([-0.0, 0.0])))) == [
             "0,-0,", "0,0,", "-0,-0,", "-0,0,"]
 
     @pytest.mark.parametrize("kind,extent,m", [
@@ -959,18 +1006,13 @@ class TestOutputs:
         ("rect_dirichlet", [1.3, 0.7], 48), ("rect_neumann", [1.0, 1.0], 256)])
     def test_coordinate_text_matches_full_grid_text(self, kind, extent, m):
         basis = build_basis(kind, extent, 6, m)
-        assert _coordinate_text(basis.axis_nodes) == unique_coordinate_text(
+        assert list(_coordinate_text(basis.axis_nodes)) == unique_coordinate_text(
             basis.grid_points)
 
     def test_rect_mixed_builds_no_tensor_grid(self, tmp_path, monkeypatch):
         # setup, march and emission of the benchmark's rectangle read each
         # axis's nodes; the 65 536-node grid_points is never formed
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", os.path.join(BENCH, "workloads.py"))
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
-        spec.loader.exec_module(workloads)
-        payload = copy.deepcopy(workloads.WORKLOADS["rect-mixed"].config)
+        payload = copy.deepcopy(bench_workload(monkeypatch, "rect-mixed").config)
         formed = []
         grid_points = SpectralBasis.grid_points
         monkeypatch.setattr(SpectralBasis, "grid_points", property(
@@ -981,6 +1023,24 @@ class TestOutputs:
         assert main(["simulate", "--config", write_config(tmp_path, payload),
                      "--out", str(out), "--quiet"]) == EXIT_OK
         assert (out / "grid_0.05.csv").exists() and formed == []
+
+    def test_emission_memory_does_not_grow_with_file_size(self, tmp_path, monkeypatch):
+        # two 5.3 MB grid files of a 256 x 256 rectangle: every file streams
+        # to disk one block at a time, so the traced peak stays near the grid
+        # pair each file formats (holding each file's text whole took 19 MB)
+        cfg = validate_config(copy.deepcopy(bench_workload(monkeypatch, "rect-mixed").config))
+        system = build_system(cfg)
+        run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
+        tracemalloc.start()
+        try:
+            files = emit_run_outputs(run, system, str(tmp_path), cfg.grid_times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grids = [f for f in files if os.path.basename(f).startswith("grid_")]
+        assert system.basis_b.n_grid == 256 * 256 and len(grids) == 2
+        assert all(os.path.getsize(f) > 5e6 for f in grids)
+        assert peak < 4e6
 
     def run_smoke(self, tmp_path):
         out = tmp_path / "out"
@@ -1057,6 +1117,54 @@ class TestOutputs:
         assert (tmp_path / "root" / "run" / "timeseries.csv").exists()
 
 
+class TestAtomicWrite:
+    """A file appears whole or not at all, and a failed write leaves what the
+    path held."""
+
+    @staticmethod
+    def failing_table(path, error, opened):
+        # the table's header and first block, then an error while the .tmp
+        # is open and holds them
+        table = _table("a,b", itertools.repeat(""), np.ones((3 * _BLOCK_ROWS, 2)))
+        yield next(table)
+        yield next(table)
+        opened.append(os.path.exists(str(path) + ".tmp"))
+        raise error
+
+    @pytest.mark.parametrize("error", [RuntimeError("format failed"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_failed_write_leaves_no_file(self, tmp_path, error):
+        path, opened = tmp_path / "table.csv", []
+        with pytest.raises(type(error)):
+            _write_atomic(str(path), self.failing_table(path, error, opened))
+        assert opened == [True] and os.listdir(tmp_path) == []
+
+    def test_failed_write_keeps_the_existing_file(self, tmp_path):
+        path, opened = tmp_path / "table.csv", []
+        path.write_bytes(b"old,bytes\n")
+        with pytest.raises(RuntimeError, match="format failed"):
+            _write_atomic(str(path),
+                          self.failing_table(path, RuntimeError("format failed"), opened))
+        assert opened == [True] and os.listdir(tmp_path) == ["table.csv"]
+        assert path.read_bytes() == b"old,bytes\n"
+
+    def test_bare_string_is_refused(self, tmp_path):
+        # writelines would write a str one character at a time
+        with pytest.raises(TypeError, match="not a str"):
+            _write_atomic(str(tmp_path / "table.csv"), "a,b\n1,2\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, payload", [("simulate", ORACLE_RECT),
+                                                  ("contdep", SMOKE), ("selftest", SMOKE)])
+    def test_successful_run_leaves_no_tmp(self, tmp_path, command, payload):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, payload),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        names = sorted(os.listdir(out))
+        assert not any(name.endswith(".tmp") for name in names)
+        assert names == sorted(read_manifest(out)["files"] + ["manifest.json"])
+
+
 class TestRectangleScenario:
     def test_2d_simulate_emits_xy_grid(self, tmp_path):
         cfgd = {
@@ -1104,7 +1212,7 @@ class TestStudyCommands:
         # NaN, which fails the row instead of being skipped
         def nan_obstacle(c2):
             return dataclasses.replace(double_obstacle_potential(c2), resolvent_solver=(
-                lambda eps, s: np.full_like(s, np.nan)))
+                lambda eps, s, out=None, scratch=None: np.full_like(s, np.nan)))
 
         monkeypatch.setattr(fracphase.cli, "double_obstacle_potential", nan_obstacle)
         out = tmp_path / "out"
@@ -1235,8 +1343,10 @@ class TestStudyCommands:
         if defect == "unclipped":
             # an obstacle whose resolvent solver skips the projection onto [-1, 1]
             def unclipped(c2):
-                return dataclasses.replace(double_obstacle_potential(c2),
-                                           resolvent_solver=lambda eps, s: np.array(s))
+                return dataclasses.replace(
+                    double_obstacle_potential(c2),
+                    resolvent_solver=lambda eps, s, out=None, scratch=None: np.array(s)
+                    if out is None else np.copyto(out, s) or out)
 
             monkeypatch.setitem(fracphase.config._POTENTIALS, "double_obstacle", unclipped)
         else:

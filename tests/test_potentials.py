@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_resolvent
+from conftest import bisect_resolvent, same_bits
 from fracphase.galerkin import OVERFLOW_LIMIT
-from fracphase.potentials import (Potential, ResolventError,
+from fracphase.potentials import (Potential, ResolventError, check_resolvent,
                                   double_obstacle_potential,
                                   logarithmic_potential, moreau, prox_step,
                                   regular_potential, resolvent, yosida,
@@ -30,9 +30,9 @@ KINDS = {
 # beta(s) = s, whose resolvent s/(1+eps) has a closed form to compare against
 LINEAR = Potential(kind="linear",
                    beta_hat=lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
-                   beta=lambda s: np.asarray(s, dtype=float),
+                   beta=lambda s, out=None: np.asarray(s, dtype=float),
                    gamma=0.0, domain=(-np.inf, np.inf),
-                   resolvent_solver=lambda eps, s: s / (1.0 + eps))
+                   resolvent_solver=lambda eps, s, out=None, scratch=None: s / (1.0 + eps))
 
 
 class TestCanonicalSplits:
@@ -165,7 +165,8 @@ class TestResolvent:
 
     def test_solver_is_residual_checked(self):
         wrong = dataclasses.replace(regular_potential(),
-                                    resolvent_solver=lambda eps, s: s.copy())
+                                    resolvent_solver=lambda eps, s, out=None, scratch=None:
+                                    s.copy())
         with pytest.raises(ResolventError, match="residual"):
             resolvent(wrong, 1.0, np.array([0.0, 2.0]))
         # a stacked (2-D) input reports the failing point as well
@@ -432,7 +433,8 @@ def test_residual_check_fast_path_matches_exact(s, eps, data):
                                             min_size=s.size, max_size=s.size)))
     offsets[where] = data.draw(st.sampled_from([1e-5, -1e-5, 0.0]))
     wrong = dataclasses.replace(
-        LINEAR, resolvent_solver=lambda eps, s: s / (1.0 + eps) + offsets)
+        LINEAR, resolvent_solver=lambda eps, s, out=None, scratch=None: s / (1.0 + eps)
+        + offsets)
     expected = exact_residual_message(wrong, eps, s)
     if expected is None:
         assert np.array_equal(resolvent(wrong, eps, s), s / (1.0 + eps) + offsets)
@@ -440,3 +442,66 @@ def test_residual_check_fast_path_matches_exact(s, eps, data):
         with pytest.raises(ResolventError) as info:
             resolvent(wrong, eps, s)
         assert str(info.value) == expected
+
+
+# both signs, both zeros, both wells and past them; logarithmic roots stay
+# representable at the levels below
+OUT_SAMPLES = np.append(np.linspace(-1.5, 1.5, 13), -0.0).reshape(2, 7)
+
+
+class TestOutBuffers:
+    """Every `out=` path writes its allocating twin's bits into the caller's
+    array and nothing else; the march hands them per-run buffers."""
+
+    @pytest.mark.parametrize("pot", ALL_SPLITS, ids=ALL_SPLIT_IDS)
+    @pytest.mark.parametrize("eps", [1e-3, 0.1, 2.0])
+    def test_solver_into_out(self, pot, eps):
+        grids = np.full((3,) + OUT_SAMPLES.shape, np.nan)
+        scratch = np.full((2,) + OUT_SAMPLES.shape, np.nan)
+        got = pot.resolvent_solver(eps, OUT_SAMPLES, grids[1], scratch)
+        assert np.shares_memory(got, grids[1])
+        assert same_bits(grids[1], pot.resolvent_solver(eps, OUT_SAMPLES))
+        assert np.isnan(grids[[0, 2]]).all()
+
+    @pytest.mark.parametrize("pot", ALL_SPLITS, ids=ALL_SPLIT_IDS)
+    @pytest.mark.parametrize("name", ["beta", "beta_hat"])
+    def test_maps_into_out(self, pot, name):
+        fn = getattr(pot, name)
+        want = fn(OUT_SAMPLES)
+        out = np.full_like(OUT_SAMPLES, np.nan)
+        assert fn(OUT_SAMPLES, out) is out and same_bits(out, want)
+        if name == "beta_hat":  # the envelope forms it in place
+            alias = OUT_SAMPLES.copy()
+            assert same_bits(fn(alias, alias), want)
+
+    @pytest.mark.parametrize("pot", ALL_SPLITS, ids=ALL_SPLIT_IDS)
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_yosida_moreau_and_prox_into_out(self, pot, eps):
+        s = OUT_SAMPLES
+        scratch = np.full((3,) + s.shape, np.nan)
+        out = np.full_like(s, np.nan)
+        assert same_bits(yosida(pot, eps, s, out=out), yosida(pot, eps, s))
+        want = moreau(pot, eps, s)
+        assert same_bits(moreau(pot, eps, s, out, scratch), want)
+        alias = s.copy()  # a snapshot's envelope replaces its synthesized grid
+        assert same_bits(moreau(pot, eps, alias, alias, scratch), want)
+        got = prox_step(pot, eps, 0.05, s, None, out, scratch[0])
+        assert same_bits(got, prox_step(pot, eps, 0.05, s))
+
+    @pytest.mark.parametrize("pot, eps", [(regular_potential(), 0.3),
+                                          (logarithmic_potential(2.0), 0.05)],
+                             ids=["regular", "logarithmic"])
+    @pytest.mark.parametrize("offset", [0.0, 4e-7, 1e-5, np.nan])
+    def test_residual_check_into_out_decides_the_same(self, pot, eps, offset):
+        x = pot.resolvent_solver(eps, OUT_SAMPLES)
+        x[1, 3] += offset
+        before = x.copy()
+        outcomes = []
+        for out in (None, np.full_like(x, np.nan)):
+            try:
+                outcomes.append(check_resolvent(pot, eps, OUT_SAMPLES, x, out))
+            except ResolventError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (abs(offset) < 1e-6)
+        assert same_bits(x, before)

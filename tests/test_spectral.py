@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_legendre_gram, smoke_run
+from conftest import gauss_legendre_gram, same_bits, smoke_run
 from fracphase.expressions import build_space_field
 import fracphase.spectral
 from fracphase.galerkin import Coupling, ProblemData, assemble, stack_systems
@@ -420,6 +420,31 @@ class TestFFTTransforms:
         # stays sum-factorized whatever its size
         rect = build_basis("rect_neumann", [1.0, 1.0], 64, 256)
         assert rect.n_grid * rect.n_modes >= FFT_MIN_TABLE_SIZE and rect.fft is None
+
+
+class TestOutBuffers:
+    """A transform given `out=` writes the allocating call's bits into it,
+    and nothing else: the march synthesizes into rows of its check rows."""
+
+    @pytest.mark.parametrize("kind, extent, n, m", [
+        ("interval_neumann", 1.0, 8, 64), ("interval_dirichlet", 1.7, 12, 96),
+        ("interval_neumann", 1.0, 512, 2048), ("interval_dirichlet", 1.0, 512, 2048),
+        ("rect_dirichlet", [1.3, 0.7], 12, 48), ("rect_neumann", [1.0, 1.0], 64, 256)])
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["lone", "stacked"])
+    def test_into_out_equals_the_allocating_call(self, kind, extent, n, m, rows):
+        basis = build_basis(kind, extent, n, m)
+        assert (basis.fft is not None) == (n == 512)
+        coeffs = np.random.default_rng(n).standard_normal(rows + (n,))
+        grids = np.full((3,) + rows + (basis.n_grid,), np.nan)
+        got = synthesize(basis, coeffs, grids[1])
+        want = synthesize(basis, coeffs)
+        assert np.shares_memory(got, grids[1]) and same_bits(grids[1], want)
+        assert np.isnan(grids[[0, 2]]).all()
+        modes = np.full((3,) + rows + (n,), np.nan)
+        got = analyze(basis, want, modes[1])
+        assert np.shares_memory(got, modes[1])
+        assert same_bits(modes[1], analyze(basis, want))
+        assert np.isnan(modes[[0, 2]]).all()
 
 
 class TestCrossGram:
