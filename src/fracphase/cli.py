@@ -390,9 +390,11 @@ def _cmd_longtime(cfg: RunConfig, study: dict, manifest: _ManifestWriter) -> str
                    {"value": report.tail_sup_ar_theta})
     manifest.check("tail_dtphi", report.tail_sup_dtphi <= tail_threshold,
                    {"value": report.tail_sup_dtphi})
+    settled = run.settled_step
     manifest.check("stationary_residual",
                    report.stationary_residual <= study["stationary_threshold"],
-                   {"value": report.stationary_residual})
+                   {"value": report.stationary_residual,
+                    "settled_t": None if settled is None else settled * cfg.scheme.dt})
     manifest.check("theta_on_kernel",
                    report.final_nonkernel_theta <= tail_threshold,
                    {"value": report.final_nonkernel_theta,

@@ -112,6 +112,8 @@ class RunOutput:
     read these (None otherwise).  Of a stacked run every array but `times`
     carries a row axis, after the snapshot axis and before the grid axis of
     `xi_final`; `rows()` splits it into one output per trajectory.
+    `settled_step`, the step after which the march stopped at a fixed
+    point, is the whole stack's and every row's.
     """
 
     times: np.ndarray
@@ -127,13 +129,14 @@ class RunOutput:
     grid_min: Optional[np.ndarray] = None     # (K,)
     sign_excess: Optional[np.ndarray] = None  # (K,)
     xi_final: Optional[np.ndarray] = None     # (m,)
+    settled_step: Optional[int] = None        # see `integrate`
 
     def rows(self) -> list["RunOutput"]:
         """One single-trajectory output per row of a stacked run's output."""
 
         def pick(obj, b):
             return {f.name: getattr(obj, f.name)[:, b] for f in fields(obj)
-                    if f.name not in ("times", "ledger", "xi_final")
+                    if f.name not in ("times", "ledger", "xi_final", "settled_step")
                     and getattr(obj, f.name) is not None}
 
         return [replace(self, **pick(self, b),
@@ -447,6 +450,15 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
     snapshot, at each ledger block end and when the check rows are full; the
     error is the one the first failing step's own checks raise, so it equals
     a per-step check's.
+
+    A step without a source reads no t, so once the state a span ends on
+    equals the state before it bit for bit (bytes, not values: -0.0 == 0.0),
+    every later step would return it too.  The march then computes no more
+    steps: it writes that state into the block rows, records it (a proximal
+    run's multiplier from the last computed step's grids) and reduces them
+    as before, and runs no more checks, since every later row equals a
+    checked one.  `RunOutput.settled_step` is the last step computed (None
+    when the march never stopped early).
     """
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
@@ -470,6 +482,7 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
         # come, which keeps the run's peak memory at the per-call temporaries'
         ledger.scratch = None
         run = _finalize(ledger)
+        run.settled_step = settled
         return run.rows()[0] if lone else run
 
     # prox runs ledger the datum grid at t = 0: the modal projection of a
@@ -477,22 +490,25 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
     ledger.theta_block[0], ledger.phi_block[0] = theta, phi
     ledger.record(0.0, theta, phi, 0, None, system.phi0_grid if prox else None)
     first = 1  # the block row of the span's first step
+    settled = None  # the last step computed, once the state repeats
     try:
         # the steps a span computes after one that fails its checks run on
         # inf or NaN, which must print nothing
         with np.errstate(all="ignore"):
             for k in range(1, n_steps + 1):
                 j = (k - 1) % block + 1  # the step's row in its block
-                checks.i = j - first  # and in its span
-                # (k - 1)*dt, not the sum of k - 1 dt's, avoids drift in the times
-                theta, phi, g, star_grid, phi_grid = step_imex(prepared, theta, phi,
-                                                               (k - 1) * dt)
+                if settled is None:
+                    checks.i = j - first  # and in its span
+                    # (k - 1)*dt, not the sum of k - 1 dt's, avoids drift in the times
+                    theta, phi, g, star_grid, phi_grid = step_imex(prepared, theta, phi,
+                                                                   (k - 1) * dt)
                 ledger.theta_block[j], ledger.phi_block[j] = theta, phi
                 if ledger.source_block is not None:
                     ledger.source_block[j] = g
                 snapshot = k % snapshot_stride == 0 or k == n_steps
                 # a span ends before a snapshot, so only checked states record
-                if snapshot or j == block or checks.i + 1 == checks.n_rows:
+                if settled is None and (snapshot or j == block
+                                        or checks.i + 1 == checks.n_rows):
                     failure = checks.first_failure(ledger.theta_block, ledger.phi_block,
                                                    first)
                     if failure is not None:
@@ -500,6 +516,10 @@ def integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: float,
                         k += r - checks.i  # the failing step
                         raise exc
                     first = j % block + 1
+                    if not system.source and all(
+                            rows[j].tobytes() == rows[j - 1].tobytes()
+                            for rows in (ledger.theta_block, ledger.phi_block)):
+                        settled = k  # a fixed point: no step computes anything new
                 if snapshot:
                     xi = None if phi_grid is None else (star_grid - phi_grid) / dt
                     ledger.record(k * dt, theta, phi, j, xi, phi_grid)

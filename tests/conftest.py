@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,19 @@ from fracphase.potentials import regular_potential
 from fracphase.spectral import (build_basis, eigenfunctions_at, fractional_multipliers,
                                 kernel_projection)
 from fracphase.timestepper import SchemeConfig, integrate
+
+
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def bench_workload(monkeypatch, name):
+    """The benchmark workload `name` of perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(BENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[name]
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import importlib.util
 import itertools
 import json
 import os
@@ -19,7 +18,7 @@ import fracphase.cli
 import fracphase.config
 import fracphase.spectral
 import fracphase.timestepper
-from conftest import read_manifest, read_timeseries
+from conftest import bench_workload, read_manifest, read_timeseries
 from fracphase.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
                            EXIT_SOLVER, OUTPUT_ROOT_ENV, TIMESERIES_HEADER, _BLOCK_ROWS,
                            _coordinate_text, _fmt, _table, _write_atomic, config_hash,
@@ -31,7 +30,6 @@ from fracphase.spectral import SpectralBasis, build_basis
 from fracphase.timestepper import BlowupError, integrate
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 SMOKE = {
     "geometry": {
         "a": {"kind": "interval_neumann", "extent": 1.0, "n_modes": 6, "m_grid": 48},
@@ -140,16 +138,6 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def bench_workload(monkeypatch, name):
-    """The benchmark workload `name` of perfbench/workloads.py."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", os.path.join(BENCH, "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
-    spec.loader.exec_module(workloads)
-    return workloads.WORKLOADS[name]
 
 
 def count_basis_builds(monkeypatch) -> list[tuple[int, int]]:
@@ -1394,6 +1382,21 @@ class TestStudyCommands:
                   "--out", str(out), "--jobs", "3", "--quiet"])
         assert info.value.code == EXIT_CONFIG
         assert not out.exists()
+
+    def test_longtime_reports_where_the_march_settled(self, tmp_path):
+        # the shipped system reaches its fixed point bit for bit before
+        # t_final; a sourced one (whose short run fails the tail checks)
+        # never stops computing steps
+        outs = [tmp_path / "shipped", tmp_path / "sourced"]
+        for out, config, code in zip(outs, [os.path.join(CONFIGS, "longtime.json"),
+                                            write_config(tmp_path, SMOKE)],
+                                     [EXIT_OK, EXIT_CHECK]):
+            assert main(["longtime", "--config", config, "--out", str(out),
+                         "--quiet"]) == code
+        shipped, sourced = (read_manifest(out) for out in outs)
+        settled_t = shipped["checks"]["stationary_residual"]["detail"]["settled_t"]
+        assert 0.0 < settled_t < shipped["config"]["scheme"]["t_final"]
+        assert sourced["checks"]["stationary_residual"]["detail"]["settled_t"] is None
 
     def test_retired_opcheck_command_is_rejected(self, tmp_path):
         out = tmp_path / "out"

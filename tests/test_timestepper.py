@@ -12,8 +12,10 @@ import pytest
 import fracphase.galerkin
 import fracphase.potentials
 import fracphase.timestepper
-from conftest import bisect_resolvent, smoke_data, smoke_run
-from fracphase.config import build_system, load_raw_config, validate_config
+from conftest import bench_workload, bisect_resolvent, smoke_data, smoke_run
+from fracphase.analysis import relaxation_limit_study
+from fracphase.config import (build_system, build_systems, load_raw_config, read_study,
+                              validate_config)
 from fracphase.expressions import build_source
 from fracphase.galerkin import (Coupling, DiscreteSystem, OverflowGuardError,
                                 ProblemData, ValidationError, assemble, guard,
@@ -933,9 +935,12 @@ def oracle_integrate(system: DiscreteSystem, scheme: SchemeConfig, t_final: floa
 
 
 def assert_same_bits(run, want):
-    """Every array of two RunOutputs and their ledgers equal bit for bit."""
+    """Every array of two RunOutputs and their ledgers equal bit for bit;
+    `settled_step`, which the oracle never sets, is not compared."""
     for obj, other in ((run, want), (run.ledger, want.ledger)):
         for f in dataclasses.fields(obj):
+            if f.name == "settled_step":
+                continue
             a, b = getattr(obj, f.name), getattr(other, f.name)
             if f.name == "ledger" or b is None:
                 assert a is None or f.name == "ledger", f.name
@@ -995,6 +1000,102 @@ class TestBlockedLedgerAgainstOracle:
         assert (got.step, got.t, got.row, str(got)) == (want.step, want.t, want.row, str(want))
         assert got.step == 3 and got.partial.times.tolist() == [0.0, 20.0]
         assert_same_bits(got.partial, want.partial)
+
+
+LONGTIME = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "longtime.json")
+
+
+def counting_steps(monkeypatch, step=step_imex):
+    """A list that grows by one per `step_imex` call integrate makes, each
+    call going to `step`."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(fracphase.timestepper, "step_imex", counted)
+    return calls
+
+
+class TestFixedPoint:
+    """A sourceless march stops computing steps once its state repeats bit
+    for bit and still returns what the per-step march records."""
+
+    # the shipped long-time system settles in step 9 183 under imex_euler;
+    # its sigma = 0.25 row not before step 10 349, so the stack waits for it
+    @pytest.mark.parametrize("case", ["imex_euler", "implicit_prox", "stacked"])
+    def test_skipped_steps_match_the_oracle(self, monkeypatch, case):
+        cfg = validate_config(load_raw_config(LONGTIME))
+        scheme = dataclasses.replace(cfg.scheme, scheme="imex_euler" if case == "stacked"
+                                     else case)
+        systems = build_systems(cfg, [(0.5, cfg.eps)] + [(0.25, cfg.eps)] * (case == "stacked"))
+        system = stack_systems(systems) if case == "stacked" else systems[0]
+        calls = counting_steps(monkeypatch)
+        run = integrate(system, scheme, cfg.t_final, cfg.snapshot_stride)
+        assert len(calls) == run.settled_step < step_count(cfg.t_final, scheme.dt)
+        assert_same_bits(run, oracle_integrate(system, scheme, cfg.t_final,
+                                               cfg.snapshot_stride))
+        if case == "stacked":
+            alone = [integrate(row, scheme, cfg.t_final, cfg.snapshot_stride).settled_step
+                     for row in systems]
+            assert alone[0] < alone[1] == run.settled_step
+            assert [row.settled_step for row in run.rows()] == [run.settled_step] * 2
+
+    def test_a_sourced_run_computes_every_step(self, monkeypatch):
+        # a constant source: the march reaches a fixed point, but a step that
+        # samples a source may depend on t, so none is skipped
+        raw = load_raw_config(LONGTIME)
+        raw["data"]["source"] = {"space": {"kind": "cos", "k": 1, "amplitude": 0.1},
+                                 "time": {"kind": "exp", "rate": 0.0}}
+        raw["scheme"]["t_final"] = 120.0
+        cfg = validate_config(raw)
+        system = build_system(cfg)
+        assert system.source
+        calls = counting_steps(monkeypatch)
+        run = integrate(system, cfg.scheme, cfg.t_final, cfg.snapshot_stride)
+        assert len(calls) == step_count(cfg.t_final, cfg.scheme.dt)
+        assert run.settled_step is None
+        for series in (run.theta_series, run.phi_series):
+            assert series[-2].tobytes() == series[-1].tobytes()
+
+    def test_the_obstacle_ladder_computes_every_step(self, monkeypatch):
+        # the benchmark's obstacle ladder: no fixed point within 200 000 steps
+        cfg = validate_config(bench_workload(monkeypatch, "obstacle-ladder").config)
+        ladder = build_systems(cfg, [(sigma, cfg.eps)
+                                     for sigma in read_study(cfg, "relaxlimit")["sigmas"]])
+        calls = counting_steps(monkeypatch)
+        report = relaxation_limit_study(ladder, cfg.scheme.dt, cfg.t_final,
+                                        cfg.snapshot_stride)
+        assert len(calls) == step_count(cfg.t_final, cfg.scheme.dt)
+        assert all(run.settled_step is None for _, run in report.marched)
+
+    @pytest.mark.parametrize("flipped", ["theta", "phi"])
+    def test_equal_values_with_other_bits_keep_stepping(self, neumann8, monkeypatch,
+                                                        flipped):
+        # zero data stays +0.0, so the march stops after its first span; a step
+        # that returns its input with the sign of theta's or phi's zeros
+        # flipped returns equal values, not equal bits
+        data = ProblemData(theta0=None, phi0=None, coupling=Coupling.constant(0.5))
+        system = assemble(data, neumann8, neumann8, 0.5, 0.5, 1e-2, regular_potential(1.0))
+        scheme = SchemeConfig("imex_euler", dt=1e-3)
+        run = integrate(system, scheme, 0.2, 5)
+        assert run.settled_step == 5
+
+        def flipping(prepared, theta, phi, t):
+            *_, g, star, grid = step_imex(prepared, theta, phi, t)  # writes the check rows
+            state = {"theta": theta, "phi": phi}
+            state[flipped] = np.negative(state[flipped])
+            return state["theta"], state["phi"], g, star, grid
+
+        calls = counting_steps(monkeypatch, flipping)
+        run = integrate(system, scheme, 0.2, 5)
+        assert len(calls) == 200 and run.settled_step is None
+        # snapshots after an odd number of steps hold -0.0
+        series = getattr(run, f"{flipped}_series")
+        assert np.all(series == 0.0)
+        assert np.signbit(series[1::2]).all()
+        assert not np.signbit(series[::2]).any()
 
 
 def constant_rows(potential, eps, ell, rows, source_rate=None):
